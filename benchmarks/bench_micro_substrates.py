@@ -16,7 +16,7 @@ from repro.core.optimization import optimize_graph
 from repro.core.search import KNNGraphSearcher
 from repro.distances import dense, sparse
 from repro.runtime.partition import HashPartitioner
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 rng = np.random.default_rng(0)

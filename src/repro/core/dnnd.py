@@ -1,6 +1,9 @@
 """DNND — Distributed NN-Descent (Section 4), the paper's contribution.
 
-The driver orchestrates the SPMD phases over the simulated cluster:
+The driver only *sequences* the SPMD phases and barriers; what a rank
+does in each phase — sections, handlers, shard state — lives once in
+:mod:`.dnnd_phases` and is run, not re-implemented, by every world (the
+inline sim, the thread pool, the worker processes):
 
 1. **distribute** — hash-partition vertices and feature rows over ranks
    (Section 4: vertex and neighbor list co-located on the owner rank).
@@ -27,12 +30,12 @@ from __future__ import annotations
 import contextlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.race import race_requested
-from ..analysis.sanitizer import sanitizer_requested, tag_heap
+from ..analysis.sanitizer import sanitizer_requested
 from ..config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from ..distances.counting import CountingMetric
 from ..errors import (CheckpointCorruptError, ConfigError, RankFailureError,
@@ -51,14 +54,11 @@ from ..runtime.transports import (LocalTransport, ProcessTransport,
                                   ProcessWorld, SharedArrayOwner, SimCluster)
 from ..runtime.ygm import RankContext, YGMWorld
 from .executor import SimExecutor, make_executor, resolve_backend
-from ..types import DIST_BYTES, ID_BYTES
-from ..utils.rng import derive_rng
-from ..utils.sampling import sample_without_replacement
-from .dnnd_phases import (LocalShard, register_dnnd_batch_handlers,
-                          register_dnnd_handlers, shard_of, T1)
+from ..types import ID_BYTES
+from .dnnd_phases import (SECTIONS, SHARD_OPS, batch_barrier, build_shards,
+                          check_vertex, ckpt_set, init_vertex,
+                          register_dnnd_handlers, shard_of, shard_totals)
 from .graph import EMPTY, AdjacencyGraph, KNNGraph
-from .heap import NeighborHeap
-from .nndescent import _union_with_sample
 
 #: Shared no-op context for driver sections when the sanitizer is off —
 #: module-level so the hot loops allocate nothing per vertex.
@@ -227,17 +227,23 @@ class DNND:
         raises.  ``None`` (default) defers to ``REPRO_SANITIZE``.
 
     The execution backend comes from ``config.backend`` (``"sim"`` |
-    ``"parallel"`` | ``None`` = defer to ``REPRO_BACKEND``, default
-    sim).  The sim backend is the deterministic cost-modeled
-    simulation; the parallel backend runs rank sections concurrently on
-    a shared-memory thread pool (``config.workers``).  Fault injection,
-    reliable delivery, failure detection, and supervised recovery work
-    on *both* backends (the transport seam owns them); only the network
-    cost model remains sim-only: requesting ``net=...`` with an
-    *explicit* ``backend="parallel"`` raises
-    :class:`~repro.errors.ConfigError`, while a blanket
-    ``REPRO_BACKEND=parallel`` environment default downgrades such a
-    run to sim — with a visible :class:`RuntimeWarning` and a
+    ``"parallel"`` | ``"process"`` | ``None`` = defer to
+    ``REPRO_BACKEND``, default sim).  All three run the same rank
+    program (:mod:`.dnnd_phases`): sim is the deterministic cost-modeled
+    simulation; parallel runs rank sections concurrently on a
+    shared-memory thread pool; process runs ranks in ``config.workers``
+    worker processes over a shared-memory dataset segment.  Fault
+    injection, reliable delivery, failure detection, and supervised
+    recovery work on sim and parallel (the transport seam owns them);
+    process handles crash plans natively (SIGKILL of the owning worker)
+    but has no message-level fault hooks, reliable delivery, sanitizers
+    or sparse-dataset support.  The network cost model is sim-only.
+
+    Requesting a feature the chosen backend lacks follows one rule for
+    parallel and process alike: with an *explicit* ``backend=...`` it
+    raises :class:`~repro.errors.ConfigError`; when the backend came
+    from a blanket ``REPRO_BACKEND`` environment default the run is
+    downgraded to sim — with a visible :class:`RuntimeWarning` and a
     ``backend.fallbacks`` counter in the metrics, never silently.
     """
 
@@ -308,11 +314,16 @@ class DNND:
                 fallbacks = 1
         self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
-        self._parallel = backend == "parallel"
+        # The inline sim schedule interleaves vertices across ranks and
+        # takes Section 4.4 batch barriers mid-phase; the other worlds
+        # run each rank's section whole.
+        self._sim = backend == "sim"
         self._process = backend == "process"
         self.fault_plan = fault_plan
         self._flush_threshold = int(flush_threshold)
-        self._shm_owner: Optional[SharedArrayOwner] = None
+        # The read-only dataset view message features resolve from.
+        self._rows = (self.data if self._sparse
+                      else np.ascontiguousarray(np.asarray(self.data)))
         if self._process:
             # Crash plans are handled natively by the process world
             # (SIGKILL at the planned iteration); the message-level
@@ -320,8 +331,7 @@ class DNND:
             self._injector = None
             self.executor = make_executor(
                 backend, self.config.workers, self.cluster_config.world_size)
-            self._shm_owner = SharedArrayOwner(
-                np.ascontiguousarray(np.asarray(self.data)))
+            self._shm_owner = SharedArrayOwner(self._rows)
             self.cluster = ProcessTransport(self.cluster_config,
                                             workers=self.executor.workers)
             self.world = ProcessWorld(self.cluster, executor=self.executor,
@@ -333,33 +343,33 @@ class DNND:
             # GC finalizer cannot keep the whole build alive.
             self.executor.bind(
                 _process_teardown(self.cluster, self._shm_owner))
+            # Whoever fires the plan's scheduled crashes each iteration.
+            self._crash_clock = self.world
         else:
             self._injector = make_injector(fault_plan, self.cluster_config.world_size)
-            if self._parallel:
+            self._crash_clock = self._injector
+            if self._sim:
+                self.executor = SimExecutor()
+                self.cluster = SimCluster(self.cluster_config, net,
+                                          injector=self._injector)
+            else:
                 self.executor = make_executor(
                     backend, self.config.workers, self.cluster_config.world_size)
                 self.cluster = LocalTransport(self.cluster_config,
                                               injector=self._injector)
-            else:
-                self.executor = SimExecutor()
-                self.cluster = SimCluster(self.cluster_config, net,
-                                          injector=self._injector)
             self.world = YGMWorld(self.cluster, flush_threshold=flush_threshold,
                                   seed=self.config.nnd.seed,
                                   reliable=reliable, max_retries=max_retries,
                                   failure_timeout=failure_timeout,
                                   sanitize=sanitize, executor=self.executor,
                                   metrics=self.metrics)
+            # Process workers register the same handlers inside each
+            # worker process (``dnnd_process.ProcessDNNDApp``).
+            register_dnnd_handlers(self.world, self.config.batch_exec)
         self._open_span = None
         self._recoveries = 0
         self._recovery_attempts = 0
         self._degraded_ranks: set = set()
-        if not self._process:
-            # Process workers register their own handler set (the
-            # shared-memory variants) inside each worker process.
-            register_dnnd_handlers(self.world)
-            if self.config.batch_exec:
-                register_dnnd_batch_handlers(self.world)
         self.partitioner = partitioner or HashPartitioner(self.n, self.cluster_config.world_size)
         self._built = False
         self._distribute()
@@ -375,58 +385,52 @@ class DNND:
         if self._process:
             # First call spawns the worker fabric (each worker maps the
             # shared dataset segment and builds its owned shards in its
-            # bootstrap); recovery calls rebroadcast a shard rebuild.
+            # bootstrap); recovery and repartition calls rebroadcast the
+            # (possibly swapped) ownership layer with a shard rebuild.
             if not self.cluster.started:
                 self.cluster.start(
                     ("repro.core.dnnd_process", "bootstrap"),
                     {"spec": self._shm_owner.spec,
                      "config": self.config,
                      "partitioner": self.partitioner,
-                     "n": self.n,
                      "flush_threshold": self._flush_threshold})
             else:
-                # Rebroadcast the (possibly repartitioned) ownership
-                # layer with the rebuild: workers swap their partitioner
-                # and owner table, then rebuild their owned shards.
-                self.world.command("set_partitioner",
+                self.world.command("build_shards",
                                    {"partitioner": self.partitioner})
             return
-        cfg = self.config
-        san = self.world.sanitizer
-        # One shared read-only owner table: owner_of[gid] == owner(gid),
-        # used by the batch handlers instead of per-message hash calls.
-        # Kept as a plain list: per-message indexing of a Python list is
-        # several times cheaper than a numpy scalar index + int().
-        owner_table = self.partitioner.owner_array(
-            np.arange(self.n, dtype=np.int64)).tolist()
-        for ctx in self.world.ranks:
-            gids = self.partitioner.local_ids(ctx.rank)
-            if self._sparse:
-                feats = [self.data[int(g)] for g in gids]
-                dense_bytes = 0
-            else:
-                feats = np.ascontiguousarray(np.asarray(self.data)[gids])
-                dense_bytes = int(feats.shape[1] * feats.dtype.itemsize) if feats.size else 0
-            shard = LocalShard(
-                rank=ctx.rank,
-                partitioner=self.partitioner,
-                global_ids=gids,
-                local_index={int(g): i for i, g in enumerate(gids)},
-                features=feats,
-                heaps=[NeighborHeap(cfg.k) for _ in range(len(gids))],
-                metric=CountingMetric(cfg.nnd.metric, kernel=cfg.kernel),
-                config=cfg,
-                sparse=self._sparse,
-                feature_nbytes_dense=dense_bytes,
-                owner_of=owner_table,
-            )
-            if san is not None:
-                for heap in shard.heaps:
-                    tag_heap(heap, san, ctx.rank)
-            ctx.state["shard"] = shard
+        build_shards(self.world.ranks, self.partitioner, self._rows,
+                     self.config, paced=self._sim)
 
-    def _shards(self) -> List[LocalShard]:
-        return [shard_of(ctx) for ctx in self.world.ranks]
+    def _run_section(self, name: str, **params) -> Dict[int, Any]:
+        """Run entry ``name`` of the rank program wherever the ranks
+        live and return ``rank -> result``: a :data:`SECTIONS` entry as
+        an SPMD section on the live ranks, a :data:`SHARD_OPS` entry on
+        every rank."""
+        spmd = name in SECTIONS
+        fn = SECTIONS[name] if spmd else SHARD_OPS[name]
+        if self._process:
+            replies = (self.world.run_section(name, params) if spmd
+                       else self.world.command(name, params))
+            return {rank: value for per_worker in replies.values()
+                    for rank, value in per_worker.items()}
+        out: Dict[int, Any] = {}
+
+        def run(ctx: RankContext) -> None:
+            out[ctx.rank] = fn(ctx, **params)
+
+        if spmd:
+            self.world.run_on_all(run)
+        else:
+            for ctx in self.world.ranks:
+                run(ctx)
+        return out
+
+    def _shard_totals(self) -> Dict[int, tuple]:
+        """``rank -> shard_totals`` (see :func:`dnnd_phases.shard_totals`).
+        The process world folds in the history of workers that died."""
+        if self._process:
+            return self.world.shard_totals()
+        return {ctx.rank: shard_totals(ctx) for ctx in self.world.ranks}
 
     def _rank_scope(self, ctx: RankContext):
         """Sanitizer scope marking driver code as executing *as*
@@ -457,59 +461,26 @@ class DNND:
             self._open_span.__exit__(None, None, None)
             self._open_span = None
 
-    def _maybe_batch_barrier(self) -> None:
-        """Section 4.4: barrier every ``batch_size`` global requests.
-
-        No-op under the parallel backend: application-level batch
-        barriers exist to bound the *simulated* buffer memory between
-        supersteps, and mid-phase barriers cannot be driven from inside
-        concurrently-running rank sections."""
-        if self._parallel:
-            return
-        bs = self.config.batch_size
-        if bs and self.world.async_count_since_barrier >= bs:
-            self.world.barrier()
-
-    def _emit_chunked(self, ctx: RankContext, triples: list,
-                      nbytes: int, msg_type: str) -> None:
-        """Emit ``(dest, handler, args)`` triples as blocks sized to hit
-        the Section 4.4 barrier at exactly the same message index as a
-        per-message loop with a per-message :meth:`_maybe_batch_barrier`
-        would (the scalar path in phases whose handlers emit nothing —
-        the async count between barriers then only grows by driver
-        emissions, one per message, so the barrier fires precisely when
-        the count reaches ``batch_size``)."""
-        if self._parallel:
-            # No mid-phase barriers under the parallel backend: ship the
-            # whole run in one coalesced emission.
-            self.world.emit_run(ctx.rank, triples, nbytes, msg_type)
-            return
-        bs = self.config.batch_size
-        i = 0
-        n = len(triples)
-        while i < n:
-            if bs:
-                room = max(1, bs - self.world.async_count_since_barrier)
-                chunk = triples[i:i + room]
-            else:
-                chunk = triples[i:] if i else triples
-            self.world.emit_run(ctx.rank, chunk, nbytes, msg_type)
-            i += len(chunk)
-            self._maybe_batch_barrier()
-
     def _interleaved_vertices(self):
         """Yield ``(ctx, local_index)`` round-robin across ranks, modeling
         SPMD ranks progressing through their local vertices together
         (excluded ranks sit out, as in :meth:`YGMWorld.run_on_all`)."""
-        shards = self._shards()
         excluded = self.world.excluded_ranks
-        max_local = max((s.n_local for s in shards), default=0)
-        for li in range(max_local):
-            for ctx in self.world.ranks:
-                if excluded and ctx.rank in excluded:
-                    continue
-                if li < shard_of(ctx).n_local:
+        ctxs = [ctx for ctx in self.world.ranks if ctx.rank not in excluded]
+        n_local = [shard_of(ctx).n_local for ctx in ctxs]
+        for li in range(max(n_local, default=0)):
+            for ctx, n in zip(ctxs, n_local):
+                if li < n:
                     yield ctx, li
+
+    def _interleave(self, per_vertex) -> None:
+        """The sim schedule of a per-vertex phase: every rank's vertex
+        ``li`` before any rank's ``li + 1``, with a Section 4.4 batch
+        barrier check after each vertex."""
+        for ctx, li in self._interleaved_vertices():
+            with self._rank_scope(ctx):
+                per_vertex(ctx, li)
+            batch_barrier(ctx)
 
     # -- build ------------------------------------------------------------------
 
@@ -599,17 +570,8 @@ class DNND:
         :class:`~repro.errors.ConfigError` — resume always reconstructs
         the stored ownership, never silently reassigns it.
         """
-        try:
-            with MetallStore.open_read_only(checkpoint_path,
-                                            verify=True) as store:
-                meta = store["ckpt_meta"]
-                heap_ids = np.asarray(store["ckpt_ids"])
-                heap_dists = np.asarray(store["ckpt_dists"])
-                heap_flags = np.asarray(store["ckpt_flags"])
-        except StoreCorruptError as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint at {checkpoint_path} failed verification "
-                f"on resume: {exc}") from exc
+        meta, heap_ids, heap_dists, heap_flags = _load_checkpoint(
+            checkpoint_path, "on resume")
         if meta["n"] != len(data):
             raise ConfigError(
                 f"checkpoint was built on {meta['n']} rows, got {len(data)}"
@@ -660,7 +622,11 @@ class DNND:
                    fault_plan=fault_plan, reliable=reliable,
                    partitioner=restored)
         dnnd._built = True
-        dnnd._restore_heaps(heap_ids, heap_dists, heap_flags)
+        try:
+            dnnd._restore_heaps(heap_ids, heap_dists, heap_flags)
+        except StoreError:
+            dnnd.close()  # no workers or segment left behind
+            raise
         result = dnnd._run_iterations(
             start_iteration=int(meta["iteration"]),
             update_counts=list(meta["update_counts"]),
@@ -688,12 +654,11 @@ class DNND:
         it = start_iteration
         while it < cfg.max_iters:
             iterations = it + 1
-            if self._injector is not None:
-                self._injector.advance_iteration(it)
-            elif self._process and self.fault_plan is not None:
-                # Planned crashes fire here as real SIGKILLs on the
-                # owning worker; detection surfaces at the next barrier.
-                self.world.advance_iteration(it)
+            if self._crash_clock is not None:
+                # Under process, planned crashes fire here as real
+                # SIGKILLs on the owning worker; detection surfaces at
+                # the next barrier.
+                self._crash_clock.advance_iteration(it)
             before = {t: (s.count, s.bytes) for t, s in self.cluster.stats.by_type.items()}
             try:
                 c = self._iteration(it)
@@ -747,11 +712,7 @@ class DNND:
         self._publish_build_metrics(update_counts)
         self._publish_partition_metrics(graph.ids)
         self._publish_sim_enrichment()
-        if self._process:
-            distance_evals = sum(
-                t[1] for t in self.world.shard_totals().values())
-        else:
-            distance_evals = sum(s.metric.count for s in self._shards())
+        distance_evals = sum(t[1] for t in self._shard_totals().values())
         result = DNNDResult(
             graph=graph,
             iterations=iterations,
@@ -783,28 +744,15 @@ class DNND:
         m = self.metrics
         if not m.enabled:
             return
-        if self._process:
-            totals = list(self.world.shard_totals().values())
-            m.set_counter("heap.updates", sum(t[0] for t in totals))
-            m.set_counter("heap.updates.accepted", sum(update_counts))
-            m.set_counter("distance.evals", sum(t[1] for t in totals))
-            m.set_counter("kernel.tile_flops",
-                          sum(t[3] for t in totals if len(t) > 3))
-            m.set_counter("kernel.fallbacks",
-                          sum(t[4] for t in totals if len(t) > 4))
-            m.set_counter("recovery.attempts", self._recovery_attempts)
-            return
-        shards = self._shards()
-        m.set_counter("heap.updates", sum(s.push_attempts for s in shards))
+        totals = list(self._shard_totals().values())
+        m.set_counter("heap.updates", sum(t[0] for t in totals))
         m.set_counter("heap.updates.accepted", sum(update_counts))
-        m.set_counter("distance.evals", sum(s.metric.count for s in shards))
+        m.set_counter("distance.evals", sum(t[1] for t in totals))
         # Kernel-layer tallies (DESIGN.md section 17): zero under the
         # default rowwise kernel, so the snapshot names stay stable
         # across kernel choices (same contract as the recovery zeros).
-        m.set_counter("kernel.tile_flops",
-                      sum(s.metric.tile_flops for s in shards))
-        m.set_counter("kernel.fallbacks",
-                      sum(s.metric.kernel_fallbacks for s in shards))
+        m.set_counter("kernel.tile_flops", sum(t[3] for t in totals))
+        m.set_counter("kernel.fallbacks", sum(t[4] for t in totals))
         # Recovery SLO counters: published on every backend (zeros
         # included) so fault-free and fault-injected snapshots expose
         # the same names.
@@ -849,18 +797,8 @@ class DNND:
             self.world.reset_in_flight()
             self.cluster.repair_all()
             if checkpoint_path is not None and MetallStore.exists(checkpoint_path):
-                try:
-                    with MetallStore.open_read_only(checkpoint_path,
-                                                    verify=True) as store:
-                        meta = store["ckpt_meta"]
-                        ids = np.asarray(store["ckpt_ids"])
-                        dists = np.asarray(store["ckpt_dists"])
-                        flags = np.asarray(store["ckpt_flags"])
-                except StoreCorruptError as exc:
-                    raise CheckpointCorruptError(
-                        f"checkpoint at {checkpoint_path} failed "
-                        f"verification during crash recovery: {exc}"
-                    ) from exc
+                meta, ids, dists, flags = _load_checkpoint(
+                    checkpoint_path, "during crash recovery")
                 self._restore_heaps(ids, dists, flags)
                 update_counts[:] = list(meta["update_counts"])
                 return int(meta["iteration"])
@@ -886,8 +824,8 @@ class DNND:
     def _exclude_failed(self, ranks) -> None:
         """Degraded mode: write failed ``ranks`` out of the build.  The
         comm layer discards their traffic and skips them in SPMD
-        sections; their shards' convergence contribution is zeroed here
-        (the allreduce still collects one value per rank)."""
+        sections; their shards' convergence contribution counts as zero
+        while they are out (see :meth:`_iteration`)."""
         ranks = {int(r) for r in ranks} - self._degraded_ranks
         self._degraded_ranks |= ranks
         self.world.exclude_ranks(ranks)
@@ -896,14 +834,6 @@ class DNND:
         # iteration from its start (keyed randomness makes the replay
         # emit the same survivor-side messages).
         self.world.reset_in_flight()
-        if self._process:
-            # The worker-side "exclude" broadcast already zeroed the
-            # excluded shards' convergence counters (dead workers' ranks
-            # report nothing until respawned at readmission).
-            return
-        for ctx in self.world.ranks:
-            if ctx.rank in self._degraded_ranks:
-                shard_of(ctx).update_count = 0
 
     def _repair_degraded(self, update_counts: List[int],
                          threshold: float) -> None:
@@ -921,78 +851,15 @@ class DNND:
            neighborhoods back into the graph.
         """
         cfg = self.config.nnd
-        repaired = set()
         with self.metrics.span("recovery.duration", cat="recovery",
                                mode="degraded-repair",
                                ranks=sorted(self._degraded_ranks)):
             self._enter_phase("repair")
-            repaired = self.world.readmit_ranks()
-            if self._process:
-                # Same three repair stages, run worker-side: fresh heaps
-                # on repaired ranks (respawned workers already rebuilt
-                # their shards from the shared segment — the reset is
-                # idempotent), keyed re-initialization, and survivor
-                # edge donation.
-                rlist = sorted(repaired)
-                self.world.run_section("repair_reset", {"ranks": rlist})
-                self.world.run_section("repair_reinit", {"ranks": rlist})
-                self.world.run_section("repair_donate", {"ranks": rlist})
-                self.world.barrier()
-                for j in range(4):
-                    c = self._iteration(cfg.max_iters + 1 + j)
-                    update_counts.append(c)
-                    self._publish_build_metrics(update_counts)
-                    if c < threshold:
-                        break
-                self._close_phase()
-                return
-            san = self.world.sanitizer
-            for ctx in self.world.ranks:
-                if ctx.rank not in repaired:
-                    continue
-                shard = shard_of(ctx)
-                shard.heaps = [NeighborHeap(self.config.k)
-                               for _ in range(shard.n_local)]
-                shard.reset_iteration_scratch()
-                if san is not None:
-                    for heap in shard.heaps:
-                        tag_heap(heap, san, ctx.rank)
-
-            def reinit_section(ctx: RankContext) -> None:
-                if ctx.rank not in repaired:
-                    return
-                shard = shard_of(ctx)
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    rng = derive_rng(cfg.seed, 2, v)
-                    cand = sample_without_replacement(
-                        rng, self.n, min(self.n - 1, cfg.k + 2))
-                    cand = cand[cand != v][:cfg.k]
-                    nb = 2 * ID_BYTES + shard.feature_nbytes(v)
-                    for u in cand:
-                        u = int(u)
-                        ctx.async_call(shard.owner(u), "init_req", v, u,
-                                       shard.feature(v), nbytes=nb,
-                                       msg_type="init_req")
-
-            def donate_section(ctx: RankContext) -> None:
-                if ctx.rank in repaired:
-                    return
-                shard = shard_of(ctx)
-                owner = shard.owner_of
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    for u, d, _flag in list(shard.heaps[li].entries()):
-                        if owner[u] in repaired:
-                            # u's neighbor list died with its rank; the
-                            # survivor donates the reverse edge (u, v).
-                            ctx.async_call(
-                                owner[u], "init_resp", int(u), v, float(d),
-                                nbytes=2 * ID_BYTES + DIST_BYTES,
-                                msg_type="init_resp")
-
-            self.world.run_on_all(reinit_section)
-            self.world.run_on_all(donate_section)
+            # Respawned process workers already rebuilt their shards from
+            # the shared segment; the reset is idempotent there.
+            repaired = sorted(self.world.readmit_ranks())
+            for stage in ("repair_reset", "repair_reinit", "repair_donate"):
+                self._run_section(stage, ranks=repaired)
             self.world.barrier()
             # Bounded extra rounds, keyed past the regular iteration
             # space so their RNG streams are fresh; stop early once the
@@ -1011,335 +878,50 @@ class DNND:
     def _init_phase(self) -> None:
         """Algorithm 1 lines 2-5 via the Section 4.1 async pattern."""
         self._enter_phase("init")
-        cfg = self.config.nnd
-        use_batch = self.config.batch_exec
-        if self._process:
-            self.world.run_section("init")
-            self.world.barrier()
-            return
-        if self._parallel:
-            # Parallel backend: each rank emits all of its vertices'
-            # init requests in one section (candidates are keyed by
-            # vertex id, so rank-major order changes nothing), then the
-            # barrier drains rank mailboxes concurrently.
-            n = self.n
-            k = cfg.k
-            seed = cfg.seed
-
-            def section(ctx: RankContext) -> None:
-                shard = shard_of(ctx)
-                owner = shard.owner_of
-                triples = []
-                append = triples.append
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    rng = derive_rng(seed, 2, v)
-                    cand = sample_without_replacement(rng, n, min(n - 1, k + 2))
-                    cand = cand[cand != v][:k]
-                    if use_batch:
-                        f = shard.features[li]
-                        for u in cand.tolist():
-                            append((owner[u], "init_req", (v, u, f)))
-                    else:
-                        nb = 2 * ID_BYTES + shard.feature_nbytes(v)
-                        for u in cand:
-                            u = int(u)
-                            ctx.async_call(
-                                shard.owner(u), "init_req", v, u,
-                                shard.feature(v), nbytes=nb,
-                                msg_type="init_req")
-                if triples:
-                    # Dense features share one row size; sparse rows
-                    # differ but the stats stay per-message exact only
-                    # for dense data — use the first row's size as the
-                    # uniform estimate (stats are diagnostics here; the
-                    # ledger is off under this backend).
-                    nb = 2 * ID_BYTES + shard.feature_nbytes(
-                        int(shard.global_ids[0]))
-                    self.world.emit_run(ctx.rank, triples, nb, "init_req")
-
-            self.world.run_on_all(section)
-            self.world.barrier()
-            return
-        for ctx, li in self._interleaved_vertices():
-            with self._rank_scope(ctx):
-                shard = shard_of(ctx)
-                v = int(shard.global_ids[li])
-                rng = derive_rng(cfg.seed, 2, v)
-                cand = sample_without_replacement(rng, self.n, min(self.n - 1, cfg.k + 2))
-                cand = cand[cand != v][:cfg.k]
-                if use_batch:
-                    owner = shard.owner_of
-                    f = shard.features[li]
-                    nb = 2 * ID_BYTES + shard.feature_nbytes(v)
-                    self.world.emit_run(
-                        ctx.rank,
-                        [(owner[u], "init_req", (v, u, f))
-                         for u in cand.tolist()],
-                        nb, "init_req")
-                else:
-                    for u in cand:
-                        u = int(u)
-                        ctx.async_call(
-                            shard.owner(u), "init_req", v, u, shard.feature(v),
-                            nbytes=2 * ID_BYTES + shard.feature_nbytes(v),
-                            msg_type="init_req",
-                        )
-            self._maybe_batch_barrier()
+        if self._sim:
+            self._interleave(init_vertex)
+        else:
+            # Each rank emits all of its vertices' init requests in one
+            # section (candidates are keyed by vertex id, so rank-major
+            # order changes nothing).
+            self._run_section("init")
         self.world.barrier()
-
-    def _iteration_process(self, iteration: int) -> int:
-        """One NN-Descent round on the process backend: the same phase
-        sequence as :meth:`_iteration`, with each section broadcast to
-        the worker fabric instead of run on driver-side rank contexts
-        (workers mirror the parallel-branch section bodies over their
-        owned ranks)."""
-        ws = self.cluster.world_size
-        self._enter_phase("sample", iteration=iteration)
-        self.world.run_section("sample", {"iteration": iteration})
-        self._enter_phase("reverse", iteration=iteration)
-        self.world.run_section("reverse", {"iteration": iteration})
-        self.world.barrier()
-        self._enter_phase("union", iteration=iteration)
-        self.world.run_section("union", {"iteration": iteration})
-        self._enter_phase("neighbor_check", iteration=iteration)
-        one_sided = self.config.comm_opts.one_sided
-        longest = max(self.world.run_section(
-            "check_build", {"one_sided": one_sided}).values(), default=0)
-        chunk = (max(1, self.config.batch_size // ws)
-                 if self.config.batch_size else longest)
-        start = 0
-        while start < longest:
-            stop = start + chunk
-            self.world.run_section("check_emit",
-                                   {"start": start, "stop": stop})
-            self.world.barrier()
-            start = stop
-        totals = self.world.shard_totals()
-        return int(self.cluster.allreduce_sum(
-            [totals.get(r, (0, 0, 0))[2] for r in range(ws)]))
 
     def _iteration(self, iteration: int) -> int:
         """One NN-Descent round; returns the allreduced update counter."""
-        if self._process:
-            return self._iteration_process(iteration)
-        cfg = self.config.nnd
-        sample_n = cfg.sample_size
-
-        # ---- local sampling (lines 8-10): no communication ------------------
-        # RNG streams are keyed by *vertex id* (not rank), and candidate
-        # lists are canonicalized before sampling, so the constructed
-        # graph is bit-identical across cluster shapes — the paper's
-        # "same quality graphs regardless of the number of compute
-        # nodes" observation, strengthened to exact reproducibility.
         self._enter_phase("sample", iteration=iteration)
-        charge = self.cluster.ledger.enabled
-
-        def sample_section(ctx: RankContext) -> None:
-            shard = shard_of(ctx)
-            shard.reset_iteration_scratch()
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                heap = shard.heaps[li]
-                shard.old_lists[li] = sorted(heap.old_ids())
-                fresh = sorted(heap.new_ids())
-                if len(fresh) > sample_n:
-                    # Derived lazily: the stream is only consumed on
-                    # this branch, so skipping creation otherwise is
-                    # stream-exact (SeedSequence mixing is ~10us).
-                    rng = derive_rng(cfg.seed, 3, iteration, v)
-                    pick = sample_without_replacement(rng, len(fresh), sample_n)
-                    sampled = [fresh[int(i)] for i in pick]
-                else:
-                    sampled = fresh
-                heap.mark_old_many(sampled)
-                shard.new_lists[li] = sampled
-                if charge:
-                    ctx.charge_update(len(sampled) + len(shard.old_lists[li]))
-
-        self.world.run_on_all(sample_section)
-
-        # ---- reversed-matrix exchange (Section 4.2) --------------------------
+        self._run_section("sample", iteration=iteration)
         self._enter_phase("reverse", iteration=iteration)
-
-        def reverse_section(ctx: RankContext) -> None:
-            shard = shard_of(ctx)
-            use_batch = self.config.batch_exec
-            owner = shard.owner_of
-            outgoing = []
-            append = outgoing.append
-            # Built directly in emission form per path; the shuffle
-            # permutes list positions, so it commutes with the
-            # elementwise formatting and both paths emit the same
-            # message sequence.
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                if use_batch:
-                    for u in shard.new_lists[li]:
-                        append((owner[u], "rev_new", (u, v)))
-                    for u in shard.old_lists[li]:
-                        append((owner[u], "rev_old", (u, v)))
-                else:
-                    for u in shard.new_lists[li]:
-                        append(("rev_new", int(u), v))
-                    for u in shard.old_lists[li]:
-                        append(("rev_old", int(u), v))
-            if self.config.shuffle_reverse_destinations and len(outgoing) > 1:
-                rng = derive_rng(cfg.seed, 4, iteration, ctx.rank)
-                order = rng.permutation(len(outgoing))
-                outgoing = [outgoing[int(i)] for i in order]
-            if use_batch:
-                self._emit_chunked(ctx, outgoing, 2 * ID_BYTES, "reverse")
-            else:
-                for handler, u, v in outgoing:
-                    ctx.async_call(shard.owner(u), handler, u, v,
-                                   nbytes=2 * ID_BYTES, msg_type="reverse")
-                    self._maybe_batch_barrier()
-
-        self.world.run_on_all(reverse_section)
+        self._run_section("reverse", iteration=iteration)
         self.world.barrier()
-
-        # ---- union with sampled reversed lists (lines 14-16) -----------------
-        # Reverse entries arrive in a delivery order that depends on the
-        # cluster shape; sorting canonicalizes them before the keyed
-        # sample so shape-invariance holds here too.
         self._enter_phase("union", iteration=iteration)
-
-        def union_section(ctx: RankContext) -> None:
-            shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                rn = sorted(shard.rev_new[li])
-                ro = sorted(shard.rev_old[li])
-                # Lazy derivation, as in the sample phase: creation
-                # does not consume the stream, and draws (when any)
-                # happen in the same order as with eager creation,
-                # so this is stream-exact.
-                rng = (derive_rng(cfg.seed, 5, iteration, v)
-                       if len(rn) > sample_n or len(ro) > sample_n
-                       else None)
-                shard.new_lists[li] = _union_with_sample(
-                    shard.new_lists[li], rn, sample_n, rng)
-                shard.old_lists[li] = _union_with_sample(
-                    shard.old_lists[li], ro, sample_n, rng)
-
-        self.world.run_on_all(union_section)
-
-        # ---- neighbor checks (Section 4.3) ----------------------------------
+        self._run_section("union", iteration=iteration)
         self._enter_phase("neighbor_check", iteration=iteration)
-        one_sided = self.config.comm_opts.one_sided
-        use_batch = self.config.batch_exec
-        handler = "check_opt" if one_sided else "check_unopt"
-        if self._parallel:
-            # Phase 1: every rank builds its full Type 1 emission list
-            # (pair generation reads only iteration-start new/old lists,
-            # so it can run without interleaving).  Phase 2: emit in
-            # global chunks of ~batch_size with a barrier between chunks
-            # — the Section 4.4 application-level batching.  The
-            # interleave matters for *communication volume*, not just
-            # memory: the redundancy check and the distance-pruning
-            # bound read heap state at delivery time, so a chunk's
-            # Type 3 feedback tightens the bounds seen by the next
-            # chunk.  Emitting a whole iteration up front triples the
-            # Type 3 traffic (measured at n=2000: 176k vs 48k replies).
-            ws = self.world.world_size
-            rank_triples: list = [None] * ws
-
-            def check_build_section(ctx: RankContext) -> None:
-                shard = shard_of(ctx)
-                owner = shard.owner_of
-                triples = []
-                append = triples.append
-                for li in range(shard.n_local):
-                    new_c = shard.new_lists[li]
-                    old_c = shard.old_lists[li]
-                    for i, u1 in enumerate(new_c):
-                        o1 = owner[u1]
-                        for u2 in new_c[i + 1:]:
-                            if u1 != u2:
-                                append((o1, handler, (u1, u2)))
-                                if not one_sided:
-                                    append((owner[u2], handler, (u2, u1)))
-                        for u2 in old_c:
-                            if u1 != u2:
-                                append((o1, handler, (u1, u2)))
-                                if not one_sided:
-                                    append((owner[u2], handler, (u2, u1)))
-                rank_triples[ctx.rank] = triples
-
-            self.world.run_on_all(check_build_section)
-            # Excluded ranks never ran the build section; their slot
-            # stays None and they emit nothing.
-            longest = max((len(t) for t in rank_triples if t is not None),
-                          default=0)
-            chunk = (max(1, self.config.batch_size // ws)
-                     if self.config.batch_size else longest)
-            start = 0
-            while start < longest:
-                stop = start + chunk
-
-                def check_emit_section(ctx: RankContext,
-                                       start: int = start,
-                                       stop: int = stop) -> None:
-                    part = rank_triples[ctx.rank][start:stop]
-                    if part:
-                        self.world.emit_run(ctx.rank, part, 2 * ID_BYTES, T1)
-
-                self.world.run_on_all(check_emit_section)
-                self.world.barrier()
-                start = stop
-            return int(self.cluster.allreduce_sum(
-                [shard_of(ctx).update_count for ctx in self.world.ranks]
-            ))
-        for ctx, li in self._interleaved_vertices():
-            with self._rank_scope(ctx):
-                shard = shard_of(ctx)
-                new_c = shard.new_lists[li]
-                old_c = shard.old_lists[li]
-                if use_batch:
-                    owner = shard.owner_of
-                    triples = []
-                    append = triples.append
-                    for i, u1 in enumerate(new_c):
-                        o1 = owner[u1]
-                        for u2 in new_c[i + 1:]:
-                            if u1 != u2:
-                                append((o1, handler, (u1, u2)))
-                                if not one_sided:
-                                    append((owner[u2], handler, (u2, u1)))
-                        for u2 in old_c:
-                            if u1 != u2:
-                                append((o1, handler, (u1, u2)))
-                                if not one_sided:
-                                    append((owner[u2], handler, (u2, u1)))
-                    self.world.emit_run(ctx.rank, triples, 2 * ID_BYTES, T1)
-                else:
-                    for i, u1 in enumerate(new_c):
-                        for u2 in new_c[i + 1:]:
-                            if u1 != u2:
-                                self._emit_check(ctx, shard, u1, u2, one_sided)
-                        for u2 in old_c:
-                            if u1 != u2:
-                                self._emit_check(ctx, shard, u1, u2, one_sided)
-            self._maybe_batch_barrier()
-        self.world.barrier()
-
-        # ---- termination counter (line 23): allreduce ------------------------
-        return int(self.cluster.allreduce_sum(
-            [shard_of(ctx).update_count for ctx in self.world.ranks]
-        ))
-
-    def _emit_check(self, ctx: RankContext, shard: LocalShard,
-                    u1: int, u2: int, one_sided: bool) -> None:
-        """Emit the Type 1 message(s) for one candidate pair."""
-        if one_sided:
-            ctx.async_call(shard.owner(u1), "check_opt", int(u1), int(u2),
-                           nbytes=2 * ID_BYTES, msg_type=T1)
+        if self._sim:
+            self._interleave(check_vertex)
+            self.world.barrier()
         else:
-            ctx.async_call(shard.owner(u1), "check_unopt", int(u1), int(u2),
-                           nbytes=2 * ID_BYTES, msg_type=T1)
-            ctx.async_call(shard.owner(u2), "check_unopt", int(u2), int(u1),
-                           nbytes=2 * ID_BYTES, msg_type=T1)
+            # Build every rank's Type 1 list, then emit it in global
+            # chunks of ~batch_size with a barrier between chunks (why:
+            # see ``dnnd_phases.check_build``).  Excluded ranks build
+            # nothing and emit nothing.
+            ws = self.cluster.world_size
+            longest = max(self._run_section("check_build").values(),
+                          default=0)
+            chunk = max(1, self.config.batch_size // ws
+                        if self.config.batch_size else longest)
+            for start in range(0, longest, chunk):
+                self._run_section("check_emit", start=start,
+                                  stop=start + chunk)
+                self.world.barrier()
+        # ---- termination counter (line 23): allreduce; a rank excluded
+        # in degraded mode contributes zero (the allreduce still collects
+        # one value per rank).
+        totals = self._shard_totals()
+        excluded = self.world.excluded_ranks
+        return int(self.cluster.allreduce_sum(
+            [0 if r in excluded else totals[r][2]
+             for r in range(self.cluster.world_size)]))
 
     # -- gather -----------------------------------------------------------------
 
@@ -1350,20 +932,9 @@ class DNND:
         k = self.config.k
         ids = np.full((self.n, k), EMPTY, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
-        if self._process:
-            contributions = [[] for _ in range(self.cluster.world_size)]
-            for per_worker in self.world.command("gather_rows").values():
-                for rank, rows in per_worker.items():
-                    contributions[int(rank)] = rows
-        else:
-            contributions = []
-            for ctx in self.world.ranks:
-                shard = shard_of(ctx)
-                rows = []
-                for li in range(shard.n_local):
-                    row_ids, row_dists, _ = shard.heaps[li].sorted_arrays()
-                    rows.append((int(shard.global_ids[li]), row_ids, row_dists))
-                contributions.append(rows)
+        by_rank = self._run_section("gather_rows")
+        contributions = [by_rank.get(r, [])
+                         for r in range(self.cluster.world_size)]
         per_rank_bytes = max(1, (self.n // self.cluster.world_size) * k * (ID_BYTES + 4))
         # gather follows MPI root semantics: only result[root] holds data.
         gathered = self.cluster.gather(contributions, root=0,
@@ -1390,73 +961,18 @@ class DNND:
             raise ConfigError(f"pruning_factor must be >= 1.0, got {m}")
         start = self.cluster.ledger.elapsed
         self._enter_phase("optimize")
-        if self._process:
-            self.world.run_section("opt_seed")
-            self.world.run_section("opt_rev")
-            self.world.barrier()
-            max_degree = int(np.ceil(self.config.k * m))
-            neighbor_lists = [None] * self.n
-            for per_worker in self.world.command(
-                    "opt_collect", {"max_degree": max_degree}).values():
-                for v, lst in per_worker.items():
-                    neighbor_lists[int(v)] = [tuple(e) for e in lst]
-            self.world.barrier()
-            self._close_phase()
-            self._publish_sim_enrichment()
-            adjacency = AdjacencyGraph.from_edge_lists(neighbor_lists)
-            if getattr(self, "_last_result", None) is not None:
-                self._last_result.adjacency = adjacency
-                self._last_result.optimize_sim_seconds = (
-                    self.cluster.ledger.elapsed - start)
-                self._last_result.sim_seconds = self.cluster.ledger.elapsed
-            return adjacency
         # Stage 1: seed local merge maps with forward edges, ship reversed
         # edges to their owners.
-        def seed_section(ctx: RankContext) -> None:
-            shard = shard_of(ctx)
-            shard.merged = [dict() for _ in range(shard.n_local)]
-            for li in range(shard.n_local):
-                for u, d, _flag in shard.heaps[li].entries():
-                    bucket = shard.merged[li]
-                    prev = bucket.get(u)
-                    if prev is None or d < prev:
-                        bucket[u] = d
-
-        def reversed_edges_section(ctx: RankContext) -> None:
-            shard = shard_of(ctx)
-            if self.config.batch_exec:
-                owner = shard.owner_of
-                triples = []
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    for u, d, _flag in list(shard.heaps[li].entries()):
-                        triples.append((owner[u], "opt_rev_edge",
-                                        (int(u), v, float(d))))
-                self._emit_chunked(ctx, triples, 2 * ID_BYTES + 4,
-                                   "opt_rev")
-            else:
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    for u, d, _flag in list(shard.heaps[li].entries()):
-                        ctx.async_call(shard.owner(u), "opt_rev_edge",
-                                       int(u), v, float(d),
-                                       nbytes=2 * ID_BYTES + 4,
-                                       msg_type="opt_rev")
-                        self._maybe_batch_barrier()
-
-        self.world.run_on_all(seed_section)
-        self.world.run_on_all(reversed_edges_section)
+        self._run_section("opt_seed")
+        self._run_section("opt_rev")
         self.world.barrier()
         # Stage 2: local prune to ceil(k * m) and gather.
         max_degree = int(np.ceil(self.config.k * m))
         neighbor_lists: List[Optional[List]] = [None] * self.n
-        for ctx in self.world.ranks:
-            shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                lst = sorted(shard.merged[li].items(), key=lambda t: (t[1], t[0]))
-                neighbor_lists[v] = lst[:max_degree]
-                ctx.charge_update(len(lst))
+        for lists in self._run_section("opt_collect",
+                                       max_degree=max_degree).values():
+            for v, lst in lists.items():
+                neighbor_lists[v] = lst
         self.world.barrier()
         self._close_phase()
         self._publish_sim_enrichment()
@@ -1528,20 +1044,11 @@ class DNND:
         ids = np.full((self.n, k), -1, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
         flags = np.zeros((self.n, k), dtype=bool)
-        if self._process:
-            for per_worker in self.world.command("ckpt_get").values():
-                for _rank, (gids, r_ids, r_dists, r_flags) in per_worker.items():
-                    ids[gids] = r_ids
-                    dists[gids] = r_dists
-                    flags[gids] = r_flags
-        else:
-            for shard in self._shards():
-                for li in range(shard.n_local):
-                    gid = int(shard.global_ids[li])
-                    heap = shard.heaps[li]
-                    ids[gid] = heap.ids
-                    dists[gid] = heap.dists
-                    flags[gid] = heap.flags
+        for gids, r_ids, r_dists, r_flags in self._run_section(
+                "ckpt_get").values():
+            ids[gids] = r_ids
+            dists[gids] = r_dists
+            flags[gids] = r_flags
         return ids, dists, flags
 
     def _write_checkpoint(self, checkpoint_path, iteration: int,
@@ -1594,25 +1101,21 @@ class DNND:
                 f"checkpoint heap shape {ids.shape} does not match "
                 f"(n={self.n}, k={self.config.k})"
             )
+        rows = {}
+        for rank in range(self.cluster.world_size):
+            gids = self.partitioner.local_ids(rank)
+            rows[rank] = (ids[gids], dists[gids], flags[gids])
         if self._process:
             # Per-worker sliced restore: each worker receives only its
             # owned ranks' heap rows, not the full (n, k) arrays.
             for w in self.cluster.alive_workers():
-                heaps = {}
-                for rank in self.cluster.owned_by[w]:
-                    gids = self.partitioner.local_ids(rank)
-                    heaps[rank] = (ids[gids], dists[gids], flags[gids])
-                self.cluster.command_one(w, "ckpt_set", {"heaps": heaps})
+                corrupt = self.cluster.command_one(w, "ckpt_set", {
+                    "heaps": {r: rows[r] for r in self.cluster.owned_by[w]}})
+                if corrupt:
+                    raise CheckpointCorruptError(corrupt)
             return
-        for shard in self._shards():
-            for li in range(shard.n_local):
-                gid = int(shard.global_ids[li])
-                heap = shard.heaps[li]
-                heap.ids[:] = ids[gid]
-                heap.dists[:] = dists[gid]
-                heap.flags[:] = flags[gid]
-                heap._members = {int(v) for v in ids[gid] if v != -1}
-                heap.check_invariants()
+        for ctx in self.world.ranks:
+            ckpt_set(ctx, *rows[ctx.rank])
 
     # -- persistence ----------------------------------------------------------
 
@@ -1632,6 +1135,22 @@ class DNND:
                 "iterations": result.iterations,
                 "pruning_factor": self.config.pruning_factor,
             }
+
+
+def _load_checkpoint(checkpoint_path, when: str):
+    """Read ``(meta, ids, dists, flags)`` from a checkpoint store,
+    verifying checksums; damage surfaces as
+    :class:`CheckpointCorruptError` naming ``when`` it was found."""
+    try:
+        with MetallStore.open_read_only(checkpoint_path,
+                                        verify=True) as store:
+            return (store["ckpt_meta"], np.asarray(store["ckpt_ids"]),
+                    np.asarray(store["ckpt_dists"]),
+                    np.asarray(store["ckpt_flags"]))
+    except StoreCorruptError as exc:
+        raise CheckpointCorruptError(
+            f"checkpoint at {checkpoint_path} failed verification "
+            f"{when}: {exc}") from exc
 
 
 def _fingerprint(data) -> float:

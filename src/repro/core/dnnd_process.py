@@ -1,305 +1,27 @@
-"""Worker-side DNND application for the process backend.
+"""Worker-side host of the DNND rank program for the process backend.
 
-Each worker process runs this module's :class:`ProcessDNNDApp` around an
-in-process :class:`~repro.runtime.ygm.YGMWorld` (non-parallel sim mode —
-the comm layer's buffering/coalescing/batch machinery is reused
-verbatim; only the transport underneath ships cross-worker frames).
-The driver stays the SPMD program counter: it broadcasts *named
-sections* — each the worker-side mirror of the corresponding
-``core.dnnd`` driver section, run over the worker's owned ranks — plus
-state commands (shard build, checkpoint get/set, stats export).
-
-**Shared-memory feature shipping.**  The dataset is mapped read-only
-from the driver's shared-memory segment (module-global ``_DATA``), so
-feature vectors never travel in messages: the five handlers whose sim
-wire format carries a feature vector get process variants that ship the
-*global id* instead and fetch the row from ``_DATA`` at the receiver.
-The modeled ``nbytes`` at every emission is unchanged (the wire still
-"carries" the feature for Figure 4's accounting), distances are computed
-from the same row values (the segment holds exactly the rows the sim
-shards copy), and the remaining five handlers are reused from
-``dnnd_phases`` verbatim — so message statistics and the constructed
-graph are identical to the sim backend under the conformance envelope.
+Each worker process runs a :class:`ProcessDNNDApp` around an in-process
+:class:`~repro.runtime.ygm.YGMWorld` (non-parallel sim mode — the comm
+layer's buffering/coalescing/batch machinery is reused verbatim; only
+the transport underneath ships cross-worker frames).  The app holds no
+algorithm of its own: it registers the ``dnnd_phases`` handlers, builds
+its owned ranks' shards over the driver's shared-memory dataset segment
+(mapped read-only; the view every :class:`LocalShard` resolves message
+features from), and executes the driver's broadcast commands by looking
+sections and shard-state ops up in the same ``dnnd_phases`` tables the
+driver uses for the sim and thread worlds.  The driver stays the SPMD
+program counter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Iterator, Optional
 
-import numpy as np
-
-from ..distances.counting import CountingMetric
-from ..errors import RuntimeStateError, StoreError
+from ..errors import CheckpointCorruptError, RuntimeStateError
 from ..runtime.transports.process import WorkerComm, attach_shared_array
 from ..runtime.ygm import RankContext, YGMWorld
-from ..types import DIST_BYTES, ID_BYTES
-from ..utils.rng import derive_rng
-from ..utils.sampling import sample_without_replacement
-from . import dnnd_phases
-from .dnnd_phases import T1, T2, T2P, LocalShard, shard_of
-from .heap import NeighborHeap
-from .nndescent import _union_with_sample
-
-#: Worker-global view of the shared-memory dataset, set once by
-#: :func:`bootstrap` before any handler can run.  Read-only by
-#: convention (the segment is the driver's); handlers only index rows.
-_DATA: Optional[np.ndarray] = None
-_SHM = None
-
-
-# ---------------------------------------------------------------------------
-# Process handler variants: ship global ids, fetch features from _DATA.
-# Modeled nbytes at each emission are identical to the sim handlers.
-# ---------------------------------------------------------------------------
-
-
-def h_init_request_shm(ctx: RankContext, v_gid: int, u_gid: int) -> None:
-    """``init_req`` at owner(u): the wire carries ``(v, u)``; v's
-    feature row comes from the shared segment."""
-    shard = shard_of(ctx)
-    d = shard.metric(_DATA[v_gid], shard.feature(u_gid))
-    ctx.async_call(
-        shard.owner(v_gid), "init_resp", v_gid, u_gid, d,
-        nbytes=2 * ID_BYTES + DIST_BYTES, msg_type="init_resp",
-    )
-
-
-def h_check_request_unopt_shm(ctx: RankContext, target_gid: int,
-                              other_gid: int) -> None:
-    shard = shard_of(ctx)
-    if shard.config.comm_opts.check_dedup:
-        pair = (int(target_gid), int(other_gid))
-        if pair in shard.check_seen:
-            return
-        shard.check_seen.add(pair)
-    ctx.async_call(
-        shard.owner(other_gid), "feature_unopt", other_gid, target_gid,
-        nbytes=2 * ID_BYTES + shard.feature_nbytes(target_gid), msg_type=T2,
-    )
-
-
-def h_feature_unopt_shm(ctx: RankContext, recv_gid: int,
-                        sender_gid: int) -> None:
-    shard = shard_of(ctx)
-    d = shard.metric(shard.feature(recv_gid), _DATA[sender_gid])
-    shard.push_attempts += 1
-    shard.update_count += shard.heap(recv_gid).checked_push(
-        int(sender_gid), float(d), True)
-
-
-def h_check_request_opt_shm(ctx: RankContext, u1_gid: int,
-                            u2_gid: int) -> None:
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    if opts.check_dedup:
-        pair = (int(u1_gid), int(u2_gid))
-        if pair in shard.check_seen:
-            return
-        shard.check_seen.add(pair)
-    heap1 = shard.heap(u1_gid)
-    if opts.redundancy_check and int(u2_gid) in heap1:
-        return
-    if opts.distance_pruning:
-        bound = heap1.worst_distance()
-        extra = DIST_BYTES
-        msg_type = T2P
-    else:
-        bound = np.inf
-        extra = 0
-        msg_type = T2
-    ctx.async_call(
-        shard.owner(u2_gid), "feature_opt", u2_gid, u1_gid, bound,
-        nbytes=2 * ID_BYTES + shard.feature_nbytes(u1_gid) + extra,
-        msg_type=msg_type,
-    )
-
-
-def h_feature_opt_shm(ctx: RankContext, u2_gid: int, u1_gid: int,
-                      bound: float) -> None:
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    heap2 = shard.heap(u2_gid)
-    if opts.redundancy_check and int(u1_gid) in heap2:
-        return
-    d = shard.metric(shard.feature(u2_gid), _DATA[u1_gid])
-    shard.push_attempts += 1
-    shard.update_count += heap2.checked_push(int(u1_gid), float(d), True)
-    if opts.distance_pruning and d >= bound:
-        return
-    ctx.async_call(
-        shard.owner(u1_gid), "distance_reply", u1_gid, u2_gid, d,
-        nbytes=2 * ID_BYTES + DIST_BYTES, msg_type="type3",
-    )
-
-
-# -- batch variants ---------------------------------------------------------
-
-
-def _gid_rows(gids) -> np.ndarray:
-    """Fancy-index rows for a list of global ids (a fresh contiguous
-    array, row-value-equal to the features the sim wire would carry)."""
-    return _DATA[np.asarray(list(gids), dtype=np.int64)]
-
-
-def h_init_request_batch_shm(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    rows = [shard.local_index[int(a[1])] for a in args_list]
-    A = shard.features[rows]
-    B = _gid_rows(a[0] for a in args_list)
-    # Argument order matches the scalar handler: theta(v_feature, u_row).
-    dists = shard.metric.rowwise(B, A)
-    world = ctx.world
-    rank = ctx.rank
-    owner = shard.owner_of
-    send, close = world.block_emitter(rank, "init_resp")
-    nb = 2 * ID_BYTES + DIST_BYTES
-    for (v_gid, u_gid), d in zip(args_list, dists.tolist()):
-        send(owner[v_gid], "init_resp", (v_gid, u_gid, d), nb)
-    close()
-
-
-def h_check_request_unopt_batch_shm(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    dedup = shard.config.comm_opts.check_dedup
-    seen = shard.check_seen
-    owner = shard.owner_of
-    fnb = shard.feature_nbytes_dense
-    out: list = []
-    for target_gid, other_gid in args_list:
-        target = int(target_gid)
-        other = int(other_gid)
-        if dedup:
-            pair = (target, other)
-            if pair in seen:
-                continue
-            seen.add(pair)
-        out.append((owner[other], "feature_unopt", (other_gid, target_gid)))
-    ctx.world.emit_run(ctx.rank, out, 2 * ID_BYTES + fnb, T2)
-
-
-def h_feature_unopt_batch_shm(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    rows = [shard.local_index[int(a[0])] for a in args_list]
-    A = shard.features[rows]
-    B = _gid_rows(a[1] for a in args_list)
-    dists = shard.metric.rowwise(A, B)
-    shard.push_attempts += len(args_list)
-    heaps = shard.heaps
-    li = shard.local_index
-    updates = 0
-    for (recv_gid, sender_gid), d in zip(args_list, dists.tolist()):
-        updates += heaps[li[int(recv_gid)]].checked_push(
-            int(sender_gid), d, True)
-    shard.update_count += updates
-
-
-def h_check_request_opt_batch_shm(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    dedup = opts.check_dedup
-    redundancy = opts.redundancy_check
-    pruning = opts.distance_pruning
-    seen = shard.check_seen
-    owner = shard.owner_of
-    li = shard.local_index
-    heaps = shard.heaps
-    fnb = shard.feature_nbytes_dense
-    extra = DIST_BYTES if pruning else 0
-    msg_type = T2P if pruning else T2
-    out: list = []
-    emit = out.append
-    cache: Dict[int, tuple] = {}
-    for u1, u2 in args_list:
-        if dedup:
-            pair = (u1, u2)
-            if pair in seen:
-                continue
-            seen.add(pair)
-        ent = cache.get(u1)
-        if ent is None:
-            heap1 = heaps[li[u1]]
-            ent = cache[u1] = (
-                heap1._members,
-                float(heap1.dists[0]) if pruning else np.inf,
-            )
-        members, bound = ent
-        if redundancy and u2 in members:
-            continue
-        emit((owner[u2], "feature_opt", (u2, u1, bound)))
-    ctx.world.emit_run(ctx.rank, out, 2 * ID_BYTES + fnb + extra, msg_type)
-
-
-def h_feature_opt_batch_shm(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    redundancy = opts.redundancy_check
-    pruning = opts.distance_pruning
-    rows = [shard.local_index[int(a[0])] for a in args_list]
-    A = shard.features[rows]
-    B = _gid_rows(a[1] for a in args_list)
-    metric = shard.metric
-    # Uncounted precompute: a redundancy-skipped pair must not count.
-    dists = metric.rowwise_raw(A, B)
-    world = ctx.world
-    owner = shard.owner_of
-    li = shard.local_index
-    heaps = shard.heaps
-    nb3 = 2 * ID_BYTES + DIST_BYTES
-    send, close = world.block_emitter(ctx.rank, "type3")
-    updates = 0
-    evals = 0
-    cache: Dict[int, Any] = {}
-    for (u2, u1, bound), d in zip(args_list, dists.tolist()):
-        heap2 = cache.get(u2)
-        if heap2 is None:
-            heap2 = cache[u2] = heaps[li[u2]]
-        if redundancy and u1 in heap2._members:
-            continue
-        evals += 1
-        updates += heap2.checked_push(u1, d, True)
-        if pruning and d >= bound:
-            continue
-        send(owner[u1], "distance_reply", (u1, u2, d), nb3)
-    close()
-    metric.count += evals
-    shard.push_attempts += evals
-    shard.update_count += updates
-
-
-def register_process_handlers(world: YGMWorld, batch_exec: bool) -> None:
-    """Register the DNND handler set with the five feature-shipping
-    handlers replaced by their shared-memory variants (the other five
-    are the ``dnnd_phases`` handlers, unchanged)."""
-    world.register_handlers(
-        init_req=h_init_request_shm,
-        init_resp=dnnd_phases.h_init_response,
-        rev_new=dnnd_phases.h_reverse_new,
-        rev_old=dnnd_phases.h_reverse_old,
-        check_unopt=h_check_request_unopt_shm,
-        feature_unopt=h_feature_unopt_shm,
-        check_opt=h_check_request_opt_shm,
-        feature_opt=h_feature_opt_shm,
-        distance_reply=dnnd_phases.h_distance_reply,
-        opt_rev_edge=dnnd_phases.h_opt_reverse_edge,
-    )
-    if batch_exec:
-        world.register_batch_handlers(
-            init_req=h_init_request_batch_shm,
-            init_resp=dnnd_phases.h_init_response_batch,
-            rev_new=dnnd_phases.h_reverse_new_batch,
-            rev_old=dnnd_phases.h_reverse_old_batch,
-            check_unopt=h_check_request_unopt_batch_shm,
-            feature_unopt=h_feature_unopt_batch_shm,
-            check_opt=h_check_request_opt_batch_shm,
-            feature_opt=h_feature_opt_batch_shm,
-            distance_reply=dnnd_phases.h_distance_reply_batch,
-            opt_rev_edge=dnnd_phases.h_opt_reverse_edge_batch,
-        )
-
-
-# ---------------------------------------------------------------------------
-# The worker app
-# ---------------------------------------------------------------------------
+from .dnnd_phases import (SECTIONS, SHARD_OPS, build_shards, ckpt_set,
+                          register_dnnd_handlers, shard_totals)
 
 
 def bootstrap(comm: WorkerComm, params: dict) -> "ProcessDNNDApp":
@@ -308,127 +30,77 @@ def bootstrap(comm: WorkerComm, params: dict) -> "ProcessDNNDApp":
 
 
 class ProcessDNNDApp:
-    """Owns the worker's ranks: their shards, heaps, and the in-process
-    comm world.  ``dispatch`` executes the driver's broadcast commands;
-    every *section* is the worker-side mirror of the identically-shaped
-    driver section in ``core.dnnd``, restricted to this worker's owned,
-    non-excluded ranks."""
+    """Hosts the worker's owned ranks: their shards, heaps, and the
+    in-process comm world.  ``dispatch`` executes the driver's broadcast
+    commands — sections over the owned, non-excluded ranks; shard-state
+    ops over every owned rank."""
 
     def __init__(self, comm: WorkerComm, params: dict) -> None:
-        global _DATA, _SHM
-        _SHM, _DATA = attach_shared_array(params["spec"])
+        # The segment handle must outlive the view the shards read.
+        self._shm, self.data = attach_shared_array(params["spec"])
         self.comm = comm
         self.config = params["config"]
-        self.partitioner = params["partitioner"]
-        self.n = int(params["n"])
         self.world = YGMWorld(
             comm.transport,
             flush_threshold=int(params.get("flush_threshold", 1024)),
             seed=self.config.nnd.seed,
             sanitize=False, race=False)
-        register_process_handlers(self.world, self.config.batch_exec)
-        self._owner_table = self.partitioner.owner_array(
-            np.arange(self.n, dtype=np.int64)).tolist()
-        self._check_triples: Dict[int, list] = {}
+        register_dnnd_handlers(self.world, self.config.batch_exec)
         self._commands = {
             "build_shards": self._cmd_build_shards,
-            "set_partitioner": self._cmd_set_partitioner,
             "section": self._cmd_section,
             "set_phase": self._cmd_set_phase,
             "export_stats": self._cmd_export_stats,
             "shard_totals": self._cmd_shard_totals,
             "exclude": self._cmd_exclude,
             "readmit": self._cmd_readmit,
-            "ckpt_get": self._cmd_ckpt_get,
             "ckpt_set": self._cmd_ckpt_set,
-            "gather_rows": self._cmd_gather_rows,
-            "opt_collect": self._cmd_opt_collect,
         }
-        self._sections = {
-            "init": self._section_init,
-            "sample": self._section_sample,
-            "reverse": self._section_reverse,
-            "union": self._section_union,
-            "check_build": self._section_check_build,
-            "check_emit": self._section_check_emit,
-            "repair_reset": self._section_repair_reset,
-            "repair_reinit": self._section_repair_reinit,
-            "repair_donate": self._section_repair_donate,
-            "opt_seed": self._section_opt_seed,
-            "opt_rev": self._section_opt_rev,
-        }
-        self._cmd_build_shards({})
+        self._cmd_build_shards(params)
 
     # -- runtime hooks --------------------------------------------------------
 
     def dispatch(self, cmd: str, payload: Any) -> Any:
+        payload = payload or {}
         fn = self._commands.get(cmd)
-        if fn is None:
+        if fn is not None:
+            return fn(payload)
+        op = SHARD_OPS.get(cmd)
+        if op is None:
             raise RuntimeStateError(f"unknown worker command {cmd!r}")
-        return fn(payload or {})
+        return {ctx.rank: op(ctx, **payload) for ctx in self._owned()}
 
     def on_reset(self) -> None:
         """Epoch change: the comm layer's in-flight state was already
         cleared by the runtime; shard state survives (the supervisor
         decides whether to rebuild or restore it)."""
 
-    # -- rank iteration -------------------------------------------------------
-
-    def _contexts(self):
-        """Owned, non-excluded rank contexts (SPMD section scope)."""
-        excluded = self.world.excluded_ranks
+    def _owned(self, live_only: bool = False) -> Iterator[RankContext]:
+        """Owned rank contexts; ``live_only`` drops excluded ranks (the
+        SPMD section scope)."""
+        excluded = self.world.excluded_ranks if live_only else ()
         for rank in self.comm.owned:
-            if excluded and rank in excluded:
-                continue
-            yield self.world.ranks[rank]
+            if rank not in excluded:
+                yield self.world.ranks[rank]
 
-    def _owned_shards(self):
-        for rank in self.comm.owned:
-            ctx = self.world.ranks[rank]
-            shard = ctx.state.get("shard")
-            if shard is not None:
-                yield rank, shard
-
-    # -- state commands -------------------------------------------------------
+    # -- commands -------------------------------------------------------------
 
     def _cmd_build_shards(self, payload: dict) -> None:
-        cfg = self.config
-        for rank in self.comm.owned:
-            ctx = self.world.ranks[rank]
-            gids = self.partitioner.local_ids(rank)
-            feats = _DATA[gids]
-            dense_bytes = (int(feats.shape[1] * feats.dtype.itemsize)
-                           if feats.size else 0)
-            ctx.state["shard"] = LocalShard(
-                rank=rank,
-                partitioner=self.partitioner,
-                global_ids=gids,
-                local_index={int(g): i for i, g in enumerate(gids)},
-                features=feats,
-                heaps=[NeighborHeap(cfg.k) for _ in range(len(gids))],
-                metric=CountingMetric(cfg.nnd.metric, kernel=cfg.kernel),
-                config=cfg,
-                sparse=False,
-                feature_nbytes_dense=dense_bytes,
-                owner_of=self._owner_table,
-            )
+        """(Re)build the owned shards under ``payload["partitioner"]`` —
+        at bootstrap, on recovery, and when the repartition pass swaps
+        the ownership layer.  Heap contents are restored separately via
+        ``ckpt_set``."""
+        build_shards(self._owned(), payload["partitioner"], self.data,
+                     self.config)
 
-    def _cmd_set_partitioner(self, payload: dict) -> None:
-        """Swap the ownership layer (the repartition pass): install the
-        new partitioner, recompute the owner table, and rebuild the
-        owned shards under the new assignment.  Heap contents are
-        restored separately via ``ckpt_set``."""
-        self.partitioner = payload["partitioner"]
-        self._owner_table = self.partitioner.owner_array(
-            np.arange(self.n, dtype=np.int64)).tolist()
-        self._cmd_build_shards({})
-
-    def _cmd_section(self, payload: dict) -> Any:
-        name = payload["name"]
-        fn = self._sections.get(name)
+    def _cmd_section(self, payload: dict) -> dict:
+        fn = SECTIONS.get(payload["name"])
         if fn is None:
-            raise RuntimeStateError(f"unknown worker section {name!r}")
-        return fn(**payload.get("params", {}))
+            raise RuntimeStateError(
+                f"unknown worker section {payload['name']!r}")
+        params = payload.get("params", {})
+        return {ctx.rank: fn(ctx, **params)
+                for ctx in self._owned(live_only=True)}
 
     def _cmd_set_phase(self, payload: dict) -> None:
         self.world.set_phase(payload["phase"])
@@ -450,288 +122,24 @@ class ProcessDNNDApp:
         }
 
     def _cmd_shard_totals(self, payload: dict) -> list:
-        return [(rank, shard.push_attempts, shard.metric.count,
-                 shard.update_count, shard.metric.tile_flops,
-                 shard.metric.kernel_fallbacks)
-                for rank, shard in self._owned_shards()]
+        # Row form: ProcessWorld.shard_totals folds these into per-rank
+        # bases that survive a worker's death.
+        return [(ctx.rank, *shard_totals(ctx)) for ctx in self._owned()]
 
     def _cmd_exclude(self, payload: dict) -> None:
-        ranks = {int(r) for r in payload["ranks"]}
-        self.world.exclude_ranks(ranks)
-        for rank, shard in self._owned_shards():
-            if rank in ranks:
-                shard.update_count = 0
+        self.world.exclude_ranks(payload["ranks"])
 
     def _cmd_readmit(self, payload: dict) -> None:
         self.world.readmit_ranks()
 
-    def _cmd_ckpt_get(self, payload: dict) -> dict:
-        k = self.config.k
-        out = {}
-        for rank, shard in self._owned_shards():
-            nl = shard.n_local
-            ids = np.full((nl, k), -1, dtype=np.int64)
-            dists = np.full((nl, k), np.inf, dtype=np.float64)
-            flags = np.zeros((nl, k), dtype=bool)
-            for li in range(nl):
-                heap = shard.heaps[li]
-                ids[li] = heap.ids
-                dists[li] = heap.dists
-                flags[li] = heap.flags
-            out[rank] = (np.asarray(shard.global_ids, dtype=np.int64),
-                         ids, dists, flags)
-        return out
-
-    def _cmd_ckpt_set(self, payload: dict) -> None:
-        k = self.config.k
-        for rank, (ids, dists, flags) in payload["heaps"].items():
-            ctx = self.world.ranks[int(rank)]
-            shard = ctx.state["shard"]
-            if ids.shape != (shard.n_local, k):
-                raise StoreError(
-                    f"checkpoint slice shape {ids.shape} does not match "
-                    f"rank {rank} shard ({shard.n_local}, {k})")
-            for li in range(shard.n_local):
-                heap = shard.heaps[li]
-                heap.ids[:] = ids[li]
-                heap.dists[:] = dists[li]
-                heap.flags[:] = flags[li]
-                heap._members = {int(v) for v in ids[li] if v != -1}
-                heap.check_invariants()
-
-    def _cmd_gather_rows(self, payload: dict) -> dict:
-        out = {}
-        for rank, shard in self._owned_shards():
-            rows = []
-            for li in range(shard.n_local):
-                row_ids, row_dists, _ = shard.heaps[li].sorted_arrays()
-                rows.append((int(shard.global_ids[li]), row_ids, row_dists))
-            out[rank] = rows
-        return out
-
-    def _cmd_opt_collect(self, payload: dict) -> dict:
-        max_degree = int(payload["max_degree"])
-        out = {}
-        for _rank, shard in self._owned_shards():
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                lst = sorted(shard.merged[li].items(),
-                             key=lambda t: (t[1], t[0]))
-                out[v] = lst[:max_degree]
-        return out
-
-    # -- SPMD sections (worker-side mirrors of core.dnnd driver sections) -----
-
-    def _section_init(self) -> None:
-        cfg = self.config.nnd
-        use_batch = self.config.batch_exec
-        n = self.n
-        k = cfg.k
-        seed = cfg.seed
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            owner = shard.owner_of
-            triples: list = []
-            append = triples.append
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                rng = derive_rng(seed, 2, v)
-                cand = sample_without_replacement(rng, n, min(n - 1, k + 2))
-                cand = cand[cand != v][:k]
-                if use_batch:
-                    for u in cand.tolist():
-                        append((owner[u], "init_req", (v, u)))
-                else:
-                    nb = 2 * ID_BYTES + shard.feature_nbytes(v)
-                    for u in cand:
-                        u = int(u)
-                        ctx.async_call(shard.owner(u), "init_req", v, u,
-                                       nbytes=nb, msg_type="init_req")
-            if triples:
-                nb = 2 * ID_BYTES + shard.feature_nbytes(
-                    int(shard.global_ids[0]))
-                self.world.emit_run(ctx.rank, triples, nb, "init_req")
-
-    def _section_sample(self, iteration: int) -> None:
-        cfg = self.config.nnd
-        sample_n = cfg.sample_size
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            shard.reset_iteration_scratch()
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                heap = shard.heaps[li]
-                shard.old_lists[li] = sorted(heap.old_ids())
-                fresh = sorted(heap.new_ids())
-                if len(fresh) > sample_n:
-                    rng = derive_rng(cfg.seed, 3, iteration, v)
-                    pick = sample_without_replacement(
-                        rng, len(fresh), sample_n)
-                    sampled = [fresh[int(i)] for i in pick]
-                else:
-                    sampled = fresh
-                heap.mark_old_many(sampled)
-                shard.new_lists[li] = sampled
-
-    def _section_reverse(self, iteration: int) -> None:
-        cfg = self.config.nnd
-        use_batch = self.config.batch_exec
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            owner = shard.owner_of
-            outgoing: list = []
-            append = outgoing.append
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                if use_batch:
-                    for u in shard.new_lists[li]:
-                        append((owner[u], "rev_new", (u, v)))
-                    for u in shard.old_lists[li]:
-                        append((owner[u], "rev_old", (u, v)))
-                else:
-                    for u in shard.new_lists[li]:
-                        append(("rev_new", int(u), v))
-                    for u in shard.old_lists[li]:
-                        append(("rev_old", int(u), v))
-            if (self.config.shuffle_reverse_destinations
-                    and len(outgoing) > 1):
-                rng = derive_rng(cfg.seed, 4, iteration, ctx.rank)
-                order = rng.permutation(len(outgoing))
-                outgoing = [outgoing[int(i)] for i in order]
-            if use_batch:
-                self.world.emit_run(ctx.rank, outgoing, 2 * ID_BYTES,
-                                    "reverse")
-            else:
-                for handler, u, v in outgoing:
-                    ctx.async_call(shard.owner(u), handler, u, v,
-                                   nbytes=2 * ID_BYTES, msg_type="reverse")
-
-    def _section_union(self, iteration: int) -> None:
-        cfg = self.config.nnd
-        sample_n = cfg.sample_size
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                rn = sorted(shard.rev_new[li])
-                ro = sorted(shard.rev_old[li])
-                rng = (derive_rng(cfg.seed, 5, iteration, v)
-                       if len(rn) > sample_n or len(ro) > sample_n
-                       else None)
-                shard.new_lists[li] = _union_with_sample(
-                    shard.new_lists[li], rn, sample_n, rng)
-                shard.old_lists[li] = _union_with_sample(
-                    shard.old_lists[li], ro, sample_n, rng)
-
-    def _section_check_build(self, one_sided: bool) -> int:
-        handler = "check_opt" if one_sided else "check_unopt"
-        self._check_triples = {}
-        longest = 0
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            owner = shard.owner_of
-            triples: list = []
-            append = triples.append
-            for li in range(shard.n_local):
-                new_c = shard.new_lists[li]
-                old_c = shard.old_lists[li]
-                for i, u1 in enumerate(new_c):
-                    o1 = owner[u1]
-                    for u2 in new_c[i + 1:]:
-                        if u1 != u2:
-                            append((o1, handler, (u1, u2)))
-                            if not one_sided:
-                                append((owner[u2], handler, (u2, u1)))
-                    for u2 in old_c:
-                        if u1 != u2:
-                            append((o1, handler, (u1, u2)))
-                            if not one_sided:
-                                append((owner[u2], handler, (u2, u1)))
-            self._check_triples[ctx.rank] = triples
-            if len(triples) > longest:
-                longest = len(triples)
-        return longest
-
-    def _section_check_emit(self, start: int, stop: int) -> None:
-        for ctx in self._contexts():
-            part = self._check_triples.get(ctx.rank, [])[start:stop]
-            if part:
-                self.world.emit_run(ctx.rank, part, 2 * ID_BYTES, T1)
-
-    def _section_repair_reset(self, ranks: List[int]) -> None:
-        repaired = set(ranks)
-        for rank, shard in self._owned_shards():
-            if rank not in repaired:
-                continue
-            shard.heaps = [NeighborHeap(self.config.k)
-                           for _ in range(shard.n_local)]
-            shard.reset_iteration_scratch()
-
-    def _section_repair_reinit(self, ranks: List[int]) -> None:
-        cfg = self.config.nnd
-        repaired = set(ranks)
-        for ctx in self._contexts():
-            if ctx.rank not in repaired:
-                continue
-            shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                rng = derive_rng(cfg.seed, 2, v)
-                cand = sample_without_replacement(
-                    rng, self.n, min(self.n - 1, cfg.k + 2))
-                cand = cand[cand != v][:cfg.k]
-                nb = 2 * ID_BYTES + shard.feature_nbytes(v)
-                for u in cand:
-                    u = int(u)
-                    ctx.async_call(shard.owner(u), "init_req", v, u,
-                                   nbytes=nb, msg_type="init_req")
-
-    def _section_repair_donate(self, ranks: List[int]) -> None:
-        repaired = set(ranks)
-        for ctx in self._contexts():
-            if ctx.rank in repaired:
-                continue
-            shard = shard_of(ctx)
-            owner = shard.owner_of
-            for li in range(shard.n_local):
-                v = int(shard.global_ids[li])
-                for u, d, _flag in list(shard.heaps[li].entries()):
-                    if owner[u] in repaired:
-                        ctx.async_call(
-                            owner[u], "init_resp", int(u), v, float(d),
-                            nbytes=2 * ID_BYTES + DIST_BYTES,
-                            msg_type="init_resp")
-
-    def _section_opt_seed(self) -> None:
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            shard.merged = [dict() for _ in range(shard.n_local)]
-            for li in range(shard.n_local):
-                for u, d, _flag in shard.heaps[li].entries():
-                    bucket = shard.merged[li]
-                    prev = bucket.get(u)
-                    if prev is None or d < prev:
-                        bucket[u] = d
-
-    def _section_opt_rev(self) -> None:
-        use_batch = self.config.batch_exec
-        for ctx in self._contexts():
-            shard = shard_of(ctx)
-            if use_batch:
-                owner = shard.owner_of
-                triples = []
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    for u, d, _flag in list(shard.heaps[li].entries()):
-                        triples.append((owner[u], "opt_rev_edge",
-                                        (int(u), v, float(d))))
-                self.world.emit_run(ctx.rank, triples, 2 * ID_BYTES + 4,
-                                    "opt_rev")
-            else:
-                for li in range(shard.n_local):
-                    v = int(shard.global_ids[li])
-                    for u, d, _flag in list(shard.heaps[li].entries()):
-                        ctx.async_call(shard.owner(u), "opt_rev_edge",
-                                       int(u), v, float(d),
-                                       nbytes=2 * ID_BYTES + 4,
-                                       msg_type="opt_rev")
+    def _cmd_ckpt_set(self, payload: dict) -> Optional[str]:
+        """Restore this worker's slice of a checkpoint.  A semantically
+        corrupt row comes back as its message, not as a raised error, so
+        the driver can re-raise it typed instead of as a wrapped worker
+        traceback."""
+        try:
+            for rank, rows in payload["heaps"].items():
+                ckpt_set(self.world.ranks[int(rank)], *rows)
+        except CheckpointCorruptError as exc:
+            return str(exc)
+        return None

@@ -202,6 +202,19 @@ class NeighborHeap:
             if ids[i] in vidset:
                 flags[i] = False
 
+    def load_state(self, ids, dists, flags) -> None:
+        """Overwrite the heap with a raw snapshot in *heap order* (the
+        checkpoint/restore path — the only writer of raw slot state
+        besides the push methods).  The member set is rebuilt from the
+        ids and the result is validated: a snapshot with a duplicate id,
+        broken heap order, or a finite distance in an empty slot raises
+        :class:`GraphError` instead of seeding a silently wrong build."""
+        self.ids[:] = ids
+        self.dists[:] = dists
+        self.flags[:] = flags
+        self._members = {v for v in self.ids.tolist() if v != EMPTY}
+        self.check_invariants()
+
     def _siftdown(self, i: int) -> None:
         """Restore the max-heap property from slot ``i`` downwards."""
         ids, dists, flags = self.ids, self.dists, self.flags

@@ -11,7 +11,7 @@ the semantics and — crucially for Figure 4 — measure every message:
 
 - :mod:`.transports` — the Transport seam: per-rank mailboxes and the
   collectives DNND needs, as the deterministic simulated cluster
-  (``transports/sim.py``, still importable from :mod:`.simmpi`) or the
+  (``transports/sim.py``) or the
   thread-safe shared-memory backend (``transports/local.py``),
 - :mod:`.ygm` — the YGM-style async RPC layer with per-destination
   buffering, flush thresholds, barrier, and per-type instrumentation,

@@ -13,7 +13,7 @@ exercised.  This module supplies the missing adversary:
   with equal fields replay **byte-identically**: every probabilistic
   decision comes from a keyed RNG stream derived from ``seed``.
 - :class:`FaultInjector` — the stateful consumer of a plan that
-  :meth:`SimCluster.deliver <repro.runtime.simmpi.SimCluster.deliver>`
+  :meth:`SimCluster.deliver <repro.runtime.transports.SimCluster.deliver>`
   and :meth:`YGMWorld._flush <repro.runtime.ygm.YGMWorld._flush>`
   consult.  It tracks crashed ranks, holds delayed messages until their
   release tick, and counts everything it does in a shared
@@ -123,7 +123,7 @@ class FaultPlan:
 class FaultInjector:
     """Stateful, deterministic executor of a :class:`FaultPlan`.
 
-    One injector serves one :class:`~repro.runtime.simmpi.SimCluster`.
+    One injector serves one :class:`~repro.runtime.transports.SimCluster`.
     All randomness is drawn in call order from a single keyed stream, so
     a fixed program + plan yields a bit-identical fault schedule.
     """

@@ -10,8 +10,7 @@ MPI.
 :class:`SimCluster` is the :class:`~repro.runtime.transports.base.Transport`
 that preserves the pre-seam runtime bit-for-bit: deterministic delivery
 order, the alpha-beta/compute cost ledger, and optional fault injection
-(:mod:`repro.runtime.faults`).  It remains importable from its historic
-home, :mod:`repro.runtime.simmpi`.
+(:mod:`repro.runtime.faults`).
 """
 
 from __future__ import annotations

@@ -190,6 +190,60 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointCorruptError, match="recovery"):
             dnnd.build(checkpoint_path=ckpt, checkpoint_every=1)
 
+    @staticmethod
+    def _tamper(ckpt, how):
+        """Rewrite one heap row through the store API: checksums stay
+        valid, only the row's *meaning* is corrupt."""
+        with MetallStore.open(ckpt) as store:
+            ids = np.array(store["ckpt_ids"])
+            dists = np.array(store["ckpt_dists"])
+            if how == "duplicate id":
+                ids[3, 1] = ids[3, 0]
+            elif how == "heap order":
+                dists[3, 0] = 0.0       # the root must be the farthest
+            else:                       # "empty slot distance"
+                ids[3, 0] = -1
+            store["ckpt_ids"] = ids
+            store["ckpt_dists"] = dists
+
+    @pytest.mark.parametrize("backend,workers", [("sim", 0), ("process", 2)])
+    @pytest.mark.parametrize(
+        "how", ["duplicate id", "heap order", "empty slot distance"])
+    def test_resume_rejects_semantically_corrupt_row(
+            self, small_dense, tmp_path, backend, workers, how):
+        """A row that parses but is not a valid neighbor heap must come
+        back typed on every backend — not a bare GraphError (sim) or a
+        wrapped worker traceback (process)."""
+        ckpt = self._write_checkpoint(small_dense, tmp_path)
+        self._tamper(ckpt, how)
+        with pytest.raises(CheckpointCorruptError, match="not a valid"):
+            DNND.resume(small_dense, ckpt, backend=backend, workers=workers,
+                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
+
+    @pytest.mark.parametrize("backend,workers", [("sim", 0), ("process", 2)])
+    def test_recovery_rejects_semantically_corrupt_row(
+            self, small_dense, tmp_path, backend, workers):
+        from repro import FaultPlan
+
+        ckpt = tmp_path / "ckpt_crash_tampered"
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=6, seed=43),
+                         backend=backend, workers=workers)
+        dnnd = DNND(small_dense, cfg,
+                    cluster=ClusterConfig(nodes=2, procs_per_node=2),
+                    fault_plan=FaultPlan().with_crash(rank=1, at_iteration=2))
+        orig = dnnd._write_checkpoint
+
+        def write_then_tamper(path, iteration, counts):
+            orig(path, iteration, counts)
+            self._tamper(ckpt, "duplicate id")
+
+        dnnd._write_checkpoint = write_then_tamper
+        try:
+            with pytest.raises(CheckpointCorruptError, match="not a valid"):
+                dnnd.build(checkpoint_path=ckpt, checkpoint_every=1)
+        finally:
+            dnnd.close()
+
     def test_corruption_error_is_config_distinct(self):
         """CheckpointCorruptError chains from the store layer and is not
         a ConfigError: callers distinguish bad input from bad state."""

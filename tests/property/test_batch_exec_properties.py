@@ -18,21 +18,29 @@ from repro.runtime.faults import FaultPlan
 N, DIM, K = 150, 12, 6
 
 
-def _run(batch_exec, nodes=2, ppn=2, opts=None, plan=None, reliable=False):
+def _run(batch_exec, nodes=2, ppn=2, opts=None, plan=None, reliable=False,
+         backend="sim", workers=0):
     rng = np.random.default_rng(7)
     data = rng.standard_normal((N, DIM))
     cfg = DNNDConfig(nnd=NNDescentConfig(k=K, seed=3),
                      comm_opts=opts or CommOptConfig.optimized(),
                      batch_size=1 << 10, batch_exec=batch_exec,
-                     backend="sim")
+                     backend=backend, workers=workers)
     kwargs = {}
     if plan is not None:
         kwargs = {"fault_plan": plan, "reliable": reliable}
+    if backend == "process":
+        # The sanitizers are sim/thread tools; CI's REPRO_SANITIZE sweep
+        # must not veto the explicitly requested backend.
+        kwargs["sanitize"] = False
     dnnd = DNND(data, cfg,
                 cluster=ClusterConfig(nodes=nodes, procs_per_node=ppn),
                 **kwargs)
-    res = dnnd.build()
-    adjacency = dnnd.optimize().to_arrays()
+    try:
+        res = dnnd.build()
+        adjacency = dnnd.optimize().to_arrays()
+    finally:
+        dnnd.close()
     return res, adjacency
 
 
@@ -67,6 +75,18 @@ def test_batched_bit_identical_across_cluster_shapes(nodes, ppn):
 def test_batched_bit_identical_unoptimized_comm():
     opts = CommOptConfig.unoptimized()
     _assert_identical(_run(False, opts=opts), _run(True, opts=opts))
+
+
+@pytest.mark.parametrize("opts", [CommOptConfig.optimized(),
+                                  CommOptConfig.unoptimized()],
+                         ids=["optimized", "unoptimized"])
+def test_batched_bit_identical_on_process_backend(opts):
+    # The tests above are the sim legs; this is the scalar engine off
+    # the sim schedule.  Worker processes run the same sections and
+    # handlers, and a single worker delivers in sim order (DESIGN
+    # section 15), so scalar and batched must agree there bit for bit.
+    _assert_identical(_run(False, opts=opts, backend="process", workers=1),
+                      _run(True, opts=opts, backend="process", workers=1))
 
 
 def test_batched_bit_identical_under_faults_with_reliable_delivery():

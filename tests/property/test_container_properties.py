@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.runtime.containers import DistributedBag, DistributedCounter, DistributedMap
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, make_injector
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

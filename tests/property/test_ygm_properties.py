@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.heap import NeighborHeap
 from repro.errors import RuntimeStateError
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

@@ -10,7 +10,7 @@ from repro.runtime.containers import (
     DistributedMap,
     register_visitor,
 )
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

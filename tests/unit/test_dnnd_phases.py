@@ -1,23 +1,31 @@
-"""DNND message handlers in isolation (Section 4.3 protocol)."""
+"""The DNND rank program in isolation: message handlers (Section 4.3
+protocol), the feature-by-reference accessors, the per-vertex
+generators, and the single-source registration every world shares."""
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+from repro.core import dnnd_phases
 from repro.core.dnnd_phases import (
-    LocalShard,
+    build_shards,
     register_dnnd_handlers,
     shard_of,
+    type1_triples,
 )
-from repro.core.heap import NeighborHeap
-from repro.distances.counting import CountingMetric
+from repro.core.nndescent import NNDescent
 from repro.errors import PartitionError, RuntimeStateError
 from repro.runtime.partition import BlockPartitioner
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
+HANDLER_NAMES = ("init_req", "init_resp", "rev_new", "rev_old",
+                 "check_unopt", "feature_unopt", "check_opt", "feature_opt",
+                 "distance_reply", "opt_rev_edge")
 
-def make_world_with_shards(n=8, k=3, comm_opts=None):
+
+def make_world_with_shards(n=8, k=3, comm_opts=None, data=None,
+                           metric="sqeuclidean"):
     """2-rank world, block partition (ranks own [0,4) and [4,8)),
     1-D features equal to the vertex id."""
     cluster = SimCluster(ClusterConfig(nodes=2, procs_per_node=1))
@@ -25,25 +33,14 @@ def make_world_with_shards(n=8, k=3, comm_opts=None):
     register_dnnd_handlers(world)
     part = BlockPartitioner(n, 2)
     cfg = DNNDConfig(
-        nnd=NNDescentConfig(k=k, metric="sqeuclidean"),
+        nnd=NNDescentConfig(k=k, metric=metric),
         comm_opts=comm_opts or CommOptConfig.optimized(),
     )
-    data = np.arange(n, dtype=np.float32).reshape(-1, 1)
+    if data is None:
+        data = np.arange(n, dtype=np.float32).reshape(-1, 1)
+    build_shards(world.ranks, part, data, cfg)
     for ctx in world.ranks:
-        gids = part.local_ids(ctx.rank)
-        shard = LocalShard(
-            rank=ctx.rank,
-            partitioner=part,
-            global_ids=gids,
-            local_index={int(g): i for i, g in enumerate(gids)},
-            features=data[gids],
-            heaps=[NeighborHeap(k) for _ in gids],
-            metric=CountingMetric("sqeuclidean"),
-            config=cfg,
-            feature_nbytes_dense=4,
-        )
-        shard.reset_iteration_scratch()
-        ctx.state["shard"] = shard
+        shard_of(ctx).reset_iteration_scratch()
     return world, part
 
 
@@ -74,13 +71,44 @@ class TestLocalShard:
         shard = shard_of(world.ranks[0])
         assert shard.owner(6) == 1
 
+    def test_row_resolves_any_vertex_own_lookup_stays_local(self):
+        """Message features travel as global ids: ``row``/``rows`` read
+        the world's dataset view for *any* vertex, while the own-row
+        lookup still refuses a vertex another rank owns."""
+        world, _ = make_world_with_shards()
+        shard = shard_of(world.ranks[0])
+        assert shard.row(6)[0] == 6.0           # owned by rank 1
+        with pytest.raises(PartitionError):
+            shard.feature(6)
+
+    def test_rows_dense(self):
+        world, _ = make_world_with_shards()
+        shard = shard_of(world.ranks[1])
+        got = shard.rows([7, 0, 3, 0])
+        assert got.shape == (4, 1) and got.dtype == np.float32
+        assert got[:, 0].tolist() == [7.0, 0.0, 3.0, 0.0]
+        got[0, 0] = -1.0                        # a fresh array, not a view
+        assert shard.row(7)[0] == 7.0
+
+    def test_rows_sparse(self, sparse_sets):
+        world, _ = make_world_with_shards(
+            n=len(sparse_sets), data=sparse_sets, metric="jaccard")
+        shard = shard_of(world.ranks[0])
+        assert shard.sparse
+        picked = [len(sparse_sets) - 1, 0]      # one foreign, one own
+        got = shard.rows(picked)
+        assert isinstance(got, list)
+        for rec, gid in zip(got, picked):
+            np.testing.assert_array_equal(rec, sparse_sets[gid])
+        assert shard.feature_nbytes(0) == int(sparse_sets[0].nbytes)
+
 
 class TestInitProtocol:
     def test_init_request_response(self):
         world, _ = make_world_with_shards()
         shard0 = shard_of(world.ranks[0])
         # Rank 0 asks owner(6)=rank1 for theta(v=1, u=6).
-        world.ranks[0].async_call(1, "init_req", 1, 6, shard0.feature(1),
+        world.ranks[0].async_call(1, "init_req", 1, 6,
                                   nbytes=12, msg_type="init_req")
         world.barrier()
         heap = shard0.heap(1)
@@ -91,7 +119,7 @@ class TestInitProtocol:
     def test_init_entry_flagged_new(self):
         world, _ = make_world_with_shards()
         shard0 = shard_of(world.ranks[0])
-        world.ranks[0].async_call(1, "init_req", 1, 6, shard0.feature(1),
+        world.ranks[0].async_call(1, "init_req", 1, 6,
                                   nbytes=12, msg_type="init_req")
         world.barrier()
         assert shard0.heap(1).new_ids() == [6]
@@ -213,3 +241,90 @@ class TestOptimizePhaseHandler:
         world, _ = make_world_with_shards()
         with pytest.raises(RuntimeStateError):
             register_dnnd_handlers(world)
+
+
+class TestType1Generator:
+    """The per-vertex Type 1 generator is the distributed form of
+    NN-Descent's local join: same pairs, same order."""
+
+    NEW = [5, 2, 7, 2]          # a repeated id exercises the u1 != u2 skip
+    OLD = [1, 5, 6]
+
+    def _local_join_pairs(self):
+        oracle = NNDescent(np.zeros((8, 1)), NNDescentConfig(k=3))
+        pairs = []
+        oracle._push_pair = lambda u1, u2, d: pairs.append((u1, u2)) or 0
+        oracle._local_join(0, self.NEW, self.OLD)
+        return pairs
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_matches_local_join_pair_sequence(self, one_sided):
+        opts = (CommOptConfig.optimized() if one_sided
+                else CommOptConfig.unoptimized())
+        world, part = make_world_with_shards(comm_opts=opts)
+        shard = shard_of(world.ranks[0])
+        shard.new_lists[2] = list(self.NEW)
+        shard.old_lists[2] = list(self.OLD)
+        triples = type1_triples(shard, 2)
+        handler = "check_opt" if one_sided else "check_unopt"
+        expected = []
+        for u1, u2 in self._local_join_pairs():
+            expected.append((part.owner(u1), handler, (u1, u2)))
+            if not one_sided:
+                expected.append((part.owner(u2), handler, (u2, u1)))
+        assert triples == expected and expected
+
+
+class TestSingleSource:
+    """A worker-side world and a driver-side world run the *same*
+    program: identical handler function objects, one section table."""
+
+    @pytest.fixture()
+    def worker_app(self, tiny_dense):
+        from repro.core.dnnd_process import ProcessDNNDApp
+        from repro.runtime.partition import HashPartitioner
+        from repro.runtime.transports import SharedArrayOwner
+        from repro.runtime.transports.process import (WorkerComm,
+                                                      WorkerTransport)
+
+        cluster = ClusterConfig(nodes=1, procs_per_node=2)
+        transport = WorkerTransport(cluster, [0, 1], [0, 0], [], 0)
+        comm = WorkerComm(0, 1, [0, 1], transport, None, cluster)
+        with SharedArrayOwner(np.ascontiguousarray(tiny_dense)) as owner:
+            yield ProcessDNNDApp(comm, {
+                "spec": owner.spec,
+                "config": DNNDConfig(nnd=NNDescentConfig(k=4)),
+                "partitioner": HashPartitioner(len(tiny_dense), 2)})
+
+    def test_same_handler_objects_on_driver_and_worker(self, worker_app,
+                                                       tiny_dense):
+        from repro import DNND
+
+        driver = DNND(tiny_dense,
+                      DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim"),
+                      cluster=ClusterConfig(nodes=1, procs_per_node=2),
+                      sanitize=False)
+        for registry in ("_handlers", "_batch_handlers"):
+            on_driver = getattr(driver.world, registry)
+            on_worker = getattr(worker_app.world, registry)
+            assert set(on_driver) == set(on_worker) == set(HANDLER_NAMES)
+            for name in HANDLER_NAMES:
+                assert on_driver[name] is on_worker[name], (registry, name)
+
+    def test_sections_resolve_from_one_table(self, worker_app, tiny_dense,
+                                             monkeypatch):
+        from repro import DNND
+
+        seen = []
+        monkeypatch.setitem(dnnd_phases.SECTIONS, "probe",
+                            lambda ctx, tag: seen.append((tag, ctx.rank)))
+        driver = DNND(tiny_dense,
+                      DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim"),
+                      cluster=ClusterConfig(nodes=1, procs_per_node=2))
+        driver._run_section("probe", tag="driver")
+        worker_app.dispatch("section",
+                            {"name": "probe", "params": {"tag": "worker"}})
+        assert seen == [("driver", 0), ("driver", 1),
+                        ("worker", 0), ("worker", 1)]
+        with pytest.raises(RuntimeStateError):
+            worker_app.dispatch("section", {"name": "no_such_section"})

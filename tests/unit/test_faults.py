@@ -7,7 +7,7 @@ from repro.config import ClusterConfig
 from repro.errors import (ConfigError, FaultToleranceError,
                           RankFailureError, RuntimeStateError)
 from repro.runtime.faults import FaultInjector, FaultPlan, make_injector
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

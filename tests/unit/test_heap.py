@@ -154,3 +154,50 @@ class TestInvariants:
         h.checked_push(2, 0.5)  # evicts 0
         assert 0 not in h and 1 in h and 2 in h
         h.check_invariants()
+
+
+class TestLoadState:
+    """``load_state`` is the one writer of raw slot state (checkpoint
+    restore): it must reproduce a snapshot exactly and refuse one that
+    is not a heap."""
+
+    @staticmethod
+    def _filled():
+        h = NeighborHeap(4)
+        for vid, d in ((5, 0.4), (1, 0.9), (8, 0.2), (3, 0.7), (6, 0.1)):
+            h.checked_push(vid, d)
+        h.mark_old(8)
+        return h
+
+    def test_round_trip_is_exact_and_behaves_the_same(self):
+        src = self._filled()
+        dst = NeighborHeap(4)
+        dst.load_state(src.ids.copy(), src.dists.copy(), src.flags.copy())
+        assert dst.ids.tolist() == src.ids.tolist()
+        assert dst.dists.tolist() == src.dists.tolist()
+        assert dst.flags.tolist() == src.flags.tolist()
+        assert len(dst) == len(src) and 8 in dst and 1 not in dst
+        # Same state -> same decisions afterwards (member set included).
+        for vid, d in ((8, 0.05), (9, 0.3), (1, 0.35)):
+            assert dst.checked_push(vid, d) == src.checked_push(vid, d)
+        assert dst.ids.tolist() == src.ids.tolist()
+
+    def test_partially_filled_snapshot(self):
+        src = NeighborHeap(4)
+        src.checked_push(2, 0.5)
+        dst = self._filled()  # stale members must not survive the load
+        dst.load_state(src.ids, src.dists, src.flags)
+        assert len(dst) == 1 and 2 in dst and 5 not in dst
+
+    @pytest.mark.parametrize("corrupt", ["duplicate", "order", "empty-finite"])
+    def test_rejects_a_snapshot_that_is_not_a_heap(self, corrupt):
+        src = self._filled()
+        ids, dists, flags = src.ids.copy(), src.dists.copy(), src.flags.copy()
+        if corrupt == "duplicate":
+            ids[1] = ids[0]
+        elif corrupt == "order":
+            dists[0] = 0.0
+        else:
+            ids[0] = EMPTY
+        with pytest.raises(GraphError):
+            NeighborHeap(4).load_state(ids, dists, flags)

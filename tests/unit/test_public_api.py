@@ -57,7 +57,7 @@ class TestDocstrings:
     @pytest.mark.parametrize("module", [
         "repro", "repro.core.dnnd", "repro.core.nndescent",
         "repro.core.search", "repro.runtime.ygm", "repro.runtime.metall",
-        "repro.runtime.simmpi", "repro.runtime.netmodel",
+        "repro.runtime.transports", "repro.runtime.netmodel",
         "repro.baselines.hnsw", "repro.baselines.pq",
         "repro.eval.ann_benchmark",
     ])

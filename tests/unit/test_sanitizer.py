@@ -15,7 +15,7 @@ from repro.errors import (
     MutationDuringIterationError,
     OwnershipViolationError,
 )
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
 

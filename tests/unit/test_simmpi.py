@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.errors import RuntimeStateError
-from repro.runtime.simmpi import SimCluster
+from repro.runtime.transports import SimCluster
 
 
 @pytest.fixture()
