@@ -8,11 +8,11 @@ simulated 8-node cluster, and prints:
 - per-message-type traffic statistics (the Figure 4 measurement),
 - the modeled construction time and its per-phase breakdown,
 - graph quality vs brute force,
-- host wall-clock of the sim vs the shared-memory parallel execution
-  backend for the same seed.
+- host wall-clock of the sim vs the multi-process execution backend
+  for the same seed.
 
 Run:  python examples/distributed_build.py
-      python examples/distributed_build.py --backend parallel --workers 4
+      python examples/distributed_build.py --backend process --workers 4
 """
 
 import argparse
@@ -73,7 +73,7 @@ def timed_build(data, backend, workers, truth):
     finally:
         dnnd.close()
     wall = time.perf_counter() - t0
-    w = f" workers={workers}" if backend == "parallel" else ""
+    w = f" workers={workers}" if backend == "process" else ""
     print(f"  {backend:<8s}{w:<11s} {wall:6.2f}s wall   "
           f"recall {graph_recall(result.graph, truth):.4f}")
     return wall
@@ -81,11 +81,11 @@ def timed_build(data, backend, workers, truth):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--backend", choices=["sim", "parallel", "both"],
+    ap.add_argument("--backend", choices=["sim", "process", "both"],
                     default="both",
                     help="execution backend(s) for the wall-clock section")
     ap.add_argument("--workers", type=int, default=4,
-                    help="worker count for the parallel backend")
+                    help="worker count for the process backend")
     args = ap.parse_args()
 
     data = gaussian_mixture(1200, 32, n_clusters=16, cluster_std=0.2, seed=7)
@@ -112,11 +112,11 @@ def main() -> None:
     walls = {}
     if args.backend in ("sim", "both"):
         walls["sim"] = timed_build(data, "sim", 0, truth)
-    if args.backend in ("parallel", "both"):
-        walls["parallel"] = timed_build(data, "parallel", args.workers, truth)
+    if args.backend in ("process", "both"):
+        walls["process"] = timed_build(data, "process", args.workers, truth)
     if len(walls) == 2:
-        print(f"  parallel speedup over sim: "
-              f"{walls['sim'] / walls['parallel']:.2f}x")
+        print(f"  process speedup over sim: "
+              f"{walls['sim'] / walls['process']:.2f}x")
 
 
 if __name__ == "__main__":

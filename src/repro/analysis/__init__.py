@@ -19,7 +19,8 @@ This package enforces both:
 - :mod:`repro.analysis.engine` + the rule modules implement an AST
   linter (``python -m repro.analysis [paths]``) with a determinism rule
   set (REP1xx), an RPC-contract rule set (REP2xx), and a thread-safety
-  rule set (REP4xx) for the parallel execution backend, machine-readable
+  rule set (REP4xx) for code that runs on threads (the query thread
+  pool of ``eval/parallel_query.py``), machine-readable
   findings (``--format json`` / ``--format sarif``), and per-line
   ``# repro: ignore[RULE]`` suppressions,
 - :mod:`repro.analysis.sanitizer` implements the runtime half: with
@@ -29,15 +30,6 @@ This package enforces both:
   handler re-entrancy and heap mutation-during-iteration are detected
   too.  When off, none of the machinery is installed (zero overhead,
   regression-tested like the fault injector).
-- :mod:`repro.analysis.race` is the concurrency companion: with
-  ``REPRO_SANITIZE=race`` (or ``YGMWorld(..., race=True)``), executor
-  dispatch boundaries advance a barrier epoch and instrumented shared
-  cells (transport mailboxes, fault-injector state, metrics
-  publication) record (thread, epoch, lockset) stamps; two accesses to
-  one cell in the same epoch from different threads with at least one
-  write and no common lock raise
-  :class:`~repro.errors.RaceConditionError`.  Same zero-overhead-off
-  contract as the ownership sanitizer.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from __future__ import annotations
 from .config import AnalysisConfig, load_config
 from .engine import run_analysis
 from .findings import ERROR, WARNING, Finding, to_sarif
-from .race import RaceReport, RaceSanitizer, TrackedLock, race_requested
 from .registry import RULES
 from .sanitizer import OwnedState, Sanitizer, sanitizer_requested
 
@@ -55,13 +46,9 @@ __all__ = [
     "Finding",
     "OwnedState",
     "RULES",
-    "RaceReport",
-    "RaceSanitizer",
     "Sanitizer",
-    "TrackedLock",
     "WARNING",
     "load_config",
-    "race_requested",
     "run_analysis",
     "sanitizer_requested",
     "to_sarif",

@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..errors import (
+    ConfigError,
     HandlerReentrancyError,
     MutationDuringIterationError,
     OwnershipViolationError,
@@ -49,9 +50,18 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 def sanitizer_requested(env: Optional[Dict[str, str]] = None) -> bool:
-    """True when ``REPRO_SANITIZE`` asks for the sanitizer."""
+    """True when ``REPRO_SANITIZE`` asks for the sanitizer.  The value
+    ``race`` selected the thread backend's race sanitizer; both are
+    gone, and asking for it is an error rather than a silent no-op."""
     environ = os.environ if env is None else env
-    return environ.get("REPRO_SANITIZE", "").strip().lower() in _TRUTHY
+    value = environ.get("REPRO_SANITIZE", "").strip().lower()
+    if value == "race":
+        raise ConfigError(
+            "REPRO_SANITIZE=race (the race sanitizer) was removed with "
+            "the thread backend 'parallel': concurrent ranks now run in "
+            "separate processes (backend 'process') and share no heap; "
+            "REPRO_SANITIZE=1 still checks rank ownership")
+    return value in _TRUTHY
 
 
 class Sanitizer:
@@ -60,11 +70,9 @@ class Sanitizer:
     otherwise, so every guard is a single attribute test when off.
 
     Execution-context state (``active_rank`` / ``handler_depth`` /
-    ``current_handler``) is thread-local: under the parallel executor
-    each worker thread is delivering at one rank, and the context it
-    checks against must be *that* thread's, not whichever rank another
-    worker happens to be running.  The violation counters stay shared
-    (they only matter when an error is already being raised)."""
+    ``current_handler``) is thread-local: the context a thread checks
+    against must be its own.  The violation counters stay shared (they
+    only matter when an error is already being raised)."""
 
     __slots__ = ("_tls", "violations", "reentrancy_detected")
 

@@ -43,7 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+from .config import (BACKENDS, ClusterConfig, CommOptConfig, DNNDConfig,
+                     NNDescentConfig, check_backend)
 from .core.dnnd import DNND, optimize_from_store
 from .core.graph import AdjacencyGraph
 from .core.search import KNNGraphSearcher
@@ -56,6 +57,16 @@ from .runtime.faults import FaultPlan
 from .runtime.metall import MetallStore
 from .runtime.partition import PARTITIONER_NAMES, make_partitioner
 from .utils.timing import format_duration
+
+
+def _backend_arg(value: str) -> str:
+    """``--backend`` value; a removed or unknown name is an argparse
+    error carrying :func:`~repro.config.check_backend`'s message."""
+    try:
+        check_backend(value)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--checkpoint for recovery")
     p.add_argument("--reliable", action="store_true",
                    help="ack/retransmit delivery (tolerates drop/dup "
-                        "faults; works on both backends)")
+                        "faults; sim backend)")
     p.add_argument("--max-retries", type=int, default=32,
                    help="retransmit budget per message in --reliable mode")
     p.add_argument("--failure-timeout", type=int, default=256,
@@ -125,16 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-recovery-attempts", type=int, default=8,
                    help="consecutive recovery cycles tolerated before the "
                         "failure propagates")
-    p.add_argument("--backend", choices=("sim", "parallel", "process"),
+    p.add_argument("--backend", type=_backend_arg, choices=BACKENDS,
                    default=None,
                    help="execution backend: deterministic cost-modeled "
-                        "simulation (sim, default), shared-memory "
-                        "parallel executor, or multi-process workers "
-                        "with the dataset in shared memory (process); "
-                        "crash injection and recovery work everywhere, "
-                        "network fault plans / reliable delivery / the "
-                        "cost model are sim-only; default honours "
-                        "REPRO_BACKEND")
+                        "simulation (sim, default) or multi-process "
+                        "workers with the dataset in shared memory "
+                        "(process); crash injection and recovery work "
+                        "on both, network fault plans / reliable "
+                        "delivery / the cost model are sim-only; "
+                        "default honours REPRO_BACKEND")
     p.add_argument("--kernel", choices=("rowwise", "blocked"),
                    default=None,
                    help="batched distance-kernel implementation: "
@@ -143,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "gated for metrics that reassociate reductions); "
                         "default honours REPRO_KERNEL")
     p.add_argument("--workers", type=int, default=0,
-                   help="thread count (--backend parallel) or process "
-                        "count (--backend process); 0 = auto: "
+                   help="process count (--backend process); 0 = auto: "
                         "REPRO_WORKERS or the core count")
     p.add_argument("--sanitize", action="store_true",
                    help="run under the runtime ownership sanitizer "
@@ -177,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "silently re-homing rows)")
     p.add_argument("--store", default=None,
                    help="persist the finished graph here")
-    p.add_argument("--backend", choices=("sim", "parallel", "process"),
+    p.add_argument("--backend", type=_backend_arg, choices=BACKENDS,
                    default=None,
                    help="execution backend for the resumed build")
     p.add_argument("--workers", type=int, default=0,
-                   help="thread count (parallel) or process count "
-                        "(process); 0 = auto")
+                   help="process count (--backend process); 0 = auto")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write the metrics snapshot (JSON) here")
     p.add_argument("--trace-out", default=None, metavar="FILE",
@@ -209,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "locality assignment from the built graph")
     p.add_argument("--store", default=None,
                    help="persist the re-homed graph + dataset here")
-    p.add_argument("--backend", choices=("sim", "parallel", "process"),
+    p.add_argument("--backend", type=_backend_arg, choices=BACKENDS,
                    default=None,
                    help="execution backend (default honours REPRO_BACKEND)")
     p.add_argument("--workers", type=int, default=0,
-                   help="thread/process count; 0 = auto")
+                   help="process count (--backend process); 0 = auto")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write the metrics snapshot (JSON) here")
     p.add_argument("--trace-out", default=None, metavar="FILE",

@@ -19,6 +19,27 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+#: Execution backends (``DNNDConfig.backend`` / ``REPRO_BACKEND`` /
+#: ``--backend``).
+BACKENDS = ("sim", "process")
+
+
+def check_backend(name: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless ``name`` is an
+    execution backend.  ``"parallel"`` — the thread backend, retired
+    because the GIL kept it slower than both sim and process
+    (EXPERIMENTS.md) — is named as removed, never mapped to a
+    survivor."""
+    if name == "parallel":
+        raise ConfigError(
+            "execution backend 'parallel' (the thread pool) was removed; "
+            "use 'process' for multi-core builds or 'sim' for the "
+            "deterministic cost-modeled run")
+    _require(name in BACKENDS,
+             f"unknown execution backend {name!r}; expected one of "
+             f"{'/'.join(BACKENDS)}")
+
+
 @dataclass(frozen=True)
 class NNDescentConfig:
     """Parameters of Algorithm 1 (shared-memory and distributed).
@@ -140,9 +161,7 @@ class DNNDConfig:
 
     backend: str | None = None
     """Execution backend: ``"sim"`` (deterministic inline simulation
-    with the cost model — the default), ``"parallel"`` (shared-memory
-    executor running rank sections concurrently; no cost ledger /
-    network fault injection), or ``"process"`` (per-rank worker
+    with the cost model — the default) or ``"process"`` (per-rank worker
     processes with the dataset in shared memory; crash injection native,
     network fault plans / cost model / reliable delivery sim-only).
     ``None`` defers to the ``REPRO_BACKEND`` environment variable,
@@ -158,9 +177,9 @@ class DNNDConfig:
     falling back to ``"rowwise"``."""
 
     workers: int = 0
-    """Thread count (parallel backend) or process count (process
-    backend); ``0`` means auto (``REPRO_WORKERS`` if set, else the
-    machine's core count), always capped at the cluster's world size.
+    """Worker-process count of the process backend; ``0`` means auto
+    (``REPRO_WORKERS`` if set, else the machine's core count), always
+    capped at the cluster's world size.
     Ignored by the sim backend."""
 
     metrics: bool = True
@@ -174,9 +193,8 @@ class DNNDConfig:
     def __post_init__(self) -> None:
         _require(self.batch_size >= 0, "batch_size must be >= 0")
         _require(self.pruning_factor >= 1.0, "pruning_factor (m) must be >= 1.0")
-        _require(self.backend in (None, "sim", "parallel", "process"),
-                 f"backend must be None, 'sim', 'parallel', or "
-                 f"'process', got {self.backend!r}")
+        if self.backend is not None:
+            check_backend(self.backend)
         _require(self.kernel in (None, "rowwise", "blocked"),
                  f"kernel must be None, 'rowwise', or 'blocked', "
                  f"got {self.kernel!r}")

@@ -40,12 +40,11 @@ from ..runtime.instrumentation import MessageStats
 from ..runtime.metrics import MetricsRegistry, NULL_METRICS
 from ..runtime.netmodel import NetworkModel
 from ..runtime.partition import HashPartitioner, Partitioner
-from ..runtime.transports import LocalTransport, SimCluster
+from ..runtime.transports import SimCluster
 from ..runtime.ygm import RankContext, YGMWorld
 from ..types import DIST_BYTES, ID_BYTES
 from ..utils.rng import derive_rng
 from ..utils.sampling import sample_without_replacement
-from .executor import SimExecutor, make_executor, resolve_backend
 from .graph import AdjacencyGraph
 from .search import SearchResult, _result_push, _worst
 
@@ -84,8 +83,6 @@ class DistributedKNNGraphSearcher:
                  coordinator: int = 0,
                  seed: int = 0,
                  sanitize: bool | None = None,
-                 backend: str | None = None,
-                 workers: int = 0,
                  metrics: "MetricsRegistry | None" = None) -> None:
         from ..distances.counting import CountingMetric
 
@@ -94,38 +91,10 @@ class DistributedKNNGraphSearcher:
                 f"graph has {adjacency.n} vertices, dataset has {len(data)}"
             )
         self.cluster_config = cluster or ClusterConfig(nodes=2, procs_per_node=2)
-        backend_name = resolve_backend(backend)
-        if backend_name == "process":
-            # Query search is coordinator-driven: every hop re-enters the
-            # driver, so there is no long-running per-rank section worth a
-            # worker process.  Runs on the thread-parallel executor when
-            # explicitly requested, on sim when the environment chose.
-            if backend == "process":
-                raise ConfigError(
-                    "the process backend covers graph construction "
-                    "(DNND.build); distributed search is coordinator-"
-                    "driven and supports backend='sim' or 'parallel'.")
-            backend_name = "sim"
-        if backend_name == "parallel" and net is not None:
-            if backend == "parallel":
-                raise ConfigError(
-                    "network cost model (net=...) requires the "
-                    "deterministic sim backend; the parallel executor "
-                    "has no cost ledger. Use backend='sim'.")
-            # Parallel came from the REPRO_BACKEND environment default:
-            # run on sim rather than silently dropping the cost model.
-            backend_name = "sim"
-        self.backend = backend_name
-        if backend_name == "parallel":
-            self.executor = make_executor(
-                backend_name, workers, self.cluster_config.world_size)
-            self.cluster = LocalTransport(self.cluster_config)
-        else:
-            self.executor = SimExecutor()
-            self.cluster = SimCluster(self.cluster_config, net)
+        self.cluster = SimCluster(self.cluster_config, net)
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.world = YGMWorld(self.cluster, seed=seed, sanitize=sanitize,
-                              executor=self.executor, metrics=self.metrics)
+                              metrics=self.metrics)
         self.partitioner = partitioner or HashPartitioner(
             adjacency.n, self.cluster_config.world_size)
         # The partitioner is the routing table: a repartitioned build
@@ -234,11 +203,6 @@ class DistributedKNNGraphSearcher:
             "n_queries": nq,
             "mean_distance_evals": total_evals / max(1, nq),
         }
-
-    def close(self) -> None:
-        """Release the executor's scheduling resources (a no-op for the
-        sim backend; joins the parallel backend's thread pool)."""
-        self.executor.shutdown()
 
     @property
     def message_stats(self) -> MessageStats:

@@ -3,7 +3,7 @@
 The driver only *sequences* the SPMD phases and barriers; what a rank
 does in each phase — sections, handlers, shard state — lives once in
 :mod:`.dnnd_phases` and is run, not re-implemented, by every world (the
-inline sim, the thread pool, the worker processes):
+inline sim, the worker processes):
 
 1. **distribute** — hash-partition vertices and feature rows over ranks
    (Section 4: vertex and neighbor list co-located on the owner rank).
@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..analysis.race import race_requested
 from ..analysis.sanitizer import sanitizer_requested
 from ..config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from ..distances.counting import CountingMetric
@@ -50,8 +49,8 @@ from ..runtime.partition import (ExplicitPartitioner, HashPartitioner,
                                  graph_locality_assignment,
                                  partitioner_from_spec, partitioner_spec,
                                  spec_matches)
-from ..runtime.transports import (LocalTransport, ProcessTransport,
-                                  ProcessWorld, SharedArrayOwner, SimCluster)
+from ..runtime.transports import (ProcessTransport, ProcessWorld,
+                                  SharedArrayOwner, SimCluster)
 from ..runtime.ygm import RankContext, YGMWorld
 from .executor import SimExecutor, make_executor, resolve_backend
 from ..types import ID_BYTES
@@ -80,8 +79,7 @@ def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
         return "network fault injection (drop/dup/reorder/delay/stall)"
     if reliable:
         return "reliable delivery (reliable=True)"
-    if sanitize or (sanitize is None
-                    and (sanitizer_requested() or race_requested())):
+    if sanitize or (sanitize is None and sanitizer_requested()):
         return "the runtime sanitizer (REPRO_SANITIZE)"
     if sparse:
         return ("a sparse dataset (shared-memory segments hold one "
@@ -227,23 +225,22 @@ class DNND:
         raises.  ``None`` (default) defers to ``REPRO_SANITIZE``.
 
     The execution backend comes from ``config.backend`` (``"sim"`` |
-    ``"parallel"`` | ``"process"`` | ``None`` = defer to
-    ``REPRO_BACKEND``, default sim).  All three run the same rank
-    program (:mod:`.dnnd_phases`): sim is the deterministic cost-modeled
-    simulation; parallel runs rank sections concurrently on a
-    shared-memory thread pool; process runs ranks in ``config.workers``
-    worker processes over a shared-memory dataset segment.  Fault
-    injection, reliable delivery, failure detection, and supervised
-    recovery work on sim and parallel (the transport seam owns them);
-    process handles crash plans natively (SIGKILL of the owning worker)
-    but has no message-level fault hooks, reliable delivery, sanitizers
-    or sparse-dataset support.  The network cost model is sim-only.
+    ``"process"`` | ``None`` = defer to ``REPRO_BACKEND``, default
+    sim).  Both run the same rank program (:mod:`.dnnd_phases`) over the
+    same comm layer: sim is the deterministic cost-modeled simulation;
+    process runs ranks in ``config.workers`` worker processes over a
+    shared-memory dataset segment.  Fault injection, reliable delivery,
+    failure detection by timeout, the sanitizer and the network cost
+    model are sim features; process handles crash plans natively
+    (SIGKILL of the owning worker) and supervised recovery works on
+    both, but it has no message-level fault hooks, reliable delivery,
+    sanitizer or sparse-dataset support.
 
-    Requesting a feature the chosen backend lacks follows one rule for
-    parallel and process alike: with an *explicit* ``backend=...`` it
-    raises :class:`~repro.errors.ConfigError`; when the backend came
-    from a blanket ``REPRO_BACKEND`` environment default the run is
-    downgraded to sim — with a visible :class:`RuntimeWarning` and a
+    Requesting a feature the process backend lacks follows one rule:
+    with an *explicit* ``backend="process"`` it raises
+    :class:`~repro.errors.ConfigError`; when the backend came from a
+    blanket ``REPRO_BACKEND`` environment default the run is downgraded
+    to sim — with a visible :class:`RuntimeWarning` and a
     ``backend.fallbacks`` counter in the metrics, never silently.
     """
 
@@ -275,22 +272,6 @@ class DNND:
             MetricsRegistry() if self.config.metrics else NULL_METRICS)
         backend = resolve_backend(self.config.backend)
         fallbacks = 0
-        if backend == "parallel" and net is not None:
-            if self.config.backend == "parallel":
-                raise ConfigError(
-                    "the network cost model (net=...) requires the "
-                    "deterministic sim backend; the parallel executor "
-                    "has no cost ledger. Use backend='sim'.")
-            # Parallel came from the REPRO_BACKEND environment default:
-            # run on sim rather than silently dropping the requested
-            # cost model — and say so, audibly and in the metrics.
-            warnings.warn(
-                "REPRO_BACKEND=parallel downgraded to the sim backend: "
-                "a network cost model (net=...) was requested and the "
-                "parallel executor has no cost ledger",
-                RuntimeWarning, stacklevel=2)
-            backend = "sim"
-            fallbacks = 1
         self._sparse = getattr(CountingMetric(self.config.nnd.metric), "sparse_input")
         if backend == "process":
             blocker = _process_blocker(net, fault_plan, reliable, sanitize,
@@ -305,7 +286,7 @@ class DNND:
                 # Process came from the REPRO_BACKEND environment
                 # default: downgrade to sim rather than silently
                 # dropping the requested feature — audibly and in the
-                # metrics, same contract as the parallel fallback.
+                # metrics.
                 warnings.warn(
                     f"REPRO_BACKEND=process downgraded to the sim "
                     f"backend: {blocker} is sim-only",
@@ -314,10 +295,9 @@ class DNND:
                 fallbacks = 1
         self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
-        # The inline sim schedule interleaves vertices across ranks and
-        # takes Section 4.4 batch barriers mid-phase; the other worlds
-        # run each rank's section whole.
-        self._sim = backend == "sim"
+        # Process workers run each rank's section whole; the inline sim
+        # schedule interleaves vertices across ranks and takes Section
+        # 4.4 batch barriers mid-phase.
         self._process = backend == "process"
         self.fault_plan = fault_plan
         self._flush_threshold = int(flush_threshold)
@@ -327,7 +307,7 @@ class DNND:
         if self._process:
             # Crash plans are handled natively by the process world
             # (SIGKILL at the planned iteration); the message-level
-            # injector is a sim/parallel transport hook.
+            # injector is a sim transport hook.
             self._injector = None
             self.executor = make_executor(
                 backend, self.config.workers, self.cluster_config.world_size)
@@ -348,21 +328,14 @@ class DNND:
         else:
             self._injector = make_injector(fault_plan, self.cluster_config.world_size)
             self._crash_clock = self._injector
-            if self._sim:
-                self.executor = SimExecutor()
-                self.cluster = SimCluster(self.cluster_config, net,
-                                          injector=self._injector)
-            else:
-                self.executor = make_executor(
-                    backend, self.config.workers, self.cluster_config.world_size)
-                self.cluster = LocalTransport(self.cluster_config,
-                                              injector=self._injector)
+            self.executor = SimExecutor()
+            self.cluster = SimCluster(self.cluster_config, net,
+                                      injector=self._injector)
             self.world = YGMWorld(self.cluster, flush_threshold=flush_threshold,
                                   seed=self.config.nnd.seed,
                                   reliable=reliable, max_retries=max_retries,
                                   failure_timeout=failure_timeout,
-                                  sanitize=sanitize, executor=self.executor,
-                                  metrics=self.metrics)
+                                  sanitize=sanitize, metrics=self.metrics)
             # Process workers register the same handlers inside each
             # worker process (``dnnd_process.ProcessDNNDApp``).
             register_dnnd_handlers(self.world, self.config.batch_exec)
@@ -399,7 +372,7 @@ class DNND:
                                    {"partitioner": self.partitioner})
             return
         build_shards(self.world.ranks, self.partitioner, self._rows,
-                     self.config, paced=self._sim)
+                     self.config, paced=True)
 
     def _run_section(self, name: str, **params) -> Dict[int, Any]:
         """Run entry ``name`` of the rank program wherever the ranks
@@ -440,8 +413,9 @@ class DNND:
 
     def close(self) -> None:
         """Release the executor's scheduling resources (a no-op for the
-        sim backend; joins the parallel backend's thread pool).  Safe to
-        call more than once; also triggered by garbage collection."""
+        sim backend; stops the process backend's workers and unlinks the
+        dataset segment).  Safe to call more than once; also triggered
+        by garbage collection."""
         self.executor.shutdown()
 
     def _enter_phase(self, name: str, **args) -> None:
@@ -561,7 +535,7 @@ class DNND:
         but an explicit assignment table is pinned to its world size.
         The execution backend is likewise free: checkpoints record
         algorithm state, not the execution choice, so a build
-        checkpointed under sim may resume under ``backend="parallel"``
+        checkpointed under sim may resume under ``backend="process"``
         and vice versa.
 
         ``partitioner`` optionally *asserts* the ownership layer: a name
@@ -773,7 +747,7 @@ class DNND:
         """Sim cost-model decomposition as *enrichment* gauges
         (``sim.seconds`` / ``sim.phase.<name>.seconds``): deterministic
         modeled time, only present when the transport carries a real
-        ledger — the parallel backend's phase timing comes from the
+        ledger — the process backend's phase timing comes from the
         wall-clock spans instead."""
         m = self.metrics
         ledger = self.cluster.ledger
@@ -813,7 +787,7 @@ class DNND:
         doubles a small modeled penalty charged to every rank (the
         replacement node's provisioning time; a wall-clock sleep would
         be meaningless against the simulated clock and pure waste on
-        the parallel backend, whose ledger discards the charge)."""
+        the process backend, whose ledger discards the charge)."""
         ledger = self.cluster.ledger
         if not ledger.enabled:
             return
@@ -878,13 +852,13 @@ class DNND:
     def _init_phase(self) -> None:
         """Algorithm 1 lines 2-5 via the Section 4.1 async pattern."""
         self._enter_phase("init")
-        if self._sim:
-            self._interleave(init_vertex)
-        else:
+        if self._process:
             # Each rank emits all of its vertices' init requests in one
             # section (candidates are keyed by vertex id, so rank-major
             # order changes nothing).
             self._run_section("init")
+        else:
+            self._interleave(init_vertex)
         self.world.barrier()
 
     def _iteration(self, iteration: int) -> int:
@@ -897,10 +871,7 @@ class DNND:
         self._enter_phase("union", iteration=iteration)
         self._run_section("union", iteration=iteration)
         self._enter_phase("neighbor_check", iteration=iteration)
-        if self._sim:
-            self._interleave(check_vertex)
-            self.world.barrier()
-        else:
+        if self._process:
             # Build every rank's Type 1 list, then emit it in global
             # chunks of ~batch_size with a barrier between chunks (why:
             # see ``dnnd_phases.check_build``).  Excluded ranks build
@@ -914,6 +885,9 @@ class DNND:
                 self._run_section("check_emit", start=start,
                                   stop=start + chunk)
                 self.world.barrier()
+        else:
+            self._interleave(check_vertex)
+            self.world.barrier()
         # ---- termination counter (line 23): allreduce; a rank excluded
         # in degraded mode contributes zero (the allreduce still collects
         # one value per rank).

@@ -3,7 +3,7 @@ and SPMD sections — written once, run by every world.
 
 DNND partitions vertices over ranks; each rank holds its vertices'
 feature rows and neighbor heaps (:class:`LocalShard`).  This module is
-the only home of what a rank *does*: the sim, thread and process worlds
+the only home of what a rank *does*: the sim and process worlds
 register the same handler functions (:func:`register_dnnd_handlers`) and
 resolve sections and shard-state ops from the same tables
 (:data:`SECTIONS`, :data:`SHARD_OPS`); the driver only sequences phases
@@ -42,7 +42,7 @@ handlers:
 Type 2, Type 2+) holds the sender vertex's *global id*; the receiver
 resolves the row through :meth:`LocalShard.row` / :meth:`LocalShard.rows`
 over the read-only dataset view its world holds (the driver's array
-under sim/thread, the shared-memory segment under process).  The
+under sim, the shared-memory segment under process).  The
 *modeled* wire size is unchanged: message sizes follow Section 2's
 accounting — ids are 4 bytes, distances 4 bytes, features
 ``dim * itemsize`` (ragged records use their actual byte size) — so
@@ -268,9 +268,8 @@ def batch_barrier(ctx: RankContext) -> None:
 
     Only on a *paced* world (the sim schedule): application-level batch
     barriers exist to bound the simulated buffer memory between
-    supersteps, and a mid-phase barrier cannot be driven from inside
-    concurrently-running rank sections (thread) or from a worker that
-    sees only its own ranks (process)."""
+    supersteps, and a mid-phase barrier cannot be driven from a worker
+    that sees only its own ranks (process)."""
     shard = shard_of(ctx)
     bs = shard.config.batch_size
     if shard.paced and bs and ctx.world.async_count_since_barrier >= bs:
@@ -315,8 +314,8 @@ def emit(ctx: RankContext, triples: list, nbytes: int, msg_type: str,
 # ---------------------------------------------------------------------------
 # Per-vertex generators: what one local vertex sends in a phase.  The sim
 # driver interleaves them across ranks (SPMD ranks progressing through
-# their vertices together); thread and process worlds run them rank-major
-# inside the sections below.
+# their vertices together); process workers run them rank-major inside
+# the sections below.
 # ---------------------------------------------------------------------------
 
 
@@ -812,7 +811,7 @@ def h_opt_reverse_edge(ctx: RankContext, u_gid: int, v_gid: int, d: float) -> No
 #   heap pushes by target vertex (pushes to different heaps commute and
 #   don't charge) and batch the clock adds with ``charge_repeated``,
 # - emissions go through ``block_emitter`` in original message order,
-# - a world without a cost ledger (``NullLedger``: thread and process)
+# - a world without a cost ledger (``NullLedger``: process workers)
 #   skips the per-message clock arithmetic and keeps only the effects.
 # ---------------------------------------------------------------------------
 

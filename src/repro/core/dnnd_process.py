@@ -1,15 +1,15 @@
 """Worker-side host of the DNND rank program for the process backend.
 
 Each worker process runs a :class:`ProcessDNNDApp` around an in-process
-:class:`~repro.runtime.ygm.YGMWorld` (non-parallel sim mode — the comm
-layer's buffering/coalescing/batch machinery is reused verbatim; only
-the transport underneath ships cross-worker frames).  The app holds no
+:class:`~repro.runtime.ygm.YGMWorld` (the one comm layer — its
+buffering/coalescing/batch machinery is reused verbatim; only the
+transport underneath ships cross-worker frames).  The app holds no
 algorithm of its own: it registers the ``dnnd_phases`` handlers, builds
 its owned ranks' shards over the driver's shared-memory dataset segment
 (mapped read-only; the view every :class:`LocalShard` resolves message
 features from), and executes the driver's broadcast commands by looking
 sections and shard-state ops up in the same ``dnnd_phases`` tables the
-driver uses for the sim and thread worlds.  The driver stays the SPMD
+driver uses for the sim world.  The driver stays the SPMD
 program counter.
 """
 
@@ -44,7 +44,7 @@ class ProcessDNNDApp:
             comm.transport,
             flush_threshold=int(params.get("flush_threshold", 1024)),
             seed=self.config.nnd.seed,
-            sanitize=False, race=False)
+            sanitize=False)
         register_dnnd_handlers(self.world, self.config.batch_exec)
         self._commands = {
             "build_shards": self._cmd_build_shards,
@@ -118,7 +118,7 @@ class ProcessDNNDApp:
                 for phase, ms in world.phase_stats.items()},
             "flushes": world.flush_count,
             "invocations": world.handler_invocations,
-            "locals": world.local_delivery_count,
+            "locals": world.local_deliveries,
         }
 
     def _cmd_shard_totals(self, payload: dict) -> list:

@@ -1,4 +1,4 @@
-"""Execution backends: how per-rank program sections actually run.
+"""Execution backends: where the per-rank program sections run.
 
 The runtime is layered as Transport / Comm / Executor:
 
@@ -6,48 +6,25 @@ The runtime is layered as Transport / Comm / Executor:
   between per-rank mailboxes,
 - the **YGM comm layer** (:mod:`repro.runtime.ygm`) buffers, coalesces,
   and accounts messages on top of it,
-- the **Executor** (this module) decides how the per-rank sections —
-  SPMD driver code between barriers and mailbox draining inside a
-  barrier — are scheduled.
+- the **Executor** (this module) names the backend a build resolved to
+  and owns its worker count and teardown.
 
 :class:`SimExecutor` is the deterministic default: rank sections run
-inline on the driver thread in rank order, which is exactly the
-historical behaviour (bit-identical graphs, message ledgers, and cost
-accounting).  :class:`ParallelExecutor` runs rank sections concurrently
-on a persistent thread pool; per-rank state stays confined to its rank
-(the ownership sanitizer's rules), mailbox handoff is the only
-cross-rank channel, and the comm layer aggregates per-rank statistics
-race-free at each barrier.  The parallel backend is *content*
-deterministic only for configurations whose results are delivery-order
-invariant (see DESIGN.md §11); the cost ledger and fault injection are
-sim-only.
-
-Executors are duck-typed by the comm layer (``repro.runtime`` never
-imports ``repro.core``): anything exposing ``parallel``, ``workers``,
-``map_ranks``, ``run_ranks``, and ``shutdown`` works.
+inline on the driver in rank order (bit-identical graphs, message
+ledgers, and cost accounting).  :class:`ProcessExecutor` stands for
+worker *processes* that each run the same comm layer over their owned
+ranks (DESIGN.md §11, §15); the cost ledger and message-level fault
+injection are sim-only.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Optional
 
+from ..config import check_backend
 from ..errors import ConfigError
-
-#: GIL switch interval (seconds) while pool sections are in flight.
-#: Rank sections are CPU-bound Python; the default 5 ms interval forces
-#: frequent GIL handoffs between worker threads, which is pure overhead
-#: when the sections never contend on locks (mailbox handoff is lock-free
-#: deque appends).  Raised only for the duration of a dispatch and always
-#: restored.
-_POOL_SWITCH_INTERVAL = 0.02
-
-#: Backends accepted by :func:`resolve_backend` / ``DNNDConfig.backend``.
-BACKENDS = ("sim", "parallel", "process")
 
 #: Environment knobs honoured when the config leaves the choice open.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -61,10 +38,7 @@ def resolve_backend(backend: Optional[str],
     environ = os.environ if env is None else env
     if backend is None:
         backend = environ.get(BACKEND_ENV, "").strip().lower() or "sim"
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{'/'.join(BACKENDS)}")
+    check_backend(backend)
     return backend
 
 
@@ -72,7 +46,7 @@ def resolve_workers(workers: int, world_size: int,
                     env: Optional[Dict[str, str]] = None) -> int:
     """Resolve a worker count: ``0`` means auto (``REPRO_WORKERS`` if
     set, else the machine's core count), capped at ``world_size`` —
-    more threads than ranks can never be scheduled."""
+    more workers than ranks would own nothing."""
     environ = os.environ if env is None else env
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
@@ -94,189 +68,26 @@ def resolve_workers(workers: int, world_size: int,
 
 
 class Executor:
-    """Base scheduling policy: inline, in rank order, on the caller's
-    thread.  Subclass hooks are the comm layer's only entry points."""
+    """What every backend's executor carries: its name, worker count,
+    dispatch counter and teardown hook."""
 
-    #: True when rank sections may run concurrently — the comm layer
-    #: switches to per-rank sequence counters and stats sinks.
-    parallel = False
     backend = "sim"
-
-    #: Attached :class:`repro.analysis.race.RaceSanitizer` under
-    #: ``REPRO_SANITIZE=race``; ``None`` otherwise.  The parallel
-    #: executor advances its barrier epoch at both edges of every
-    #: dispatch, which is what separates driver-only code from task
-    #: code in the sanitizer's happens-before model.
-    race = None
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = int(workers)
-        #: Sections dispatched (one per ``map_ranks``/``run_ranks`` call)
-        #: — published as the ``executor.dispatches`` metric.  A
-        #: scheduling detail, not a workload invariant: the sim backend
-        #: drains mailboxes inline and legitimately reports fewer.
+        #: Sections broadcast to the workers — published as the
+        #: ``executor.dispatches`` metric.  A scheduling detail, not a
+        #: workload invariant: the sim backend runs sections inline and
+        #: reports none.
         self.dispatches = 0
-
-    def map_ranks(self, fn: Callable[[int], int], world_size: int) -> int:
-        """Run ``fn(rank)`` over every rank, repeating full passes until
-        one makes no progress (``fn`` returns the per-rank progress
-        count, e.g. messages delivered); return the summed results.  The
-        repeat-until-stable contract lets delivery chains between ranks
-        resolve inside a single dispatch instead of one driver round
-        trip per hop."""
-        self.dispatches += 1
-        total = 0
-        while True:
-            ran = 0
-            for rank in range(world_size):
-                ran += fn(rank)
-            total += ran
-            if ran == 0:
-                return total
-
-    def run_ranks(self, fn: Callable[[Any], None], ctxs: Iterable[Any],
-                  sanitizer: Any = None) -> None:
-        """Run a driver-side SPMD section ``fn(ctx)`` once per rank
-        context.  Under the sanitizer each invocation executes *as* its
-        rank, so touching another rank's state raises."""
-        self.dispatches += 1
-        if sanitizer is None:
-            for ctx in ctxs:
-                fn(ctx)
-        else:
-            for ctx in ctxs:
-                with sanitizer.rank_scope(ctx.rank):
-                    fn(ctx)
 
     def shutdown(self) -> None:
         """Release scheduling resources (idempotent)."""
 
 
 class SimExecutor(Executor):
-    """The deterministic inline executor — today's semantics, verbatim."""
-
-
-class ParallelExecutor(Executor):
-    """Shared-memory parallel executor: rank sections run concurrently
-    on a persistent thread pool.
-
-    Concurrency contract (enforced by construction, checked by the
-    ownership sanitizer):
-
-    - each submitted section touches only its own rank's shard and its
-      own rank's send-side comm state (buffers, per-rank stats sinks),
-    - cross-rank communication happens only by appending to the
-      destination's mailbox deque (atomic under CPython),
-    - the driver thread runs collectives, flushes, and stats merging
-      only while no section is in flight (``map_ranks``/``run_ranks``
-      join all futures before returning, so exceptions propagate and
-      the barrier sees a quiesced world).
-    """
-
-    parallel = True
-    backend = "parallel"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__(workers)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-rank")
-        # Reclaim worker threads when the executor is garbage-collected
-        # (test suites build many worlds; without this, idle pools would
-        # pile up until interpreter exit).
-        weakref.finalize(self, self._pool.shutdown, wait=False)
-
-    @staticmethod
-    @contextmanager
-    def _pool_switch_interval() -> Iterator[None]:
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(_POOL_SWITCH_INTERVAL)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
-
-    def _chunks(self, n: int) -> list:
-        """Partition ranks ``0..n-1`` round-robin — one task per
-        *effective* lane, not per rank, so a dispatch costs at most
-        ``width`` future round trips instead of ``world_size``.  The
-        width is capped at the machine's core count: CPU-bound Python
-        threads beyond the core count cannot overlap (the GIL serializes
-        them) and only add handoff and cache-thrash overhead, so the
-        requested ``workers`` is treated as *maximum* parallelism, not a
-        mandatory thread count."""
-        width = max(1, min(self.workers, n, os.cpu_count() or 1))
-        return [range(start, n, width) for start in range(width)]
-
-    def map_ranks(self, fn: Callable[[int], int], world_size: int) -> int:
-        def chunk_task(ranks: range) -> int:
-            # Same repeat-until-stable contract as the base executor,
-            # applied per chunk: chains between co-assigned ranks
-            # resolve without another driver dispatch.
-            total = 0
-            while True:
-                ran = 0
-                for rank in ranks:
-                    ran += fn(rank)
-                total += ran
-                if ran == 0:
-                    return total
-
-        self.dispatches += 1
-        chunks = self._chunks(world_size)
-        race = self.race
-        if race is not None:
-            race.begin_dispatch()
-        try:
-            with self._pool_switch_interval():
-                # Caller-runs-first: the driver thread works chunk 0
-                # itself instead of sleeping on futures — one fewer
-                # future per dispatch, and the whole dispatch is
-                # thread-free when the effective width is 1.
-                futures = [self._pool.submit(chunk_task, chunk)
-                           for chunk in chunks[1:]]
-                total = chunk_task(chunks[0])
-                # result() re-raises worker exceptions on the driver
-                # thread.
-                return total + sum(f.result() for f in futures)
-        finally:
-            if race is not None:
-                race.end_dispatch()
-
-    def run_ranks(self, fn: Callable[[Any], None], ctxs: Iterable[Any],
-                  sanitizer: Any = None) -> None:
-        ctxs = list(ctxs)
-        if not ctxs:
-            return
-
-        def chunk_task(chunk: range) -> None:
-            if sanitizer is None:
-                for i in chunk:
-                    fn(ctxs[i])
-            else:
-                for i in chunk:
-                    with sanitizer.rank_scope(ctxs[i].rank):
-                        fn(ctxs[i])
-
-        self.dispatches += 1
-        chunks = self._chunks(len(ctxs))
-        race = self.race
-        if race is not None:
-            race.begin_dispatch()
-        try:
-            with self._pool_switch_interval():
-                futures = [self._pool.submit(chunk_task, chunk)
-                           for chunk in chunks[1:]]
-                chunk_task(chunks[0])
-                for f in futures:
-                    f.result()
-        finally:
-            if race is not None:
-                race.end_dispatch()
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+    """The deterministic inline executor: nothing to schedule or
+    release."""
 
 
 class ProcessExecutor(Executor):
@@ -286,13 +97,10 @@ class ProcessExecutor(Executor):
     :class:`repro.runtime.transports.process.ProcessTransport`: worker
     *processes* hold persistent per-rank state (shards, heaps, comm
     worlds) between barriers and the driver broadcasts named sections to
-    them, so there is nothing for ``map_ranks``/``run_ranks`` to do on
-    the driver side.  This class keeps the executor seam uniform — the
-    backend name, worker count, ``executor.dispatches`` metric (bumped
-    by the process world per broadcast section), and teardown hook all
-    flow through the same object the other backends use."""
+    them.  This class carries the backend name, worker count,
+    ``executor.dispatches`` metric (bumped by the process world per
+    broadcast section), and teardown hook."""
 
-    parallel = True
     backend = "process"
 
     def __init__(self, workers: int) -> None:
@@ -321,6 +129,4 @@ def make_executor(backend: str, workers: int, world_size: int,
     backend = resolve_backend(backend, env)
     if backend == "sim":
         return SimExecutor()
-    if backend == "process":
-        return ProcessExecutor(resolve_workers(workers, world_size, env))
-    return ParallelExecutor(resolve_workers(workers, world_size, env))
+    return ProcessExecutor(resolve_workers(workers, world_size, env))

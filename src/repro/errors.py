@@ -96,20 +96,6 @@ class MutationDuringIterationError(SanitizerError):
     the iteration's remaining output is undefined."""
 
 
-class RaceConditionError(SanitizerError):
-    """Two threads touched the same shared cell inside one barrier epoch
-    with at least one write and no common lock (``REPRO_SANITIZE=race``).
-    Carries both access records so the report can show where each side
-    of the conflict happened."""
-
-    def __init__(self, message: str, *, cell=None, first=None,
-                 second=None) -> None:
-        super().__init__(message)
-        self.cell = cell
-        self.first = first
-        self.second = second
-
-
 class FaultToleranceError(ReproError):
     """Fault-tolerant delivery could not mask an injected fault: the
     retry budget for a message was exhausted, or a rank failed with no

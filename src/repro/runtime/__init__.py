@@ -11,8 +11,8 @@ the semantics and — crucially for Figure 4 — measure every message:
 
 - :mod:`.transports` — the Transport seam: per-rank mailboxes and the
   collectives DNND needs, as the deterministic simulated cluster
-  (``transports/sim.py``) or the
-  thread-safe shared-memory backend (``transports/local.py``),
+  (``transports/sim.py``) or worker processes over shared memory
+  (``transports/process.py``),
 - :mod:`.ygm` — the YGM-style async RPC layer with per-destination
   buffering, flush thresholds, barrier, and per-type instrumentation,
   talking only to the Transport protocol,
@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .netmodel import NetworkModel, CostLedger, NullLedger
 from .partition import HashPartitioner, BlockPartitioner, Partitioner
-from .transports import LocalTransport, SimCluster, Transport
+from .transports import SimCluster, Transport
 from .ygm import YGMWorld, RankContext
 from .metall import MetallStore
 from .containers import DistributedBag, DistributedCounter, DistributedMap
@@ -67,7 +67,6 @@ __all__ = [
     "Partitioner",
     "Transport",
     "SimCluster",
-    "LocalTransport",
     "YGMWorld",
     "RankContext",
     "MetallStore",

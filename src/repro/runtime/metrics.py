@@ -4,8 +4,8 @@ The paper's first future-work item (Section 7) asks for deeper
 profiling — "how much the computation or communication is heavier than
 the other".  :class:`~repro.runtime.tracing.RuntimeTracer` answers that
 for the *simulated* backend by reading the cost ledger, but the
-shared-memory parallel backend carries a :class:`~repro.runtime.netmodel.NullLedger`
-and was a black box.  This module is the one metrics surface every
+process backend carries a :class:`~repro.runtime.netmodel.NullLedger`
+and would be a black box.  This module is the one metrics surface every
 backend reports into:
 
 - **counters** — monotonic totals, *synchronized absolutely* at barriers
@@ -71,7 +71,7 @@ class SpanRecord:
     ``start`` / ``end`` are seconds since the registry's epoch (its
     creation time), so exported timestamps are small and runs are
     comparable; ``tid`` is a dense per-registry thread index so traces
-    from the parallel backend lay concurrent spans on separate tracks.
+    from threaded query engines lay concurrent spans on separate tracks.
     """
 
     name: str
@@ -128,24 +128,13 @@ class MetricsRegistry:
 
     All mutation goes through one lock; the runtime only calls in at
     barrier/phase granularity (never per message), so the lock is far
-    off every hot path — the thread-safety matters for the parallel
-    executor's concurrent rank sections and threaded query engines.
+    off every hot path — the thread-safety matters for threaded query
+    engines.
     """
 
     #: Call sites branch on this to skip building metric values at all
     #: when handed the null registry.
     enabled = True
-
-    #: Attached :class:`repro.analysis.race.RaceSanitizer` under
-    #: ``REPRO_SANITIZE=race``; ``None`` otherwise.  Never set on the
-    #: shared :data:`NULL_METRICS` singleton.  Only the absolute
-    #: *publication* writers (:meth:`set_counter`/:meth:`set_gauge`) are
-    #: stamped: publication is a driver-at-barrier responsibility, and
-    #: the registry's internal lock is deliberately *not* part of the
-    #: lockset — mutual exclusion does not excuse publishing from task
-    #: scope.  ``inc``/``observe``/``span`` are legitimate from
-    #: concurrent threads (threaded query engines) and stay unhooked.
-    race = None
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
@@ -177,16 +166,10 @@ class MetricsRegistry:
         re-publishing after every barrier converges to the same totals
         no matter how supersteps interleaved.
         """
-        race = self.race
-        if race is not None:
-            race.access(("metric", name), write=True)
         with self._lock:
             self._counters[name] = int(value)
 
     def set_gauge(self, name: str, value: float) -> None:
-        race = self.race
-        if race is not None:
-            race.access(("metric", name), write=True)
         with self._lock:
             self._gauges[name] = float(value)
 

@@ -164,10 +164,10 @@ class NullLedger(CostLedger):
 
     The cost model is a *simulation* feature: it exists to predict
     Figure 3's scaling shape from deterministic replay, which is
-    meaningless under the wall-clock-parallel backend (and its per-rank
-    clocks would be write-contended there anyway).  The parallel
-    transport carries a ``NullLedger`` so driver code can keep calling
-    ``ledger.barrier()`` / ``ctx.charge_*`` unconditionally; hot paths
+    meaningless where the figure of merit is the host wall clock.  The
+    process backend's transports carry a ``NullLedger`` so driver and
+    handler code can keep calling ``ledger.barrier()`` /
+    ``ctx.charge_*`` unconditionally; hot paths
     that *compute* cost values before charging should branch on
     ``ledger.enabled`` and skip the arithmetic.
     """

@@ -16,10 +16,10 @@ The tracer is a *consumer* of the backend-agnostic metrics registry
 (:mod:`repro.runtime.metrics`): at every barrier it reads the
 ``messages.sent.*`` / ``messages.bytes.*`` / ``faults.*`` counters the
 comm layer just published and records the deltas, so it works
-identically under the sim and parallel backends.  The sim cost model
+identically under the sim and process backends.  The sim cost model
 remains an enrichment, not the data source: superstep durations and
 imbalance come from the transport's ledger, which reports zero
-durations and perfect balance under the parallel backend's
+durations and perfect balance under the process backend's
 :class:`~repro.runtime.netmodel.NullLedger`.
 
 Attach with :func:`attach_tracer` before ``DNND.build()``; attaching

@@ -7,22 +7,18 @@ ranks:
 
 - :mod:`.sim` — :class:`SimCluster`, the deterministic cost-modeled
   fault-injectable simulation (default backend),
-- :mod:`.local` — :class:`LocalTransport`, thread-safe shared-memory
-  mailboxes for the parallel executor,
 - :mod:`.process` — :class:`ProcessTransport`, per-rank worker
   processes with pickled cross-worker frames and the dataset in
   ``multiprocessing.shared_memory`` segments.
 """
 
 from .base import Transport
-from .local import LocalTransport
 from .process import (ProcessTransport, ProcessWorld, SharedArrayOwner,
                       SharedArraySpec, attach_shared_array)
 from .sim import SimCluster
 
 __all__ = [
     "Transport",
-    "LocalTransport",
     "SimCluster",
     "ProcessTransport",
     "ProcessWorld",

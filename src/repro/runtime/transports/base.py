@@ -7,20 +7,20 @@ above the seam — buffering, batch coalescing, reliable seq/ack delivery,
 message statistics — lives in :class:`~repro.runtime.ygm.YGMWorld` and
 talks only to this interface.
 
-Two transports implement it:
+Two transports carry a comm world:
 
 - :class:`~repro.runtime.transports.sim.SimCluster` — the deterministic,
   cost-modeled, fault-injectable simulation (the default; bit-identical
   to the pre-seam runtime),
-- :class:`~repro.runtime.transports.local.LocalTransport` — a
-  shared-memory backend whose mailboxes are safe for concurrent
-  producers (rank sections running on the parallel executor), with no
+- :class:`~repro.runtime.transports.process.WorkerTransport` — the
+  process backend's per-worker transport: co-resident ranks share
+  mailboxes, other workers' ranks are reached by pickled frames; no
   cost model.
 
 Collectives are implemented here once; cost accounting is injected
 through the ``_charge_collective`` / ``_charge_transfer`` hooks so the
-simulated transport charges its alpha-beta model while the local
-transport charges nothing.  Because the simulation is cooperative,
+simulated transport charges its alpha-beta model while the others
+charge nothing.  Because the simulation is cooperative,
 collectives take *per-rank contribution lists* and return per-rank
 results — the driver (which plays the role of the SPMD program counter)
 passes in what each rank would have contributed.  This keeps rank code
@@ -69,30 +69,23 @@ class ReliableDelivery:
     """Transport-level reliable delivery: per-pair sequence numbers,
     positive acks, backoff retransmit, receiver dedup.
 
-    The state machine is backend-agnostic; what differs per backend is
-    *who calls what from where*:
+    State is rank-confined by construction:
 
-    - ``send`` runs on the sending rank's execution context (the driver
-      thread under sim, rank ``src``'s worker thread under the parallel
-      executor) and only touches ``src``-owned send state;
+    - ``send`` only touches ``src``-owned send state;
     - ``on_receive`` / ``on_ack`` / ``flush_acks_for`` run while rank
       ``dest`` drains its own mailbox and only touch ``dest``-owned
-      receive state — so under the parallel executor's ownership rules
-      no additional locking is needed;
+      receive state;
     - ``tick`` (the retransmit clock) and ``sync_fault_stats`` are
-      driver-only, called between delivery rounds when no rank section
-      is in flight.
+      called between delivery rounds, when no handler is running.
 
     Fault counters are accumulated in per-rank cells and folded into the
     shared :class:`~repro.runtime.instrumentation.FaultStats` by absolute
-    assignment at barriers (``sync_fault_stats``), because ``+=`` on a
-    shared field would race under concurrent rank sections.
+    assignment at barriers (``sync_fault_stats``).
     """
 
     def __init__(self, transport: "Transport", retry_timeout: int = 4,
                  retry_backoff: float = 2.0, max_retries: int = 32,
-                 fault_stats: FaultStats | None = None,
-                 stats_for: Callable[[int], MessageStats] | None = None) -> None:
+                 fault_stats: FaultStats | None = None) -> None:
         self.transport = transport
         ws = transport.world_size
         self.world_size = ws
@@ -101,8 +94,6 @@ class ReliableDelivery:
         self.max_retries = int(max_retries)
         self.fault_stats: FaultStats = (
             fault_stats if fault_stats is not None else FaultStats())
-        self._stats_for = (stats_for if stats_for is not None
-                           else (lambda rank: transport.stats))
         #: Delivery-round clock; advanced by :meth:`tick`.
         self.clock = 0
         #: Ranks the supervisor has excluded: sends to them are dropped
@@ -174,7 +165,7 @@ class ReliableDelivery:
             row[sender] = []
             offnode = transport.is_offnode(receiver, sender)
             nbytes = ACK_SEQ_BYTES * len(seqs)
-            self._stats_for(receiver).record("ack", nbytes, offnode)
+            transport.stats.record("ack", nbytes, offnode)
             transport.ledger.charge(
                 receiver, net.message_cost(nbytes, offnode))
             self._c_acks[receiver] += 1
@@ -191,7 +182,7 @@ class ReliableDelivery:
         """Advance the delivery-round clock and retransmit unacked
         messages whose backoff window expired.  Raises
         :class:`~repro.errors.FaultToleranceError` past the retry
-        budget.  Driver-only: no rank section may be in flight."""
+        budget."""
         self.clock += 1
         transport = self.transport
         for src in range(self.world_size):
@@ -218,7 +209,7 @@ class ReliableDelivery:
                     entry[2] = attempts + 1
                     entry[3] = self.clock
                     self._c_retransmits[src] += 1
-                    self._stats_for(src).record("retransmit", nbytes, offnode)
+                    transport.stats.record("retransmit", nbytes, offnode)
                     transport.ledger.charge(
                         src, transport.net.message_cost(nbytes, offnode))
                     transport.deliver(src, dest, (REL_TAG, rel_seq, payload))
@@ -278,7 +269,7 @@ class ReliableDelivery:
     def sync_fault_stats(self) -> None:
         """Fold the per-rank counter cells into the shared
         :class:`FaultStats` by absolute assignment (idempotent, safe to
-        repeat at every barrier).  Driver-only."""
+        repeat at every barrier)."""
         fs = self.fault_stats
         fs.acks_sent = sum(self._c_acks)
         fs.retransmits = sum(self._c_retransmits)
@@ -296,12 +287,6 @@ class Transport:
     ``stats`` (the sink the YGM layer records into), and ``injector``
     (``None`` unless the transport supports fault injection).
     """
-
-    #: Attached :class:`repro.analysis.race.RaceSanitizer` under
-    #: ``REPRO_SANITIZE=race``; ``None`` otherwise.  Kept as a class
-    #: attribute so the off mode costs nothing per instance and hooks
-    #: reduce to a single ``is None`` test.
-    race = None
 
     def __init__(self, config: ClusterConfig, net: NetworkModel | None,
                  ledger: CostLedger) -> None:
@@ -323,19 +308,13 @@ class Transport:
         #: Collective invocations (allreduce/gather/allgather/bcast/
         #: alltoallv) — driven by the same driver code on every backend,
         #: so the ``transport.collectives`` metric is conformant across
-        #: sim and parallel.
+        #: backends.
         self.collectives = 0
         self._mailboxes: List[Deque[Tuple[int, Any]]] = [
             deque() for _ in range(self.world_size)]
         self._alive = True
 
     # -- lifecycle -----------------------------------------------------------
-
-    def attach_race(self, race) -> None:
-        """Attach a race sanitizer (``REPRO_SANITIZE=race``).  Subclasses
-        with internal locks additionally swap them for tracked proxies so
-        lock-ordered accesses carry the lock in their lockset."""
-        self.race = race
 
     def shutdown(self) -> None:
         self._alive = False
@@ -385,7 +364,6 @@ class Transport:
     def enable_reliability(self, retry_timeout: int = 4,
                            retry_backoff: float = 2.0, max_retries: int = 32,
                            fault_stats: FaultStats | None = None,
-                           stats_for: Callable[[int], MessageStats] | None = None,
                            ) -> ReliableDelivery:
         """Attach (and return) a :class:`ReliableDelivery` layer.  The
         comm layer calls this when constructed with ``reliable=True``;
@@ -393,8 +371,7 @@ class Transport:
         stay coherent with the reliability state."""
         self.reliability = ReliableDelivery(
             self, retry_timeout=retry_timeout, retry_backoff=retry_backoff,
-            max_retries=max_retries, fault_stats=fault_stats,
-            stats_for=stats_for)
+            max_retries=max_retries, fault_stats=fault_stats)
         return self.reliability
 
     def mark_failed(self, ranks: Iterable[int]) -> None:
@@ -423,14 +400,7 @@ class Transport:
             self.injector.repair_all()
 
     def clear_mailboxes(self) -> None:
-        """Discard all undelivered traffic (crash-recovery reset).
-        Driver-only: under the race sanitizer this writes every mailbox
-        cell, so a reset overlapping a rank section's drain is reported
-        as the race it would be."""
-        race = self.race
-        if race is not None:
-            for rank in range(self.world_size):
-                race.access(("mailbox", rank), write=True)
+        """Discard all undelivered traffic (crash-recovery reset)."""
         for mb in self._mailboxes:
             mb.clear()
 

@@ -1,21 +1,21 @@
 """Process transport: per-rank worker processes + shared-memory datasets.
 
-The third execution backend (``backend="process"``) escapes the GIL by
-giving every rank real OS-process parallelism:
+The multi-core execution backend (``backend="process"``) escapes the
+GIL by giving every rank real OS-process parallelism:
 
 - the **dataset** (and any other read-only numpy array) lives in a
   ``multiprocessing.shared_memory`` segment created once by the driver
   and mapped zero-copy into every worker (:class:`SharedArrayOwner` /
   :func:`attach_shared_array`);
 - each **worker process** owns a contiguous-stride subset of ranks
-  (``rank % nworkers``) and runs a full, *non-parallel*
+  (``rank % nworkers``) and runs a full
   :class:`~repro.runtime.ygm.YGMWorld` over a :class:`WorkerTransport`:
   messages between co-resident ranks stay in-process deque appends,
   messages to ranks owned by another worker travel as pickled frames
   ``(epoch, dest, src, payload)`` over that worker's ``mp.Queue`` inbox
-  — the payloads are exactly the ``call``/``bflush``/``hflush``
-  envelopes the comm layer already produces, so the wire format is the
-  sim wire format, serialized;
+  — the payloads are exactly the ``call``/``bflush`` envelopes the
+  comm layer already produces, so the wire format is the sim wire
+  format, serialized;
 - the **driver** keeps the SPMD program counter: it broadcasts commands
   over per-worker pipes (:class:`ProcessTransport`), and
   :class:`ProcessWorld` gives the DNND driver the same barrier /
@@ -609,9 +609,8 @@ class ProcessWorld:
     """
 
     #: The process backend never runs the ownership sanitizer (it is a
-    #: sim/parallel debugging feature); driver sections check this.
+    #: sim debugging feature); driver sections check this.
     sanitizer = None
-    race = None
 
     def __init__(self, cluster: ProcessTransport, executor=None,
                  metrics: MetricsRegistry | None = None,

@@ -29,13 +29,11 @@ further async calls and charge modeled compute time.
 **Reliable delivery mode.**  With a fault injector attached to the
 cluster (:mod:`.faults`) the network may drop, duplicate, delay, or
 reorder traffic.  ``reliable=True`` attaches the transport-level
-recovery layer (:class:`~repro.runtime.transports.base.ReliableDelivery`
-— backend-agnostic: it works identically over :class:`SimCluster` and
-:class:`LocalTransport`) so handler effects stay *effectively-once*:
+recovery layer (:class:`~repro.runtime.transports.base.ReliableDelivery`)
+so handler effects stay *effectively-once*:
 
-- every remote wire item is framed with a per-``(src, dest)`` sequence
-  number (the sim backend frames individual calls; the parallel backend
-  frames whole flush envelopes as single reliable units),
+- every remote call is framed with a per-``(src, dest)`` sequence
+  number,
 - receivers acknowledge sequence numbers positively; acks are batched
   per peer and piggybacked at the end of each delivery round,
 - unacknowledged messages are retransmitted after a timeout (measured
@@ -69,16 +67,19 @@ in the shared :class:`~repro.runtime.instrumentation.FaultStats`, so
 ablations can report the overhead of reliability.  When no injector is
 attached and ``reliable=False`` (the default), none of this machinery
 runs and message accounting is byte-for-byte what it always was.
+
+There is one comm path: the sim world runs it inline over a
+:class:`~repro.runtime.transports.sim.SimCluster`, and each worker of
+the process backend runs the same class unchanged over its
+:class:`~repro.runtime.transports.process.WorkerTransport`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.race import RaceSanitizer, race_requested
 from ..analysis.sanitizer import OwnedState, Sanitizer, sanitizer_requested
 from ..errors import RankFailureError, RuntimeStateError
 from ..utils.rng import derive_rng
@@ -96,11 +97,6 @@ _CALL = "call"        # ("call", send_seq, handler, args)
 _REL = "rel"          # ("rel", rel_seq, inner_payload)
 _ACK = "ack"          # ("ack", (rel_seq, ...))
 _BATCH = "bflush"     # ("bflush", [(handler, args, send_seq, nbytes), ...])
-# Parallel-executor wire formats: flushes ship one handler-homogeneous
-# envelope per batch handler (bare args lists — no per-message tuples)
-# plus at most one scalar envelope preserving send order and stamps.
-_HBATCH = "hflush"    # ("hflush", handler, [args, ...])
-_SBATCH = "sflush"    # ("sflush", [(handler, args, send_seq), ...])
 
 
 class RankContext:
@@ -188,16 +184,6 @@ class YGMWorld:
         (:class:`~repro.errors.RankFailureError`).  ``None`` (default)
         disables the heartbeat detector; it needs ``reliable=True`` for
         the ack signal.
-    executor:
-        Scheduling policy for per-rank sections (duck-typed — see
-        :mod:`repro.core.executor`).  ``None`` or a non-parallel
-        executor keeps the historical inline deterministic behaviour
-        byte-for-byte.  A parallel executor switches the comm layer to
-        per-rank send-sequence counters and statistics sinks (merged at
-        each barrier) and drains rank mailboxes concurrently.  Reliable
-        delivery and fault injection work on both: the parallel backend
-        frames flush envelopes as single reliable units and serializes
-        injector decisions through the transport's fault lock.
     """
 
     def __init__(self, cluster: Transport, flush_threshold: int = 1024,
@@ -207,8 +193,6 @@ class YGMWorld:
                  max_retries: int = 32,
                  failure_timeout: int | None = None,
                  sanitize: bool | None = None,
-                 race: "bool | RaceSanitizer | None" = None,
-                 executor: Any | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if flush_threshold < 1:
             raise RuntimeStateError("flush_threshold must be >= 1")
@@ -225,24 +209,6 @@ class YGMWorld:
         if sanitize is None:
             sanitize = sanitizer_requested()
         self.sanitizer: Sanitizer | None = Sanitizer() if sanitize else None
-        # Race sanitizer (REPRO_SANITIZE=race): barrier-epoch + lockset
-        # conflict detection over the transport's mailboxes, the
-        # executor's dispatch boundaries, and the metrics registry's
-        # publication cells.  Attached only when requested, so the off
-        # mode leaves every instrumented object carrying its class-level
-        # ``race = None`` and nothing else changes.
-        self.race: RaceSanitizer | None = None
-        if race is None:
-            race = race_requested()
-        if race is True:
-            race = RaceSanitizer()
-        if isinstance(race, RaceSanitizer):
-            self.race = race
-            cluster.attach_race(race)
-            if executor is not None:
-                executor.race = race
-            if metrics is not None and metrics.enabled:
-                metrics.race = race
         # Metrics registry (None -> the shared no-op singleton).  The
         # world only *publishes* into it — at barrier granularity, never
         # per message — so metrics-on costs nothing on the hot path.
@@ -284,55 +250,13 @@ class YGMWorld:
         self._in_barrier = False
         self._phase = "default"
         self.phase_stats: Dict[str, MessageStats] = {}
-        # Global send sequence: stamped on every async_call, exposed to
-        # the running handler as current_message_seq.
+        # Global send sequence: stamped on every async_call.
         self._send_seq = 0
-        self._cms: int | None = None
-        # Executor seam.  Non-parallel executors (or None) leave every
-        # code path below byte-identical to the historical inline loop.
-        self._executor = executor
-        self._parallel = bool(executor is not None
-                              and getattr(executor, "parallel", False))
-        self._tls = threading.local()
-        if self._parallel:
-            ws = cluster.world_size
-            # Per-rank send sequences: rank r stamps cnt * ws + r, so
-            # stamps stay globally unique without a shared counter.
-            self._rank_send_seq = [0] * ws
-            # Per-rank sinks for the shared counters/stats, merged into
-            # the aggregate objects at each barrier (driver-side, no
-            # handlers in flight -> race-free aggregation).
-            self._rank_async = [0] * ws
-            self._rank_flush = [0] * ws
-            self._rank_handled = [0] * ws
-            self._rank_local = [0] * ws
-            self._rank_stats = [MessageStats() for _ in range(ws)]
-            self._rank_phase_stats: List[Dict[str, MessageStats]] = [
-                {} for _ in range(ws)]
-            # Parallel send buffers are keyed by handler instead of the
-            # sim layer's flat per-pair list: batch-handler messages
-            # append bare ``args`` to ``_pbuf[src][dest][handler]`` (no
-            # per-message tuple allocation; the flush ships each list as
-            # one handler-homogeneous envelope the drain can adopt
-            # without scanning), scalar messages keep their sequence
-            # stamps in ``_pbuf_scalar``.  ``_pbuf_count`` holds the
-            # total queued messages per pair for the flush threshold.
-            self._pbuf: List[List[Dict[str, list]]] = [
-                [{} for _ in range(ws)] for _ in range(ws)]
-            self._pbuf_scalar: List[List[list]] = [
-                [[] for _ in range(ws)] for _ in range(ws)]
-            self._pbuf_count: List[List[int]] = [
-                [0] * ws for _ in range(ws)]
-            # Batch-handler args accumulated during the collect phase of
-            # a barrier round (handler name -> list of args tuples),
-            # executed once per handler in the execute phase.  Persisting
-            # them across collect passes is what recovers sim-grade
-            # coalescing: one kernel call per handler per round instead
-            # of one per momentarily-empty mailbox.
-            self._rank_groups: List[Dict[str, list]] = [
-                {} for _ in range(ws)]
-        # Reliable delivery: the transport-level state machine (shared by
-        # both backends — see transports.base.ReliableDelivery).
+        #: Global send-sequence of the message currently being delivered
+        #: (``None`` outside scalar handler delivery).
+        self.current_message_seq: int | None = None
+        # Reliable delivery: the transport-level state machine (see
+        # transports.base.ReliableDelivery).
         self.reliable = bool(reliable)
         self.retry_timeout = int(retry_timeout)
         self.retry_backoff = float(retry_backoff)
@@ -342,17 +266,11 @@ class YGMWorld:
         self.fault_stats: FaultStats = (
             injector.stats if injector is not None else FaultStats())
         if self.reliable:
-            # Control-traffic stats sinks: the shared transport stats
-            # under sim (driver thread only), per-rank sinks under the
-            # parallel executor (ack flushes run on rank threads).
-            stats_for = ((lambda r: self._rank_stats[r]) if self._parallel
-                         else None)
             self._rel = cluster.enable_reliability(
                 retry_timeout=self.retry_timeout,
                 retry_backoff=self.retry_backoff,
                 max_retries=self.max_retries,
-                fault_stats=self.fault_stats,
-                stats_for=stats_for)
+                fault_stats=self.fault_stats)
         else:
             self._rel = None
         # Failure detection (heartbeat) and degraded-mode state.
@@ -366,23 +284,6 @@ class YGMWorld:
     @property
     def injector(self):
         return getattr(self.cluster, "injector", None)
-
-    @property
-    def current_message_seq(self) -> int | None:
-        """Global send-sequence of the message currently being delivered
-        (``None`` outside scalar handler delivery).  Thread-local under
-        the parallel executor so concurrently-draining ranks never
-        observe each other's stamps."""
-        if self._parallel:
-            return getattr(self._tls, "cms", None)
-        return self._cms
-
-    @current_message_seq.setter
-    def current_message_seq(self, value: int | None) -> None:
-        if self._parallel:
-            self._tls.cms = value
-        else:
-            self._cms = value
 
     # -- handler registry -----------------------------------------------------
 
@@ -437,25 +338,14 @@ class YGMWorld:
     def stats_for(self, phase: str) -> MessageStats:
         return self.phase_stats.get(phase, MessageStats())
 
-    @property
-    def local_delivery_count(self) -> int:
-        """Total self-sends (src == dest) so far.  Under the parallel
-        executor the per-rank sinks are summed — read at barrier
-        granularity (publish/export time), when no handler is in
-        flight."""
-        if self._parallel:
-            return self.local_deliveries + sum(self._rank_local)
-        return self.local_deliveries
-
     # -- metrics ----------------------------------------------------------------
 
     def publish_metrics(self) -> None:
         """Mirror the runtime's authoritative aggregates into the metrics
         registry.
 
-        Called automatically at the end of every barrier (after the
-        parallel backend's per-rank sink merge, so no handler is in
-        flight).  All values are *assigned* as absolute totals —
+        Called automatically at the end of every barrier (no handler
+        is in flight).  All values are *assigned* as absolute totals —
         re-publishing is idempotent, and both backends emit the exact
         same metric names (the cross-backend conformance contract).
         """
@@ -472,13 +362,13 @@ class YGMWorld:
         m.set_counter("comm.barriers", self.cluster.ledger.barriers)
         m.set_counter("transport.collectives",
                       getattr(self.cluster, "collectives", 0))
-        dispatches = getattr(self._executor, "dispatches", None)
-        m.set_counter("executor.dispatches",
-                      dispatches if dispatches is not None else 0)
+        # Rank sections run inline here; the process world counts its
+        # broadcast sections under this name.
+        m.set_counter("executor.dispatches", 0)
         # Locality split: self-sends vs wire messages.  Published on
         # every backend (the process world mirrors the same names), so
         # the partition layer's effect is directly comparable.
-        m.set_counter("comm.local_deliveries", self.local_delivery_count)
+        m.set_counter("comm.local_deliveries", self.local_deliveries)
         m.set_counter("comm.remote_deliveries",
                       self.cluster.stats.total_count())
         # Degraded-mode visibility: how many ranks are currently
@@ -494,10 +384,6 @@ class YGMWorld:
             raise RuntimeStateError(f"unknown handler {handler!r}")
         if not 0 <= dest < self.world_size:
             raise RuntimeStateError(f"destination rank {dest} out of range")
-        if self._parallel:
-            self._async_call_parallel(src, dest, handler, args, nbytes,
-                                      msg_type)
-            return
         self.async_count_since_barrier += 1
         seq = self._send_seq
         self._send_seq += 1
@@ -519,42 +405,6 @@ class YGMWorld:
             # Local async call: no wire traffic, but still deferred
             # delivery (YGM runs even self-messages from the queue).
             self.local_deliveries += 1
-            self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
-
-    def _async_call_parallel(self, src: int, dest: int, handler: str,
-                             args: tuple, nbytes: int,
-                             msg_type: str) -> None:
-        """Parallel-executor variant of :meth:`async_call`: touches only
-        rank ``src``'s send-side state (sequence counter, buffers, stats
-        sink), so concurrent sections never contend."""
-        self._rank_async[src] += 1
-        # Wire tuples under the parallel executor carry the *per-rank*
-        # counter; delivery globalizes it to ``cnt * world_size + src``
-        # (the sender rank travels with the envelope), saving a multiply
-        # per message on the send side.
-        seq = self._rank_send_seq[src]
-        self._rank_send_seq[src] = seq + 1
-        if src != dest:
-            offnode = self._offnode[src][dest]
-            self._rank_stats[src].record(msg_type, nbytes, offnode)
-            self._rank_phase_stats[src].setdefault(
-                self._phase, MessageStats()).record(msg_type, nbytes, offnode)
-            if handler in self._batch_handlers:
-                pb = self._pbuf[src][dest]
-                lst = pb.get(handler)
-                if lst is None:
-                    lst = pb[handler] = []
-                lst.append(args)
-            else:
-                self._pbuf_scalar[src][dest].append((handler, args, seq))
-            cnt = self._pbuf_count[src][dest] + 1
-            self._pbuf_count[src][dest] = cnt
-            nb = self._buffer_bytes[src][dest] + nbytes
-            self._buffer_bytes[src][dest] = nb
-            if cnt >= self.flush_threshold or nb >= self.flush_threshold_bytes:
-                self._flush_parallel(src, dest)
-        else:
-            self._rank_local[src] += 1
             self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
 
     def block_emitter(self, src: int, msg_type: str = "other"):
@@ -582,8 +432,6 @@ class YGMWorld:
         the block with stats unrecorded — acceptable, since it signals a
         programming error that aborts the run.
         """
-        if self._parallel:
-            return self._block_emitter_parallel(src, msg_type)
         world = self
         handlers = self._handlers
         buffers_src = self._buffers[src]
@@ -641,83 +489,6 @@ class YGMWorld:
 
         return send, close
 
-    def _block_emitter_parallel(self, src: int, msg_type: str):
-        """Parallel-executor variant of :meth:`block_emitter`: identical
-        contract, but sequence stamps come from rank ``src``'s counter
-        (``cnt * world_size + src``) and statistics land in its per-rank
-        sink.  Rank-confined throughout, so blocks may run concurrently
-        on different ranks."""
-        world = self
-        handlers = self._handlers
-        batch_handlers = self._batch_handlers
-        pbuf_src = self._pbuf[src]
-        scalar_src = self._pbuf_scalar[src]
-        counts_src = self._pbuf_count[src]
-        buffer_bytes_src = self._buffer_bytes[src]
-        offrow = self._offnode[src]
-        deliver = self.cluster.deliver
-        ft = self.flush_threshold
-        ftb = self.flush_threshold_bytes
-        ws = self.world_size
-        start_cnt = self._rank_send_seq[src]
-        next_cnt = start_cnt
-        on_c = on_b = off_c = off_b = 0
-        checked_handler = None
-        checked_is_batch = False
-
-        def send(dest: int, handler: str, args: tuple, nbytes: int) -> None:
-            nonlocal next_cnt, on_c, on_b, off_c, off_b, \
-                checked_handler, checked_is_batch
-            if handler is not checked_handler:
-                if handler not in handlers:
-                    raise RuntimeStateError(f"unknown handler {handler!r}")
-                checked_handler = handler
-                checked_is_batch = handler in batch_handlers
-            if not 0 <= dest < ws:
-                raise RuntimeStateError(f"destination rank {dest} out of range")
-            # Per-rank counter on the wire; delivery globalizes (see
-            # _async_call_parallel).
-            seq = next_cnt
-            next_cnt += 1
-            if src != dest:
-                if offrow[dest]:
-                    off_c += 1
-                    off_b += nbytes
-                else:
-                    on_c += 1
-                    on_b += nbytes
-                if checked_is_batch:
-                    pb = pbuf_src[dest]
-                    lst = pb.get(handler)
-                    if lst is None:
-                        lst = pb[handler] = []
-                    lst.append(args)
-                else:
-                    scalar_src[dest].append((handler, args, seq))
-                cnt = counts_src[dest] + 1
-                counts_src[dest] = cnt
-                nb = buffer_bytes_src[dest] + nbytes
-                buffer_bytes_src[dest] = nb
-                if cnt >= ft or nb >= ftb:
-                    world._flush_parallel(src, dest)
-            else:
-                deliver(src, dest, (_CALL, seq, handler, args))
-
-        def close() -> None:
-            world._rank_send_seq[src] = next_cnt
-            world._rank_async[src] += next_cnt - start_cnt
-            total_c = on_c + off_c
-            world._rank_local[src] += (next_cnt - start_cnt) - total_c
-            if total_c:
-                total_b = on_b + off_b
-                world._rank_stats[src].record_many(
-                    msg_type, total_c, total_b, off_c, off_b)
-                world._rank_phase_stats[src].setdefault(
-                    world._phase, MessageStats()).record_many(
-                        msg_type, total_c, total_b, off_c, off_b)
-
-        return send, close
-
     def async_call_block(self, src: int, msgs,
                          msg_type: str = "other") -> None:
         """Emit a prepared block of RPCs from ``src`` — semantically a
@@ -742,9 +513,6 @@ class YGMWorld:
         to the emitter: sequence stamps, buffer appends, and
         threshold-triggered flushes happen per message, in order.
         """
-        if self._parallel:
-            self._emit_run_parallel(src, triples, nbytes, msg_type)
-            return
         buffers_src = self._buffers[src]
         buffer_bytes_src = self._buffer_bytes[src]
         offrow = self._offnode[src]
@@ -788,112 +556,7 @@ class YGMWorld:
                 self._phase, MessageStats()).record_many(
                     msg_type, total_c, total_c * nbytes, off_c, off_c * nbytes)
 
-    def _emit_run_parallel(self, src: int, triples, nbytes: int,
-                           msg_type: str) -> None:
-        """Parallel-executor variant of :meth:`emit_run` (per-rank
-        sequence stamps and stats sink; rank-confined, so runs may be
-        emitted concurrently from different ranks)."""
-        pbuf_src = self._pbuf[src]
-        scalar_src = self._pbuf_scalar[src]
-        counts_src = self._pbuf_count[src]
-        buffer_bytes_src = self._buffer_bytes[src]
-        offrow = self._offnode[src]
-        if self.injector is None:
-            # Injector-free local delivery is a plain mailbox append
-            # (deliver()'s checks cannot fire — mirrors emit_run).
-            local_deliver = self.cluster.self_append(src)
-        else:
-            deliver = self.cluster.deliver
-            local_deliver = (lambda item:
-                             deliver(src, src, item[1]))
-        flush = self._flush_parallel
-        ft = self.flush_threshold
-        ftb = self.flush_threshold_bytes
-        batch_handlers = self._batch_handlers
-        start_cnt = cnt = self._rank_send_seq[src]
-        on_c = off_c = 0
-        last_h = None
-        is_batch = False
-        # Per-rank counters on the wire; delivery globalizes (see
-        # _async_call_parallel).  Runs are near-uniform in handler, so
-        # the batch/scalar classification is cached across messages.
-        for dest, handler, args in triples:
-            if handler is not last_h:
-                last_h = handler
-                is_batch = handler in batch_handlers
-            seq = cnt
-            cnt += 1
-            if src != dest:
-                if offrow[dest]:
-                    off_c += 1
-                else:
-                    on_c += 1
-                if is_batch:
-                    pb = pbuf_src[dest]
-                    lst = pb.get(handler)
-                    if lst is None:
-                        lst = pb[handler] = []
-                    lst.append(args)
-                else:
-                    scalar_src[dest].append((handler, args, seq))
-                c = counts_src[dest] + 1
-                counts_src[dest] = c
-                nb = buffer_bytes_src[dest] + nbytes
-                buffer_bytes_src[dest] = nb
-                if c >= ft or nb >= ftb:
-                    flush(src, dest)
-            else:
-                local_deliver((src, (_CALL, seq, handler, args)))
-        self._rank_send_seq[src] = cnt
-        self._rank_async[src] += cnt - start_cnt
-        total_c = on_c + off_c
-        self._rank_local[src] += (cnt - start_cnt) - total_c
-        if total_c:
-            self._rank_stats[src].record_many(
-                msg_type, total_c, total_c * nbytes, off_c, off_c * nbytes)
-            self._rank_phase_stats[src].setdefault(
-                self._phase, MessageStats()).record_many(
-                    msg_type, total_c, total_c * nbytes, off_c, off_c * nbytes)
-
-    def _flush_parallel(self, src: int, dest: int) -> None:
-        """Flush the parallel executor's handler-keyed buffers for one
-        ``(src, dest)`` pair: one handler-homogeneous envelope per batch
-        handler (the drain adopts the args list wholesale) plus at most
-        one scalar envelope preserving send order and stamps.  The cost
-        ledger is sim-only, so no charge here; rank-confined, so drain
-        tasks flush their own buffers mid-round.
-
-        Under reliable delivery each envelope is framed as ONE reliable
-        unit — a dropped envelope is retransmitted and a duplicated one
-        deduplicated wholesale (retransmit byte accounting carries 0:
-        the parallel backend has no modeled byte costs)."""
-        pb = self._pbuf[src][dest]
-        sc = self._pbuf_scalar[src][dest]
-        if not pb and not sc:
-            return
-        self._rank_flush[src] += 1
-        rel = self._rel
-        deliver = self.cluster.deliver
-        if pb:
-            for h, lst in pb.items():
-                if rel is not None:
-                    rel.send(src, dest, (_HBATCH, h, lst), 0)
-                else:
-                    deliver(src, dest, (_HBATCH, h, lst))
-            pb.clear()
-        if sc:
-            if rel is not None:
-                rel.send(src, dest, (_SBATCH, sc), 0)
-            else:
-                deliver(src, dest, (_SBATCH, sc))
-            self._pbuf_scalar[src][dest] = []
-        self._pbuf_count[src][dest] = 0
-        self._buffer_bytes[src][dest] = 0
-
     def _flush(self, src: int, dest: int) -> None:
-        if self._parallel:
-            self._flush_parallel(src, dest)
-            return
         buf = self._buffers[src][dest]
         if not buf:
             return
@@ -991,59 +654,45 @@ class YGMWorld:
                 if tag == _BATCH:
                     # A flushed buffer delivered whole: same entries, in
                     # the same order, as per-message delivery would give.
-                    buf = payload[1]
+                    entries = payload[1]
                     # Fast path: an envelope whose entries all carry one
                     # batchable handler joins the current run with a
-                    # C-level extend.  Run granularity is immaterial:
+                    # C-level extend (one stand-in entry holding every
+                    # args tuple).  Run granularity is immaterial:
                     # rowwise kernels are bitwise row-independent, and
                     # every other effect is applied per message in order.
-                    hset = {m[0] for m in buf}
-                    if len(hset) == 1:
-                        h = buf[0][0]
-                        if h in batch_handlers:
-                            if run_handler is not None and run_handler != h:
+                    whole = (len({m[0] for m in entries}) == 1
+                             and entries[0][0] in batch_handlers)
+                    if whole:
+                        entries = ((entries[0][0], [m[1] for m in entries],
+                                    None, 0),)
+                else:
+                    whole = False
+                    _tag, seq, handler, args = payload
+                    entries = ((handler, args, seq, 0),)
+                for handler, args, seq, _nb in entries:
+                    if handler in batch_handlers:
+                        # Join the current run, breaking it first when
+                        # it belongs to another handler.
+                        if run_handler != handler:
+                            if run_handler is not None:
                                 ran += self._run_batch(ctx, run_handler, run_args)
-                                run_args = []
-                            run_handler = h
-                            run_args.extend([m[1] for m in buf])
-                            continue
-                    for handler, args, seq, _nb in buf:
-                        if handler in batch_handlers:
-                            if run_handler is not None and run_handler != handler:
-                                ran += self._run_batch(ctx, run_handler, run_args)
-                                run_args = []
-                            run_handler = handler
+                            run_handler, run_args = handler, []
+                        if whole:
+                            run_args.extend(args)
+                        else:
                             run_args.append(args)
-                            continue
-                        if run_handler is not None:
-                            ran += self._run_batch(ctx, run_handler, run_args)
-                            run_handler, run_args = None, []
-                        self.current_message_seq = seq
-                        try:
-                            handlers[handler](ctx, *args)
-                        finally:
-                            self.current_message_seq = None
-                        self.handler_invocations += 1
-                        ran += 1
-                    continue
-                _tag, seq, handler, args = payload
-                if handler in batch_handlers:
-                    if run_handler is not None and run_handler != handler:
+                        continue
+                    if run_handler is not None:
                         ran += self._run_batch(ctx, run_handler, run_args)
-                        run_args = []
-                    run_handler = handler
-                    run_args.append(args)
-                    continue
-                if run_handler is not None:
-                    ran += self._run_batch(ctx, run_handler, run_args)
-                    run_handler, run_args = None, []
-                self.current_message_seq = seq
-                try:
-                    handlers[handler](ctx, *args)
-                finally:
-                    self.current_message_seq = None
-                self.handler_invocations += 1
-                ran += 1
+                        run_handler, run_args = None, []
+                    self.current_message_seq = seq
+                    try:
+                        handlers[handler](ctx, *args)
+                    finally:
+                        self.current_message_seq = None
+                    self.handler_invocations += 1
+                    ran += 1
             if run_handler is not None:
                 ran += self._run_batch(ctx, run_handler, run_args)
         if rel is not None:
@@ -1108,8 +757,6 @@ class YGMWorld:
         :class:`~repro.errors.FaultToleranceError` when reliable mode
         exhausts a message's retry budget.
         """
-        if self._parallel:
-            return self._barrier_parallel(phase)
         if self._in_barrier:
             raise RuntimeStateError("nested barrier (handler called barrier)")
         self._in_barrier = True
@@ -1147,242 +794,7 @@ class YGMWorld:
         finally:
             self._in_barrier = False
 
-    def _barrier_parallel(self, phase: str | None) -> float:
-        """Barrier under the parallel executor: one leading driver-side
-        ``flush_all`` (for messages the *driver thread* emitted — no
-        handlers are in flight, so send-side state is safe to touch),
-        then repeated concurrent drain rounds until global quiescence.
-        Each per-rank drain task loops until its own mailbox is empty
-        and flushes its own send buffers (rank-confined state, so
-        in-task flushing is race-free), which lets handler chains make
-        many hops per dispatch round.  Per-rank stats sinks are merged
-        *before* the ledger barrier returns, so a tracer reading
-        aggregates at the barrier never races a worker."""
-        if self._in_barrier:
-            raise RuntimeStateError("nested barrier (handler called barrier)")
-        self._in_barrier = True
-        try:
-            executor = self._executor
-            collect = self._drain_rank
-            execute = self._execute_groups_rank
-            ws = self.world_size
-            cluster = self.cluster
-            rel = self._rel
-            inj = self.injector
-            self.flush_all()
-            while True:
-                self._check_crashed()
-                executor.map_ranks(collect, ws)
-                ran = executor.map_ranks(execute, ws)
-                # All tasks have joined, so every in-flight message is
-                # sitting in a mailbox, a send buffer, a group, the
-                # injector's delay queue, or the reliability layer's
-                # unacked window.  ran == 0 means every group was empty
-                # when the execute pass looked (the collect pass found
-                # nothing to batch), so empty mailboxes + empty buffers
-                # + no pending recovery work IS quiescence.
-                if (ran == 0 and cluster.all_quiescent()
-                        and not self._has_buffered()
-                        and (rel is None or not rel.pending())
-                        and (inj is None or inj.pending_delayed() == 0)):
-                    break
-                # Advance delivery time between rounds — driver-only,
-                # with no rank section in flight: release due delayed
-                # messages, retransmit overdue unacked frames, and run
-                # the failure detector.
-                self._tick += 1
-                cluster.release_due_faults()
-                if rel is not None:
-                    rel.tick()
-                self._check_failure_timeout()
-            if rel is not None:
-                rel.sync_fault_stats()
-            self._merge_rank_sinks()
-            self.async_count_since_barrier = 0
-            duration = self.cluster.ledger.barrier(
-                self.cluster.net, phase or self._phase)
-            # Publishing happens after the sink merge, while no handlers
-            # are in flight — the registry sees the same race-free
-            # aggregates a tracer does.
-            if self.metrics.enabled:
-                self.publish_metrics()
-            return duration
-        finally:
-            self._in_barrier = False
-
-    def _drain_rank(self, rank: int) -> int:
-        """Collect rank ``rank``'s queued messages until its mailbox is
-        empty and its send buffers are flushed — the parallel executor's
-        per-rank delivery section, run concurrently across ranks inside
-        :meth:`_barrier_parallel`.
-
-        A lean :meth:`_process_round` body: ``_HBATCH`` / ``_SBATCH`` /
-        ``_CALL`` wire items, optionally framed by the transport
-        reliability layer (``_REL`` frames are acked/deduped then
-        unwrapped; ``_ACK`` frames retire this rank's unacked sends),
-        and every counter goes to a per-rank sink merged at the barrier.
-        Everything touched —
-        this rank's mailbox, shard, send-side buffers, and group
-        accumulator — is owned by ``rank``, so the task may flush its
-        own buffers mid-drain; messages appended to *other* ranks'
-        mailboxes are picked up by those ranks' tasks (same round if
-        still running, else the next round).
-
-        Coalescing differs from the sim round on purpose: envelopes from
-        different peers arrive arbitrarily interleaved here (there is no
-        deterministic round schedule), so adjacent-run coalescing would
-        fragment the vectorized batch handlers into many small kernel
-        calls.  Instead this *collect* phase only accumulates
-        batch-handler messages into the rank's persistent groups
-        (handler -> args list); :meth:`_execute_groups_rank` then runs
-        each handler once over everything the whole round delivered —
-        the comm layer guarantees no cross-sender delivery order, so
-        the regrouping is within contract.  Scalar handlers still run
-        in place, in arrival order."""
-        ctx = self.ranks[rank]
-        batch_handlers = self._batch_handlers
-        handlers = self._handlers
-        cluster = self.cluster
-        tls = self._tls
-        counts = self._pbuf_count[rank]
-        flush = self._flush_parallel
-        rel = self._rel
-        ws = self.world_size
-        invoked = 0
-        moved = 0
-        groups = self._rank_groups[rank]
-        pending = cluster.mailbox_len(rank)
-        while True:
-            if pending == 0:
-                # Push out this rank's buffered sends and pending acks,
-                # then re-check — scalar handlers (and concurrent peers)
-                # may have appended in the meantime.
-                for dest in range(ws):
-                    if counts[dest]:
-                        flush(rank, dest)
-                if rel is not None:
-                    # Rank-confined ack flush: acks for frames this rank
-                    # received go out to the senders' mailboxes.
-                    rel.flush_acks_for(rank)
-                pending = cluster.mailbox_len(rank)
-                if pending == 0:
-                    break
-                continue
-            pending -= 1
-            item = cluster.drain_one(rank)
-            if item is None:
-                pending = 0
-                continue
-            moved += 1
-            _src, payload = item
-            tag = payload[0]
-            if tag == _REL:
-                # Reliability frame: ack/dedup at the transport layer,
-                # then fall through with the inner payload.
-                if not rel.on_receive(rank, _src, payload[1]):
-                    continue
-                payload = payload[2]
-                tag = payload[0]
-            elif tag == _ACK:
-                rel.on_ack(rank, _src, payload[1])
-                continue
-            if tag == _HBATCH:
-                # Handler-homogeneous envelope: adopt the args list
-                # wholesale (first arrival) or extend — no entry scan.
-                h = payload[1]
-                lst = payload[2]
-                g = groups.get(h)
-                if g is None:
-                    groups[h] = lst
-                else:
-                    g.extend(lst)
-                continue
-            if tag == _SBATCH:
-                for handler, args, seq in payload[1]:
-                    if handler in batch_handlers:
-                        g = groups.get(handler)
-                        if g is None:
-                            g = groups[handler] = []
-                        g.append(args)
-                        continue
-                    # Globalize the sender's per-rank counter so
-                    # current_message_seq totally orders scalar
-                    # deliveries across senders.
-                    tls.cms = seq * ws + _src
-                    try:
-                        handlers[handler](ctx, *args)
-                    finally:
-                        tls.cms = None
-                    invoked += 1
-                continue
-            _tag, seq, handler, args = payload
-            if handler in batch_handlers:
-                g = groups.get(handler)
-                if g is None:
-                    g = groups[handler] = []
-                g.append(args)
-                continue
-            tls.cms = seq * ws + _src
-            try:
-                handlers[handler](ctx, *args)
-            finally:
-                tls.cms = None
-            invoked += 1
-        self._rank_handled[rank] += invoked
-        if moved:
-            # Heartbeat signal: this rank drained traffic this round.
-            self._last_progress[rank] = self._tick
-        return moved
-
-    def _execute_groups_rank(self, rank: int) -> int:
-        """Execute phase of a parallel barrier round: run each batch
-        handler once over everything :meth:`_drain_rank` accumulated for
-        ``rank`` this round.  Handlers may emit (send buffers) or
-        self-deliver (mailbox); the barrier loop's next collect pass
-        picks both up.  Rank-confined like the collect phase."""
-        groups = self._rank_groups[rank]
-        if not groups:
-            return 0
-        self._rank_groups[rank] = {}
-        ctx = self.ranks[rank]
-        batch_handlers = self._batch_handlers
-        invoked = 0
-        for h, args_list in groups.items():
-            batch_handlers[h](ctx, args_list)
-            invoked += len(args_list)
-        self._rank_handled[rank] += invoked
-        return invoked
-
-    def _merge_rank_sinks(self) -> None:
-        """Fold per-rank counters and statistics sinks into the shared
-        aggregates.  Driver-only, called at the barrier with no sections
-        in flight — this is what makes per-rank stat aggregation
-        race-free under the parallel executor."""
-        stats = self.cluster.stats
-        for rank in range(self.world_size):
-            sink = self._rank_stats[rank]
-            if sink.by_type:
-                for t, s in sink.by_type.items():
-                    stats.record_many(t, s.count, s.bytes,
-                                      s.offnode_count, s.offnode_bytes)
-                sink.by_type.clear()
-            phase_sink = self._rank_phase_stats[rank]
-            if phase_sink:
-                for ph, ms in phase_sink.items():
-                    agg = self.phase_stats.setdefault(ph, MessageStats())
-                    for t, s in ms.by_type.items():
-                        agg.record_many(t, s.count, s.bytes,
-                                        s.offnode_count, s.offnode_bytes)
-                phase_sink.clear()
-            self.flush_count += self._rank_flush[rank]
-            self._rank_flush[rank] = 0
-            self.handler_invocations += self._rank_handled[rank]
-            self._rank_handled[rank] = 0
-            self._rank_async[rank] = 0
-
     def _has_buffered(self) -> bool:
-        if self._parallel:
-            return any(c for row in self._pbuf_count for c in row)
         return any(
             self._buffers[s][d]
             for s in range(self.world_size)
@@ -1400,18 +812,6 @@ class YGMWorld:
                 self._buffer_bytes[s][d] = 0
         self.cluster.clear_mailboxes()
         self.async_count_since_barrier = 0
-        if self._parallel:
-            for r in range(self.world_size):
-                self._rank_async[r] = 0
-                self._rank_flush[r] = 0
-                self._rank_handled[r] = 0
-                self._rank_stats[r].reset()
-                self._rank_phase_stats[r].clear()
-                for d in range(self.world_size):
-                    self._pbuf[r][d].clear()
-                    self._pbuf_scalar[r][d] = []
-                    self._pbuf_count[r][d] = 0
-                self._rank_groups[r].clear()
         if self._rel is not None:
             self._rel.reset()
 
@@ -1447,12 +847,6 @@ class YGMWorld:
         ctxs = self.ranks
         if self.excluded_ranks:
             ctxs = [c for c in ctxs if c.rank not in self.excluded_ranks]
-        if self._parallel:
-            # Rank sections run concurrently; the executor joins every
-            # future before returning (exceptions propagate) and applies
-            # the sanitizer's rank scope per worker thread.
-            self._executor.run_ranks(fn, ctxs, self.sanitizer)
-            return
         san = self.sanitizer
         if san is None:
             for ctx in ctxs:

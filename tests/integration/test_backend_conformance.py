@@ -1,4 +1,4 @@
-"""Cross-backend conformance: sim, parallel, and process must agree.
+"""Cross-backend conformance: sim and process must agree.
 
 The observability contract (DESIGN.md §12): all execution backends
 emit the *same metric names*, and the order-insensitive subset — message
@@ -41,7 +41,7 @@ from repro.core.search import KNNGraphSearcher
 from repro.eval.recall import recall_at_k
 from repro.runtime.partition import make_partitioner
 
-BACKENDS = ("sim", "parallel", "process")
+BACKENDS = ("sim", "process")
 
 #: The whole suite is partitioner-generic: every backend builds under
 #: the same placement, so cross-backend agreement must hold whichever
@@ -207,8 +207,8 @@ class TestBackendConformance:
 
 class TestOptimizedCommGraphs:
     """With the Section 4.3 optimizations on, message *counts* are
-    order-dependent (redundancy checks race under the parallel
-    backend), but at this scale the converged graph itself still
+    order-dependent (redundancy checks race across process
+    workers), but at this scale the converged graph itself still
     matches — pin that weaker, still useful, invariant."""
 
     @pytest.fixture(scope="class")
@@ -226,5 +226,5 @@ class TestOptimizedCommGraphs:
 
     def test_metric_names_still_identical(self, opt_runs):
         ref = set(opt_runs["sim"].metrics.snapshot()["counters"])
-        got = set(opt_runs["parallel"].metrics.snapshot()["counters"])
+        got = set(opt_runs["process"].metrics.snapshot()["counters"])
         assert got == ref

@@ -1,10 +1,11 @@
-"""Execution-backend contract: sim vs parallel.
+"""Execution-backend contract: sim vs process.
 
-The sim backend is the deterministic cost-modeled default; the parallel
+The sim backend is the deterministic cost-modeled default; the process
 backend must build graphs of equivalent quality (recall@k within ±0.01).
-Fault injection, reliable delivery, and recovery work on *both*
-backends; only the network cost model remains sim-only and must fail
-loudly — not silently no-op — when requested under parallel.
+Crash plans and supervised recovery work on *both* backends; the
+network cost model, message-level fault plans and reliable delivery are
+sim-only and must fail loudly — not silently no-op — when requested
+under process.
 """
 
 import warnings
@@ -41,58 +42,20 @@ class TestRecallParity:
                                            exclude_self=True)
         truth = KNNGraph(ids, dists)
         r_sim = graph_recall(build(small_dense, "sim").graph, truth)
-        r_par = graph_recall(build(small_dense, "parallel", workers=2).graph,
-                             truth)
+        r_proc = graph_recall(build(small_dense, "process", workers=2).graph,
+                              truth)
         assert r_sim > 0.85  # sanity: the build worked at all
-        assert abs(r_sim - r_par) <= 0.01
+        assert abs(r_sim - r_proc) <= 0.01
 
     def test_backend_attribute(self, tiny_dense):
-        cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=1), backend="parallel",
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=1), backend="process",
                          workers=2)
         dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER)
-        assert dnnd.backend == "parallel"
+        assert dnnd.backend == "process"
         dnnd.close()
-
-
-class TestFaultsWorkOnParallel:
-    """Fault injection and reliable delivery moved into the transport
-    seam: requesting them under the parallel backend builds a real
-    graph instead of raising ConfigError."""
-
-    def test_fault_plan_accepted(self, tiny_dense):
-        result = build(tiny_dense, "parallel", workers=2, reliable=True,
-                       fault_plan=FaultPlan(drop_rate=0.1, seed=1))
-        assert result.graph.ids.shape == (len(tiny_dense), K)
-        assert result.fault_stats.dropped > 0
-
-    def test_reliable_accepted(self, tiny_dense):
-        result = build(tiny_dense, "parallel", workers=2, reliable=True)
-        assert result.graph.ids.shape == (len(tiny_dense), K)
 
 
 class TestSimOnlyNetModel:
-    """The network cost model is the one remaining sim-only feature:
-    it needs the deterministic cost ledger the thread pool cannot keep."""
-
-    def test_net_model_rejected(self, tiny_dense):
-        with pytest.raises(ConfigError, match="sim"):
-            build(tiny_dense, "parallel", net=NetworkModel())
-
-    def test_env_parallel_with_net_falls_back(self, tiny_dense,
-                                              monkeypatch):
-        """When parallel comes from REPRO_BACKEND (not explicit config),
-        the cost model wins: the build runs on sim, warns audibly, and
-        records the downgrade in the metrics."""
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=1))
-        with pytest.warns(RuntimeWarning, match="downgraded"):
-            dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER,
-                        net=NetworkModel())
-        assert dnnd.backend == "sim"
-        snap = dnnd.metrics.snapshot()
-        assert snap["counters"]["backend.fallbacks"] == 1
-        dnnd.close()
-
     def test_no_warning_without_fallback(self, tiny_dense):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -106,8 +69,7 @@ class TestSimOnlyNetModel:
 class TestSimOnlyFeaturesOnProcess:
     """Sim-only features under the process backend: explicit requests
     fail loudly, environment-selected requests fall back to sim with a
-    warning and a ``backend.fallbacks`` record — the same contract the
-    parallel backend keeps for the cost model.  Crash plans are *not*
+    warning and a ``backend.fallbacks`` record.  Crash plans are *not*
     sim-only: the process world kills the owning worker natively."""
 
     @pytest.mark.parametrize("kwargs", [
@@ -150,20 +112,10 @@ class TestSimOnlyFeaturesOnProcess:
         assert result.fault_stats.crashes == 1
 
 
-class TestSanitizerUnderParallel:
-    def test_sanitized_parallel_build(self, tiny_dense):
-        """The ownership sanitizer must find no cross-rank state access
-        under the parallel executor (rank confinement is the executor's
-        concurrency contract)."""
-        result = build(tiny_dense, "parallel", workers=2, sanitize=True)
-        assert result.graph.ids.shape == (len(tiny_dense), K)
-
-
 # Delivery-order-invariant configuration: no redundancy checks or
 # pruning bounds read at delivery time, no early termination — under it
 # a backend is content-deterministic run to run, which is what the
-# checkpoint round-trip needs (workers=1 keeps the parallel schedule
-# deterministic on any machine).
+# checkpoint round-trip needs.
 ORDER_INVARIANT = dict(
     comm_opts=CommOptConfig(one_sided=True, redundancy_check=False,
                             distance_pruning=False, check_dedup=False),
@@ -172,7 +124,7 @@ ORDER_INVARIANT = dict(
 
 class TestCheckpointRoundTripPerBackend:
     @pytest.mark.parametrize("backend,workers",
-                             [("sim", 0), ("parallel", 1), ("process", 2)])
+                             [("sim", 0), ("process", 2)])
     def test_resume_equals_uninterrupted(self, small_dense, tmp_path,
                                          backend, workers):
         cfg = DNNDConfig(

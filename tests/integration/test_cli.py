@@ -29,6 +29,16 @@ class TestParser:
             build_parser().parse_args(
                 ["construct", "--dataset", "nope", "--store", "x"])
 
+    @pytest.mark.parametrize("command", ["construct", "repartition"])
+    def test_removed_parallel_backend_is_an_argparse_error(self, command,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "--store", "x", "--backend", "parallel"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'parallel'" in err and "removed" in err and "'process'" in err
+
 
 class TestWorkflow:
     def test_construct_creates_store(self, store, capsys):

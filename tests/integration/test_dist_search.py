@@ -104,6 +104,16 @@ class TestCommunication:
 
 
 class TestValidation:
+    def test_is_sim_only_and_ignores_backend_env(self, setup, monkeypatch):
+        """The searcher always runs on the simulated cluster: it takes
+        no backend and never reads REPRO_BACKEND."""
+        data, adj = setup
+        monkeypatch.setenv("REPRO_BACKEND", "mpi")
+        s = DistributedKNNGraphSearcher(adj, data, seed=1)
+        assert 0 in s.query(data[0], l=5, epsilon=0.3).ids
+        with pytest.raises(TypeError):
+            DistributedKNNGraphSearcher(adj, data, backend="sim")
+
     def test_size_mismatch(self, setup):
         data, adj = setup
         with pytest.raises(SearchError):

@@ -22,7 +22,7 @@ from repro.runtime.partition import (
     make_partitioner,
 )
 
-BACKENDS = ("sim", "parallel", "process")
+BACKENDS = ("sim", "process")
 
 
 def config(backend="sim", max_iters=8, k=6):
@@ -257,7 +257,6 @@ class TestSearcherIntegration:
             partitioner=dnnd.partitioner)
         ids, _dists, _stats = searcher.query_batch(small_dense[:4], l=10)
         assert ids.shape[0] == 4
-        searcher.close()
 
     def test_searcher_rejects_mismatched_partitioner(self, small_dense):
         dnnd = DNND(small_dense, config(),

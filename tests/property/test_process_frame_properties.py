@@ -1,8 +1,8 @@
 """Pickle round-trip properties for the process backend's wire frames.
 
 The process transport ships the comm layer's existing flush envelopes —
-``call`` / ``bflush`` / ``hflush`` / ``sflush`` (plus the reliability
-``rel`` / ``ack`` wrappers) — as pickled cross-worker frames
+``call`` / ``bflush`` (plus the reliability ``rel`` / ``ack``
+wrappers) — as pickled cross-worker frames
 ``(epoch, dest, src, payload)`` on a ``multiprocessing.Queue``.  The
 wire format therefore *is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
@@ -51,25 +51,14 @@ def _call_env():
     return st.tuples(st.just("call"), _SEQ, _HANDLER, _args())
 
 
-def _sflush_env():
-    entries = st.lists(st.tuples(_HANDLER, _args(), _SEQ), max_size=6)
-    return st.tuples(st.just("sflush"), entries)
-
-
 def _bflush_env():
     entries = st.lists(
         st.tuples(_HANDLER, _args(), _SEQ, st.integers(0, 4096)), max_size=6)
     return st.tuples(st.just("bflush"), entries)
 
 
-def _hflush_env():
-    return st.tuples(st.just("hflush"), _HANDLER,
-                     st.lists(_args(), max_size=6))
-
-
 def _plain_envelopes():
-    return st.one_of(_call_env(), _sflush_env(), _bflush_env(),
-                     _hflush_env())
+    return st.one_of(_call_env(), _bflush_env())
 
 
 def _envelopes():
@@ -112,13 +101,15 @@ def test_envelope_pickle_round_trip(env):
 
 
 def test_feature_row_payload_round_trip():
-    """The unoptimized pattern ships raw feature rows inside envelopes
-    on sim/parallel; a pickled copy must stay bit-identical so the
-    process backend's distances match to the last ulp."""
+    """An ndarray inside an envelope must come back bit-identical from
+    a pickled copy, so distances computed from a shipped row would match
+    to the last ulp."""
     rng = np.random.default_rng(3)
     row = rng.normal(size=32)
-    env = ("hflush", "feature_unopt",
-           [(np.int64(7), row), (np.int64(9), row[::2].copy())])
+    env = ("bflush",
+           [("feature_unopt", (np.int64(7), row), 0, row.nbytes),
+            ("feature_unopt", (np.int64(9), row[::2].copy()), 1,
+             row.nbytes // 2)])
     out = pickle.loads(pickle.dumps(env))
     assert _eq(out, env)
-    assert out[2][0][1].tobytes() == row.tobytes()
+    assert out[1][0][1][1].tobytes() == row.tobytes()

@@ -95,6 +95,10 @@ class TestDNNDConfig:
         with pytest.raises(ConfigError):
             DNNDConfig(pruning_factor=0.9)
 
+    def test_removed_parallel_backend_fails_plainly(self):
+        with pytest.raises(ConfigError, match="removed.*process"):
+            DNNDConfig(backend="parallel")
+
     def test_with_nested_keys(self):
         cfg = DNNDConfig().with_(**{"nnd.k": 25, "batch_size": 128})
         assert cfg.k == 25 and cfg.batch_size == 128

@@ -1,10 +1,9 @@
-"""Executor layer: backend resolution and rank-section scheduling."""
+"""Executor layer: backend and worker-count resolution."""
 
 import pytest
 
 from repro.core.executor import (
-    Executor,
-    ParallelExecutor,
+    ProcessExecutor,
     SimExecutor,
     make_executor,
     resolve_backend,
@@ -18,10 +17,10 @@ class TestResolveBackend:
         assert resolve_backend(None, env={}) == "sim"
 
     def test_explicit_wins_over_env(self):
-        assert resolve_backend("sim", env={"REPRO_BACKEND": "parallel"}) == "sim"
+        assert resolve_backend("sim", env={"REPRO_BACKEND": "process"}) == "sim"
 
     def test_env_fallback(self):
-        assert resolve_backend(None, env={"REPRO_BACKEND": "parallel"}) == "parallel"
+        assert resolve_backend(None, env={"REPRO_BACKEND": "process"}) == "process"
         assert resolve_backend(None, env={"REPRO_BACKEND": " Sim "}) == "sim"
 
     def test_unknown_backend_raises(self):
@@ -29,6 +28,12 @@ class TestResolveBackend:
             resolve_backend("threads", env={})
         with pytest.raises(ConfigError):
             resolve_backend(None, env={"REPRO_BACKEND": "mpi"})
+
+    def test_removed_parallel_backend_fails_plainly(self):
+        """REPRO_BACKEND=parallel names the value as removed and points
+        at process — no fallback to a surviving backend."""
+        with pytest.raises(ConfigError, match="removed.*process"):
+            resolve_backend(None, env={"REPRO_BACKEND": "parallel"})
 
 
 class TestResolveWorkers:
@@ -54,95 +59,14 @@ class TestMakeExecutor:
     def test_sim(self):
         ex = make_executor("sim", 0, 4, env={})
         assert isinstance(ex, SimExecutor)
-        assert not ex.parallel
         ex.shutdown()
-
-    def test_parallel(self):
-        ex = make_executor("parallel", 2, 4, env={})
-        assert isinstance(ex, ParallelExecutor)
-        assert ex.parallel
-        assert ex.workers == 2
-        ex.shutdown()
-
-    def test_parallel_workers_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            ParallelExecutor(0)
-
-
-@pytest.fixture(params=["sim", "parallel"])
-def executor(request):
-    ex = (SimExecutor() if request.param == "sim"
-          else ParallelExecutor(workers=2))
-    yield ex
-    ex.shutdown()
-
-
-class TestMapRanks:
-    def test_repeat_until_stable(self, executor):
-        """map_ranks loops full passes until one makes no progress and
-        returns the summed per-rank progress counts."""
-        remaining = [3, 1, 0, 2]
-        total_expected = sum(remaining)
-
-        def fn(rank):
-            if remaining[rank] > 0:
-                remaining[rank] -= 1
-                return 1
-            return 0
-
-        assert executor.map_ranks(fn, 4) == total_expected
-        assert remaining == [0, 0, 0, 0]
-
-    def test_exceptions_propagate(self, executor):
-        def fn(rank):
-            if rank == 2:
-                raise ValueError("boom")
-            return 0
-
-        with pytest.raises(ValueError, match="boom"):
-            executor.map_ranks(fn, 4)
-
-
-class _Ctx:
-    def __init__(self, rank):
-        self.rank = rank
-
-
-class TestRunRanks:
-    def test_runs_every_ctx_once(self, executor):
-        seen = [0] * 6
-        executor.run_ranks(lambda ctx: seen.__setitem__(ctx.rank, 1),
-                           [_Ctx(r) for r in range(6)])
-        assert seen == [1] * 6
-
-    def test_empty_ctxs(self, executor):
-        executor.run_ranks(lambda ctx: (_ for _ in ()).throw(AssertionError),
-                           [])
-
-    def test_exceptions_propagate(self, executor):
-        def fn(ctx):
-            if ctx.rank == 1:
-                raise RuntimeError("section failed")
-
-        with pytest.raises(RuntimeError, match="section failed"):
-            executor.run_ranks(fn, [_Ctx(r) for r in range(4)])
 
 
 class TestBaseExecutorDucktype:
     def test_interface(self):
-        """The comm layer duck-types executors: these five members are
-        the contract."""
-        for ex in (SimExecutor(), ParallelExecutor(workers=1)):
-            assert hasattr(ex, "parallel")
-            assert hasattr(ex, "workers")
-            assert callable(ex.map_ranks)
-            assert callable(ex.run_ranks)
-            assert callable(ex.shutdown)
+        """What the driver and the process world use of an executor."""
+        for ex in (SimExecutor(), ProcessExecutor(workers=1)):
+            assert ex.workers == 1
+            assert ex.dispatches == 0
             ex.shutdown()
             ex.shutdown()  # idempotent
-
-    def test_base_is_inline(self):
-        order = []
-        Executor().run_ranks(lambda ctx: order.append(ctx.rank),
-                             [_Ctx(r) for r in range(4)])
-        assert order == [0, 1, 2, 3]

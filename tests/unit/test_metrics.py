@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-from repro.core.executor import ParallelExecutor
 from repro.runtime.metrics import (
     HISTOGRAM_BUCKETS,
     MetricsRegistry,
@@ -66,31 +65,27 @@ class TestCounters:
 
 class TestThreadSafety:
     """Satellite: concurrent increments must sum exactly (no lost
-    updates), exercised through the same ParallelExecutor that schedules
-    the parallel backend's rank sections."""
+    updates) — what threaded query engines rely on."""
 
-    def test_concurrent_inc_under_parallel_executor_sums_exactly(self):
+    def test_concurrent_inc_sums_exactly(self):
         m = MetricsRegistry()
-        world_size, per_rank = 16, 500
-        done = [False] * world_size
+        n_threads, per_thread = 16, 500
 
-        def section(rank: int) -> int:
-            if done[rank]:
-                return 0
-            done[rank] = True
-            for _ in range(per_rank):
+        def section(rank: int) -> None:
+            for _ in range(per_thread):
                 m.inc("hammer")
                 m.inc(f"rank.{rank}")
-            return 1
 
-        ex = ParallelExecutor(workers=8)
-        try:
-            ex.map_ranks(section, world_size)
-        finally:
-            ex.shutdown()
-        assert m.counter("hammer") == world_size * per_rank
-        for rank in range(world_size):
-            assert m.counter(f"rank.{rank}") == per_rank
+        threads = [threading.Thread(target=section, args=(rank,))
+                   for rank in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert m.counter("hammer") == n_threads * per_thread
+        for rank in range(n_threads):
+            assert m.counter(f"rank.{rank}") == per_thread
 
     def test_concurrent_spans_and_observations(self):
         m = MetricsRegistry()

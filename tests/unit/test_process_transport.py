@@ -123,7 +123,7 @@ class TestExecutorSeam:
     def test_make_executor_builds_process_executor(self):
         ex = make_executor("process", workers=3, world_size=8)
         assert isinstance(ex, ProcessExecutor)
-        assert ex.parallel and ex.backend == "process"
+        assert ex.backend == "process"
         assert ex.workers == 3
         ex.shutdown()  # unbound: must be a no-op
 

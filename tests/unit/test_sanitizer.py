@@ -11,6 +11,7 @@ from repro.analysis.sanitizer import (
 from repro.config import ClusterConfig
 from repro.core.heap import NeighborHeap
 from repro.errors import (
+    ConfigError,
     HandlerReentrancyError,
     MutationDuringIterationError,
     OwnershipViolationError,
@@ -36,6 +37,13 @@ def test_sanitizer_requested(value, expected):
 
 def test_sanitizer_requested_unset():
     assert sanitizer_requested({}) is False
+
+
+def test_removed_race_value_fails_plainly():
+    """REPRO_SANITIZE=race selected the thread backend's race sanitizer;
+    asking for it now is an error, not a silently unsanitized run."""
+    with pytest.raises(ConfigError, match="removed.*process"):
+        sanitizer_requested({"REPRO_SANITIZE": " Race "})
 
 
 def test_world_env_gating(monkeypatch):

@@ -1,29 +1,27 @@
 """The Transport protocol — the seam under the YGM comm layer.
 
-Both transports must satisfy the same point-to-point + collectives
-contract; SimCluster adds cost modeling and fault injection on top,
-LocalTransport adds thread-safe concurrent producers.
+The point-to-point + collectives contract every transport inherits,
+exercised on SimCluster (which adds cost modeling and fault injection
+on top); the process backend's transports have their own suite
+(``test_process_transport.py``).
 """
-
-import threading
 
 import pytest
 
 from repro.config import ClusterConfig
-from repro.errors import ConfigError, RuntimeStateError
-from repro.runtime.netmodel import NetworkModel, NullLedger
-from repro.runtime.transports import LocalTransport, SimCluster
+from repro.errors import RuntimeStateError
+from repro.runtime.transports import SimCluster
 
 CFG = ClusterConfig(nodes=2, procs_per_node=2)
 
 
 def make_transports():
-    return [SimCluster(CFG), LocalTransport(CFG)]
+    return [SimCluster(CFG)]
 
 
 class TestPointToPoint:
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_fifo_per_mailbox(self, t):
         for i in range(5):
             t.deliver(0, 2, ("msg", i))
@@ -35,14 +33,14 @@ class TestPointToPoint:
         assert t.all_quiescent()
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_self_append_is_local_fast_path(self, t):
         append = t.self_append(1)
         append((1, "payload"))
         assert t.drain_one(1) == (1, "payload")
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_clear_mailboxes(self, t):
         t.deliver(0, 1, "a")
         t.deliver(2, 3, "b")
@@ -52,20 +50,20 @@ class TestPointToPoint:
         assert t.all_quiescent()
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_destination_range_checked(self, t):
         with pytest.raises(RuntimeStateError):
             t.deliver(0, CFG.world_size, "x")
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_shutdown_refuses_traffic(self, t):
         t.shutdown()
         with pytest.raises(RuntimeStateError):
             t.deliver(0, 1, "x")
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_offnode_topology(self, t):
         # 2 nodes x 2 procs: ranks {0,1} on node 0, {2,3} on node 1.
         assert not t.is_offnode(0, 1)
@@ -74,31 +72,31 @@ class TestPointToPoint:
 
 class TestCollectives:
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_allreduce_sum(self, t):
         assert t.allreduce_sum([1, 2, 3, 4]) == 10
         assert t.allreduce([1, 2, 3, 4]) == [10] * 4
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_allreduce_custom_op(self, t):
         assert t.allreduce([3, 1, 4, 1], op=max) == [4] * 4
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_gather_root_only(self, t):
         out = t.gather(["a", "b", "c", "d"], root=2)
         assert out[2] == ["a", "b", "c", "d"]
         assert out[0] is None and out[1] is None and out[3] is None
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_allgather_and_bcast(self, t):
         assert t.allgather([1, 2, 3, 4]) == [[1, 2, 3, 4]] * 4
         assert t.bcast("v", root=1) == ["v"] * 4
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_alltoallv_routing(self, t):
         send = [[[s * 10 + d] for d in range(4)] for s in range(4)]
         recv = t.alltoallv(send)
@@ -106,52 +104,12 @@ class TestCollectives:
             assert recv[dest] == [s * 10 + dest for s in range(4)]
 
     @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim", "local"])
+                             ids=["sim"])
     def test_collectives_require_full_contribution(self, t):
         with pytest.raises(RuntimeStateError):
             t.allreduce([1, 2])
         with pytest.raises(RuntimeStateError):
             t.alltoallv([[[]] * 3] * 4)
-
-
-class TestLocalTransport:
-    def test_rejects_cost_model(self):
-        with pytest.raises(ConfigError):
-            LocalTransport(CFG, net=NetworkModel())
-
-    def test_null_ledger(self):
-        t = LocalTransport(CFG)
-        assert isinstance(t.ledger, NullLedger)
-        assert not t.ledger.enabled
-        assert t.injector is None
-
-    def test_concurrent_producers_single_consumer(self):
-        """The load-bearing deque property: any thread may append to a
-        mailbox while the owner drains it, without locking."""
-        t = LocalTransport(CFG)
-        n_per_producer = 2000
-
-        def produce(src):
-            for i in range(n_per_producer):
-                t.deliver(src, 3, (src, i))
-
-        threads = [threading.Thread(target=produce, args=(s,))
-                   for s in range(3)]
-        for th in threads:
-            th.start()
-        drained = []
-        while (any(th.is_alive() for th in threads)
-               or not t.mailbox_empty(3)):
-            item = t.drain_one(3)
-            if item is not None:
-                drained.append(item[1])
-        for th in threads:
-            th.join()
-        assert len(drained) == 3 * n_per_producer
-        # Per-producer FIFO survives the interleaving.
-        for s in range(3):
-            seq = [i for (src, i) in drained if src == s]
-            assert seq == sorted(seq)
 
 
 class TestSimClusterExtras:
