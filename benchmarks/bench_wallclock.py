@@ -1,11 +1,9 @@
-"""Wall-clock benchmark: scalar vs batched execution engine.
+"""Wall-clock benchmark: backends, kernels, metrics overhead, scale.
 
 Unlike the other benches (which report *simulated* cluster seconds from
-the cost model), this one times the *host* wall clock: the batch
-execution engine (``DNNDConfig.batch_exec``) is a pure implementation
-optimization — coalesced YGM delivery, rowwise distance kernels, bulk
-heap updates — that must produce bit-identical results while running the
-simulation several times faster.
+the cost model), this one times the *host* wall clock of whole builds.
+(The end-to-end and per-layer numbers a change is judged by come from
+``benchmarks/perf``; this file keeps the axes that one does not have.)
 
 Run directly::
 
@@ -13,13 +11,11 @@ Run directly::
     python benchmarks/bench_wallclock.py --quick    # CI smoke (small size)
     python benchmarks/bench_wallclock.py --backend process --workers 4
 
-Besides the scalar-vs-batched comparison (always run under the sim
-backend, whose bit-identity contract it asserts), the bench times the
-batched engine under each requested ``--backend`` and records recall
-against brute force, so the JSON captures the execution-backend
+The bench times a build under each requested ``--backend`` and records
+recall against brute force, so the JSON captures the execution-backend
 trade-off: sim is deterministic and cost-modeled, process must keep
 recall@k within +-0.01 (its speed is gated on the scale axis, where
-the machine's core count decides).  A third section times metrics-on
+the machine's core count decides).  A second section times metrics-on
 vs metrics-off (``DNNDConfig.metrics``): the default-on observability layer must cost <2% wall clock (and zero
 simulation divergence) because it only synchronizes counters at
 barriers.
@@ -43,9 +39,9 @@ Writes ``BENCH_wallclock.json`` at the repository root.  Timing is
 best-of-N (``--repeats``, default 3): the minimum over repeats is the
 standard robust estimator for wall-clock comparisons on a noisy machine
 — any one-off scheduler hiccup inflates a single run, never deflates it.
-Exits non-zero if the batched engine is *slower* than the scalar path
-(the CI perf-smoke contract); the >=3x target at n=2000 is asserted by
-the experiment record, not here, to keep CI robust to slow runners.
+Exits non-zero when a gate fails (blocked kernel slower than rowwise or
+off recall parity, process recall off sim's, metrics overhead above its
+cap) — the CI perf-smoke contract.
 """
 
 from __future__ import annotations
@@ -68,13 +64,11 @@ from repro.eval.recall import graph_recall
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 OUT_PATH = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
 
-#: (n, dim) instances; k / cluster shape / batch_size stay fixed so the
-#: two engines run the exact same simulated workload.
+#: (n, dim) instances; k / cluster shape / batch_size stay fixed.
 FULL_SIZES = [(500, 16), (2000, 32)]
 QUICK_SIZES = [(400, 16)]
 
-#: Scale axis (batched engine only — the scalar path is hopeless here):
-#: the n=50k-500k range the process backend opens.  ``--quick`` runs a
+#: Scale axis: the n=50k-500k range the process backend opens.  ``--quick`` runs a
 #: small stand-in so CI exercises the code path; ``--xl`` extends the
 #: sweep for real machines with cores + minutes to spend.
 SCALE_SIZES = [(50_000, 16)]
@@ -91,14 +85,13 @@ K = 10
 SEED = 0
 
 
-def _build(data: np.ndarray, batch_exec: bool, backend: str = "sim",
+def _build(data: np.ndarray, backend: str = "sim",
            workers: int = 0, metrics: bool = True,
            kernel: str | None = "rowwise"):
     cfg = DNNDConfig(
         nnd=NNDescentConfig(k=K, metric="sqeuclidean", seed=SEED),
         comm_opts=CommOptConfig.optimized(),
         batch_size=1 << 13,
-        batch_exec=batch_exec,
         backend=backend,
         kernel=kernel,
         workers=workers,
@@ -111,7 +104,7 @@ def _build(data: np.ndarray, batch_exec: bool, backend: str = "sim",
         dnnd.close()
 
 
-def _time_build(data: np.ndarray, batch_exec: bool, repeats: int,
+def _time_build(data: np.ndarray, repeats: int,
                 backend: str = "sim", workers: int = 0,
                 metrics: bool = True, kernel: str | None = "rowwise"):
     """(best wall seconds, last BuildResult)."""
@@ -119,40 +112,13 @@ def _time_build(data: np.ndarray, batch_exec: bool, repeats: int,
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = _build(data, batch_exec, backend, workers, metrics,
-                        kernel=kernel)
+        result = _build(data, backend, workers, metrics, kernel=kernel)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
 
-def run(sizes, repeats: int):
-    rows = []
-    for n, dim in sizes:
-        rng = np.random.default_rng(7)
-        data = rng.standard_normal((n, dim))
-        t_scalar, r_scalar = _time_build(data, False, repeats)
-        t_batch, r_batch = _time_build(data, True, repeats)
-        if not (np.array_equal(r_scalar.graph.ids, r_batch.graph.ids)
-                and r_scalar.graph.dists.tobytes() == r_batch.graph.dists.tobytes()
-                and r_scalar.sim_seconds == r_batch.sim_seconds):
-            raise SystemExit(
-                f"batched engine output diverged from scalar at n={n}, d={dim}")
-        rows.append({
-            "n": n, "dim": dim, "k": K,
-            "scalar_seconds": round(t_scalar, 4),
-            "batched_seconds": round(t_batch, 4),
-            "speedup": round(t_scalar / t_batch, 3),
-            "iterations": r_batch.iterations,
-            "distance_evals": r_batch.distance_evals,
-        })
-        print(f"n={n:5d} d={dim:3d}  scalar {t_scalar:7.2f}s  "
-              f"batched {t_batch:7.2f}s  speedup {t_scalar / t_batch:5.2f}x  "
-              f"(bit-identical: yes)")
-    return rows
-
-
 def run_backends(sizes, repeats: int, backends, workers: int):
-    """Time the batched engine per execution backend; recall vs brute
+    """Time a build per execution backend; recall vs brute
     force goes in the record because the process backend's contract is
     statistical (recall@k within +-0.01 of sim), not bit-identity."""
     rows = []
@@ -164,7 +130,7 @@ def run_backends(sizes, repeats: int, backends, workers: int):
         per_backend = {}
         for backend in backends:
             w = workers if backend == "process" else 0
-            secs, result = _time_build(data, True, repeats, backend, w)
+            secs, result = _time_build(data, repeats, backend, w)
             per_backend[backend] = {
                 "seconds": round(secs, 4),
                 "recall": round(graph_recall(result.graph, truth), 4),
@@ -186,7 +152,7 @@ def run_backends(sizes, repeats: int, backends, workers: int):
 
 
 def run_scale(sizes, backends, workers: int):
-    """The large-n axis: batched engine, one timed build per backend
+    """The large-n axis: one timed build per backend
     (no repeats — a single n=50k build is minutes, and the comparison
     is between backends on the *same* machine in the same session).
     Recall against brute force is skipped: the O(n^2) ground truth at
@@ -198,7 +164,7 @@ def run_scale(sizes, backends, workers: int):
         per_backend = {}
         for backend in backends:
             w = workers if backend == "process" else 0
-            secs, result = _time_build(data, True, 1, backend, w)
+            secs, result = _time_build(data, 1, backend, w)
             per_backend[backend] = {
                 "seconds": round(secs, 4),
                 "iterations": result.iterations,
@@ -245,8 +211,7 @@ def run_kernels(repeats: int):
                 brute_force_neighbors(data, data, K, exclude_self=True,
                                       kernel=kernel)
                 best = min(best, time.perf_counter() - t0)
-            t_build, r_build = _time_build(data, True, repeats,
-                                           kernel=kernel)
+            t_build, r_build = _time_build(data, repeats, kernel=kernel)
             snap = r_build.metrics.snapshot()["counters"]
             per_kernel[kernel] = {
                 "pairwise_seconds": round(best, 4),
@@ -298,7 +263,7 @@ def run_metrics_overhead(sizes, repeats: int):
             arms = [(True,), (False,)] if i % 2 == 0 else [(False,), (True,)]
             for (metrics_on,) in arms:
                 t0 = time.perf_counter()
-                result = _build(data, True, metrics=metrics_on)
+                result = _build(data, metrics=metrics_on)
                 dt = time.perf_counter() - t0
                 if metrics_on:
                     t_on, r_on = min(t_on, dt), result
@@ -347,7 +312,6 @@ def main(argv=None) -> int:
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     backends = args.backend or ["sim", "process"]
     cpu_count = os.cpu_count() or 1
-    rows = run(sizes, max(1, args.repeats))
     backend_rows = run_backends(sizes, max(1, args.repeats), backends,
                                 args.workers)
     kernel_rows = run_kernels(max(1, args.repeats))
@@ -358,11 +322,10 @@ def main(argv=None) -> int:
                        else SCALE_SIZES_XL if args.xl else SCALE_SIZES)
         scale_rows = run_scale(scale_sizes, backends, args.scale_workers)
     payload = {
-        "benchmark": "wallclock scalar-vs-batched execution engine",
+        "benchmark": "wallclock: backends, kernels, metrics overhead, scale",
         "repeats": max(1, args.repeats),
         "quick": bool(args.quick),
         "cpu_count": cpu_count,
-        "results": rows,
         "backend_results": backend_rows,
         "kernel_results": kernel_rows,
         "metrics_overhead": metrics_rows,
@@ -373,10 +336,6 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"wrote {OUT_PATH}")
 
-    slow = [r for r in rows if r["speedup"] < 1.0]
-    if slow:
-        print(f"FAIL: batched engine slower than scalar at {slow}")
-        return 1
     # Kernel-axis gate (runs in quick mode too — this is the perf-smoke
     # contract): the blocked tiled GEMM must be at least as fast as the
     # rowwise kernels on the kernel-bound pairwise workload, and the

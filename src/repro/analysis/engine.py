@@ -23,6 +23,7 @@ from .config import AnalysisConfig, matches_exclude
 from .findings import ERROR, Finding
 from .registry import (
     RULES,
+    RUN_EMIT_METHODS,
     CallSite,
     FunctionInfo,
     HandlerInfo,
@@ -43,6 +44,10 @@ _HANDLER_NAME_SLOTS = (1, 2)
 #: ``async_visit(src_rank, key, "visitor", *args)`` — the visitor name
 #: is always the third positional argument (the key may be a string).
 _VISITOR_NAME_SLOT = 2
+#: ``emit_run(src, dests, "h", (col, ...), nbytes, msg_type)`` — see
+#: ``registry.RUN_EMIT_METHODS``.
+_RUN_NAME_SLOT = 2
+_RUN_COLUMNS_SLOT = 3
 
 #: Executor entry points whose first positional argument is a function
 #: that will run in task scope (concurrently with the driver and with
@@ -231,13 +236,37 @@ def _collect_registrations(module: SourceModule,
                     bind(registry, label, kw.value, node)
 
 
+def _literal_names(expr: ast.expr) -> List[str]:
+    """Handler names an argument spells out: a string literal, or a
+    conditional expression choosing between two."""
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return [expr.value]
+    if isinstance(expr, ast.IfExp):
+        return _literal_names(expr.body) + _literal_names(expr.orelse)
+    return []
+
+
 def _collect_call_sites(module: SourceModule,
                         project: ProjectContext) -> None:
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
         method = call_method_name(node)
-        if method == "async_call":
+        if method in RUN_EMIT_METHODS:
+            if _RUN_COLUMNS_SLOT >= len(node.args) or any(
+                    isinstance(a, ast.Starred)
+                    for a in node.args[:_RUN_COLUMNS_SLOT + 1]):
+                continue
+            columns = node.args[_RUN_COLUMNS_SLOT]
+            known = (isinstance(columns, ast.Tuple) and not any(
+                isinstance(c, ast.Starred) for c in columns.elts))
+            for name in _literal_names(node.args[_RUN_NAME_SLOT]):
+                project.call_sites.append(CallSite(
+                    kind="handler", name=name,
+                    payload_args=len(columns.elts) if known else None,
+                    module=module, node=node,
+                    arg_nodes=tuple(columns.elts) if known else ()))
+        elif method == "async_call":
             for slot in _HANDLER_NAME_SLOTS:
                 if slot >= len(node.args):
                     break

@@ -20,12 +20,17 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .config import AnalysisConfig
 from .findings import Finding
 
+#: The columnar send API: ``YGMWorld.emit_run(src, dests, handler,
+#: columns, ...)`` and the rank program's paced wrapper
+#: ``dnnd_phases.emit(ctx, dests, handler, columns, ...)`` share one call
+#: shape — the handler name third, one column per message argument
+#: fourth.  One call sends a whole run of messages.
+RUN_EMIT_METHODS = frozenset({"emit_run", "emit"})
+
 #: Methods whose call counts as "emitting a message" for the rules that
 #: scope themselves to message-emitting code (REP103, REP204).
-#: ``emit_run`` is the batch execution engine's bulk emitter — it sends
-#: a whole run of messages in one call and must count like async_call.
 EMIT_METHODS = frozenset({"async_call", "async_visit", "async_insert",
-                          "async_add", "emit_run"})
+                          "async_add"}) | RUN_EMIT_METHODS
 
 
 @dataclass
@@ -80,11 +85,14 @@ class HandlerInfo:
 
 @dataclass
 class CallSite:
-    """An ``async_call``/``async_visit`` with a literal target name."""
+    """An ``async_call``/``async_visit``/``emit_run`` with a literal
+    target name."""
 
     kind: str  # "handler" | "visitor"
     name: str
-    payload_args: Optional[int]  # None when *args makes the count unknown
+    #: Message arguments supplied (for ``emit_run``: columns); None when
+    #: ``*args`` or a non-literal column tuple makes the count unknown.
+    payload_args: Optional[int]
     module: SourceModule
     node: ast.Call
     arg_nodes: Tuple[ast.expr, ...] = ()
@@ -97,12 +105,11 @@ class ProjectContext:
     modules: List[SourceModule]
     handlers: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
     visitors: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
-    #: Batch variants registered via ``register_batch_handler(s)``.
-    #: Kept separate from ``handlers`` on purpose: a batch handler's
-    #: signature is ``(ctx, args_list)`` regardless of the scalar
-    #: payload shape, so folding them into ``handlers`` would make
-    #: REP202's arity check false-positive at every call site that has
-    #: a batch variant.  REP203's purity check covers both registries.
+    #: Columnar handlers registered via ``register_batch_handler(s)``:
+    #: delivered ``(ctx, *columns)``, one array per message argument, so
+    #: a name's arity is the same whether a call site sends one message
+    #: (``async_call``) or a run (``emit_run``).  A name lives in this
+    #: registry or in ``handlers``, and every handler rule reads both.
     batch_handlers: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
     functions: Dict[str, List[FunctionInfo]] = field(default_factory=dict)
     call_sites: List[CallSite] = field(default_factory=list)

@@ -7,17 +7,20 @@ signature is invisible until a message actually flows down that path
 contract statically, project-wide:
 
 REP201  unknown-handler          every literal ``async_call(...,
-                                 "name")`` / ``async_visit(..., "name")``
-                                 must resolve to a ``register_handler`` /
-                                 ``register_handlers`` /
+                                 "name")`` / ``emit_run(..., "name",
+                                 columns)`` / ``async_visit(..., "name")``
+                                 must resolve to a ``register_handler(s)``
+                                 / ``register_batch_handler(s)`` /
                                  ``register_visitor`` binding somewhere
                                  in the analyzed files.
 REP202  handler-arity            the payload argument count at the call
                                  site must fit the handler's signature
                                  (handlers receive ``(ctx, *payload)``,
                                  visitors ``(ctx, state, key, *args)``;
-                                 batch variants always receive exactly
-                                 ``(ctx, args_list)``).
+                                 a columnar handler receives ``(ctx,
+                                 *columns)`` — one array per message
+                                 argument — so an ``emit_run`` supplies
+                                 as many as its column tuple holds).
 REP203  handler-closure-capture  a handler registered from inside a
                                  function closes over rank-local
                                  mutable state — handler behaviour must
@@ -73,8 +76,10 @@ def _finding(module: SourceModule, node: ast.AST, rule_id: str,
 
 
 def _lookup(site: CallSite, project: ProjectContext) -> List[HandlerInfo]:
-    registry = project.visitors if site.kind == "visitor" else project.handlers
-    return registry.get(site.name, [])
+    if site.kind == "visitor":
+        return project.visitors.get(site.name, [])
+    return (project.handlers.get(site.name, [])
+            + project.batch_handlers.get(site.name, []))
 
 
 @rule("REP201", ERROR, "async_call names an unregistered handler")
@@ -85,7 +90,7 @@ def check_unknown_handler(project: ProjectContext,
             continue
         what = "visitor" if site.kind == "visitor" else "handler"
         register = ("register_visitor" if site.kind == "visitor"
-                    else "register_handler/register_handlers")
+                    else "register_handler(s)/register_batch_handler(s)")
         yield _finding(
             site.module, site.node, "REP201",
             f"{what} {site.name!r} is not registered anywhere in the "
@@ -130,23 +135,6 @@ def check_handler_arity(project: ProjectContext,
             f"{supplied} positional argument(s) "
             f"({implicit} implicit + {site.payload_args} payload), but its "
             f"registered implementation accepts {shapes}")
-    # Batch variants have a fixed delivery contract: the runtime always
-    # invokes them as ``fn(ctx, args_list)`` regardless of the scalar
-    # payload shape, so their signature must admit exactly 2 positionals.
-    for name, infos in project.batch_handlers.items():
-        for info in infos:
-            candidates = _candidate_functions(info, project)
-            if not candidates:
-                continue
-            if any(fn.min_args <= 2 <= fn.max_args for fn in candidates):
-                continue
-            yield Finding(
-                path=info.path, line=info.line, col=1, rule="REP202",
-                severity=ERROR,
-                message=(
-                    f"batch handler {name!r} is delivered exactly 2 "
-                    "positional arguments (ctx, args_list), but its "
-                    "registered implementation does not accept that shape"))
 
 
 def _enclosing_parameters(fn: FunctionInfo) -> frozenset:
@@ -181,9 +169,8 @@ def _enclosing_parameters(fn: FunctionInfo) -> frozenset:
 @rule("REP203", ERROR, "handler closes over rank-local mutable state")
 def check_closure_capture(project: ProjectContext,
                           config: AnalysisConfig) -> Iterator[Finding]:
-    # Batch variants are held to the same purity contract as scalar
-    # handlers: a batch handler must be a function of (ctx, args_list)
-    # + owner-rank state only, or the batched and scalar paths diverge.
+    # Columnar handlers are held to the same purity contract as scalar
+    # ones: a function of (ctx, *columns) + owner-rank state only.
     seen: set = set()
     for registry in (project.handlers, project.visitors,
                      project.batch_handlers):

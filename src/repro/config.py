@@ -153,12 +153,6 @@ class DNNDConfig:
     """Section 4.2 — shuffle destination order when shipping the reversed
     old/new matrices to avoid synchronized bursts at one rank."""
 
-    batch_exec: bool = True
-    """Vectorized batch execution engine: coalesced message delivery,
-    rowwise distance kernels, and bulk heap updates in the hot path.
-    Produces bit-identical results to the scalar path (``False``), which
-    is kept as the regression oracle."""
-
     backend: str | None = None
     """Execution backend: ``"sim"`` (deterministic inline simulation
     with the cost model — the default) or ``"process"`` (per-rank worker

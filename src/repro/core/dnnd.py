@@ -27,7 +27,6 @@ time from the cost model (Figure 3).
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -54,14 +53,9 @@ from ..runtime.transports import (ProcessTransport, ProcessWorld,
 from ..runtime.ygm import RankContext, YGMWorld
 from .executor import SimExecutor, make_executor, resolve_backend
 from ..types import ID_BYTES
-from .dnnd_phases import (SECTIONS, SHARD_OPS, batch_barrier, build_shards,
-                          check_vertex, ckpt_set, init_vertex,
-                          register_dnnd_handlers, shard_of, shard_totals)
+from .dnnd_phases import (SECTIONS, SHARD_OPS, build_shards, ckpt_set,
+                          register_dnnd_handlers, shard_totals)
 from .graph import EMPTY, AdjacencyGraph, KNNGraph
-
-#: Shared no-op context for driver sections when the sanitizer is off —
-#: module-level so the hot loops allocate nothing per vertex.
-_NULL_SCOPE = contextlib.nullcontext()
 
 
 def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
@@ -295,9 +289,6 @@ class DNND:
                 fallbacks = 1
         self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
-        # Process workers run each rank's section whole; the inline sim
-        # schedule interleaves vertices across ranks and takes Section
-        # 4.4 batch barriers mid-phase.
         self._process = backend == "process"
         self.fault_plan = fault_plan
         self._flush_threshold = int(flush_threshold)
@@ -338,7 +329,7 @@ class DNND:
                                   sanitize=sanitize, metrics=self.metrics)
             # Process workers register the same handlers inside each
             # worker process (``dnnd_process.ProcessDNNDApp``).
-            register_dnnd_handlers(self.world, self.config.batch_exec)
+            register_dnnd_handlers(self.world)
         self._open_span = None
         self._recoveries = 0
         self._recovery_attempts = 0
@@ -405,12 +396,6 @@ class DNND:
             return self.world.shard_totals()
         return {ctx.rank: shard_totals(ctx) for ctx in self.world.ranks}
 
-    def _rank_scope(self, ctx: RankContext):
-        """Sanitizer scope marking driver code as executing *as*
-        ``ctx.rank`` (a no-op singleton when the sanitizer is off)."""
-        san = self.world.sanitizer
-        return _NULL_SCOPE if san is None else san.rank_scope(ctx.rank)
-
     def close(self) -> None:
         """Release the executor's scheduling resources (a no-op for the
         sim backend; stops the process backend's workers and unlinks the
@@ -434,27 +419,6 @@ class DNND:
         if self._open_span is not None:
             self._open_span.__exit__(None, None, None)
             self._open_span = None
-
-    def _interleaved_vertices(self):
-        """Yield ``(ctx, local_index)`` round-robin across ranks, modeling
-        SPMD ranks progressing through their local vertices together
-        (excluded ranks sit out, as in :meth:`YGMWorld.run_on_all`)."""
-        excluded = self.world.excluded_ranks
-        ctxs = [ctx for ctx in self.world.ranks if ctx.rank not in excluded]
-        n_local = [shard_of(ctx).n_local for ctx in ctxs]
-        for li in range(max(n_local, default=0)):
-            for ctx, n in zip(ctxs, n_local):
-                if li < n:
-                    yield ctx, li
-
-    def _interleave(self, per_vertex) -> None:
-        """The sim schedule of a per-vertex phase: every rank's vertex
-        ``li`` before any rank's ``li + 1``, with a Section 4.4 batch
-        barrier check after each vertex."""
-        for ctx, li in self._interleaved_vertices():
-            with self._rank_scope(ctx):
-                per_vertex(ctx, li)
-            batch_barrier(ctx)
 
     # -- build ------------------------------------------------------------------
 
@@ -560,7 +524,6 @@ class DNND:
             batch_size=meta["batch_size"],
             pruning_factor=meta["pruning_factor"],
             shuffle_reverse_destinations=meta["shuffle_reverse_destinations"],
-            batch_exec=meta.get("batch_exec", True),
             backend=backend,
             workers=workers,
         )
@@ -852,13 +815,7 @@ class DNND:
     def _init_phase(self) -> None:
         """Algorithm 1 lines 2-5 via the Section 4.1 async pattern."""
         self._enter_phase("init")
-        if self._process:
-            # Each rank emits all of its vertices' init requests in one
-            # section (candidates are keyed by vertex id, so rank-major
-            # order changes nothing).
-            self._run_section("init")
-        else:
-            self._interleave(init_vertex)
+        self._run_section("init")
         self.world.barrier()
 
     def _iteration(self, iteration: int) -> int:
@@ -871,22 +828,16 @@ class DNND:
         self._enter_phase("union", iteration=iteration)
         self._run_section("union", iteration=iteration)
         self._enter_phase("neighbor_check", iteration=iteration)
-        if self._process:
-            # Build every rank's Type 1 list, then emit it in global
-            # chunks of ~batch_size with a barrier between chunks (why:
-            # see ``dnnd_phases.check_build``).  Excluded ranks build
-            # nothing and emit nothing.
-            ws = self.cluster.world_size
-            longest = max(self._run_section("check_build").values(),
-                          default=0)
-            chunk = max(1, self.config.batch_size // ws
-                        if self.config.batch_size else longest)
-            for start in range(0, longest, chunk):
-                self._run_section("check_emit", start=start,
-                                  stop=start + chunk)
-                self.world.barrier()
-        else:
-            self._interleave(check_vertex)
+        # Build every rank's Type 1 requests, then emit them in global
+        # chunks of ~batch_size with a barrier between chunks (why: see
+        # ``dnnd_phases.check_build``).  Excluded ranks build nothing and
+        # emit nothing.
+        ws = self.cluster.world_size
+        longest = max(self._run_section("check_build").values(), default=0)
+        chunk = max(1, self.config.batch_size // ws
+                    if self.config.batch_size else longest)
+        for start in range(0, longest, chunk):
+            self._run_section("check_emit", start=start, stop=start + chunk)
             self.world.barrier()
         # ---- termination counter (line 23): allreduce; a rank excluded
         # in degraded mode contributes zero (the allreduce still collects
@@ -907,16 +858,15 @@ class DNND:
         ids = np.full((self.n, k), EMPTY, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
         by_rank = self._run_section("gather_rows")
-        contributions = [by_rank.get(r, [])
+        contributions = [by_rank.get(r, ())
                          for r in range(self.cluster.world_size)]
         per_rank_bytes = max(1, (self.n // self.cluster.world_size) * k * (ID_BYTES + 4))
         # gather follows MPI root semantics: only result[root] holds data.
         gathered = self.cluster.gather(contributions, root=0,
                                        item_bytes=per_rank_bytes)[0]
-        for rows in gathered:
-            for gid, row_ids, row_dists in rows:
-                ids[gid] = row_ids
-                dists[gid] = row_dists
+        for gids, row_ids, row_dists in filter(None, gathered):
+            ids[gids] = row_ids
+            dists[gids] = row_dists
         self._close_phase()
         return KNNGraph(ids, dists)
 
@@ -1011,9 +961,8 @@ class DNND:
     # -- checkpointing ----------------------------------------------------------
 
     def _collect_heap_state(self):
-        """Snapshot raw heap state (ids/dists/flags in *heap order* —
-        slot order feeds the keyed sampling, so exact restoration makes
-        a resumed build bit-identical to an uninterrupted one)."""
+        """Snapshot every rank's neighbor rows into ``(n, k)``
+        ids/dists/flags arrays indexed by global id."""
         k = self.config.k
         ids = np.full((self.n, k), -1, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
@@ -1053,7 +1002,6 @@ class DNND:
             "batch_size": cfg.batch_size,
             "pruning_factor": cfg.pruning_factor,
             "shuffle_reverse_destinations": cfg.shuffle_reverse_destinations,
-            "batch_exec": cfg.batch_exec,
             "partitioner": partitioner_spec(self.partitioner),
         }
         with self.metrics.span("checkpoint.write", cat="io",

@@ -7,8 +7,13 @@ the only home of what a rank *does*: the sim and process worlds
 register the same handler functions (:func:`register_dnnd_handlers`) and
 resolve sections and shard-state ops from the same tables
 (:data:`SECTIONS`, :data:`SHARD_OPS`); the driver only sequences phases
-and barriers.  The three communication phases of Section 4 are YGM
-handlers:
+and barriers.  Neighbor state lives in one place — the shard's
+``(n_local, k)`` id / distance / flag matrices — and the whole message
+chain is *columnar*: sections emit runs of messages as one array per
+argument (:func:`emit` / :meth:`YGMWorld.emit_run`), and each message
+type has exactly one handler, which takes a run and works on the
+matrices in array operations (DESIGN.md section 10).  The three
+communication phases of Section 4 are YGM handlers:
 
 **Initialization** (Section 4.1's example pattern)
     ``init_req`` carries ``v``'s feature vector to ``owner(u)``, which
@@ -53,7 +58,7 @@ charges the feature it stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -61,13 +66,13 @@ import numpy as np
 from ..analysis.sanitizer import tag_heap
 from ..config import DNNDConfig
 from ..distances.counting import CountingMetric
-from ..errors import CheckpointCorruptError, GraphError, PartitionError, StoreError
+from ..errors import CheckpointCorruptError, PartitionError, StoreError
 from ..runtime.partition import Partitioner
 from ..runtime.ygm import RankContext, YGMWorld
 from ..types import DIST_BYTES, ID_BYTES
 from ..utils.rng import derive_rng
 from ..utils.sampling import sample_without_replacement
-from .heap import NeighborHeap
+from .heap import EMPTY, NeighborHeap, check_rows, merge_rows
 from .nndescent import _union_with_sample
 
 # Message-type labels used in Figure 4.
@@ -84,93 +89,101 @@ class LocalShard:
     Attributes
     ----------
     global_ids:
-        Ascending global ids of the vertices this rank owns.
-    local_index:
-        global id -> row index into ``features`` / ``heaps``.
+        Ascending global ids of the vertices this rank owns; a vertex's
+        *row* is its position here.
     features:
         Dense ``(n_local, dim)`` array, or a list of ragged sparse
-        records — this rank's own rows, co-located with their heaps.
-    heaps:
-        One :class:`NeighborHeap` per local vertex — the distributed
-        ``G_v`` (vertex and neighbor list co-located, Section 4).
+        records — this rank's own rows, co-located with their neighbors.
+    ids, dists, flags:
+        ``(n_local, k)`` matrices: row ``i`` is the neighbor list
+        ``G_v`` of vertex ``global_ids[i]`` (vertex and neighbor list
+        co-located, Section 4) under :mod:`.heap`'s row invariant.  The
+        single home of neighbor state: handlers update many rows at once
+        with :func:`~.heap.merge_rows`, and ``heaps[i]`` is a
+        :class:`NeighborHeap` view of row ``i`` for per-vertex access.
     data:
         Read-only view of the *whole* dataset, shared by every shard of
         a world; only :meth:`row` / :meth:`rows` read it, to resolve the
         feature a message refers to by global id.
+    owner_of:
+        ``owner_of[gid] == partitioner.owner(gid)`` — one array shared by
+        a world's shards (see :func:`build_shards`).
     paced:
         Whether this world takes Section 4.4 application-level batch
-        barriers mid-phase (the inline sim schedule only; see
-        :func:`batch_barrier`).
+        barriers mid-phase (the inline sim world only; see :func:`emit`).
     """
 
     rank: int
     partitioner: Partitioner
     global_ids: np.ndarray
-    local_index: Dict[int, int]
     features: Any  # dense (n_local, dim) array or list of sparse records
-    heaps: List[NeighborHeap]
     metric: CountingMetric
     config: DNNDConfig
     data: Any
+    owner_of: np.ndarray
     sparse: bool = False
     feature_nbytes_dense: int = 0
+    feature_sizes: Any = None  # sparse only: wire bytes of each own record
     paced: bool = False
 
-    # Per-iteration scratch:
+    ids: np.ndarray = None
+    dists: np.ndarray = None
+    flags: np.ndarray = None
+    heaps: List[NeighborHeap] = field(default_factory=list)
+
+    # Per-iteration scratch.  Candidate lists are per-row Python lists
+    # (the keyed sampling of ``sample``/``union`` is per vertex);
+    # reversed entries arrive as ``(rows, ids)`` column chunks.
     new_lists: List[List[int]] = field(default_factory=list)
     old_lists: List[List[int]] = field(default_factory=list)
-    rev_new: List[List[int]] = field(default_factory=list)
-    rev_old: List[List[int]] = field(default_factory=list)
+    rev_new: list = field(default_factory=list)
+    rev_old: list = field(default_factory=list)
     update_count: int = 0
+    """Candidates that entered a row in the current iteration, summed
+    over handler invocations (Algorithm 1's ``c``)."""
 
-    # Cumulative neighbor-heap update *attempts* (checked_push calls)
-    # over the whole run — the ``heap.updates`` metric.  Attempts are a
-    # delivery-order-invariant count under the unoptimized pattern
-    # (every delivered feature message is one attempt), unlike
-    # ``update_count`` (successful pushes), whose acceptance of
-    # later-evicted entries depends on arrival order.  Never reset by
-    # :meth:`reset_iteration_scratch`; batch handlers add their exact
-    # scalar-equivalent counts, so the scalar/batch paths agree.
+    # Cumulative candidates offered to a row (one per delivered distance
+    # message) over the whole run — the ``heap.updates`` metric.  Never
+    # reset by :meth:`reset_iteration_scratch`.
     push_attempts: int = 0
 
-    # Pairs already neighbor-checked at this rank this iteration
-    # (``comm_opts.check_dedup``, Section 4.3.2 applied to compute).
-    check_seen: set = field(default_factory=set)
+    # Sorted ``u1 * n + u2`` keys of the pairs already neighbor-checked
+    # at this rank this iteration (``comm_opts.check_dedup``, Section
+    # 4.3.2 applied to compute).
+    check_seen: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    # Precomputed owner lookup: ``owner_of[gid]`` == partitioner.owner(gid)
-    # (one plain list of ints shared by a world's shards, see
-    # :func:`build_shards`).
-    owner_of: Any = None
+    # This iteration's Type 1 requests as ``(u1, u2)`` columns, built by
+    # the ``check_build`` section and shipped in chunks by ``check_emit``.
+    check_pairs: tuple = ()
 
-    # This iteration's full Type 1 emission list, built by the
-    # ``check_build`` section and shipped in chunks by ``check_emit``.
-    check_triples: list = field(default_factory=list)
-
-    # Optimization-phase scratch: per local vertex {neighbor: dist}.
-    merged: List[Dict[int, float]] = field(default_factory=list)
+    # Optimization-phase scratch: reversed edges received, as
+    # ``(rows, neighbor ids, dists)`` column chunks.
+    opt_edges: list = field(default_factory=list)
 
     @classmethod
     def build(cls, rank: int, partitioner: Partitioner, data: Any,
-              config: DNNDConfig, owner_of: list, paced: bool = False,
+              config: DNNDConfig, owner_of: np.ndarray, paced: bool = False,
               sanitizer: Any = None) -> "LocalShard":
         """Shard construction: copy ``rank``'s rows out of the dataset
-        view ``data`` and start every vertex with an empty heap."""
+        view ``data`` and start every vertex with an empty neighbor row."""
         metric = CountingMetric(config.nnd.metric, kernel=config.kernel)
-        gids = partitioner.local_ids(rank)
+        gids = np.asarray(partitioner.local_ids(rank), dtype=np.int64)
+        sizes = None
+        dense_bytes = 0
         if metric.sparse_input:
             feats = [data[int(g)] for g in gids]
-            dense_bytes = 0
+            sizes = np.array([f.nbytes for f in feats], dtype=np.int64)
         else:
             feats = np.ascontiguousarray(data[gids])
-            dense_bytes = (int(feats.shape[1] * feats.dtype.itemsize)
-                           if feats.size else 0)
+            if feats.size:
+                dense_bytes = int(feats.shape[1] * feats.dtype.itemsize)
         shard = cls(
             rank=rank, partitioner=partitioner, global_ids=gids,
-            local_index={int(g): i for i, g in enumerate(gids)},
-            features=feats, heaps=[], metric=metric, config=config,
-            data=data, sparse=metric.sparse_input,
-            feature_nbytes_dense=dense_bytes, paced=paced,
-            owner_of=owner_of)
+            features=feats, metric=metric, config=config, data=data,
+            owner_of=owner_of, sparse=metric.sparse_input,
+            feature_nbytes_dense=dense_bytes, feature_sizes=sizes,
+            paced=paced)
         shard.reset_heaps(sanitizer)
         return shard
 
@@ -181,18 +194,36 @@ class LocalShard:
         return len(self.global_ids)
 
     def local(self, gid: int) -> int:
-        try:
-            return self.local_index[int(gid)]
-        except KeyError:
+        """Row of a vertex this rank owns."""
+        return int(self.locals(np.array([gid]))[0])
+
+    def locals(self, gids: np.ndarray) -> np.ndarray:
+        """Rows of vertices this rank owns (:class:`PartitionError` for
+        one it does not)."""
+        own = self.global_ids
+        rows = np.searchsorted(own, gids)
+        if own.size:
+            np.minimum(rows, own.size - 1, out=rows)
+            foreign = own[rows] != gids
+        else:
+            foreign = np.ones(len(gids), dtype=bool)
+        if foreign.any():
+            gid = int(np.asarray(gids)[foreign][0])
             raise PartitionError(
                 f"vertex {gid} dereferenced on rank {self.rank}, "
-                f"owner is {self.partitioner.owner(int(gid))}"
-            ) from None
+                f"owner is {self.partitioner.owner(gid)}")
+        return rows
 
     def feature(self, gid: int):
         """Feature of a vertex this rank *owns* (:class:`PartitionError`
         otherwise)."""
         return self.features[self.local(gid)]
+
+    def own_rows(self, rows: np.ndarray):
+        """Own features by row, in the form :meth:`rows` returns."""
+        if self.sparse:
+            return [self.features[i] for i in rows.tolist()]
+        return self.features[rows]
 
     def row(self, gid: int):
         """Feature of *any* vertex, resolved from the dataset view — what
@@ -216,25 +247,42 @@ class LocalShard:
     def feature_nbytes(self, gid: int) -> int:
         """Wire size of one feature vector (Type 2 payload size)."""
         if self.sparse:
-            return int(self.features[self.local(gid)].nbytes)
+            return int(self.feature_sizes[self.local(gid)])
         return self.feature_nbytes_dense
+
+    def feature_message_bytes(self, rows: np.ndarray, extra: int = 0):
+        """Modeled size of the messages carrying the features of own
+        ``rows``: one int for dense rows, a per-message array for ragged
+        sparse records."""
+        if self.sparse:
+            return self.feature_sizes[rows] + (2 * ID_BYTES + extra)
+        return 2 * ID_BYTES + extra + self.feature_nbytes_dense
 
     def reset_iteration_scratch(self) -> None:
         self.new_lists = [[] for _ in range(self.n_local)]
         self.old_lists = [[] for _ in range(self.n_local)]
-        self.rev_new = [[] for _ in range(self.n_local)]
-        self.rev_old = [[] for _ in range(self.n_local)]
+        self.rev_new = []
+        self.rev_old = []
         self.update_count = 0
-        self.check_seen.clear()
+        self.check_seen = np.empty(0, dtype=np.int64)
 
     def reset_heaps(self, sanitizer: Any = None) -> None:
-        """Empty heaps for every local vertex, tagged with their owner
-        when the ownership sanitizer is on."""
-        self.heaps = [NeighborHeap(self.config.k)
-                      for _ in range(self.n_local)]
+        """Empty neighbor rows for every local vertex; the row views are
+        tagged with their owner when the ownership sanitizer is on."""
+        shape = (self.n_local, self.config.k)
+        self.ids = np.full(shape, EMPTY, dtype=np.int64)
+        self.dists = np.full(shape, np.inf, dtype=np.float64)
+        self.flags = np.zeros(shape, dtype=bool)
+        self.heaps = [NeighborHeap.view(*row)
+                      for row in zip(self.ids, self.dists, self.flags)]
         if sanitizer is not None:
             for heap in self.heaps:
                 tag_heap(heap, sanitizer, self.rank)
+
+    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every neighbor entry held, as ``(rows, ids, dists)`` columns."""
+        rows, slots = np.nonzero(self.ids != EMPTY)
+        return rows, self.ids[rows, slots], self.dists[rows, slots]
 
 
 def shard_of(ctx: RankContext) -> LocalShard:
@@ -245,12 +293,8 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
                  data: Any, config: DNNDConfig, paced: bool = False) -> None:
     """Build the shards of the ranks one world hosts (the driver: all of
     them; a process worker: the ranks it owns) over its dataset view."""
-    # One shared read-only owner table: owner_of[gid] == owner(gid),
-    # used by the batch handlers instead of per-message hash calls.
-    # Kept as a plain list: per-message indexing of a Python list is
-    # several times cheaper than a numpy scalar index + int().
-    owner_of = partitioner.owner_array(
-        np.arange(partitioner.n, dtype=np.int64)).tolist()
+    owner_of = np.asarray(partitioner.owner_array(
+        np.arange(partitioner.n, dtype=np.int64)), dtype=np.int64)
     for ctx in ctxs:
         ctx.state["shard"] = LocalShard.build(
             ctx.rank, partitioner, data, config, owner_of, paced=paced,
@@ -258,111 +302,91 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
 
 
 # ---------------------------------------------------------------------------
-# Emission: sections produce (dest, handler, args) triples, one helper
-# ships them
+# Emission
 # ---------------------------------------------------------------------------
 
 
-def batch_barrier(ctx: RankContext) -> None:
-    """Section 4.4: barrier every ``batch_size`` global requests.
-
-    Only on a *paced* world (the sim schedule): application-level batch
-    barriers exist to bound the simulated buffer memory between
-    supersteps, and a mid-phase barrier cannot be driven from a worker
-    that sees only its own ranks (process)."""
-    shard = shard_of(ctx)
-    bs = shard.config.batch_size
-    if shard.paced and bs and ctx.world.async_count_since_barrier >= bs:
-        ctx.world.barrier()
-
-
-def emit(ctx: RankContext, triples: list, nbytes: int, msg_type: str,
-         paced: bool = False) -> None:
-    """Ship ``(dest, handler, args)`` triples of uniform wire size from
-    ``ctx.rank`` — the one place the send side branches on
-    ``batch_exec``: one coalesced :meth:`YGMWorld.emit_run`, or the
-    scalar reference engine's per-message ``async_call`` loop.
+def emit(ctx: RankContext, dests: np.ndarray, handler: str, columns: tuple,
+         nbytes, msg_type: str, paced: bool = False) -> None:
+    """:meth:`YGMWorld.emit_run` from ``ctx.rank``, with Section 4.4's
+    application-level batching for the handler-silent phases.
 
     ``paced`` marks phases whose handlers emit nothing (reverse,
     opt_rev): there the async count between barriers only grows by these
-    emissions, one per message, so on a paced world the run is cut into
-    blocks sized to hit the Section 4.4 barrier at exactly the message
-    index a per-message loop with a per-message :func:`batch_barrier`
-    reaches it."""
+    emissions, so on a *paced* world (the inline sim: batch barriers
+    bound the simulated buffer memory between supersteps, and a worker
+    that sees only its own ranks cannot drive a mid-phase barrier) the
+    run is cut to take a barrier every ``batch_size`` global requests."""
     shard = shard_of(ctx)
     world = ctx.world
-    rank = ctx.rank
     bs = shard.config.batch_size
-    paced = bool(paced and shard.paced and bs)
-    if not shard.config.batch_exec:
-        for dest, handler, args in triples:
-            world.async_call(rank, dest, handler, *args,
-                             nbytes=nbytes, msg_type=msg_type)
-            if paced:
-                batch_barrier(ctx)
-    elif not paced:
-        world.emit_run(rank, triples, nbytes, msg_type)
-    else:
-        i = 0
-        while i < len(triples):
-            room = max(1, bs - world.async_count_since_barrier)
-            world.emit_run(rank, triples[i:i + room], nbytes, msg_type)
-            i += room
-            batch_barrier(ctx)
+    if not (paced and shard.paced and bs):
+        world.emit_run(ctx.rank, dests, handler, columns, nbytes, msg_type)
+        return
+    uniform = isinstance(nbytes, int)
+    i = 0
+    while i < len(dests):
+        j = i + max(1, bs - world.async_count_since_barrier)
+        world.emit_run(ctx.rank, dests[i:j], handler,
+                       tuple(col[i:j] for col in columns),
+                       nbytes if uniform else nbytes[i:j], msg_type)
+        i = j
+        if world.async_count_since_barrier >= bs:
+            world.barrier()
 
 
-# ---------------------------------------------------------------------------
-# Per-vertex generators: what one local vertex sends in a phase.  The sim
-# driver interleaves them across ranks (SPMD ranks progressing through
-# their vertices together); process workers run them rank-major inside
-# the sections below.
-# ---------------------------------------------------------------------------
+def _flatten(lists: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row lists as ``(lengths, concatenated values)``."""
+    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    return lengths, np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                                count=int(lengths.sum()))
 
 
-def init_requests(shard: LocalShard, li: int) -> Tuple[list, int]:
-    """Algorithm 1 lines 2-5 for local vertex ``li``: its ``init_req``
-    triples and their wire size.  Candidates are keyed by vertex id (not
-    rank), so the draw is the same on every cluster shape and replays
-    identically after a crash or in the degraded-repair pass."""
-    cfg = shard.config.nnd
-    n = shard.partitioner.n
-    v = int(shard.global_ids[li])
-    rng = derive_rng(cfg.seed, 2, v)
-    cand = sample_without_replacement(rng, n, min(n - 1, cfg.k + 2))
-    cand = cand[cand != v][:cfg.k]
-    owner = shard.owner_of
-    return ([(owner[u], "init_req", (v, u)) for u in cand.tolist()],
-            2 * ID_BYTES + shard.feature_nbytes(v))
+def _sorted_lists(values: np.ndarray, mask: np.ndarray) -> List[List[int]]:
+    """Per row of the ``(n, k)`` matrix: the masked values, ascending."""
+    keyed = np.where(mask, values, np.iinfo(np.int64).max)
+    keyed.sort(axis=1)
+    return [row[:n] for row, n in zip(keyed.tolist(),
+                                      mask.sum(axis=1).tolist())]
 
 
-def type1_triples(shard: LocalShard, li: int) -> list:
-    """Algorithm 1 lines 17-22 for local vertex ``li``: the Type 1
-    neighbor-check requests among its new/old candidates — each
-    new-new pair once, every new-old pair; both endpoints are asked
-    under the unoptimized two-sided pattern."""
-    one_sided = shard.config.comm_opts.one_sided
-    handler = "check_opt" if one_sided else "check_unopt"
-    owner = shard.owner_of
-    new_c = shard.new_lists[li]
-    old_c = shard.old_lists[li]
-    triples: list = []
-    append = triples.append
-    for i, u1 in enumerate(new_c):
-        o1 = owner[u1]
-        for u2 in new_c[i + 1:] + old_c:
-            if u1 != u2:
-                append((o1, handler, (u1, u2)))
-                if not one_sided:
-                    append((owner[u2], handler, (u2, u1)))
-    return triples
+def _chunk_lists(chunks: list, n_rows: int) -> List[List[int]]:
+    """``(rows, values)`` column chunks as one ascending list per row."""
+    if not chunks:
+        return [[] for _ in range(n_rows)]
+    rows, values = (np.concatenate(col) for col in zip(*chunks))
+    values = values[np.lexsort((values, rows))].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def init_vertex(ctx: RankContext, li: int) -> None:
-    emit(ctx, *init_requests(shard_of(ctx), li), "init_req")
+def type1_pairs(new_lists: List[List[int]], old_lists: List[List[int]],
+                one_sided: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 lines 17-22 for every vertex at once: the ``(u1, u2)``
+    neighbor-check requests among each vertex's new/old candidates —
+    each new-new pair once, every new-old pair; both endpoints are asked
+    under the unoptimized two-sided pattern.
 
-
-def check_vertex(ctx: RankContext, li: int) -> None:
-    emit(ctx, type1_triples(shard_of(ctx), li), 2 * ID_BYTES, T1)
+    Per vertex the candidates form one sequence ``new ++ old``; every
+    new entry pairs with everything after it."""
+    n_new = np.fromiter(map(len, new_lists), dtype=np.int64,
+                        count=len(new_lists))
+    n_all, cands = _flatten([new + old
+                             for new, old in zip(new_lists, old_lists)])
+    # One "left" per new entry: its slot in ``cands`` and how many
+    # candidates of the same vertex follow it.
+    vertex = np.repeat(np.arange(len(new_lists)), n_new)
+    index = np.arange(len(vertex)) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+    left = (np.cumsum(n_all) - n_all)[vertex] + index
+    after = n_all[vertex] - 1 - index
+    left = np.repeat(left, after)
+    step = np.arange(len(left)) - np.repeat(np.cumsum(after) - after, after)
+    u1, u2 = cands[left], cands[left + 1 + step]
+    distinct = u1 != u2
+    u1, u2 = u1[distinct], u2[distinct]
+    if one_sided:
+        return u1, u2
+    return np.concatenate([u1, u2]), np.concatenate([u2, u1])
 
 
 # ---------------------------------------------------------------------------
@@ -372,61 +396,83 @@ def check_vertex(ctx: RankContext, li: int) -> None:
 
 
 def init(ctx: RankContext) -> None:
-    """Algorithm 1 lines 2-5 via the Section 4.1 async pattern."""
-    for li in range(shard_of(ctx).n_local):
-        init_vertex(ctx, li)
+    """Algorithm 1 lines 2-5 via the Section 4.1 async pattern.
+    Candidates are keyed by vertex id (not rank), so the draw is the same
+    on every cluster shape and replays identically after a crash or in
+    the degraded-repair pass."""
+    shard = shard_of(ctx)
+    cfg = shard.config.nnd
+    n = shard.partitioner.n
+    picks = []
+    for v in shard.global_ids.tolist():
+        rng = derive_rng(cfg.seed, 2, v)
+        cand = sample_without_replacement(rng, n, min(n - 1, cfg.k + 2))
+        picks.append(cand[cand != v][:cfg.k])
+    if not picks:
+        return
+    rows = np.repeat(np.arange(shard.n_local), [len(p) for p in picks])
+    u = np.concatenate(picks)
+    emit(ctx, shard.owner_of[u], "init_req", (shard.global_ids[rows], u),
+         shard.feature_message_bytes(rows), "init_req")
 
 
 def sample(ctx: RankContext, iteration: int) -> None:
     """Local old/new sampling (lines 8-10): no communication.
 
     RNG streams are keyed by *vertex id* (not rank), and candidate lists
-    are canonicalized before sampling, so the constructed graph is
-    bit-identical across cluster shapes — the paper's "same quality
-    graphs regardless of the number of compute nodes" observation,
-    strengthened to exact reproducibility."""
+    are canonicalized (sorted) before sampling, so the draw does not
+    depend on the cluster shape or on a row's slot order — the paper's
+    "same quality graphs regardless of the number of compute nodes"
+    observation."""
     shard = shard_of(ctx)
     cfg = shard.config.nnd
     sample_n = cfg.sample_size
-    charge = ctx.world.cluster.ledger.enabled
     shard.reset_iteration_scratch()
-    for li in range(shard.n_local):
-        heap = shard.heaps[li]
-        shard.old_lists[li] = sorted(heap.old_ids())
-        fresh = sorted(heap.new_ids())
-        if len(fresh) > sample_n:
-            # Derived lazily: the stream is only consumed on this
-            # branch, so skipping creation otherwise is stream-exact
-            # (SeedSequence mixing is ~10us).
-            rng = derive_rng(cfg.seed, 3, iteration,
-                             int(shard.global_ids[li]))
-            pick = sample_without_replacement(rng, len(fresh), sample_n)
-            sampled = [fresh[int(i)] for i in pick]
-        else:
-            sampled = fresh
-        heap.mark_old_many(sampled)
-        shard.new_lists[li] = sampled
-        if charge:
-            ctx.charge_update(len(sampled) + len(shard.old_lists[li]))
+    held = shard.ids != EMPTY
+    is_new = held & shard.flags
+    shard.old_lists = _sorted_lists(shard.ids, held & ~shard.flags)
+    fresh = _sorted_lists(shard.ids, is_new)
+    crowded = np.flatnonzero(is_new.sum(axis=1) > sample_n)
+    taken = np.empty((len(crowded), sample_n), dtype=np.int64)
+    for i, li in enumerate(crowded.tolist()):
+        rng = derive_rng(cfg.seed, 3, iteration, int(shard.global_ids[li]))
+        pick = sample_without_replacement(rng, len(fresh[li]), sample_n)
+        taken[i] = np.array(fresh[li])[pick]
+        fresh[li] = taken[i].tolist()
+    # Line 10: what was taken is old from now on — every new entry of an
+    # uncrowded row, the sampled ones of a crowded row.
+    stays_new = ~(shard.ids[crowded][:, :, None] == taken[:, None, :]).any(axis=2)
+    stays_new &= shard.flags[crowded]
+    shard.flags[:] = False
+    shard.flags[crowded] = stays_new
+    shard.new_lists = fresh
+    ctx.charge_update(sum(map(len, fresh)) + sum(map(len, shard.old_lists)))
+
+
+def _reversed_entries(shard: LocalShard, lists: List[List[int]],
+                      rng) -> Tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` for every entry ``u`` of vertex ``v``'s list, in the
+    shuffled order ``rng`` draws (Section 4.2: no synchronized bursts at
+    one rank), or list order without one."""
+    lengths, u = _flatten(lists)
+    v = np.repeat(shard.global_ids, lengths)
+    if rng is None:
+        return u, v
+    order = rng.permutation(len(u))
+    return u[order], v[order]
 
 
 def reverse(ctx: RankContext, iteration: int) -> None:
     """Reversed-matrix exchange (Section 4.2)."""
     shard = shard_of(ctx)
-    owner = shard.owner_of
-    outgoing: list = []
-    append = outgoing.append
-    for li in range(shard.n_local):
-        v = int(shard.global_ids[li])
-        for u in shard.new_lists[li]:
-            append((owner[u], "rev_new", (u, v)))
-        for u in shard.old_lists[li]:
-            append((owner[u], "rev_old", (u, v)))
-    if shard.config.shuffle_reverse_destinations and len(outgoing) > 1:
-        rng = derive_rng(shard.config.nnd.seed, 4, iteration, ctx.rank)
-        order = rng.permutation(len(outgoing))
-        outgoing = [outgoing[int(i)] for i in order]
-    emit(ctx, outgoing, 2 * ID_BYTES, "reverse", paced=True)
+    rng = (derive_rng(shard.config.nnd.seed, 4, iteration, ctx.rank)
+           if shard.config.shuffle_reverse_destinations else None)
+    u, v = _reversed_entries(shard, shard.new_lists, rng)
+    emit(ctx, shard.owner_of[u], "rev_new", (u, v), 2 * ID_BYTES, "reverse",
+         paced=True)
+    u, v = _reversed_entries(shard, shard.old_lists, rng)
+    emit(ctx, shard.owner_of[u], "rev_old", (u, v), 2 * ID_BYTES, "reverse",
+         paced=True)
 
 
 def union(ctx: RankContext, iteration: int) -> None:
@@ -438,12 +484,11 @@ def union(ctx: RankContext, iteration: int) -> None:
     shard = shard_of(ctx)
     cfg = shard.config.nnd
     sample_n = cfg.sample_size
-    for li in range(shard.n_local):
-        rn = sorted(shard.rev_new[li])
-        ro = sorted(shard.rev_old[li])
-        # Lazy derivation, as in the sample phase: creation does not
-        # consume the stream, and draws (when any) happen in the same
-        # order as with eager creation, so this is stream-exact.
+    rev_new = _chunk_lists(shard.rev_new, shard.n_local)
+    rev_old = _chunk_lists(shard.rev_old, shard.n_local)
+    for li, (rn, ro) in enumerate(zip(rev_new, rev_old)):
+        # Derived lazily: the stream is only consumed when a list is
+        # sub-sampled, and SeedSequence mixing is ~10us.
         rng = (derive_rng(cfg.seed, 5, iteration, int(shard.global_ids[li]))
                if len(rn) > sample_n or len(ro) > sample_n else None)
         shard.new_lists[li] = _union_with_sample(
@@ -453,28 +498,28 @@ def union(ctx: RankContext, iteration: int) -> None:
 
 
 def check_build(ctx: RankContext) -> int:
-    """Neighbor checks off the sim schedule, step 1: build the rank's
-    full Type 1 emission list (pair generation reads only
-    iteration-start new/old lists, so it can run without interleaving);
-    returns its length.  Step 2 is :func:`check_emit`, driven in global
-    chunks of ~``batch_size`` with a barrier between chunks — the
-    Section 4.4 application-level batching.  The interleave matters for
+    """Neighbor checks, step 1: build the rank's Type 1 requests (pair
+    generation reads only iteration-start new/old lists); returns their
+    number.  Step 2 is :func:`check_emit`, driven in global chunks of
+    ~``batch_size`` with a barrier between chunks — the Section 4.4
+    application-level batching.  The chunking matters for
     *communication volume*, not just memory: the redundancy check and
-    the distance-pruning bound read heap state at delivery time, so a
+    the distance-pruning bound read row state at delivery time, so a
     chunk's Type 3 feedback tightens the bounds seen by the next chunk.
     Emitting a whole iteration up front triples the Type 3 traffic
     (measured at n=2000: 176k vs 48k replies)."""
     shard = shard_of(ctx)
-    shard.check_triples = triples = []
-    for li in range(shard.n_local):
-        triples.extend(type1_triples(shard, li))
-    return len(triples)
+    shard.check_pairs = type1_pairs(shard.new_lists, shard.old_lists,
+                                    shard.config.comm_opts.one_sided)
+    return len(shard.check_pairs[0])
 
 
 def check_emit(ctx: RankContext, start: int, stop: int) -> None:
-    part = shard_of(ctx).check_triples[start:stop]
-    if part:
-        emit(ctx, part, 2 * ID_BYTES, T1)
+    shard = shard_of(ctx)
+    u1, u2 = (col[start:stop] for col in shard.check_pairs)
+    emit(ctx, shard.owner_of[u1],
+         "check_opt" if shard.config.comm_opts.one_sided else "check_unopt",
+         (u1, u2), 2 * ID_BYTES, T1)
 
 
 def repair_reset(ctx: RankContext, ranks: List[int]) -> None:
@@ -495,44 +540,31 @@ def repair_reinit(ctx: RankContext, ranks: List[int]) -> None:
 
 def repair_donate(ctx: RankContext, ranks: List[int]) -> None:
     """Degraded-repair stage 3: surviving ranks push the edges they
-    already hold that land on repaired vertices."""
+    already hold that land on repaired vertices — u's neighbor list died
+    with its rank; the survivor donates the reverse edge ``(u, v)``."""
     if ctx.rank in ranks:
         return
     shard = shard_of(ctx)
-    owner = shard.owner_of
-    triples = []
-    for li in range(shard.n_local):
-        v = int(shard.global_ids[li])
-        for u, d, _flag in shard.heaps[li].entries():
-            if owner[u] in ranks:
-                # u's neighbor list died with its rank; the survivor
-                # donates the reverse edge (u, v).
-                triples.append((owner[u], "init_resp", (u, v, d)))
-    emit(ctx, triples, 2 * ID_BYTES + DIST_BYTES, "init_resp")
+    rows, u, d = shard.edges()
+    lost = np.isin(shard.owner_of[u], ranks)
+    rows, u, d = rows[lost], u[lost], d[lost]
+    emit(ctx, shard.owner_of[u], "init_resp", (u, shard.global_ids[rows], d),
+         2 * ID_BYTES + DIST_BYTES, "init_resp")
 
 
 def opt_seed(ctx: RankContext) -> None:
-    """Section 4.5 stage 1a: seed local merge maps with forward edges."""
-    shard = shard_of(ctx)
-    shard.merged = [dict() for _ in range(shard.n_local)]
-    for li in range(shard.n_local):
-        bucket = shard.merged[li]
-        for u, d, _flag in shard.heaps[li].entries():
-            prev = bucket.get(u)
-            if prev is None or d < prev:
-                bucket[u] = d
+    """Section 4.5 stage 1a: start the reverse-merge with no reversed
+    edges received (the forward edges are the rows themselves)."""
+    shard_of(ctx).opt_edges = []
 
 
 def opt_rev(ctx: RankContext) -> None:
     """Section 4.5 stage 1b: ship reversed edges to their owners."""
     shard = shard_of(ctx)
-    owner = shard.owner_of
-    triples = []
-    for li in range(shard.n_local):
-        v = int(shard.global_ids[li])
-        for u, d, _flag in shard.heaps[li].entries():
-            triples.append((owner[u], "opt_rev_edge", (u, v, d)))
-    emit(ctx, triples, 2 * ID_BYTES + 4, "opt_rev", paced=True)
+    rows, u, d = shard.edges()
+    emit(ctx, shard.owner_of[u], "opt_rev_edge",
+         (u, shard.global_ids[rows], d), 2 * ID_BYTES + 4, "opt_rev",
+         paced=True)
 
 
 #: The SPMD sections by name — the table the driver's ``_run_section``
@@ -559,59 +591,62 @@ SECTIONS: Dict[str, Callable[..., Any]] = {
 
 
 def ckpt_get(ctx: RankContext) -> tuple:
-    """Snapshot raw heap state as ``(global_ids, ids, dists, flags)`` in
-    *heap order* — slot order feeds the keyed sampling, so exact
-    restoration makes a resumed build bit-identical to an uninterrupted
-    one."""
+    """Snapshot the neighbor rows as ``(global_ids, ids, dists, flags)``.
+    Slot order carries no meaning beyond the row invariant (sampling
+    sorts ids first), so any valid layout of the same entries resumes to
+    the same build."""
     shard = shard_of(ctx)
-    k = shard.config.k
-    ids = np.full((shard.n_local, k), -1, dtype=np.int64)
-    dists = np.full((shard.n_local, k), np.inf, dtype=np.float64)
-    flags = np.zeros((shard.n_local, k), dtype=bool)
-    for li, heap in enumerate(shard.heaps):
-        ids[li] = heap.ids
-        dists[li] = heap.dists
-        flags[li] = heap.flags
-    return np.asarray(shard.global_ids, dtype=np.int64), ids, dists, flags
+    return (shard.global_ids, shard.ids.copy(), shard.dists.copy(),
+            shard.flags.copy())
 
 
 def ckpt_set(ctx: RankContext, ids: np.ndarray, dists: np.ndarray,
              flags: np.ndarray) -> None:
-    """Restore the rank's heaps from its rows of a :func:`ckpt_get`
-    snapshot (row ``i`` belongs to ``global_ids[i]``)."""
+    """Restore the rank's neighbor rows from its rows of a
+    :func:`ckpt_get` snapshot (row ``i`` belongs to ``global_ids[i]``)."""
     shard = shard_of(ctx)
-    if ids.shape != (shard.n_local, shard.config.k):
+    if ids.shape != shard.ids.shape:
         raise StoreError(
             f"checkpoint slice shape {ids.shape} does not match rank "
-            f"{ctx.rank} shard ({shard.n_local}, {shard.config.k})")
-    for li, heap in enumerate(shard.heaps):
-        try:
-            heap.load_state(ids[li], dists[li], flags[li])
-        except GraphError as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint row of vertex {int(shard.global_ids[li])} is "
-                f"not a valid neighbor heap: {exc}") from exc
+            f"{ctx.rank} shard {shard.ids.shape}")
+    broken = check_rows(ids, dists)
+    if broken is not None:
+        raise CheckpointCorruptError(
+            f"checkpoint row of vertex {int(shard.global_ids[broken[0]])} "
+            f"is not a valid neighbor heap: {broken[1]}")
+    shard.ids[:] = ids
+    shard.dists[:] = dists
+    shard.flags[:] = flags
 
 
-def gather_rows(ctx: RankContext) -> list:
-    """``(gid, ids, dists)`` per local vertex, sorted by distance."""
+def gather_rows(ctx: RankContext) -> tuple:
+    """``(global_ids, ids, dists)`` with every row sorted closest first."""
     shard = shard_of(ctx)
-    rows = []
-    for li, heap in enumerate(shard.heaps):
-        row_ids, row_dists, _ = heap.sorted_arrays()
-        rows.append((int(shard.global_ids[li]), row_ids, row_dists))
-    return rows
+    order = np.lexsort((shard.ids, shard.dists), axis=1)
+    return (shard.global_ids, np.take_along_axis(shard.ids, order, axis=1),
+            np.take_along_axis(shard.dists, order, axis=1))
 
 
 def opt_collect(ctx: RankContext, max_degree: int) -> Dict[int, list]:
-    """Section 4.5 stage 2: prune each merged list to ``max_degree``."""
+    """Section 4.5 stage 2: merge each vertex's forward and reversed
+    edges (closest copy of a repeated neighbor) and prune the list to
+    its ``max_degree`` closest."""
     shard = shard_of(ctx)
-    out = {}
-    for li in range(shard.n_local):
-        lst = sorted(shard.merged[li].items(), key=lambda t: (t[1], t[0]))
-        out[int(shard.global_ids[li])] = lst[:max_degree]
-        ctx.charge_update(len(lst))
-    return out
+    rows, nbr, d = (np.concatenate(col)
+                    for col in zip(shard.edges(), *shard.opt_edges))
+    order = np.lexsort((d, nbr, rows))
+    rows, nbr, d = rows[order], nbr[order], d[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (nbr[1:] != nbr[:-1])
+    rows, nbr, d = rows[first], nbr[first], d[first]
+    ctx.charge_update(len(rows))
+    order = np.lexsort((nbr, d, rows))
+    edges = list(zip(nbr[order].tolist(), d[order].tolist()))
+    counts = np.bincount(rows, minlength=shard.n_local)
+    starts = (np.cumsum(counts) - counts).tolist()
+    return {gid: edges[a:a + min(n, max_degree)]
+            for gid, a, n in zip(shard.global_ids.tolist(), starts,
+                                 counts.tolist())}
 
 
 def shard_totals(ctx: RankContext) -> Tuple[int, int, int, int, int]:
@@ -634,542 +669,198 @@ SHARD_OPS: Dict[str, Callable[..., Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Initialization handlers (Section 4.1 communication example)
+# Message handlers.  Each is *columnar*: it receives a contiguous run of
+# its messages as one array per argument (a lone message is a one-row
+# run) and works on the shard matrices in array operations.  The result
+# of a run does not depend on the order of its rows: neighbor updates go
+# through ``merge_rows`` (rows keep the k smallest ``(dist, id)``), and
+# checks that read row state (redundancy, pruning bound) read it once,
+# before the run's own updates.  Modeled compute is charged as
+# ``count x cost``.
 # ---------------------------------------------------------------------------
 
 
-def h_init_request(ctx: RankContext, v_gid: int, u_gid: int) -> None:
+def _evaluate(ctx: RankContext, shard: LocalShard, A, B,
+              foreign) -> np.ndarray:
+    """Paired distances ``theta(A[i], B[i])`` through the counted rowwise
+    kernel, charged to the rank's clock at the dimension of the
+    ``foreign`` side (the features the messages carried)."""
+    d = np.asarray(shard.metric.rowwise(A, B), dtype=np.float64)
+    if ctx.world.cluster.ledger.enabled:
+        if shard.sparse:  # ragged records: each at its own length
+            net = ctx.world.cluster.net
+            ctx.charge_compute(sum(net.distance_cost(len(f))
+                                   for f in foreign))
+        else:
+            ctx.charge_distance(int(foreign.shape[1]), len(d))
+    return d
+
+
+def _offer(ctx: RankContext, shard: LocalShard, rows: np.ndarray,
+           cand: np.ndarray, d: np.ndarray) -> int:
+    """Offer candidates to their rows as *new* entries; returns how many
+    got in."""
+    shard.push_attempts += len(rows)
+    ctx.charge_update(len(rows))
+    return merge_rows(shard.ids, shard.dists, shard.flags, rows, cand, d)
+
+
+def _unchecked(shard: LocalShard, a: np.ndarray,
+               b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``comm_opts.check_dedup``: the distinct ``(a, b)`` pairs not yet
+    checked at this rank this iteration — many center vertices propose
+    the same pair, and repeating an exchange cannot change any row —
+    remembering them as checked."""
+    keys, first = np.unique(a * shard.partitioner.n + b, return_index=True)
+    seen = shard.check_seen
+    at = np.searchsorted(seen, keys)
+    if seen.size:
+        fresh = seen[np.minimum(at, seen.size - 1)] != keys
+        keys, first, at = keys[fresh], first[fresh], at[fresh]
+    shard.check_seen = np.insert(seen, at, keys)
+    return a[first], b[first]
+
+
+# -- initialization (Section 4.1 communication example) ----------------------
+
+
+def h_init_req(ctx: RankContext, v: np.ndarray, u: np.ndarray) -> None:
     """Runs at owner(u): compute theta(v, u), reply with the distance."""
     shard = shard_of(ctx)
-    v_feature = shard.row(v_gid)
-    d = shard.metric(v_feature, shard.feature(u_gid))
-    ctx.charge_distance(_dim_of(v_feature))
-    ctx.async_call(
-        shard.owner(v_gid), "init_resp", v_gid, u_gid, d,
-        nbytes=2 * ID_BYTES + DIST_BYTES, msg_type="init_resp",
-    )
+    features = shard.rows(v)
+    d = _evaluate(ctx, shard, features, shard.own_rows(shard.locals(u)),
+                  features)
+    ctx.world.emit_run(ctx.rank, shard.owner_of[v], "init_resp", (v, u, d),
+                       2 * ID_BYTES + DIST_BYTES, "init_resp")
 
 
-def h_init_response(ctx: RankContext, v_gid: int, u_gid: int, d: float) -> None:
+def h_init_resp(ctx: RankContext, v: np.ndarray, u: np.ndarray,
+                d: np.ndarray) -> None:
     """Runs at owner(v): record the initial neighbor."""
     shard = shard_of(ctx)
-    shard.push_attempts += 1
-    shard.heap(v_gid).checked_push(int(u_gid), float(d), True)
-    ctx.charge_update()
+    _offer(ctx, shard, shard.locals(v), u, d)
 
 
-# ---------------------------------------------------------------------------
-# Reverse-matrix handlers (Section 4.2)
-# ---------------------------------------------------------------------------
+# -- reverse matrices (Section 4.2) ---------------------------------------------
 
 
-def h_reverse_new(ctx: RankContext, u_gid: int, v_gid: int) -> None:
-    """Runs at owner(u): u gained a reversed *new* entry v."""
+def h_rev_new(ctx: RankContext, u: np.ndarray, v: np.ndarray) -> None:
+    """Runs at owner(u): u gained reversed *new* entries v."""
     shard = shard_of(ctx)
-    shard.rev_new[shard.local(u_gid)].append(int(v_gid))
+    shard.rev_new.append((shard.locals(u), v))
 
 
-def h_reverse_old(ctx: RankContext, u_gid: int, v_gid: int) -> None:
+def h_rev_old(ctx: RankContext, u: np.ndarray, v: np.ndarray) -> None:
     shard = shard_of(ctx)
-    shard.rev_old[shard.local(u_gid)].append(int(v_gid))
+    shard.rev_old.append((shard.locals(u), v))
 
 
-# ---------------------------------------------------------------------------
-# Neighbor-check handlers — unoptimized pattern (Figure 1a)
-# ---------------------------------------------------------------------------
+# -- neighbor checks, unoptimized pattern (Figure 1a) ---------------------------
 
 
-def h_check_request_unopt(ctx: RankContext, target_gid: int, other_gid: int) -> None:
+def h_check_unopt(ctx: RankContext, target: np.ndarray,
+                  other: np.ndarray) -> None:
     """Runs at owner(target): Type 1 received; ship target's feature
     (Type 2) to the other endpoint."""
     shard = shard_of(ctx)
     if shard.config.comm_opts.check_dedup:
-        pair = (int(target_gid), int(other_gid))
-        if pair in shard.check_seen:
-            # This exact exchange already happened this iteration (many
-            # center vertices propose the same pair); repeating it
-            # cannot change any heap.
-            return
-        shard.check_seen.add(pair)
-    ctx.async_call(
-        shard.owner(other_gid), "feature_unopt", other_gid, target_gid,
-        nbytes=2 * ID_BYTES + shard.feature_nbytes(target_gid), msg_type=T2,
-    )
+        target, other = _unchecked(shard, target, other)
+    ctx.world.emit_run(
+        ctx.rank, shard.owner_of[other], "feature_unopt", (other, target),
+        shard.feature_message_bytes(shard.locals(target)), T2)
 
 
-def h_feature_unopt(ctx: RankContext, recv_gid: int, sender_gid: int) -> None:
+def h_feature_unopt(ctx: RankContext, recv: np.ndarray,
+                    sender: np.ndarray) -> None:
     """Runs at owner(recv): Type 2 received; compute the distance and
-    update recv's own heap (both directions happen symmetrically)."""
+    update recv's own row (both directions happen symmetrically)."""
     shard = shard_of(ctx)
-    feature = shard.row(sender_gid)
-    d = shard.metric(shard.feature(recv_gid), feature)
-    ctx.charge_distance(_dim_of(feature))
-    shard.push_attempts += 1
-    shard.update_count += shard.heap(recv_gid).checked_push(int(sender_gid), float(d), True)
-    ctx.charge_update()
+    rows = shard.locals(recv)
+    features = shard.rows(sender)
+    d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
+    shard.update_count += _offer(ctx, shard, rows, sender, d)
 
 
-# ---------------------------------------------------------------------------
-# Neighbor-check handlers — optimized pattern (Figure 1b)
-# ---------------------------------------------------------------------------
+# -- neighbor checks, optimized pattern (Figure 1b) ------------------------------
 
 
-def h_check_request_opt(ctx: RankContext, u1_gid: int, u2_gid: int) -> None:
+def h_check_opt(ctx: RankContext, u1: np.ndarray, u2: np.ndarray) -> None:
     """Runs at owner(u1): Type 1 received (one-sided, Section 4.3.1)."""
     shard = shard_of(ctx)
     opts = shard.config.comm_opts
     if opts.check_dedup:
-        pair = (int(u1_gid), int(u2_gid))
-        if pair in shard.check_seen:
-            # Already checked this iteration: a repeated checked_push of
-            # the same (id, distance) is always rejected, so skipping
-            # the whole exchange is output-invariant.
-            return
-        shard.check_seen.add(pair)
-    heap1 = shard.heap(u1_gid)
-    if opts.redundancy_check and int(u2_gid) in heap1:
+        u1, u2 = _unchecked(shard, u1, u2)
+    rows = shard.locals(u1)
+    if opts.redundancy_check:
         # Section 4.3.2: the pair is already adjacent; the whole
         # Type 2+/Type 3 exchange would be wasted.
-        return
+        apart = ~(shard.ids[rows] == u2[:, None]).any(axis=1)
+        u1, u2, rows = u1[apart], u2[apart], rows[apart]
     if opts.distance_pruning:
-        bound = heap1.worst_distance()
-        extra = DIST_BYTES  # the attached bound, "negligible in size"
-        msg_type = T2P
+        # Section 4.3.3: attach u1's worst-neighbor distance ("negligible
+        # in size").
+        bound, extra, msg_type = shard.dists[rows, 0], DIST_BYTES, T2P
     else:
-        bound = np.inf
-        extra = 0
-        msg_type = T2
-    ctx.async_call(
-        shard.owner(u2_gid), "feature_opt", u2_gid, u1_gid, bound,
-        nbytes=2 * ID_BYTES + shard.feature_nbytes(u1_gid) + extra,
-        msg_type=msg_type,
-    )
+        bound, extra, msg_type = np.full(len(u1), np.inf), 0, T2
+    ctx.world.emit_run(
+        ctx.rank, shard.owner_of[u2], "feature_opt", (u2, u1, bound),
+        shard.feature_message_bytes(rows, extra), msg_type)
 
 
-def h_feature_opt(ctx: RankContext, u2_gid: int, u1_gid: int, bound: float) -> None:
+def h_feature_opt(ctx: RankContext, u2: np.ndarray, u1: np.ndarray,
+                  bound: np.ndarray) -> None:
     """Runs at owner(u2): Type 2+/2 received; compute once, update u2's
-    heap locally, and reply (Type 3) only when useful."""
+    row locally, and reply (Type 3) only when useful."""
     shard = shard_of(ctx)
     opts = shard.config.comm_opts
-    heap2 = shard.heap(u2_gid)
-    if opts.redundancy_check and int(u1_gid) in heap2:
+    rows = shard.locals(u2)
+    if opts.redundancy_check:
         # Section 4.3.2 applied on the u2 side before Type 3.
+        apart = ~(shard.ids[rows] == u1[:, None]).any(axis=1)
+        u2, u1, bound, rows = u2[apart], u1[apart], bound[apart], rows[apart]
+    if not len(rows):
         return
-    feature = shard.row(u1_gid)
-    d = shard.metric(shard.feature(u2_gid), feature)
-    ctx.charge_distance(_dim_of(feature))
-    shard.push_attempts += 1
-    shard.update_count += heap2.checked_push(int(u1_gid), float(d), True)
-    ctx.charge_update()
-    if opts.distance_pruning and d >= bound:
+    features = shard.rows(u1)
+    d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
+    shard.update_count += _offer(ctx, shard, rows, u1, d)
+    if opts.distance_pruning:
         # Section 4.3.3: u1 could not accept this distance anyway.
-        return
-    ctx.async_call(
-        shard.owner(u1_gid), "distance_reply", u1_gid, u2_gid, d,
-        nbytes=2 * ID_BYTES + DIST_BYTES, msg_type=T3,
-    )
+        useful = d < bound
+        u1, u2, d = u1[useful], u2[useful], d[useful]
+    ctx.world.emit_run(ctx.rank, shard.owner_of[u1], "distance_reply",
+                       (u1, u2, d), 2 * ID_BYTES + DIST_BYTES, T3)
 
 
-def h_distance_reply(ctx: RankContext, u1_gid: int, u2_gid: int, d: float) -> None:
-    """Runs at owner(u1): Type 3 received; update u1's heap."""
+def h_distance_reply(ctx: RankContext, u1: np.ndarray, u2: np.ndarray,
+                     d: np.ndarray) -> None:
+    """Runs at owner(u1): Type 3 received; update u1's row."""
     shard = shard_of(ctx)
-    shard.push_attempts += 1
-    shard.update_count += shard.heap(u1_gid).checked_push(int(u2_gid), float(d), True)
-    ctx.charge_update()
+    shard.update_count += _offer(ctx, shard, shard.locals(u1), u2, d)
 
 
-# ---------------------------------------------------------------------------
-# Graph-optimization handlers (Section 4.5)
-# ---------------------------------------------------------------------------
+# -- graph optimization (Section 4.5) ---------------------------------------------
 
 
-def h_opt_reverse_edge(ctx: RankContext, u_gid: int, v_gid: int, d: float) -> None:
-    """Runs at owner(u): merge the reversed edge u -> v."""
+def h_opt_rev_edge(ctx: RankContext, u: np.ndarray, v: np.ndarray,
+                   d: np.ndarray) -> None:
+    """Runs at owner(u): receive the reversed edges u -> v."""
     shard = shard_of(ctx)
-    bucket = shard.merged[shard.local(u_gid)]
-    v = int(v_gid)
-    prev = bucket.get(v)
-    if prev is None or d < prev:
-        bucket[v] = float(d)
-    ctx.charge_update()
+    shard.opt_edges.append((shard.locals(u), v, d))
+    ctx.charge_update(len(u))
 
 
-# ---------------------------------------------------------------------------
-# Batch handler variants (vectorized batch execution engine)
-#
-# Each ``h_*_batch`` receives the argument tuples of a contiguous run of
-# same-named messages and must be bit-identical to running the scalar
-# handler once per tuple, in order.  The recipes:
-#
-# - distances are precomputed with the metric's *rowwise* kernel, whose
-#   per-row results are bit-identical to the scalar metric (see
-#   ``distances/dense.py``); side effects (skips, counters, ledger
-#   charges, heap pushes, emissions) then replay in a sequential
-#   per-message loop, so charges interleave with mid-block flush charges
-#   exactly as in the scalar path,
-# - handlers whose only charge is the constant per-update cost may group
-#   heap pushes by target vertex (pushes to different heaps commute and
-#   don't charge) and batch the clock adds with ``charge_repeated``,
-# - emissions go through ``block_emitter`` in original message order,
-# - a world without a cost ledger (``NullLedger``: process workers)
-#   skips the per-message clock arithmetic and keeps only the effects.
-# ---------------------------------------------------------------------------
-
-
-def _paired_features(shard: LocalShard, own_gids, other_gids):
-    """(A, B) inputs for the rowwise kernel: this rank's rows for
-    ``own_gids`` paired with the rows the messages refer to by
-    ``other_gids``.  Dense shards give 2-D arrays (vectorized kernel);
-    sparse shards lists (exact scalar fallback inside
-    ``rowwise_dists``)."""
-    li = shard.local_index
-    if shard.sparse:
-        feats = shard.features
-        return [feats[li[int(g)]] for g in own_gids], shard.rows(other_gids)
-    return (shard.features[[li[int(g)] for g in own_gids]],
-            shard.rows(other_gids))
-
-
-def _distance_costs(shard: LocalShard, net, B) -> Iterable[float]:
-    """Modeled cost of each message's distance evaluation: one constant
-    for dense rows, per-record for ragged sparse ones."""
-    if shard.sparse:
-        return [net.distance_cost(_dim_of(f)) for f in B]
-    return repeat(net.distance_cost(int(B.shape[1])))
-
-
-def h_init_request_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of ``init_req`` at owner(u): one rowwise kernel call, then
-    per-message charge + reply emission."""
-    shard = shard_of(ctx)
-    A, B = _paired_features(shard, [a[1] for a in args_list],
-                            [a[0] for a in args_list])
-    # Every message computes its distance, so use the counted kernel.
-    # Argument order matches the scalar handler: theta(v_feature, u_row).
-    dists = shard.metric.rowwise(B, A)
-    world = ctx.world
-    ledger = world.cluster.ledger
-    rank = ctx.rank
-    owner = shard.owner_of
-    send, close = world.block_emitter(rank, "init_resp")
-    nb = 2 * ID_BYTES + DIST_BYTES
-    if not ledger.enabled:
-        for (v_gid, u_gid), d in zip(args_list, dists.tolist()):
-            send(owner[v_gid], "init_resp", (v_gid, u_gid, d), nb)
-        close()
-        return
-    clocks = ledger.clocks
-    costs = _distance_costs(shard, world.cluster.net, B)
-    for (v_gid, u_gid), d, cost in zip(args_list, dists.tolist(), costs):
-        clocks[rank] += cost
-        send(owner[v_gid], "init_resp", (v_gid, u_gid, d), nb)
-    close()
-
-
-def h_init_response_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of ``init_resp`` at owner(v): bulk heap updates grouped by
-    v (cross-heap pushes commute; within-heap order preserved)."""
-    shard = shard_of(ctx)
-    groups: Dict[int, list] = {}
-    for v_gid, u_gid, d in args_list:
-        g = groups.get(int(v_gid))
-        if g is None:
-            g = groups[int(v_gid)] = [[], []]
-        g[0].append(int(u_gid))
-        g[1].append(float(d))
-    heaps = shard.heaps
-    li = shard.local_index
-    for v, (ids, dists) in groups.items():
-        heaps[li[v]].checked_push_batch(ids, dists, True)
-    shard.push_attempts += len(args_list)
-    world = ctx.world
-    world.cluster.ledger.charge_repeated(
-        ctx.rank, world.cluster.net.compute_per_update, len(args_list))
-
-
-def h_reverse_new_batch(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    rev = shard.rev_new
-    li = shard.local_index
-    for u_gid, v_gid in args_list:
-        rev[li[u_gid]].append(v_gid)
-
-
-def h_reverse_old_batch(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    rev = shard.rev_old
-    li = shard.local_index
-    for u_gid, v_gid in args_list:
-        rev[li[u_gid]].append(v_gid)
-
-
-def _emit_features(ctx: RankContext, shard: LocalShard, out: list,
-                   senders: list, extra: int, msg_type: str) -> None:
-    """Ship decided Type 2/2+ messages: dense rows share one wire size
-    (one coalesced run); ragged sparse records are sized per message,
-    by the sender vertex whose feature each one stands for."""
-    if shard.sparse:
-        send, close = ctx.world.block_emitter(ctx.rank, msg_type)
-        for (dest, h, margs), gid in zip(out, senders):
-            send(dest, h, margs,
-                 2 * ID_BYTES + shard.feature_nbytes(gid) + extra)
-        close()
-    else:
-        ctx.world.emit_run(
-            ctx.rank, out,
-            2 * ID_BYTES + shard.feature_nbytes_dense + extra, msg_type)
-
-
-def h_check_request_unopt_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of Type 1 (unoptimized) at owner(target): dedup + feature
-    shipment through one emitter."""
-    shard = shard_of(ctx)
-    dedup = shard.config.comm_opts.check_dedup
-    seen = shard.check_seen
-    owner = shard.owner_of
-    # Decide-then-emit, as in the optimized variant: the scalar handler
-    # charges nothing itself, so deferring the send sequence is exact.
-    out: list = []
-    senders: list = []
-    for target_gid, other_gid in args_list:
-        target = int(target_gid)
-        other = int(other_gid)
-        if dedup:
-            pair = (target, other)
-            if pair in seen:
-                continue
-            seen.add(pair)
-        out.append((owner[other], "feature_unopt", (other_gid, target_gid)))
-        senders.append(target)
-    _emit_features(ctx, shard, out, senders, 0, T2)
-
-
-def h_feature_unopt_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of Type 2 (unoptimized) at owner(recv): one kernel call,
-    then the scalar handler's charge/push/charge sequence per message."""
-    shard = shard_of(ctx)
-    A, B = _paired_features(shard, [a[0] for a in args_list],
-                            [a[1] for a in args_list])
-    dists = shard.metric.rowwise(A, B)  # every message computes -> counted
-    shard.push_attempts += len(args_list)
-    world = ctx.world
-    ledger = world.cluster.ledger
-    heaps = shard.heaps
-    li = shard.local_index
-    updates = 0
-    if not ledger.enabled:
-        for (recv_gid, sender_gid), d in zip(args_list, dists.tolist()):
-            updates += heaps[li[int(recv_gid)]].checked_push(
-                int(sender_gid), d, True)
-        shard.update_count += updates
-        return
-    clocks = ledger.clocks
-    net = world.cluster.net
-    rank = ctx.rank
-    cu = net.compute_per_update
-    costs = _distance_costs(shard, net, B)
-    # Charges must interleave per message (distance cost, then update
-    # cost) to reproduce the scalar clock bit-for-bit.  This handler
-    # emits nothing, so no flush charge can land mid-loop and the clock
-    # can be accumulated in a local and written back once.
-    t = clocks[rank]
-    for (recv_gid, sender_gid), d, cost in zip(args_list, dists.tolist(),
-                                               costs):
-        t += cost
-        updates += heaps[li[int(recv_gid)]].checked_push(
-            int(sender_gid), d, True)
-        t += cu
-    clocks[rank] = t
-    shard.update_count += updates
-
-
-def h_check_request_opt_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of Type 1 (optimized) at owner(u1): dedup + redundancy
-    check + Type 2+/2 emission through one emitter."""
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    dedup = opts.check_dedup
-    redundancy = opts.redundancy_check
-    pruning = opts.distance_pruning
-    seen = shard.check_seen
-    owner = shard.owner_of
-    li = shard.local_index
-    heaps = shard.heaps
-    # Two passes: decide, then emit.  The scalar handler performs no
-    # ledger charges itself (the only clock activity while it runs is
-    # the flush cost of its own emissions), and emissions cannot change
-    # local heaps or the dedup set, so deferring the identical send
-    # sequence past the decision loop leaves every flush charge at the
-    # same position on the clock.
-    out: list = []
-    emit_one = out.append
-    senders: list = []
-    # No handler in this batch mutates local heaps (emission only
-    # enqueues), so u1's members and bound are constant for the whole
-    # batch and can be looked up once per distinct u1.
-    cache: Dict[int, tuple] = {}
-    for u1, u2 in args_list:
-        if dedup:
-            pair = (u1, u2)
-            if pair in seen:
-                continue
-            seen.add(pair)
-        ent = cache.get(u1)
-        if ent is None:
-            heap1 = heaps[li[u1]]
-            ent = cache[u1] = (
-                heap1._members,
-                float(heap1.dists[0]) if pruning else np.inf,
-            )
-        members, bound = ent
-        if redundancy and u2 in members:
-            continue
-        emit_one((owner[u2], "feature_opt", (u2, u1, bound)))
-        senders.append(u1)
-    _emit_features(ctx, shard, out, senders,
-                   DIST_BYTES if pruning else 0, T2P if pruning else T2)
-
-
-def h_feature_opt_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of Type 2+/2 at owner(u2): kernel precompute for all pairs
-    (uncounted — a redundancy-skipped pair must not count or charge),
-    then the scalar handler's effect sequence per message."""
-    shard = shard_of(ctx)
-    opts = shard.config.comm_opts
-    redundancy = opts.redundancy_check
-    pruning = opts.distance_pruning
-    A, B = _paired_features(shard, [a[0] for a in args_list],
-                            [a[1] for a in args_list])
-    metric = shard.metric
-    dists = metric.rowwise_raw(A, B)
-    world = ctx.world
-    ledger = world.cluster.ledger
-    rank = ctx.rank
-    owner = shard.owner_of
-    li = shard.local_index
-    heaps = shard.heaps
-    nb3 = 2 * ID_BYTES + DIST_BYTES
-    send, close = world.block_emitter(rank, T3)
-    updates = 0
-    evals = 0
-    hcache: Dict[int, Any] = {}
-    if not ledger.enabled:
-        for (u2, u1, bound), d in zip(args_list, dists.tolist()):
-            heap2 = hcache.get(u2)
-            if heap2 is None:
-                heap2 = hcache[u2] = heaps[li[u2]]
-            if redundancy and u1 in heap2._members:
-                continue
-            evals += 1
-            updates += heap2.checked_push(u1, d, True)
-            if pruning and d >= bound:
-                continue
-            send(owner[u1], "distance_reply", (u1, u2, d), nb3)
-    else:
-        clocks = ledger.clocks
-        net = world.cluster.net
-        cu = net.compute_per_update
-        costs = _distance_costs(shard, net, B)
-        # Clock kept in a local between sends: a send may trigger a
-        # flush, whose charge must land at its exact position in the
-        # addition sequence — so the local is written back before every
-        # send and reloaded after.  Skipped/pruned messages touch no
-        # shared state.
-        t = clocks[rank]
-        for (u2, u1, bound), d, cost in zip(args_list, dists.tolist(),
-                                            costs):
-            heap2 = hcache.get(u2)
-            if heap2 is None:
-                heap2 = hcache[u2] = heaps[li[u2]]
-            if redundancy and u1 in heap2._members:
-                continue
-            evals += 1  # only evaluated pairs count, as in scalar
-            t += cost
-            updates += heap2.checked_push(u1, d, True)
-            t += cu
-            if pruning and d >= bound:
-                continue
-            clocks[rank] = t
-            send(owner[u1], "distance_reply", (u1, u2, d), nb3)
-            t = clocks[rank]
-        clocks[rank] = t
-    close()
-    metric.count += evals
-    shard.push_attempts += evals
-    shard.update_count += updates
-
-
-def h_distance_reply_batch(ctx: RankContext, args_list: list) -> None:
-    """Batch of Type 3 at owner(u1): bulk heap updates grouped by u1."""
-    shard = shard_of(ctx)
-    groups: Dict[int, list] = {}
-    for u1_gid, u2_gid, d in args_list:
-        g = groups.get(int(u1_gid))
-        if g is None:
-            g = groups[int(u1_gid)] = [[], []]
-        g[0].append(int(u2_gid))
-        g[1].append(float(d))
-    heaps = shard.heaps
-    li = shard.local_index
-    updates = 0
-    for u1, (ids, dists) in groups.items():
-        updates += heaps[li[u1]].checked_push_batch(ids, dists, True)
-    shard.push_attempts += len(args_list)
-    shard.update_count += updates
-    world = ctx.world
-    world.cluster.ledger.charge_repeated(
-        ctx.rank, world.cluster.net.compute_per_update, len(args_list))
-
-
-def h_opt_reverse_edge_batch(ctx: RankContext, args_list: list) -> None:
-    shard = shard_of(ctx)
-    merged = shard.merged
-    li = shard.local_index
-    for u_gid, v_gid, d in args_list:
-        bucket = merged[li[int(u_gid)]]
-        v = int(v_gid)
-        prev = bucket.get(v)
-        if prev is None or d < prev:
-            bucket[v] = float(d)
-    world = ctx.world
-    world.cluster.ledger.charge_repeated(
-        ctx.rank, world.cluster.net.compute_per_update, len(args_list))
-
-
-def register_dnnd_handlers(world: YGMWorld, batch_exec: bool = True) -> None:
+def register_dnnd_handlers(world: YGMWorld) -> None:
     """Register the ten DNND handlers on a world (once per world) — the
-    same function objects on a driver-side and a worker-side world.
-    ``batch_exec`` adds the batch variants; without them the world is
-    the scalar reference engine."""
-    world.register_handlers(
-        init_req=h_init_request,
-        init_resp=h_init_response,
-        rev_new=h_reverse_new,
-        rev_old=h_reverse_old,
-        check_unopt=h_check_request_unopt,
+    same function objects on a driver-side and a worker-side world."""
+    world.register_batch_handlers(
+        init_req=h_init_req,
+        init_resp=h_init_resp,
+        rev_new=h_rev_new,
+        rev_old=h_rev_old,
+        check_unopt=h_check_unopt,
         feature_unopt=h_feature_unopt,
-        check_opt=h_check_request_opt,
+        check_opt=h_check_opt,
         feature_opt=h_feature_opt,
         distance_reply=h_distance_reply,
-        opt_rev_edge=h_opt_reverse_edge,
+        opt_rev_edge=h_opt_rev_edge,
     )
-    if batch_exec:
-        world.register_batch_handlers(
-            init_req=h_init_request_batch,
-            init_resp=h_init_response_batch,
-            rev_new=h_reverse_new_batch,
-            rev_old=h_reverse_old_batch,
-            check_unopt=h_check_request_unopt_batch,
-            feature_unopt=h_feature_unopt_batch,
-            check_opt=h_check_request_opt_batch,
-            feature_opt=h_feature_opt_batch,
-            distance_reply=h_distance_reply_batch,
-            opt_rev_edge=h_opt_reverse_edge_batch,
-        )
-
-
-def _dim_of(feature) -> int:
-    shape = getattr(feature, "shape", None)
-    if shape:
-        return int(shape[0])
-    return max(1, len(feature))

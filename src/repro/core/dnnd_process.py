@@ -45,7 +45,7 @@ class ProcessDNNDApp:
             flush_threshold=int(params.get("flush_threshold", 1024)),
             seed=self.config.nnd.seed,
             sanitize=False)
-        register_dnnd_handlers(self.world, self.config.batch_exec)
+        register_dnnd_handlers(self.world)
         self._commands = {
             "build_shards": self._cmd_build_shards,
             "section": self._cmd_section,

@@ -1,15 +1,28 @@
-"""Fixed-capacity flagged neighbor heaps — Algorithm 1's ``Update``.
+"""Fixed-capacity flagged neighbor rows — Algorithm 1's ``Update``.
 
-Every vertex's candidate list ``G[v]`` is a bounded max-heap on
-distance: the root is the *farthest* current neighbor, so a new
-candidate either beats the root (replace + sift) or is rejected in O(1).
-Each entry carries the ``new``/``old`` flag NN-Descent uses to avoid
-re-checking pairs (Section 3.1).
+Every vertex's candidate list ``G[v]`` is a bounded row of ``k``
+``(id, distance, flag)`` entries kept in max-heap order, so slot 0 holds
+the *worst* current neighbor: a new candidate either beats it or is
+rejected in O(1).  Each entry carries the ``new``/``old`` flag NN-Descent
+uses to avoid re-checking pairs (Section 3.1).
 
-The layout follows PyNNDescent: three parallel arrays (ids, distances,
-flags) with ``INVALID_ID``/``inf`` placeholders, so a heap is usable
-before it is full (during distributed initialization, entries arrive as
-asynchronous messages in arbitrary order).
+**One order everywhere.**  Entries are ordered by ``(distance, id)``.
+A row therefore holds the ``k`` smallest ``(distance, id)`` pairs it was
+ever offered, whatever the arrival order — which of two equidistant
+candidates survives is a property of the data, not of the schedule.
+
+**Row invariant** (what :func:`check_rows` verifies): ids are unique,
+empty slots are ``(inf, EMPTY)`` — the largest key, so they sit on top
+and a row is usable before it is full — and every slot's key is at most
+its heap parent's.  The scalar :meth:`NeighborHeap.checked_push` keeps
+it by sifting; the bulk :func:`merge_rows` writes rows sorted worst
+first, which is a heap too.
+
+The state itself is three parallel arrays.  A :class:`NeighborHeap`
+either owns length-``k`` arrays (the single-node oracle, search result
+lists) or is a *row view* over a shard's ``(n_local, k)`` matrices
+(:meth:`NeighborHeap.view`), where the DNND handlers update many rows at
+once through :func:`merge_rows`.
 """
 
 from __future__ import annotations
@@ -27,8 +40,98 @@ if TYPE_CHECKING:  # import only for annotations: heap has no runtime
 EMPTY = -1
 
 
+def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
+               rows: np.ndarray, cand_ids: np.ndarray,
+               cand_dists: np.ndarray, flag: bool = True) -> int:
+    """Bulk ``Update``: offer candidate ``(cand_ids[i], cand_dists[i])``
+    to row ``rows[i]`` of the ``(n, k)`` state matrices, all at once.
+
+    Each touched row ends up holding the ``k`` smallest ``(dist, id)``
+    keys among its incumbents and its candidates, stored worst first.
+    A candidate whose id the row already holds is dropped (the incumbent
+    keeps its distance and flag); of several candidates with one id the
+    closest counts.  The result does not depend on the candidates' order
+    nor on how they are split over calls.  Returns how many candidates
+    are in their row afterwards (entered with ``flag``).
+    """
+    k = ids.shape[1]
+    # A candidate at or beyond its row's worst key cannot get in.
+    worst = dists[rows, 0]
+    closer = cand_dists < worst
+    tie = cand_dists == worst
+    if tie.any():
+        closer |= tie & (cand_ids < ids[rows, 0])
+    if not closer.all():
+        rows, cand_ids, cand_dists = rows[closer], cand_ids[closer], cand_dists[closer]
+    if not rows.size:
+        return 0
+    absent = ~(ids[rows] == cand_ids[:, None]).any(axis=1)
+    if not absent.all():
+        rows, cand_ids, cand_dists = rows[absent], cand_ids[absent], cand_dists[absent]
+        if not rows.size:
+            return 0
+    # Group by row; within a row by id, closest first, to drop repeats.
+    order = np.lexsort((cand_dists, cand_ids, rows))
+    rows, cand_ids, cand_dists = rows[order], cand_ids[order], cand_dists[order]
+    head = np.ones(rows.size, dtype=bool)
+    head[1:] = rows[1:] != rows[:-1]
+    repeat = ~head
+    repeat[1:] &= cand_ids[1:] == cand_ids[:-1]
+    if repeat.any():
+        keep = ~repeat
+        rows, cand_ids, cand_dists, head = (rows[keep], cand_ids[keep],
+                                            cand_dists[keep], head[keep])
+    starts = np.flatnonzero(head)
+    touched = rows[starts]
+    group = np.cumsum(head) - 1
+    slot = k + np.arange(rows.size) - starts[group]
+    width = int(slot.max()) + 1
+    # Incumbents in columns [0, k), candidates after them; padding is
+    # (inf, EMPTY) and sorts behind the incumbents' own empty slots
+    # (lexsort is stable), so it is never selected.
+    shape = (touched.size, width)
+    m_ids = np.full(shape, EMPTY, dtype=np.int64)
+    m_dists = np.full(shape, np.inf, dtype=np.float64)
+    m_flags = np.zeros(shape, dtype=bool)
+    m_ids[:, :k] = ids[touched]
+    m_dists[:, :k] = dists[touched]
+    m_flags[:, :k] = flags[touched]
+    m_ids[group, slot] = cand_ids
+    m_dists[group, slot] = cand_dists
+    m_flags[group, slot] = flag
+    best = np.lexsort((m_ids, m_dists), axis=1)[:, k - 1::-1]
+    ids[touched] = np.take_along_axis(m_ids, best, axis=1)
+    dists[touched] = np.take_along_axis(m_dists, best, axis=1)
+    flags[touched] = np.take_along_axis(m_flags, best, axis=1)
+    return int(np.count_nonzero(best >= k))
+
+
+def check_rows(ids: np.ndarray, dists: np.ndarray) -> Optional[Tuple[int, str]]:
+    """``(row, what is wrong)`` for the first row of the ``(n, k)``
+    matrices that breaks the row invariant, or ``None``."""
+    k = ids.shape[1]
+    by_id = np.sort(ids, axis=1)
+    bad = ((by_id[:, 1:] == by_id[:, :-1]) & (by_id[:, 1:] != EMPTY)).any(axis=1)
+    if bad.any():
+        return int(np.argmax(bad)), "duplicate id"
+    bad = (np.isfinite(dists) & (ids == EMPTY)).any(axis=1)
+    if bad.any():
+        return int(np.argmax(bad)), "empty slot holds a finite distance"
+    child = np.arange(1, k)
+    parent = (child - 1) // 2
+    above = (dists[:, child] > dists[:, parent]) | (
+        (dists[:, child] == dists[:, parent]) & (ids[:, child] > ids[:, parent]))
+    bad = above.any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        slot = int(child[np.argmax(above[row])])
+        return row, f"heap order violated at slot {(slot - 1) // 2}->{slot}"
+    return None
+
+
 class NeighborHeap:
-    """Bounded max-heap of ``(id, distance, flag)`` neighbor entries.
+    """Bounded max-heap of ``(id, distance, flag)`` neighbor entries,
+    ordered by ``(distance, id)``.
 
     Parameters
     ----------
@@ -38,21 +141,33 @@ class NeighborHeap:
     Notes
     -----
     ``checked_push`` implements Algorithm 1's ``Update(H, (v, d, f))``:
-    reject if ``v`` already present or ``d`` not better than the current
-    worst; otherwise replace the worst and return 1.
+    reject if ``v`` already present or ``(d, v)`` not below the current
+    worst key; otherwise replace the worst and return 1.
     """
 
-    __slots__ = ("k", "ids", "dists", "flags", "_members",
+    __slots__ = ("k", "ids", "dists", "flags",
                  "_san", "_san_owner", "_san_iters")
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise GraphError(f"heap capacity must be >= 1, got {k}")
-        self.k = int(k)
-        self.ids = np.full(self.k, EMPTY, dtype=np.int64)
-        self.dists = np.full(self.k, np.inf, dtype=np.float64)
-        self.flags = np.zeros(self.k, dtype=bool)
-        self._members: set[int] = set()
+        self._bind(np.full(int(k), EMPTY, dtype=np.int64),
+                   np.full(int(k), np.inf, dtype=np.float64),
+                   np.zeros(int(k), dtype=bool))
+
+    @classmethod
+    def view(cls, ids: np.ndarray, dists: np.ndarray,
+             flags: np.ndarray) -> "NeighborHeap":
+        """A heap over one row of a shard's state matrices: reads and
+        writes go to the matrices, nothing is copied or cached."""
+        heap = cls.__new__(cls)
+        heap._bind(ids, dists, flags)
+        return heap
+
+    def _bind(self, ids: np.ndarray, dists: np.ndarray,
+              flags: np.ndarray) -> None:
+        self.k = len(ids)
+        self.ids, self.dists, self.flags = ids, dists, flags
         # Ownership sanitizer metadata; set via repro.analysis.sanitizer
         # .tag_heap when REPRO_SANITIZE is on, otherwise permanently None
         # (so guards cost one attribute test).
@@ -63,14 +178,16 @@ class NeighborHeap:
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._members)
+        return int(np.count_nonzero(self.ids != EMPTY))
 
     def __contains__(self, vid: int) -> bool:
-        return int(vid) in self._members
+        return int(vid) in self.ids.tolist()
 
     @property
     def full(self) -> bool:
-        return len(self._members) == self.k
+        # Empty slots hold the largest key, so one sits at the root
+        # until the row is full.
+        return bool(self.ids[0] != EMPTY)
 
     def worst_distance(self) -> float:
         """Distance of the farthest neighbor (``inf`` while not full).
@@ -110,109 +227,65 @@ class NeighborHeap:
 
     # -- mutation -----------------------------------------------------------
 
+    def _check_mutation(self, what: str) -> None:
+        self._san.check_access(self._san_owner, f"neighbor heap ({what})")
+        self._san.check_iteration(self._san_iters, "neighbor heap")
+
     def checked_push(self, vid: int, dist: float, flag: bool = True) -> int:
-        """Algorithm 1 ``Update``: insert if new and closer than the
-        worst; returns 1 if the heap changed, else 0."""
+        """Algorithm 1 ``Update``: insert if absent and below the worst
+        key; returns 1 if the heap changed, else 0."""
         if self._san is not None:
-            self._san.check_access(self._san_owner, "neighbor heap (push)")
-            self._san.check_iteration(self._san_iters, "neighbor heap")
+            self._check_mutation("push")
         vid = int(vid)
-        if vid in self._members:
+        ids, dists = self.ids, self.dists
+        worst = dists[0]
+        # The worst key is (inf, EMPTY) while not full, so any finite
+        # distance is accepted until then.
+        if dist > worst or (dist == worst and vid >= ids[0]):
             return 0
-        if dist >= self.dists[0]:
-            # Not better than the current worst (inf while not full, so
-            # any finite distance is accepted until full).
+        if vid in ids.tolist():
             return 0
-        evicted = int(self.ids[0])
-        if evicted != EMPTY:
-            self._members.discard(evicted)
-        self._members.add(vid)
-        self.ids[0] = vid
-        self.dists[0] = dist
+        ids[0] = vid
+        dists[0] = dist
         self.flags[0] = flag
         self._siftdown(0)
         return 1
 
     def checked_push_batch(self, ids, dists, flag: bool = True) -> int:
-        """Apply a batch of candidates *in array order*; returns the
-        number of entries that changed the heap.
-
-        Semantically identical to calling :meth:`checked_push` per
-        element — the batch execution engine relies on this for
-        bit-identity with the scalar path.  One vectorized threshold
-        pass drops candidates that cannot be accepted: the root distance
-        is non-increasing while pushing, so any ``d >= worst`` *at batch
-        start* would also be rejected at its original position (and a
-        rejected push has no side effects).  Membership must stay a
-        sequential check: an id evicted mid-batch may legitimately be
-        re-pushed later in the same batch.
-        """
+        """Offer a batch of candidates (:func:`merge_rows` on this one
+        row); returns how many of them are in the heap afterwards.  The
+        resulting entries are those of per-element :meth:`checked_push`
+        in any order, as long as an id always comes with one distance."""
         if self._san is not None:
-            self._san.check_access(self._san_owner, "neighbor heap (push batch)")
-            self._san.check_iteration(self._san_iters, "neighbor heap")
-        dists = np.asarray(dists, dtype=np.float64)
-        worst0 = self.dists[0]
-        if np.isfinite(worst0):  # full heap: prefilter is exact
-            keep = dists < worst0
-            if not keep.all():
-                ids = np.asarray(ids, dtype=np.int64)[keep]
-                dists = dists[keep]
-        updates = 0
-        members = self._members
-        slot_ids, slot_dists, slot_flags = self.ids, self.dists, self.flags
-        for vid, d in zip(np.asarray(ids, dtype=np.int64).tolist(),
-                          dists.tolist()):
-            if vid in members:
-                continue
-            if d >= slot_dists[0]:
-                continue
-            evicted = int(slot_ids[0])
-            if evicted != EMPTY:
-                members.discard(evicted)
-            members.add(vid)
-            slot_ids[0] = vid
-            slot_dists[0] = d
-            slot_flags[0] = flag
-            self._siftdown(0)
-            updates += 1
-        return updates
+            self._check_mutation("push batch")
+        ids = np.asarray(ids, dtype=np.int64)
+        return merge_rows(self.ids[None, :], self.dists[None, :],
+                          self.flags[None, :],
+                          np.zeros(ids.size, dtype=np.intp), ids,
+                          np.asarray(dists, dtype=np.float64), flag)
 
     def mark_old(self, vid: int) -> None:
         """Clear the *new* flag of ``vid`` (Algorithm 1 line 10)."""
-        if self._san is not None:
-            self._san.check_access(self._san_owner, "neighbor heap (mark_old)")
-            self._san.check_iteration(self._san_iters, "neighbor heap")
-        idx = np.flatnonzero(self.ids == int(vid))
-        if idx.size:
-            self.flags[idx[0]] = False
+        self.mark_old_many((vid,))
 
     def mark_old_many(self, vids) -> None:
-        """Clear the *new* flag of every id in ``vids`` — equivalent to
-        :meth:`mark_old` per element (heap ids are unique, and clearing
-        flags is order-free)."""
-        if not vids:
+        """Clear the *new* flag of every id in ``vids``."""
+        if not len(vids):
             return
         if self._san is not None:
-            self._san.check_access(self._san_owner, "neighbor heap (mark_old)")
-            self._san.check_iteration(self._san_iters, "neighbor heap")
-        vidset = set(vids)
-        ids = self.ids.tolist()
-        flags = self.flags
-        for i in range(self.k):
-            if ids[i] in vidset:
-                flags[i] = False
+            self._check_mutation("mark_old")
+        self.flags[np.isin(self.ids, vids)] = False
 
     def load_state(self, ids, dists, flags) -> None:
         """Overwrite the heap with a raw snapshot in *heap order* (the
         checkpoint/restore path — the only writer of raw slot state
-        besides the push methods).  The member set is rebuilt from the
-        ids and the result is validated: a snapshot with a duplicate id,
-        broken heap order, or a finite distance in an empty slot raises
-        :class:`GraphError` instead of seeding a silently wrong build."""
+        besides the push methods).  The result is validated: a snapshot
+        with a duplicate id, broken heap order, or a finite distance in
+        an empty slot raises :class:`GraphError` instead of seeding a
+        silently wrong build."""
         self.ids[:] = ids
         self.dists[:] = dists
         self.flags[:] = flags
-        self._members = {v for v in self.ids.tolist() if v != EMPTY}
         self.check_invariants()
 
     def _siftdown(self, i: int) -> None:
@@ -220,13 +293,13 @@ class NeighborHeap:
         ids, dists, flags = self.ids, self.dists, self.flags
         k = self.k
         while True:
-            left = 2 * i + 1
-            right = left + 1
             largest = i
-            if left < k and dists[left] > dists[largest]:
-                largest = left
-            if right < k and dists[right] > dists[largest]:
-                largest = right
+            for child in (2 * i + 1, 2 * i + 2):
+                if child < k and (
+                        dists[child] > dists[largest]
+                        or (dists[child] == dists[largest]
+                            and ids[child] > ids[largest])):
+                    largest = child
             if largest == i:
                 return
             ids[i], ids[largest] = ids[largest], ids[i]
@@ -236,39 +309,23 @@ class NeighborHeap:
 
     # -- extraction ----------------------------------------------------------
 
+    def sorted_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, dists, flags)`` sorted ascending by ``(dist, id)``,
+        padded to capacity with ``EMPTY``/``inf``/False."""
+        order = np.lexsort((self.ids, self.dists))
+        return self.ids[order], self.dists[order], self.flags[order]
+
     def sorted_entries(self) -> List[Tuple[int, float, bool]]:
         """Occupied entries sorted ascending by distance (closest first)."""
-        occupied = [(int(i), float(d), bool(f))
-                    for i, d, f in zip(self.ids, self.dists, self.flags)
-                    if i != EMPTY]
-        occupied.sort(key=lambda t: (t[1], t[0]))
-        return occupied
-
-    def sorted_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, dists, flags)`` sorted ascending by distance, padded to
-        capacity with ``EMPTY``/``inf``/False."""
-        entries = self.sorted_entries()
-        ids = np.full(self.k, EMPTY, dtype=np.int64)
-        dists = np.full(self.k, np.inf, dtype=np.float64)
-        flags = np.zeros(self.k, dtype=bool)
-        for slot, (vid, dist, flag) in enumerate(entries):
-            ids[slot] = vid
-            dists[slot] = dist
-            flags[slot] = flag
-        return ids, dists, flags
+        ids, dists, flags = self.sorted_arrays()
+        return [entry for entry in zip(ids.tolist(), dists.tolist(),
+                                       flags.tolist())
+                if entry[0] != EMPTY]
 
     # -- invariant check (used by property tests) -------------------------------
 
     def check_invariants(self) -> None:
-        """Raise :class:`GraphError` if any heap invariant is violated."""
-        occupied = self.ids != EMPTY
-        if len(self._members) != int(occupied.sum()):
-            raise GraphError("member-set size disagrees with occupied slots")
-        if set(int(i) for i in self.ids[occupied]) != self._members:
-            raise GraphError("member set disagrees with id slots")
-        for i in range(self.k):
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < self.k and self.dists[child] > self.dists[i]:
-                    raise GraphError(f"heap order violated at slot {i}->{child}")
-        if np.any(np.isfinite(self.dists[~occupied])):
-            raise GraphError("empty slot holds a finite distance")
+        """Raise :class:`GraphError` if the row invariant is violated."""
+        broken = check_rows(self.ids[None, :], self.dists[None, :])
+        if broken is not None:
+            raise GraphError(broken[1])

@@ -114,20 +114,6 @@ class CostLedger:
     def charge(self, rank: int, seconds: float) -> None:
         self.clocks[rank] += seconds
 
-    def charge_repeated(self, rank: int, seconds: float, count: int) -> None:
-        """Charge ``seconds`` to ``rank`` ``count`` times.
-
-        Deliberately a loop, NOT ``seconds * count``: repeated float
-        addition is not the same computation as one multiply-add, and
-        the batch execution engine must reproduce the scalar path's
-        clock bit-for-bit.  Adding the *same* constant ``count`` times
-        is order-free, so batching the adds together is exact.
-        """
-        t = self.clocks[rank]
-        for _ in range(count):
-            t += seconds
-        self.clocks[rank] = t
-
     def barrier(self, model: NetworkModel, phase: str | None = None) -> float:
         """Synchronize clocks; returns the superstep duration."""
         step = max(self.clocks) if self.clocks else 0.0
@@ -175,9 +161,6 @@ class NullLedger(CostLedger):
     enabled = False
 
     def charge(self, rank: int, seconds: float) -> None:
-        pass
-
-    def charge_repeated(self, rank: int, seconds: float, count: int) -> None:
         pass
 
     def barrier(self, model: NetworkModel, phase: str | None = None) -> float:

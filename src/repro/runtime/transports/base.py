@@ -347,13 +347,6 @@ class Transport:
             return
         self._mailboxes[dest].append((src, item))
 
-    def self_append(self, rank: int) -> Callable[[Tuple[int, Any]], None]:
-        """Bound append onto ``rank``'s own mailbox — the comm layer's
-        fast path for local (``src == dest``) deliveries emitted from
-        rank context, where none of :meth:`deliver`'s checks can fire.
-        The returned callable takes the full ``(src, payload)`` entry."""
-        return self._mailboxes[rank].append
-
     def release_due_faults(self) -> int:
         """Advance injected-delay clocks one tick; returns how many
         held messages were released (0 on transports without faults)."""

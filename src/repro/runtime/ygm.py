@@ -10,7 +10,11 @@ messages per destination and ships a buffer when it exceeds a threshold.
 :class:`YGMWorld` reproduces those semantics on the simulated cluster:
 
 - ``async_call(src, dest, handler, *args)`` buffers an RPC and records
-  it in the per-type message statistics (the Figure 4 measurement),
+  it in the per-type message statistics (the Figure 4 measurement);
+  ``emit_run(src, dests, handler, columns, nbytes)`` does the same for a
+  whole run of messages to a *columnar* handler — one array per
+  argument, never a tuple per message — and is a loop of ``async_call``
+  in every counter and every flush,
 - buffers auto-flush at ``flush_threshold`` messages or
   ``flush_threshold_bytes`` modeled bytes per destination (real YGM
   caps by bytes), charging the sender one latency ``alpha`` per flush
@@ -24,7 +28,15 @@ messages per destination and ships a buffer when it exceeds a threshold.
 
 Handlers receive a :class:`RankContext` giving them their rank id, a
 rank-local state namespace, a per-rank RNG, and the ability to send
-further async calls and charge modeled compute time.
+further async calls and charge modeled compute time.  A handler name is
+either *scalar* (``register_handler``: ``fn(ctx, *args)`` once per
+message) or *columnar* (``register_batch_handler``: ``fn(ctx,
+*columns)`` once per contiguous run of its messages at a rank; a lone
+``async_call`` to it is a one-row run).  Buffers hold column chunks for
+the latter, a flushed buffer travels as one ``bflush`` envelope, and
+with a fault injector or reliable delivery the chunks are exploded to
+per-message ``call`` frames so every fault decision and ack stays per
+message.
 
 **Reliable delivery mode.**  With a fault injector attached to the
 cluster (:mod:`.faults`) the network may drop, duplicate, delay, or
@@ -76,6 +88,7 @@ the process backend runs the same class unchanged over its
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -96,7 +109,10 @@ Handler = Callable[..., None]
 _CALL = "call"        # ("call", send_seq, handler, args)
 _REL = "rel"          # ("rel", rel_seq, inner_payload)
 _ACK = "ack"          # ("ack", (rel_seq, ...))
-_BATCH = "bflush"     # ("bflush", [(handler, args, send_seq, nbytes), ...])
+_BATCH = "bflush"     # ("bflush", [(handler, payload, send_seq, nbytes, count), ...])
+#   payload: the argument tuple of one message to a scalar handler, or —
+#   for a columnar handler — one array per argument, ``count`` rows each
+#   (``nbytes`` is then per message: an int, or an array when ragged).
 
 
 class RankContext:
@@ -133,11 +149,6 @@ class RankContext:
         """Fire-and-forget RPC to ``dest`` (may be this rank)."""
         self.world.async_call(self.rank, dest, handler, *args,
                               nbytes=nbytes, msg_type=msg_type)
-
-    def async_call_block(self, msgs, msg_type: str = "other") -> None:
-        """Emit a prepared block of RPCs — see
-        :meth:`YGMWorld.async_call_block`."""
-        self.world.async_call_block(self.rank, msgs, msg_type=msg_type)
 
     def charge_compute(self, seconds: float) -> None:
         """Charge modeled compute time to this rank's clock."""
@@ -219,9 +230,10 @@ class YGMWorld:
         self.flush_threshold = int(flush_threshold)
         self.flush_threshold_bytes = int(flush_threshold_bytes)
         self._handlers: Dict[str, Handler] = {}
-        # Batch variants: name -> fn(ctx, args_list).  The delivery loop
-        # coalesces contiguous same-handler runs into one invocation when
-        # a batch variant exists; absent variants change nothing.
+        # Columnar handlers: name -> fn(ctx, *columns), one array per
+        # message argument.  The delivery loop applies a contiguous run
+        # of messages to one of them as a single invocation.  A name is
+        # scalar or columnar, never both.
         self._batch_handlers: Dict[str, Handler] = {}
         # is_offnode is pure topology; precompute it so the per-message
         # hot path does two list indexings instead of a method call.
@@ -229,9 +241,13 @@ class YGMWorld:
             [cluster.is_offnode(s, d) for d in range(self.world_size)]
             for s in range(self.world_size)
         ]
-        # _buffers[src][dest] -> list of (handler_name, args, send_seq, nbytes)
-        self._buffers: List[List[List[Tuple[str, tuple, int, int]]]] = [
+        # _buffers[src][dest] -> list of "bflush" entries (see _BATCH),
+        # with the messages and modeled bytes they hold counted beside.
+        self._buffers: List[List[list]] = [
             [[] for _ in range(self.world_size)] for _ in range(self.world_size)
+        ]
+        self._buffer_count: List[List[int]] = [
+            [0] * self.world_size for _ in range(self.world_size)
         ]
         self._buffer_bytes: List[List[int]] = [
             [0] * self.world_size for _ in range(self.world_size)
@@ -290,35 +306,33 @@ class YGMWorld:
     def register_handler(self, name: str, fn: Handler) -> None:
         """Register ``fn`` to run as ``name``; the first positional
         argument passed to ``fn`` is the destination :class:`RankContext`."""
-        if name in self._handlers:
+        self._register(self._handlers, name, fn)
+
+    def _register(self, registry: Dict[str, Handler], name: str,
+                  fn: Handler) -> None:
+        if name in self._handlers or name in self._batch_handlers:
             raise RuntimeStateError(f"handler {name!r} already registered")
         if self.sanitizer is not None:
             # Wrapping at registration keeps the delivery loop identical
             # whether or not the sanitizer is on.
             fn = self.sanitizer.wrap_handler(name, fn)
-        self._handlers[name] = fn
+        registry[name] = fn
 
     def register_handlers(self, **handlers: Handler) -> None:
         for name, fn in handlers.items():
             self.register_handler(name, fn)
 
     def register_batch_handler(self, name: str, fn: Handler) -> None:
-        """Register a batch variant for an already-registered handler.
+        """Register ``fn`` as the *columnar* handler ``name``.
 
-        ``fn(ctx, args_list)`` receives the destination context and the
-        list of argument tuples of a contiguous run of ``name`` messages,
-        and must be *semantically identical* to invoking the scalar
-        handler once per tuple, in order (the batch execution engine's
-        bit-identity contract).
+        ``fn(ctx, *columns)`` receives the destination context and one
+        1-D array per message argument, holding a contiguous run of
+        ``name`` messages (row ``i`` of every column is message ``i``).
+        Its effect must not depend on how a set of messages is split
+        into runs or ordered within one — a lone :meth:`async_call` to
+        ``name`` arrives as a one-row run.
         """
-        if name not in self._handlers:
-            raise RuntimeStateError(
-                f"batch handler {name!r} has no scalar registration")
-        if name in self._batch_handlers:
-            raise RuntimeStateError(f"batch handler {name!r} already registered")
-        if self.sanitizer is not None:
-            fn = self.sanitizer.wrap_handler(name, fn)
-        self._batch_handlers[name] = fn
+        self._register(self._batch_handlers, name, fn)
 
     def register_batch_handlers(self, **handlers: Handler) -> None:
         for name, fn in handlers.items():
@@ -380,223 +394,202 @@ class YGMWorld:
 
     def async_call(self, src: int, dest: int, handler: str, *args: Any,
                    nbytes: int = 0, msg_type: str = "other") -> None:
-        if handler not in self._handlers:
-            raise RuntimeStateError(f"unknown handler {handler!r}")
-        if not 0 <= dest < self.world_size:
-            raise RuntimeStateError(f"destination rank {dest} out of range")
-        self.async_count_since_barrier += 1
-        seq = self._send_seq
-        self._send_seq += 1
-        if src != dest:
+        if handler in self._handlers:
+            if not 0 <= dest < self.world_size:
+                raise RuntimeStateError(
+                    f"destination rank {dest} out of range")
+            self.async_count_since_barrier += 1
+            seq = self._send_seq
+            self._send_seq += 1
+            if src == dest:
+                # Local async call: no wire traffic, but still deferred
+                # delivery (YGM runs even self-messages from the queue).
+                self.local_deliveries += 1
+                self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
+                return
             offnode = self._offnode[src][dest]
             self.cluster.stats.record(msg_type, nbytes, offnode)
             self.phase_stats.setdefault(self._phase, MessageStats()).record(
-                msg_type, nbytes, offnode
-            )
-            self._buffers[src][dest].append((handler, args, seq, nbytes))
+                msg_type, nbytes, offnode)
+            self._buffers[src][dest].append((handler, args, seq, nbytes, 1))
+            self._buffer_count[src][dest] += 1
             self._buffer_bytes[src][dest] += nbytes
-            # Real YGM caps its buffers by *bytes* (a feature-vector
-            # message fills a buffer far faster than a Type 3 reply);
-            # the message-count cap is the secondary guard.
-            if (len(self._buffers[src][dest]) >= self.flush_threshold
-                    or self._buffer_bytes[src][dest] >= self.flush_threshold_bytes):
+            if (self._buffer_count[src][dest] >= self.flush_threshold
+                    or self._buffer_bytes[src][dest]
+                    >= self.flush_threshold_bytes):
                 self._flush(src, dest)
         else:
-            # Local async call: no wire traffic, but still deferred
-            # delivery (YGM runs even self-messages from the queue).
-            self.local_deliveries += 1
-            self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
-
-    def block_emitter(self, src: int, msg_type: str = "other"):
-        """Low-overhead emitter for a block of same-type RPCs from ``src``.
-
-        Returns ``(send, close)``.  ``send(dest, handler, args, nbytes)``
-        is semantically one :meth:`async_call`; ``close()`` must be
-        called after the last send.  Exactness contract with the scalar
-        path:
-
-        - every message gets the same global send-sequence stamp it
-          would have gotten from :meth:`async_call` (a local counter,
-          written back at close — nothing reads ``_send_seq`` mid-block
-          because handlers only run inside :meth:`barrier`),
-        - buffer appends and flush triggers happen per message, in
-          message order, so mid-block flush charges land on the ledger
-          at exactly the same points as in a scalar emission loop,
-        - message statistics are integer counters, hence order-free;
-          they are aggregated locally and recorded once at close via
-          :meth:`MessageStats.record_many`.
-
-        Only one emitter may be active at a time (flushes triggered by
-        ``send`` enqueue to mailboxes without running handlers, so there
-        is no reentrancy).  A validation error raised by ``send`` aborts
-        the block with stats unrecorded — acceptable, since it signals a
-        programming error that aborts the run.
-        """
-        world = self
-        handlers = self._handlers
-        buffers_src = self._buffers[src]
-        buffer_bytes_src = self._buffer_bytes[src]
-        offrow = self._offnode[src]
-        deliver = self.cluster.deliver
-        ft = self.flush_threshold
-        ftb = self.flush_threshold_bytes
-        ws = self.world_size
-        start_seq = self._send_seq
-        next_seq = start_seq
-        on_c = on_b = off_c = off_b = 0
-        checked_handler = None
-
-        def send(dest: int, handler: str, args: tuple, nbytes: int) -> None:
-            nonlocal next_seq, on_c, on_b, off_c, off_b, checked_handler
-            if handler is not checked_handler:
-                if handler not in handlers:
-                    raise RuntimeStateError(f"unknown handler {handler!r}")
-                checked_handler = handler
-            if not 0 <= dest < ws:
-                raise RuntimeStateError(f"destination rank {dest} out of range")
-            seq = next_seq
-            next_seq = seq + 1
-            if src != dest:
-                if offrow[dest]:
-                    off_c += 1
-                    off_b += nbytes
-                else:
-                    on_c += 1
-                    on_b += nbytes
-                buf = buffers_src[dest]
-                buf.append((handler, args, seq, nbytes))
-                nb = buffer_bytes_src[dest] + nbytes
-                buffer_bytes_src[dest] = nb
-                if len(buf) >= ft or nb >= ftb:
-                    world._flush(src, dest)
-            else:
-                deliver(src, dest, (_CALL, seq, handler, args))
-
-        def close() -> None:
-            world._send_seq = next_seq
-            world.async_count_since_barrier += next_seq - start_seq
-            total_c = on_c + off_c
-            # Every stamped message that was not on/off-node was a
-            # self-send: the local-delivery count falls out for free.
-            world.local_deliveries += (next_seq - start_seq) - total_c
-            if total_c:
-                total_b = on_b + off_b
-                world.cluster.stats.record_many(
-                    msg_type, total_c, total_b, off_c, off_b)
-                world.phase_stats.setdefault(
-                    world._phase, MessageStats()).record_many(
-                        msg_type, total_c, total_b, off_c, off_b)
-
-        return send, close
+            # One message to a columnar handler is a one-row run.
+            self.emit_run(src, np.array([dest]), handler,
+                          tuple(np.array([a]) for a in args), nbytes, msg_type)
 
     def async_call_block(self, src: int, msgs,
                          msg_type: str = "other") -> None:
-        """Emit a prepared block of RPCs from ``src`` — semantically a
-        loop of :meth:`async_call` over ``(dest, handler, args, nbytes)``
-        tuples, with per-message overhead amortized."""
-        send, close = self.block_emitter(src, msg_type)
+        """Emit a prepared block of RPCs from ``src`` — a loop of
+        :meth:`async_call` over ``(dest, handler, args, nbytes)``."""
         for dest, handler, args, nbytes in msgs:
-            send(dest, handler, args, nbytes)
-        close()
+            self.async_call(src, dest, handler, *args, nbytes=nbytes,
+                            msg_type=msg_type)
 
-    def emit_run(self, src: int, triples, nbytes: int,
+    def emit_run(self, src: int, dests: np.ndarray, handler: str,
+                 columns: Tuple[np.ndarray, ...], nbytes,
                  msg_type: str = "other") -> None:
-        """Emit a uniform-``nbytes`` run of RPCs from ``src`` —
-        semantically a loop of :meth:`async_call` over
-        ``(dest, handler, args)`` triples.
+        """Emit a run of messages to one columnar handler from ``src``:
+        message ``i`` goes to rank ``dests[i]`` and carries
+        ``columns[0][i], columns[1][i], ...``.  ``nbytes`` is the modeled
+        wire size — one int when every message has the same size, else a
+        per-message array.
 
-        Driver-internal fast path: unlike :meth:`block_emitter` it skips
-        per-message handler/destination validation (the caller computes
-        destinations from the owner table and handler names are
-        literals), and exploits the constant message size to total the
-        statistics with one multiply.  Ordering guarantees are identical
-        to the emitter: sequence stamps, buffer appends, and
-        threshold-triggered flushes happen per message, in order.
+        Semantically a loop of :meth:`async_call`: the same per-type
+        message and byte counters, the same count/byte flush thresholds
+        (a buffer is flushed at exactly the message that trips one).
+        Messages are grouped by destination with a stable sort and
+        buffered as column chunks, never as per-message tuples.
         """
-        buffers_src = self._buffers[src]
-        buffer_bytes_src = self._buffer_bytes[src]
+        if handler not in self._batch_handlers:
+            raise RuntimeStateError(f"unknown handler {handler!r}")
+        total = len(dests)
+        if not total:
+            return
+        ws = self.world_size
+        try:
+            counts = np.bincount(dests, minlength=ws)
+        except ValueError:  # a negative rank
+            counts = ()
+        if len(counts) != ws:
+            raise RuntimeStateError("destination rank out of range")
+        order = np.argsort(dests, kind="stable")
+        columns = tuple(col[order] for col in columns)
+        ragged = not isinstance(nbytes, int)
+        if ragged:
+            nbytes = nbytes[order]
+        seq = self._send_seq
+        self._send_seq = seq + total
+        self.async_count_since_barrier += total
         offrow = self._offnode[src]
-        if self.injector is None:
-            # Injector-free local delivery is a plain mailbox append
-            # (deliver()'s alive/range checks cannot fire: no crashes
-            # without an injector, destinations come from owner tables).
-            local_deliver = self.cluster.self_append(src)
-        else:
-            deliver = self.cluster.deliver
-            local_deliver = (lambda item:
-                             deliver(src, src, item[1]))
-        flush = self._flush
-        ft = self.flush_threshold
-        ftb = self.flush_threshold_bytes
-        start_seq = seq = self._send_seq
-        on_c = off_c = 0
-        for dest, handler, args in triples:
-            if src != dest:
-                if offrow[dest]:
-                    off_c += 1
-                else:
-                    on_c += 1
-                buf = buffers_src[dest]
-                buf.append((handler, args, seq, nbytes))
-                nb = buffer_bytes_src[dest] + nbytes
-                buffer_bytes_src[dest] = nb
-                if len(buf) >= ft or nb >= ftb:
-                    flush(src, dest)
+        sent_c = sent_b = off_c = off_b = 0
+        lo = 0
+        for dest in np.flatnonzero(counts).tolist():
+            n = int(counts[dest])
+            part = tuple(col[lo:lo + n] for col in columns)
+            nb = nbytes[lo:lo + n] if ragged else nbytes
+            if dest == src:
+                # Self-sends never touch the wire or the message stats.
+                self.local_deliveries += n
+                self.cluster.deliver(
+                    src, src, (_BATCH, [(handler, part, seq + lo, nb, n)]))
             else:
-                local_deliver((src, (_CALL, seq, handler, args)))
-            seq += 1
-        self._send_seq = seq
-        self.async_count_since_barrier += seq - start_seq
-        total_c = on_c + off_c
-        self.local_deliveries += (seq - start_seq) - total_c
-        if total_c:
+                size = int(nb.sum()) if ragged else nb * n
+                sent_c += n
+                sent_b += size
+                if offrow[dest]:
+                    off_c += n
+                    off_b += size
+                self._enqueue(src, dest, handler, part, seq + lo, nb, n)
+            lo += n
+        if sent_c:
             self.cluster.stats.record_many(
-                msg_type, total_c, total_c * nbytes, off_c, off_c * nbytes)
+                msg_type, sent_c, sent_b, off_c, off_b)
             self.phase_stats.setdefault(
                 self._phase, MessageStats()).record_many(
-                    msg_type, total_c, total_c * nbytes, off_c, off_c * nbytes)
+                    msg_type, sent_c, sent_b, off_c, off_b)
+
+    def _enqueue(self, src: int, dest: int, handler: str, payload: tuple,
+                 seq: int, nbytes, count: int) -> None:
+        """Buffer a column chunk of ``count`` messages for ``dest``,
+        flushing at exactly the message that trips a threshold — where
+        :meth:`async_call`, one message at a time, would.
+
+        Real YGM caps its buffers by *bytes* (a feature-vector message
+        fills a buffer far faster than a Type 3 reply); the
+        message-count cap is the secondary guard."""
+        ragged = not isinstance(nbytes, int)
+        counts = self._buffer_count[src]
+        sizes = self._buffer_bytes[src]
+        while True:
+            # How many more messages until a threshold trips.
+            take = self.flush_threshold - counts[dest]
+            room = self.flush_threshold_bytes - sizes[dest]
+            if ragged:
+                filled = np.cumsum(nbytes)
+                take = min(take, int(np.searchsorted(filled, room)) + 1)
+            elif nbytes:
+                take = min(take, -(-room // nbytes))
+            if take >= count:
+                self._buffers[src][dest].append(
+                    (handler, payload, seq, nbytes, count))
+                counts[dest] += count
+                sizes[dest] += int(filled[-1]) if ragged else nbytes * count
+                if take == count:
+                    self._flush(src, dest)
+                return
+            self._buffers[src][dest].append(
+                (handler, tuple(col[:take] for col in payload), seq,
+                 nbytes[:take] if ragged else nbytes, take))
+            counts[dest] += take
+            sizes[dest] += int(filled[take - 1]) if ragged else nbytes * take
+            self._flush(src, dest)
+            payload = tuple(col[take:] for col in payload)
+            if ragged:
+                nbytes = nbytes[take:]
+            seq += take
+            count -= take
+
+    def _messages(self, buf: list):
+        """The buffer's entries as one ``(handler, args, send_seq,
+        nbytes)`` per message: column chunks exploded to rows."""
+        for handler, payload, seq, nbytes, count in buf:
+            if handler not in self._batch_handlers:
+                yield handler, payload, seq, nbytes
+                continue
+            sizes = (repeat(nbytes) if isinstance(nbytes, int)
+                     else nbytes.tolist())
+            rows = zip(*(col.tolist() for col in payload))
+            for i, (args, size) in enumerate(zip(rows, sizes)):
+                yield handler, args, seq + i, size
 
     def _flush(self, src: int, dest: int) -> None:
         buf = self._buffers[src][dest]
         if not buf:
             return
-        offnode = self._offnode[src][dest]
-        nbytes = self._buffer_bytes[src][dest]
         ledger = self.cluster.ledger
         if ledger.enabled:
+            offnode = self._offnode[src][dest]
             net = self.cluster.net
             ledger.charge(
-                src, net.flush_cost(offnode) + net.message_cost(nbytes, offnode)
-            )
+                src, net.flush_cost(offnode)
+                + net.message_cost(self._buffer_bytes[src][dest], offnode))
         self.flush_count += 1
+        self._buffers[src][dest] = []
+        self._buffer_count[src][dest] = 0
+        self._buffer_bytes[src][dest] = 0
         inj = self.injector
-        if self._batch_handlers and inj is None and not self.reliable:
+        rel = self._rel
+        if self._batch_handlers and inj is None and rel is None:
             # Envelope delivery: hand the whole buffer over as ONE
             # mailbox item.  Without an injector, per-message delivery
             # is a plain append per entry, so an envelope preserving
-            # entry order is byte-identical in every observable —
-            # flushed buffers never interleave with other deliveries.
-            # Faulty or reliable runs keep the per-message wire format
-            # (drop/duplicate/delay decisions are per message).
+            # entry order is the same in every observable — flushed
+            # buffers never interleave with other deliveries.
             self.cluster.deliver(src, dest, (_BATCH, buf))
-            self._buffers[src][dest] = []
-            self._buffer_bytes[src][dest] = 0
             return
+        # Faulty or reliable runs keep the per-message wire format:
+        # drop/duplicate/delay/reorder decisions and acks are per message
+        # (as does a world of scalar handlers only, whose buffers hold
+        # nothing else).
+        frames = list(self._messages(buf))
         if inj is not None:
             stall = inj.maybe_stall()
             if stall:
-                self.cluster.ledger.charge(src, stall)
-            order = inj.maybe_reorder(len(buf))
+                ledger.charge(src, stall)
+            order = inj.maybe_reorder(len(frames))
             if order is not None:
-                buf = [buf[int(i)] for i in order]
-        rel = self._rel
-        for handler, args, seq, msg_nbytes in buf:
+                frames = [frames[int(i)] for i in order]
+        for handler, args, seq, msg_nbytes in frames:
             if rel is not None:
                 rel.send(src, dest, (_CALL, seq, handler, args), msg_nbytes)
             else:
                 self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
-        self._buffers[src][dest] = []
-        self._buffer_bytes[src][dest] = 0
 
     def flush_all(self) -> None:
         for src in range(self.world_size):
@@ -609,20 +602,19 @@ class YGMWorld:
         """Deliver every currently-queued message once, in deterministic
         rank order; returns how many messages were applied.
 
-        When a handler has a registered batch variant, contiguous runs
-        of that handler within a rank's snapshot are drained first and
-        applied as ONE batch invocation.  This is exact because draining
-        a message has no handler-visible effect: reliable-delivery
-        bookkeeping (acks, dedup) still happens per message before the
-        message joins its run, ``_ACK`` control traffic is bookkeeping
-        only (it neither runs a handler nor breaks a run), and the batch
-        handler itself is contractually equivalent to the scalar handler
-        applied per message in order.  ``current_message_seq`` is None
-        during a batch invocation — no batch variants are registered for
-        order-sensitive consumers that read it.
+        Messages to a columnar handler are not applied one by one:
+        contiguous chunks for one handler within a rank's snapshot are
+        concatenated and applied as ONE invocation (a lone ``call`` frame
+        joins as a one-row chunk).  Draining a message has no
+        handler-visible effect — reliable-delivery bookkeeping (acks,
+        dedup) still happens per message before it joins its run, and
+        ``_ACK`` control traffic neither runs a handler nor breaks a
+        run.  ``current_message_seq`` is None during a columnar
+        invocation; order-sensitive consumers that read it register
+        scalar handlers.
         """
         ran = 0
-        batch_handlers = self._batch_handlers
+        columnar = self._batch_handlers
         handlers = self._handlers
         rel = self._rel
         for rank in range(self.world_size):
@@ -634,7 +626,7 @@ class YGMWorld:
                 # Heartbeat signal: the rank is draining traffic.
                 self._last_progress[rank] = self._tick
             run_handler: str | None = None
-            run_args: list = []
+            run_chunks: list = []
             for _ in range(pending):
                 item = self.cluster.drain_one(rank)
                 if item is None:
@@ -652,58 +644,47 @@ class YGMWorld:
                     rel.on_ack(rank, src, payload[1])
                     continue
                 if tag == _BATCH:
-                    # A flushed buffer delivered whole: same entries, in
-                    # the same order, as per-message delivery would give.
                     entries = payload[1]
-                    # Fast path: an envelope whose entries all carry one
-                    # batchable handler joins the current run with a
-                    # C-level extend (one stand-in entry holding every
-                    # args tuple).  Run granularity is immaterial:
-                    # rowwise kernels are bitwise row-independent, and
-                    # every other effect is applied per message in order.
-                    whole = (len({m[0] for m in entries}) == 1
-                             and entries[0][0] in batch_handlers)
-                    if whole:
-                        entries = ((entries[0][0], [m[1] for m in entries],
-                                    None, 0),)
                 else:
-                    whole = False
                     _tag, seq, handler, args = payload
-                    entries = ((handler, args, seq, 0),)
-                for handler, args, seq, _nb in entries:
-                    if handler in batch_handlers:
+                    if handler in columnar:
+                        args = tuple(np.array([a]) for a in args)
+                    entries = ((handler, args, seq, 0, 1),)
+                for handler, data, seq, _nbytes, _count in entries:
+                    if handler in columnar:
                         # Join the current run, breaking it first when
                         # it belongs to another handler.
                         if run_handler != handler:
                             if run_handler is not None:
-                                ran += self._run_batch(ctx, run_handler, run_args)
-                            run_handler, run_args = handler, []
-                        if whole:
-                            run_args.extend(args)
-                        else:
-                            run_args.append(args)
+                                ran += self._run_batch(ctx, run_handler,
+                                                       run_chunks)
+                            run_handler, run_chunks = handler, []
+                        run_chunks.append(data)
                         continue
                     if run_handler is not None:
-                        ran += self._run_batch(ctx, run_handler, run_args)
-                        run_handler, run_args = None, []
+                        ran += self._run_batch(ctx, run_handler, run_chunks)
+                        run_handler, run_chunks = None, []
                     self.current_message_seq = seq
                     try:
-                        handlers[handler](ctx, *args)
+                        handlers[handler](ctx, *data)
                     finally:
                         self.current_message_seq = None
                     self.handler_invocations += 1
                     ran += 1
             if run_handler is not None:
-                ran += self._run_batch(ctx, run_handler, run_args)
+                ran += self._run_batch(ctx, run_handler, run_chunks)
         if rel is not None:
             rel.flush_acks()
         return ran
 
     def _run_batch(self, ctx: RankContext, handler: str,
-                   args_list: list) -> int:
-        """Apply a coalesced run of ``handler`` messages at ``ctx``."""
-        self._batch_handlers[handler](ctx, args_list)
-        n = len(args_list)
+                   chunks: list) -> int:
+        """Apply a coalesced run of ``handler`` messages at ``ctx``:
+        one invocation over the concatenated columns."""
+        columns = (chunks[0] if len(chunks) == 1 else
+                   tuple(np.concatenate(col) for col in zip(*chunks)))
+        self._batch_handlers[handler](ctx, *columns)
+        n = len(columns[0])
         self.handler_invocations += n
         return n
 
@@ -809,6 +790,7 @@ class YGMWorld:
         for s in range(self.world_size):
             for d in range(self.world_size):
                 self._buffers[s][d] = []
+                self._buffer_count[s][d] = 0
                 self._buffer_bytes[s][d] = 0
         self.cluster.clear_mailboxes()
         self.async_count_since_barrier = 0

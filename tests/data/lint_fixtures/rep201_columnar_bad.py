@@ -1,0 +1,23 @@
+"""Fixture: columnar emissions naming unregistered handlers (REP201 3x):
+through ``emit_run``, through the paced ``emit`` wrapper, and in one
+branch of a conditional name."""
+
+
+def setup(world):
+    world.register_batch_handlers(merge=_h_merge, check_opt=_h_check)
+
+
+def _h_merge(ctx, keys, values):
+    ctx.state.setdefault("chunks", []).append((keys, values))
+
+
+def _h_check(ctx, u1, u2):
+    ctx.state.setdefault("checks", []).append((u1, u2))
+
+
+def send(world, ctx, src, dests, keys, values, one_sided):
+    world.emit_run(src, dests, "merge", (keys, values), 12)        # clean
+    world.emit_run(src, dests, "marge", (keys, values), 12)        # typo
+    emit(ctx, dests, "merged", (keys, values), 12, "merge")        # typo
+    emit(ctx, dests, "check_opt" if one_sided else "check_unopt",  # one arm
+         (keys, values), 8, "type1")

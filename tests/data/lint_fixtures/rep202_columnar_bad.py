@@ -1,0 +1,16 @@
+"""Fixture: a run's column tuple does not fit the columnar handler
+(REP202 2x) — one column short through ``emit_run``, one too many
+through the paced ``emit`` wrapper."""
+
+
+def setup(world):
+    world.register_batch_handler("merge", _h_merge)
+
+
+def _h_merge(ctx, rows, ids, dists):
+    ctx.state.setdefault("chunks", []).append((rows, ids, dists))
+
+
+def send(world, ctx, src, dests, rows, ids, dists):
+    world.emit_run(src, dests, "merge", (rows, ids), 12)
+    emit(ctx, dests, "merge", (rows, ids, dists, dists), 12, "merge")

@@ -1,4 +1,5 @@
-"""Fixture: handler state lives in ctx.state (clean for REP203)."""
+"""Fixture: handler state lives in ctx.state (clean for REP203), for a
+scalar and for a columnar handler."""
 
 
 def _h_count(ctx, key):
@@ -6,8 +7,13 @@ def _h_count(ctx, key):
     counts[key] = counts.get(key, 0) + 1
 
 
+def _h_count_run(ctx, keys):
+    ctx.state.setdefault("runs", []).append(keys)
+
+
 def setup(world):
     world.register_handler("count", _h_count)
+    world.register_batch_handler("count_run", _h_count_run)
 
 
 def send(ctx, dest):

@@ -97,6 +97,38 @@ class TestResume:
         np.testing.assert_array_equal(resumed.graph.ids, reference.graph.ids)
         np.testing.assert_allclose(resumed.graph.dists, reference.graph.dists)
 
+    def test_pre_columnar_checkpoint_resumes(self, small_dense, tmp_path,
+                                             reference):
+        """A checkpoint written before the scalar engine was removed
+        still carries ``batch_exec`` in its meta, and its rows are in
+        whatever heap layout sift order left them: the key is ignored
+        and any valid layout of the same entries resumes to the same
+        build (sampling sorts ids, it never reads slot order)."""
+        ckpt = tmp_path / "ckpt_old"
+        partial = DNND(small_dense, config(),
+                       cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        partial._built = True
+        partial._init_phase()
+        counts = [partial._iteration(it) for it in range(2)]
+        partial._write_checkpoint(ckpt, 2, counts)
+        with MetallStore.open(ckpt) as store:
+            store["ckpt_meta"] = {**store["ckpt_meta"], "batch_exec": False}
+            ids, dists, flags = (np.array(store[key]) for key in
+                                 ("ckpt_ids", "ckpt_dists", "ckpt_flags"))
+            # Another heap layout: swap the two children of the root
+            # (k=6: slots 1 and 2 with their subtrees 3,4 / 5).
+            other = [0, 2, 1, 5, 4, 3]
+            assert (dists[:, 4] <= dists[:, 2]).all()   # still a heap
+            store["ckpt_ids"] = ids[:, other]
+            store["ckpt_dists"] = dists[:, other]
+            store["ckpt_flags"] = flags[:, other]
+        resumed = DNND.resume(small_dense, ckpt,
+                              cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        assert resumed.iterations == reference.iterations
+        np.testing.assert_array_equal(resumed.graph.ids, reference.graph.ids)
+        np.testing.assert_array_equal(resumed.graph.dists,
+                                      reference.graph.dists)
+
     def test_resume_on_different_cluster_shape(self, small_dense, tmp_path,
                                                reference):
         """Hash partitioning is layout-independent: resuming on a

@@ -7,6 +7,24 @@ projection: counters, the span name sequence, per-timer counts, and the
 cost model's ``sim.*`` gauges.  Any change to message accounting, phase
 structure, or the cost model shows up here as a diff.
 
+Last regenerated for the columnar rank program, which changed three
+rules at once (and nothing else about the build):
+
+* **schedule** — the sim driver runs ``init`` as one section and the
+  neighbor check as ``check_build`` + ``check_emit`` chunks with a
+  barrier between chunks (the schedule process workers always ran),
+  not the per-vertex cross-rank interleave; a handler sees a run's
+  redundancy/bound state once, before the run's own updates.  Message
+  and evaluation counts moved by 0-2.3%.
+* **tie rule** — rows order entries by ``(distance, id)``, so a tie with
+  the worst entry is won by the smaller id instead of lost by the later
+  arrival.
+* **``count x cost`` charging** — modeled compute is charged once per
+  run as ``count * cost`` (the sim gauges lost the rounding noise of
+  thousands of repeated adds), and ``heap.updates.accepted`` counts the
+  candidates still in their row when the run that offered them ends
+  (4015 -> 2825), no longer every transient acceptance.
+
 Regenerate after an *intentional* change::
 
     PYTHONPATH=src python -c "

@@ -1,0 +1,76 @@
+"""Order-independent ties: which of several equidistant candidates a
+vertex keeps is decided by ``(distance, id)``, never by arrival order.
+
+Degenerate inputs make every comparison a tie: all points identical,
+zero vectors under cosine, points drawn from a handful of repeated
+sites.  Cluster shape and backend change the order in which candidates
+reach a row, so under the old strict-``<``/first-come rule the sites
+dataset built a different graph per shape.  Two bars:
+
+* default (optimized) pattern — the sim schedule is deterministic per
+  shape and a one-worker process world delivers in sim order, so 1x2,
+  2x2, 3x2 and process/1 must build the same graph;
+* order-invariant envelope (unoptimized pattern, pinned iterations) —
+  what a row is *offered* no longer depends on delivery-time state, so
+  the two-worker process world, whose cross-worker arrival order is not
+  even repeatable, must build that graph too.  (Under the optimized
+  pattern its offers legitimately differ: Sections 4.3.2/4.3.3 skip
+  exchanges based on the rows as they are when a message arrives.)
+"""
+
+import numpy as np
+import pytest
+
+from repro import DNND, ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+
+K = 5
+
+
+def _datasets():
+    rng = np.random.default_rng(1)
+    half_zero = rng.standard_normal((80, 6))
+    half_zero[::2] = 0.0
+    return {
+        "all-duplicates": (np.tile(rng.standard_normal((1, 6)), (60, 1)),
+                           "sqeuclidean"),
+        "zero-vectors-cosine": (half_zero, "cosine"),
+        "repeated-sites": (rng.standard_normal((4, 6))[rng.integers(0, 4, 80)],
+                           "sqeuclidean"),
+    }
+
+
+DATASETS = _datasets()
+SIM_SHAPES = [(1, 2, "sim", 0), (2, 2, "sim", 0), (3, 2, "sim", 0)]
+
+
+def _build(name, nodes, ppn, backend, workers, envelope):
+    data, metric = DATASETS[name]
+    if envelope:
+        nnd = NNDescentConfig(k=K, metric=metric, seed=5, max_iters=4,
+                              delta=0.0)
+        opts = CommOptConfig.unoptimized()
+    else:
+        nnd = NNDescentConfig(k=K, metric=metric, seed=5)
+        opts = CommOptConfig.optimized()
+    cfg = DNNDConfig(nnd=nnd, comm_opts=opts, backend=backend,
+                     workers=workers)
+    dnnd = DNND(data, cfg, cluster=ClusterConfig(nodes, ppn), sanitize=False)
+    try:
+        return dnnd.build().graph
+    finally:
+        dnnd.close()
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+@pytest.mark.parametrize("envelope,worlds", [
+    (False, SIM_SHAPES + [(2, 2, "process", 1)]),
+    (True, SIM_SHAPES + [(2, 2, "process", 1), (2, 2, "process", 2)]),
+], ids=["optimized", "order-invariant-envelope"])
+def test_equidistant_candidates_same_graph_everywhere(name, envelope, worlds):
+    graphs = [_build(name, *world, envelope) for world in worlds]
+    for world, graph in zip(worlds[1:], graphs[1:]):
+        assert np.array_equal(graph.ids, graphs[0].ids), world
+        assert graph.dists.tobytes() == graphs[0].dists.tobytes(), world
+    graphs[0].validate()
+    if name == "all-duplicates":
+        assert not graphs[0].dists.any()

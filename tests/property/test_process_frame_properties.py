@@ -6,8 +6,12 @@ wrappers) — as pickled cross-worker frames
 ``(epoch, dest, src, payload)`` on a ``multiprocessing.Queue``.  The
 wire format therefore *is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
-pickle.dumps/loads bit-exactly, including numpy scalar and array
-payload members (gids travel as ``np.int64``, features as ndarrays)."""
+pickle.dumps/loads bit-exactly.  A ``bflush`` entry for a columnar
+handler is a *column chunk* — ``(handler, (array per argument), first
+send seq, nbytes, rows)`` with gids as ``int64`` columns, distances and
+bounds as ``float64`` columns, and ``nbytes`` an int or (ragged sparse
+records) a per-message array; often the arrays are slices of a larger
+run."""
 
 import pickle
 
@@ -51,10 +55,30 @@ def _call_env():
     return st.tuples(st.just("call"), _SEQ, _HANDLER, _args())
 
 
+@st.composite
+def _chunk(draw):
+    """One column chunk: id columns plus an optional distance column,
+    cut out of a longer run like ``emit_run`` does."""
+    rows = draw(st.integers(1, 8))
+    lo = draw(st.integers(0, 3))
+    ids = st.lists(st.integers(0, 2**31 - 1), min_size=rows + lo,
+                   max_size=rows + lo)
+    columns = [np.array(draw(ids), dtype=np.int64)[lo:] for _ in range(2)]
+    if draw(st.booleans()):
+        columns.append(np.array(draw(st.lists(
+            st.floats(allow_nan=False, width=64) | st.just(np.inf),
+            min_size=rows + lo, max_size=rows + lo)), dtype=np.float64)[lo:])
+    nbytes = draw(st.integers(0, 4096)
+                  | st.lists(st.integers(0, 4096), min_size=rows,
+                             max_size=rows).map(np.array))
+    return (draw(_HANDLER), tuple(columns), draw(_SEQ), nbytes, rows)
+
+
 def _bflush_env():
-    entries = st.lists(
-        st.tuples(_HANDLER, _args(), _SEQ, st.integers(0, 4096)), max_size=6)
-    return st.tuples(st.just("bflush"), entries)
+    scalar = st.tuples(st.just("noop"), _args(), _SEQ,
+                       st.integers(0, 4096), st.just(1))
+    return st.tuples(st.just("bflush"),
+                     st.lists(_chunk() | scalar, max_size=6))
 
 
 def _plain_envelopes():
@@ -100,16 +124,17 @@ def test_envelope_pickle_round_trip(env):
     assert _eq(pickle.loads(pickle.dumps(env)), env)
 
 
-def test_feature_row_payload_round_trip():
-    """An ndarray inside an envelope must come back bit-identical from
-    a pickled copy, so distances computed from a shipped row would match
-    to the last ulp."""
+def test_distance_column_round_trip():
+    """A float column inside an envelope must come back bit-identical
+    from a pickled copy — the Type 3 distances a worker ships are the
+    ones its peer merges — and a sliced chunk must ship only its rows."""
     rng = np.random.default_rng(3)
-    row = rng.normal(size=32)
+    d = rng.normal(size=64)
+    ids = np.arange(64, dtype=np.int64)
     env = ("bflush",
-           [("feature_unopt", (np.int64(7), row), 0, row.nbytes),
-            ("feature_unopt", (np.int64(9), row[::2].copy()), 1,
-             row.nbytes // 2)])
-    out = pickle.loads(pickle.dumps(env))
+           [("distance_reply", (ids[8:40], ids[40:8:-1], d[8:40]), 0, 12, 32)])
+    blob = pickle.dumps(env)
+    out = pickle.loads(blob)
     assert _eq(out, env)
-    assert out[1][0][1][1].tobytes() == row.tobytes()
+    assert out[1][0][1][2].tobytes() == d[8:40].tobytes()
+    assert len(blob) < 3 * 32 * 8 + 600

@@ -139,3 +139,72 @@ def test_dynamic_handler_name_not_flagged(tmp_path):
         "    ctx.async_call(0, handler, 1, 2)\n")
     findings = run_analysis([str(tmp_path)], CONFIG, select=("REP201",))
     assert findings == []
+
+
+# -- the columnar send API: emit_run(src, dests, "h", (col, ...), ...) ---------
+
+
+def test_columnar_emissions_name_checked():
+    """``emit_run`` and the paced ``emit`` wrapper are send sites too: a
+    typo'd name is REP201 wherever it is spelled, including one arm of a
+    conditional name."""
+    findings = _lint(FIXTURES / "rep201_columnar_bad.py", "REP201")
+    assert sorted(f.message.split("'")[1] for f in findings) == [
+        "check_unopt", "marge", "merged"]
+    assert "register_batch_handler" in findings[0].message
+
+
+def test_columnar_emissions_arity_checked():
+    """A columnar handler takes (ctx, *columns): a run supplies as many
+    arguments as its column tuple holds."""
+    short, long_ = _lint(FIXTURES / "rep202_columnar_bad.py", "REP202")
+    assert "(1 implicit + 2 payload)" in short.message
+    assert "(1 implicit + 4 payload)" in long_.message
+    assert "_h_merge(4)" in short.message
+
+
+def test_columnar_handler_closure_capture_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def setup(world):\n"
+        "    seen = []\n"
+        "    def _h_run(ctx, keys):\n"
+        "        seen.append(keys)\n"
+        "    world.register_batch_handler('run', _h_run)\n")
+    (finding,) = run_analysis([str(tmp_path)], CONFIG, select=("REP203",))
+    assert "'run'" in finding.message and "seen" in finding.message
+
+
+def test_emit_run_counts_as_emission_for_stats_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def measure(world, dests, keys):\n"
+        "    world.emit_run(0, dests, 'touch', (keys,), 8)\n"
+        "    return world.stats\n")
+    (finding,) = run_analysis([str(tmp_path)], CONFIG, select=("REP204",))
+    assert finding.line == 3
+
+
+def test_unserializable_column_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def send(world, dests, keys):\n"
+        "    world.emit_run(0, dests, 'touch', (keys, (k for k in keys)), 8)\n")
+    (finding,) = run_analysis([str(tmp_path)], CONFIG, select=("REP205",))
+    assert "generator" in finding.message
+
+
+def test_every_dnnd_emission_is_a_checked_call_site():
+    """The rank program's emissions all spell their handler and their
+    columns, so REP201/REP202 see each of the ten message types."""
+    from repro.analysis.engine import (build_project, collect_files,
+                                       parse_modules)
+
+    src = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+    modules, _ = parse_modules(collect_files(
+        [str(src / "dnnd_phases.py")], AnalysisConfig()))
+    project = build_project(modules)
+    sites = {s.name: s.payload_args for s in project.call_sites}
+    assert sites == {
+        "init_req": 2, "init_resp": 3, "rev_new": 2, "rev_old": 2,
+        "check_opt": 2, "check_unopt": 2, "feature_opt": 3,
+        "feature_unopt": 2, "distance_reply": 3, "opt_rev_edge": 3}
+    assert set(project.batch_handlers) == set(sites)
+    assert not project.handlers

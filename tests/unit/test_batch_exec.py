@@ -1,12 +1,14 @@
-"""Unit tests for the batch execution engine's building blocks:
+"""Unit tests for the columnar message path's building blocks:
 
-- ``NeighborHeap.checked_push_batch`` — must be semantically identical
-  to per-element ``checked_push`` (duplicates, ties, partial fill,
-  mid-batch evict/re-push),
-- YGM run coalescing — contiguous same-``(dest, handler)`` runs are
-  delivered as ONE batch-handler invocation, split by handler changes
-  and never merged across destinations, while ``MessageStats`` stays
-  exactly what the scalar engine records.
+- ``NeighborHeap.checked_push_batch`` — the one-row form of the bulk
+  ``merge_rows``: same entries as per-element ``checked_push`` under the
+  ``(distance, id)`` order (duplicates, ties, partial fill),
+- YGM run coalescing — contiguous same-``(dest, handler)`` runs reach a
+  columnar handler as ONE invocation, split by handler changes and never
+  merged across destinations, while ``MessageStats`` stays exactly what a
+  world of scalar handlers records,
+- ``emit_run`` — a run shipped as column chunks is, counter for counter
+  and flush for flush, a loop of ``async_call``.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.heap import NeighborHeap
 from repro.errors import RuntimeStateError
+from repro.runtime.faults import FaultPlan, make_injector
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
@@ -30,24 +33,38 @@ class TestCheckedPushBatch:
         h = NeighborHeap(4)
         assert h.checked_push_batch([7, 7, 7], [0.3, 0.1, 0.2]) == 1
         assert len(h) == 1
-        # First occurrence wins, exactly like sequential checked_push.
-        assert dict((i, d) for i, d, _ in h.entries())[7] == 0.3
+        # The closest copy counts, whatever its position in the batch.
+        assert dict((i, d) for i, d, _ in h.entries())[7] == 0.1
 
     def test_tie_with_worst_rejected(self):
         h = NeighborHeap(2)
         h.checked_push(1, 1.0)
         h.checked_push(2, 2.0)
-        # d == worst is a rejection (strict <), also in batch form.
+        # d == worst with a larger id is not below the worst key.
         assert h.checked_push_batch([3], [2.0]) == 0
         assert 3 not in h
+
+    def test_tie_with_worst_goes_to_the_smaller_id(self):
+        """Which of two equidistant candidates survives is decided by
+        id, not by arrival order — scalar and bulk alike."""
+        for push in (lambda h, i, d: h.checked_push(i, d),
+                     lambda h, i, d: h.checked_push_batch([i], [d])):
+            early, late = NeighborHeap(2), NeighborHeap(2)
+            for vid in (1, 5, 3):
+                push(early, vid, 2.0)
+            for vid in (5, 3, 1):
+                push(late, vid, 2.0)
+            assert sorted(early.ids.tolist()) == sorted(late.ids.tolist()) == [1, 3]
 
     def test_evicted_id_can_repush_later_in_batch(self):
         h = NeighborHeap(2)
         h.checked_push(1, 1.0)
         h.checked_push(2, 2.0)
-        # 3 evicts 2; then 2 re-enters closer, evicting 1.
-        assert h.checked_push_batch([3, 2], [0.5, 0.2]) == 2
-        assert sorted(h._members) == [2, 3]
+        # 3 evicts 2; a later offer of 2 at its distance stays out, in
+        # one batch as in a sequence of pushes.
+        assert h.checked_push_batch([3, 2], [0.5, 2.0]) == 1
+        assert sorted(h.ids.tolist()) == [1, 3]
+        assert h.checked_push(2, 2.0) == 0
 
     def test_flag_propagates(self):
         h = NeighborHeap(3)
@@ -58,40 +75,41 @@ class TestCheckedPushBatch:
     def test_matches_sequential_checked_push(self, seed):
         rng = np.random.default_rng(seed)
         ids = rng.integers(0, 40, size=200)
-        dists = np.round(rng.random(200), 2)  # rounding forces ties
-        a, b = NeighborHeap(8), NeighborHeap(8)
+        # An id always comes with one distance; rounding forces ties.
+        dists = np.round(rng.random(40), 1)[ids]
+        a, b, c = NeighborHeap(8), NeighborHeap(8), NeighborHeap(8)
         total = sum(a.checked_push(int(i), float(d)) for i, d in zip(ids, dists))
-        assert b.checked_push_batch(ids, dists) == total
-        assert np.array_equal(a.ids, b.ids)
-        assert a.dists.tobytes() == b.dists.tobytes()
-        assert np.array_equal(a.flags, b.flags)
-        assert a._members == b._members
+        survivors = b.checked_push_batch(ids, dists)
+        for lo in range(0, 200, 7):
+            c.checked_push_batch(ids[lo:lo + 7][::-1], dists[lo:lo + 7][::-1])
+        assert a.sorted_entries() == b.sorted_entries() == c.sorted_entries()
+        assert survivors == len(b) <= total
+        for h in (a, b, c):
+            h.check_invariants()
 
 
-def make_world(nodes=2, ppn=2, flush=1024):
-    cluster = SimCluster(ClusterConfig(nodes=nodes, procs_per_node=ppn))
-    return YGMWorld(cluster, flush_threshold=flush)
+def make_world(nodes=2, ppn=2, flush=1024, flush_bytes=1 << 20, **kw):
+    cluster = SimCluster(ClusterConfig(nodes=nodes, procs_per_node=ppn),
+                         **kw)
+    return YGMWorld(cluster, flush_threshold=flush,
+                    flush_threshold_bytes=flush_bytes)
 
 
 class TestCoalescing:
     def _instrument(self, world):
-        """Register scalar handlers h/g plus a recording batch variant
-        of h; returns (batch_runs, delivered) logs."""
+        """Register a scalar handler g plus a recording columnar handler
+        h; returns (batch_runs, delivered) logs."""
         batch_runs, delivered = [], []
-
-        def h(ctx, x):
-            delivered.append(("h", ctx.rank, x))
 
         def g(ctx, x):
             delivered.append(("g", ctx.rank, x))
 
-        def h_batch(ctx, args_list):
-            batch_runs.append((ctx.rank, [a[0] for a in args_list]))
-            for (x,) in args_list:
-                h(ctx, x)
+        def h(ctx, xs):
+            batch_runs.append((ctx.rank, xs.tolist()))
+            delivered.extend(("h", ctx.rank, x) for x in xs.tolist())
 
-        world.register_handlers(h=h, g=g)
-        world.register_batch_handler("h", h_batch)
+        world.register_handler("g", g)
+        world.register_batch_handler("h", h)
         return batch_runs, delivered
 
     def test_contiguous_run_is_one_batch_invocation(self):
@@ -145,7 +163,91 @@ class TestCoalescing:
 
     def test_duplicate_batch_registration_rejected(self):
         world = make_world()
-        world.register_handler("h", lambda ctx, x: None)
-        world.register_batch_handler("h", lambda ctx, args_list: None)
+        world.register_batch_handler("h", lambda ctx, xs: None)
         with pytest.raises(RuntimeStateError):
-            world.register_batch_handler("h", lambda ctx, args_list: None)
+            world.register_batch_handler("h", lambda ctx, xs: None)
+        # One handler per message type: no scalar twin either way round.
+        with pytest.raises(RuntimeStateError):
+            world.register_handler("h", lambda ctx, x: None)
+        world.register_handler("g", lambda ctx, x: None)
+        with pytest.raises(RuntimeStateError):
+            world.register_batch_handler("g", lambda ctx, xs: None)
+
+
+class TestEmitRun:
+    """``emit_run(src, dests, handler, columns, nbytes)`` against the
+    loop of ``async_call`` it stands for."""
+
+    DESTS = np.array([1, 3, 1, 0, 2, 1, 1, 3, 1, 1, 2, 1])
+    KEYS = np.arange(12) * 10
+    VALS = np.arange(12) / 4.0
+    SIZES = np.array([8, 40, 8, 8, 16, 8, 24, 8, 8, 8, 8, 8])
+
+    def _world(self, **kw):
+        world = make_world(**kw)
+        got = []
+        world.register_batch_handler(
+            "h", lambda ctx, ks, vs: got.append(
+                (ctx.rank, ks.tolist(), vs.tolist())))
+        return world, got
+
+    def _observables(self, world, got):
+        per_rank = {}
+        for rank, ks, vs in got:
+            per_rank.setdefault(rank, []).extend(zip(ks, vs))
+        return (world.cluster.stats.snapshot(), world.flush_count,
+                world.local_deliveries, world.handler_invocations, per_rank)
+
+    @pytest.mark.parametrize("nbytes", [8, SIZES], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize("flush,flush_bytes", [(1024, 1 << 20), (3, 1 << 20),
+                                                   (1024, 30), (2, 20)])
+    def test_is_a_loop_of_async_call(self, nbytes, flush, flush_bytes):
+        looped, got_l = self._world(flush=flush, flush_bytes=flush_bytes)
+        sizes = [8] * 12 if isinstance(nbytes, int) else nbytes.tolist()
+        for d, k, v, nb in zip(self.DESTS.tolist(), self.KEYS.tolist(),
+                               self.VALS.tolist(), sizes):
+            looped.async_call(0, d, "h", k, v, nbytes=nb, msg_type="t")
+        before = (looped.flush_count, looped.cluster.pending_total())
+        looped.barrier()
+        run, got_r = self._world(flush=flush, flush_bytes=flush_bytes)
+        run.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), nbytes, "t")
+        # Thresholds trip at the same messages: as many buffers flushed
+        # (and mailbox items queued) before the barrier.
+        assert (run.flush_count, run.cluster.pending_total()) == before
+        run.barrier()
+        assert self._observables(run, got_r) == self._observables(looped, got_l)
+        assert run.async_count_since_barrier == 0
+
+    def test_one_invocation_per_destination_with_whole_columns(self):
+        world, got = self._world()
+        world.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
+        world.barrier()
+        assert sorted(got) == [
+            (0, [30], [0.75]),
+            (1, [0, 20, 50, 60, 80, 90, 110],
+             [0.0, 0.5, 1.25, 1.5, 2.0, 2.25, 2.75]),
+            (2, [40, 100], [1.0, 2.5]),
+            (3, [10, 70], [0.25, 1.75])]
+
+    def test_rejects_unknown_handler_and_bad_rank(self):
+        world, _ = self._world()
+        with pytest.raises(RuntimeStateError):
+            world.emit_run(0, self.DESTS, "nope", (self.KEYS,), 8)
+        for bad in (4, -1):
+            with pytest.raises(RuntimeStateError):
+                world.emit_run(0, np.array([1, bad]), "h",
+                               (self.KEYS[:2], self.VALS[:2]), 8)
+
+    def test_faulty_network_sees_one_frame_per_message(self):
+        """With an injector a flushed chunk is exploded to per-row
+        frames, so drop/dup decisions stay per message."""
+        plan = FaultPlan(seed=5, drop_rate=0.3, dup_rate=0.3)
+        world, got = self._world(injector=make_injector(plan, 4))
+        dests = np.full(200, 1)
+        world.emit_run(0, dests, "h", (np.arange(200), np.zeros(200)), 8, "t")
+        world.barrier()
+        stats = world.fault_stats
+        assert stats.dropped > 10 and stats.duplicated > 10
+        delivered = [k for _, ks, _ in got for k in ks]
+        assert len(delivered) == 200 - stats.dropped + stats.duplicated
+        assert set(delivered) < set(range(200))

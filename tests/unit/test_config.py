@@ -99,6 +99,14 @@ class TestDNNDConfig:
         with pytest.raises(ConfigError, match="removed.*process"):
             DNNDConfig(backend="parallel")
 
+    def test_removed_batch_exec_switch_fails_plainly(self):
+        """There is one engine; asking for another is an error, not a
+        silently accepted no-op."""
+        with pytest.raises(TypeError, match="batch_exec"):
+            DNNDConfig(batch_exec=False)
+        with pytest.raises(TypeError, match="batch_exec"):
+            DNNDConfig().with_(batch_exec=True)
+
     def test_with_nested_keys(self):
         cfg = DNNDConfig().with_(**{"nnd.k": 25, "batch_size": 128})
         assert cfg.k == 25 and cfg.batch_size == 128

@@ -1,4 +1,4 @@
-"""DNND driver internals: interleaving, fingerprinting, gather."""
+"""DNND driver internals: distribution, fingerprinting, gather."""
 
 import numpy as np
 import pytest
@@ -19,23 +19,6 @@ def dnnd(tiny_dense):
              cluster=ClusterConfig(nodes=2, procs_per_node=2))
     yield d
     d.close()
-
-
-class TestInterleaving:
-    def test_covers_every_vertex_once(self, dnnd, tiny_dense):
-        seen = []
-        for ctx, li in dnnd._interleaved_vertices():
-            shard = shard_of(ctx)
-            seen.append(int(shard.global_ids[li]))
-        assert sorted(seen) == list(range(len(tiny_dense)))
-
-    def test_round_robin_order(self, dnnd):
-        """Ranks progress together: local index never jumps ahead by
-        more than one relative to other ranks (SPMD modeling)."""
-        last_li = -1
-        for ctx, li in dnnd._interleaved_vertices():
-            assert li in (last_li, last_li + 1)
-            last_li = li
 
 
 class TestFingerprint:
@@ -73,6 +56,22 @@ class TestDistribution:
             shard = shard_of(ctx)
             assert len(shard.heaps) == shard.n_local
             assert all(h.k == 4 for h in shard.heaps)
+
+    def test_heaps_are_views_of_the_shard_matrices(self, dnnd):
+        """One home of neighbor state: a push through a row view lands
+        in the matrices, a bulk merge on the matrices shows in the view."""
+        from repro.core.heap import merge_rows
+
+        shard = shard_of(dnnd.world.ranks[0])
+        assert shard.ids.shape == (shard.n_local, 4)
+        heap = shard.heaps[1]
+        assert heap.checked_push(7, 0.5) == 1
+        assert shard.ids[1].tolist().count(7) == 1
+        merge_rows(shard.ids, shard.dists, shard.flags,
+                   np.array([1, 1]), np.array([9, 3]), np.array([0.25, 0.75]))
+        assert sorted(heap.entries()) == [(3, 0.75, True), (7, 0.5, True),
+                                          (9, 0.25, True)]
+        assert shard.heap(int(shard.global_ids[1])) is heap
 
 
 class TestGather:

@@ -1,6 +1,7 @@
-"""The DNND rank program in isolation: message handlers (Section 4.3
-protocol), the feature-by-reference accessors, the per-vertex
-generators, and the single-source registration every world shares."""
+"""The DNND rank program in isolation: the columnar message handlers
+(Section 4.3 protocol; a lone ``async_call`` arrives as a one-row run),
+the feature-by-reference accessors, the Type 1 pair expansion, and the
+single-source registration every world shares."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
 from repro.core.dnnd_phases import (
+    _chunk_lists,
     build_shards,
+    opt_collect,
     register_dnnd_handlers,
     shard_of,
-    type1_triples,
+    type1_pairs,
 )
 from repro.core.nndescent import NNDescent
 from repro.errors import PartitionError, RuntimeStateError
@@ -132,8 +135,10 @@ class TestReverseProtocol:
         world.ranks[0].async_call(1, "rev_old", 6, 3, nbytes=8, msg_type="reverse")
         world.barrier()
         shard1 = shard_of(world.ranks[1])
-        assert shard1.rev_new[shard1.local(5)] == [2]
-        assert shard1.rev_old[shard1.local(6)] == [3]
+        rev_new = _chunk_lists(shard1.rev_new, shard1.n_local)
+        rev_old = _chunk_lists(shard1.rev_old, shard1.n_local)
+        assert rev_new[shard1.local(5)] == [2] and sum(map(len, rev_new)) == 1
+        assert rev_old[shard1.local(6)] == [3] and sum(map(len, rev_old)) == 1
 
 
 class TestOptimizedCheckProtocol:
@@ -229,50 +234,71 @@ class TestOptimizePhaseHandler:
     def test_reverse_edge_merge(self):
         world, _ = make_world_with_shards()
         shard1 = shard_of(world.ranks[1])
-        shard1.merged = [dict() for _ in range(shard1.n_local)]
-        world.ranks[0].async_call(1, "opt_rev_edge", 5, 1, 0.25,
-                                  nbytes=12, msg_type="opt_rev")
+        shard1.heap(5).checked_push(6, 0.5, True)       # a forward edge
         world.ranks[0].async_call(1, "opt_rev_edge", 5, 1, 0.75,
                                   nbytes=12, msg_type="opt_rev")
+        world.ranks[0].async_call(1, "opt_rev_edge", 5, 1, 0.25,
+                                  nbytes=12, msg_type="opt_rev")
+        world.ranks[0].async_call(1, "opt_rev_edge", 5, 3, 0.9,
+                                  nbytes=12, msg_type="opt_rev")
         world.barrier()
-        assert shard1.merged[shard1.local(5)] == {1: 0.25}
+        merged = opt_collect(world.ranks[1], max_degree=2)
+        # Closest copy of the repeated edge, pruned to the 2 closest.
+        assert merged[5] == [(1, 0.25), (6, 0.5)]
+        assert merged[4] == merged[6] == merged[7] == []
 
     def test_register_twice_rejected(self):
         world, _ = make_world_with_shards()
         with pytest.raises(RuntimeStateError):
             register_dnnd_handlers(world)
 
+    def test_no_scalar_engine_to_ask_for(self):
+        """The ``batch_exec`` switch is gone, not ignored."""
+        cluster = SimCluster(ClusterConfig(nodes=1, procs_per_node=2))
+        with pytest.raises(TypeError):
+            register_dnnd_handlers(YGMWorld(cluster), False)
+
 
 class TestType1Generator:
-    """The per-vertex Type 1 generator is the distributed form of
-    NN-Descent's local join: same pairs, same order."""
+    """The Type 1 expansion is the distributed form of NN-Descent's
+    local join: the same pairs for every vertex."""
 
     NEW = [5, 2, 7, 2]          # a repeated id exercises the u1 != u2 skip
     OLD = [1, 5, 6]
 
-    def _local_join_pairs(self):
+    def _local_join_pairs(self, new, old):
         oracle = NNDescent(np.zeros((8, 1)), NNDescentConfig(k=3))
         pairs = []
         oracle._push_pair = lambda u1, u2, d: pairs.append((u1, u2)) or 0
-        oracle._local_join(0, self.NEW, self.OLD)
+        oracle._local_join(0, new, old)
         return pairs
 
     @pytest.mark.parametrize("one_sided", [True, False])
     def test_matches_local_join_pair_sequence(self, one_sided):
-        opts = (CommOptConfig.optimized() if one_sided
-                else CommOptConfig.unoptimized())
-        world, part = make_world_with_shards(comm_opts=opts)
+        # Several vertices at once, an empty one among them.
+        new_lists = [self.NEW, [], [3, 4], [6]]
+        old_lists = [self.OLD, [1, 2], [], [0, 7]]
+        u1, u2 = type1_pairs(new_lists, old_lists, one_sided)
+        expected = []
+        for new, old in zip(new_lists, old_lists):
+            for a, b in self._local_join_pairs(new, old):
+                expected.append((a, b))
+                if not one_sided:
+                    expected.append((b, a))
+        assert sorted(zip(u1.tolist(), u2.tolist())) == sorted(expected)
+        assert expected
+
+    def test_check_build_then_emit_asks_the_owner_of_u1(self):
+        world, part = make_world_with_shards()
         shard = shard_of(world.ranks[0])
         shard.new_lists[2] = list(self.NEW)
         shard.old_lists[2] = list(self.OLD)
-        triples = type1_triples(shard, 2)
-        handler = "check_opt" if one_sided else "check_unopt"
-        expected = []
-        for u1, u2 in self._local_join_pairs():
-            expected.append((part.owner(u1), handler, (u1, u2)))
-            if not one_sided:
-                expected.append((part.owner(u2), handler, (u2, u1)))
-        assert triples == expected and expected
+        n = dnnd_phases.check_build(world.ranks[0])
+        assert n == len(self._local_join_pairs(self.NEW, self.OLD))
+        dnnd_phases.check_emit(world.ranks[0], 0, n)
+        remote = sum(part.owner(a) != 0 for a in shard.check_pairs[0].tolist())
+        assert world.stats.get("type1").count == remote
+        assert world.local_deliveries == n - remote
 
 
 class TestSingleSource:
@@ -304,12 +330,13 @@ class TestSingleSource:
                       DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim"),
                       cluster=ClusterConfig(nodes=1, procs_per_node=2),
                       sanitize=False)
-        for registry in ("_handlers", "_batch_handlers"):
-            on_driver = getattr(driver.world, registry)
-            on_worker = getattr(worker_app.world, registry)
-            assert set(on_driver) == set(on_worker) == set(HANDLER_NAMES)
-            for name in HANDLER_NAMES:
-                assert on_driver[name] is on_worker[name], (registry, name)
+        on_driver = driver.world._batch_handlers
+        on_worker = worker_app.world._batch_handlers
+        assert set(on_driver) == set(on_worker) == set(HANDLER_NAMES)
+        for name in HANDLER_NAMES:
+            assert on_driver[name] is on_worker[name], name
+        # Exactly one handler per message type: no scalar twin.
+        assert not driver.world._handlers and not worker_app.world._handlers
 
     def test_sections_resolve_from_one_table(self, worker_app, tiny_dense,
                                              monkeypatch):

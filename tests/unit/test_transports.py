@@ -34,13 +34,6 @@ class TestPointToPoint:
 
     @pytest.mark.parametrize("t", make_transports(),
                              ids=["sim"])
-    def test_self_append_is_local_fast_path(self, t):
-        append = t.self_append(1)
-        append((1, "payload"))
-        assert t.drain_one(1) == (1, "payload")
-
-    @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim"])
     def test_clear_mailboxes(self, t):
         t.deliver(0, 1, "a")
         t.deliver(2, 3, "b")
