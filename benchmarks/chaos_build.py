@@ -1,6 +1,6 @@
 """Chaos harness: randomized fault plans against supervised recovery.
 
-The fault-tolerance contract (DESIGN.md section 13) says a build under a
+The fault-tolerance contract (DESIGN.md section 8) says a build under a
 seeded chaos plan — message drops, duplicates, delays, plus a rank crash
 — must either *complete through supervised recovery* with recall@k
 within ``EPSILON`` of the fault-free build, or fail loudly.  This

@@ -47,7 +47,7 @@ function handed to *both* ``Thread`` and ``Process`` is still checked
 - **REP405** — metrics publication (``set_counter``/``set_gauge``/
   ``inc``/``observe``) from concurrent scope.  Publication is a
   driver-at-barrier responsibility; handlers fold into rank-owned cells
-  and let ``publish_metrics`` mirror the totals.
+  and let ``publish_comm_metrics`` mirror the totals.
 """
 
 from __future__ import annotations
@@ -407,5 +407,5 @@ def metrics_publication(project: ProjectContext,
                 f"metrics publication '{receiver}.{node.func.attr}()' from "
                 f"{kind} scope: publication is a driver-at-barrier "
                 f"responsibility (epoch discipline, not mutual exclusion); "
-                f"fold into rank-owned state and let publish_metrics "
+                f"fold into rank-owned state and let publish_comm_metrics "
                 f"mirror the totals at the next barrier")

@@ -21,11 +21,12 @@ from .config import AnalysisConfig
 from .findings import Finding
 
 #: The columnar send API: ``YGMWorld.emit_run(src, dests, handler,
-#: columns, ...)`` and the rank program's paced wrapper
-#: ``dnnd_phases.emit(ctx, dests, handler, columns, ...)`` share one call
-#: shape — the handler name third, one column per message argument
-#: fourth.  One call sends a whole run of messages.
-RUN_EMIT_METHODS = frozenset({"emit_run", "emit"})
+#: columns, ...)`` and the rank program's staging form
+#: ``dnnd_phases.stage(ctx, dests, handler, columns, ...)`` (the run the
+#: driver's pump later hands to ``emit_run``) share one call shape — the
+#: handler name third, one column per message argument fourth.  One call
+#: sends a whole run of messages.
+RUN_EMIT_METHODS = frozenset({"emit_run", "stage"})
 
 #: Methods whose call counts as "emitting a message" for the rules that
 #: scope themselves to message-emitting code (REP103, REP204).

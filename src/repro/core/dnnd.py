@@ -1,9 +1,13 @@
 """DNND — Distributed NN-Descent (Section 4), the paper's contribution.
 
-The driver only *sequences* the SPMD phases and barriers; what a rank
-does in each phase — sections, handlers, shard state — lives once in
-:mod:`.dnnd_phases` and is run, not re-implemented, by every world (the
-inline sim, the worker processes):
+The driver owns the *schedule* — which section runs when, and every
+barrier of a build; what a rank does in each phase — sections, handlers,
+shard state — lives once in :mod:`.dnnd_phases`, executed by the
+:class:`~.dnnd_phases.RankHost` that holds the ranks: one in-process
+host over all of them (sim), or one per worker process behind a
+:class:`~repro.runtime.transports.ProcessWorld`.  The backend is chosen
+once, at construction; every other method talks to ``self.host`` through
+the same ``rank -> value`` calls:
 
 1. **distribute** — hash-partition vertices and feature rows over ranks
    (Section 4: vertex and neighbor list co-located on the owner rank).
@@ -12,9 +16,10 @@ inline sim, the worker processes):
 3. **iterate** — per NN-Descent round: local old/new sampling, the
    Section 4.2 reversed-matrix exchange (with destination shuffling),
    and the Section 4.3 neighbor checks (optimized or unoptimized
-   message pattern), with Section 4.4 application-level batch barriers
-   every ``batch_size`` global async requests; terminate when the
-   allreduced update counter drops below ``delta * K * N``.
+   message pattern); every emitting phase is shipped under Section 4.4's
+   application-level batching — a barrier every ``batch_size`` global
+   async requests (:meth:`DNND._pump`); terminate when the allreduced
+   update counter drops below ``delta * K * N``.
 4. **persist** — store the graph + dataset into a Metall-style store
    (the paper's first executable ends here).
 5. **optimize** — Section 4.5 reverse-edge merge + degree pruning, again
@@ -28,6 +33,7 @@ time from the cost model (Figure 3).
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -35,6 +41,7 @@ import numpy as np
 
 from ..analysis.sanitizer import sanitizer_requested
 from ..config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+from ..distances.blocked import resolve_kernel
 from ..distances.counting import CountingMetric
 from ..errors import (CheckpointCorruptError, ConfigError, RankFailureError,
                       RuntimeStateError, StoreCorruptError, StoreError)
@@ -50,12 +57,12 @@ from ..runtime.partition import (ExplicitPartitioner, HashPartitioner,
                                  spec_matches)
 from ..runtime.transports import (ProcessTransport, ProcessWorld,
                                   SharedArrayOwner, SimCluster)
-from ..runtime.ygm import RankContext, YGMWorld
-from .executor import SimExecutor, make_executor, resolve_backend
+from ..runtime.ygm import YGMWorld
+from .executor import resolve_backend, resolve_workers
 from ..types import ID_BYTES
-from .dnnd_phases import (SECTIONS, SHARD_OPS, build_shards, ckpt_set,
-                          register_dnnd_handlers, shard_totals)
+from .dnnd_phases import RankHost
 from .graph import EMPTY, AdjacencyGraph, KNNGraph
+from .heap import check_rows
 
 
 def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
@@ -85,7 +92,7 @@ def _process_teardown(cluster, shm_owner):
     """Process-backend teardown closure: stop the workers, then unlink
     the shared-memory dataset segment (both idempotent).  A free
     function over the two resources — not a bound method — so the
-    executor's finalizer holds no reference to the :class:`DNND`."""
+    :class:`DNND`'s GC finalizer holds no reference to it."""
     def teardown() -> None:
         cluster.shutdown()
         shm_owner.close()
@@ -289,37 +296,43 @@ class DNND:
                 fallbacks = 1
         self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
-        self._process = backend == "process"
         self.fault_plan = fault_plan
-        self._flush_threshold = int(flush_threshold)
         # The read-only dataset view message features resolve from.
         self._rows = (self.data if self._sparse
                       else np.ascontiguousarray(np.asarray(self.data)))
-        if self._process:
+        self.partitioner = partitioner or HashPartitioner(self.n, self.cluster_config.world_size)
+        self._finalizer: Optional[weakref.finalize] = None
+        # The one backend branch: who hosts the ranks.  ``self.host``
+        # runs sections and shard-state ops (``rank -> value``),
+        # ``self.world`` is the comm surface the schedule drives.
+        if backend == "process":
             # Crash plans are handled natively by the process world
             # (SIGKILL at the planned iteration); the message-level
             # injector is a sim transport hook.
             self._injector = None
-            self.executor = make_executor(
-                backend, self.config.workers, self.cluster_config.world_size)
-            self._shm_owner = SharedArrayOwner(self._rows)
-            self.cluster = ProcessTransport(self.cluster_config,
-                                            workers=self.executor.workers)
-            self.world = ProcessWorld(self.cluster, executor=self.executor,
-                                      metrics=self.metrics,
-                                      fault_plan=fault_plan,
-                                      seed=self.config.nnd.seed)
-            # The teardown closure captures only the transport and the
-            # segment owner — never ``self`` — so the executor's
-            # GC finalizer cannot keep the whole build alive.
-            self.executor.bind(
-                _process_teardown(self.cluster, self._shm_owner))
+            shm_owner = SharedArrayOwner(self._rows)
+            self.cluster = ProcessTransport(
+                self.cluster_config,
+                workers=resolve_workers(self.config.workers,
+                                        self.cluster_config.world_size))
+            self.world = self.host = ProcessWorld(
+                self.cluster, metrics=self.metrics, fault_plan=fault_plan)
+            # Stops the workers and unlinks the segment on close() or
+            # when the last reference to this build is dropped.
+            self._finalizer = weakref.finalize(
+                self, _process_teardown(self.cluster, shm_owner))
+            # Each worker maps the shared dataset segment and builds a
+            # host over its owned ranks in its bootstrap.
+            self.cluster.start(
+                ("repro.core.dnnd_process", "bootstrap"),
+                {"spec": shm_owner.spec, "config": self.config,
+                 "partitioner": self.partitioner,
+                 "flush_threshold": int(flush_threshold)})
             # Whoever fires the plan's scheduled crashes each iteration.
             self._crash_clock = self.world
         else:
             self._injector = make_injector(fault_plan, self.cluster_config.world_size)
             self._crash_clock = self._injector
-            self.executor = SimExecutor()
             self.cluster = SimCluster(self.cluster_config, net,
                                       injector=self._injector)
             self.world = YGMWorld(self.cluster, flush_threshold=flush_threshold,
@@ -327,16 +340,13 @@ class DNND:
                                   reliable=reliable, max_retries=max_retries,
                                   failure_timeout=failure_timeout,
                                   sanitize=sanitize, metrics=self.metrics)
-            # Process workers register the same handlers inside each
-            # worker process (``dnnd_process.ProcessDNNDApp``).
-            register_dnnd_handlers(self.world)
+            self.host = RankHost(self.world, range(self.world.world_size),
+                                 self._rows, self.config, self.partitioner)
         self._open_span = None
         self._recoveries = 0
         self._recovery_attempts = 0
         self._degraded_ranks: set = set()
-        self.partitioner = partitioner or HashPartitioner(self.n, self.cluster_config.world_size)
         self._built = False
-        self._distribute()
         if self.metrics.enabled:
             self.metrics.set_gauge("partition.imbalance",
                                    self.partitioner.max_imbalance())
@@ -344,64 +354,38 @@ class DNND:
     # -- setup -----------------------------------------------------------------
 
     def _distribute(self) -> None:
-        """Scatter feature rows to owner ranks (not timed: the paper
-        excludes data loading from construction time)."""
-        if self._process:
-            # First call spawns the worker fabric (each worker maps the
-            # shared dataset segment and builds its owned shards in its
-            # bootstrap); recovery and repartition calls rebroadcast the
-            # (possibly swapped) ownership layer with a shard rebuild.
-            if not self.cluster.started:
-                self.cluster.start(
-                    ("repro.core.dnnd_process", "bootstrap"),
-                    {"spec": self._shm_owner.spec,
-                     "config": self.config,
-                     "partitioner": self.partitioner,
-                     "flush_threshold": self._flush_threshold})
-            else:
-                self.world.command("build_shards",
-                                   {"partitioner": self.partitioner})
-            return
-        build_shards(self.world.ranks, self.partitioner, self._rows,
-                     self.config, paced=True)
+        """Rebuild every shard under the current partitioner — on
+        recovery without a checkpoint and when the repartition pass
+        swaps the ownership layer (construction built them; not timed:
+        the paper excludes data loading from construction time)."""
+        self.host.command("build_shards", {"partitioner": self.partitioner})
 
     def _run_section(self, name: str, **params) -> Dict[int, Any]:
-        """Run entry ``name`` of the rank program wherever the ranks
-        live and return ``rank -> result``: a :data:`SECTIONS` entry as
-        an SPMD section on the live ranks, a :data:`SHARD_OPS` entry on
-        every rank."""
-        spmd = name in SECTIONS
-        fn = SECTIONS[name] if spmd else SHARD_OPS[name]
-        if self._process:
-            replies = (self.world.run_section(name, params) if spmd
-                       else self.world.command(name, params))
-            return {rank: value for per_worker in replies.values()
-                    for rank, value in per_worker.items()}
-        out: Dict[int, Any] = {}
+        """Run SPMD section ``name`` of the rank program on the live
+        ranks, wherever they are hosted; returns ``rank -> result``."""
+        return self.host.run_section(name, params)
 
-        def run(ctx: RankContext) -> None:
-            out[ctx.rank] = fn(ctx, **params)
-
-        if spmd:
-            self.world.run_on_all(run)
-        else:
-            for ctx in self.world.ranks:
-                run(ctx)
-        return out
-
-    def _shard_totals(self) -> Dict[int, tuple]:
-        """``rank -> shard_totals`` (see :func:`dnnd_phases.shard_totals`).
-        The process world folds in the history of workers that died."""
-        if self._process:
-            return self.world.shard_totals()
-        return {ctx.rank: shard_totals(ctx) for ctx in self.world.ranks}
+    def _pump(self) -> None:
+        """Ship what the emitting sections just staged, in global chunks
+        of ``batch_size // world_size`` messages per rank with a barrier
+        after each (Section 4.4's application-level batching; why chunk
+        at all: see :func:`dnnd_phases.stage`).  Every barrier of a
+        build is taken by the driver, here or in the schedule."""
+        bs = self.config.batch_size
+        chunk = max(1, bs // self.cluster.world_size) if bs else 0
+        while True:
+            left = self._run_section("pump", count=chunk)
+            self.world.barrier()
+            if not any(left.values()):
+                return
 
     def close(self) -> None:
-        """Release the executor's scheduling resources (a no-op for the
-        sim backend; stops the process backend's workers and unlinks the
-        dataset segment).  Safe to call more than once; also triggered
-        by garbage collection."""
-        self.executor.shutdown()
+        """Release the backend's resources (nothing to release on sim;
+        stops the process backend's workers and unlinks the dataset
+        segment).  Safe to call more than once; also triggered by
+        garbage collection."""
+        if self._finalizer is not None:
+            self._finalizer()
 
     def _enter_phase(self, name: str, **args) -> None:
         """Start phase ``name``: scope message stats to it *and* open a
@@ -524,6 +508,9 @@ class DNND:
             batch_size=meta["batch_size"],
             pruning_factor=meta["pruning_factor"],
             shuffle_reverse_destinations=meta["shuffle_reverse_destinations"],
+            # Checkpoints older than the key resume under the ambient
+            # default, as they always did.
+            kernel=meta.get("kernel"),
             backend=backend,
             workers=workers,
         )
@@ -649,7 +636,7 @@ class DNND:
         self._publish_build_metrics(update_counts)
         self._publish_partition_metrics(graph.ids)
         self._publish_sim_enrichment()
-        distance_evals = sum(t[1] for t in self._shard_totals().values())
+        distance_evals = sum(t[1] for t in self.host.shard_totals().values())
         result = DNNDResult(
             graph=graph,
             iterations=iterations,
@@ -681,7 +668,7 @@ class DNND:
         m = self.metrics
         if not m.enabled:
             return
-        totals = list(self._shard_totals().values())
+        totals = list(self.host.shard_totals().values())
         m.set_counter("heap.updates", sum(t[0] for t in totals))
         m.set_counter("heap.updates.accepted", sum(update_counts))
         m.set_counter("distance.evals", sum(t[1] for t in totals))
@@ -797,7 +784,7 @@ class DNND:
             repaired = sorted(self.world.readmit_ranks())
             for stage in ("repair_reset", "repair_reinit", "repair_donate"):
                 self._run_section(stage, ranks=repaired)
-            self.world.barrier()
+            self._pump()
             # Bounded extra rounds, keyed past the regular iteration
             # space so their RNG streams are fresh; stop early once the
             # update counter falls under the convergence threshold.  The
@@ -816,7 +803,7 @@ class DNND:
         """Algorithm 1 lines 2-5 via the Section 4.1 async pattern."""
         self._enter_phase("init")
         self._run_section("init")
-        self.world.barrier()
+        self._pump()
 
     def _iteration(self, iteration: int) -> int:
         """One NN-Descent round; returns the allreduced update counter."""
@@ -824,25 +811,16 @@ class DNND:
         self._run_section("sample", iteration=iteration)
         self._enter_phase("reverse", iteration=iteration)
         self._run_section("reverse", iteration=iteration)
-        self.world.barrier()
+        self._pump()
         self._enter_phase("union", iteration=iteration)
         self._run_section("union", iteration=iteration)
         self._enter_phase("neighbor_check", iteration=iteration)
-        # Build every rank's Type 1 requests, then emit them in global
-        # chunks of ~batch_size with a barrier between chunks (why: see
-        # ``dnnd_phases.check_build``).  Excluded ranks build nothing and
-        # emit nothing.
-        ws = self.cluster.world_size
-        longest = max(self._run_section("check_build").values(), default=0)
-        chunk = max(1, self.config.batch_size // ws
-                    if self.config.batch_size else longest)
-        for start in range(0, longest, chunk):
-            self._run_section("check_emit", start=start, stop=start + chunk)
-            self.world.barrier()
+        self._run_section("check")
+        self._pump()
         # ---- termination counter (line 23): allreduce; a rank excluded
         # in degraded mode contributes zero (the allreduce still collects
         # one value per rank).
-        totals = self._shard_totals()
+        totals = self.host.shard_totals()
         excluded = self.world.excluded_ranks
         return int(self.cluster.allreduce_sum(
             [0 if r in excluded else totals[r][2]
@@ -857,7 +835,7 @@ class DNND:
         k = self.config.k
         ids = np.full((self.n, k), EMPTY, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
-        by_rank = self._run_section("gather_rows")
+        by_rank = self.host.command("gather_rows")
         contributions = [by_rank.get(r, ())
                          for r in range(self.cluster.world_size)]
         per_rank_bytes = max(1, (self.n // self.cluster.world_size) * k * (ID_BYTES + 4))
@@ -889,12 +867,12 @@ class DNND:
         # edges to their owners.
         self._run_section("opt_seed")
         self._run_section("opt_rev")
-        self.world.barrier()
+        self._pump()
         # Stage 2: local prune to ceil(k * m) and gather.
         max_degree = int(np.ceil(self.config.k * m))
         neighbor_lists: List[Optional[List]] = [None] * self.n
-        for lists in self._run_section("opt_collect",
-                                       max_degree=max_degree).values():
+        for lists in self.host.command(
+                "opt_collect", {"max_degree": max_degree}).values():
             for v, lst in lists.items():
                 neighbor_lists[v] = lst
         self.world.barrier()
@@ -967,7 +945,7 @@ class DNND:
         ids = np.full((self.n, k), -1, dtype=np.int64)
         dists = np.full((self.n, k), np.inf, dtype=np.float64)
         flags = np.zeros((self.n, k), dtype=bool)
-        for gids, r_ids, r_dists, r_flags in self._run_section(
+        for gids, r_ids, r_dists, r_flags in self.host.command(
                 "ckpt_get").values():
             ids[gids] = r_ids
             dists[gids] = r_dists
@@ -1002,6 +980,9 @@ class DNND:
             "batch_size": cfg.batch_size,
             "pruning_factor": cfg.pruning_factor,
             "shuffle_reverse_destinations": cfg.shuffle_reverse_destinations,
+            # The kernel the build runs under (the config may defer to
+            # REPRO_KERNEL, which a resuming process need not share).
+            "kernel": resolve_kernel(cfg.kernel),
             "partitioner": partitioner_spec(self.partitioner),
         }
         with self.metrics.span("checkpoint.write", cat="io",
@@ -1023,21 +1004,12 @@ class DNND:
                 f"checkpoint heap shape {ids.shape} does not match "
                 f"(n={self.n}, k={self.config.k})"
             )
+        # Each host receives only its ranks' rows, not the (n, k) arrays.
         rows = {}
         for rank in range(self.cluster.world_size):
             gids = self.partitioner.local_ids(rank)
             rows[rank] = (ids[gids], dists[gids], flags[gids])
-        if self._process:
-            # Per-worker sliced restore: each worker receives only its
-            # owned ranks' heap rows, not the full (n, k) arrays.
-            for w in self.cluster.alive_workers():
-                corrupt = self.cluster.command_one(w, "ckpt_set", {
-                    "heaps": {r: rows[r] for r in self.cluster.owned_by[w]}})
-                if corrupt:
-                    raise CheckpointCorruptError(corrupt)
-            return
-        for ctx in self.world.ranks:
-            ckpt_set(ctx, *rows[ctx.rank])
+        self.host.command("ckpt_set", {"by_rank": rows})
 
     # -- persistence ----------------------------------------------------------
 
@@ -1061,18 +1033,26 @@ class DNND:
 
 def _load_checkpoint(checkpoint_path, when: str):
     """Read ``(meta, ids, dists, flags)`` from a checkpoint store,
-    verifying checksums; damage surfaces as
-    :class:`CheckpointCorruptError` naming ``when`` it was found."""
+    verifying checksums and that every row is a valid neighbor heap;
+    damage surfaces as :class:`CheckpointCorruptError` naming ``when``
+    it was found."""
     try:
         with MetallStore.open_read_only(checkpoint_path,
                                         verify=True) as store:
-            return (store["ckpt_meta"], np.asarray(store["ckpt_ids"]),
-                    np.asarray(store["ckpt_dists"]),
-                    np.asarray(store["ckpt_flags"]))
+            meta, ids, dists, flags = (
+                store["ckpt_meta"], np.asarray(store["ckpt_ids"]),
+                np.asarray(store["ckpt_dists"]),
+                np.asarray(store["ckpt_flags"]))
     except StoreCorruptError as exc:
         raise CheckpointCorruptError(
             f"checkpoint at {checkpoint_path} failed verification "
             f"{when}: {exc}") from exc
+    broken = check_rows(ids, dists)
+    if broken is not None:
+        raise CheckpointCorruptError(
+            f"checkpoint at {checkpoint_path}, read {when}: row of vertex "
+            f"{broken[0]} is not a valid neighbor heap: {broken[1]}")
+    return meta, ids, dists, flags
 
 
 def _fingerprint(data) -> float:

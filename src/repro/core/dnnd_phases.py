@@ -1,19 +1,21 @@
-"""DNND's rank program (Section 4): rank-local state, message handlers
-and SPMD sections — written once, run by every world.
+"""DNND's rank program (Section 4): rank-local state, message handlers,
+SPMD sections — written once — and the host that runs them.
 
 DNND partitions vertices over ranks; each rank holds its vertices'
 feature rows and neighbor heaps (:class:`LocalShard`).  This module is
-the only home of what a rank *does*: the sim and process worlds
-register the same handler functions (:func:`register_dnnd_handlers`) and
-resolve sections and shard-state ops from the same tables
-(:data:`SECTIONS`, :data:`SHARD_OPS`); the driver only sequences phases
-and barriers.  Neighbor state lives in one place — the shard's
+the only home of what a rank *does*, and :class:`RankHost` the only
+place its tables (:data:`SECTIONS`, :data:`SHARD_OPS`) are looked up:
+the sim driver holds one host over every rank, each process worker one
+over the ranks it owns, and the driver — which owns the schedule and
+every barrier — reaches both through the same ``rank -> value``
+commands.  Neighbor state lives in one place — the shard's
 ``(n_local, k)`` id / distance / flag matrices — and the whole message
-chain is *columnar*: sections emit runs of messages as one array per
-argument (:func:`emit` / :meth:`YGMWorld.emit_run`), and each message
-type has exactly one handler, which takes a run and works on the
-matrices in array operations (DESIGN.md section 10).  The three
-communication phases of Section 4 are YGM handlers:
+chain is *columnar*: sections stage runs of messages as one array per
+argument (:func:`stage`; the driver's :func:`pump` hands them to
+:meth:`YGMWorld.emit_run` chunk by chunk), and each message type has
+exactly one handler, which takes a run and works on the matrices in
+array operations (DESIGN.md section 10).  The three communication
+phases of Section 4 are YGM handlers:
 
 **Initialization** (Section 4.1's example pattern)
     ``init_req`` carries ``v``'s feature vector to ``owner(u)``, which
@@ -46,7 +48,7 @@ communication phases of Section 4 are YGM handlers:
 **Features travel by reference.**  A feature-carrying message (``init_req``,
 Type 2, Type 2+) holds the sender vertex's *global id*; the receiver
 resolves the row through :meth:`LocalShard.row` / :meth:`LocalShard.rows`
-over the read-only dataset view its world holds (the driver's array
+over the read-only dataset view its host holds (the driver's array
 under sim, the shared-memory segment under process).  The
 *modeled* wire size is unchanged: message sizes follow Section 2's
 accounting — ids are 4 bytes, distances 4 bytes, features
@@ -66,13 +68,13 @@ import numpy as np
 from ..analysis.sanitizer import tag_heap
 from ..config import DNNDConfig
 from ..distances.counting import CountingMetric
-from ..errors import CheckpointCorruptError, PartitionError, StoreError
+from ..errors import PartitionError, RuntimeStateError, StoreError
 from ..runtime.partition import Partitioner
 from ..runtime.ygm import RankContext, YGMWorld
 from ..types import DIST_BYTES, ID_BYTES
 from ..utils.rng import derive_rng
 from ..utils.sampling import sample_without_replacement
-from .heap import EMPTY, NeighborHeap, check_rows, merge_rows
+from .heap import EMPTY, NeighborHeap, merge_rows
 from .nndescent import _union_with_sample
 
 # Message-type labels used in Figure 4.
@@ -108,9 +110,6 @@ class LocalShard:
     owner_of:
         ``owner_of[gid] == partitioner.owner(gid)`` — one array shared by
         a world's shards (see :func:`build_shards`).
-    paced:
-        Whether this world takes Section 4.4 application-level batch
-        barriers mid-phase (the inline sim world only; see :func:`emit`).
     """
 
     rank: int
@@ -124,7 +123,6 @@ class LocalShard:
     sparse: bool = False
     feature_nbytes_dense: int = 0
     feature_sizes: Any = None  # sparse only: wire bytes of each own record
-    paced: bool = False
 
     ids: np.ndarray = None
     dists: np.ndarray = None
@@ -153,9 +151,10 @@ class LocalShard:
     check_seen: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    # This iteration's Type 1 requests as ``(u1, u2)`` columns, built by
-    # the ``check_build`` section and shipped in chunks by ``check_emit``.
-    check_pairs: tuple = ()
+    # Column runs ``(dests, handler, columns, nbytes, msg_type)`` an
+    # emitting section staged (:func:`stage`), in emission order; the
+    # ``pump`` section ships them from the front, chunk by chunk.
+    staged: list = field(default_factory=list)
 
     # Optimization-phase scratch: reversed edges received, as
     # ``(rows, neighbor ids, dists)`` column chunks.
@@ -163,7 +162,7 @@ class LocalShard:
 
     @classmethod
     def build(cls, rank: int, partitioner: Partitioner, data: Any,
-              config: DNNDConfig, owner_of: np.ndarray, paced: bool = False,
+              config: DNNDConfig, owner_of: np.ndarray,
               sanitizer: Any = None) -> "LocalShard":
         """Shard construction: copy ``rank``'s rows out of the dataset
         view ``data`` and start every vertex with an empty neighbor row."""
@@ -182,8 +181,7 @@ class LocalShard:
             rank=rank, partitioner=partitioner, global_ids=gids,
             features=feats, metric=metric, config=config, data=data,
             owner_of=owner_of, sparse=metric.sparse_input,
-            feature_nbytes_dense=dense_bytes, feature_sizes=sizes,
-            paced=paced)
+            feature_nbytes_dense=dense_bytes, feature_sizes=sizes)
         shard.reset_heaps(sanitizer)
         return shard
 
@@ -265,6 +263,9 @@ class LocalShard:
         self.rev_old = []
         self.update_count = 0
         self.check_seen = np.empty(0, dtype=np.int64)
+        # A replayed iteration (crash recovery, degraded exclusion) must
+        # not ship what the aborted one left staged.
+        self.staged = []
 
     def reset_heaps(self, sanitizer: Any = None) -> None:
         """Empty neighbor rows for every local vertex; the row views are
@@ -290,14 +291,15 @@ def shard_of(ctx: RankContext) -> LocalShard:
 
 
 def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
-                 data: Any, config: DNNDConfig, paced: bool = False) -> None:
-    """Build the shards of the ranks one world hosts (the driver: all of
-    them; a process worker: the ranks it owns) over its dataset view."""
+                 data: Any, config: DNNDConfig) -> None:
+    """Build the shards of the ranks one host covers (the sim driver's:
+    all of them; a process worker's: the ranks it owns) over its dataset
+    view."""
     owner_of = np.asarray(partitioner.owner_array(
         np.arange(partitioner.n, dtype=np.int64)), dtype=np.int64)
     for ctx in ctxs:
         ctx.state["shard"] = LocalShard.build(
-            ctx.rank, partitioner, data, config, owner_of, paced=paced,
+            ctx.rank, partitioner, data, config, owner_of,
             sanitizer=ctx.world.sanitizer)
 
 
@@ -306,33 +308,48 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
 # ---------------------------------------------------------------------------
 
 
-def emit(ctx: RankContext, dests: np.ndarray, handler: str, columns: tuple,
-         nbytes, msg_type: str, paced: bool = False) -> None:
-    """:meth:`YGMWorld.emit_run` from ``ctx.rank``, with Section 4.4's
-    application-level batching for the handler-silent phases.
+def stage(ctx: RankContext, dests: np.ndarray, handler: str, columns: tuple,
+          nbytes, msg_type: str) -> None:
+    """Stage a run of messages on ``ctx``'s shard — the arguments of
+    :meth:`YGMWorld.emit_run` — for the driver to ship.
 
-    ``paced`` marks phases whose handlers emit nothing (reverse,
-    opt_rev): there the async count between barriers only grows by these
-    emissions, so on a *paced* world (the inline sim: batch barriers
-    bound the simulated buffer memory between supersteps, and a worker
-    that sees only its own ranks cannot drive a mid-phase barrier) the
-    run is cut to take a barrier every ``batch_size`` global requests."""
-    shard = shard_of(ctx)
-    world = ctx.world
-    bs = shard.config.batch_size
-    if not (paced and shard.paced and bs):
-        world.emit_run(ctx.rank, dests, handler, columns, nbytes, msg_type)
-        return
-    uniform = isinstance(nbytes, int)
-    i = 0
-    while i < len(dests):
-        j = i + max(1, bs - world.async_count_since_barrier)
-        world.emit_run(ctx.rank, dests[i:j], handler,
-                       tuple(col[i:j] for col in columns),
-                       nbytes if uniform else nbytes[i:j], msg_type)
-        i = j
-        if world.async_count_since_barrier >= bs:
-            world.barrier()
+    An emitting section never sends: it stages, and the driver then runs
+    the :func:`pump` section in global chunks of ``batch_size //
+    world_size`` messages per rank with a barrier after each — Section
+    4.4's application-level batching, one rule for every phase and every
+    backend.  The chunking matters for *communication volume*, not just
+    buffer memory: the redundancy check and the distance-pruning bound
+    read row state at delivery time, so a chunk's Type 3 feedback
+    tightens the bounds seen by the next chunk.  Emitting a whole
+    neighbor-check iteration up front triples the Type 3 traffic
+    (measured at n=2000: 176k vs 48k replies)."""
+    if len(dests):
+        shard_of(ctx).staged.append((dests, handler, columns, nbytes,
+                                     msg_type))
+
+
+def pump(ctx: RankContext, count: int) -> int:
+    """Ship the next ``count`` staged messages of this rank (all of them
+    when ``count`` is 0); returns how many stay staged."""
+    staged = shard_of(ctx).staged
+    left = sum(len(run[0]) for run in staged)
+    room = count or left
+    while room and staged:
+        dests, handler, columns, nbytes, msg_type = staged[0]
+        n = min(room, len(dests))
+        uniform = isinstance(nbytes, int)
+        ctx.world.emit_run(ctx.rank, dests[:n], handler,
+                           tuple(col[:n] for col in columns),
+                           nbytes if uniform else nbytes[:n], msg_type)
+        if n == len(dests):
+            del staged[0]
+        else:
+            staged[0] = (dests[n:], handler,
+                         tuple(col[n:] for col in columns),
+                         nbytes if uniform else nbytes[n:], msg_type)
+        room -= n
+        left -= n
+    return left
 
 
 def _flatten(lists: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -391,7 +408,8 @@ def type1_pairs(new_lists: List[List[int]], old_lists: List[List[int]],
 
 # ---------------------------------------------------------------------------
 # SPMD sections: one rank's share of a phase, as functions of
-# ``(ctx, **params)``.  Every world runs them on its live ranks.
+# ``(ctx, **params)``.  A host runs them on its live ranks; none takes a
+# barrier, and those that send only stage.
 # ---------------------------------------------------------------------------
 
 
@@ -412,8 +430,8 @@ def init(ctx: RankContext) -> None:
         return
     rows = np.repeat(np.arange(shard.n_local), [len(p) for p in picks])
     u = np.concatenate(picks)
-    emit(ctx, shard.owner_of[u], "init_req", (shard.global_ids[rows], u),
-         shard.feature_message_bytes(rows), "init_req")
+    stage(ctx, shard.owner_of[u], "init_req", (shard.global_ids[rows], u),
+          shard.feature_message_bytes(rows), "init_req")
 
 
 def sample(ctx: RankContext, iteration: int) -> None:
@@ -468,11 +486,9 @@ def reverse(ctx: RankContext, iteration: int) -> None:
     rng = (derive_rng(shard.config.nnd.seed, 4, iteration, ctx.rank)
            if shard.config.shuffle_reverse_destinations else None)
     u, v = _reversed_entries(shard, shard.new_lists, rng)
-    emit(ctx, shard.owner_of[u], "rev_new", (u, v), 2 * ID_BYTES, "reverse",
-         paced=True)
+    stage(ctx, shard.owner_of[u], "rev_new", (u, v), 2 * ID_BYTES, "reverse")
     u, v = _reversed_entries(shard, shard.old_lists, rng)
-    emit(ctx, shard.owner_of[u], "rev_old", (u, v), 2 * ID_BYTES, "reverse",
-         paced=True)
+    stage(ctx, shard.owner_of[u], "rev_old", (u, v), 2 * ID_BYTES, "reverse")
 
 
 def union(ctx: RankContext, iteration: int) -> None:
@@ -497,29 +513,15 @@ def union(ctx: RankContext, iteration: int) -> None:
             shard.old_lists[li], ro, sample_n, rng)
 
 
-def check_build(ctx: RankContext) -> int:
-    """Neighbor checks, step 1: build the rank's Type 1 requests (pair
-    generation reads only iteration-start new/old lists); returns their
-    number.  Step 2 is :func:`check_emit`, driven in global chunks of
-    ~``batch_size`` with a barrier between chunks — the Section 4.4
-    application-level batching.  The chunking matters for
-    *communication volume*, not just memory: the redundancy check and
-    the distance-pruning bound read row state at delivery time, so a
-    chunk's Type 3 feedback tightens the bounds seen by the next chunk.
-    Emitting a whole iteration up front triples the Type 3 traffic
-    (measured at n=2000: 176k vs 48k replies)."""
+def check(ctx: RankContext) -> None:
+    """Neighbor checks: the rank's Type 1 requests (pair generation
+    reads only iteration-start new/old lists)."""
     shard = shard_of(ctx)
-    shard.check_pairs = type1_pairs(shard.new_lists, shard.old_lists,
-                                    shard.config.comm_opts.one_sided)
-    return len(shard.check_pairs[0])
-
-
-def check_emit(ctx: RankContext, start: int, stop: int) -> None:
-    shard = shard_of(ctx)
-    u1, u2 = (col[start:stop] for col in shard.check_pairs)
-    emit(ctx, shard.owner_of[u1],
-         "check_opt" if shard.config.comm_opts.one_sided else "check_unopt",
-         (u1, u2), 2 * ID_BYTES, T1)
+    one_sided = shard.config.comm_opts.one_sided
+    u1, u2 = type1_pairs(shard.new_lists, shard.old_lists, one_sided)
+    stage(ctx, shard.owner_of[u1],
+          "check_opt" if one_sided else "check_unopt", (u1, u2),
+          2 * ID_BYTES, T1)
 
 
 def repair_reset(ctx: RankContext, ranks: List[int]) -> None:
@@ -548,8 +550,8 @@ def repair_donate(ctx: RankContext, ranks: List[int]) -> None:
     rows, u, d = shard.edges()
     lost = np.isin(shard.owner_of[u], ranks)
     rows, u, d = rows[lost], u[lost], d[lost]
-    emit(ctx, shard.owner_of[u], "init_resp", (u, shard.global_ids[rows], d),
-         2 * ID_BYTES + DIST_BYTES, "init_resp")
+    stage(ctx, shard.owner_of[u], "init_resp", (u, shard.global_ids[rows], d),
+          2 * ID_BYTES + DIST_BYTES, "init_resp")
 
 
 def opt_seed(ctx: RankContext) -> None:
@@ -562,20 +564,18 @@ def opt_rev(ctx: RankContext) -> None:
     """Section 4.5 stage 1b: ship reversed edges to their owners."""
     shard = shard_of(ctx)
     rows, u, d = shard.edges()
-    emit(ctx, shard.owner_of[u], "opt_rev_edge",
-         (u, shard.global_ids[rows], d), 2 * ID_BYTES + 4, "opt_rev",
-         paced=True)
+    stage(ctx, shard.owner_of[u], "opt_rev_edge",
+          (u, shard.global_ids[rows], d), 2 * ID_BYTES + 4, "opt_rev")
 
 
-#: The SPMD sections by name — the table the driver's ``_run_section``
-#: and a process worker's ``section`` command both resolve from.
+#: The SPMD sections by name, resolved by :meth:`RankHost.run_section`.
 SECTIONS: Dict[str, Callable[..., Any]] = {
     "init": init,
     "sample": sample,
     "reverse": reverse,
     "union": union,
-    "check_build": check_build,
-    "check_emit": check_emit,
+    "check": check,
+    "pump": pump,
     "repair_reset": repair_reset,
     "repair_reinit": repair_reinit,
     "repair_donate": repair_donate,
@@ -603,17 +603,13 @@ def ckpt_get(ctx: RankContext) -> tuple:
 def ckpt_set(ctx: RankContext, ids: np.ndarray, dists: np.ndarray,
              flags: np.ndarray) -> None:
     """Restore the rank's neighbor rows from its rows of a
-    :func:`ckpt_get` snapshot (row ``i`` belongs to ``global_ids[i]``)."""
+    :func:`ckpt_get` snapshot (row ``i`` belongs to ``global_ids[i]``).
+    The driver validated the rows when it loaded them."""
     shard = shard_of(ctx)
     if ids.shape != shard.ids.shape:
         raise StoreError(
             f"checkpoint slice shape {ids.shape} does not match rank "
             f"{ctx.rank} shard {shard.ids.shape}")
-    broken = check_rows(ids, dists)
-    if broken is not None:
-        raise CheckpointCorruptError(
-            f"checkpoint row of vertex {int(shard.global_ids[broken[0]])} "
-            f"is not a valid neighbor heap: {broken[1]}")
     shard.ids[:] = ids
     shard.dists[:] = dists
     shard.flags[:] = flags
@@ -658,13 +654,13 @@ def shard_totals(ctx: RankContext) -> Tuple[int, int, int, int, int]:
             shard.metric.tile_flops, shard.metric.kernel_fallbacks)
 
 
-#: The read ops the driver broadcasts by name (``ckpt_set`` and
-#: ``shard_totals`` travel their own way: restore rows are sliced per
-#: host, and the process world folds totals across worker deaths).
+#: The shard-state ops by name, resolved by :meth:`RankHost.command`.
 SHARD_OPS: Dict[str, Callable[..., Any]] = {
     "ckpt_get": ckpt_get,
+    "ckpt_set": ckpt_set,
     "gather_rows": gather_rows,
     "opt_collect": opt_collect,
+    "shard_totals": shard_totals,
 }
 
 
@@ -864,3 +860,101 @@ def register_dnnd_handlers(world: YGMWorld) -> None:
         distance_reply=h_distance_reply,
         opt_rev_edge=h_opt_rev_edge,
     )
+
+
+# ---------------------------------------------------------------------------
+# The rank host: what executes the driver's commands over a world's ranks.
+# ---------------------------------------------------------------------------
+
+
+class RankHost:
+    """Hosts some of a world's ranks — their shards and the handlers
+    they run — and executes the driver's commands over them.  The sim
+    driver holds one host over every rank of its world; each process
+    worker holds one over the ranks it owns (:mod:`.dnnd_process`).
+    The only place :data:`SECTIONS` and :data:`SHARD_OPS` are looked up.
+
+    Every command returns ``rank -> value``:
+
+    ``run_section(name, params)``
+        a :data:`SECTIONS` entry as an SPMD section on the hosted *live*
+        ranks (:meth:`YGMWorld.run_on_all`);
+    ``command(op, payload)``
+        a :data:`SHARD_OPS` entry on every hosted rank, excluded or not;
+        a ``by_rank`` payload entry holds per-rank positional arguments;
+    ``command("build_shards" | "set_phase" | "exclude" | "readmit" |
+    "export_stats", payload)``
+        the world-level calls a driver makes directly on a world it
+        holds and by command on one it does not.
+    """
+
+    def __init__(self, world: YGMWorld, ranks: Iterable[int], data: Any,
+                 config: DNNDConfig, partitioner: Partitioner) -> None:
+        self.world = world
+        self.ranks = [int(r) for r in ranks]
+        self.data = data
+        self.config = config
+        register_dnnd_handlers(world)
+        self._commands: Dict[str, Callable[..., Any]] = {
+            "build_shards": self.build_shards,
+            "set_phase": world.set_phase,
+            "exclude": world.exclude_ranks,
+            "readmit": world.readmit_ranks,
+            "export_stats": self.export_stats,
+        }
+        self.build_shards(partitioner)
+
+    def _ctxs(self) -> List[RankContext]:
+        return [self.world.ranks[r] for r in self.ranks]
+
+    def dispatch(self, cmd: str, payload: dict | None) -> Any:
+        """A process worker's command loop ends here."""
+        if cmd == "section":
+            return self.run_section(payload["name"], payload["params"])
+        return self.command(cmd, payload)
+
+    def run_section(self, name: str, params: dict | None = None
+                    ) -> Dict[int, Any]:
+        fn = SECTIONS.get(name)
+        if fn is None:
+            raise RuntimeStateError(f"unknown section {name!r}")
+        params = params or {}
+        out: Dict[int, Any] = {}
+
+        def run(ctx: RankContext) -> None:
+            out[ctx.rank] = fn(ctx, **params)
+
+        self.world.run_on_all(run, self.ranks)
+        return out
+
+    def command(self, cmd: str, payload: dict | None = None) -> Any:
+        payload = dict(payload or {})
+        fn = self._commands.get(cmd)
+        if fn is not None:
+            return fn(**payload)
+        op = SHARD_OPS.get(cmd)
+        if op is None:
+            raise RuntimeStateError(f"unknown host command {cmd!r}")
+        by_rank = payload.pop("by_rank", {})
+        return {ctx.rank: op(ctx, *by_rank.get(ctx.rank, ()), **payload)
+                for ctx in self._ctxs()}
+
+    def shard_totals(self) -> Dict[int, tuple]:
+        return self.command("shard_totals")
+
+    def build_shards(self, partitioner: Partitioner) -> None:
+        """(Re)build the hosted shards under ``partitioner`` — at
+        construction, on recovery, and when the repartition pass swaps
+        the ownership layer.  Neighbor rows are restored separately
+        (``ckpt_set``)."""
+        build_shards(self._ctxs(), partitioner, self.data, self.config)
+
+    def export_stats(self) -> dict:
+        """The world's cumulative comm counters, for a driver that folds
+        them across worker processes."""
+        world = self.world
+        return {"stats": world.cluster.stats,
+                "phases": world.phase_stats,
+                "flushes": world.flush_count,
+                "invocations": world.handler_invocations,
+                "locals": world.local_deliveries}

@@ -59,12 +59,6 @@ class KNNGraphSearcher:
         Optional RP-tree forest: when given, search entry points come
         from the query's leaf instead of uniform random sampling
         (PyNNDescent's start-point refinement, Section 6).
-    batch_exec:
-        Evaluate each expanded vertex's unvisited neighbors with one
-        rowwise kernel call instead of per-neighbor scalar calls.
-        Bit-identical to the scalar path (the kernel is row-exact and
-        the accept/push decisions replay sequentially); automatically
-        falls back for sparse metrics or non-array datasets.
     kernel:
         Batched kernel implementation for the frontier expansion:
         ``"rowwise"`` (bit-exact, the default) or ``"blocked"``
@@ -74,7 +68,7 @@ class KNNGraphSearcher:
 
     def __init__(self, graph, data, metric: str = "sqeuclidean",
                  entry_forest: Optional[RPTreeForest] = None,
-                 seed: int = 0, batch_exec: bool = True,
+                 seed: int = 0,
                  metrics: "MetricsRegistry | None" = None,
                  kernel: str | None = None) -> None:
         if isinstance(graph, KNNGraph):
@@ -93,9 +87,13 @@ class KNNGraphSearcher:
         self.entry_forest = entry_forest
         self._rng = derive_rng(seed, 0x5EA6C4)
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.batch_exec = bool(batch_exec)
-        self._use_batch = (self.batch_exec
-                           and not self.metric.sparse_input
+        # Frontier expansion: a dense metric over a 2-D array evaluates
+        # each expanded vertex's unvisited neighbors with one rowwise
+        # kernel call (bit-identical to the scalar loop: the kernel is
+        # row-exact and the accept/push decisions replay in neighbor
+        # order); sparse metrics and non-array datasets take the
+        # per-neighbor scalar loop, the only form that runs there.
+        self._use_batch = (not self.metric.sparse_input
                            and isinstance(data, np.ndarray)
                            and data.ndim == 2)
 
@@ -107,7 +105,6 @@ class KNNGraphSearcher:
         return KNNGraphSearcher(self.graph, self.data,
                                 metric=self.metric.inner,
                                 entry_forest=self.entry_forest, seed=seed,
-                                batch_exec=self.batch_exec,
                                 metrics=self.metrics if self.metrics.enabled
                                 else None,
                                 kernel=self.metric.kernel)

@@ -381,3 +381,39 @@ def deterministic_projection(snap: Dict[str, Any]) -> Dict[str, Any]:
             if k.startswith("sim.")
         },
     }
+
+
+def publish_comm_metrics(world, pending_delayed: int | None) -> None:
+    """Mirror a comm world's authoritative aggregates into its metrics
+    registry — the one publisher behind every backend's barrier
+    (``YGMWorld`` and the process backend's ``ProcessWorld`` expose the
+    attributes read here).
+
+    All values are *assigned* as absolute totals — re-publishing is
+    idempotent, and both backends emit the exact same metric names (the
+    cross-backend conformance contract).  ``pending_delayed`` is the
+    number of messages a fault plan is holding back (``None`` without a
+    plan: the gauge is then not published).
+    """
+    m = world.metrics
+    if not m.enabled:
+        return
+    cluster = world.cluster
+    cluster.stats.publish(m)
+    world.fault_stats.publish(m)
+    if pending_delayed is not None:
+        m.set_gauge("faults.pending_delayed", float(pending_delayed))
+    m.set_counter("executor.tasks", world.handler_invocations)
+    m.set_counter("comm.flushes", world.flush_count)
+    m.set_counter("comm.barriers", cluster.ledger.barriers)
+    m.set_counter("transport.collectives", cluster.collectives)
+    # Sections broadcast to worker processes; a world that runs its
+    # rank sections inline reports none.
+    m.set_counter("executor.dispatches", world.dispatches)
+    # Locality split: self-sends (which never touch the wire or the
+    # message stats) vs wire messages — what makes the partition
+    # layer's effect measurable.
+    m.set_counter("comm.local_deliveries", world.local_deliveries)
+    m.set_counter("comm.remote_deliveries", cluster.stats.total_count())
+    # Ranks currently excluded from the build (0 outside degraded mode).
+    m.set_gauge("degraded.ranks", float(len(world.excluded_ranks)))

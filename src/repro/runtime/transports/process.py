@@ -17,13 +17,15 @@ GIL by giving every rank real OS-process parallelism:
   comm layer already produces, so the wire format is the sim wire
   format, serialized;
 - the **driver** keeps the SPMD program counter: it broadcasts commands
-  over per-worker pipes (:class:`ProcessTransport`), and
-  :class:`ProcessWorld` gives the DNND driver the same barrier /
-  phase / metrics / fault surface :class:`YGMWorld` does.
+  over per-worker pipes (:class:`ProcessTransport`) to the application
+  object each worker's bootstrap built (DNND: a rank host over the
+  worker's ranks), and :class:`ProcessWorld` gives the DNND driver the
+  same barrier / phase / metrics / fault surface :class:`YGMWorld` does,
+  plus the merged ``rank -> value`` replies of the workers' hosts.
 
 Quiescence across processes is a counting protocol: a barrier loops
-``__round__`` commands, each worker drains its inbox + runs local
-delivery rounds until locally idle and reports
+``__round__`` commands, each worker drains its inbox + runs delivery
+rounds (:meth:`YGMWorld.deliver_round`) until locally idle and reports
 ``(frames_sent, frames_received, handlers_run)``; the barrier completes
 when no worker ran a handler **and** the global sent/received frame
 counts agree (frames still sitting in a queue's feeder thread keep the
@@ -59,7 +61,7 @@ import numpy as np
 from ...config import ClusterConfig
 from ...errors import ConfigError, RankFailureError, RuntimeStateError
 from ..instrumentation import FaultStats, MessageStats
-from ..metrics import NULL_METRICS, MetricsRegistry
+from ..metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
 from ..netmodel import NetworkModel, NullLedger
 from .base import Transport
 
@@ -281,16 +283,15 @@ class WorkerComm:
         self.config = config
 
     def round(self, world) -> Tuple[int, int, int]:
-        """One barrier round: ingest + flush + deliver until locally
-        idle; report ``(frames_sent, frames_received, handlers_run)``
+        """One barrier round: ingest + deliver until locally idle;
+        report ``(frames_sent, frames_received, handlers_run)``
         cumulative for the current epoch / this round respectively."""
         activity = 0
         while True:
             ingested = self.transport.ingest(self.inbox)
-            world.flush_all()
-            ran = world._process_round()
+            ran = world.deliver_round()
             activity += ran
-            if ingested == 0 and ran == 0 and not world._has_buffered():
+            if ingested == 0 and ran == 0:
                 break
         return (self.transport.frames_sent, self.transport.frames_received,
                 activity)
@@ -315,8 +316,8 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
     ``bootstrap`` names ``(module, function)``; the function is imported
     in the child and called as ``fn(comm, params)``.  It must return an
     *app* object exposing ``world`` (the in-process :class:`YGMWorld`)
-    and ``dispatch(cmd, payload)``; every non-runtime command received
-    on the pipe is forwarded to it.  Replies are ``("ok", value)`` or
+    and ``dispatch(cmd, payload)`` (DNND's is a ``RankHost``); every
+    non-runtime command received on the pipe is forwarded to it.  Replies are ``("ok", value)`` or
     ``("error", formatted_traceback)`` — the driver re-raises the
     latter with the worker traceback embedded.
     """
@@ -344,7 +345,6 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
                 conn.send(("ok", comm.round(app.world)))
             elif cmd == CMD_RESET:
                 comm.reset(payload["epoch"], app.world)
-                app.on_reset()
                 conn.send(("ok", None))
             else:
                 conn.send(("ok", app.dispatch(cmd, payload)))
@@ -392,9 +392,9 @@ class ProcessTransport(Transport):
         self.dead_workers: Set[int] = set()
         #: Weak ref to a bound method called with the worker id when a
         #: dead worker is detected, before its ranks are marked failed
-        #: (ProcessWorld folds that worker's last stats export into its
-        #: base here).  Weak so the transport never keeps the world —
-        #: and through it the executor — alive: the executor's GC
+        #: (ProcessWorld retires that worker's last stats export
+        #: here).  Weak so the transport never keeps the world — and
+        #: through it the build's metrics — alive: the build's GC
         #: finalizer is what shuts this transport down.
         self._death_hook: Optional["weakref.WeakMethod"] = None
         self._bootstrap: Optional[Tuple[str, str]] = None
@@ -530,17 +530,21 @@ class ProcessTransport(Transport):
     def alive_workers(self) -> List[int]:
         return [w for w in range(self.nworkers) if w not in self.dead_workers]
 
-    def command_all(self, cmd: str, payload: Any = None) -> Dict[int, Any]:
-        """Broadcast ``(cmd, payload)`` to every live worker and collect
-        replies.  Workers found dead on the way are recorded (their
-        ranks marked failed) and simply absent from the result — the
-        caller decides whether that is a :class:`RankFailureError`."""
+    def command_all(self, cmd: str, payload: Any = None,
+                    per_worker: Dict[int, Any] | None = None
+                    ) -> Dict[int, Any]:
+        """Broadcast ``(cmd, payload)`` to every live worker — worker
+        ``w`` receives ``per_worker[w]`` instead where given — and
+        collect replies.  Workers found dead on the way are recorded
+        (their ranks marked failed) and simply absent from the result —
+        the caller decides whether that is a :class:`RankFailureError`."""
         self._check_alive()
         self.liveness_sweep()
         sent = []
         for w in self.alive_workers():
+            mine = payload if per_worker is None else per_worker[w]
             try:
-                self._conns[w].send((cmd, payload))
+                self._conns[w].send((cmd, mine))
                 sent.append(w)
             except (BrokenPipeError, OSError):
                 self._on_worker_death(w)
@@ -557,22 +561,6 @@ class ProcessTransport(Transport):
             results[w] = value
         return results
 
-    def command_one(self, w: int, cmd: str, payload: Any = None) -> Any:
-        """Send ``(cmd, payload)`` to one worker; ``None`` if it died."""
-        self._check_alive()
-        if w in self.dead_workers:
-            return None
-        try:
-            self._conns[w].send((cmd, payload))
-            status, value = self._conns[w].recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self._on_worker_death(w)
-            return None
-        if status == "error":
-            raise RuntimeStateError(
-                f"worker {w} failed running {cmd!r}:\n{value}")
-        return value
-
     def bump_epoch(self) -> None:
         """Advance the epoch and reset every live worker into it: they
         drain + discard their inboxes, zero frame counters, and clear
@@ -581,18 +569,12 @@ class ProcessTransport(Transport):
         self.command_all(CMD_RESET, {"epoch": self.epoch})
 
 
-def _stats_export_empty() -> dict:
-    return {"stats": {}, "phases": {}, "flushes": 0, "invocations": 0,
-            "locals": 0}
+#: A ``shard_totals`` row of a rank nothing has been heard from.
+_NO_TOTALS = (0, 0, 0, 0, 0)
 
 
-def _fold_type_stats(into: Dict[str, list], types: Dict[str, tuple]) -> None:
-    for msg_type, (count, nbytes, ocount, obytes) in types.items():
-        cell = into.setdefault(msg_type, [0, 0, 0, 0])
-        cell[0] += count
-        cell[1] += nbytes
-        cell[2] += ocount
-        cell[3] += obytes
+def _sum_rows(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 class ProcessWorld:
@@ -600,24 +582,29 @@ class ProcessWorld:
 
     Presents the slice of the :class:`YGMWorld` surface the DNND driver
     uses — barriers, phases, metrics publication, fault bookkeeping,
-    exclusion/readmission, in-flight reset — implemented as command
-    broadcasts to the worker pool.  Message statistics are *rebuilt in
-    place* from per-worker cumulative exports at every barrier (the
-    aggregate objects are captured by reference in ``DNNDResult``), with
-    per-worker bases folded in when a worker dies so a respawned
-    worker's zeroed counters never erase history.
+    exclusion/readmission, in-flight reset — plus the rank-host surface
+    (:meth:`run_section` / :meth:`command` / :meth:`shard_totals`, each
+    ``rank -> value``), implemented as command broadcasts to the rank
+    hosts the workers hold.
+
+    What a worker's death folds: message statistics and per-rank shard
+    totals are cumulative per worker *incarnation*.  The latest export
+    of each live incarnation is kept (``_last``); the transport's death
+    hook retires a dead worker's last export into ``_retired``, so a
+    respawned worker's zeroed counters never erase history.  The
+    aggregate objects are refilled in place at every barrier
+    (``DNNDResult`` captures them by reference).
     """
 
     #: The process backend never runs the ownership sanitizer (it is a
-    #: sim debugging feature); driver sections check this.
+    #: sim debugging feature).
     sanitizer = None
 
-    def __init__(self, cluster: ProcessTransport, executor=None,
+    def __init__(self, cluster: ProcessTransport,
                  metrics: MetricsRegistry | None = None,
-                 fault_plan=None, seed: int = 0) -> None:
+                 fault_plan=None) -> None:
         self.cluster = cluster
         self.world_size = cluster.world_size
-        self.executor = executor
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else NULL_METRICS)
         self.fault_stats = FaultStats()
@@ -625,23 +612,20 @@ class ProcessWorld:
         self._fired_crashes: Set[Tuple[int, int]] = set()
         self.excluded_ranks: Set[int] = set()
         self.phase_stats: Dict[str, MessageStats] = {}
-        self._phase = "default"
         self.flush_count = 0
         self.handler_invocations = 0
         self.local_deliveries = 0
-        self.seed = int(seed)
-        # Per-worker cumulative stat exports: ``_last`` is the current
-        # incarnation's latest export, ``_base`` the folded total of all
-        # previous incarnations (updated by the transport's death hook).
+        #: Sections broadcast to the workers (``executor.dispatches``).
+        self.dispatches = 0
+        # worker -> latest ``export_stats`` reply of its live incarnation,
+        # and the last replies of incarnations that died.
         self._last: Dict[int, dict] = {}
-        self._base: Dict[int, dict] = {}
-        # Same two-level scheme for per-rank shard totals (cumulative
-        # push attempts, distance evals, kernel tile flops, kernel
-        # fallbacks): rank -> [pushes, evals, tile_flops, fallbacks].
-        self._totals_last: Dict[int, list] = {}
-        self._totals_base: Dict[int, list] = {}
-        self._totals_rank_of: Dict[int, int] = {
-            r: cluster.worker_of[r] for r in range(self.world_size)}
+        self._retired: List[dict] = []
+        # rank -> latest ``shard_totals`` row of its live incarnation,
+        # and the summed rows of the incarnations that died (the update
+        # count, the current iteration's, is never carried over).
+        self._totals_last: Dict[int, tuple] = {}
+        self._totals_retired: Dict[int, tuple] = {}
         cluster.set_death_hook(self._fold_dead_worker)
 
     # -- death-time folding ---------------------------------------------------
@@ -649,76 +633,42 @@ class ProcessWorld:
     def _fold_dead_worker(self, w: int) -> None:
         last = self._last.pop(w, None)
         if last is not None:
-            base = self._base.setdefault(w, _stats_export_empty())
-            _fold_type_stats(base["stats"], last["stats"])
-            for phase, types in last["phases"].items():
-                _fold_type_stats(base["phases"].setdefault(phase, {}),
-                                 types)
-            base["flushes"] += last["flushes"]
-            base["invocations"] += last["invocations"]
-            base["locals"] += last.get("locals", 0)
+            self._retired.append(last)
         for rank in self.cluster.owned_by[w]:
-            cur = self._totals_last.pop(rank, None)
-            if cur is not None:
-                cell = self._totals_base.setdefault(rank, [0, 0, 0, 0])
-                for i, val in enumerate(cur):
-                    cell[i] += val
+            pushes, evals, _updates, flops, falls = self._totals_last.pop(
+                rank, _NO_TOTALS)
+            self._totals_retired[rank] = _sum_rows(
+                self._totals_retired.get(rank, _NO_TOTALS),
+                (pushes, evals, 0, flops, falls))
 
     # -- stats synchronization ------------------------------------------------
 
     def _sync_stats(self) -> None:
-        for w, export in self.cluster.command_all("export_stats").items():
-            self._last[w] = export
-        merged: Dict[str, list] = {}
-        merged_phases: Dict[str, Dict[str, list]] = {}
-        flushes = 0
-        invocations = 0
-        local_deliveries = 0
-        for source in (self._base, self._last):
-            for export in source.values():
-                _fold_type_stats(merged, {
-                    t: tuple(v) for t, v in export["stats"].items()})
-                for phase, types in export["phases"].items():
-                    _fold_type_stats(
-                        merged_phases.setdefault(phase, {}),
-                        {t: tuple(v) for t, v in types.items()})
-                flushes += export["flushes"]
-                invocations += export["invocations"]
-                local_deliveries += export.get("locals", 0)
-        self._rebuild(self.cluster.stats, merged)
-        for phase, types in merged_phases.items():
-            self._rebuild(self.phase_stats.setdefault(phase, MessageStats()),
-                          types)
-        self.flush_count = flushes
-        self.handler_invocations = invocations
-        self.local_deliveries = local_deliveries
-
-    @staticmethod
-    def _rebuild(stats: MessageStats, types: Dict[str, list]) -> None:
-        """Overwrite ``stats`` in place with the merged totals (the
-        object identity must survive — results hold references)."""
-        stats.reset()
-        for msg_type, (count, nbytes, ocount, obytes) in types.items():
-            stats.record_many(msg_type, count, nbytes, ocount, obytes)
+        self._last.update(self.cluster.command_all("export_stats"))
+        exports = [*self._retired, *self._last.values()]
+        total = MessageStats()
+        phases: Dict[str, MessageStats] = {}
+        for export in exports:
+            total = total.merged(export["stats"])
+            for phase, stats in export["phases"].items():
+                phases[phase] = phases.get(phase, MessageStats()).merged(
+                    stats)
+        # Refill in place: the objects' identity must survive.
+        self.cluster.stats.by_type = total.by_type
+        for phase, stats in phases.items():
+            self.phase_stats.setdefault(
+                phase, MessageStats()).by_type = stats.by_type
+        self.flush_count = sum(e["flushes"] for e in exports)
+        self.handler_invocations = sum(e["invocations"] for e in exports)
+        self.local_deliveries = sum(e["locals"] for e in exports)
 
     def shard_totals(self) -> Dict[int, Tuple[int, int, int, int, int]]:
-        """Per-rank ``(push_attempts, distance_evals, update_count,
-        kernel_tile_flops, kernel_fallbacks)``.  All but the update
-        count are cumulative (base + current incarnation); the update
-        count is the current iteration's and never folded."""
-        current: Dict[int, Tuple[int, ...]] = {}
-        for _w, entries in self.cluster.command_all("shard_totals").items():
-            for rank, pushes, evals, updates, flops, falls in entries:
-                current[rank] = (pushes, evals, updates, flops, falls)
-                self._totals_last[rank] = [pushes, evals, flops, falls]
-        out: Dict[int, Tuple[int, int, int, int, int]] = {}
-        for rank in range(self.world_size):
-            base = self._totals_base.get(rank, (0, 0, 0, 0))
-            pushes, evals, updates, flops, falls = current.get(
-                rank, (0, 0, 0, 0, 0))
-            out[rank] = (base[0] + pushes, base[1] + evals, updates,
-                         base[2] + flops, base[3] + falls)
-        return out
+        """Per-rank :func:`~repro.core.dnnd_phases.shard_totals` rows
+        with the history of dead incarnations folded in."""
+        self._totals_last.update(self.command("shard_totals"))
+        return {rank: _sum_rows(self._totals_retired.get(rank, _NO_TOTALS),
+                                self._totals_last.get(rank, _NO_TOTALS))
+                for rank in range(self.world_size)}
 
     # -- barrier / quiescence -------------------------------------------------
 
@@ -735,7 +685,9 @@ class ProcessWorld:
                 break
         self._sync_stats()
         elapsed = self.cluster.ledger.barrier(self.cluster.net, phase)
-        self.publish_metrics()
+        # Crash plans are this backend's only faults: nothing is ever
+        # held back.
+        publish_comm_metrics(self, None if self.fault_plan is None else 0)
         return elapsed
 
     def _check_crashed(self) -> None:
@@ -744,27 +696,39 @@ class ProcessWorld:
             self.fault_stats.detected += len(failed)
             raise RankFailureError(failed)
 
-    # -- driver command surface ----------------------------------------------
+    # -- rank-host surface ------------------------------------------------------
+
+    def _merge_replies(self, replies: Dict[int, Any]) -> Dict[int, Any]:
+        """Per-worker ``rank -> value`` replies as one dict; a worker
+        lost on the way surfaces exactly like a crashed rank at a sim
+        barrier."""
+        self._check_crashed()
+        return {rank: value for reply in replies.values()
+                for rank, value in (reply or {}).items()}
 
     def run_section(self, name: str, params: dict | None = None
                     ) -> Dict[int, Any]:
-        """Run the named SPMD section on every live worker (each covers
-        its owned, non-excluded ranks); failures surface exactly like a
-        crashed rank at a sim barrier."""
-        if self.executor is not None:
-            self.executor.dispatches += 1
-        results = self.cluster.command_all(
-            "section", {"name": name, "params": params or {}})
-        self._check_crashed()
-        return results
+        """Run the named SPMD section on every worker's host (each
+        covers its owned, non-excluded ranks)."""
+        self.dispatches += 1
+        return self._merge_replies(self.cluster.command_all(
+            "section", {"name": name, "params": params or {}}))
 
-    def command(self, cmd: str, payload: Any = None) -> Dict[int, Any]:
-        results = self.cluster.command_all(cmd, payload)
-        self._check_crashed()
-        return results
+    def command(self, cmd: str, payload: dict | None = None
+                ) -> Dict[int, Any]:
+        """Run a host command on every worker's host.  A ``by_rank``
+        entry of the payload (``rank -> arguments``) is cut per worker,
+        so each receives only its owned ranks' share."""
+        per_worker = None
+        if payload and "by_rank" in payload:
+            by_rank = payload["by_rank"]
+            per_worker = {
+                w: {**payload, "by_rank": {r: by_rank[r] for r in owned}}
+                for w, owned in enumerate(self.cluster.owned_by)}
+        return self._merge_replies(
+            self.cluster.command_all(cmd, payload, per_worker))
 
     def set_phase(self, phase: str) -> None:
-        self._phase = phase
         self.phase_stats.setdefault(phase, MessageStats())
         self.cluster.command_all("set_phase", {"phase": phase})
 
@@ -803,31 +767,3 @@ class ProcessWorld:
         self.cluster.command_all("readmit", {})
         return repaired
 
-    # -- metrics --------------------------------------------------------------
-
-    def publish_metrics(self) -> None:
-        """Synchronize the registry from runtime aggregates — the same
-        names, in the same publication style (absolute assignment), as
-        :meth:`YGMWorld.publish_metrics`."""
-        m = self.metrics
-        if not m.enabled:
-            return
-        self.cluster.stats.publish(m)
-        self.fault_stats.publish(m)
-        if self.fault_plan is not None:
-            # Sim publishes this through its injector; crash plans are
-            # the injector analogue here and nothing is ever delayed.
-            m.set_gauge("faults.pending_delayed", 0.0)
-        m.set_counter("executor.tasks", self.handler_invocations)
-        m.set_counter("comm.flushes", self.flush_count)
-        m.set_counter("comm.barriers", self.cluster.ledger.barriers)
-        m.set_counter("transport.collectives",
-                      getattr(self.cluster, "collectives", 0))
-        m.set_counter("executor.dispatches",
-                      getattr(self.executor, "dispatches", None) or 0)
-        # Locality split, folded from per-worker exports at _sync_stats —
-        # same names as YGMWorld.publish_metrics (conformance contract).
-        m.set_counter("comm.local_deliveries", self.local_deliveries)
-        m.set_counter("comm.remote_deliveries",
-                      self.cluster.stats.total_count())
-        m.set_gauge("degraded.ranks", float(len(self.excluded_ranks)))

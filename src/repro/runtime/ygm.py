@@ -23,8 +23,11 @@ messages per destination and ships a buffer when it exceeds a threshold.
 - ``barrier()`` flushes everything and drains mailboxes to quiescence,
   running handlers on their destination ranks (which may send more),
   then folds per-rank clocks into the BSP makespan,
-- ``async_count_since_barrier`` supports the paper's Section 4.4
-  application-level batching (barrier every N global requests).
+- ``async_count_since_barrier`` counts the requests since the last
+  barrier — the quantity the paper's Section 4.4 application-level
+  batching bounds (DNND's driver bounds it by pumping staged messages
+  in chunks; a rank section never takes a barrier, ``barrier()`` raises
+  inside ``run_on_all``).
 
 Handlers receive a :class:`RankContext` giving them their rank id, a
 rank-local state namespace, a per-rank RNG, and the ability to send
@@ -89,7 +92,7 @@ the process backend runs the same class unchanged over its
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -97,7 +100,7 @@ from ..analysis.sanitizer import OwnedState, Sanitizer, sanitizer_requested
 from ..errors import RankFailureError, RuntimeStateError
 from ..utils.rng import derive_rng
 from .instrumentation import FaultStats, MessageStats
-from .metrics import NULL_METRICS, MetricsRegistry
+from .metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
 from .transports.base import Transport
 
 Handler = Callable[..., None]
@@ -263,7 +266,11 @@ class YGMWorld:
         # layer's locality measurable: comm.local_deliveries vs
         # comm.remote_deliveries at every barrier.
         self.local_deliveries = 0
+        #: Sections broadcast to worker processes (``executor.dispatches``):
+        #: none here, rank sections run inline.
+        self.dispatches = 0
         self._in_barrier = False
+        self._in_section = False
         self._phase = "default"
         self.phase_stats: Dict[str, MessageStats] = {}
         # Global send sequence: stamped on every async_call.
@@ -351,44 +358,6 @@ class YGMWorld:
 
     def stats_for(self, phase: str) -> MessageStats:
         return self.phase_stats.get(phase, MessageStats())
-
-    # -- metrics ----------------------------------------------------------------
-
-    def publish_metrics(self) -> None:
-        """Mirror the runtime's authoritative aggregates into the metrics
-        registry.
-
-        Called automatically at the end of every barrier (no handler
-        is in flight).  All values are *assigned* as absolute totals —
-        re-publishing is idempotent, and both backends emit the exact
-        same metric names (the cross-backend conformance contract).
-        """
-        m = self.metrics
-        if not m.enabled:
-            return
-        self.cluster.stats.publish(m)
-        if self.injector is not None:
-            self.injector.publish(m)
-        else:
-            self.fault_stats.publish(m)
-        m.set_counter("executor.tasks", self.handler_invocations)
-        m.set_counter("comm.flushes", self.flush_count)
-        m.set_counter("comm.barriers", self.cluster.ledger.barriers)
-        m.set_counter("transport.collectives",
-                      getattr(self.cluster, "collectives", 0))
-        # Rank sections run inline here; the process world counts its
-        # broadcast sections under this name.
-        m.set_counter("executor.dispatches", 0)
-        # Locality split: self-sends vs wire messages.  Published on
-        # every backend (the process world mirrors the same names), so
-        # the partition layer's effect is directly comparable.
-        m.set_counter("comm.local_deliveries", self.local_deliveries)
-        m.set_counter("comm.remote_deliveries",
-                      self.cluster.stats.total_count())
-        # Degraded-mode visibility: how many ranks are currently
-        # excluded from the build (0 outside degraded mode — published
-        # unconditionally so both backends emit the same names).
-        m.set_gauge("degraded.ranks", float(len(self.excluded_ranks)))
 
     # -- sending ------------------------------------------------------------
 
@@ -598,6 +567,16 @@ class YGMWorld:
 
     # -- draining / barrier ----------------------------------------------------
 
+    def deliver_round(self) -> int:
+        """One delivery round: flush every buffer, then deliver every
+        queued message once — the step :meth:`barrier` loops until
+        quiescence and a process worker runs between inbox polls.
+        Returns how many messages were applied; after a round that
+        applied none nothing is buffered either (only a handler refills
+        a buffer)."""
+        self.flush_all()
+        return self._process_round()
+
     def _process_round(self) -> int:
         """Deliver every currently-queued message once, in deterministic
         rank order; returns how many messages were applied.
@@ -740,21 +719,22 @@ class YGMWorld:
         """
         if self._in_barrier:
             raise RuntimeStateError("nested barrier (handler called barrier)")
+        if self._in_section:
+            raise RuntimeStateError(
+                "barrier inside an SPMD section: the driver owns the "
+                "schedule, a rank section only stages or emits")
         self._in_barrier = True
         inj = self.injector
         rel = self._rel
         try:
             while True:
                 self._check_crashed()
-                self.flush_all()
-                ran = self._process_round()
-                if ran == 0 and self.cluster.all_quiescent():
-                    # A handler may have refilled buffers, a delayed
-                    # message may still be parked in the injector, and
-                    # reliable mode may be awaiting acks; quiesce only
-                    # when every source of future work is empty.
-                    if (not self._has_buffered()
-                            and not self._reliable_pending()
+                if self.deliver_round() == 0 and self.cluster.all_quiescent():
+                    # A delayed message may still be parked in the
+                    # injector, and reliable mode may be awaiting acks;
+                    # quiesce only when every source of future work is
+                    # empty.
+                    if (not self._reliable_pending()
                             and (inj is None or inj.pending_delayed() == 0)):
                         break
                 # Advance simulated delivery time: release due delayed
@@ -769,18 +749,13 @@ class YGMWorld:
             self.async_count_since_barrier = 0
             duration = self.cluster.ledger.barrier(
                 self.cluster.net, phase or self._phase)
-            if self.metrics.enabled:
-                self.publish_metrics()
+            # Mirror the runtime's authoritative aggregates into the
+            # metrics registry, now that no handler is in flight.
+            publish_comm_metrics(
+                self, None if inj is None else inj.pending_delayed())
             return duration
         finally:
             self._in_barrier = False
-
-    def _has_buffered(self) -> bool:
-        return any(
-            self._buffers[s][d]
-            for s in range(self.world_size)
-            for d in range(self.world_size)
-        )
 
     def reset_in_flight(self) -> None:
         """Discard every in-flight message and all reliable-delivery
@@ -821,22 +796,30 @@ class YGMWorld:
 
     # -- SPMD driver helpers ------------------------------------------------------
 
-    def run_on_all(self, fn: Callable[[RankContext], None]) -> None:
+    def run_on_all(self, fn: Callable[[RankContext], None],
+                   ranks: Iterable[int] | None = None) -> None:
         """Run ``fn`` once per live rank (the SPMD program section
-        between barriers; excluded ranks are skipped in degraded mode).
+        between barriers; excluded ranks are skipped in degraded mode),
+        restricted to ``ranks`` when a host covers only some of them.
         Under the sanitizer each invocation executes *as* its rank, so
-        touching another rank's state raises."""
-        ctxs = self.ranks
+        touching another rank's state raises.  A section never takes a
+        barrier: :meth:`barrier` raises while one runs."""
+        ctxs = (self.ranks if ranks is None
+                else [self.ranks[r] for r in ranks])
         if self.excluded_ranks:
             ctxs = [c for c in ctxs if c.rank not in self.excluded_ranks]
         san = self.sanitizer
-        if san is None:
-            for ctx in ctxs:
-                fn(ctx)
-        else:
-            for ctx in ctxs:
-                with san.rank_scope(ctx.rank):
+        self._in_section = True
+        try:
+            if san is None:
+                for ctx in ctxs:
                     fn(ctx)
+            else:
+                for ctx in ctxs:
+                    with san.rank_scope(ctx.rank):
+                        fn(ctx)
+        finally:
+            self._in_section = False
 
     def allreduce_sum(self, value_fn: Callable[[RankContext], float]) -> float:
         """Sum-allreduce of a per-rank value (used for the Algorithm 1

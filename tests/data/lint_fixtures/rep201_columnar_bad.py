@@ -1,5 +1,5 @@
 """Fixture: columnar emissions naming unregistered handlers (REP201 3x):
-through ``emit_run``, through the paced ``emit`` wrapper, and in one
+through ``emit_run``, through the rank program's ``stage``, and in one
 branch of a conditional name."""
 
 
@@ -18,6 +18,6 @@ def _h_check(ctx, u1, u2):
 def send(world, ctx, src, dests, keys, values, one_sided):
     world.emit_run(src, dests, "merge", (keys, values), 12)        # clean
     world.emit_run(src, dests, "marge", (keys, values), 12)        # typo
-    emit(ctx, dests, "merged", (keys, values), 12, "merge")        # typo
-    emit(ctx, dests, "check_opt" if one_sided else "check_unopt",  # one arm
-         (keys, values), 8, "type1")
+    stage(ctx, dests, "merged", (keys, values), 12, "merge")       # typo
+    stage(ctx, dests, "check_opt" if one_sided else "check_unopt",  # one arm
+          (keys, values), 8, "type1")

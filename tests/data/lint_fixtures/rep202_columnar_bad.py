@@ -1,6 +1,6 @@
 """Fixture: a run's column tuple does not fit the columnar handler
 (REP202 2x) — one column short through ``emit_run``, one too many
-through the paced ``emit`` wrapper."""
+through the rank program's ``stage``."""
 
 
 def setup(world):
@@ -13,4 +13,4 @@ def _h_merge(ctx, rows, ids, dists):
 
 def send(world, ctx, src, dests, rows, ids, dists):
     world.emit_run(src, dests, "merge", (rows, ids), 12)
-    emit(ctx, dests, "merge", (rows, ids, dists, dists), 12, "merge")
+    stage(ctx, dests, "merge", (rows, ids, dists, dists), 12, "merge")

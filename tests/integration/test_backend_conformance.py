@@ -9,11 +9,15 @@ unoptimized communication pattern with early termination disabled
 (``delta=0``, fixed iteration count): no redundancy check or distance
 pruning whose outcome depends on message arrival order.
 
+``comm.barriers`` is inside the contract: the driver owns the
+schedule — every barrier of a build is taken by ``DNND``, paced by what
+the ranks staged — so it does not depend on who hosts the ranks.
+
 Scheduling-dependent quantities are deliberately outside the contract
-and excluded here: ``comm.flushes`` / ``comm.barriers`` (the backends
-structure supersteps differently), ``executor.dispatches`` (a
-scheduling detail), ``heap.updates.accepted`` (accepted pushes depend
-on arrival order even when the converged graph does not).
+and excluded here: ``comm.flushes`` (a worker's buffers fill in its own
+ranks' order), ``executor.dispatches`` (sections broadcast to workers;
+sim runs them inline), ``heap.updates.accepted`` (accepted pushes
+depend on arrival order even when the converged graph does not).
 
 The kernel axis (``REPRO_KERNEL``, DESIGN.md §17): under the default
 ``rowwise`` kernel every distance is a pure per-row function, so the
@@ -68,6 +72,7 @@ CONFORMANT_NAMES = frozenset({
     "distance.evals",
     "executor.tasks",
     "transport.collectives",
+    "comm.barriers",
 })
 
 
@@ -172,10 +177,11 @@ class TestBackendConformance:
             # rather than matching exactly.
             assert set(got) == set(ref)
             for name, value in ref.items():
+                # (the floor of one: a chunk boundary of the driver's
+                # pump can move by one barrier.)
+                assert abs(got[name] - value) <= max(1, 0.02 * value)
                 if value == 0:
                     assert got[name] == 0
-                else:
-                    assert abs(got[name] - value) / value <= 0.02
         # The set is non-trivial: real traffic flowed through it.
         assert ref["messages.sent"] > 0
         assert ref["heap.updates"] > 0

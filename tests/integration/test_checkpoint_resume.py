@@ -97,6 +97,43 @@ class TestResume:
         np.testing.assert_array_equal(resumed.graph.ids, reference.graph.ids)
         np.testing.assert_allclose(resumed.graph.dists, reference.graph.dists)
 
+    def test_resume_keeps_the_kernel(self, small_dense, tmp_path,
+                                     monkeypatch):
+        """The checkpoint records the distance kernel the build ran
+        under, so a blocked build resumes blocked — whatever
+        ``REPRO_KERNEL`` says where it resumes — and ends in the graph
+        of the uninterrupted blocked build.  A meta without the key
+        (older checkpoints) resumes under the ambient default."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        cluster = ClusterConfig(nodes=2, procs_per_node=2)
+        blocked = DNNDConfig(nnd=NNDescentConfig(k=6, seed=43),
+                             kernel="blocked", backend="sim")
+        reference = DNND(small_dense, blocked, cluster=cluster).build()
+        ckpt = tmp_path / "ckpt_blocked"
+        partial = DNND(small_dense, blocked, cluster=cluster)
+        partial._built = True
+        partial._init_phase()
+        counts = [partial._iteration(it) for it in range(2)]
+        partial._write_checkpoint(ckpt, 2, counts)
+
+        resumed = DNND.resume(small_dense, ckpt, cluster=cluster,
+                              backend="sim")
+        assert resumed.dnnd.config.kernel == "blocked"
+        counters = resumed.metrics.snapshot()["counters"]
+        assert counters["kernel.tile_flops"] > 0
+        assert resumed.iterations == reference.iterations
+        np.testing.assert_array_equal(resumed.graph.ids, reference.graph.ids)
+        np.testing.assert_array_equal(resumed.graph.dists,
+                                      reference.graph.dists)
+
+        with MetallStore.open(ckpt) as store:
+            meta = dict(store["ckpt_meta"])
+            del meta["kernel"]
+            store["ckpt_meta"] = meta
+        legacy = DNND.resume(small_dense, ckpt, cluster=cluster,
+                             backend="sim")
+        assert legacy.metrics.snapshot()["counters"]["kernel.tile_flops"] == 0
+
     def test_pre_columnar_checkpoint_resumes(self, small_dense, tmp_path,
                                              reference):
         """A checkpoint written before the scalar engine was removed

@@ -10,12 +10,15 @@ structure, or the cost model shows up here as a diff.
 Last regenerated for the columnar rank program, which changed three
 rules at once (and nothing else about the build):
 
-* **schedule** — the sim driver runs ``init`` as one section and the
-  neighbor check as ``check_build`` + ``check_emit`` chunks with a
-  barrier between chunks (the schedule process workers always ran),
-  not the per-vertex cross-rank interleave; a handler sees a run's
-  redundancy/bound state once, before the run's own updates.  Message
-  and evaluation counts moved by 0-2.3%.
+* **schedule** — the sim driver runs ``init`` as one section and ships
+  the neighbor check in chunks with a barrier between chunks (the
+  schedule process workers always ran), not the per-vertex cross-rank
+  interleave; a handler sees a run's redundancy/bound state once,
+  before the run's own updates.  Message and evaluation counts moved by
+  0-2.3%.  (The later stage-and-pump rule — every emitting phase staged,
+  then pumped by the driver — left this file byte-identical: at n=200,
+  ``batch_size=4096`` only the neighbor check spans more than one
+  chunk, as before.)
 * **tie rule** — rows order entries by ``(distance, id)``, so a tie with
   the worst entry is won by the smaller id instead of lost by the later
   arrival.

@@ -157,6 +157,10 @@ def _assert_identical(left, right, counters=True):
         for msg_type in ("init_req", "init_resp", "reverse", "type1",
                          "type2", "type2+", "type3", "opt_rev"):
             assert snap_l.get(msg_type) == snap_r.get(msg_type), msg_type
+        # One schedule: the driver takes every barrier, paced by what
+        # the ranks staged, whoever hosts them.
+        assert (res_l.metrics.counter("comm.barriers")
+                == res_r.metrics.counter("comm.barriers") > 0)
     # Optimized adjacency (Section 4.5 output), array for array.
     assert set(adj_l) == set(adj_r)
     for key in adj_l:
@@ -184,9 +188,10 @@ def test_batched_bit_identical_unoptimized_comm():
                                   CommOptConfig.unoptimized()],
                          ids=["optimized", "unoptimized"])
 def test_batched_bit_identical_on_process_backend(opts):
-    # Worker processes run the same sections and handlers over pickled
-    # chunk envelopes, and a single worker delivers in sim order (DESIGN
-    # section 15), so the two must agree bit for bit.
+    # A worker process holds the same rank host over pickled chunk
+    # envelopes, and a single worker delivers in sim order (DESIGN
+    # section 11), so the two must agree bit for bit — graphs, per-type
+    # message counts and the barrier count.
     _assert_identical(_run(opts=opts),
                       _run(opts=opts, backend="process", workers=1))
 

@@ -145,7 +145,7 @@ def test_dynamic_handler_name_not_flagged(tmp_path):
 
 
 def test_columnar_emissions_name_checked():
-    """``emit_run`` and the paced ``emit`` wrapper are send sites too: a
+    """``emit_run`` and the rank program's ``stage`` are send sites too: a
     typo'd name is REP201 wherever it is spelled, including one arm of a
     conditional name."""
     findings = _lint(FIXTURES / "rep201_columnar_bad.py", "REP201")

@@ -288,17 +288,23 @@ class TestType1Generator:
         assert sorted(zip(u1.tolist(), u2.tolist())) == sorted(expected)
         assert expected
 
-    def test_check_build_then_emit_asks_the_owner_of_u1(self):
+    def test_check_then_pump_asks_the_owner_of_u1(self):
         world, part = make_world_with_shards()
         shard = shard_of(world.ranks[0])
         shard.new_lists[2] = list(self.NEW)
         shard.old_lists[2] = list(self.OLD)
-        n = dnnd_phases.check_build(world.ranks[0])
-        assert n == len(self._local_join_pairs(self.NEW, self.OLD))
-        dnnd_phases.check_emit(world.ranks[0], 0, n)
-        remote = sum(part.owner(a) != 0 for a in shard.check_pairs[0].tolist())
+        dnnd_phases.check(world.ranks[0])
+        # Staged, not sent: nothing moves until the driver pumps.
+        assert world.stats.total_count() == world.local_deliveries == 0
+        (dests, handler, (u1, _u2), _nbytes, msg_type), = shard.staged
+        assert (handler, msg_type) == ("check_opt", "type1")
+        n = len(self._local_join_pairs(self.NEW, self.OLD))
+        assert len(dests) == n
+        assert dnnd_phases.pump(world.ranks[0], count=0) == 0
+        remote = sum(part.owner(a) != 0 for a in u1.tolist())
         assert world.stats.get("type1").count == remote
         assert world.local_deliveries == n - remote
+        assert shard.staged == []
 
 
 class TestSingleSource:
@@ -307,7 +313,7 @@ class TestSingleSource:
 
     @pytest.fixture()
     def worker_app(self, tiny_dense):
-        from repro.core.dnnd_process import ProcessDNNDApp
+        from repro.core.dnnd_process import bootstrap
         from repro.runtime.partition import HashPartitioner
         from repro.runtime.transports import SharedArrayOwner
         from repro.runtime.transports.process import (WorkerComm,
@@ -317,10 +323,11 @@ class TestSingleSource:
         transport = WorkerTransport(cluster, [0, 1], [0, 0], [], 0)
         comm = WorkerComm(0, 1, [0, 1], transport, None, cluster)
         with SharedArrayOwner(np.ascontiguousarray(tiny_dense)) as owner:
-            yield ProcessDNNDApp(comm, {
+            yield bootstrap(comm, {
                 "spec": owner.spec,
                 "config": DNNDConfig(nnd=NNDescentConfig(k=4)),
-                "partitioner": HashPartitioner(len(tiny_dense), 2)})
+                "partitioner": HashPartitioner(len(tiny_dense), 2),
+                "flush_threshold": 1024})
 
     def test_same_handler_objects_on_driver_and_worker(self, worker_app,
                                                        tiny_dense):
@@ -348,10 +355,15 @@ class TestSingleSource:
         driver = DNND(tiny_dense,
                       DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim"),
                       cluster=ClusterConfig(nodes=1, procs_per_node=2))
+        # One class on both sides: the driver's host and the worker's.
+        assert type(driver.host) is type(worker_app) is dnnd_phases.RankHost
         driver._run_section("probe", tag="driver")
         worker_app.dispatch("section",
                             {"name": "probe", "params": {"tag": "worker"}})
         assert seen == [("driver", 0), ("driver", 1),
                         ("worker", 0), ("worker", 1)]
         with pytest.raises(RuntimeStateError):
-            worker_app.dispatch("section", {"name": "no_such_section"})
+            worker_app.dispatch("section", {"name": "no_such_section",
+                                            "params": {}})
+        with pytest.raises(RuntimeStateError):
+            worker_app.dispatch("no_such_command", None)

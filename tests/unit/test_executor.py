@@ -1,14 +1,8 @@
-"""Executor layer: backend and worker-count resolution."""
+"""Backend and worker-count resolution."""
 
 import pytest
 
-from repro.core.executor import (
-    ProcessExecutor,
-    SimExecutor,
-    make_executor,
-    resolve_backend,
-    resolve_workers,
-)
+from repro.core.executor import resolve_backend, resolve_workers
 from repro.errors import ConfigError
 
 
@@ -53,20 +47,3 @@ class TestResolveWorkers:
             resolve_workers(0, 4, env={"REPRO_WORKERS": "many"})
         with pytest.raises(ConfigError):
             resolve_workers(0, 4, env={"REPRO_WORKERS": "0"})
-
-
-class TestMakeExecutor:
-    def test_sim(self):
-        ex = make_executor("sim", 0, 4, env={})
-        assert isinstance(ex, SimExecutor)
-        ex.shutdown()
-
-
-class TestBaseExecutorDucktype:
-    def test_interface(self):
-        """What the driver and the process world use of an executor."""
-        for ex in (SimExecutor(), ProcessExecutor(workers=1)):
-            assert ex.workers == 1
-            assert ex.dispatches == 0
-            ex.shutdown()
-            ex.shutdown()  # idempotent

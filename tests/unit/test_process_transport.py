@@ -1,5 +1,5 @@
 """Process-transport unit surface: shared-memory segment lifecycle,
-worker/rank ownership, and the executor/backend seam.
+worker/rank ownership, and the build's teardown.
 
 The heavyweight end-to-end behaviour (graph conformance, crash
 recovery, checkpoint round-trips) lives in the integration suites;
@@ -14,7 +14,7 @@ import pytest
 
 from repro import DNND, ClusterConfig, DNNDConfig, NNDescentConfig
 from repro.config import CommOptConfig
-from repro.core.executor import ProcessExecutor, make_executor, resolve_backend
+from repro.core.executor import resolve_backend
 from repro.errors import ConfigError, RankFailureError, RuntimeStateError
 from repro.runtime.faults import FaultPlan
 from repro.runtime.transports import (ProcessTransport, SharedArrayOwner,
@@ -80,17 +80,32 @@ class TestNoSegmentLeakAfterFailedBuild:
 
     def test_garbage_collected_build_releases_segment(self, tiny_dense):
         """Dropping the last reference must tear down workers + segment
-        through the executor's GC finalizer (no explicit close)."""
+        through the build's GC finalizer (no explicit close)."""
         before = _segments()
         cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
                          backend="process", workers=2)
         dnnd = DNND(tiny_dense, cfg,
                     cluster=ClusterConfig(nodes=2, procs_per_node=2))
         dnnd.build()
+        workers = list(dnnd.cluster._procs)
         del dnnd
         import gc
         gc.collect()
         assert _segments() <= before
+        assert not any(proc.is_alive() for proc in workers)
+
+    def test_close_tears_down_once_and_is_idempotent(self, tiny_dense):
+        before = _segments()
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
+                         backend="process", workers=2)
+        dnnd = DNND(tiny_dense, cfg,
+                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        workers = list(dnnd.cluster._procs)
+        assert all(proc.is_alive() for proc in workers)
+        dnnd.close()
+        dnnd.close()
+        assert _segments() <= before
+        assert not any(proc.is_alive() for proc in workers)
 
 
 class TestOwnershipMapping:
@@ -119,18 +134,3 @@ class TestExecutorSeam:
     def test_resolve_backend_accepts_process(self):
         assert resolve_backend("process") == "process"
         assert resolve_backend(None, {"REPRO_BACKEND": "process"}) == "process"
-
-    def test_make_executor_builds_process_executor(self):
-        ex = make_executor("process", workers=3, world_size=8)
-        assert isinstance(ex, ProcessExecutor)
-        assert ex.backend == "process"
-        assert ex.workers == 3
-        ex.shutdown()  # unbound: must be a no-op
-
-    def test_shutdown_runs_bound_teardown_once(self):
-        ex = ProcessExecutor(workers=1)
-        calls = []
-        ex.bind(lambda: calls.append(1))
-        ex.shutdown()
-        ex.shutdown()
-        assert calls == [1]

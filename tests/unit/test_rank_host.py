@@ -1,0 +1,198 @@
+"""The rank host: one class executes the driver's commands over the
+ranks it holds, whether that is every rank of a world (the sim driver's
+host) or one worker's share (the process backend), and the driver paces
+every emitting phase by one rule — stage, then pump in chunks."""
+
+import queue
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+from repro.core.dnnd_phases import SECTIONS, SHARD_OPS, RankHost, shard_of
+from repro.datasets.synthetic import gaussian_mixture
+from repro.runtime.partition import HashPartitioner
+from repro.runtime.transports import SimCluster
+from repro.runtime.transports.process import WorkerComm, WorkerTransport
+from repro.runtime.ygm import YGMWorld
+
+CLUSTER = ClusterConfig(nodes=2, procs_per_node=2)
+DATA = gaussian_mixture(60, 6, n_clusters=3, cluster_std=0.15, seed=5)
+# Unoptimized pattern: what a rank holds after a barrier does not depend
+# on how its messages were cut into runs or ordered.
+CONFIG = DNNDConfig(nnd=NNDescentConfig(k=4, seed=3),
+                    comm_opts=CommOptConfig.unoptimized())
+
+
+class Fabric:
+    """Rank hosts over a split of the ranks, wired like the process
+    backend's workers (frames between hosts travel over inbox queues)
+    but driven in-process."""
+
+    def __init__(self, split):
+        worker_of = [next(w for w, owned in enumerate(split) if r in owned)
+                     for r in range(CLUSTER.world_size)]
+        inboxes = [queue.Queue() for _ in split]
+        self.hosts, self.comms = [], []
+        for w, owned in enumerate(split):
+            transport = WorkerTransport(CLUSTER, owned, worker_of, inboxes, w)
+            world = YGMWorld(transport, seed=CONFIG.nnd.seed, sanitize=False)
+            self.hosts.append(RankHost(
+                world, owned, DATA, CONFIG,
+                HashPartitioner(len(DATA), CLUSTER.world_size)))
+            self.comms.append(WorkerComm(w, len(split), owned, transport,
+                                         inboxes[w], CLUSTER))
+
+    def section(self, name, **params):
+        return {rank: value for host in self.hosts
+                for rank, value in host.run_section(name, params).items()}
+
+    def command(self, cmd, **payload):
+        return {rank: value for host in self.hosts
+                for rank, value in host.command(cmd, payload).items()}
+
+    def barrier(self):
+        while True:
+            rounds = [comm.round(host.world)
+                      for comm, host in zip(self.comms, self.hosts)]
+            sent, received, ran = map(sum, zip(*rounds))
+            if ran == 0 and sent == received:
+                return
+
+    def pump(self, count):
+        """The driver's pacing rule; returns the barriers it took."""
+        barriers = 0
+        while True:
+            left = self.section("pump", count=count)
+            self.barrier()
+            barriers += 1
+            if not any(left.values()):
+                return barriers
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _without_update_count(totals):
+    # Entries that got in and were evicted again count; how many do
+    # depends on how the offers were cut into runs.
+    return {rank: row[:2] + row[3:] for rank, row in totals.items()}
+
+
+def test_one_host_equals_two_hosts_over_a_split():
+    """Every SECTIONS / SHARD_OPS entry gives the same ``rank -> value``
+    from one host over all ranks and from two hosts over a split."""
+    one, two = Fabric([[0, 1, 2, 3]]), Fabric([[0, 2], [1, 3]])
+    covered = set()
+
+    def both(kind, name, **args):
+        covered.add(name)
+        left, right = (getattr(f, kind)(name, **args) for f in (one, two))
+        assert sorted(left) == [0, 1, 2, 3]
+        return left, right
+
+    def step(kind, name, **args):
+        left, right = both(kind, name, **args)
+        assert _same(left, right), name
+        return left
+
+    def ship():
+        left, right = both("section", "pump", count=0)
+        assert _same(left, right)
+        one.barrier()
+        two.barrier()
+
+    step("section", "init")
+    ship()
+    step("section", "sample", iteration=0)
+    step("section", "reverse", iteration=0)
+    ship()
+    step("section", "union", iteration=0)
+    step("section", "check")
+    ship()
+    left, right = both("command", "shard_totals")
+    assert _same(*map(_without_update_count, (left, right)))
+    assert all(row[0] for row in left.values())     # real traffic flowed
+    snapshot = step("command", "ckpt_get")
+    step("command", "gather_rows")
+    for stage in ("repair_reset", "repair_reinit", "repair_donate"):
+        step("section", stage, ranks=[1])
+    ship()
+    step("command", "gather_rows")
+    step("command", "ckpt_set",
+         by_rank={rank: rows[1:] for rank, rows in snapshot.items()})
+    assert _same(step("command", "ckpt_get"), snapshot)
+    step("section", "opt_seed")
+    step("section", "opt_rev")
+    ship()
+    step("command", "opt_collect", max_degree=6)
+    assert covered == set(SECTIONS) | set(SHARD_OPS)
+
+
+def _recording(fabric):
+    """Count every message ``fabric``'s one world emits, staged or sent
+    by a handler, as ``(msg_type, dest, *arguments)``."""
+    world = fabric.hosts[0].world
+    seen = Counter()
+    emit_run = world.emit_run
+
+    def record(src, dests, handler, columns, nbytes, msg_type="other"):
+        seen.update(zip([msg_type] * len(dests), dests.tolist(),
+                        *(col.tolist() for col in columns)))
+        emit_run(src, dests, handler, columns, nbytes, msg_type)
+
+    world.emit_run = record
+    return seen
+
+
+#: What runs before each emitting phase of the first iteration.
+BEFORE = {
+    "init": [],
+    "reverse": ["init", "sample"],
+    "check": ["init", "sample", "reverse", "union"],
+}
+
+
+@pytest.mark.parametrize("phase", sorted(BEFORE))
+def test_one_chunk_and_many_chunks_deliver_the_same_messages(phase):
+    """A staged phase delivers the same multiset of messages per type
+    whether the driver pumps it as one chunk or as many."""
+
+    def run(fabric, name):
+        args = {} if name in ("init", "check") else {"iteration": 0}
+        fabric.section(name, **args)
+
+    whole, chunked = Fabric([[0, 1, 2, 3]]), Fabric([[0, 1, 2, 3]])
+    for fabric in (whole, chunked):
+        for name in BEFORE[phase]:
+            run(fabric, name)
+            fabric.pump(0)
+    sent_whole, sent_chunked = _recording(whole), _recording(chunked)
+    run(whole, phase)
+    run(chunked, phase)
+    assert whole.pump(0) == 1
+    assert chunked.pump(7) > 3
+    assert sent_whole == sent_chunked and sent_whole
+    assert _same(whole.command("ckpt_get"), chunked.command("ckpt_get"))
+    stats = [f.hosts[0].world.stats.snapshot() for f in (whole, chunked)]
+    assert stats[0] == stats[1]
+
+
+def test_sim_driver_holds_one_host_over_every_rank(tiny_dense):
+    from repro import DNND
+
+    dnnd = DNND(tiny_dense, DNNDConfig(nnd=NNDescentConfig(k=4),
+                                       backend="sim"), cluster=CLUSTER)
+    assert isinstance(dnnd.host, RankHost)
+    assert dnnd.host.world is dnnd.world
+    assert dnnd.host.ranks == [0, 1, 2, 3]
+    assert all(shard_of(ctx).rank == ctx.rank for ctx in dnnd.world.ranks)
+    assert isinstance(dnnd.world.cluster, SimCluster)

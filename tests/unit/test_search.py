@@ -153,6 +153,32 @@ class TestBatch:
         assert recall_at_k(ids, gt_ids) > 0.9
 
 
+class TestFrontierArms:
+    """The frontier expansion has two arms chosen from the input, not
+    by an option: one rowwise kernel call per expansion for a dense
+    2-D array, the per-neighbor scalar loop otherwise."""
+
+    def test_scalar_and_batch_arms_agree_bit_for_bit(self, searchable):
+        data, adj = searchable
+        batch = KNNGraphSearcher(adj, data, seed=4)
+        # A non-array view of the same rows forces the scalar arm.
+        scalar = KNNGraphSearcher(adj, list(data), seed=4)
+        assert batch._use_batch and not scalar._use_batch
+        assert not scalar.clone(seed=9)._use_batch
+        for q in data[:40] + 0.01:
+            a = batch.query(q, l=12, epsilon=0.2)
+            b = scalar.query(q, l=12, epsilon=0.2)
+            assert np.array_equal(a.ids, b.ids)
+            assert a.dists.tobytes() == b.dists.tobytes()
+            assert (a.n_distance_evals, a.n_visited) == (
+                b.n_distance_evals, b.n_visited)
+
+    def test_arm_is_not_an_option(self, searchable):
+        data, adj = searchable
+        with pytest.raises(TypeError, match="batch_exec"):
+            KNNGraphSearcher(adj, data, batch_exec=False)
+
+
 class TestEntryForest:
     def test_forest_entry_points(self, searchable):
         data, adj = searchable

@@ -236,6 +236,17 @@ class TestRankContext:
         visits = []
         world.run_on_all(lambda ctx: visits.append(ctx.rank))
         assert visits == [0, 1, 2, 3]
+        world.run_on_all(lambda ctx: visits.append(ctx.rank), ranks=[3, 1])
+        assert visits[4:] == [3, 1]
+
+    def test_barrier_inside_a_section_raises(self):
+        """The driver owns the schedule: a rank section cannot take a
+        barrier, and the guard lifts when the section ends (even by an
+        error)."""
+        world = make_world()
+        with pytest.raises(RuntimeStateError, match="inside an SPMD section"):
+            world.run_on_all(lambda ctx: world.barrier())
+        world.barrier()
 
     def test_allreduce_sum_helper(self):
         world = make_world()
