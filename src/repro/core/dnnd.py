@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -767,8 +767,8 @@ class DNND:
         1. fresh heaps on the repaired ranks (a replacement node comes
            back with the reloaded feature shard and empty state),
         2. keyed re-initialization: repaired vertices replay the
-           Algorithm 1 init sampling (same ``derive_rng`` key, so the
-           same candidates as a fault-free init),
+           Algorithm 1 init draws (the same ``draw_key``, so the same
+           candidates as a fault-free init),
         3. survivor donation: surviving ranks push the edges they
            already hold that land on repaired vertices,
         4. bounded extra NN-Descent rounds to knit the repaired
@@ -786,7 +786,7 @@ class DNND:
                 self._run_section(stage, ranks=repaired)
             self._pump()
             # Bounded extra rounds, keyed past the regular iteration
-            # space so their RNG streams are fresh; stop early once the
+            # space so their draws are fresh; stop early once the
             # update counter falls under the convergence threshold.  The
             # repaired shards restart from reinit + donations, so they
             # need a few descent rounds — four bounds the epilogue while
@@ -966,17 +966,8 @@ class DNND:
             "n": self.n,
             "k": cfg.k,
             "data_fingerprint": _fingerprint(self.data),
-            "nnd": {
-                "k": cfg.nnd.k, "rho": cfg.nnd.rho, "delta": cfg.nnd.delta,
-                "max_iters": cfg.nnd.max_iters, "metric": cfg.nnd.metric,
-                "seed": cfg.nnd.seed,
-            },
-            "comm_opts": {
-                "one_sided": cfg.comm_opts.one_sided,
-                "redundancy_check": cfg.comm_opts.redundancy_check,
-                "distance_pruning": cfg.comm_opts.distance_pruning,
-                "check_dedup": cfg.comm_opts.check_dedup,
-            },
+            "nnd": asdict(cfg.nnd),
+            "comm_opts": asdict(cfg.comm_opts),
             "batch_size": cfg.batch_size,
             "pruning_factor": cfg.pruning_factor,
             "shuffle_reverse_destinations": cfg.shuffle_reverse_destinations,

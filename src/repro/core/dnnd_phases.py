@@ -14,8 +14,21 @@ chain is *columnar*: sections stage runs of messages as one array per
 argument (:func:`stage`; the driver's :func:`pump` hands them to
 :meth:`YGMWorld.emit_run` chunk by chunk), and each message type has
 exactly one handler, which takes a run and works on the matrices in
-array operations (DESIGN.md section 10).  The three communication
-phases of Section 4 are YGM handlers:
+array operations (DESIGN.md section 10).
+
+**One stateless source of randomness.**  Every random choice —
+the initial neighbors, both of Algorithm 1's ``Sample(S, n)`` calls, the
+Section 4.2 shuffle — is :func:`draw_key`, a hash of ``(seed, purpose,
+iteration, vertex, element)``, and ``Sample(S, n)`` is "the ``n``
+members of ``S`` with the smallest keys" (:func:`sample_smallest`).  A
+draw depends on which elements a vertex holds, never on their order or
+slot, the rank that owns the vertex, how reversed entries were chunked,
+or a generator's position: the same candidates on every cluster shape
+(Section 5.3.3), in a crash replay and after a resume, by construction.
+Candidate lists are ``(rows, values)`` columns (:data:`Columns`) from
+``sample`` through ``check``; no section loops over vertices.
+
+The three communication phases of Section 4 are YGM handlers:
 
 **Initialization** (Section 4.1's example pattern)
     ``init_req`` carries ``v``'s feature vector to ``owner(u)``, which
@@ -24,8 +37,8 @@ phases of Section 4 are YGM handlers:
 
 **Reverse-matrix generation** (Section 4.2)
     ``rev_new`` / ``rev_old`` ship one reversed entry ``(u, v)`` to
-    ``owner(u)``; the sender shuffles destination order to avoid
-    congestion bursts.
+    ``owner(u)``; the sender orders them by key, not by destination, to
+    avoid congestion bursts.
 
 **Neighbor checks** (Section 4.3, Figure 1)
     *Unoptimized* (Figure 1a): the center vertex sends a Type 1 request
@@ -60,7 +73,6 @@ charges the feature it stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -69,19 +81,62 @@ from ..analysis.sanitizer import tag_heap
 from ..config import DNNDConfig
 from ..distances.counting import CountingMetric
 from ..errors import PartitionError, RuntimeStateError, StoreError
-from ..runtime.partition import Partitioner
+from ..runtime.partition import Partitioner, splitmix64, splitmix64_array
 from ..runtime.ygm import RankContext, YGMWorld
 from ..types import DIST_BYTES, ID_BYTES
-from ..utils.rng import derive_rng
-from ..utils.sampling import sample_without_replacement
 from .heap import EMPTY, NeighborHeap, merge_rows
-from .nndescent import _union_with_sample
 
 # Message-type labels used in Figure 4.
 T1 = "type1"
 T2 = "type2"
 T2P = "type2+"
 T3 = "type3"
+
+#: Purposes of :func:`draw_key`, one per place Algorithm 1 draws: the
+#: initial neighbors (lines 2-5), the new-list sample (8-10), the Section
+#: 4.2 destination shuffle, the reversed-list sample (14-16).
+INIT, SAMPLE, SHUFFLE, UNION = 2, 3, 4, 5
+
+#: Candidate entries as two parallel columns: ``values[i]`` belongs to
+#: local row ``rows[i]``.
+Columns = Tuple[np.ndarray, np.ndarray]
+NO_ENTRIES: Columns = (np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64))
+
+
+def draw_key(seed: int, purpose: int, iteration: int, vertex,
+             element) -> np.ndarray:
+    """The rank program's one source of randomness, and it has no state:
+    a uint64 hash of ``(seed, purpose, iteration, vertex, element)`` — a
+    SplitMix64 chain, ``vertex`` and ``element`` broadcast as arrays.
+    A draw is a function of *what* is drawn for, never of a generator's
+    position, so it is the same on every cluster shape, in every
+    replay, and after every resume."""
+    h = splitmix64(seed)
+    h = splitmix64(h ^ purpose)
+    h = np.uint64(splitmix64(h ^ iteration))
+    h = splitmix64_array(h ^ np.asarray(vertex).astype(np.uint64))
+    return splitmix64_array(h ^ np.asarray(element).astype(np.uint64))
+
+
+def sample_smallest(seed: int, purpose: int, iteration: int,
+                    vertex: np.ndarray, element: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Algorithm 1's ``Sample(S, n)`` for every vertex at once: with
+    ``S_v`` the elements listed for vertex ``v``, the mask of the
+    entries among the ``n`` smallest :func:`draw_key` of their ``S_v``.
+    Which members are drawn depends on the members alone (distinct
+    members have distinct keys, short of a 64-bit collision) — not on
+    their order, nor on how the entries were split over messages."""
+    keys = draw_key(seed, purpose, iteration, vertex, element)
+    order = np.lexsort((keys, vertex))
+    grouped = vertex[order]
+    head = np.ones(len(grouped), dtype=bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    rank = np.arange(len(grouped)) - np.flatnonzero(head)[np.cumsum(head) - 1]
+    mask = np.zeros(len(grouped), dtype=bool)
+    mask[order[rank < n]] = True
+    return mask
 
 
 @dataclass
@@ -101,8 +156,15 @@ class LocalShard:
         ``G_v`` of vertex ``global_ids[i]`` (vertex and neighbor list
         co-located, Section 4) under :mod:`.heap`'s row invariant.  The
         single home of neighbor state: handlers update many rows at once
-        with :func:`~.heap.merge_rows`, and ``heaps[i]`` is a
-        :class:`NeighborHeap` view of row ``i`` for per-vertex access.
+        with :func:`~.heap.merge_rows`; :meth:`heap` gives a
+        :class:`NeighborHeap` view of one row for per-vertex access.
+    new, old:
+        The iteration's candidate lists (Algorithm 1's ``new[v]`` /
+        ``old[v]``) as :data:`Columns` ``(rows, values)`` sorted by row —
+        the form reversed entries arrive in (``rev_new`` / ``rev_old``
+        hold the received chunks), so ``sample``, ``reverse``, ``union``
+        and ``check`` work on one representation and a shard holds no
+        per-vertex Python object.
     data:
         Read-only view of the *whole* dataset, shared by every shard of
         a world; only :meth:`row` / :meth:`rows` read it, to resolve the
@@ -120,6 +182,7 @@ class LocalShard:
     config: DNNDConfig
     data: Any
     owner_of: np.ndarray
+    sanitizer: Any = None
     sparse: bool = False
     feature_nbytes_dense: int = 0
     feature_sizes: Any = None  # sparse only: wire bytes of each own record
@@ -127,13 +190,10 @@ class LocalShard:
     ids: np.ndarray = None
     dists: np.ndarray = None
     flags: np.ndarray = None
-    heaps: List[NeighborHeap] = field(default_factory=list)
 
-    # Per-iteration scratch.  Candidate lists are per-row Python lists
-    # (the keyed sampling of ``sample``/``union`` is per vertex);
-    # reversed entries arrive as ``(rows, ids)`` column chunks.
-    new_lists: List[List[int]] = field(default_factory=list)
-    old_lists: List[List[int]] = field(default_factory=list)
+    # Per-iteration scratch.
+    new: Columns = NO_ENTRIES
+    old: Columns = NO_ENTRIES
     rev_new: list = field(default_factory=list)
     rev_old: list = field(default_factory=list)
     update_count: int = 0
@@ -180,9 +240,10 @@ class LocalShard:
         shard = cls(
             rank=rank, partitioner=partitioner, global_ids=gids,
             features=feats, metric=metric, config=config, data=data,
-            owner_of=owner_of, sparse=metric.sparse_input,
+            owner_of=owner_of, sanitizer=sanitizer,
+            sparse=metric.sparse_input,
             feature_nbytes_dense=dense_bytes, feature_sizes=sizes)
-        shard.reset_heaps(sanitizer)
+        shard.reset_heaps()
         return shard
 
     # -- helpers ------------------------------------------------------------
@@ -237,7 +298,14 @@ class LocalShard:
         return self.data[np.asarray(gids, dtype=np.int64)]
 
     def heap(self, gid: int) -> NeighborHeap:
-        return self.heaps[self.local(gid)]
+        """Row view of an own vertex's neighbor list, tagged with its
+        owner when the ownership sanitizer is on."""
+        row = self.local(gid)
+        heap = NeighborHeap.view(self.ids[row], self.dists[row],
+                                 self.flags[row])
+        if self.sanitizer is not None:
+            tag_heap(heap, self.sanitizer, self.rank)
+        return heap
 
     def owner(self, gid: int) -> int:
         return self.partitioner.owner(int(gid))
@@ -257,8 +325,7 @@ class LocalShard:
         return 2 * ID_BYTES + extra + self.feature_nbytes_dense
 
     def reset_iteration_scratch(self) -> None:
-        self.new_lists = [[] for _ in range(self.n_local)]
-        self.old_lists = [[] for _ in range(self.n_local)]
+        self.new = self.old = NO_ENTRIES
         self.rev_new = []
         self.rev_old = []
         self.update_count = 0
@@ -267,18 +334,12 @@ class LocalShard:
         # not ship what the aborted one left staged.
         self.staged = []
 
-    def reset_heaps(self, sanitizer: Any = None) -> None:
-        """Empty neighbor rows for every local vertex; the row views are
-        tagged with their owner when the ownership sanitizer is on."""
+    def reset_heaps(self) -> None:
+        """Empty neighbor rows for every local vertex."""
         shape = (self.n_local, self.config.k)
         self.ids = np.full(shape, EMPTY, dtype=np.int64)
         self.dists = np.full(shape, np.inf, dtype=np.float64)
         self.flags = np.zeros(shape, dtype=bool)
-        self.heaps = [NeighborHeap.view(*row)
-                      for row in zip(self.ids, self.dists, self.flags)]
-        if sanitizer is not None:
-            for heap in self.heaps:
-                tag_heap(heap, sanitizer, self.rank)
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every neighbor entry held, as ``(rows, ids, dists)`` columns."""
@@ -352,48 +413,25 @@ def pump(ctx: RankContext, count: int) -> int:
     return left
 
 
-def _flatten(lists: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row lists as ``(lengths, concatenated values)``."""
-    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    return lengths, np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                                count=int(lengths.sum()))
-
-
-def _sorted_lists(values: np.ndarray, mask: np.ndarray) -> List[List[int]]:
-    """Per row of the ``(n, k)`` matrix: the masked values, ascending."""
-    keyed = np.where(mask, values, np.iinfo(np.int64).max)
-    keyed.sort(axis=1)
-    return [row[:n] for row, n in zip(keyed.tolist(),
-                                      mask.sum(axis=1).tolist())]
-
-
-def _chunk_lists(chunks: list, n_rows: int) -> List[List[int]]:
-    """``(rows, values)`` column chunks as one ascending list per row."""
-    if not chunks:
-        return [[] for _ in range(n_rows)]
-    rows, values = (np.concatenate(col) for col in zip(*chunks))
-    values = values[np.lexsort((values, rows))].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
-    return [values[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def type1_pairs(new_lists: List[List[int]], old_lists: List[List[int]],
+def type1_pairs(new: Columns, old: Columns, n_rows: int,
                 one_sided: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 1 lines 17-22 for every vertex at once: the ``(u1, u2)``
     neighbor-check requests among each vertex's new/old candidates —
-    each new-new pair once, every new-old pair; both endpoints are asked
-    under the unoptimized two-sided pattern.
+    each new-new pair once (``u1 < u2`` when a row's new values ascend,
+    line 18), every new-old pair; both endpoints are asked under the
+    unoptimized two-sided pattern.
 
     Per vertex the candidates form one sequence ``new ++ old``; every
-    new entry pairs with everything after it."""
-    n_new = np.fromiter(map(len, new_lists), dtype=np.int64,
-                        count=len(new_lists))
-    n_all, cands = _flatten([new + old
-                             for new, old in zip(new_lists, old_lists)])
+    new entry pairs with everything after it.  Memory is proportional to
+    the pairs produced."""
+    n_new = np.bincount(new[0], minlength=n_rows)
+    n_all = n_new + np.bincount(old[0], minlength=n_rows)
+    rows = np.concatenate([new[0], old[0]])
+    cands = np.concatenate([new[1], old[1]])[np.argsort(rows, kind="stable")]
     # One "left" per new entry: its slot in ``cands`` and how many
     # candidates of the same vertex follow it.
-    vertex = np.repeat(np.arange(len(new_lists)), n_new)
-    index = np.arange(len(vertex)) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+    vertex = new[0]
+    index = np.arange(len(vertex)) - (np.cumsum(n_new) - n_new)[vertex]
     left = (np.cumsum(n_all) - n_all)[vertex] + index
     after = n_all[vertex] - 1 - index
     left = np.repeat(left, after)
@@ -409,108 +447,93 @@ def type1_pairs(new_lists: List[List[int]], old_lists: List[List[int]],
 # ---------------------------------------------------------------------------
 # SPMD sections: one rank's share of a phase, as functions of
 # ``(ctx, **params)``.  A host runs them on its live ranks; none takes a
-# barrier, and those that send only stage.
+# barrier, and those that send only stage.  Every random choice is a
+# :func:`draw_key` of what it is made for.
 # ---------------------------------------------------------------------------
 
 
 def init(ctx: RankContext) -> None:
-    """Algorithm 1 lines 2-5 via the Section 4.1 async pattern.
-    Candidates are keyed by vertex id (not rank), so the draw is the same
-    on every cluster shape and replays identically after a crash or in
-    the degraded-repair pass."""
+    """Algorithm 1 lines 2-5 via the Section 4.1 async pattern: ``K``
+    distinct random others per vertex — Floyd's subset sampling over the
+    ``n - 1`` other vertices, one keyed draw per step for every vertex
+    at once."""
     shard = shard_of(ctx)
     cfg = shard.config.nnd
-    n = shard.partitioner.n
-    picks = []
-    for v in shard.global_ids.tolist():
-        rng = derive_rng(cfg.seed, 2, v)
-        cand = sample_without_replacement(rng, n, min(n - 1, cfg.k + 2))
-        picks.append(cand[cand != v][:cfg.k])
-    if not picks:
-        return
-    rows = np.repeat(np.arange(shard.n_local), [len(p) for p in picks])
-    u = np.concatenate(picks)
-    stage(ctx, shard.owner_of[u], "init_req", (shard.global_ids[rows], u),
+    gids = shard.global_ids
+    others = shard.partitioner.n - 1
+    picks = np.empty((shard.n_local, cfg.k), dtype=np.int64)
+    for j in range(cfg.k):
+        top = others - cfg.k + j
+        draw = (draw_key(cfg.seed, INIT, 0, gids, j)
+                % np.uint64(top + 1)).astype(np.int64)
+        taken = (picks[:, :j] == draw[:, None]).any(axis=1)
+        picks[:, j] = np.where(taken, top, draw)
+    u = (picks + (picks >= gids[:, None])).ravel()      # skip v itself
+    rows = np.repeat(np.arange(shard.n_local), cfg.k)
+    stage(ctx, shard.owner_of[u], "init_req", (gids[rows], u),
           shard.feature_message_bytes(rows), "init_req")
 
 
 def sample(ctx: RankContext, iteration: int) -> None:
-    """Local old/new sampling (lines 8-10): no communication.
-
-    RNG streams are keyed by *vertex id* (not rank), and candidate lists
-    are canonicalized (sorted) before sampling, so the draw does not
-    depend on the cluster shape or on a row's slot order — the paper's
-    "same quality graphs regardless of the number of compute nodes"
-    observation."""
+    """Local old/new sampling (lines 8-10): no communication."""
     shard = shard_of(ctx)
     cfg = shard.config.nnd
-    sample_n = cfg.sample_size
     shard.reset_iteration_scratch()
-    held = shard.ids != EMPTY
-    is_new = held & shard.flags
-    shard.old_lists = _sorted_lists(shard.ids, held & ~shard.flags)
-    fresh = _sorted_lists(shard.ids, is_new)
-    crowded = np.flatnonzero(is_new.sum(axis=1) > sample_n)
-    taken = np.empty((len(crowded), sample_n), dtype=np.int64)
-    for i, li in enumerate(crowded.tolist()):
-        rng = derive_rng(cfg.seed, 3, iteration, int(shard.global_ids[li]))
-        pick = sample_without_replacement(rng, len(fresh[li]), sample_n)
-        taken[i] = np.array(fresh[li])[pick]
-        fresh[li] = taken[i].tolist()
-    # Line 10: what was taken is old from now on — every new entry of an
-    # uncrowded row, the sampled ones of a crowded row.
-    stays_new = ~(shard.ids[crowded][:, :, None] == taken[:, None, :]).any(axis=2)
-    stays_new &= shard.flags[crowded]
-    shard.flags[:] = False
-    shard.flags[crowded] = stays_new
-    shard.new_lists = fresh
-    ctx.charge_update(sum(map(len, fresh)) + sum(map(len, shard.old_lists)))
+    rows, slots = np.nonzero(shard.ids != EMPTY)
+    values = shard.ids[rows, slots]
+    fresh = shard.flags[rows, slots]
+    shard.old = rows[~fresh], values[~fresh]
+    rows, slots, values = rows[fresh], slots[fresh], values[fresh]
+    taken = sample_smallest(cfg.seed, SAMPLE, iteration,
+                            shard.global_ids[rows], values, cfg.sample_size)
+    shard.new = rows[taken], values[taken]
+    # Line 10: what was taken is old from now on.
+    shard.flags[rows[taken], slots[taken]] = False
+    ctx.charge_update(len(shard.new[0]) + len(shard.old[0]))
 
 
-def _reversed_entries(shard: LocalShard, lists: List[List[int]],
-                      rng) -> Tuple[np.ndarray, np.ndarray]:
-    """``(u, v)`` for every entry ``u`` of vertex ``v``'s list, in the
-    shuffled order ``rng`` draws (Section 4.2: no synchronized bursts at
-    one rank), or list order without one."""
-    lengths, u = _flatten(lists)
-    v = np.repeat(shard.global_ids, lengths)
-    if rng is None:
-        return u, v
-    order = rng.permutation(len(u))
-    return u[order], v[order]
+def _reversed_entries(shard: LocalShard, cands: Columns,
+                      iteration: int) -> Columns:
+    """``(u, v)`` for every entry ``u`` of vertex ``v``'s list, in keyed
+    order when shuffling (Section 4.2: no synchronized bursts at one
+    rank), else in list order."""
+    rows, u = cands
+    v = shard.global_ids[rows]
+    if shard.config.shuffle_reverse_destinations:
+        order = np.argsort(draw_key(shard.config.nnd.seed, SHUFFLE,
+                                    iteration, v, u))
+        u, v = u[order], v[order]
+    return u, v
 
 
 def reverse(ctx: RankContext, iteration: int) -> None:
     """Reversed-matrix exchange (Section 4.2)."""
     shard = shard_of(ctx)
-    rng = (derive_rng(shard.config.nnd.seed, 4, iteration, ctx.rank)
-           if shard.config.shuffle_reverse_destinations else None)
-    u, v = _reversed_entries(shard, shard.new_lists, rng)
+    u, v = _reversed_entries(shard, shard.new, iteration)
     stage(ctx, shard.owner_of[u], "rev_new", (u, v), 2 * ID_BYTES, "reverse")
-    u, v = _reversed_entries(shard, shard.old_lists, rng)
+    u, v = _reversed_entries(shard, shard.old, iteration)
     stage(ctx, shard.owner_of[u], "rev_old", (u, v), 2 * ID_BYTES, "reverse")
 
 
-def union(ctx: RankContext, iteration: int) -> None:
-    """Union with sampled reversed lists (lines 14-16).
+def _union(shard: LocalShard, own: Columns, chunks: list,
+           iteration: int) -> Columns:
+    """``own[v] ∪ Sample(reversed[v], rho K)`` for every row, ascending
+    by ``(row, id)``."""
+    n = shard.partitioner.n
+    rows, values = (np.concatenate(col) for col in zip(NO_ENTRIES, *chunks))
+    drawn = sample_smallest(shard.config.nnd.seed, UNION, iteration,
+                            shard.global_ids[rows], values,
+                            shard.config.nnd.sample_size)
+    return np.divmod(np.unique(
+        np.concatenate([own[0], rows[drawn]]) * n
+        + np.concatenate([own[1], values[drawn]])), n)
 
-    Reverse entries arrive in a delivery order that depends on the
-    cluster shape; sorting canonicalizes them before the keyed sample so
-    shape-invariance holds here too."""
+
+def union(ctx: RankContext, iteration: int) -> None:
+    """Union with sampled reversed lists (lines 14-16)."""
     shard = shard_of(ctx)
-    cfg = shard.config.nnd
-    sample_n = cfg.sample_size
-    rev_new = _chunk_lists(shard.rev_new, shard.n_local)
-    rev_old = _chunk_lists(shard.rev_old, shard.n_local)
-    for li, (rn, ro) in enumerate(zip(rev_new, rev_old)):
-        # Derived lazily: the stream is only consumed when a list is
-        # sub-sampled, and SeedSequence mixing is ~10us.
-        rng = (derive_rng(cfg.seed, 5, iteration, int(shard.global_ids[li]))
-               if len(rn) > sample_n or len(ro) > sample_n else None)
-        shard.new_lists[li] = _union_with_sample(
-            shard.new_lists[li], rn, sample_n, rng)
-        shard.old_lists[li] = _union_with_sample(
-            shard.old_lists[li], ro, sample_n, rng)
+    shard.new = _union(shard, shard.new, shard.rev_new, iteration)
+    shard.old = _union(shard, shard.old, shard.rev_old, iteration)
 
 
 def check(ctx: RankContext) -> None:
@@ -518,7 +541,7 @@ def check(ctx: RankContext) -> None:
     reads only iteration-start new/old lists)."""
     shard = shard_of(ctx)
     one_sided = shard.config.comm_opts.one_sided
-    u1, u2 = type1_pairs(shard.new_lists, shard.old_lists, one_sided)
+    u1, u2 = type1_pairs(shard.new, shard.old, shard.n_local, one_sided)
     stage(ctx, shard.owner_of[u1],
           "check_opt" if one_sided else "check_unopt", (u1, u2),
           2 * ID_BYTES, T1)
@@ -529,13 +552,13 @@ def repair_reset(ctx: RankContext, ranks: List[int]) -> None:
     reloaded feature shard and empty state."""
     if ctx.rank in ranks:
         shard = shard_of(ctx)
-        shard.reset_heaps(ctx.world.sanitizer)
+        shard.reset_heaps()
         shard.reset_iteration_scratch()
 
 
 def repair_reinit(ctx: RankContext, ranks: List[int]) -> None:
     """Degraded-repair stage 2: repaired vertices replay the keyed init
-    sampling (the same candidates as a fault-free init)."""
+    draws (the same candidates as a fault-free init)."""
     if ctx.rank in ranks:
         init(ctx)
 
@@ -593,8 +616,8 @@ SECTIONS: Dict[str, Callable[..., Any]] = {
 def ckpt_get(ctx: RankContext) -> tuple:
     """Snapshot the neighbor rows as ``(global_ids, ids, dists, flags)``.
     Slot order carries no meaning beyond the row invariant (sampling
-    sorts ids first), so any valid layout of the same entries resumes to
-    the same build."""
+    keys entries by id), so any valid layout of the same entries resumes
+    to the same build."""
     shard = shard_of(ctx)
     return (shard.global_ids, shard.ids.copy(), shard.dists.copy(),
             shard.flags.copy())

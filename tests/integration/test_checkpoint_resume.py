@@ -1,10 +1,12 @@
 """Checkpoint/resume of in-progress DNND builds.
 
-The defining property: because every random draw is keyed by
-(seed, phase, iteration, ...) rather than consumed from a stream, a
-build checkpointed at iteration i and resumed later produces the
+The defining property: because every random draw is a hash of
+(seed, purpose, iteration, vertex, element) rather than consumed from a
+stream, a build checkpointed at iteration i and resumed later produces the
 *bit-identical* final graph of an uninterrupted run.
 """
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro import (
     DNND,
     ClusterConfig,
+    CommOptConfig,
     DNNDConfig,
     MetallStore,
     NNDescentConfig,
@@ -140,7 +143,7 @@ class TestResume:
         still carries ``batch_exec`` in its meta, and its rows are in
         whatever heap layout sift order left them: the key is ignored
         and any valid layout of the same entries resumes to the same
-        build (sampling sorts ids, it never reads slot order)."""
+        build (sampling keys entries by id, it never reads slot order)."""
         ckpt = tmp_path / "ckpt_old"
         partial = DNND(small_dense, config(),
                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
@@ -166,12 +169,19 @@ class TestResume:
         np.testing.assert_array_equal(resumed.graph.dists,
                                       reference.graph.dists)
 
-    def test_resume_on_different_cluster_shape(self, small_dense, tmp_path,
-                                               reference):
-        """Hash partitioning is layout-independent: resuming on a
-        different rank count still yields the identical graph."""
+    def test_resume_on_different_cluster_shape(self, small_dense, tmp_path):
+        """Hash partitioning is layout-independent and every draw is a
+        hash of what it is drawn for: resuming on a different rank count
+        still yields the identical graph.  Order-invariant envelope
+        (unoptimized pattern) — the two halves of this build run under
+        different schedules, which the default pattern's delivery-time
+        checks may turn into different bits."""
+        cfg = replace(config(), comm_opts=CommOptConfig.unoptimized())
+        reference = DNND(small_dense, cfg,
+                         cluster=ClusterConfig(nodes=2, procs_per_node=2)
+                         ).build()
         ckpt = tmp_path / "ckpt_shape"
-        partial = DNND(small_dense, config(),
+        partial = DNND(small_dense, cfg,
                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
         partial._built = True
         partial._init_phase()
@@ -181,6 +191,31 @@ class TestResume:
         resumed = DNND.resume(small_dense, ckpt,
                               cluster=ClusterConfig(nodes=4, procs_per_node=2))
         np.testing.assert_array_equal(resumed.graph.ids, reference.graph.ids)
+
+    def test_every_config_field_survives_checkpoint(self, small_dense,
+                                                    tmp_path):
+        """The checkpoint meta is derived from the config dataclasses,
+        not hand-listed: a resumed driver runs under the very
+        ``NNDescentConfig`` / ``CommOptConfig`` that wrote it.  The
+        values below differ from every default; a field added to either
+        class must be added here, and then has to survive too."""
+        nnd = NNDescentConfig(k=5, rho=0.6, delta=0.01, max_iters=3,
+                              metric="cosine", seed=9)
+        opts = CommOptConfig.unoptimized()
+        for cfg, default in ((nnd, NNDescentConfig()), (opts, CommOptConfig())):
+            assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                       for f in fields(cfg))
+        ckpt = tmp_path / "ckpt_fields"
+        cluster = ClusterConfig(nodes=2, procs_per_node=2)
+        DNND(small_dense, DNNDConfig(nnd=nnd, comm_opts=opts),
+             cluster=cluster).build(checkpoint_path=ckpt, checkpoint_every=1)
+        with MetallStore.open_read_only(ckpt) as store:
+            meta = store["ckpt_meta"]
+        assert set(meta["nnd"]) == {f.name for f in fields(nnd)}
+        assert set(meta["comm_opts"]) == {f.name for f in fields(opts)}
+        resumed = DNND.resume(small_dense, ckpt, cluster=cluster)
+        assert resumed.dnnd.config.nnd == nnd
+        assert resumed.dnnd.config.comm_opts == opts
 
     def test_resume_wrong_dataset_rejected(self, small_dense, tiny_dense,
                                            tmp_path):

@@ -31,9 +31,8 @@ class TestCounterOnDnndWorld:
         # keyed by the edge target — the reverse-degree count.
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                for u, _d, _f in shard.heaps[li].entries():
-                    counter.async_add(ctx.rank, int(u))
+            for u in shard.edges()[1].tolist():
+                counter.async_add(ctx.rank, u)
         dnnd.world.barrier()
         # Totals must equal the edge count of the gathered graph...
         n_edges = len(result.graph.edge_set())
@@ -50,9 +49,8 @@ class TestCounterOnDnndWorld:
         counter = DistributedCounter(dnnd.world, "rev_degree2")
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            for li in range(shard.n_local):
-                for u, _d, _f in shard.heaps[li].entries():
-                    counter.async_add(ctx.rank, int(u))
+            for u in shard.edges()[1].tolist():
+                counter.async_add(ctx.rank, u)
         dnnd.world.barrier()
         rev = np.zeros(len(small_dense), dtype=int)
         for _v, u in result.graph.edge_set():

@@ -6,6 +6,7 @@ import pytest
 from repro import (
     DNND,
     ClusterConfig,
+    CommOptConfig,
     DNNDConfig,
     NNDescentConfig,
     brute_force_knn_graph,
@@ -41,17 +42,32 @@ class TestBuildQuality:
         assert (res.graph.ids != EMPTY).all()
 
     def test_graph_identical_across_rank_counts(self, small_dense):
-        # Section 5.3.3: "DNND was able to produce the same quality
-        # graphs regardless of the number of compute nodes used."
-        # Our vertex-keyed RNG streams strengthen that to bit-identity.
-        graphs = []
-        for nodes, ppn in ((1, 2), (2, 2), (4, 2)):
-            _, res = build(small_dense, nodes=nodes, ppn=ppn)
-            graphs.append(res.graph)
-        for other in graphs[1:]:
-            np.testing.assert_array_equal(graphs[0].ids, other.ids)
+        """Section 5.3.3: "DNND was able to produce the same quality
+        graphs regardless of the number of compute nodes used."
+
+        Every draw is a hash of what it is drawn for, so the candidates
+        are the same on every shape.  Under the *order-invariant*
+        envelope (the unoptimized pattern: no check reads row state at
+        delivery time) that makes the graph bit-identical, for every
+        seed.  Under the default pattern the Section 4.3.2 redundancy
+        check reads rows as deliveries find them, so the graph follows
+        the schedule: same quality — recall within 0.005, iterations
+        within one — not the same bits."""
+        shapes = ((1, 2), (2, 2), (4, 2))
+        for seed in range(13, 18):
+            ids = [build(small_dense, nodes=nodes, ppn=ppn, seed=seed,
+                         comm_opts=CommOptConfig.unoptimized())[1].graph.ids
+                   for nodes, ppn in shapes]
+            for other in ids[1:]:
+                np.testing.assert_array_equal(ids[0], other)
         truth = brute_force_knn_graph(small_dense, k=6)
-        assert graph_recall(graphs[0], truth) > 0.9
+        results = [build(small_dense, nodes=nodes, ppn=ppn)[1]
+                   for nodes, ppn in shapes]
+        recalls = [graph_recall(res.graph, truth) for res in results]
+        assert min(recalls) > 0.9
+        assert max(recalls) - min(recalls) <= 0.005
+        iterations = [res.iterations for res in results]
+        assert max(iterations) - min(iterations) <= 1
 
     def test_single_rank_cluster(self, tiny_dense):
         _, res = build(tiny_dense, k=4, nodes=1, ppn=1)

@@ -109,6 +109,9 @@ class TestReliableDeliveryConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_graph_identical_to_fault_free(self, chaos_runs, reference,
                                            backend):
+        """Order-invariant envelope (``_config``): a faulty network
+        reorders deliveries, which the default pattern's delivery-time
+        checks would turn into a different graph."""
         got = chaos_runs[backend].graph
         np.testing.assert_array_equal(got.ids, reference.graph.ids)
         np.testing.assert_allclose(got.dists, reference.graph.dists,
@@ -125,6 +128,8 @@ class TestSupervisedRecoveryConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_crash_recovers_to_identical_graph(self, crash_runs, reference,
                                                backend):
+        """Order-invariant envelope (``_config``): the crash run also
+        carries the message-fault plan."""
         result = crash_runs[backend]
         assert result.recoveries == 1
         np.testing.assert_array_equal(result.graph.ids, reference.graph.ids)
@@ -221,6 +226,8 @@ class TestProcessCrashConformance:
     @pytest.mark.parametrize("backend", CRASH_BACKENDS)
     def test_crash_recovers_to_identical_graph(self, crash_only_runs,
                                                reference, backend):
+        """Order-invariant envelope (``_config``): two process workers
+        do not repeat one delivery order."""
         result = crash_only_runs[backend]
         assert result.recoveries == 1
         np.testing.assert_array_equal(result.graph.ids, reference.graph.ids)

@@ -7,8 +7,23 @@ projection: counters, the span name sequence, per-timer counts, and the
 cost model's ``sim.*`` gauges.  Any change to message accounting, phase
 structure, or the cost model shows up here as a diff.
 
-Last regenerated for the columnar rank program, which changed three
-rules at once (and nothing else about the build):
+Last regenerated — once — for the stateless ``Sample``: every random
+choice of the rank program became ``draw_key``, a hash of ``(seed,
+purpose, iteration, vertex, element)``, and ``Sample(S, n)`` "the ``n``
+members with the smallest keys" (``dnnd_phases.sample_smallest``), in
+place of one ``numpy`` generator per vertex per phase.  The *draws*
+changed (other initial neighbors, other sampled candidates, another
+shuffle order) and new-new pairs are now emitted as ``u1 < u2``
+(Algorithm 1 line 18), which lets ``check_dedup`` catch a pair proposed
+from both sides; the schedule, the tie rule and the charging did not.
+What moved in this file: the canonical build converges in 6 iterations
+instead of 5 (n=200 sits on the ``delta`` edge), so ``reverse``
+messages read 4304 -> 5232 and two more barriers are taken; per
+iteration the counts are within 2%, Type 2+ 10206 -> 9587 and
+``distance.evals`` 13681 -> 13068 despite the extra round.
+
+Before that it was regenerated for the columnar rank program, which
+changed three rules at once (and nothing else about the build):
 
 * **schedule** — the sim driver runs ``init`` as one section and ships
   the neighbor check in chunks with a barrier between chunks (the

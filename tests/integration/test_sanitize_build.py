@@ -46,6 +46,10 @@ def test_sanitized_build_bit_identical(data):
                               adj_on.to_arrays()[key])
     # A clean run records zero violations.
     assert d_on.world.sanitizer.violations == 0
+    # Row views are made on demand, tagged with their owner rank.
+    shard = d_on.world.ranks[1].state["shard"]
+    heap = shard.heap(int(shard.global_ids[0]))
+    assert heap._san is d_on.world.sanitizer and heap._san_owner == 1
 
 
 def test_zero_overhead_structures_when_off(data):
@@ -54,7 +58,8 @@ def test_zero_overhead_structures_when_off(data):
     for ctx in d.world.ranks:
         assert type(ctx.state) is dict
         shard = ctx.state["shard"]
-        assert all(h._san is None for h in shard.heaps)
+        assert shard.sanitizer is None
+        assert shard.heap(int(shard.global_ids[0]))._san is None
 
 
 def test_sanitized_distributed_search_matches(data):

@@ -7,9 +7,14 @@ sites.  Cluster shape and backend change the order in which candidates
 reach a row, so under the old strict-``<``/first-come rule the sites
 dataset built a different graph per shape.  Two bars:
 
-* default (optimized) pattern — the sim schedule is deterministic per
-  shape and a one-worker process world delivers in sim order, so 1x2,
-  2x2, 3x2 and process/1 must build the same graph;
+* default (optimized) pattern, *at this size* — a one-worker process
+  world delivers in sim order, and at n <= 80 a whole neighbor check
+  fits in one pump chunk, so every Section 4.3.2 check at ``u1`` reads
+  iteration-start rows on every shape: 1x2, 2x2, 3x2 and process/1
+  build the same graph (seeds 0-19 tried, EXPERIMENTS.md).  This is not
+  a property of the default pattern in general — once a check spans
+  several chunks the graph follows the schedule
+  (``test_graph_identical_across_rank_counts``);
 * order-invariant envelope (unoptimized pattern, pinned iterations) —
   what a row is *offered* no longer depends on delivery-time state, so
   the two-worker process world, whose cross-worker arrival order is not

@@ -173,6 +173,8 @@ def _assert_identical(left, right, counters=True):
 
 @pytest.mark.parametrize("nodes,ppn", [(1, 2), (2, 2), (3, 2)])
 def test_batched_bit_identical_across_cluster_shapes(nodes, ppn):
+    # Same shape, same schedule on both sides (default pattern, no
+    # faults) — identity here is between wire forms, not across shapes:
     # reliable=True puts every flushed chunk on the wire as per-message
     # frames; the receiver coalesces them back into the same runs.
     _assert_identical(_run(nodes=nodes, ppn=ppn),
@@ -190,8 +192,9 @@ def test_batched_bit_identical_unoptimized_comm():
 def test_batched_bit_identical_on_process_backend(opts):
     # A worker process holds the same rank host over pickled chunk
     # envelopes, and a single worker delivers in sim order (DESIGN
-    # section 11), so the two must agree bit for bit — graphs, per-type
-    # message counts and the barrier count.
+    # section 11) — one schedule on both sides, so even the default
+    # pattern must agree bit for bit: graphs, per-type message counts
+    # and the barrier count.
     _assert_identical(_run(opts=opts),
                       _run(opts=opts, backend="process", workers=1))
 

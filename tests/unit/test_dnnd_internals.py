@@ -54,8 +54,9 @@ class TestDistribution:
     def test_heap_per_vertex(self, dnnd):
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            assert len(shard.heaps) == shard.n_local
-            assert all(h.k == 4 for h in shard.heaps)
+            assert shard.ids.shape == (shard.n_local, 4)
+            assert all(shard.heap(gid).k == 4
+                       for gid in shard.global_ids.tolist())
 
     def test_heaps_are_views_of_the_shard_matrices(self, dnnd):
         """One home of neighbor state: a push through a row view lands
@@ -64,14 +65,17 @@ class TestDistribution:
 
         shard = shard_of(dnnd.world.ranks[0])
         assert shard.ids.shape == (shard.n_local, 4)
-        heap = shard.heaps[1]
+        heap = shard.heap(int(shard.global_ids[1]))
         assert heap.checked_push(7, 0.5) == 1
         assert shard.ids[1].tolist().count(7) == 1
         merge_rows(shard.ids, shard.dists, shard.flags,
                    np.array([1, 1]), np.array([9, 3]), np.array([0.25, 0.75]))
         assert sorted(heap.entries()) == [(3, 0.75, True), (7, 0.5, True),
                                           (9, 0.25, True)]
-        assert shard.heap(int(shard.global_ids[1])) is heap
+        # Views are made on demand and hold no state of their own.
+        again = shard.heap(int(shard.global_ids[1]))
+        assert again is not heap
+        assert sorted(again.entries()) == sorted(heap.entries())
 
 
 class TestGather:
@@ -80,5 +84,5 @@ class TestGather:
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
             for li, gid in enumerate(shard.global_ids):
-                ids, dists, _ = shard.heaps[li].sorted_arrays()
+                ids, dists, _ = shard.heap(int(gid)).sorted_arrays()
                 np.testing.assert_array_equal(result.graph.ids[int(gid)], ids)

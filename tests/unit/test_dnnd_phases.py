@@ -9,7 +9,6 @@ import pytest
 from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
 from repro.core.dnnd_phases import (
-    _chunk_lists,
     build_shards,
     opt_collect,
     register_dnnd_handlers,
@@ -135,10 +134,11 @@ class TestReverseProtocol:
         world.ranks[0].async_call(1, "rev_old", 6, 3, nbytes=8, msg_type="reverse")
         world.barrier()
         shard1 = shard_of(world.ranks[1])
-        rev_new = _chunk_lists(shard1.rev_new, shard1.n_local)
-        rev_old = _chunk_lists(shard1.rev_old, shard1.n_local)
-        assert rev_new[shard1.local(5)] == [2] and sum(map(len, rev_new)) == 1
-        assert rev_old[shard1.local(6)] == [3] and sum(map(len, rev_old)) == 1
+        # One ``(rows, values)`` chunk each: the candidate representation.
+        (rows, values), = shard1.rev_new
+        assert (rows.tolist(), values.tolist()) == ([shard1.local(5)], [2])
+        (rows, values), = shard1.rev_old
+        assert (rows.tolist(), values.tolist()) == ([shard1.local(6)], [3])
 
 
 class TestOptimizedCheckProtocol:
@@ -263,8 +263,14 @@ class TestType1Generator:
     """The Type 1 expansion is the distributed form of NN-Descent's
     local join: the same pairs for every vertex."""
 
-    NEW = [5, 2, 7, 2]          # a repeated id exercises the u1 != u2 skip
-    OLD = [1, 5, 6]
+    NEW = [2, 5, 7]             # ascending, as ``union`` leaves a row
+    OLD = [1, 5, 6]             # 5 is in both: exercises the u1 != u2 skip
+
+    @staticmethod
+    def _columns(lists):
+        """Per-row lists as the shard's ``(rows, values)`` columns."""
+        rows = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+        return rows, np.array(sum(lists, []), dtype=np.int64)
 
     def _local_join_pairs(self, new, old):
         oracle = NNDescent(np.zeros((8, 1)), NNDescentConfig(k=3))
@@ -278,7 +284,12 @@ class TestType1Generator:
         # Several vertices at once, an empty one among them.
         new_lists = [self.NEW, [], [3, 4], [6]]
         old_lists = [self.OLD, [1, 2], [], [0, 7]]
-        u1, u2 = type1_pairs(new_lists, old_lists, one_sided)
+        u1, u2 = type1_pairs(self._columns(new_lists),
+                             self._columns(old_lists), 4, one_sided)
+        # Algorithm 1 line 18: a new-new pair is emitted once, as u1 < u2.
+        a, b = type1_pairs(self._columns(new_lists),
+                           self._columns([[]] * 4), 4, True)
+        assert len(a) == 3 + 1 and (a < b).all()
         expected = []
         for new, old in zip(new_lists, old_lists):
             for a, b in self._local_join_pairs(new, old):
@@ -291,8 +302,8 @@ class TestType1Generator:
     def test_check_then_pump_asks_the_owner_of_u1(self):
         world, part = make_world_with_shards()
         shard = shard_of(world.ranks[0])
-        shard.new_lists[2] = list(self.NEW)
-        shard.old_lists[2] = list(self.OLD)
+        shard.new = self._columns([[], [], self.NEW, []])
+        shard.old = self._columns([[], [], self.OLD, []])
         dnnd_phases.check(world.ranks[0])
         # Staged, not sent: nothing moves until the driver pumps.
         assert world.stats.total_count() == world.local_deliveries == 0
