@@ -218,9 +218,15 @@ def correlation_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _rows64(a, b):
-    """Promote to float64 and broadcast a 1-D side to the other's rows."""
-    A = np.asarray(a, dtype=np.float64)
-    B = np.asarray(b, dtype=np.float64)
+    """Promote to float64 and broadcast a 1-D side to the other's rows.
+
+    Rows come back C-ordered whatever layout the caller passed: numpy's
+    default (K-order) copy of a stride-0 ``broadcast_to`` view is
+    Fortran-ordered, and ``_rowwise_dot`` over such rows reduces in
+    another order than ``np.dot`` — 1 ulp off the scalar metric.
+    """
+    A = np.asarray(a, dtype=np.float64, order="C")
+    B = np.asarray(b, dtype=np.float64, order="C")
     if A.ndim == 1:
         A = np.broadcast_to(A, B.shape)
     elif B.ndim == 1:

@@ -21,12 +21,20 @@ dataset built a different graph per shape.  Two bars:
   even repeatable, must build that graph too.  (Under the optimized
   pattern its offers legitimately differ: Sections 4.3.2/4.3.3 skip
   exchanges based on the rows as they are when a message arrives.)
+
+The search follows the same rule (``core/search.py``): result and
+frontier order by ``(distance, id)`` and the frontier gate is read once
+per expansion, so on these datasets — where most comparisons are ties —
+the lock-step ``query_batch`` still equals the per-query walk byte for
+byte, however the batch is cut.
 """
 
 import numpy as np
 import pytest
 
-from repro import DNND, ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
+from repro import (DNND, ClusterConfig, CommOptConfig, DNNDConfig,
+                   KNNGraphSearcher, NNDescentConfig, brute_force_knn_graph,
+                   optimize_graph)
 
 K = 5
 
@@ -79,3 +87,43 @@ def test_equidistant_candidates_same_graph_everywhere(name, envelope, worlds):
     graphs[0].validate()
     if name == "all-duplicates":
         assert not graphs[0].dists.any()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.2])
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_equidistant_candidates_same_answers_from_both_walkers(name, epsilon):
+    data, metric = DATASETS[name]
+    adj = optimize_graph(brute_force_knn_graph(data, K, metric=metric), 1.5)
+    queries = np.concatenate([data[::3], np.zeros((2, data.shape[1]))])
+    l = 2 * K
+
+    def make():
+        return KNNGraphSearcher(adj, data, metric=metric, seed=5,
+                                kernel="rowwise")
+
+    ids, dists, stats = make().query_batch(queries, l=l, epsilon=epsilon)
+    oracle = make()
+    evals = 0
+    for row_i, row_d, q in zip(ids, dists, queries):
+        res = oracle.query(q, l=l, epsilon=epsilon)
+        assert np.array_equal(row_i, res.ids)
+        assert row_d.tobytes() == res.dists.tobytes()
+        assert res.n_visited == res.n_distance_evals
+        evals += res.n_distance_evals
+        # Among equal distances the smaller ids win.
+        pairs = list(zip(row_d.tolist(), row_i.tolist()))
+        assert pairs == sorted(pairs)
+    assert stats["mean_distance_evals"] == evals / len(queries)
+    assert stats["mean_visited"] == evals / len(queries)
+    for cut in (7, 1):
+        pieces = make()
+        parts = [pieces.query_batch(queries[lo:lo + cut], l=l, epsilon=epsilon)
+                 for lo in range(0, len(queries), cut)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), ids)
+        assert (np.concatenate([p[1] for p in parts]).tobytes()
+                == dists.tobytes())
+    if name == "all-duplicates":
+        # Every vertex is at distance 0 of every data-point query: the
+        # answer is the l smallest ids among those the walk evaluated,
+        # whatever order it met them in.
+        assert not dists[:-2].any()

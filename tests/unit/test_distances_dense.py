@@ -1,4 +1,4 @@
-"""Dense metric correctness: scalar, one-to-many, and pairwise forms."""
+"""Dense metric correctness: scalar, one-to-many, pairwise and rowwise forms."""
 
 import numpy as np
 import pytest
@@ -123,3 +123,29 @@ class TestPairwise:
         assert out[0, 0] == 1.0  # zero vs zero
         assert out[0, 1] == 1.0
         assert out[1, 1] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRowwise:
+    """The rowwise kernels are the scalar metric, row for row and bit
+    for bit, however the caller lays out a repeated ``q``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["sqeuclidean", "euclidean", "cosine",
+                                      "inner_product", "manhattan",
+                                      "chebyshev"])
+    def test_bit_identical_to_scalar_for_every_layout_of_q(self, name, dtype):
+        scalar = getattr(dense, name)
+        rowwise = getattr(dense, name + "_rowwise")
+        rng = np.random.default_rng(9)
+        for dim in (25, 96, 784):
+            X = rng.standard_normal((120, dim)).astype(dtype)
+            q = rng.standard_normal(dim).astype(dtype)
+            want = np.array([scalar(q, x) for x in X]).tobytes()
+            # A stride-0 broadcast used to come back Fortran-ordered from
+            # the float64 promotion (float32 input), and the dot-product
+            # metrics then reduced in another order: 1 ulp off.
+            assert rowwise(np.broadcast_to(q, X.shape), X).tobytes() == want
+            assert rowwise(q, X).tobytes() == want
+            assert rowwise(np.repeat(q[None], len(X), axis=0), X).tobytes() == want
+            assert rowwise(X, np.broadcast_to(q, X.shape)).tobytes() == (
+                np.array([scalar(x, q) for x in X]).tobytes())

@@ -55,6 +55,29 @@ class TestParallelEngine:
         b, _, _ = engine.query_batch(data[:40], l=5, epsilon=0.1)
         np.testing.assert_array_equal(a, b)
 
+    def test_threads_do_not_change_answers(self, setup):
+        """Span ``i`` is ``searcher.clone(seed=i).query_batch`` over its
+        slice — one lock-step block — on one thread or four."""
+        data, searcher = setup
+        queries = data[:70] + np.float32(0.01)
+        one = ParallelQueryEngine(searcher, n_threads=1, chunk=16)
+        four = ParallelQueryEngine(searcher, n_threads=4, chunk=16)
+        a = one.query_batch(queries, l=6, epsilon=0.2)
+        b = four.query_batch(queries, l=6, epsilon=0.2)
+        spans = [searcher.clone(seed=i).query_batch(
+            queries[lo:lo + 16], l=6, epsilon=0.2)
+            for i, lo in enumerate(range(0, 70, 16))]
+        want_ids = np.concatenate([s[0] for s in spans])
+        want_dists = np.concatenate([s[1] for s in spans])
+        evals = sum(s[2]["mean_distance_evals"] * s[2]["n_queries"]
+                    for s in spans)
+        for ids, dists, stats in (a, b):
+            assert np.array_equal(ids, want_ids)
+            assert dists.tobytes() == want_dists.tobytes()
+            assert stats["mean_distance_evals"] == pytest.approx(evals / 70)
+            assert stats["mean_visited"] == stats["mean_distance_evals"]
+        assert a[2]["mean_distance_evals"] == b[2]["mean_distance_evals"]
+
     def test_empty_batch(self, setup):
         data, searcher = setup
         engine = ParallelQueryEngine(searcher, n_threads=2)
