@@ -32,7 +32,7 @@ def run_all():
         rows.append({
             "batch": batch,
             "barriers": dnnd.cluster.ledger.barriers,
-            "flushes": dnnd.world.flush_count,
+            "flushes": dnnd.world.log.totals.counts["comm.flushes"],
             "sim_seconds": res.sim_seconds,
             "iterations": res.iterations,
         })

@@ -34,7 +34,7 @@ def run_all():
         res = dnnd.build()
         rows.append({
             "cap": cap,
-            "flushes": dnnd.world.flush_count,
+            "flushes": dnnd.world.log.totals.counts["comm.flushes"],
             "sim_seconds": res.sim_seconds,
             "iterations": res.iterations,
         })

@@ -19,10 +19,10 @@ _DEFAULT_EXCLUDE = ("*/lint_fixtures/*", "*.egg-info/*", "*/__pycache__/*")
 # paths: the cost model owns time there.  eval/ and cli timing is real
 # wall-clock by design.
 _DEFAULT_SIM_PATHS = ("repro/runtime", "repro/core")
-# Declared lock hierarchy for REP404 (outermost first): the transport's
-# fault lock is acquired before any registry/metrics lock, never after.
-# Mirrors the committed pyproject's ``lock-order``.
-_DEFAULT_LOCK_ORDER = ("_fault_lock", "_lock")
+# Declared lock hierarchy for REP404 (outermost first): the metrics
+# registry's lock is the only one the runtime holds.  Mirrors the
+# committed pyproject's ``lock-order``.
+_DEFAULT_LOCK_ORDER = ("_lock",)
 
 
 @dataclass(frozen=True)

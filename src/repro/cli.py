@@ -19,7 +19,7 @@ introspection helpers:
 - ``repro experiments`` — list the reproduced tables/figures and their
   benchmark targets,
 - ``repro stats``     — pretty-print a metrics snapshot written by
-  ``construct --metrics-out``.
+  ``construct --metrics-out``, its per-iteration table included.
 
 Observability: ``construct`` (and ``resume``) accept ``--metrics-out
 out.json`` to dump the backend-agnostic metrics snapshot and
@@ -56,6 +56,7 @@ from .eval.tables import ascii_table
 from .runtime.faults import FaultPlan
 from .runtime.metall import MetallStore
 from .runtime.partition import PARTITIONER_NAMES, make_partitioner
+from .runtime.tracing import BarrierLog, BarrierRecord
 from .utils.timing import format_duration
 
 
@@ -516,6 +517,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
                   if not name.startswith("sim.phase.")]
     if gauge_rows:
         print(ascii_table(["gauge", "value"], gauge_rows, title="gauges"))
+
+    log = BarrierLog(map(BarrierRecord.from_json, snap.get("barriers", [])))
+    if log.iterations():
+        print()
+        print(log.iteration_report(gauges.get("convergence.threshold")))
     return 0
 
 

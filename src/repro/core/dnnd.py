@@ -27,7 +27,10 @@ the same ``rank -> value`` calls:
 
 The result carries the gathered :class:`~repro.core.graph.KNNGraph`,
 per-type message statistics (Figure 4), and the simulated construction
-time from the cost model (Figure 3).
+time from the cost model (Figure 3).  Every counter in it is a view of
+the comm facade's barrier log (:mod:`repro.runtime.tracing`) — running
+totals, group-by-phase, group-by-iteration; the driver records nothing
+itself.
 """
 
 from __future__ import annotations
@@ -110,7 +113,18 @@ class DNNDResult:
     adjacency:
         The Section 4.5-optimized graph, present after ``optimize()``.
     message_stats:
-        Global per-type message counters (Figure 4's measurement).
+        Global per-type message counters (Figure 4's measurement): the
+        barrier log's running totals.
+    phase_stats:
+        The log grouped by phase.  A phase's table holds everything
+        sent inside it — under reliable delivery that includes the
+        ``ack`` and ``retransmit`` traffic — so the phases sum to
+        ``message_stats`` for every type.
+    per_iteration_messages:
+        The log grouped by iteration, ``{type: (count, bytes)}`` each,
+        one entry per ``update_counts`` entry of this run (degraded
+        mode's repair rounds included); iterations rolled back by a
+        crash recovery are left out (their traffic stays in the totals).
     sim_seconds:
         Modeled construction time (Figure 3's y-axis, in seconds).
     distance_evals:
@@ -264,8 +278,8 @@ class DNND:
                 f"k={self.config.k} must be smaller than dataset size {self.n}"
             )
         # One metrics registry per build (the no-op singleton when the
-        # config turns observability off); the comm layer publishes the
-        # counter aggregates into it at every barrier, the driver adds
+        # config turns observability off); the comm layer mirrors its
+        # barrier log's totals into it at every barrier, the driver adds
         # wall-clock phase spans and heap/distance totals.  Created
         # before backend resolution so the resolution itself is
         # observable (``backend.fallbacks``).
@@ -344,7 +358,6 @@ class DNND:
                                  self._rows, self.config, self.partitioner)
         self._open_span = None
         self._recoveries = 0
-        self._recovery_attempts = 0
         self._degraded_ranks: set = set()
         self._built = False
         if self.metrics.enabled:
@@ -388,12 +401,13 @@ class DNND:
             self._finalizer()
 
     def _enter_phase(self, name: str, **args) -> None:
-        """Start phase ``name``: scope message stats to it *and* open a
-        wall-clock span on the metrics timeline.  The previous phase's
-        span is closed first, so phase spans form a strictly sequential,
-        non-overlapping timeline (the golden-trace contract)."""
+        """Start phase ``name``: label the barrier records that follow
+        with it (and the iteration) *and* open a wall-clock span on the
+        metrics timeline.  The previous phase's span is closed first, so
+        phase spans form a strictly sequential, non-overlapping timeline
+        (the golden-trace contract)."""
         self._close_phase()
-        self.world.set_phase(name)
+        self.world.set_phase(name, args.get("iteration"))
         if self.metrics.enabled:
             span = self.metrics.span(f"phase.{name}", **args)
             span.__enter__()
@@ -456,7 +470,7 @@ class DNND:
         self._built = True
         self._init_phase()
         return self._run_iterations(
-            start_iteration=0, update_counts=[], per_iter_msgs=[],
+            start_iteration=0, update_counts=[],
             store_path=store_path, checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             recover_on_crash=recover_on_crash,
@@ -554,7 +568,6 @@ class DNND:
         result = dnnd._run_iterations(
             start_iteration=int(meta["iteration"]),
             update_counts=list(meta["update_counts"]),
-            per_iter_msgs=[],
             store_path=store_path,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every)
@@ -563,7 +576,6 @@ class DNND:
         return result
 
     def _run_iterations(self, start_iteration: int, update_counts: List[int],
-                        per_iter_msgs: List[Dict[str, tuple]],
                         store_path, checkpoint_path,
                         checkpoint_every: int,
                         recover_on_crash: bool = True,
@@ -571,9 +583,9 @@ class DNND:
                         max_recovery_attempts: int = 8) -> DNNDResult:
         cfg = self.config.nnd
         threshold = cfg.delta * cfg.k * self.n
+        self.metrics.set_gauge("convergence.threshold", threshold)
         converged = False
         iterations = start_iteration
-        n_pre = len(update_counts)  # history carried in from a resume
         consecutive_failures = 0
         it = start_iteration
         while it < cfg.max_iters:
@@ -583,7 +595,6 @@ class DNND:
                 # SIGKILLs on the owning worker; detection surfaces at
                 # the next barrier.
                 self._crash_clock.advance_iteration(it)
-            before = {t: (s.count, s.bytes) for t, s in self.cluster.stats.by_type.items()}
             try:
                 c = self._iteration(it)
             except RankFailureError as failure:
@@ -593,7 +604,7 @@ class DNND:
                 # opens — timeline spans stay sequential even across
                 # crash-recovery cycles.
                 self._close_phase()
-                self._recovery_attempts += 1
+                self.world.log.abandon(self.metrics.now())
                 consecutive_failures += 1
                 if consecutive_failures > max_recovery_attempts:
                     # The supervisor's patience is bounded: a failure
@@ -613,17 +624,10 @@ class DNND:
                 # replay reconstructs the fault-free trajectory.
                 self._charge_recovery_backoff(consecutive_failures)
                 it = self._recover(checkpoint_path, update_counts)
-                del per_iter_msgs[max(0, len(update_counts) - n_pre):]
                 continue
             consecutive_failures = 0
             update_counts.append(c)
             self._publish_build_metrics(update_counts)
-            after = self.cluster.stats.snapshot()
-            per_iter_msgs.append({
-                t: (after[t][0] - before.get(t, (0, 0))[0],
-                    after[t][1] - before.get(t, (0, 0))[1])
-                for t in after
-            })
             if checkpoint_every and (it + 1) % checkpoint_every == 0:
                 self._write_checkpoint(checkpoint_path, it + 1, update_counts)
             if c < threshold:
@@ -636,20 +640,20 @@ class DNND:
         self._publish_build_metrics(update_counts)
         self._publish_partition_metrics(graph.ids)
         self._publish_sim_enrichment()
-        distance_evals = sum(t[1] for t in self.host.shard_totals().values())
+        log = self.world.log
         result = DNNDResult(
             graph=graph,
             iterations=iterations,
             update_counts=update_counts,
             converged=converged,
-            message_stats=self.cluster.stats,
-            phase_stats=dict(self.world.phase_stats),
+            message_stats=log.totals.messages,
+            phase_stats=log.phase_stats(),
             sim_seconds=self.cluster.ledger.elapsed,
             phase_seconds=dict(self.cluster.ledger.phase_elapsed),
-            distance_evals=distance_evals,
+            distance_evals=log.totals.tally("distance.evals"),
             world_size=self.cluster.world_size,
-            per_iteration_messages=per_iter_msgs,
-            fault_stats=self.world.fault_stats,
+            per_iteration_messages=log.per_iteration_messages(),
+            fault_stats=FaultStats(**log.total_fault_events()),
             recoveries=self._recoveries,
             degraded_ranks=tuple(sorted(self._degraded_ranks)),
             metrics=self.metrics,
@@ -660,27 +664,26 @@ class DNND:
         return result
 
     def _publish_build_metrics(self, update_counts: List[int]) -> None:
-        """Driver-level totals the comm layer cannot see: heap update
-        attempts (``heap.updates``, delivery-order invariant under the
-        unoptimized pattern — the conformance metric), successful
-        NN-Descent pushes (``heap.updates.accepted``, order-sensitive
-        for full heaps), and distance evaluations."""
+        """The rank program's tallies, summed over the barrier log:
+        heap update attempts (``heap.updates``, delivery-order invariant
+        under the unoptimized pattern — the conformance metric),
+        distance evaluations, and the kernel layer's tile flops and
+        fallbacks (DESIGN.md section 17; zero under the default rowwise
+        kernel, so the snapshot names stay stable across kernel
+        choices).  Beside them successful NN-Descent pushes
+        (``heap.updates.accepted``, order-sensitive for full heaps) and
+        the recovery SLO counter, published on every backend (zeros
+        included) so fault-free and fault-injected snapshots expose the
+        same names."""
         m = self.metrics
         if not m.enabled:
             return
-        totals = list(self.host.shard_totals().values())
-        m.set_counter("heap.updates", sum(t[0] for t in totals))
+        log = self.world.log
+        for name in ("heap.updates", "distance.evals", "kernel.tile_flops",
+                     "kernel.fallbacks"):
+            m.set_counter(name, log.totals.tally(name))
         m.set_counter("heap.updates.accepted", sum(update_counts))
-        m.set_counter("distance.evals", sum(t[1] for t in totals))
-        # Kernel-layer tallies (DESIGN.md section 17): zero under the
-        # default rowwise kernel, so the snapshot names stay stable
-        # across kernel choices (same contract as the recovery zeros).
-        m.set_counter("kernel.tile_flops", sum(t[3] for t in totals))
-        m.set_counter("kernel.fallbacks", sum(t[4] for t in totals))
-        # Recovery SLO counters: published on every backend (zeros
-        # included) so fault-free and fault-injected snapshots expose
-        # the same names.
-        m.set_counter("recovery.attempts", self._recovery_attempts)
+        m.set_counter("recovery.attempts", log.attempt)
 
     def _publish_partition_metrics(self, neighbor_ids: np.ndarray) -> None:
         """Partition-layer gauges: placement balance and the fraction of
@@ -817,14 +820,13 @@ class DNND:
         self._enter_phase("neighbor_check", iteration=iteration)
         self._run_section("check")
         self._pump()
-        # ---- termination counter (line 23): allreduce; a rank excluded
-        # in degraded mode contributes zero (the allreduce still collects
-        # one value per rank).
-        totals = self.host.shard_totals()
-        excluded = self.world.excluded_ranks
+        # ---- termination counter (line 23): allreduce of what each
+        # rank's handlers accepted in this iteration's barrier records; a
+        # rank excluded in degraded mode ran none and contributes zero
+        # (the allreduce still collects one value per rank).
+        updates = self.world.log.iteration_tally(iteration, "updates")
         return int(self.cluster.allreduce_sum(
-            [0 if r in excluded else totals[r][2]
-             for r in range(self.cluster.world_size)]))
+            [updates.get(r, 0) for r in range(self.cluster.world_size)]))
 
     # -- gather -----------------------------------------------------------------
 

@@ -196,14 +196,6 @@ class LocalShard:
     old: Columns = NO_ENTRIES
     rev_new: list = field(default_factory=list)
     rev_old: list = field(default_factory=list)
-    update_count: int = 0
-    """Candidates that entered a row in the current iteration, summed
-    over handler invocations (Algorithm 1's ``c``)."""
-
-    # Cumulative candidates offered to a row (one per delivered distance
-    # message) over the whole run — the ``heap.updates`` metric.  Never
-    # reset by :meth:`reset_iteration_scratch`.
-    push_attempts: int = 0
 
     # Sorted ``u1 * n + u2`` keys of the pairs already neighbor-checked
     # at this rank this iteration (``comm_opts.check_dedup``, Section
@@ -328,7 +320,6 @@ class LocalShard:
         self.new = self.old = NO_ENTRIES
         self.rev_new = []
         self.rev_old = []
-        self.update_count = 0
         self.check_seen = np.empty(0, dtype=np.int64)
         # A replayed iteration (crash recovery, degraded exclusion) must
         # not ship what the aborted one left staged.
@@ -359,9 +350,10 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
     owner_of = np.asarray(partitioner.owner_array(
         np.arange(partitioner.n, dtype=np.int64)), dtype=np.int64)
     for ctx in ctxs:
-        ctx.state["shard"] = LocalShard.build(
+        shard = ctx.state["shard"] = LocalShard.build(
             ctx.rank, partitioner, data, config, owner_of,
             sanitizer=ctx.world.sanitizer)
+        ctx.tally["kernel.fallbacks"] += shard.metric.kernel_fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -668,22 +660,12 @@ def opt_collect(ctx: RankContext, max_degree: int) -> Dict[int, list]:
                                  counts.tolist())}
 
 
-def shard_totals(ctx: RankContext) -> Tuple[int, int, int, int, int]:
-    """``(push_attempts, distance_evals, update_count, kernel_tile_flops,
-    kernel_fallbacks)``: all cumulative but the update count, which is
-    the current iteration's."""
-    shard = shard_of(ctx)
-    return (shard.push_attempts, shard.metric.count, shard.update_count,
-            shard.metric.tile_flops, shard.metric.kernel_fallbacks)
-
-
 #: The shard-state ops by name, resolved by :meth:`RankHost.command`.
 SHARD_OPS: Dict[str, Callable[..., Any]] = {
     "ckpt_get": ckpt_get,
     "ckpt_set": ckpt_set,
     "gather_rows": gather_rows,
     "opt_collect": opt_collect,
-    "shard_totals": shard_totals,
 }
 
 
@@ -695,7 +677,11 @@ SHARD_OPS: Dict[str, Callable[..., Any]] = {
 # through ``merge_rows`` (rows keep the k smallest ``(dist, id)``), and
 # checks that read row state (redundancy, pruning bound) read it once,
 # before the run's own updates.  Modeled compute is charged as
-# ``count x cost``.
+# ``count x cost``.  What the rank program counts — distance
+# evaluations, candidates offered to a row (``heap.updates``), the
+# ``updates`` of Algorithm 1's ``c``, kernel tile flops — goes to
+# ``ctx.tally`` and reaches the driver's barrier log with the world's
+# next delta export.
 # ---------------------------------------------------------------------------
 
 
@@ -704,7 +690,10 @@ def _evaluate(ctx: RankContext, shard: LocalShard, A, B,
     """Paired distances ``theta(A[i], B[i])`` through the counted rowwise
     kernel, charged to the rank's clock at the dimension of the
     ``foreign`` side (the features the messages carried)."""
+    flops = shard.metric.tile_flops
     d = np.asarray(shard.metric.rowwise(A, B), dtype=np.float64)
+    ctx.tally["distance.evals"] += len(d)
+    ctx.tally["kernel.tile_flops"] += shard.metric.tile_flops - flops
     if ctx.world.cluster.ledger.enabled:
         if shard.sparse:  # ragged records: each at its own length
             net = ctx.world.cluster.net
@@ -719,7 +708,7 @@ def _offer(ctx: RankContext, shard: LocalShard, rows: np.ndarray,
            cand: np.ndarray, d: np.ndarray) -> int:
     """Offer candidates to their rows as *new* entries; returns how many
     got in."""
-    shard.push_attempts += len(rows)
+    ctx.tally["heap.updates"] += len(rows)
     ctx.charge_update(len(rows))
     return merge_rows(shard.ids, shard.dists, shard.flags, rows, cand, d)
 
@@ -797,7 +786,7 @@ def h_feature_unopt(ctx: RankContext, recv: np.ndarray,
     rows = shard.locals(recv)
     features = shard.rows(sender)
     d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
-    shard.update_count += _offer(ctx, shard, rows, sender, d)
+    ctx.tally["updates"] += _offer(ctx, shard, rows, sender, d)
 
 
 # -- neighbor checks, optimized pattern (Figure 1b) ------------------------------
@@ -841,7 +830,7 @@ def h_feature_opt(ctx: RankContext, u2: np.ndarray, u1: np.ndarray,
         return
     features = shard.rows(u1)
     d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
-    shard.update_count += _offer(ctx, shard, rows, u1, d)
+    ctx.tally["updates"] += _offer(ctx, shard, rows, u1, d)
     if opts.distance_pruning:
         # Section 4.3.3: u1 could not accept this distance anyway.
         useful = d < bound
@@ -854,7 +843,7 @@ def h_distance_reply(ctx: RankContext, u1: np.ndarray, u2: np.ndarray,
                      d: np.ndarray) -> None:
     """Runs at owner(u1): Type 3 received; update u1's row."""
     shard = shard_of(ctx)
-    shard.update_count += _offer(ctx, shard, shard.locals(u1), u2, d)
+    ctx.tally["updates"] += _offer(ctx, shard, shard.locals(u1), u2, d)
 
 
 # -- graph optimization (Section 4.5) ---------------------------------------------
@@ -905,8 +894,7 @@ class RankHost:
     ``command(op, payload)``
         a :data:`SHARD_OPS` entry on every hosted rank, excluded or not;
         a ``by_rank`` payload entry holds per-rank positional arguments;
-    ``command("build_shards" | "set_phase" | "exclude" | "readmit" |
-    "export_stats", payload)``
+    ``command("build_shards" | "exclude" | "readmit", payload)``
         the world-level calls a driver makes directly on a world it
         holds and by command on one it does not.
     """
@@ -920,10 +908,8 @@ class RankHost:
         register_dnnd_handlers(world)
         self._commands: Dict[str, Callable[..., Any]] = {
             "build_shards": self.build_shards,
-            "set_phase": world.set_phase,
             "exclude": world.exclude_ranks,
             "readmit": world.readmit_ranks,
-            "export_stats": self.export_stats,
         }
         self.build_shards(partitioner)
 
@@ -962,22 +948,9 @@ class RankHost:
         return {ctx.rank: op(ctx, *by_rank.get(ctx.rank, ()), **payload)
                 for ctx in self._ctxs()}
 
-    def shard_totals(self) -> Dict[int, tuple]:
-        return self.command("shard_totals")
-
     def build_shards(self, partitioner: Partitioner) -> None:
         """(Re)build the hosted shards under ``partitioner`` — at
         construction, on recovery, and when the repartition pass swaps
         the ownership layer.  Neighbor rows are restored separately
         (``ckpt_set``)."""
         build_shards(self._ctxs(), partitioner, self.data, self.config)
-
-    def export_stats(self) -> dict:
-        """The world's cumulative comm counters, for a driver that folds
-        them across worker processes."""
-        world = self.world
-        return {"stats": world.cluster.stats,
-                "phases": world.phase_stats,
-                "flushes": world.flush_count,
-                "invocations": world.handler_invocations,
-                "locals": world.local_deliveries}

@@ -187,17 +187,6 @@ class FaultInjector:
     def pending_delayed(self) -> int:
         return len(self._delayed)
 
-    def publish(self, registry) -> None:
-        """Publish fault/recovery counters into a metrics registry.
-
-        Emits the full ``faults.*`` counter family (zeros included, so
-        fault-free and fault-injected runs expose the same names) plus a
-        ``faults.pending_delayed`` gauge for in-flight delayed messages.
-        """
-        self.stats.publish(registry)
-        registry.set_gauge("faults.pending_delayed",
-                           float(len(self._delayed)))
-
     # -- per-flush decisions (consulted by YGMWorld._flush) ------------------
 
     def maybe_reorder(self, n_messages: int):

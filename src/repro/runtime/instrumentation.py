@@ -13,16 +13,18 @@ Figure 4 reports, per pattern, the number of messages and total bytes.
 :class:`MessageStats` tracks exactly that, split by message type and by
 whether the message crossed a node boundary ("sent off nodes" in the
 paper's wording).
+
+Counters reach the driver one way: as a :class:`Delta` — what changed at
+a world since its last export — appended to the barrier log
+(:mod:`.tracing`) once per barrier.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .metrics import MetricsRegistry
+from typing import Any, Dict, Iterable, Mapping, Tuple
 
 
 @dataclass
@@ -107,14 +109,6 @@ class FaultStats:
             return "faults: none"
         return "faults: " + ", ".join(f"{k}={v:,}" for k, v in sorted(active.items()))
 
-    def publish(self, registry: "MetricsRegistry",
-                prefix: str = "faults.") -> None:
-        """Mirror every counter into the metrics registry as
-        ``faults.<event>``.  Zeros are published too, so fault-free runs
-        and backends without an injector emit the same metric names."""
-        for name, value in self.snapshot().items():
-            registry.set_counter(prefix + name, value)
-
 
 @dataclass
 class MessageStats:
@@ -158,10 +152,22 @@ class MessageStats:
     def get(self, msg_type: str) -> TypeStats:
         return self.by_type.get(msg_type, TypeStats())
 
-    def merged(self, other: "MessageStats") -> "MessageStats":
+    def add(self, other: "MessageStats") -> None:
+        """Add ``other``'s counters to these, type by type."""
+        for t, s in other.by_type.items():
+            self.by_type[t] = self.get(t).merged(s)
+
+    def since(self, base: "MessageStats") -> "MessageStats":
+        """What was recorded here and not yet in ``base`` (an earlier
+        state of these counters); types that did not move are left out."""
         out = MessageStats()
-        for t in set(self.by_type) | set(other.by_type):
-            out.by_type[t] = self.get(t).merged(other.get(t))
+        for t, s in self.by_type.items():
+            b = base.get(t)
+            if s != b:
+                out.by_type[t] = TypeStats(
+                    s.count - b.count, s.bytes - b.bytes,
+                    s.offnode_count - b.offnode_count,
+                    s.offnode_bytes - b.offnode_bytes)
         return out
 
     def snapshot(self) -> Dict[str, Tuple[int, int]]:
@@ -170,27 +176,6 @@ class MessageStats:
 
     def reset(self) -> None:
         self.by_type.clear()
-
-    def publish(self, registry: "MetricsRegistry") -> None:
-        """Mirror the per-type totals into the metrics registry using the
-        backend-agnostic naming convention (DESIGN.md §12):
-        ``messages.sent.<type>`` / ``messages.bytes.<type>`` per type,
-        plus the ``messages.sent`` / ``bytes.sent`` and off-node
-        aggregates.  Assignment of absolute totals, not increments: the
-        runtime calls this after every barrier and idempotently
-        converges to the authoritative counts."""
-        total_count = total_bytes = off_count = off_bytes = 0
-        for t, s in self.by_type.items():
-            registry.set_counter(f"messages.sent.{t}", s.count)
-            registry.set_counter(f"messages.bytes.{t}", s.bytes)
-            total_count += s.count
-            total_bytes += s.bytes
-            off_count += s.offnode_count
-            off_bytes += s.offnode_bytes
-        registry.set_counter("messages.sent", total_count)
-        registry.set_counter("bytes.sent", total_bytes)
-        registry.set_counter("messages.offnode.sent", off_count)
-        registry.set_counter("messages.offnode.bytes", off_bytes)
 
     def format_table(self, title: str = "messages") -> str:
         """Fixed-width report used by benchmarks and examples."""
@@ -208,3 +193,72 @@ class MessageStats:
             f"{self.offnode_count():>16,d} {self.offnode_bytes():>16,d}"
         )
         return "\n".join(lines)
+
+
+@dataclass
+class Delta:
+    """What changed at one world between two exports — the only form in
+    which counters travel (a sim world hands one to its log at the end of
+    ``barrier()``, a process worker ships one in every ``__round__``
+    reply).  Deltas add up: a barrier record is the sum of the deltas of
+    its window, the running totals the sum of all of them.
+
+    Attributes
+    ----------
+    messages:
+        Per-type message / byte / off-node counts.
+    counts:
+        World-level counters under their registry names:
+        ``comm.flushes``, ``executor.tasks`` (handler invocations),
+        ``comm.local_deliveries``, ``faults.<event>``.
+    ranks:
+        ``rank -> tally -> n``: what the rank program counted through
+        :attr:`RankContext.tally <repro.runtime.ygm.RankContext>`
+        (DNND: ``heap.updates`` offers, accepted ``updates``,
+        ``distance.evals``, ``kernel.tile_flops``, ``kernel.fallbacks``).
+    """
+
+    messages: MessageStats = field(default_factory=MessageStats)
+    counts: Counter = field(default_factory=Counter)
+    ranks: Dict[int, Counter] = field(default_factory=dict)
+
+    def add(self, other: "Delta") -> None:
+        self.messages.add(other.messages)
+        self.counts.update(other.counts)
+        for rank, tally in other.ranks.items():
+            self.ranks.setdefault(rank, Counter()).update(tally)
+
+    def since(self, base: "Delta") -> "Delta":
+        """What these (cumulative) counters hold beyond ``base``, an
+        earlier state of them."""
+        return Delta(
+            self.messages.since(base.messages), self.counts - base.counts,
+            {rank: moved for rank, tally in self.ranks.items()
+             if (moved := tally - base.ranks.get(rank, Counter()))})
+
+    @classmethod
+    def total(cls, deltas: Iterable["Delta"]) -> "Delta":
+        out = cls()
+        for delta in deltas:
+            out.add(delta)
+        return out
+
+    def tally(self, name: str) -> int:
+        """Tally ``name`` summed over ranks."""
+        return sum(tally[name] for tally in self.ranks.values())
+
+    def to_json(self) -> Dict[str, Any]:
+        return {"messages": {t: list(dataclasses.astuple(s))
+                             for t, s in self.messages.by_type.items()},
+                "counts": dict(self.counts),
+                "ranks": {str(rank): dict(tally)
+                          for rank, tally in self.ranks.items()}}
+
+    @classmethod
+    def from_json(cls, obj: Mapping[str, Any]) -> "Delta":
+        return cls(
+            MessageStats({t: TypeStats(*row)
+                          for t, row in obj["messages"].items()}),
+            Counter(obj["counts"]),
+            {int(rank): Counter(tally)
+             for rank, tally in obj["ranks"].items()})

@@ -2,16 +2,15 @@
 
 The paper's first future-work item (Section 7) asks for deeper
 profiling — "how much the computation or communication is heavier than
-the other".  :class:`~repro.runtime.tracing.RuntimeTracer` answers that
-for the *simulated* backend by reading the cost ledger, but the
-process backend carries a :class:`~repro.runtime.netmodel.NullLedger`
-and would be a black box.  This module is the one metrics surface every
-backend reports into:
+the other".  The comm facade's barrier log
+(:mod:`repro.runtime.tracing`) is where every backend's counters arrive
+and the one time series of them; this registry is the export surface
+around it:
 
-- **counters** — monotonic totals, *synchronized absolutely* at barriers
-  from the runtime's authoritative aggregates (message statistics,
-  handler invocation counts, fault counters) rather than incremented on
-  the hot path, so metrics-on adds no per-message work;
+- **counters** — monotonic totals, *mirrored absolutely* at barriers
+  from the barrier log's running totals (message statistics, handler
+  invocation counts, fault counters) rather than incremented on the hot
+  path, so metrics-on adds no per-message work;
 - **gauges** — last-write-wins floats (e.g. the sim cost model's
   decomposition, published as an *enrichment* when a real ledger is
   present);
@@ -32,10 +31,13 @@ Two exporters:
 
 - :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict
   (``repro construct --metrics-out out.json``, pretty-printed by
-  ``repro stats out.json``);
+  ``repro stats out.json``); its ``"barriers"`` list is the barrier log,
+  one entry per superstep;
 - :meth:`MetricsRegistry.to_chrome_trace` — Chrome trace-event format,
   loadable in ``chrome://tracing`` or https://ui.perfetto.dev
-  (``repro construct --trace-out out.trace.json``).
+  (``repro construct --trace-out out.trace.json``); per-type message
+  counters are sampled at every barrier of the log, so Figure 4's decay
+  curve is a counter track.
 
 Disabled runs use the module-level :data:`NULL_METRICS`
 :class:`NullMetricsRegistry` singleton: every method is a no-op that
@@ -51,6 +53,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
+
+from .instrumentation import FaultStats
+from .tracing import BarrierLog
 
 #: Version tag embedded in every snapshot so downstream consumers can
 #: detect schema drift (bump when the snapshot layout changes).
@@ -149,6 +154,13 @@ class MetricsRegistry:
         self._hist_sums: Dict[str, List[float]] = {}
         self.spans: List[SpanRecord] = []
         self._tids: Dict[int, int] = {}
+        #: The barrier log of the comm facade publishing here (an empty
+        #: one for a registry no build reports into).
+        self.log = BarrierLog()
+
+    def now(self) -> float:
+        """Seconds since the registry's epoch, on the span clock."""
+        return self._clock() - self._epoch
 
     # -- writers -------------------------------------------------------------
 
@@ -228,13 +240,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, default)
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        """``{suffix: value}`` for every counter named ``prefix + suffix``."""
-        with self._lock:
-            n = len(prefix)
-            return {k[n:]: v for k, v in self._counters.items()
-                    if k.startswith(prefix)}
-
     def timer_seconds(self, name: str) -> float:
         with self._lock:
             timer = self._timers.get(name)
@@ -291,13 +296,15 @@ class MetricsRegistry:
                      "end": s.end, "tid": s.tid, "args": dict(s.args)}
                     for s in self.spans
                 ],
+                "barriers": self.log.to_json(),
             }
 
     def to_chrome_trace(self, process_name: str = "repro") -> Dict[str, Any]:
         """Chrome trace-event JSON (the ``chrome://tracing`` / Perfetto
-        format): one complete ("X") event per span, counter totals as a
-        final "C" event, timestamps in microseconds since the registry
-        epoch."""
+        format): one complete ("X") event per span, the running
+        ``messages.sent.<type>`` counts as a "C" event at every barrier
+        of the log, every other counter's total as a final "C" event;
+        timestamps in microseconds since the registry epoch."""
         with self._lock:
             events: List[Dict[str, Any]] = [{
                 "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
@@ -313,11 +320,22 @@ class MetricsRegistry:
                     "ts": ts, "dur": dur, "pid": 0, "tid": s.tid,
                     "args": dict(s.args),
                 })
+            running: Dict[str, int] = {}
+            for record in self.log.records:
+                for t, stats in record.delta.messages.by_type.items():
+                    running[t] = running.get(t, 0) + stats.count
+                    events.append({
+                        "name": f"messages.sent.{t}", "ph": "C",
+                        "ts": record.time * 1e6, "pid": 0,
+                        "args": {"value": running[t]},
+                    })
+            sampled = {f"messages.sent.{t}" for t in running}
             for name, value in sorted(self._counters.items()):
-                events.append({
-                    "name": name, "ph": "C", "ts": last_ts, "pid": 0,
-                    "args": {"value": value},
-                })
+                if name not in sampled:
+                    events.append({
+                        "name": name, "ph": "C", "ts": last_ts, "pid": 0,
+                        "args": {"value": value},
+                    })
             return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -349,7 +367,7 @@ class NullMetricsRegistry(MetricsRegistry):
     def snapshot(self) -> Dict[str, Any]:
         return {"schema": SNAPSHOT_SCHEMA, "enabled": False,
                 "counters": {}, "gauges": {}, "timers": {},
-                "histograms": {}, "spans": []}
+                "histograms": {}, "spans": [], "barriers": []}
 
     def to_chrome_trace(self, process_name: str = "repro") -> Dict[str, Any]:
         return {"traceEvents": [], "displayTimeUnit": "ms"}
@@ -383,11 +401,21 @@ def deterministic_projection(snap: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: World-level counters of a barrier log's totals, mirrored under the
+#: same names — zeros too, so fault-free runs and backends without an
+#: injector emit the same metric names.
+_WORLD_COUNTERS = ("executor.tasks", "comm.flushes", "comm.local_deliveries",
+                   *("faults." + event for event in FaultStats().snapshot()))
+
+
 def publish_comm_metrics(world, pending_delayed: int | None) -> None:
-    """Mirror a comm world's authoritative aggregates into its metrics
+    """Mirror a comm facade's barrier-log totals into its metrics
     registry — the one publisher behind every backend's barrier
     (``YGMWorld`` and the process backend's ``ProcessWorld`` expose the
-    attributes read here).
+    attributes read here), under the backend-agnostic naming convention
+    (DESIGN.md §12): ``messages.sent.<type>`` / ``messages.bytes.<type>``
+    per type, the ``messages.sent`` / ``bytes.sent`` and off-node
+    aggregates, and the world-level counters.
 
     All values are *assigned* as absolute totals — re-publishing is
     idempotent, and both backends emit the exact same metric names (the
@@ -398,22 +426,29 @@ def publish_comm_metrics(world, pending_delayed: int | None) -> None:
     m = world.metrics
     if not m.enabled:
         return
+    m.log = world.log
     cluster = world.cluster
-    cluster.stats.publish(m)
-    world.fault_stats.publish(m)
+    totals = world.log.totals
+    sent = totals.messages
+    for t, s in sent.by_type.items():
+        m.set_counter(f"messages.sent.{t}", s.count)
+        m.set_counter(f"messages.bytes.{t}", s.bytes)
+    m.set_counter("messages.sent", sent.total_count())
+    m.set_counter("bytes.sent", sent.total_bytes())
+    m.set_counter("messages.offnode.sent", sent.offnode_count())
+    m.set_counter("messages.offnode.bytes", sent.offnode_bytes())
+    # Locality split: self-sends (which never touch the wire or the
+    # message stats) vs wire messages — what makes the partition
+    # layer's effect measurable.
+    m.set_counter("comm.remote_deliveries", sent.total_count())
+    for name in _WORLD_COUNTERS:
+        m.set_counter(name, totals.counts[name])
     if pending_delayed is not None:
         m.set_gauge("faults.pending_delayed", float(pending_delayed))
-    m.set_counter("executor.tasks", world.handler_invocations)
-    m.set_counter("comm.flushes", world.flush_count)
     m.set_counter("comm.barriers", cluster.ledger.barriers)
     m.set_counter("transport.collectives", cluster.collectives)
     # Sections broadcast to worker processes; a world that runs its
     # rank sections inline reports none.
     m.set_counter("executor.dispatches", world.dispatches)
-    # Locality split: self-sends (which never touch the wire or the
-    # message stats) vs wire messages — what makes the partition
-    # layer's effect measurable.
-    m.set_counter("comm.local_deliveries", world.local_deliveries)
-    m.set_counter("comm.remote_deliveries", cluster.stats.total_count())
     # Ranks currently excluded from the build (0 outside degraded mode).
     m.set_gauge("degraded.ranks", float(len(world.excluded_ranks)))

@@ -1,104 +1,176 @@
-"""Execution tracing — Section 7's ask, over the metrics registry.
+"""The barrier log — one time series of counters, and every view of it.
 
-The paper's first future-work item: "further performance profiling is
-required to identify bottlenecks, such as finding how much the
+The paper's evidence is counters over time: Figure 4 is per-type message
+counts and bytes of the neighbor-check phase, and Section 7 asks for
+"further performance profiling ... such as finding how much the
 computation or communication is heavier than the other and
-understanding communication patterns deeply."  :class:`RuntimeTracer`
-answers those questions per superstep:
+understanding communication patterns deeply."  A comm facade
+(:class:`~repro.runtime.ygm.YGMWorld`, the process backend's
+:class:`~repro.runtime.transports.process.ProcessWorld`) owns one
+:class:`BarrierLog`, always on and append-only:
 
-- per-superstep duration and which phase it belonged to,
-- per-rank load imbalance at each barrier,
-- message-type timelines (how Type 2+ traffic decays as the graph
-  converges),
-- fault/recovery event timelines.
+- counters arrive as :class:`~.instrumentation.Delta` objects
+  (:meth:`BarrierLog.absorb`) — the sim world's own export at the end of
+  ``barrier()``, each process worker's in every ``__round__`` reply — and
+  are added to the running :attr:`BarrierLog.totals` on arrival;
+- each completed barrier appends **one** :class:`BarrierRecord`
+  (:meth:`BarrierLog.commit`): index, the phase / iteration / attempt
+  labels the driver set (:meth:`BarrierLog.enter`), a wall timestamp,
+  the modeled duration and imbalance (zero / one without a cost ledger),
+  and the sum of the deltas that arrived since the previous record;
+- a rank failure the driver recovers from closes the window it
+  interrupted as a record of its own (:meth:`BarrierLog.abandon`), so
+  what the abandoned try had sent is on the log — and in the totals —
+  but never inside a record of the replay:
+  ``len(records) == comm.barriers + attempt``.
 
-The tracer is a *consumer* of the backend-agnostic metrics registry
-(:mod:`repro.runtime.metrics`): at every barrier it reads the
-``messages.sent.*`` / ``messages.bytes.*`` / ``faults.*`` counters the
-comm layer just published and records the deltas, so it works
-identically under the sim and process backends.  The sim cost model
-remains an enrichment, not the data source: superstep durations and
-imbalance come from the transport's ledger, which reports zero
-durations and perfect balance under the process backend's
-:class:`~repro.runtime.netmodel.NullLedger`.
-
-Attach with :func:`attach_tracer` before ``DNND.build()``; attaching
-twice returns the existing tracer instead of double-wrapping the
-barrier (each extra wrap used to double-count every superstep).
+Everything else is a read-only view: per-phase message tables
+(:meth:`BarrierLog.phase_stats`), per-iteration traffic and the
+Algorithm 1 line 23 update counts (:meth:`BarrierLog.iterations`,
+rolled-back attempts left out), the per-superstep timelines Section 7
+asks for (the ``RuntimeTracer`` queries below), and the ``"barriers"``
+list of a metrics snapshot.  Nothing is recorded twice and nothing
+wraps ``barrier``: :func:`attach_tracer` returns the world's log, so it
+works on every backend, any number of times, with metrics on or off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping
 
-from .metrics import MetricsRegistry
-from .transports.base import Transport
-from .ygm import YGMWorld
+from .instrumentation import Delta, MessageStats
 
 
 @dataclass
 class BarrierRecord:
-    """One superstep's snapshot."""
+    """One superstep: what happened between two barriers (or, for the
+    last record of an abandoned attempt, up to the failure)."""
 
     index: int
     phase: str
+    iteration: int | None
+    """The NN-Descent iteration the driver was in (``None`` outside one:
+    init, gather, optimize, ...)."""
+    attempt: int
+    """Failures the build had survived when this barrier completed; an
+    iteration replayed after a failure carries a higher attempt than the
+    records of the try that was abandoned."""
+    time: float
+    """Wall seconds since the metrics registry's epoch."""
     duration: float
     imbalance: float
-    messages_delta: Dict[str, int] = field(default_factory=dict)
-    bytes_delta: Dict[str, int] = field(default_factory=dict)
-    fault_delta: Dict[str, int] = field(default_factory=dict)
-    """Fault/recovery events (drops, retransmits, dedups, ...) that
-    occurred in this superstep window — empty in fault-free runs."""
+    delta: Delta
+
+    def to_json(self) -> Dict[str, Any]:
+        return {**vars(self), "delta": self.delta.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: Mapping[str, Any]) -> "BarrierRecord":
+        return cls(**{**obj, "delta": Delta.from_json(obj["delta"])})
 
 
-class RuntimeTracer:
-    """Collects one :class:`BarrierRecord` per barrier.
+class BarrierLog:
+    """Append-only log of :class:`BarrierRecord`, the running totals,
+    and the views over both (see the module docstring)."""
 
-    Wraps ``world.barrier`` — create via :func:`attach_tracer`.
-    """
+    def __init__(self, records: Iterable[BarrierRecord] = ()) -> None:
+        self.records: List[BarrierRecord] = list(records)
+        #: Everything absorbed so far: the records' deltas plus what
+        #: arrived since the last one.
+        self.totals = Delta.total(r.delta for r in self.records)
+        #: Labels stamped on the next record.
+        self.phase = "default"
+        self.iteration: int | None = None
+        self.attempt = 0
+        self._pending = Delta()
+        # Phases entered, in order (a phase may take no barrier).
+        self._entered: Dict[str, None] = {}
 
-    def __init__(self, world: YGMWorld) -> None:
-        self.world = world
-        self.records: List[BarrierRecord] = []
-        self._last_counts: Dict[str, int] = {}
-        self._last_bytes: Dict[str, int] = {}
-        self._last_faults: Dict[str, int] = {}
+    # -- writing (comm facades only) ------------------------------------------
 
-    # -- capture -----------------------------------------------------------
+    def enter(self, phase: str, iteration: int | None = None) -> None:
+        """Label the records that follow."""
+        self.phase, self.iteration = phase, iteration
+        self._entered.setdefault(phase)
 
-    def _on_barrier(self, phase: str, duration: float, imbalance: float) -> None:
-        # The comm layer published its aggregates into the registry as
-        # part of the barrier that just returned; the per-superstep
-        # window is the counter delta since the previous barrier.
-        metrics = self.world.metrics
-        counts = metrics.counters_with_prefix("messages.sent.")
-        nbytes = metrics.counters_with_prefix("messages.bytes.")
-        faults = metrics.counters_with_prefix("faults.")
-        record = BarrierRecord(
-            index=len(self.records),
-            phase=phase,
-            duration=duration,
-            imbalance=imbalance,
-            messages_delta={
-                t: counts[t] - self._last_counts.get(t, 0) for t in counts
-                if counts[t] != self._last_counts.get(t, 0)
-            },
-            bytes_delta={
-                t: nbytes[t] - self._last_bytes.get(t, 0) for t in nbytes
-                if nbytes[t] != self._last_bytes.get(t, 0)
-            },
-            fault_delta={
-                k: v - self._last_faults.get(k, 0) for k, v in faults.items()
-                if v != self._last_faults.get(k, 0)
-            },
-        )
-        self._last_counts = counts
-        self._last_bytes = nbytes
-        self._last_faults = faults
-        self.records.append(record)
+    def absorb(self, delta: Delta) -> None:
+        self.totals.add(delta)
+        self._pending.add(delta)
 
-    # -- queries ------------------------------------------------------------
+    def count(self, name: str, n: int = 1) -> None:
+        """Absorb one facade-level event (``faults.crashes`` ...)."""
+        self.absorb(Delta(counts=Counter({name: n})))
+
+    def commit(self, time: float, duration: float, imbalance: float) -> None:
+        """A barrier completed: append the record of its window."""
+        self.records.append(BarrierRecord(
+            len(self.records), self.phase, self.iteration, self.attempt,
+            time, duration, imbalance, self._pending))
+        self._pending = Delta()
+
+    def abandon(self, time: float) -> None:
+        """A rank failed and the driver starts the interrupted iteration
+        (or an earlier one) over: close the window as the last record of
+        this attempt and number what follows as the next."""
+        self.commit(time, 0.0, 1.0)
+        self.attempt += 1
+
+    # -- views: export, phases and iterations ------------------------------------
+
+    def to_json(self) -> List[Dict[str, Any]]:
+        return [record.to_json() for record in self.records]
+
+    def phase_stats(self) -> Dict[str, MessageStats]:
+        """Per-type message tables grouped by phase.  A phase's table
+        holds everything sent inside it, the reliability layer's ``ack``
+        and ``retransmit`` traffic included; a phase that was entered
+        and took no barrier (``sample``, ``union``, ``gather``) sent
+        nothing and has an empty one."""
+        out = {phase: MessageStats() for phase in self._entered}
+        for record in self.records:
+            out.setdefault(record.phase, MessageStats()).add(
+                record.delta.messages)
+        return out
+
+    def iterations(self) -> Dict[int, List[BarrierRecord]]:
+        """``iteration -> its records``, ascending, rolled-back tries
+        left out: a new attempt reaching an iteration starts it over and
+        voids every later one (the driver replays from there).  What an
+        abandoned try sent stays in the totals and the phase tables — it
+        was genuinely spent — but not here."""
+        out: Dict[int, List[BarrierRecord]] = {}
+        for record in self.records:
+            if record.iteration is None:
+                continue
+            group = out.get(record.iteration)
+            if group is None or group[0].attempt != record.attempt:
+                out = {it: g for it, g in out.items()
+                       if it < record.iteration}
+                group = out[record.iteration] = []
+            group.append(record)
+        return out
+
+    def per_iteration_messages(self) -> List[Dict[str, tuple]]:
+        """``{type: (count, bytes)}`` per iteration of
+        :meth:`iterations`, with a zero entry for every type sent
+        earlier in the run."""
+        out = []
+        for group in self.iterations().values():
+            sent = Delta.total(r.delta for r in group).messages
+            earlier = {t: (0, 0) for record in self.records[:group[0].index]
+                       for t in record.delta.messages.by_type}
+            out.append({**earlier, **sent.snapshot()})
+        return out
+
+    def iteration_tally(self, iteration: int, name: str) -> Dict[int, int]:
+        """``rank -> tally`` of one iteration (its latest attempt)."""
+        window = Delta.total(
+            r.delta for r in self.iterations().get(iteration, ()))
+        return {rank: tally[name] for rank, tally in window.ranks.items()}
+
+    # -- views: per-superstep timelines (Section 7) ------------------------------
 
     def total_supersteps(self) -> int:
         return len(self.records)
@@ -114,19 +186,18 @@ class RuntimeTracer:
 
     def message_timeline(self, msg_type: str) -> List[int]:
         """Messages of ``msg_type`` sent in each superstep window."""
-        return [r.messages_delta.get(msg_type, 0) for r in self.records]
+        return [r.delta.messages.get(msg_type).count for r in self.records]
 
     def fault_timeline(self, event: str) -> List[int]:
         """Fault/recovery events of one kind (e.g. ``"retransmits"``)
         per superstep window."""
-        return [r.fault_delta.get(event, 0) for r in self.records]
+        return [r.delta.counts["faults." + event] for r in self.records]
 
     def total_fault_events(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.records:
-            for k, v in r.fault_delta.items():
-                out[k] = out.get(k, 0) + v
-        return out
+        """``event -> n`` of the fault / recovery events that occurred."""
+        return {name[len("faults."):]: n
+                for name, n in self.totals.counts.items()
+                if name.startswith("faults.")}
 
     def busiest_supersteps(self, top: int = 5) -> List[BarrierRecord]:
         return sorted(self.records, key=lambda r: -r.duration)[:top]
@@ -146,10 +217,9 @@ class RuntimeTracer:
         ]
         out = [ascii_table(["phase", "sim seconds", "share"], rows,
                            title="phase breakdown")]
-        busiest = self.busiest_supersteps(3)
         rows = [[r.index, r.phase, f"{r.duration:.6f}", f"{r.imbalance:.2f}",
-                 sum(r.messages_delta.values())]
-                for r in busiest]
+                 r.delta.messages.total_count()]
+                for r in self.busiest_supersteps(3)]
         out.append(ascii_table(
             ["step", "phase", "duration", "imbalance", "messages"],
             rows, title="busiest supersteps"))
@@ -160,33 +230,40 @@ class RuntimeTracer:
                                    title="fault / recovery events"))
         return "\n\n".join(out)
 
+    def iteration_report(self, threshold: float | None = None) -> str:
+        """One row per iteration of :meth:`iterations`: the accepted
+        updates (Algorithm 1's ``c``) against the ``delta * K * N``
+        bound, the Figure 4 message types as ``count / bytes``, and the
+        spread of distance evaluations over ranks — imbalance
+        *measured*, on any backend."""
+        from ..eval.tables import ascii_table
 
-def attach_tracer(world: YGMWorld) -> RuntimeTracer:
-    """Instrument ``world.barrier`` to record a trace; returns the tracer.
+        bound = "-" if threshold is None else f"{threshold:,.1f}"
+        rows = []
+        for iteration, group in self.iterations().items():
+            window = Delta.total(r.delta for r in group)
+            sent = window.messages
+            evals = [t["distance.evals"] for t in window.ranks.values()]
+            mean = sum(evals) / max(1, len(evals))
+            rows.append(
+                [iteration, f"{window.tally('updates'):,}", bound]
+                + [f"{sent.total_count(types):,} / {sent.total_bytes(types):,}"
+                   for types in (("type1",), ("type2", "type2+"), ("type3",))]
+                + [f"{max(evals, default=0):,} / {mean:,.0f}"
+                   f" ({max(evals, default=0) / (mean or 1.0):.2f}x)"])
+        return ascii_table(
+            ["iter", "updates", "delta*K*N", "type 1 msgs / B",
+             "type 2(+) msgs / B", "type 3 msgs / B", "rank evals max / mean"],
+            rows, title="iterations (from the barrier log)")
 
-    The wrapper preserves barrier semantics exactly; it only observes.
-    Idempotent: calling it again on the same world returns the tracer
-    already attached — wrapping the (already wrapped) barrier a second
-    time would fire ``_on_barrier`` twice per superstep and double every
-    record.  A world whose metrics are disabled gets a live registry
-    first: the tracer reads its counters, so it needs a real one.
-    """
-    existing = getattr(world, "_tracer", None)
-    if existing is not None:
-        return existing
-    if not world.metrics.enabled:
-        world.metrics = MetricsRegistry()
-    tracer = RuntimeTracer(world)
-    original_barrier = world.barrier
-    cluster: Transport = world.cluster
 
-    def traced_barrier(phase: str | None = None) -> float:
-        effective_phase = phase or world._phase
-        imbalance = cluster.ledger.imbalance()
-        duration = original_barrier(phase)
-        tracer._on_barrier(effective_phase, duration, imbalance)
-        return duration
+#: The tracer *is* the log: the name the Section 7 queries are known by.
+RuntimeTracer = BarrierLog
 
-    world.barrier = traced_barrier  # type: ignore[method-assign]
-    world._tracer = tracer  # type: ignore[attr-defined]
-    return tracer
+
+def attach_tracer(world) -> BarrierLog:
+    """The barrier log of ``world`` (a ``YGMWorld`` or ``ProcessWorld``).
+    Nothing is attached: the log is always on and the barrier is never
+    wrapped, so calling this twice returns the same object and can never
+    double count."""
+    return world.log

@@ -72,15 +72,13 @@ class ReliableDelivery:
     State is rank-confined by construction:
 
     - ``send`` only touches ``src``-owned send state;
-    - ``on_receive`` / ``on_ack`` / ``flush_acks_for`` run while rank
-      ``dest`` drains its own mailbox and only touch ``dest``-owned
-      receive state;
-    - ``tick`` (the retransmit clock) and ``sync_fault_stats`` are
-      called between delivery rounds, when no handler is running.
+    - ``on_receive`` / ``on_ack`` run while rank ``dest`` drains its
+      own mailbox and only touch ``dest``-owned receive state;
+    - ``tick`` (the retransmit clock) is called between delivery
+      rounds, when no handler is running.
 
-    Fault counters are accumulated in per-rank cells and folded into the
-    shared :class:`~repro.runtime.instrumentation.FaultStats` by absolute
-    assignment at barriers (``sync_fault_stats``).
+    Recovery work is counted in the run's shared
+    :class:`~repro.runtime.instrumentation.FaultStats`.
     """
 
     def __init__(self, transport: "Transport", retry_timeout: int = 4,
@@ -111,11 +109,6 @@ class ReliableDelivery:
         # _ack_pending[receiver][sender] -> rel_seqs to ack this round.
         self._ack_pending: List[List[List[int]]] = [
             [[] for _ in range(ws)] for _ in range(ws)]
-        # Per-rank counter cells (see class docstring).
-        self._c_acks = [0] * ws
-        self._c_retransmits = [0] * ws
-        self._c_dups = [0] * ws
-        self._c_exhausted = [0] * ws
 
     # -- send side (rank-confined to src) -------------------------------------
 
@@ -140,7 +133,7 @@ class ReliableDelivery:
         self._ack_pending[dest][src].append(rel_seq)
         seen = self._seen[dest][src]
         if rel_seq in seen:
-            self._c_dups[dest] += 1
+            self.fault_stats.duplicates_suppressed += 1
             return False
         seen.add(rel_seq)
         return True
@@ -151,30 +144,24 @@ class ReliableDelivery:
         for rel_seq in rel_seqs:
             unacked.pop(rel_seq, None)
 
-    def flush_acks_for(self, receiver: int) -> None:
-        """Ship ``receiver``'s accumulated acks, one batched control
+    def flush_acks(self) -> None:
+        """Ship every receiver's accumulated acks, one batched control
         message per sender — the piggyback model: acks ride the next
         delivery round rather than each costing a latency."""
-        row = self._ack_pending[receiver]
         transport = self.transport
         net = transport.net
-        for sender in range(self.world_size):
-            seqs = row[sender]
-            if not seqs:
-                continue
-            row[sender] = []
-            offnode = transport.is_offnode(receiver, sender)
-            nbytes = ACK_SEQ_BYTES * len(seqs)
-            transport.stats.record("ack", nbytes, offnode)
-            transport.ledger.charge(
-                receiver, net.message_cost(nbytes, offnode))
-            self._c_acks[receiver] += 1
-            transport.deliver(receiver, sender, (ACK_TAG, tuple(seqs)))
-
-    def flush_acks(self) -> None:
-        """Driver-side variant: flush every receiver's pending acks."""
-        for receiver in range(self.world_size):
-            self.flush_acks_for(receiver)
+        for receiver, row in enumerate(self._ack_pending):
+            for sender, seqs in enumerate(row):
+                if not seqs:
+                    continue
+                row[sender] = []
+                offnode = transport.is_offnode(receiver, sender)
+                nbytes = ACK_SEQ_BYTES * len(seqs)
+                transport.stats.record("ack", nbytes, offnode)
+                transport.ledger.charge(
+                    receiver, net.message_cost(nbytes, offnode))
+                self.fault_stats.acks_sent += 1
+                transport.deliver(receiver, sender, (ACK_TAG, tuple(seqs)))
 
     # -- driver-side clock -----------------------------------------------------
 
@@ -200,15 +187,14 @@ class ReliableDelivery:
                     if self.clock - sent_tick < window:
                         continue
                     if attempts >= self.max_retries:
-                        self._c_exhausted[src] += 1
-                        self.sync_fault_stats()
+                        self.fault_stats.retry_budget_exhausted += 1
                         raise FaultToleranceError(
                             f"message {src}->{dest} unacked after "
                             f"{attempts} retransmits; network unrecoverable",
                             src=src, dest=dest, attempts=attempts)
                     entry[2] = attempts + 1
                     entry[3] = self.clock
-                    self._c_retransmits[src] += 1
+                    self.fault_stats.retransmits += 1
                     transport.stats.record("retransmit", nbytes, offnode)
                     transport.ledger.charge(
                         src, transport.net.message_cost(nbytes, offnode))
@@ -265,16 +251,6 @@ class ReliableDelivery:
                 self._unacked[s][d].clear()
                 self._seen[s][d].clear()
                 self._ack_pending[s][d].clear()
-
-    def sync_fault_stats(self) -> None:
-        """Fold the per-rank counter cells into the shared
-        :class:`FaultStats` by absolute assignment (idempotent, safe to
-        repeat at every barrier)."""
-        fs = self.fault_stats
-        fs.acks_sent = sum(self._c_acks)
-        fs.retransmits = sum(self._c_retransmits)
-        fs.duplicates_suppressed = sum(self._c_dups)
-        fs.retry_budget_exhausted = sum(self._c_exhausted)
 
 
 class Transport:

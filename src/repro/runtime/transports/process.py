@@ -20,8 +20,9 @@ GIL by giving every rank real OS-process parallelism:
   over per-worker pipes (:class:`ProcessTransport`) to the application
   object each worker's bootstrap built (DNND: a rank host over the
   worker's ranks), and :class:`ProcessWorld` gives the DNND driver the
-  same barrier / phase / metrics / fault surface :class:`YGMWorld` does,
-  plus the merged ``rank -> value`` replies of the workers' hosts.
+  same barrier / phase / metrics / fault surface :class:`YGMWorld` does
+  — its own barrier log included — plus the merged ``rank -> value``
+  replies of the workers' hosts.
 
 Quiescence across processes is a counting protocol: a barrier loops
 ``__round__`` commands, each worker drains its inbox + runs delivery
@@ -29,7 +30,13 @@ rounds (:meth:`YGMWorld.deliver_round`) until locally idle and reports
 ``(frames_sent, frames_received, handlers_run)``; the barrier completes
 when no worker ran a handler **and** the global sent/received frame
 counts agree (frames still sitting in a queue's feeder thread keep the
-counts unequal).  Counters and frames are stamped with an **epoch**:
+counts unequal).  The same reply carries the worker's counters as a
+*delta* (:meth:`YGMWorld.export_delta`: what changed since its previous
+reply), which the driver adds to its log's running totals on arrival —
+the only way counters cross the process boundary.  A delta that was
+shipped is counted for good; one that was not died with its worker, so
+a respawned worker's zeroed counters can neither erase nor repeat
+history.  Counters and frames are stamped with an **epoch**:
 ``reset_in_flight`` bumps the epoch and zeroes the counters everywhere,
 so frames lost inside a crashed worker (or stale frames from before a
 recovery) can never wedge or corrupt a later barrier — stale-epoch
@@ -60,9 +67,9 @@ import numpy as np
 
 from ...config import ClusterConfig
 from ...errors import ConfigError, RankFailureError, RuntimeStateError
-from ..instrumentation import FaultStats, MessageStats
 from ..metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
 from ..netmodel import NetworkModel, NullLedger
+from ..tracing import BarrierLog
 from .base import Transport
 
 #: Environment override for the multiprocessing start method.
@@ -74,7 +81,6 @@ START_ENV = "REPRO_PROCESS_START"
 CMD_ROUND = "__round__"
 CMD_RESET = "__reset__"
 CMD_STOP = "__stop__"
-CMD_PING = "__ping__"
 
 
 def _start_method(requested: str | None = None) -> str:
@@ -317,9 +323,10 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
     in the child and called as ``fn(comm, params)``.  It must return an
     *app* object exposing ``world`` (the in-process :class:`YGMWorld`)
     and ``dispatch(cmd, payload)`` (DNND's is a ``RankHost``); every
-    non-runtime command received on the pipe is forwarded to it.  Replies are ``("ok", value)`` or
-    ``("error", formatted_traceback)`` — the driver re-raises the
-    latter with the worker traceback embedded.
+    non-runtime command received on the pipe is forwarded to it.
+    Replies are ``("ok", value)`` or ``("error", formatted_traceback)``
+    — the driver re-raises the latter with the worker traceback
+    embedded.  A ``__round__`` reply is ``(round counts, delta)``.
     """
     owned = [r for r in range(config.world_size)
              if r % nworkers == worker_id]
@@ -339,10 +346,9 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
             if cmd == CMD_STOP:
                 conn.send(("ok", None))
                 break
-            if cmd == CMD_PING:
-                conn.send(("ok", worker_id))
-            elif cmd == CMD_ROUND:
-                conn.send(("ok", comm.round(app.world)))
+            if cmd == CMD_ROUND:
+                conn.send(("ok", (comm.round(app.world),
+                                  app.world.export_delta())))
             elif cmd == CMD_RESET:
                 comm.reset(payload["epoch"], app.world)
                 conn.send(("ok", None))
@@ -390,13 +396,6 @@ class ProcessTransport(Transport):
         self._conns: List[Any] = [None] * self.nworkers
         self._inboxes = [self._ctx.Queue() for _ in range(self.nworkers)]
         self.dead_workers: Set[int] = set()
-        #: Weak ref to a bound method called with the worker id when a
-        #: dead worker is detected, before its ranks are marked failed
-        #: (ProcessWorld retires that worker's last stats export
-        #: here).  Weak so the transport never keeps the world — and
-        #: through it the build's metrics — alive: the build's GC
-        #: finalizer is what shuts this transport down.
-        self._death_hook: Optional["weakref.WeakMethod"] = None
         self._bootstrap: Optional[Tuple[str, str]] = None
         self._params: Optional[dict] = None
         self.started = False
@@ -407,12 +406,6 @@ class ProcessTransport(Transport):
         atexit.register(self._atexit_guard)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def set_death_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a *bound method* to call (with the worker id) when a
-        dead worker is first detected.  Stored weakly — see
-        ``_death_hook``."""
-        self._death_hook = weakref.WeakMethod(hook)
 
     def start(self, bootstrap: Tuple[str, str], params: dict) -> None:
         """Spawn the full worker pool; each worker runs ``bootstrap``."""
@@ -480,9 +473,6 @@ class ProcessTransport(Transport):
         if w in self.dead_workers:
             return set()
         self.dead_workers.add(w)
-        hook = self._death_hook() if self._death_hook is not None else None
-        if hook is not None:
-            hook(w)
         newly = set(self.owned_by[w]) - self.marked_failed
         self.mark_failed(self.owned_by[w])
         conn = self._conns[w]
@@ -569,31 +559,19 @@ class ProcessTransport(Transport):
         self.command_all(CMD_RESET, {"epoch": self.epoch})
 
 
-#: A ``shard_totals`` row of a rank nothing has been heard from.
-_NO_TOTALS = (0, 0, 0, 0, 0)
-
-
-def _sum_rows(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class ProcessWorld:
     """The driver's comm-layer facade for the process backend.
 
     Presents the slice of the :class:`YGMWorld` surface the DNND driver
-    uses — barriers, phases, metrics publication, fault bookkeeping,
-    exclusion/readmission, in-flight reset — plus the rank-host surface
-    (:meth:`run_section` / :meth:`command` / :meth:`shard_totals`, each
-    ``rank -> value``), implemented as command broadcasts to the rank
-    hosts the workers hold.
-
-    What a worker's death folds: message statistics and per-rank shard
-    totals are cumulative per worker *incarnation*.  The latest export
-    of each live incarnation is kept (``_last``); the transport's death
-    hook retires a dead worker's last export into ``_retired``, so a
-    respawned worker's zeroed counters never erase history.  The
-    aggregate objects are refilled in place at every barrier
-    (``DNNDResult`` captures them by reference).
+    uses — barriers, the barrier log and its phase labels, metrics
+    publication, fault bookkeeping, exclusion/readmission, in-flight
+    reset — plus the rank-host surface (:meth:`run_section` /
+    :meth:`command`, each ``rank -> value``), implemented as command
+    broadcasts to the rank hosts the workers hold.  It holds no counter
+    of its own: the workers' deltas and the driver-side fault events
+    (crashes fired, failures detected) are absorbed into :attr:`log` as
+    they happen, and totals, phase tables and fault counts are read
+    from there.
     """
 
     #: The process backend never runs the ownership sanitizer (it is a
@@ -607,84 +585,33 @@ class ProcessWorld:
         self.world_size = cluster.world_size
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else NULL_METRICS)
-        self.fault_stats = FaultStats()
+        self.log = BarrierLog()
         self.fault_plan = fault_plan
         self._fired_crashes: Set[Tuple[int, int]] = set()
         self.excluded_ranks: Set[int] = set()
-        self.phase_stats: Dict[str, MessageStats] = {}
-        self.flush_count = 0
-        self.handler_invocations = 0
-        self.local_deliveries = 0
         #: Sections broadcast to the workers (``executor.dispatches``).
         self.dispatches = 0
-        # worker -> latest ``export_stats`` reply of its live incarnation,
-        # and the last replies of incarnations that died.
-        self._last: Dict[int, dict] = {}
-        self._retired: List[dict] = []
-        # rank -> latest ``shard_totals`` row of its live incarnation,
-        # and the summed rows of the incarnations that died (the update
-        # count, the current iteration's, is never carried over).
-        self._totals_last: Dict[int, tuple] = {}
-        self._totals_retired: Dict[int, tuple] = {}
-        cluster.set_death_hook(self._fold_dead_worker)
-
-    # -- death-time folding ---------------------------------------------------
-
-    def _fold_dead_worker(self, w: int) -> None:
-        last = self._last.pop(w, None)
-        if last is not None:
-            self._retired.append(last)
-        for rank in self.cluster.owned_by[w]:
-            pushes, evals, _updates, flops, falls = self._totals_last.pop(
-                rank, _NO_TOTALS)
-            self._totals_retired[rank] = _sum_rows(
-                self._totals_retired.get(rank, _NO_TOTALS),
-                (pushes, evals, 0, flops, falls))
-
-    # -- stats synchronization ------------------------------------------------
-
-    def _sync_stats(self) -> None:
-        self._last.update(self.cluster.command_all("export_stats"))
-        exports = [*self._retired, *self._last.values()]
-        total = MessageStats()
-        phases: Dict[str, MessageStats] = {}
-        for export in exports:
-            total = total.merged(export["stats"])
-            for phase, stats in export["phases"].items():
-                phases[phase] = phases.get(phase, MessageStats()).merged(
-                    stats)
-        # Refill in place: the objects' identity must survive.
-        self.cluster.stats.by_type = total.by_type
-        for phase, stats in phases.items():
-            self.phase_stats.setdefault(
-                phase, MessageStats()).by_type = stats.by_type
-        self.flush_count = sum(e["flushes"] for e in exports)
-        self.handler_invocations = sum(e["invocations"] for e in exports)
-        self.local_deliveries = sum(e["locals"] for e in exports)
-
-    def shard_totals(self) -> Dict[int, Tuple[int, int, int, int, int]]:
-        """Per-rank :func:`~repro.core.dnnd_phases.shard_totals` rows
-        with the history of dead incarnations folded in."""
-        self._totals_last.update(self.command("shard_totals"))
-        return {rank: _sum_rows(self._totals_retired.get(rank, _NO_TOTALS),
-                                self._totals_last.get(rank, _NO_TOTALS))
-                for rank in range(self.world_size)}
 
     # -- barrier / quiescence -------------------------------------------------
 
-    def barrier(self, phase: str | None = None) -> float:
-        """Run ``__round__`` commands until the cluster is quiescent:
-        no worker ran a handler and global frame counts agree."""
+    def barrier(self) -> float:
+        """Run ``__round__`` commands until the cluster is quiescent —
+        no worker ran a handler and global frame counts agree —
+        absorbing the counter delta each reply carries, then log the
+        superstep."""
         while True:
-            rounds = self.cluster.command_all(CMD_ROUND)
+            frames_sent = frames_recv = activity = 0
+            replies = self.cluster.command_all(CMD_ROUND)
+            for (sent, received, ran), delta in replies.values():
+                self.log.absorb(delta)
+                frames_sent += sent
+                frames_recv += received
+                activity += ran
             self._check_crashed()
-            activity = sum(a for (_s, _r, a) in rounds.values())
-            frames_sent = sum(s for (s, _r, _a) in rounds.values())
-            frames_recv = sum(r for (_s, r, _a) in rounds.values())
             if activity == 0 and frames_sent == frames_recv:
                 break
-        self._sync_stats()
-        elapsed = self.cluster.ledger.barrier(self.cluster.net, phase)
+        elapsed = self.cluster.ledger.barrier(self.cluster.net)
+        self.log.commit(self.metrics.now(), elapsed, 1.0)
         # Crash plans are this backend's only faults: nothing is ever
         # held back.
         publish_comm_metrics(self, None if self.fault_plan is None else 0)
@@ -693,7 +620,7 @@ class ProcessWorld:
     def _check_crashed(self) -> None:
         failed = self.cluster.failed_ranks() - self.excluded_ranks
         if failed:
-            self.fault_stats.detected += len(failed)
+            self.log.count("faults.detected", len(failed))
             raise RankFailureError(failed)
 
     # -- rank-host surface ------------------------------------------------------
@@ -728,9 +655,10 @@ class ProcessWorld:
         return self._merge_replies(
             self.cluster.command_all(cmd, payload, per_worker))
 
-    def set_phase(self, phase: str) -> None:
-        self.phase_stats.setdefault(phase, MessageStats())
-        self.cluster.command_all("set_phase", {"phase": phase})
+    def set_phase(self, phase: str, iteration: int | None = None) -> None:
+        """Label the barrier records that follow (driver-side only: the
+        workers never need to know the phase)."""
+        self.log.enter(phase, iteration)
 
     # -- fault tolerance surface ----------------------------------------------
 
@@ -743,7 +671,7 @@ class ProcessWorld:
         for it, rank in self.fault_plan.crashes:
             if it == iteration and (it, rank) not in self._fired_crashes:
                 self._fired_crashes.add((it, rank))
-                self.fault_stats.crashes += 1
+                self.log.count("faults.crashes")
                 self.cluster.kill_rank(rank)
 
     def reset_in_flight(self) -> None:

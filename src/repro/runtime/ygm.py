@@ -10,7 +10,8 @@ messages per destination and ships a buffer when it exceeds a threshold.
 :class:`YGMWorld` reproduces those semantics on the simulated cluster:
 
 - ``async_call(src, dest, handler, *args)`` buffers an RPC and records
-  it in the per-type message statistics (the Figure 4 measurement);
+  it — once — in the per-type message statistics (the Figure 4
+  measurement);
   ``emit_run(src, dests, handler, columns, nbytes)`` does the same for a
   whole run of messages to a *columnar* handler — one array per
   argument, never a tuple per message — and is a loop of ``async_call``
@@ -22,7 +23,10 @@ messages per destination and ships a buffer when it exceeds a threshold.
   signature,
 - ``barrier()`` flushes everything and drains mailboxes to quiescence,
   running handlers on their destination ranks (which may send more),
-  then folds per-rank clocks into the BSP makespan,
+  then folds per-rank clocks into the BSP makespan and appends one
+  record — what changed since the previous barrier — to the world's
+  barrier log (:mod:`.tracing`); per-phase and per-iteration statistics
+  are views of that log (``phase_stats``, ``stats_for``),
 - ``async_count_since_barrier`` counts the requests since the last
   barrier — the quantity the paper's Section 4.4 application-level
   batching bounds (DNND's driver bounds it by pumping staged messages
@@ -30,8 +34,9 @@ messages per destination and ships a buffer when it exceeds a threshold.
   inside ``run_on_all``).
 
 Handlers receive a :class:`RankContext` giving them their rank id, a
-rank-local state namespace, a per-rank RNG, and the ability to send
-further async calls and charge modeled compute time.  A handler name is
+rank-local state namespace, a per-rank RNG, a tally of whatever the rank
+program counts, and the ability to send further async calls and charge
+modeled compute time.  A handler name is
 either *scalar* (``register_handler``: ``fn(ctx, *args)`` once per
 message) or *columnar* (``register_batch_handler``: ``fn(ctx,
 *columns)`` once per contiguous run of its messages at a rank; a lone
@@ -86,11 +91,15 @@ runs and message accounting is byte-for-byte what it always was.
 There is one comm path: the sim world runs it inline over a
 :class:`~repro.runtime.transports.sim.SimCluster`, and each worker of
 the process backend runs the same class unchanged over its
-:class:`~repro.runtime.transports.process.WorkerTransport`.
+:class:`~repro.runtime.transports.process.WorkerTransport`.  Counters
+leave a world one way, :meth:`YGMWorld.export_delta` — "what changed
+since my last export": the sim world hands it to its own log at the end
+of ``barrier()``, a worker ships it in every ``__round__`` reply.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
@@ -99,8 +108,9 @@ import numpy as np
 from ..analysis.sanitizer import OwnedState, Sanitizer, sanitizer_requested
 from ..errors import RankFailureError, RuntimeStateError
 from ..utils.rng import derive_rng
-from .instrumentation import FaultStats, MessageStats
+from .instrumentation import Delta, FaultStats, MessageStats
 from .metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
+from .tracing import BarrierLog
 from .transports.base import Transport
 
 Handler = Callable[..., None]
@@ -130,6 +140,10 @@ class RankContext:
         vertex features and neighbor lists this rank owns).
     rng:
         A per-rank deterministic generator.
+    tally:
+        Whatever the rank program counts (``ctx.tally[name] += n``),
+        cumulative; it reaches the barrier log per rank, as part of the
+        world's delta exports.
     """
 
     def __init__(self, world: "YGMWorld", rank: int, seed: int) -> None:
@@ -142,6 +156,7 @@ class RankContext:
             OwnedState(world.sanitizer, rank) if world.sanitizer is not None
             else {})
         self.rng: np.random.Generator = derive_rng(seed, rank)
+        self.tally: Counter = Counter()
 
     @property
     def world_size(self) -> int:
@@ -271,8 +286,9 @@ class YGMWorld:
         self.dispatches = 0
         self._in_barrier = False
         self._in_section = False
-        self._phase = "default"
-        self.phase_stats: Dict[str, MessageStats] = {}
+        #: The barrier log: one record per completed :meth:`barrier`; it
+        #: has absorbed exactly what :meth:`export_delta` has handed out.
+        self.log = BarrierLog()
         # Global send sequence: stamped on every async_call.
         self._send_seq = 0
         #: Global send-sequence of the message currently being delivered
@@ -347,17 +363,39 @@ class YGMWorld:
 
     # -- phases (stats scoping) -------------------------------------------------
 
-    def set_phase(self, phase: str) -> None:
-        """Name the current phase; message stats are also recorded per phase."""
-        self._phase = phase
-        self.phase_stats.setdefault(phase, MessageStats())
+    def set_phase(self, phase: str, iteration: int | None = None) -> None:
+        """Label the barrier records that follow with ``phase`` (and the
+        NN-Descent ``iteration`` the driver is in)."""
+        self.log.enter(phase, iteration)
 
     @property
     def stats(self) -> MessageStats:
         return self.cluster.stats
 
+    @property
+    def phase_stats(self) -> Dict[str, MessageStats]:
+        return self.log.phase_stats()
+
     def stats_for(self, phase: str) -> MessageStats:
         return self.phase_stats.get(phase, MessageStats())
+
+    def export_delta(self) -> Delta:
+        """What this world counted since the last call: messages by
+        type, flushes, handler invocations, local deliveries, fault and
+        recovery events, and per rank what the rank program tallied.
+        Absorbed into the world's own log on the way out (a worker's
+        never commits a record; the driver's log does that)."""
+        counts = Counter({
+            "comm.flushes": self.flush_count,
+            "executor.tasks": self.handler_invocations,
+            "comm.local_deliveries": self.local_deliveries,
+            **{"faults." + event: n
+               for event, n in self.fault_stats.snapshot().items()}})
+        delta = Delta(self.cluster.stats, counts,
+                      {ctx.rank: ctx.tally for ctx in self.ranks}
+                      ).since(self.log.totals)
+        self.log.absorb(delta)
+        return delta
 
     # -- sending ------------------------------------------------------------
 
@@ -376,10 +414,8 @@ class YGMWorld:
                 self.local_deliveries += 1
                 self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
                 return
-            offnode = self._offnode[src][dest]
-            self.cluster.stats.record(msg_type, nbytes, offnode)
-            self.phase_stats.setdefault(self._phase, MessageStats()).record(
-                msg_type, nbytes, offnode)
+            self.cluster.stats.record(msg_type, nbytes,
+                                      self._offnode[src][dest])
             self._buffers[src][dest].append((handler, args, seq, nbytes, 1))
             self._buffer_count[src][dest] += 1
             self._buffer_bytes[src][dest] += nbytes
@@ -459,9 +495,6 @@ class YGMWorld:
         if sent_c:
             self.cluster.stats.record_many(
                 msg_type, sent_c, sent_b, off_c, off_b)
-            self.phase_stats.setdefault(
-                self._phase, MessageStats()).record_many(
-                    msg_type, sent_c, sent_b, off_c, off_b)
 
     def _enqueue(self, src: int, dest: int, handler: str, payload: tuple,
                  seq: int, nbytes, count: int) -> None:
@@ -706,7 +739,7 @@ class YGMWorld:
             self.fault_stats.detected += len(failed)
             raise RankFailureError(failed)
 
-    def barrier(self, phase: str | None = None) -> float:
+    def barrier(self) -> float:
         """Flush everything and run handlers until global quiescence, then
         synchronize simulated clocks.  Returns superstep duration in
         simulated seconds.
@@ -744,18 +777,21 @@ class YGMWorld:
                 if rel is not None:
                     rel.tick()
                 self._check_failure_timeout()
-            if rel is not None:
-                rel.sync_fault_stats()
             self.async_count_since_barrier = 0
-            duration = self.cluster.ledger.barrier(
-                self.cluster.net, phase or self._phase)
-            # Mirror the runtime's authoritative aggregates into the
-            # metrics registry, now that no handler is in flight.
-            publish_comm_metrics(
-                self, None if inj is None else inj.pending_delayed())
-            return duration
+            ledger = self.cluster.ledger
+            imbalance = ledger.imbalance()
+            duration = ledger.barrier(self.cluster.net, self.log.phase)
         finally:
             self._in_barrier = False
+            # Completed or not, what the window counted goes to the log
+            # (a failed barrier's traffic was genuinely spent).
+            self.export_delta()
+        # No handler is in flight: log the superstep, then mirror the
+        # log's totals into the metrics registry.
+        self.log.commit(self.metrics.now(), duration, imbalance)
+        publish_comm_metrics(
+            self, None if inj is None else inj.pending_delayed())
+        return duration
 
     def reset_in_flight(self) -> None:
         """Discard every in-flight message and all reliable-delivery
@@ -825,7 +861,3 @@ class YGMWorld:
         """Sum-allreduce of a per-rank value (used for the Algorithm 1
         line 23 termination counter)."""
         return self.cluster.allreduce_sum([value_fn(ctx) for ctx in self.ranks])
-
-    @property
-    def elapsed_sim_seconds(self) -> float:
-        return self.cluster.ledger.elapsed

@@ -210,6 +210,83 @@ class TestBackendConformance:
             assert runs[backend].iterations == ref.iterations
             assert runs[backend].converged == ref.converged
 
+    def test_barrier_logs_agree(self, runs):
+        """Same supersteps on both backends: record count, phase and
+        iteration sequence, and per-phase conformant totals."""
+        ref = runs["sim"].metrics.log
+        got = runs["process"].metrics.log
+        assert len(got.records) == len(ref.records)
+        assert ([(r.phase, r.iteration) for r in got.records]
+                == [(r.phase, r.iteration) for r in ref.records])
+        if EXACT:
+            assert ({p: s.by_type for p, s in got.phase_stats().items()}
+                    == {p: s.by_type for p, s in ref.phase_stats().items()})
+            for name in ("heap.updates", "distance.evals"):
+                assert got.totals.tally(name) == ref.totals.tally(name)
+
+
+@pytest.mark.skipif(not EXACT, reason="bit-identity needs rowwise kernels")
+def test_one_worker_log_equals_sim_record_for_record(small_dense):
+    """A one-worker process world delivers in sim's order: its barrier
+    log is sim's, record for record (wall timestamps aside)."""
+    def records(backend):
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=6, max_iters=3, seed=3),
+                         batch_size=1 << 12, backend=backend, workers=1,
+                         kernel=KERNEL)
+        dnnd = DNND(small_dense, cfg,
+                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        try:
+            dnnd.build()
+        finally:
+            dnnd.close()
+        out = []
+        for record in dnnd.world.log.to_json():
+            # Wall time, the cost model and scheduling counters aside.
+            for key in ("time", "duration", "imbalance"):
+                del record[key]
+            record["delta"]["counts"].pop("comm.flushes", None)
+            out.append(record)
+        return out
+
+    assert records("process") == records("sim")
+
+
+def test_counters_travel_only_in_round_replies():
+    """One transport of counters: at the ``lowdim-process`` benchmark
+    configuration the driver broadcasts rounds, sections and the one
+    shard-state read it needs — nothing that only moves or labels
+    counters — while sections dispatched and barriers taken are what
+    they were with the ``export_stats`` / ``shard_totals`` /
+    ``set_phase`` round trips (57 and 32)."""
+    from collections import Counter
+
+    from repro import make_benchmark_dataset
+    from repro.runtime.transports.process import ProcessTransport
+
+    data = make_benchmark_dataset("glove-25", 1000, 10, seed=0)[0]
+    cfg = DNNDConfig(
+        nnd=NNDescentConfig(k=10, seed=0, delta=0.0, max_iters=6),
+        backend="process", workers=2, kernel="rowwise")
+    dnnd = DNND(data, cfg, cluster=ClusterConfig(nodes=4, procs_per_node=2))
+    broadcasts = Counter()
+    command_all = dnnd.cluster.command_all
+
+    def counting(cmd, payload=None, per_worker=None):
+        broadcasts[cmd] += 1
+        return command_all(cmd, payload, per_worker)
+
+    dnnd.cluster.command_all = counting
+    try:
+        result = dnnd.build()
+    finally:
+        dnnd.close()
+    assert isinstance(dnnd.cluster, ProcessTransport)
+    rounds = broadcasts.pop("__round__")
+    assert broadcasts == {"section": 57, "gather_rows": 1}
+    counters = result.metrics.snapshot()["counters"]
+    assert counters["executor.dispatches"] == 57
+    assert counters["comm.barriers"] == 32 <= rounds
+
 
 class TestOptimizedCommGraphs:
     """With the Section 4.3 optimizations on, message *counts* are

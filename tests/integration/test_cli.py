@@ -128,9 +128,19 @@ class TestObservability:
         assert snap["enabled"] is True
         assert snap["counters"]["messages.sent"] > 0
         assert any(name.startswith("phase.") for name in snap["timers"])
+        # The barrier log rides along, one entry per superstep.
+        assert len(snap["barriers"]) == snap["counters"]["comm.barriers"]
         with open(trace_out) as f:
             trace = json.load(f)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
+        # Figure 4's decay curve: the per-type counters are sampled at
+        # every barrier that moved them, ending at the total.
+        curve = [e for e in trace["traceEvents"]
+                 if e["ph"] == "C" and e["name"] == "messages.sent.type1"]
+        assert len(curve) > 2
+        assert [e["ts"] for e in curve] == sorted(e["ts"] for e in curve)
+        assert (curve[-1]["args"]["value"]
+                == snap["counters"]["messages.sent.type1"])
 
     def test_stats_pretty_printer(self, store, tmp_path, capsys):
         metrics_out = str(tmp_path / "run.json")
@@ -142,6 +152,8 @@ class TestObservability:
         assert "phase timers" in out
         assert "messages by type" in out
         assert "heap.updates" in out
+        assert "iterations (from the barrier log)" in out
+        assert "delta*K*N" in out and "rank evals max / mean" in out
 
     def test_stats_rejects_non_snapshot(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"

@@ -164,6 +164,11 @@ class TestDegradedModeConformance:
         # Every vertex has a full neighbor list after the repair pass —
         # including the crashed rank's shard.
         assert np.all(result.graph.ids >= 0)
+        # The repair rounds are iterations of the barrier log like any
+        # other: one traffic entry per update count (they used to be
+        # missing from ``per_iteration_messages``).
+        assert (len(result.per_iteration_messages)
+                == len(result.update_counts) > result.iterations)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_recall_within_degraded_envelope(self, degraded_runs, reference,

@@ -113,3 +113,27 @@ class TestBytesRatioStructure:
         t2 = stats.get("type2+").bytes
         others = stats.total_bytes() - t2
         assert t2 > others
+
+
+class TestPhaseView:
+    """``phase_stats`` is the barrier log grouped by phase: a phase's
+    table holds everything sent inside it.  The reliability layer's
+    ``ack`` / ``retransmit`` traffic used to reach only the totals."""
+
+    def test_phases_sum_to_the_totals_for_every_type(self, small_dense):
+        from repro.runtime.faults import FaultPlan
+        from repro.runtime.instrumentation import MessageStats
+
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=6, seed=31, max_iters=3),
+                         backend="sim")
+        res = DNND(small_dense, cfg,
+                   cluster=ClusterConfig(nodes=2, procs_per_node=2),
+                   fault_plan=FaultPlan(seed=4, drop_rate=0.05),
+                   reliable=True).build()
+        assert res.message_stats.get("ack").count > 0
+        assert res.message_stats.get("retransmit").count > 0
+        summed = MessageStats()
+        for stats in res.phase_stats.values():
+            summed.add(stats)
+        assert summed.by_type == res.message_stats.by_type
+        assert res.phase_stats["neighbor_check"].get("ack").count > 0

@@ -151,8 +151,8 @@ class TestOptimizedCheckProtocol:
         world.barrier()
         assert 5 in shard0.heap(2)   # via Type 3 reply
         assert 2 in shard1.heap(5)   # local update at u2
-        assert shard0.update_count == 1
-        assert shard1.update_count == 1
+        assert world.ranks[0].tally["updates"] == 1
+        assert world.ranks[1].tally["updates"] == 1
 
     def test_redundancy_check_suppresses_type2(self):
         world, _ = make_world_with_shards()

@@ -53,11 +53,11 @@ class TestMessageStats:
         b = MessageStats()
         b.record("x", 5, False)
         b.record("y", 1, True)
-        m = a.merged(b)
-        assert m.get("x").count == 2
-        assert m.get("y").count == 1
-        # inputs untouched
-        assert a.get("y").count == 0
+        a.add(b)
+        assert a.get("x").count == 2
+        assert a.get("y").count == 1
+        # the other side is untouched
+        assert b.get("x").count == 1
 
     def test_snapshot(self):
         ms = MessageStats()

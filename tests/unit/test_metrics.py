@@ -35,14 +35,6 @@ class TestCounters:
         m.set_counter("x", 7)
         assert m.counter("x") == 7
 
-    def test_counters_with_prefix(self):
-        m = MetricsRegistry()
-        m.inc("messages.sent.type1", 3)
-        m.inc("messages.sent.type3", 1)
-        m.inc("messages.bytes.type1", 24)
-        assert m.counters_with_prefix("messages.sent.") == {
-            "type1": 3, "type3": 1}
-
     def test_gauges_last_write_wins(self):
         m = MetricsRegistry()
         m.set_gauge("sim.seconds", 1.5)
@@ -221,7 +213,7 @@ class TestExporterSchemas:
         assert snap["schema"] == SNAPSHOT_SCHEMA
         assert snap["enabled"] is True
         assert set(snap) == {"schema", "enabled", "counters", "gauges",
-                             "timers", "histograms", "spans"}
+                             "timers", "histograms", "spans", "barriers"}
         assert all(isinstance(v, int) for v in snap["counters"].values())
         assert all(isinstance(v, float) for v in snap["gauges"].values())
         for t in snap["timers"].values():

@@ -81,10 +81,16 @@ def _same(a, b):
     return a == b
 
 
-def _without_update_count(totals):
-    # Entries that got in and were evicted again count; how many do
-    # depends on how the offers were cut into runs.
-    return {rank: row[:2] + row[3:] for rank, row in totals.items()}
+def _tallies(fabric):
+    """``rank -> tally`` of the hosts' next delta exports, without the
+    accepted ``updates``: entries that got in and were evicted again
+    count, and how many do depends on how the offers were cut into
+    runs."""
+    out = {}
+    for host in fabric.hosts:
+        for rank, tally in host.world.export_delta().ranks.items():
+            out[rank] = {k: v for k, v in tally.items() if k != "updates"}
+    return out
 
 
 def test_one_host_equals_two_hosts_over_a_split():
@@ -118,9 +124,13 @@ def test_one_host_equals_two_hosts_over_a_split():
     step("section", "union", iteration=0)
     step("section", "check")
     ship()
-    left, right = both("command", "shard_totals")
-    assert _same(*map(_without_update_count, (left, right)))
-    assert all(row[0] for row in left.values())     # real traffic flowed
+    # The delta export: every world hands out the same per-rank
+    # tallies, once (a second export has nothing left to report).
+    left, right = _tallies(one), _tallies(two)
+    assert sorted(left) == [0, 1, 2, 3] and left == right
+    assert all(t["heap.updates"] and t["distance.evals"]
+               for t in left.values())              # real traffic flowed
+    assert _tallies(one) == _tallies(two) == {}
     snapshot = step("command", "ckpt_get")
     step("command", "gather_rows")
     for stage in ("repair_reset", "repair_reinit", "repair_donate"):

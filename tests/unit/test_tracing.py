@@ -77,7 +77,9 @@ class TestTracer:
 class TestDoubleAttach:
     """Regression: attaching a tracer twice used to wrap the (already
     wrapped) barrier again, firing ``_on_barrier`` twice per superstep
-    and double-counting every record."""
+    and double-counting every record.  Nothing is wrapped any more —
+    ``attach_tracer`` returns the world's log — so this holds by
+    construction."""
 
     def test_second_attach_returns_existing_tracer(self, tiny_dense):
         cfg = DNNDConfig(nnd=NNDescentConfig(k=5, seed=53), backend="sim")
@@ -113,13 +115,57 @@ class TestDoubleAttach:
                                       twice_result.graph.ids)
 
     def test_attach_installs_live_registry_when_disabled(self, tiny_dense):
+        """The tracer used to read the registry's counters, so attaching
+        to a ``metrics=False`` build had to install a live registry.  It
+        is the always-on barrier log now: records without a registry."""
         cfg = DNNDConfig(nnd=NNDescentConfig(k=5, seed=53), backend="sim",
                          metrics=False)
         dnnd = DNND(tiny_dense, cfg,
                     cluster=ClusterConfig(nodes=2, procs_per_node=1))
-        assert not dnnd.world.metrics.enabled
         tracer = attach_tracer(dnnd.world)
-        assert dnnd.world.metrics.enabled
+        assert not dnnd.world.metrics.enabled
         dnnd.build()
         assert tracer.total_supersteps() > 0
         assert sum(tracer.message_timeline("type1")) > 0
+
+
+class TestTracerOnProcess:
+    """Regression: ``attach_tracer(ProcessWorld)`` died at the first
+    barrier (``AttributeError: 'ProcessWorld' object has no attribute
+    '_phase'``) — the wrapper reached into the sim world's state.  As a
+    view of the barrier log it needs nothing else from the world."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, small_dense):
+        from repro.config import CommOptConfig
+
+        def build(backend):
+            cfg = DNNDConfig(
+                nnd=NNDescentConfig(k=6, seed=54, delta=0.0, max_iters=3),
+                comm_opts=CommOptConfig.unoptimized(),
+                batch_size=1 << 11, backend=backend, workers=2)
+            dnnd = DNND(small_dense, cfg,
+                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
+            tracer = attach_tracer(dnnd.world)
+            try:
+                return tracer, dnnd.build()
+            finally:
+                dnnd.close()
+        return {backend: build(backend) for backend in ("sim", "process")}
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    def test_one_record_per_barrier_and_timelines_sum(self, traced, backend):
+        tracer, result = traced[backend]
+        assert (tracer.total_supersteps()
+                == result.metrics.counter("comm.barriers") > 0)
+        assert result.message_stats.by_type
+        for t, stats in result.message_stats.by_type.items():
+            assert sum(tracer.message_timeline(t)) == stats.count
+
+    def test_backends_agree_phase_by_phase(self, traced):
+        (sim, sim_result), (proc, proc_result) = (traced["sim"],
+                                                  traced["process"])
+        assert ([r.phase for r in proc.records]
+                == [r.phase for r in sim.records])
+        assert ({p: s.snapshot() for p, s in proc_result.phase_stats.items()}
+                == {p: s.snapshot() for p, s in sim_result.phase_stats.items()})
