@@ -9,8 +9,10 @@ host over all of them (sim), or one per worker process behind a
 once, at construction; every other method talks to ``self.host`` through
 the same ``rank -> value`` calls:
 
-1. **distribute** — hash-partition vertices and feature rows over ranks
-   (Section 4: vertex and neighbor list co-located on the owner rank).
+1. **distribute** — hash-partition vertices over ranks (Section 4:
+   vertex and neighbor list co-located on the owner rank); features stay
+   in the one dataset view of each address space (``self._rows``), which
+   shards read by global id and never copy.
 2. **init** — Algorithm 1 lines 2-5 through the Section 4.1 async
    request/response pattern.
 3. **iterate** — per NN-Descent round: local old/new sampling, the
@@ -58,18 +60,18 @@ from ..runtime.partition import (ExplicitPartitioner, HashPartitioner,
                                  graph_locality_assignment,
                                  partitioner_from_spec, partitioner_spec,
                                  spec_matches)
-from ..runtime.transports import (ProcessTransport, ProcessWorld,
-                                  SharedArrayOwner, SimCluster)
+from ..runtime.transports import ProcessTransport, ProcessWorld, SimCluster
 from ..runtime.ygm import YGMWorld
 from .executor import resolve_backend, resolve_workers
 from ..types import ID_BYTES
+from ..utils.arrays import as_finite_matrix
 from .dnnd_phases import RankHost
 from .graph import EMPTY, AdjacencyGraph, KNNGraph
 from .heap import check_rows
 
 
 def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
-                     sanitize: bool | None, sparse: bool) -> Optional[str]:
+                     sanitize: bool | None) -> Optional[str]:
     """Name the sim-only feature that blocks the process backend, or
     ``None`` when the configuration can run on worker processes.  Crash
     plans are *not* blockers — the process world kills the owning worker
@@ -85,21 +87,7 @@ def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
         return "reliable delivery (reliable=True)"
     if sanitize or (sanitize is None and sanitizer_requested()):
         return "the runtime sanitizer (REPRO_SANITIZE)"
-    if sparse:
-        return ("a sparse dataset (shared-memory segments hold one "
-                "dense matrix)")
     return None
-
-
-def _process_teardown(cluster, shm_owner):
-    """Process-backend teardown closure: stop the workers, then unlink
-    the shared-memory dataset segment (both idempotent).  A free
-    function over the two resources — not a bound method — so the
-    :class:`DNND`'s GC finalizer holds no reference to it."""
-    def teardown() -> None:
-        cluster.shutdown()
-        shm_owner.close()
-    return teardown
 
 
 @dataclass
@@ -243,13 +231,14 @@ class DNND:
     ``"process"`` | ``None`` = defer to ``REPRO_BACKEND``, default
     sim).  Both run the same rank program (:mod:`.dnnd_phases`) over the
     same comm layer: sim is the deterministic cost-modeled simulation;
-    process runs ranks in ``config.workers`` worker processes over a
-    shared-memory dataset segment.  Fault injection, reliable delivery,
-    failure detection by timeout, the sanitizer and the network cost
-    model are sim features; process handles crash plans natively
-    (SIGKILL of the owning worker) and supervised recovery works on
-    both, but it has no message-level fault hooks, reliable delivery,
-    sanitizer or sparse-dataset support.
+    process runs ranks in ``config.workers`` worker processes, which
+    receive the driver's dataset view — dense or sparse — as a start
+    argument (inherited copy-on-write under ``fork``).  Fault injection,
+    reliable delivery, failure detection by timeout, the sanitizer and
+    the network cost model are sim features; process handles crash plans
+    natively (SIGKILL of the owning worker) and supervised recovery
+    works on both, but it has no message-level fault hooks, reliable
+    delivery or sanitizer.
 
     Requesting a feature the process backend lacks follows one rule:
     with an *explicit* ``backend="process"`` it raises
@@ -287,10 +276,16 @@ class DNND:
             MetricsRegistry() if self.config.metrics else NULL_METRICS)
         backend = resolve_backend(self.config.backend)
         fallbacks = 0
-        self._sparse = getattr(CountingMetric(self.config.nnd.metric), "sparse_input")
+        self._sparse = CountingMetric(self.config.nnd.metric).sparse_input
+        # The one dataset view of this address space — the sparse
+        # record dataset itself, or the dense data as one contiguous
+        # (n, dim) array, checked here, once, to be 2-D and finite.
+        # Process workers inherit (fork) or unpickle (spawn) this very
+        # object.
+        self._rows = (self.data if self._sparse
+                      else as_finite_matrix(self.data, "dataset"))
         if backend == "process":
-            blocker = _process_blocker(net, fault_plan, reliable, sanitize,
-                                       self._sparse)
+            blocker = _process_blocker(net, fault_plan, reliable, sanitize)
             if blocker is not None:
                 if self.config.backend == "process":
                     raise ConfigError(
@@ -311,9 +306,6 @@ class DNND:
         self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
         self.fault_plan = fault_plan
-        # The read-only dataset view message features resolve from.
-        self._rows = (self.data if self._sparse
-                      else np.ascontiguousarray(np.asarray(self.data)))
         self.partitioner = partitioner or HashPartitioner(self.n, self.cluster_config.world_size)
         self._finalizer: Optional[weakref.finalize] = None
         # The one backend branch: who hosts the ranks.  ``self.host``
@@ -324,22 +316,20 @@ class DNND:
             # (SIGKILL at the planned iteration); the message-level
             # injector is a sim transport hook.
             self._injector = None
-            shm_owner = SharedArrayOwner(self._rows)
             self.cluster = ProcessTransport(
                 self.cluster_config,
                 workers=resolve_workers(self.config.workers,
                                         self.cluster_config.world_size))
             self.world = self.host = ProcessWorld(
                 self.cluster, metrics=self.metrics, fault_plan=fault_plan)
-            # Stops the workers and unlinks the segment on close() or
-            # when the last reference to this build is dropped.
-            self._finalizer = weakref.finalize(
-                self, _process_teardown(self.cluster, shm_owner))
-            # Each worker maps the shared dataset segment and builds a
-            # host over its owned ranks in its bootstrap.
+            # Stops the workers on close() or when the last reference
+            # to this build is dropped.
+            self._finalizer = weakref.finalize(self, self.cluster.shutdown)
+            # Each worker builds a host over its owned ranks and the
+            # dataset view in its bootstrap.
             self.cluster.start(
-                ("repro.core.dnnd_process", "bootstrap"),
-                {"spec": shm_owner.spec, "config": self.config,
+                ("repro.core.dnnd_phases", "worker_host"),
+                {"data": self._rows, "config": self.config,
                  "partitioner": self.partitioner,
                  "flush_threshold": int(flush_threshold)})
             # Whoever fires the plan's scheduled crashes each iteration.
@@ -394,9 +384,8 @@ class DNND:
 
     def close(self) -> None:
         """Release the backend's resources (nothing to release on sim;
-        stops the process backend's workers and unlinks the dataset
-        segment).  Safe to call more than once; also triggered by
-        garbage collection."""
+        stops the process backend's workers).  Safe to call more than
+        once; also triggered by garbage collection."""
         if self._finalizer is not None:
             self._finalizer()
 
@@ -563,7 +552,7 @@ class DNND:
         try:
             dnnd._restore_heaps(heap_ids, heap_dists, heap_flags)
         except StoreError:
-            dnnd.close()  # no workers or segment left behind
+            dnnd.close()  # no workers left behind
             raise
         result = dnnd._run_iterations(
             start_iteration=int(meta["iteration"]),
@@ -768,7 +757,7 @@ class DNND:
         the neighborhood-repair pass that rebuilds their shards —
 
         1. fresh heaps on the repaired ranks (a replacement node comes
-           back with the reloaded feature shard and empty state),
+           back with the dataset view and empty state),
         2. keyed re-initialization: repaired vertices replay the
            Algorithm 1 init draws (the same ``draw_key``, so the same
            candidates as a fault-free init),
@@ -782,8 +771,8 @@ class DNND:
                                mode="degraded-repair",
                                ranks=sorted(self._degraded_ranks)):
             self._enter_phase("repair")
-            # Respawned process workers already rebuilt their shards from
-            # the shared segment; the reset is idempotent there.
+            # Respawned process workers already rebuilt their shards;
+            # the reset is idempotent there.
             repaired = sorted(self.world.readmit_ranks())
             for stage in ("repair_reset", "repair_reinit", "repair_donate"):
                 self._run_section(stage, ranks=repaired)
@@ -872,15 +861,20 @@ class DNND:
         self._pump()
         # Stage 2: local prune to ceil(k * m) and gather.
         max_degree = int(np.ceil(self.config.k * m))
-        neighbor_lists: List[Optional[List]] = [None] * self.n
-        for lists in self.host.command(
-                "opt_collect", {"max_degree": max_degree}).values():
-            for v, lst in lists.items():
-                neighbor_lists[v] = lst
+        pruned = list(self.host.command(
+            "opt_collect", {"max_degree": max_degree}).values())
         self.world.barrier()
         self._close_phase()
         self._publish_sim_enrichment()
-        adjacency = AdjacencyGraph.from_edge_lists(neighbor_lists)
+        # CSR assembly: the ranks' edge columns hold their vertices' runs
+        # back to back, closest first; a stable sort by vertex places
+        # each run at its vertex's offset.
+        gids, counts, nbr, d = (np.concatenate(col) for col in zip(*pruned))
+        vertex = np.repeat(gids, counts)
+        order = np.argsort(vertex, kind="stable")
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(vertex, minlength=self.n))])
+        adjacency = AdjacencyGraph(indptr, nbr[order], d[order])
         if getattr(self, "_last_result", None) is not None:
             self._last_result.adjacency = adjacency
             self._last_result.optimize_sim_seconds = self.cluster.ledger.elapsed - start
@@ -896,8 +890,9 @@ class DNND:
         Measures the edge cut of the built graph under the current
         partitioner, computes a better explicit assignment (a
         capacity-bounded BFS over the graph so neighbors co-locate,
-        unless ``partitioner`` overrides it), redistributes feature rows
-        and neighbor heaps to the new owners on every backend, and
+        unless ``partitioner`` overrides it), re-homes vertex ids and
+        neighbor heaps to the new owners on every backend (feature rows
+        never move: every host reads them from its dataset view), and
         returns the re-homed graph.  The instance's partitioner follows,
         so subsequent :meth:`optimize`, checkpoints, and searchers built
         from :attr:`partitioner` route against the new ownership.
@@ -1011,10 +1006,9 @@ class DNND:
         does with Metall (Section 5.1.3)."""
         with MetallStore.create(store_path) as store:
             store["graph"] = result.graph.to_arrays()
-            if not self._sparse:
-                store["dataset"] = np.asarray(self.data)
-            else:
-                store["dataset"] = [np.asarray(self.data[i]) for i in range(self.n)]
+            store["dataset"] = (
+                [np.asarray(self.data[i]) for i in range(self.n)]
+                if self._sparse else self._rows)
             store["meta"] = {
                 "k": self.config.k,
                 "metric": self.config.nnd.metric,

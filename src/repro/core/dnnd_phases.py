@@ -1,8 +1,9 @@
 """DNND's rank program (Section 4): rank-local state, message handlers,
 SPMD sections — written once — and the host that runs them.
 
-DNND partitions vertices over ranks; each rank holds its vertices'
-feature rows and neighbor heaps (:class:`LocalShard`).  This module is
+DNND partitions vertices over ranks; each rank holds its vertices' ids
+and neighbor rows (:class:`LocalShard`) and reads features from the one
+dataset view of its address space.  This module is
 the only home of what a rank *does*, and :class:`RankHost` the only
 place its tables (:data:`SECTIONS`, :data:`SHARD_OPS`) are looked up:
 the sim driver holds one host over every rank, each process worker one
@@ -58,11 +59,13 @@ The three communication phases of Section 4 are YGM handlers:
     ``opt_rev_edge`` ships each final edge reversed to the neighbor's
     owner for the reverse-merge + prune pass.
 
-**Features travel by reference.**  A feature-carrying message (``init_req``,
-Type 2, Type 2+) holds the sender vertex's *global id*; the receiver
-resolves the row through :meth:`LocalShard.row` / :meth:`LocalShard.rows`
-over the read-only dataset view its host holds (the driver's array
-under sim, the shared-memory segment under process).  The
+**Features travel by reference.**  The dataset exists once per address
+space — the driver's array, which a process worker inherits (``fork``)
+or receives once as a start argument — and a shard copies none of it.  A
+feature-carrying message (``init_req``, Type 2, Type 2+) holds the
+sender vertex's *global id*, and a handler resolves *both* sides of a
+distance, the sender's row and its own vertex's, through
+:meth:`LocalShard.rows` over that read-only view.  The
 *modeled* wire size is unchanged: message sizes follow Section 2's
 accounting — ids are 4 bytes, distances 4 bytes, features
 ``dim * itemsize`` (ragged records use their actual byte size) — so
@@ -141,16 +144,14 @@ def sample_smallest(seed: int, purpose: int, iteration: int,
 
 @dataclass
 class LocalShard:
-    """Everything one rank owns.
+    """Everything one rank owns: which vertices, and their neighbor rows.
+    Feature rows are not among it — they are read from ``data``.
 
     Attributes
     ----------
     global_ids:
         Ascending global ids of the vertices this rank owns; a vertex's
         *row* is its position here.
-    features:
-        Dense ``(n_local, dim)`` array, or a list of ragged sparse
-        records — this rank's own rows, co-located with their neighbors.
     ids, dists, flags:
         ``(n_local, k)`` matrices: row ``i`` is the neighbor list
         ``G_v`` of vertex ``global_ids[i]`` (vertex and neighbor list
@@ -166,9 +167,13 @@ class LocalShard:
         and ``check`` work on one representation and a shard holds no
         per-vertex Python object.
     data:
-        Read-only view of the *whole* dataset, shared by every shard of
-        a world; only :meth:`row` / :meth:`rows` read it, to resolve the
-        feature a message refers to by global id.
+        Read-only view of the *whole* dataset — one object shared by
+        every shard of a host, never copied; only :meth:`rows` reads it,
+        to resolve a feature (a message's or an own vertex's) by global
+        id.
+    feature_bytes:
+        Modeled wire size of a feature vector: one int for dense data,
+        one entry per own row for ragged sparse records.
     owner_of:
         ``owner_of[gid] == partitioner.owner(gid)`` — one array shared by
         a world's shards (see :func:`build_shards`).
@@ -177,15 +182,12 @@ class LocalShard:
     rank: int
     partitioner: Partitioner
     global_ids: np.ndarray
-    features: Any  # dense (n_local, dim) array or list of sparse records
     metric: CountingMetric
     config: DNNDConfig
     data: Any
     owner_of: np.ndarray
     sanitizer: Any = None
-    sparse: bool = False
-    feature_nbytes_dense: int = 0
-    feature_sizes: Any = None  # sparse only: wire bytes of each own record
+    feature_bytes: Any = 0
 
     ids: np.ndarray = None
     dists: np.ndarray = None
@@ -216,25 +218,19 @@ class LocalShard:
     def build(cls, rank: int, partitioner: Partitioner, data: Any,
               config: DNNDConfig, owner_of: np.ndarray,
               sanitizer: Any = None) -> "LocalShard":
-        """Shard construction: copy ``rank``'s rows out of the dataset
-        view ``data`` and start every vertex with an empty neighbor row."""
+        """Shard construction: ``rank``'s ids over the dataset view
+        ``data``, every vertex starting with an empty neighbor row."""
         metric = CountingMetric(config.nnd.metric, kernel=config.kernel)
         gids = np.asarray(partitioner.local_ids(rank), dtype=np.int64)
-        sizes = None
-        dense_bytes = 0
         if metric.sparse_input:
-            feats = [data[int(g)] for g in gids]
-            sizes = np.array([f.nbytes for f in feats], dtype=np.int64)
+            feature_bytes = np.array([data[int(g)].nbytes for g in gids],
+                                     dtype=np.int64)
         else:
-            feats = np.ascontiguousarray(data[gids])
-            if feats.size:
-                dense_bytes = int(feats.shape[1] * feats.dtype.itemsize)
+            feature_bytes = int(data.shape[1] * data.dtype.itemsize)
         shard = cls(
             rank=rank, partitioner=partitioner, global_ids=gids,
-            features=feats, metric=metric, config=config, data=data,
-            owner_of=owner_of, sanitizer=sanitizer,
-            sparse=metric.sparse_input,
-            feature_nbytes_dense=dense_bytes, feature_sizes=sizes)
+            metric=metric, config=config, data=data, owner_of=owner_of,
+            sanitizer=sanitizer, feature_bytes=feature_bytes)
         shard.reset_heaps()
         return shard
 
@@ -265,27 +261,13 @@ class LocalShard:
                 f"owner is {self.partitioner.owner(gid)}")
         return rows
 
-    def feature(self, gid: int):
-        """Feature of a vertex this rank *owns* (:class:`PartitionError`
-        otherwise)."""
-        return self.features[self.local(gid)]
-
-    def own_rows(self, rows: np.ndarray):
-        """Own features by row, in the form :meth:`rows` returns."""
-        if self.sparse:
-            return [self.features[i] for i in rows.tolist()]
-        return self.features[rows]
-
-    def row(self, gid: int):
-        """Feature of *any* vertex, resolved from the dataset view — what
-        a feature-carrying message's global id stands for."""
-        return self.data[int(gid)]
-
     def rows(self, gids: Iterable[int]):
-        """:meth:`row` for a batch: a fresh ``(len, dim)`` array for
+        """Features of *any* vertices, resolved from the dataset view by
+        global id — what a feature-carrying message stands for, and an
+        own vertex's feature alike: a fresh ``(len, dim)`` array for
         dense data (input to the rowwise kernel), a list of records for
         sparse data (exact scalar fallback inside ``rowwise_dists``)."""
-        if self.sparse:
+        if self.metric.sparse_input:
             return [self.data[int(g)] for g in gids]
         return self.data[np.asarray(gids, dtype=np.int64)]
 
@@ -302,19 +284,14 @@ class LocalShard:
     def owner(self, gid: int) -> int:
         return self.partitioner.owner(int(gid))
 
-    def feature_nbytes(self, gid: int) -> int:
-        """Wire size of one feature vector (Type 2 payload size)."""
-        if self.sparse:
-            return int(self.feature_sizes[self.local(gid)])
-        return self.feature_nbytes_dense
-
     def feature_message_bytes(self, rows: np.ndarray, extra: int = 0):
         """Modeled size of the messages carrying the features of own
-        ``rows``: one int for dense rows, a per-message array for ragged
-        sparse records."""
-        if self.sparse:
-            return self.feature_sizes[rows] + (2 * ID_BYTES + extra)
-        return 2 * ID_BYTES + extra + self.feature_nbytes_dense
+        ``rows`` (Type 2 payloads): one int for dense rows, a per-message
+        array for ragged sparse records."""
+        size = self.feature_bytes
+        if not isinstance(size, int):
+            size = size[rows]
+        return size + (2 * ID_BYTES + extra)
 
     def reset_iteration_scratch(self) -> None:
         self.new = self.old = NO_ENTRIES
@@ -541,7 +518,7 @@ def check(ctx: RankContext) -> None:
 
 def repair_reset(ctx: RankContext, ranks: List[int]) -> None:
     """Degraded-repair stage 1: a replacement node comes back with the
-    reloaded feature shard and empty state."""
+    dataset view and empty state."""
     if ctx.rank in ranks:
         shard = shard_of(ctx)
         shard.reset_heaps()
@@ -638,10 +615,13 @@ def gather_rows(ctx: RankContext) -> tuple:
             np.take_along_axis(shard.dists, order, axis=1))
 
 
-def opt_collect(ctx: RankContext, max_degree: int) -> Dict[int, list]:
+def opt_collect(ctx: RankContext, max_degree: int) -> tuple:
     """Section 4.5 stage 2: merge each vertex's forward and reversed
     edges (closest copy of a repeated neighbor) and prune the list to
-    its ``max_degree`` closest."""
+    its ``max_degree`` closest.  Returns columns ``(global_ids, counts,
+    neighbor ids, dists)``: vertex ``global_ids[i]`` keeps ``counts[i]``
+    edges, and the edge columns hold the vertices' runs back to back,
+    each closest first."""
     shard = shard_of(ctx)
     rows, nbr, d = (np.concatenate(col)
                     for col in zip(shard.edges(), *shard.opt_edges))
@@ -652,12 +632,12 @@ def opt_collect(ctx: RankContext, max_degree: int) -> Dict[int, list]:
     rows, nbr, d = rows[first], nbr[first], d[first]
     ctx.charge_update(len(rows))
     order = np.lexsort((nbr, d, rows))
-    edges = list(zip(nbr[order].tolist(), d[order].tolist()))
+    rows, nbr, d = rows[order], nbr[order], d[order]
     counts = np.bincount(rows, minlength=shard.n_local)
-    starts = (np.cumsum(counts) - counts).tolist()
-    return {gid: edges[a:a + min(n, max_degree)]
-            for gid, a, n in zip(shard.global_ids.tolist(), starts,
-                                 counts.tolist())}
+    place = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    kept = place < max_degree
+    return (shard.global_ids, np.minimum(counts, max_degree), nbr[kept],
+            d[kept])
 
 
 #: The shard-state ops by name, resolved by :meth:`RankHost.command`.
@@ -695,7 +675,7 @@ def _evaluate(ctx: RankContext, shard: LocalShard, A, B,
     ctx.tally["distance.evals"] += len(d)
     ctx.tally["kernel.tile_flops"] += shard.metric.tile_flops - flops
     if ctx.world.cluster.ledger.enabled:
-        if shard.sparse:  # ragged records: each at its own length
+        if shard.metric.sparse_input:  # ragged: each at its own length
             net = ctx.world.cluster.net
             ctx.charge_compute(sum(net.distance_cost(len(f))
                                    for f in foreign))
@@ -736,8 +716,7 @@ def h_init_req(ctx: RankContext, v: np.ndarray, u: np.ndarray) -> None:
     """Runs at owner(u): compute theta(v, u), reply with the distance."""
     shard = shard_of(ctx)
     features = shard.rows(v)
-    d = _evaluate(ctx, shard, features, shard.own_rows(shard.locals(u)),
-                  features)
+    d = _evaluate(ctx, shard, features, shard.rows(u), features)
     ctx.world.emit_run(ctx.rank, shard.owner_of[v], "init_resp", (v, u, d),
                        2 * ID_BYTES + DIST_BYTES, "init_resp")
 
@@ -785,7 +764,7 @@ def h_feature_unopt(ctx: RankContext, recv: np.ndarray,
     shard = shard_of(ctx)
     rows = shard.locals(recv)
     features = shard.rows(sender)
-    d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
+    d = _evaluate(ctx, shard, shard.rows(recv), features, features)
     ctx.tally["updates"] += _offer(ctx, shard, rows, sender, d)
 
 
@@ -829,7 +808,7 @@ def h_feature_opt(ctx: RankContext, u2: np.ndarray, u1: np.ndarray,
     if not len(rows):
         return
     features = shard.rows(u1)
-    d = _evaluate(ctx, shard, shard.own_rows(rows), features, features)
+    d = _evaluate(ctx, shard, shard.rows(u2), features, features)
     ctx.tally["updates"] += _offer(ctx, shard, rows, u1, d)
     if opts.distance_pruning:
         # Section 4.3.3: u1 could not accept this distance anyway.
@@ -883,7 +862,7 @@ class RankHost:
     """Hosts some of a world's ranks — their shards and the handlers
     they run — and executes the driver's commands over them.  The sim
     driver holds one host over every rank of its world; each process
-    worker holds one over the ranks it owns (:mod:`.dnnd_process`).
+    worker holds one over the ranks it owns (:func:`worker_host`).
     The only place :data:`SECTIONS` and :data:`SHARD_OPS` are looked up.
 
     Every command returns ``rank -> value``:
@@ -954,3 +933,18 @@ class RankHost:
         the ownership layer.  Neighbor rows are restored separately
         (``ckpt_set``)."""
         build_shards(self._ctxs(), partitioner, self.data, self.config)
+
+
+def worker_host(comm, params: dict) -> RankHost:
+    """Bootstrap of a process worker (named in the driver's
+    :meth:`ProcessTransport.start`): a host over the ranks ``comm`` owns,
+    around an in-process :class:`YGMWorld` on the worker's transport.
+    ``params["data"]`` is the driver's dataset view itself — inherited
+    copy-on-write under ``fork``, unpickled once under ``spawn`` /
+    ``forkserver``."""
+    config = params["config"]
+    world = YGMWorld(comm.transport,
+                     flush_threshold=params["flush_threshold"],
+                     seed=config.nnd.seed, sanitize=False)
+    return RankHost(world, comm.owned, params["data"], config,
+                    params["partitioner"])

@@ -17,8 +17,14 @@ This module reproduces that *lifecycle* in Python:
 - numpy arrays are stored as ``.npy`` and *memory-mapped on open*, which
   mirrors Metall's mmap-backed access (no full read at open time).
 
-Arbitrary picklable objects are supported; numpy arrays and dicts of
-arrays get the mmap fast path.
+**Opening a store never executes code.**  Four kinds of object are
+stored, each in a data-only format: a numpy array (``.npy``,
+memory-mapped), a dict of arrays (``.npz``), a list of 1-D arrays — a
+ragged sparse dataset — as one ``.npz`` of ``indptr`` + ``values``, and
+plain data (numbers, strings, lists, string-keyed dicts) as JSON; tuples
+come back as lists.  Anything else is refused when it is assigned, and a
+store written by an older version that pickled such objects is refused
+on load with a :class:`~repro.errors.StoreError` — never unpickled.
 
 Durability: object files are written to a temporary name and atomically
 renamed into place (a crash mid-write leaves the previous snapshot
@@ -37,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import shutil
 from pathlib import Path
 from typing import Any, Dict, Iterator, List
@@ -163,6 +168,7 @@ class MetallStore:
         """Stage a named object; persisted at :meth:`snapshot`/close."""
         self._check_writable()
         _validate_name(name)
+        _kind_of(name, obj)
         self._dirty[name] = obj
         self._cache[name] = obj
 
@@ -220,25 +226,24 @@ class MetallStore:
         tmp.replace(self._path / _MANIFEST)
 
     def _save(self, name: str, obj: Any) -> Dict[str, Any]:
-        if isinstance(obj, np.ndarray):
-            kind, fname = "ndarray", f"{name}.npy"
-            writer = lambda fh: np.save(fh, obj)  # noqa: E731
-        elif isinstance(obj, dict) and obj and all(
-            isinstance(v, np.ndarray) for v in obj.values()
-        ):
-            kind, fname = "npz", f"{name}.npz"
-            writer = lambda fh: np.savez(fh, **obj)  # noqa: E731
-        else:
-            kind, fname = "pickle", f"{name}.pkl"
-            writer = lambda fh: pickle.dump(  # noqa: E731
-                obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        kind = _kind_of(name, obj)
+        fname = name + _SUFFIX[kind]
         # Write-temp-then-rename: a crash mid-write must leave the
         # previous object version intact, never a truncated file the
-        # next open would mmap/unpickle.
+        # next open would mmap/parse.
         fpath = self._path / fname
         tmp = self._path / (fname + ".tmp")
         with tmp.open("wb") as fh:
-            writer(fh)
+            if kind == "ndarray":
+                np.save(fh, obj, allow_pickle=False)
+            elif kind == "npz":
+                np.savez(fh, **obj)
+            elif kind == "ragged":
+                indptr = np.zeros(len(obj) + 1, dtype=np.int64)
+                np.cumsum([len(rec) for rec in obj], out=indptr[1:])
+                np.savez(fh, indptr=indptr, values=np.concatenate(obj))
+            else:
+                fh.write(json.dumps(obj).encode())
         digest, nbytes = _file_digest(tmp)
         os.replace(tmp, fpath)
         return {"kind": kind, "files": [fname],
@@ -246,6 +251,11 @@ class MetallStore:
 
     def _load(self, name: str, meta: Dict[str, Any]) -> Any:
         kind = meta["kind"]
+        if kind == "pickle":
+            raise StoreError(
+                f"object {name!r} was stored as a pickle by an older "
+                f"version; opening a store never executes code, so it is "
+                f"not loaded — rebuild the store")
         fname = meta["files"][0]
         fpath = self._path / fname
         if not fpath.exists():
@@ -270,14 +280,15 @@ class MetallStore:
                 # mmap-backed, mirroring Metall's lazy paging.
                 mode = "r+" if self._writable else "r"
                 return np.load(fpath, mmap_mode=mode)
-            if kind == "npz":
+            if kind in ("npz", "ragged"):
                 with np.load(fpath) as z:
-                    return {k: z[k] for k in z.files}
-            if kind == "pickle":
-                with fpath.open("rb") as fh:
-                    return pickle.load(fh)
-        except (ValueError, EOFError, OSError,
-                pickle.UnpicklingError) as exc:
+                    arrays = {k: z[k] for k in z.files}
+                if kind == "npz":
+                    return arrays
+                return np.split(arrays["values"], arrays["indptr"][1:-1])
+            if kind == "json":
+                return json.loads(fpath.read_bytes())
+        except (ValueError, EOFError, OSError, KeyError) as exc:
             raise StoreCorruptError(
                 f"object {name!r}: cannot parse {fpath}: {exc}") from exc
         raise StoreError(f"unknown object kind {kind!r} for {name!r}")
@@ -300,6 +311,34 @@ def _file_digest(path: Path) -> tuple:
             h.update(chunk)
             nbytes += len(chunk)
     return h.hexdigest(), nbytes
+
+
+_SUFFIX = {"ndarray": ".npy", "npz": ".npz", "ragged": ".npz",
+           "json": ".json"}
+
+
+def _kind_of(name: str, obj: Any) -> str:
+    """The stored kind of ``obj`` (see the module docstring), or
+    :class:`StoreError` for an object no data-only format holds."""
+    def arrays(values) -> bool:
+        return all(isinstance(v, np.ndarray) and not v.dtype.hasobject
+                   for v in values)
+
+    if isinstance(obj, np.ndarray) and arrays([obj]):
+        return "ndarray"
+    if isinstance(obj, dict) and obj and arrays(obj.values()):
+        return "npz"
+    if (isinstance(obj, list) and obj and arrays(obj)
+            and all(v.ndim == 1 for v in obj)):
+        return "ragged"
+    try:
+        json.dumps(obj)
+    except (TypeError, ValueError) as exc:
+        raise StoreError(
+            f"object {name!r} ({type(obj).__name__}) cannot be stored: a "
+            f"store holds arrays, dicts of arrays, lists of 1-D arrays "
+            f"and JSON-serializable plain data ({exc})") from exc
+    return "json"
 
 
 def _validate_name(name: str) -> None:

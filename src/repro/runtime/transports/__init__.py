@@ -8,13 +8,12 @@ ranks:
 - :mod:`.sim` — :class:`SimCluster`, the deterministic cost-modeled
   fault-injectable simulation (default backend),
 - :mod:`.process` — :class:`ProcessTransport`, per-rank worker
-  processes with pickled cross-worker frames and the dataset in
-  ``multiprocessing.shared_memory`` segments.
+  processes with pickled cross-worker frames; the dataset reaches them
+  as a start parameter (inherited under ``fork``).
 """
 
 from .base import Transport
-from .process import (ProcessTransport, ProcessWorld, SharedArrayOwner,
-                      SharedArraySpec, attach_shared_array)
+from .process import ProcessTransport, ProcessWorld
 from .sim import SimCluster
 
 __all__ = [
@@ -22,7 +21,4 @@ __all__ = [
     "SimCluster",
     "ProcessTransport",
     "ProcessWorld",
-    "SharedArrayOwner",
-    "SharedArraySpec",
-    "attach_shared_array",
 ]

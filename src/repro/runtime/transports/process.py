@@ -1,12 +1,14 @@
-"""Process transport: per-rank worker processes + shared-memory datasets.
+"""Process transport: per-rank worker processes over the driver's dataset.
 
 The multi-core execution backend (``backend="process"``) escapes the
 GIL by giving every rank real OS-process parallelism:
 
-- the **dataset** (and any other read-only numpy array) lives in a
-  ``multiprocessing.shared_memory`` segment created once by the driver
-  and mapped zero-copy into every worker (:class:`SharedArrayOwner` /
-  :func:`attach_shared_array`);
+- the **dataset** — dense array or sparse records alike — reaches a
+  worker as one of its start parameters (:meth:`ProcessTransport.start`):
+  under ``fork`` the child inherits the driver's object copy-on-write
+  and nothing is copied; under ``spawn`` / ``forkserver`` it is pickled
+  once per worker.  The transport holds no segment, file or handle for
+  it, so there is nothing to unlink on any exit path;
 - each **worker process** owns a contiguous-stride subset of ranks
   (``rank % nworkers``) and runs a full
   :class:`~repro.runtime.ygm.YGMWorld` over a :class:`WorkerTransport`:
@@ -46,8 +48,9 @@ Failure semantics: a worker that dies (or is killed by a crash-plan
 fault) is detected at the next command round-trip (broken pipe / EOF /
 liveness sweep); *all* ranks it owned are marked failed and surface as
 one :class:`~repro.errors.RankFailureError` through the same supervisor
-path the sim backend uses.  ``repair_all`` respawns dead workers, whose
-bootstrap rebuilds rank state from the shared-memory segment.
+path the sim backend uses.  ``repair_all`` respawns dead workers with
+the same start parameters, dataset included, and their bootstrap builds
+fresh rank state over it.
 """
 
 from __future__ import annotations
@@ -60,10 +63,7 @@ import queue as queue_mod
 import signal
 import traceback
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ...config import ClusterConfig
 from ...errors import ConfigError, RankFailureError, RuntimeStateError
@@ -86,10 +86,11 @@ CMD_STOP = "__stop__"
 def _start_method(requested: str | None = None) -> str:
     """Pick the mp start method: explicit arg > env > fork-if-available.
 
-    ``fork`` keeps worker spawn cheap (no re-import, inherits the page
-    cache); platforms without it (Windows, some macOS configs) fall
-    back to ``spawn``, which works because workers rebuild all state
-    from their pickled bootstrap parameters + the shm segment.
+    ``fork`` keeps worker spawn cheap (no re-import; the start
+    parameters, dataset included, are inherited, not copied); platforms
+    without it (Windows, some macOS configs) fall back to ``spawn``,
+    which works because workers rebuild all state from their pickled
+    start parameters.
     """
     method = requested or os.environ.get(START_ENV, "")
     if method:
@@ -113,96 +114,6 @@ def _weak_shutdown_guard(transport: "ProcessTransport") -> Callable[[], None]:
         if t is not None:
             t.shutdown()
     return guard
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory dataset segments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SharedArraySpec:
-    """Pickle-friendly handle to a shared-memory numpy array: everything
-    a worker needs to map the segment zero-copy."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-class SharedArrayOwner:
-    """Driver-side owner of one shared-memory numpy segment.
-
-    The owner creates the segment, copies the array in once, and is the
-    *only* party that ever unlinks it.  Cleanup is layered so the
-    segment cannot leak: context-manager exit, explicit :meth:`close`,
-    and an ``atexit`` guard for builds that die mid-flight all funnel
-    into the same idempotent teardown.
-    """
-
-    def __init__(self, array: np.ndarray) -> None:
-        from multiprocessing import shared_memory
-
-        arr = np.ascontiguousarray(array)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, int(arr.nbytes)))
-        self._view: Optional[np.ndarray] = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=self._shm.buf)
-        self._view[...] = arr
-        self.spec = SharedArraySpec(self._shm.name, tuple(arr.shape),
-                                    arr.dtype.str)
-        self._closed = False
-        atexit.register(self.close)
-
-    @property
-    def view(self) -> np.ndarray:
-        if self._view is None:
-            raise RuntimeStateError("shared array already closed")
-        return self._view
-
-    def close(self) -> None:
-        """Close + unlink the segment.  Idempotent; never raises."""
-        if self._closed:
-            return
-        self._closed = True
-        self._view = None
-        try:
-            self._shm.close()
-        except (OSError, ValueError):  # pragma: no cover - teardown race
-            pass
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-        try:
-            atexit.unregister(self.close)
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-
-    def __enter__(self) -> "SharedArrayOwner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def attach_shared_array(spec: SharedArraySpec):
-    """Worker-side zero-copy attach.  Returns ``(shm, view)``.
-
-    The worker must keep ``shm`` alive as long as ``view`` is used and
-    must *never* unlink — only the owner does.  Workers inherit the
-    driver's resource-tracker process (both fork and spawn pass the
-    tracker fd down), whose cache is a per-type *set*: the attach-side
-    ``register`` collapses into the owner's entry and the owner's
-    ``unlink`` performs the single ``unregister``, so no extra
-    bookkeeping is needed here — an attach-side ``unregister`` would
-    instead strip the owner's entry and make the final ``unlink`` race
-    the tracker.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=spec.name)
-    view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
-    return shm, view
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +417,10 @@ class ProcessTransport(Transport):
 
     def repair_all(self) -> None:
         """Clear failure marks and respawn dead workers.  Respawned
-        workers bootstrap from scratch (shm attach + fresh rank state)
-        at the *current* epoch; their old inbox queues are reused —
-        any stale frames in them are from a previous epoch and are
-        discarded on ingest."""
+        workers bootstrap from scratch (the start parameters again,
+        fresh rank state) at the *current* epoch; their old inbox
+        queues are reused — any stale frames in them are from a previous
+        epoch and are discarded on ingest."""
         super().repair_all()
         for w in sorted(self.dead_workers):
             self._spawn(w)

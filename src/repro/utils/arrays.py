@@ -35,6 +35,25 @@ def as_float32_matrix(x: np.ndarray, name: str = "data") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float32)
 
 
+def as_finite_matrix(x: np.ndarray, name: str = "data") -> np.ndarray:
+    """Validate a dense feature matrix — 2-D, every value finite — and
+    return it C-contiguous (the input itself when it already is).  One
+    ``np.isfinite`` pass; the error names the first offending row: a NaN
+    feature makes every distance to its vertex NaN, which builds into a
+    vertex no neighbor list can hold, and an infinite one puts ``inf``
+    distances into the graph."""
+    arr = np.ascontiguousarray(x)
+    if arr.ndim != 2:
+        raise DatasetError(
+            f"{name} must be a 2-D (n, dim) array, got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DatasetError(
+            f"{name} row {int(np.argmin(finite))} holds a NaN or infinite "
+            f"value; every feature must be finite")
+    return arr
+
+
 def pad_columns(x: np.ndarray, multiple: int) -> np.ndarray:
     """Zero-pad a matrix's columns up to the next multiple of ``multiple``.
 

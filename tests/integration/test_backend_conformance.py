@@ -100,7 +100,7 @@ def _build(data, backend: str):
         return dnnd.build()
     finally:
         # Results (graph, metrics) outlive the build; closing here
-        # stops the process backend's workers and unlinks its segment.
+        # stops the process backend's workers.
         dnnd.close()
 
 
@@ -311,3 +311,56 @@ class TestOptimizedCommGraphs:
         ref = set(opt_runs["sim"].metrics.snapshot()["counters"])
         got = set(opt_runs["process"].metrics.snapshot()["counters"])
         assert got == ref
+
+
+class TestSparseConformance:
+    """The sparse leg: a Jaccard stand-in reaches process workers as a
+    dense array does (``SparseDataset`` is a start argument like any
+    other), so the same contract holds — bit-identity in the
+    order-invariant envelope, recall parity under the default pattern.
+    The sparse metrics have no blocked form, so the kernel axis does not
+    weaken this leg."""
+
+    @staticmethod
+    def _build(data, backend: str, workers: int, comm_opts):
+        cfg = DNNDConfig(
+            nnd=NNDescentConfig(k=6, rho=0.8, delta=0.0, max_iters=3,
+                                seed=3, metric="jaccard"),
+            comm_opts=comm_opts, batch_size=1 << 12, backend=backend,
+            kernel=KERNEL, workers=workers)
+        dnnd = DNND(data, cfg,
+                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        try:
+            return dnnd.build()
+        finally:
+            dnnd.close()
+
+    @pytest.fixture(scope="class")
+    def sim(self, sparse_sets):
+        return self._build(sparse_sets, "sim", 0, CommOptConfig.unoptimized())
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_envelope_identical_to_sim(self, sparse_sets, sim, workers):
+        got = self._build(sparse_sets, "process", workers,
+                          CommOptConfig.unoptimized())
+        np.testing.assert_array_equal(got.graph.ids, sim.graph.ids)
+        assert got.graph.dists.tobytes() == sim.graph.dists.tobytes()
+        ref_counters = _conformant_counters(
+            sim.metrics.snapshot()["counters"])
+        assert _conformant_counters(
+            got.metrics.snapshot()["counters"]) == ref_counters
+        assert got.distance_evals == sim.distance_evals > 0
+        # Ragged records: the modeled Type 2 bytes are per message.
+        assert ref_counters["messages.bytes.type2"] > 0
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_default_pattern_recall_parity(self, sparse_sets, workers):
+        from repro import brute_force_knn_graph, graph_recall
+
+        truth = brute_force_knn_graph(sparse_sets, k=6, metric="jaccard")
+        ref = self._build(sparse_sets, "sim", 0, CommOptConfig.optimized())
+        got = self._build(sparse_sets, "process", workers,
+                          CommOptConfig.optimized())
+        ref_recall = graph_recall(ref.graph, truth)
+        assert abs(graph_recall(got.graph, truth) - ref_recall) <= 0.01
+        assert ref_recall > 0.8

@@ -58,12 +58,27 @@ class TestQualityAgreement:
 
 
 class TestOptimizeAgreement:
-    def test_distributed_optimize_matches_shared_reference(self, results):
-        """The distributed reverse-merge + prune must produce exactly the
-        same adjacency as the shared-memory reference applied to the same
-        input graph."""
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    def test_distributed_optimize_matches_shared_reference(
+            self, results, small_dense, backend):
+        """The distributed reverse-merge + prune — pruned edge columns
+        from every rank host, assembled into one CSR by the driver — must
+        produce exactly the same adjacency as the shared-memory per-edge
+        reference applied to the same input graph, whoever hosts the
+        ranks."""
         _, dist, _, dnnd = results
-        distributed_adj = dnnd.optimize()
+        if backend == "sim":
+            distributed_adj = dnnd.optimize()
+        else:
+            dnnd = DNND(small_dense,
+                        DNNDConfig(nnd=NNDescentConfig(k=6, seed=17),
+                                   backend="process", workers=2),
+                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
+            try:
+                dist = dnnd.build()
+                distributed_adj = dnnd.optimize()
+            finally:
+                dnnd.close()
         reference_adj = shared_optimize(dist.graph, pruning_factor=1.5)
         assert distributed_adj.edge_set() == reference_adj.edge_set()
         import numpy as np

@@ -44,11 +44,27 @@ def test_array_store_roundtrip(tmp_path_factory, objs):
 ))
 @settings(max_examples=40, deadline=None)
 def test_pickle_payload_roundtrip(tmp_path_factory, payload):
+    """Plain data — what the store once pickled — round-trips as JSON."""
     path = tmp_path_factory.mktemp("store") / "ds"
     with MetallStore.create(path) as store:
         store["obj"] = payload
+    assert not list(path.glob("*.pkl"))
     with MetallStore.open_read_only(path) as store:
         assert store["obj"] == payload
+
+
+@given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+       dtype=st.sampled_from([np.int64, np.int32, np.float32]))
+@settings(max_examples=30, deadline=None)
+def test_ragged_roundtrip(tmp_path_factory, sizes, dtype):
+    records = [np.arange(n, dtype=dtype) + i for i, n in enumerate(sizes)]
+    path = tmp_path_factory.mktemp("store") / "ds"
+    with MetallStore.create(path) as store:
+        store["records"] = records
+    with MetallStore.open_read_only(path) as store:
+        got = store["records"]
+    assert [r.tolist() for r in got] == [r.tolist() for r in records]
+    assert all(r.dtype == dtype for r in got)
 
 
 @given(vals=st.lists(st.integers(0, 100), min_size=1, max_size=5))

@@ -1,5 +1,7 @@
 """DNND driver internals: distribution, fingerprinting, gather."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import ClusterConfig, DNND, DNNDConfig, NNDescentConfig
 from repro.core.dnnd import _fingerprint
 from repro.core.dnnd_phases import shard_of
 from repro.core.executor import resolve_backend
+from repro.errors import DatasetError
 
 
 @pytest.fixture()
@@ -45,11 +48,14 @@ class TestDistribution:
         assert sorted(gids.tolist()) == list(range(len(tiny_dense)))
 
     def test_features_colocated_with_ids(self, dnnd, tiny_dense):
+        """The rows a shard resolves for its own ids are its vertices'
+        features — read from the one view every shard of the world
+        shares, not from a per-shard copy."""
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            for li, gid in enumerate(shard.global_ids):
-                np.testing.assert_array_equal(shard.features[li],
-                                              tiny_dense[int(gid)])
+            assert shard.data is dnnd._rows
+            np.testing.assert_array_equal(shard.rows(shard.global_ids),
+                                          tiny_dense[shard.global_ids])
 
     def test_heap_per_vertex(self, dnnd):
         for ctx in dnnd.world.ranks:
@@ -86,3 +92,48 @@ class TestGather:
             for li, gid in enumerate(shard.global_ids):
                 ids, dists, _ = shard.heap(int(gid)).sorted_arrays()
                 np.testing.assert_array_equal(result.graph.ids[int(gid)], ids)
+
+
+class TestHostileDenseInput:
+    """A dense dataset is checked once, where the dataset view is made:
+    2-D and finite, or a typed error naming the first offending row —
+    before any worker process exists."""
+
+    CFG = dict(nnd=NNDescentConfig(k=4, seed=1), workers=2)
+
+    @staticmethod
+    def _poisoned(tiny_dense, row, value):
+        data = tiny_dense.copy()
+        data[row, 3] = value
+        data[row + 7, 0] = value        # not the first offending row
+        return data
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, tiny_dense, backend, value):
+        data = self._poisoned(tiny_dense, 41, value)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(DatasetError, match=r"row 41\b"):
+            DNND(data, DNNDConfig(backend=backend, **self.CFG),
+                 cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    @pytest.mark.parametrize("shape", [(80,), (20, 2, 2)])
+    def test_not_two_dimensional_rejected(self, backend, shape):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(DatasetError, match="2-D"):
+            DNND(np.ones(shape, dtype=np.float32),
+                 DNNDConfig(backend=backend, **self.CFG),
+                 cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_integer_and_sparse_data_pass(self, sparse_sets):
+        """Integer features are finite by type (BigANN's uint8); sparse
+        records are validated by ``validate_record``, not here."""
+        bytes_ = np.arange(40, dtype=np.uint8).reshape(10, 4)
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim")
+        assert DNND(bytes_, cfg)._rows is bytes_
+        jaccard = DNNDConfig(nnd=NNDescentConfig(k=4, metric="jaccard"),
+                             backend="sim")
+        assert DNND(sparse_sets, jaccard)._rows is sparse_sets

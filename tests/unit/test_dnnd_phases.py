@@ -60,13 +60,33 @@ class TestLocalShard:
             shard.local(7)
 
     def test_feature_lookup(self):
+        """An own vertex's feature is read the way a foreign one is:
+        from the dataset view, by global id."""
         world, _ = make_world_with_shards()
         shard = shard_of(world.ranks[1])
-        assert shard.feature(5)[0] == 5.0
+        assert shard.rows([5])[0, 0] == 5.0
 
     def test_feature_nbytes_dense(self):
+        """Section 2's modeled Type 2 size: two ids + the feature (one
+        float32 here) + what the message adds; one int for dense rows."""
         world, _ = make_world_with_shards()
-        assert shard_of(world.ranks[0]).feature_nbytes(1) == 4
+        shard = shard_of(world.ranks[0])
+        assert shard.feature_bytes == 4
+        assert shard.feature_message_bytes(np.array([1, 2])) == 12
+        assert shard.feature_message_bytes(np.array([1]), extra=4) == 16
+
+    def test_shard_holds_the_view_and_no_feature_rows(self):
+        """One dataset view: every shard of a world references the same
+        object, and no field of a shard is a copy of its rows."""
+        data = np.arange(8, dtype=np.float32).reshape(-1, 1)
+        world, _ = make_world_with_shards(data=data)
+        for ctx in world.ranks:
+            shard = shard_of(ctx)
+            assert shard.data is data
+            assert not hasattr(shard, "features")
+            for value in vars(shard).values():
+                if isinstance(value, np.ndarray) and value is not data:
+                    assert value.shape != (shard.n_local, data.shape[1])
 
     def test_owner(self):
         world, _ = make_world_with_shards()
@@ -74,14 +94,14 @@ class TestLocalShard:
         assert shard.owner(6) == 1
 
     def test_row_resolves_any_vertex_own_lookup_stays_local(self):
-        """Message features travel as global ids: ``row``/``rows`` read
-        the world's dataset view for *any* vertex, while the own-row
-        lookup still refuses a vertex another rank owns."""
+        """Features travel as global ids: ``rows`` reads the world's
+        dataset view for *any* vertex, while mapping an id to a
+        neighbor row still refuses a vertex another rank owns."""
         world, _ = make_world_with_shards()
         shard = shard_of(world.ranks[0])
-        assert shard.row(6)[0] == 6.0           # owned by rank 1
+        assert shard.rows([6])[0, 0] == 6.0     # owned by rank 1
         with pytest.raises(PartitionError):
-            shard.feature(6)
+            shard.locals(np.array([6]))
 
     def test_rows_dense(self):
         world, _ = make_world_with_shards()
@@ -90,19 +110,21 @@ class TestLocalShard:
         assert got.shape == (4, 1) and got.dtype == np.float32
         assert got[:, 0].tolist() == [7.0, 0.0, 3.0, 0.0]
         got[0, 0] = -1.0                        # a fresh array, not a view
-        assert shard.row(7)[0] == 7.0
+        assert shard.rows([7])[0, 0] == 7.0
 
     def test_rows_sparse(self, sparse_sets):
         world, _ = make_world_with_shards(
             n=len(sparse_sets), data=sparse_sets, metric="jaccard")
         shard = shard_of(world.ranks[0])
-        assert shard.sparse
+        assert shard.data is sparse_sets
         picked = [len(sparse_sets) - 1, 0]      # one foreign, one own
         got = shard.rows(picked)
         assert isinstance(got, list)
         for rec, gid in zip(got, picked):
-            np.testing.assert_array_equal(rec, sparse_sets[gid])
-        assert shard.feature_nbytes(0) == int(sparse_sets[0].nbytes)
+            assert rec is sparse_sets[gid]      # the record, not a copy
+        # Ragged records: one modeled size per message.
+        assert shard.feature_message_bytes(np.array([0, 2])).tolist() == [
+            8 + int(sparse_sets[g].nbytes) for g in (0, 2)]
 
 
 class TestInitProtocol:
@@ -242,10 +264,12 @@ class TestOptimizePhaseHandler:
         world.ranks[0].async_call(1, "opt_rev_edge", 5, 3, 0.9,
                                   nbytes=12, msg_type="opt_rev")
         world.barrier()
-        merged = opt_collect(world.ranks[1], max_degree=2)
-        # Closest copy of the repeated edge, pruned to the 2 closest.
-        assert merged[5] == [(1, 0.25), (6, 0.5)]
-        assert merged[4] == merged[6] == merged[7] == []
+        gids, counts, nbr, d = opt_collect(world.ranks[1], max_degree=2)
+        # Closest copy of the repeated edge, pruned to the 2 closest —
+        # as columns: vertex 5's run is the only one.
+        assert gids.tolist() == [4, 5, 6, 7]
+        assert counts.tolist() == [0, 2, 0, 0]
+        assert (nbr.tolist(), d.tolist()) == ([1, 6], [0.25, 0.5])
 
     def test_register_twice_rejected(self):
         world, _ = make_world_with_shards()
@@ -324,21 +348,25 @@ class TestSingleSource:
 
     @pytest.fixture()
     def worker_app(self, tiny_dense):
-        from repro.core.dnnd_process import bootstrap
+        from repro.core.dnnd_phases import worker_host
         from repro.runtime.partition import HashPartitioner
-        from repro.runtime.transports import SharedArrayOwner
         from repro.runtime.transports.process import (WorkerComm,
                                                       WorkerTransport)
 
         cluster = ClusterConfig(nodes=1, procs_per_node=2)
         transport = WorkerTransport(cluster, [0, 1], [0, 0], [], 0)
         comm = WorkerComm(0, 1, [0, 1], transport, None, cluster)
-        with SharedArrayOwner(np.ascontiguousarray(tiny_dense)) as owner:
-            yield bootstrap(comm, {
-                "spec": owner.spec,
-                "config": DNNDConfig(nnd=NNDescentConfig(k=4)),
-                "partitioner": HashPartitioner(len(tiny_dense), 2),
-                "flush_threshold": 1024})
+        return worker_host(comm, {
+            "data": tiny_dense,
+            "config": DNNDConfig(nnd=NNDescentConfig(k=4)),
+            "partitioner": HashPartitioner(len(tiny_dense), 2),
+            "flush_threshold": 1024})
+
+    def test_worker_host_reads_the_array_it_was_handed(self, worker_app,
+                                                       tiny_dense):
+        assert worker_app.data is tiny_dense
+        assert all(shard_of(ctx).data is tiny_dense
+                   for ctx in worker_app.world.ranks)
 
     def test_same_handler_objects_on_driver_and_worker(self, worker_app,
                                                        tiny_dense):

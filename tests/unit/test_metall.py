@@ -1,5 +1,7 @@
 """MetallStore lifecycle — the Section 4.6 persistence substitute."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,38 @@ class TestObjects:
             np.testing.assert_array_equal(out["dists"], graph["dists"])
 
     def test_pickle_fallback(self, tmp_path):
+        """There is none any more: what used to fall back to pickle is
+        plain data stored as JSON, or refused when it is assigned."""
         path = tmp_path / "ds"
         with MetallStore.create(path) as store:
-            store["meta"] = {"k": 10, "metric": "cosine"}
+            store["meta"] = {"k": 10, "metric": "cosine", "counts": [3, 1]}
+            for unsupported in (object(), {"k": {1, 2}}, np.float32(1.0),
+                                np.array([object()]), [np.ones((2, 2))]):
+                with pytest.raises(StoreError, match="cannot be stored"):
+                    store["bad"] = unsupported
+            assert "bad" not in store
+        assert json.loads((path / "meta.json").read_text())["k"] == 10
+        assert not list(path.glob("*.pkl"))
         with MetallStore.open(path) as store:
-            assert store["meta"] == {"k": 10, "metric": "cosine"}
+            assert store["meta"] == {"k": 10, "metric": "cosine",
+                                     "counts": [3, 1]}
+
+    def test_ragged_list_of_records(self, tmp_path):
+        """A sparse dataset — a list of 1-D arrays of any lengths — is
+        one ``.npz`` of ``indptr`` + ``values``."""
+        path = tmp_path / "ds"
+        records = [np.array([1, 4, 9]), np.array([], dtype=np.int64),
+                   np.array([2]), np.array([0, 5])]
+        with MetallStore.create(path) as store:
+            store["dataset"] = records
+            store["one"] = records[:1]
+        with MetallStore.open_read_only(path) as store:
+            for name, expected in (("dataset", records), ("one", records[:1])):
+                got = store[name]
+                assert isinstance(got, list) and len(got) == len(expected)
+                for rec, exp in zip(got, expected):
+                    assert rec.dtype == exp.dtype
+                    np.testing.assert_array_equal(rec, exp)
 
     def test_missing_object(self, tmp_path):
         with MetallStore.create(tmp_path / "ds") as store:
@@ -236,15 +265,43 @@ class TestCorruptionDetection:
         with MetallStore.open_read_only(path) as store:
             store["arr"]  # no exception
 
-    def test_unparseable_pickle_detected(self, tmp_path):
+    def test_unparseable_json_detected(self, tmp_path):
         path = tmp_path / "ds"
         with MetallStore.create(path) as store:
             store["obj"] = {"a": 1, "b": [2, 3]}
-        f = path / "obj.pkl"
+        f = path / "obj.json"
         f.write_bytes(b"\x80" + b"\x00" * (f.stat().st_size - 1))
         with MetallStore.open_read_only(path) as store:
             with pytest.raises(StoreCorruptError, match="cannot parse"):
                 store["obj"]
+
+    def test_pickle_kind_refused_never_unpickled(self, tmp_path):
+        """Opening a store never executes code: an object an older
+        version pickled is refused by its manifest kind, and the payload
+        — here one that would run on load — is not read."""
+        import pickle
+
+        path = self._create(tmp_path)
+        fired = tmp_path / "fired"
+
+        class Payload:
+            def __reduce__(self):
+                return (fired.write_text, ("ran",))
+
+        blob = pickle.dumps(Payload())
+        (path / "old.pkl").write_bytes(blob)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["objects"]["old"] = {"kind": "pickle", "files": ["old.pkl"],
+                                      "bytes": len(blob)}
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        for verify in (False, True):
+            with MetallStore.open_read_only(path, verify=verify) as store:
+                assert "old" in store
+                with pytest.raises(StoreError, match="'old'.*rebuild") as err:
+                    store["old"]
+                assert not isinstance(err.value, StoreCorruptError)
+                np.testing.assert_array_equal(store["arr"], np.arange(64))
+        assert not fired.exists()
 
     def test_garbage_manifest_detected(self, tmp_path):
         path = self._create(tmp_path)

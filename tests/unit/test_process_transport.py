@@ -1,13 +1,15 @@
-"""Process-transport unit surface: shared-memory segment lifecycle,
-worker/rank ownership, and the build's teardown.
+"""Process-transport unit surface: how the dataset reaches the workers
+(every start method), worker/rank ownership, and the build's teardown.
 
 The heavyweight end-to-end behaviour (graph conformance, crash
 recovery, checkpoint round-trips) lives in the integration suites;
-these tests pin the local contracts — most importantly that a shared
-dataset segment can never outlive its build, even a failed one."""
+these tests pin the local contracts — most importantly that no worker
+process outlives its build, even a failed or an unclosed one, and that
+a build creates no shared-memory segment that could."""
 
+import gc
+import multiprocessing
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -15,101 +17,188 @@ import pytest
 from repro import DNND, ClusterConfig, DNNDConfig, NNDescentConfig
 from repro.config import CommOptConfig
 from repro.core.executor import resolve_backend
-from repro.errors import ConfigError, RankFailureError, RuntimeStateError
+from repro.errors import ConfigError, RankFailureError
 from repro.runtime.faults import FaultPlan
-from repro.runtime.transports import (ProcessTransport, SharedArrayOwner,
-                                      attach_shared_array)
-from repro.runtime.transports.process import _start_method
+from repro.runtime.transports import ProcessTransport
+from repro.runtime.transports.process import START_ENV, _start_method
+
+CLUSTER = ClusterConfig(nodes=2, procs_per_node=2)
 
 
 def _segments() -> set:
     """Names of live shared-memory segments (POSIX shm is a tmpfs)."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         pytest.skip("/dev/shm not available")
-    return set(os.listdir("/dev/shm"))
-
-
-class TestSharedArrayOwner:
-    def test_round_trip_and_attach(self):
-        arr = np.arange(24, dtype=np.float64).reshape(6, 4)
-        with SharedArrayOwner(arr) as owner:
-            assert owner.spec.shape == (6, 4)
-            assert np.array_equal(owner.view, arr)
-            shm, view = attach_shared_array(owner.spec)
-            try:
-                assert np.array_equal(view, arr)
-                # The segment is genuinely shared, not a copy.
-                owner.view[0, 0] = -1.0
-                assert view[0, 0] == -1.0
-            finally:
-                del view
-                shm.close()
-
-    def test_close_unlinks_and_is_idempotent(self):
-        owner = SharedArrayOwner(np.ones(8))
-        name = owner.spec.name.lstrip("/")
-        assert name in _segments()
-        owner.close()
-        assert name not in _segments()
-        owner.close()  # idempotent
-        with pytest.raises(RuntimeStateError):
-            _ = owner.view
-
-    def test_context_manager_owns_cleanup(self):
-        with SharedArrayOwner(np.zeros((3, 3))) as owner:
-            name = owner.spec.name.lstrip("/")
-            assert name in _segments()
-        assert name not in _segments()
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}
 
 
 class TestNoSegmentLeakAfterFailedBuild:
+    """The dataset is a start argument of the workers, not a segment:
+    what a build could leave behind is a process, never ``/dev/shm``
+    space — and it leaves neither."""
+
     def test_crash_without_recovery_leaves_no_segment(self, tiny_dense):
         """Regression: a build that dies mid-flight (worker SIGKILLed,
-        supervisor disabled) must still unlink its dataset segment on
-        close — /dev/shm is a machine-wide resource."""
+        supervisor disabled) is fully torn down by close()."""
         before = _segments()
         cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
                          backend="process", workers=4)
-        dnnd = DNND(tiny_dense, cfg,
-                    cluster=ClusterConfig(nodes=2, procs_per_node=2),
+        dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER,
                     fault_plan=FaultPlan(crashes=((1, 1),)))
+        workers = list(dnnd.cluster._procs)
+        assert _segments() <= before        # none while it runs, either
         with pytest.raises(RankFailureError):
             dnnd.build(recover_on_crash=False)
         dnnd.close()
         assert _segments() <= before
+        assert not any(proc.is_alive() for proc in workers)
 
     def test_garbage_collected_build_releases_segment(self, tiny_dense):
-        """Dropping the last reference must tear down workers + segment
-        through the build's GC finalizer (no explicit close)."""
+        """Dropping the last reference must stop the workers through
+        the build's GC finalizer (no explicit close)."""
         before = _segments()
         cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
                          backend="process", workers=2)
-        dnnd = DNND(tiny_dense, cfg,
-                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER)
         dnnd.build()
         workers = list(dnnd.cluster._procs)
         del dnnd
-        import gc
         gc.collect()
         assert _segments() <= before
         assert not any(proc.is_alive() for proc in workers)
 
     def test_close_tears_down_once_and_is_idempotent(self, tiny_dense):
-        before = _segments()
         cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
                          backend="process", workers=2)
-        dnnd = DNND(tiny_dense, cfg,
-                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER)
         workers = list(dnnd.cluster._procs)
         assert all(proc.is_alive() for proc in workers)
         dnnd.close()
         dnnd.close()
-        assert _segments() <= before
         assert not any(proc.is_alive() for proc in workers)
 
 
+def _envelope(backend: str, **kw) -> DNNDConfig:
+    """Delivery-order-invariant configuration: process ≡ sim bit for bit."""
+    return DNNDConfig(
+        nnd=NNDescentConfig(k=4, rho=0.8, delta=0.0, max_iters=2, seed=5, **kw),
+        comm_opts=CommOptConfig.unoptimized(), batch_size=1 << 12,
+        backend=backend, workers=2, kernel="rowwise")
+
+
+class TestDatasetReachesWorkers:
+    """One dataset view per address space: the driver's array is the
+    workers' array — inherited under ``fork``, pickled once per worker
+    under ``spawn`` / ``forkserver`` — for dense and sparse data alike."""
+
+    @pytest.fixture(scope="class")
+    def sim_graph(self, tiny_dense):
+        return DNND(tiny_dense, _envelope("sim"), cluster=CLUSTER).build().graph
+
+    @pytest.mark.parametrize("method",
+                             multiprocessing.get_all_start_methods())
+    def test_every_start_method_builds_the_sim_graph(
+            self, tiny_dense, sim_graph, method, monkeypatch):
+        monkeypatch.setenv(START_ENV, method)
+        dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER)
+        workers = list(dnnd.cluster._procs)
+        try:
+            graph = dnnd.build().graph
+        finally:
+            dnnd.close()
+        np.testing.assert_array_equal(graph.ids, sim_graph.ids)
+        assert graph.dists.tobytes() == sim_graph.dists.tobytes()
+        assert not any(proc.is_alive() for proc in workers)
+        # ... and an unclosed build is stopped by garbage collection.
+        dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER)
+        workers = list(dnnd.cluster._procs)
+        del dnnd
+        gc.collect()
+        assert not any(proc.is_alive() for proc in workers)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="inheritance is what fork does")
+    def test_fork_hands_workers_the_drivers_array_itself(
+            self, tiny_dense, monkeypatch):
+        """Under ``fork`` a worker's dataset view *is* the driver's
+        array object — same address in the cloned address space — and
+        every shard of a worker references that one object."""
+        from repro.core import dnnd_phases
+
+        monkeypatch.setenv(START_ENV, "fork")
+        # Forked workers inherit the patched table.
+        monkeypatch.setitem(
+            dnnd_phases.SHARD_OPS, "probe_view",
+            lambda ctx: (id(dnnd_phases.shard_of(ctx).data), os.getpid()))
+        dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER)
+        try:
+            probes = dnnd.host.command("probe_view")
+        finally:
+            dnnd.close()
+        assert sorted(probes) == [0, 1, 2, 3]
+        assert {view for view, _ in probes.values()} == {id(dnnd._rows)}
+        pids = {pid for _, pid in probes.values()}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_sparse_dataset_builds_on_process(self, sparse_sets):
+        """The capability matrix lost a row: a ``SparseDataset`` reaches
+        the workers exactly as a dense array does."""
+        def build(backend):
+            dnnd = DNND(sparse_sets, _envelope(backend, metric="jaccard"),
+                        cluster=CLUSTER)
+            try:
+                return dnnd.build()
+            finally:
+                dnnd.close()
+
+        ref, got = build("sim"), build("process")
+        np.testing.assert_array_equal(got.graph.ids, ref.graph.ids)
+        assert got.graph.dists.tobytes() == ref.graph.dists.tobytes()
+        assert got.distance_evals == ref.distance_evals > 0
+        assert got.message_stats.by_type == ref.message_stats.by_type
+
+    def test_recovery_and_repartition_rebuild_shards_over_the_view(
+            self, tiny_dense, sim_graph):
+        """``build_shards`` copies nothing, so rebuilding shards — crash
+        recovery without a checkpoint, ``repartition()`` — yields shards
+        over the same view that resolve the right rows."""
+        from repro.core.dnnd_phases import shard_of
+
+        dnnd = DNND(tiny_dense, _envelope("sim"), cluster=CLUSTER,
+                    fault_plan=FaultPlan(crashes=((1, 1),)))
+        result = dnnd.build()                # no checkpoint: re-init
+        assert result.recoveries == 1
+        np.testing.assert_array_equal(result.graph.ids, sim_graph.ids)
+        moved = dnnd.repartition()
+        np.testing.assert_array_equal(moved.ids, sim_graph.ids)
+        owned = []
+        for ctx in dnnd.world.ranks:
+            shard = shard_of(ctx)
+            assert shard.data is dnnd._rows
+            np.testing.assert_array_equal(shard.rows(shard.global_ids),
+                                          tiny_dense[shard.global_ids])
+            owned += shard.global_ids.tolist()
+        assert sorted(owned) == list(range(len(tiny_dense)))
+
+    @pytest.mark.parametrize("case", ["recover", "repartition"])
+    def test_process_workers_rebuild_shards_too(self, tiny_dense, sim_graph,
+                                                case):
+        plan = FaultPlan(crashes=((1, 1),)) if case == "recover" else None
+        dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER,
+                    fault_plan=plan)
+        try:
+            graph = dnnd.build().graph
+            if case == "repartition":
+                graph = dnnd.repartition()
+        finally:
+            dnnd.close()
+        np.testing.assert_array_equal(graph.ids, sim_graph.ids)
+
+
 class TestOwnershipMapping:
-    CFG = ClusterConfig(nodes=2, procs_per_node=2)
+    CFG = CLUSTER
 
     def test_round_robin_ownership(self):
         t = ProcessTransport(self.CFG, workers=2)
@@ -123,10 +212,10 @@ class TestOwnershipMapping:
         assert t.nworkers == 4
 
     def test_start_method_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROCESS_START", "not-a-method")
+        monkeypatch.setenv(START_ENV, "not-a-method")
         with pytest.raises(ConfigError, match="start method"):
             _start_method()
-        monkeypatch.delenv("REPRO_PROCESS_START")
+        monkeypatch.delenv(START_ENV)
         assert _start_method() in ("fork", "spawn")
 
 

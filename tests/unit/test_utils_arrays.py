@@ -99,3 +99,36 @@ class TestChunkRanges:
 
     def test_exact_multiple(self):
         assert list(chunk_ranges(6, 3)) == [(0, 3), (3, 6)]
+
+
+class TestAsFiniteMatrix:
+    def test_contiguous_input_is_returned_itself(self):
+        from repro.utils.arrays import as_finite_matrix
+
+        x = np.ones((4, 3), dtype=np.float32)
+        assert as_finite_matrix(x) is x
+        strided = np.ones((4, 6))[:, ::2]
+        out = as_finite_matrix(strided)
+        assert out.flags.c_contiguous and np.array_equal(out, strided)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_offending_row(self, value):
+        from repro.utils.arrays import as_finite_matrix
+
+        x = np.zeros((6, 3))
+        x[4, 1] = x[2, 2] = value
+        with pytest.raises(DatasetError, match=r"features row 2\b"):
+            as_finite_matrix(x, "features")
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 2, 2)])
+    def test_rejects_other_ranks(self, shape):
+        from repro.utils.arrays import as_finite_matrix
+
+        with pytest.raises(DatasetError, match="2-D"):
+            as_finite_matrix(np.ones(shape))
+
+    def test_integer_matrices_are_finite_by_type(self):
+        from repro.utils.arrays import as_finite_matrix
+
+        x = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        assert as_finite_matrix(x) is x
