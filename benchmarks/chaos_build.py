@@ -4,12 +4,12 @@ The fault-tolerance contract (DESIGN.md section 8) says a build under a
 seeded chaos plan — message drops, duplicates, delays, plus a rank crash
 — must either *complete through supervised recovery* with recall@k
 within ``EPSILON`` of the fault-free build, or fail loudly.  This
-harness checks that contract on **both** execution backends — sim under
-the full randomized plans, process under crash-only plans (the fault
-family its world handles natively: the owning worker is SIGKILLed; it
-has no message-level fault hooks):
+harness checks that contract on **both** execution backends under the
+same randomized plans and reliable delivery (under process every
+worker's transport perturbs what it sends, and the planned crash
+SIGKILLs the owning worker):
 
-- run 0 per backend: (sim: drops/dups/delays +) a mid-build rank crash,
+- run 0 per backend: drops/dups/delays + a mid-build rank crash,
   recovered from a checkpoint by the supervisor (retry-with-backoff,
   transport repair, checkpoint restore),
 - run 1 per backend: the same fault families with a crash handled in
@@ -71,13 +71,10 @@ def _config(backend: str) -> DNNDConfig:
 
 
 def draw_plan(rng: np.random.Generator, crash_rank: int,
-              crash_iteration: int, network_faults: bool) -> FaultPlan:
-    """One randomized chaos plan: one scheduled rank crash plus, with
-    ``network_faults``, every message-level fault family at a rate
-    drawn from the master-seeded stream."""
-    if not network_faults:
-        return FaultPlan(seed=int(rng.integers(1, 2**31)),
-                         crashes=((crash_iteration, crash_rank),))
+              crash_iteration: int) -> FaultPlan:
+    """One randomized chaos plan: one scheduled rank crash plus every
+    message-level fault family at a rate drawn from the master-seeded
+    stream."""
     return FaultPlan(
         seed=int(rng.integers(1, 2**31)),
         drop_rate=float(rng.uniform(0.01, 0.08)),
@@ -93,7 +90,7 @@ def chaos_run(data, backend: str, plan: FaultPlan, degraded: bool,
     """Build under ``plan``; returns ``(result, recall)``."""
     dnnd = DNND(data, _config(backend),
                 cluster=ClusterConfig(nodes=NODES, procs_per_node=PROCS),
-                fault_plan=plan, reliable=backend == "sim")
+                fault_plan=plan, reliable=True)
     ckpt = os.path.join(workdir, f"ckpt-{backend}-{plan.seed}")
     try:
         result = dnnd.build(checkpoint_path=None if degraded else ckpt,
@@ -135,8 +132,7 @@ def main(argv=None) -> int:
                 mode = "degraded" if degraded else "recovery"
                 crash_rank = int(rng.integers(0, world))
                 crash_iteration = int(rng.integers(1, 3))
-                plan = draw_plan(rng, crash_rank, crash_iteration,
-                                 network_faults=backend == "sim")
+                plan = draw_plan(rng, crash_rank, crash_iteration)
                 label = (f"{backend}/{mode} run {run}: crash rank "
                          f"{crash_rank} at iteration {crash_iteration}, "
                          f"drop={plan.drop_rate:.3f} dup={plan.dup_rate:.3f} "

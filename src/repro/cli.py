@@ -141,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="execution backend: deterministic cost-modeled "
                         "simulation (sim, default) or multi-process "
-                        "workers with the dataset in shared memory "
-                        "(process); crash injection and recovery work "
-                        "on both, network fault plans / reliable "
-                        "delivery / the cost model are sim-only; "
-                        "default honours REPRO_BACKEND")
+                        "workers over the driver's dataset (process); "
+                        "fault plans, reliable delivery, recovery and "
+                        "the sanitizer work on both, only the cost "
+                        "model is sim-only; default honours "
+                        "REPRO_BACKEND")
     p.add_argument("--kernel", choices=("rowwise", "blocked"),
                    default=None,
                    help="batched distance-kernel implementation: "

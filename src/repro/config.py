@@ -155,9 +155,10 @@ class DNNDConfig:
 
     backend: str | None = None
     """Execution backend: ``"sim"`` (deterministic inline simulation
-    with the cost model — the default) or ``"process"`` (per-rank worker
-    processes with the dataset in shared memory; crash injection native,
-    network fault plans / cost model / reliable delivery sim-only).
+    with the cost model — the default) or ``"process"`` (worker
+    processes over the driver's dataset view; fault plans, reliable
+    delivery and the sanitizer run there too, only the cost model is
+    sim-only).
     ``None`` defers to the ``REPRO_BACKEND`` environment variable,
     falling back to ``"sim"``."""
 
@@ -180,8 +181,8 @@ class DNNDConfig:
     """Backend-agnostic observability (``repro.runtime.metrics``):
     counters synchronized from the runtime's aggregates at barriers,
     wall-clock phase spans, and JSON / Chrome-trace exporters.  Default
-    on — synchronization is barrier-granular, so the overhead is below
-    measurement noise (asserted by ``benchmarks/bench_wallclock.py``).
+    on — synchronization is barrier-granular, never per message, so
+    the overhead is below measurement noise.
     ``False`` swaps in a shared no-op registry."""
 
     def __post_init__(self) -> None:

@@ -37,14 +37,12 @@ itself.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..analysis.sanitizer import sanitizer_requested
 from ..config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from ..distances.blocked import resolve_kernel
 from ..distances.counting import CountingMetric
@@ -68,26 +66,6 @@ from ..utils.arrays import as_finite_matrix
 from .dnnd_phases import RankHost
 from .graph import EMPTY, AdjacencyGraph, KNNGraph
 from .heap import check_rows
-
-
-def _process_blocker(net, fault_plan: Optional[FaultPlan], reliable: bool,
-                     sanitize: bool | None) -> Optional[str]:
-    """Name the sim-only feature that blocks the process backend, or
-    ``None`` when the configuration can run on worker processes.  Crash
-    plans are *not* blockers — the process world kills the owning worker
-    natively; only message-level network fault injection is sim-bound."""
-    if net is not None:
-        return "the network cost model (net=...)"
-    if fault_plan is not None and (
-            fault_plan.drop_rate or fault_plan.dup_rate
-            or fault_plan.reorder_rate or fault_plan.delay_rate
-            or fault_plan.stall_rate):
-        return "network fault injection (drop/dup/reorder/delay/stall)"
-    if reliable:
-        return "reliable delivery (reliable=True)"
-    if sanitize or (sanitize is None and sanitizer_requested()):
-        return "the runtime sanitizer (REPRO_SANITIZE)"
-    return None
 
 
 @dataclass
@@ -205,7 +183,8 @@ class DNND:
         Override the vertex partitioner (default: hash, as in the paper).
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan`; a non-null
-        plan attaches a fault injector to the simulated network.
+        plan attaches a fault injector to the transport (every
+        worker's, under process) and schedules its crashes.
     reliable:
         Run YGM in reliable delivery mode (acks + retransmits + dedup)
         so injected drop/duplicate/delay/reorder faults cannot corrupt
@@ -217,10 +196,10 @@ class DNND:
         delivery rounds): a rank that holds an unacked frame *and*
         drains nothing for this long is declared failed and surfaces as
         :class:`~repro.errors.RankFailureError`.  Only active in
-        reliable mode; ``None`` disables detection-by-timeout.  The
-        default covers several retransmit backoff cycles (the backoff
-        caps at 32 rounds), so a lossy-but-alive link is retried rather
-        than declared dead.
+        reliable mode on sim; ``None`` disables detection-by-timeout.
+        The default covers several retransmit backoff cycles (the
+        backoff caps at 32 rounds), so a lossy-but-alive link is retried
+        rather than declared dead.
     sanitize:
         Run under the runtime ownership sanitizer
         (:mod:`repro.analysis.sanitizer`): rank-owned heaps and state
@@ -233,19 +212,15 @@ class DNND:
     same comm layer: sim is the deterministic cost-modeled simulation;
     process runs ranks in ``config.workers`` worker processes, which
     receive the driver's dataset view — dense or sparse — as a start
-    argument (inherited copy-on-write under ``fork``).  Fault injection,
-    reliable delivery, failure detection by timeout, the sanitizer and
-    the network cost model are sim features; process handles crash plans
-    natively (SIGKILL of the owning worker) and supervised recovery
-    works on both, but it has no message-level fault hooks, reliable
-    delivery or sanitizer.
-
-    Requesting a feature the process backend lacks follows one rule:
-    with an *explicit* ``backend="process"`` it raises
-    :class:`~repro.errors.ConfigError`; when the backend came from a
-    blanket ``REPRO_BACKEND`` environment default the run is downgraded
-    to sim — with a visible :class:`RuntimeWarning` and a
-    ``backend.fallbacks`` counter in the metrics, never silently.
+    argument (inherited copy-on-write under ``fork``).  Fault plans,
+    reliable delivery, supervised and degraded recovery and the
+    sanitizer run on both (a planned crash SIGKILLs the owning worker
+    under process).  Two things are sim by definition: ``net=`` — a
+    cost model is a simulation, so it raises
+    :class:`~repro.errors.ConfigError` under process however the backend
+    was selected — and the heartbeat ``failure_timeout``, which counts
+    simulated delivery rounds; process detects a dead worker by
+    liveness.
     """
 
     def __init__(self, data, config: DNNDConfig | None = None,
@@ -269,13 +244,13 @@ class DNND:
         # One metrics registry per build (the no-op singleton when the
         # config turns observability off); the comm layer mirrors its
         # barrier log's totals into it at every barrier, the driver adds
-        # wall-clock phase spans and heap/distance totals.  Created
-        # before backend resolution so the resolution itself is
-        # observable (``backend.fallbacks``).
+        # wall-clock phase spans and heap/distance totals.
         self.metrics: MetricsRegistry = (
             MetricsRegistry() if self.config.metrics else NULL_METRICS)
         backend = resolve_backend(self.config.backend)
-        fallbacks = 0
+        # No configuration falls back; the benchmark's layer table reads
+        # the name.
+        self.metrics.set_counter("backend.fallbacks", 0)
         self._sparse = CountingMetric(self.config.nnd.metric).sparse_input
         # The one dataset view of this address space — the sparse
         # record dataset itself, or the dense data as one contiguous
@@ -284,67 +259,51 @@ class DNND:
         # object.
         self._rows = (self.data if self._sparse
                       else as_finite_matrix(self.data, "dataset"))
-        if backend == "process":
-            blocker = _process_blocker(net, fault_plan, reliable, sanitize)
-            if blocker is not None:
-                if self.config.backend == "process":
-                    raise ConfigError(
-                        f"{blocker} requires the deterministic sim "
-                        f"backend; the process backend runs ranks in "
-                        f"worker processes without a cost ledger or "
-                        f"network fault hooks. Use backend='sim'.")
-                # Process came from the REPRO_BACKEND environment
-                # default: downgrade to sim rather than silently
-                # dropping the requested feature — audibly and in the
-                # metrics.
-                warnings.warn(
-                    f"REPRO_BACKEND=process downgraded to the sim "
-                    f"backend: {blocker} is sim-only",
-                    RuntimeWarning, stacklevel=2)
-                backend = "sim"
-                fallbacks = 1
-        self.metrics.set_counter("backend.fallbacks", fallbacks)
         self.backend = backend
         self.fault_plan = fault_plan
-        self.partitioner = partitioner or HashPartitioner(self.n, self.cluster_config.world_size)
+        world_size = self.cluster_config.world_size
+        self.partitioner = partitioner or HashPartitioner(self.n, world_size)
         self._finalizer: Optional[weakref.finalize] = None
+        # The plan's crash clock on either backend (and, on sim, the
+        # transport's message-level injector as well).
+        self._injector = make_injector(fault_plan, world_size)
+        # What a comm world is built with — here, or by every worker.
+        world_opts = dict(flush_threshold=flush_threshold,
+                          seed=self.config.nnd.seed, reliable=reliable,
+                          max_retries=max_retries, sanitize=sanitize)
         # The one backend branch: who hosts the ranks.  ``self.host``
         # runs sections and shard-state ops (``rank -> value``),
         # ``self.world`` is the comm surface the schedule drives.
         if backend == "process":
-            # Crash plans are handled natively by the process world
-            # (SIGKILL at the planned iteration); the message-level
-            # injector is a sim transport hook.
-            self._injector = None
+            if net is not None:
+                raise ConfigError(
+                    "the network cost model (net=...) requires "
+                    "backend='sim': a cost model is a simulation, the "
+                    "process backend runs ranks on real processes")
             self.cluster = ProcessTransport(
                 self.cluster_config,
-                workers=resolve_workers(self.config.workers,
-                                        self.cluster_config.world_size))
-            self.world = self.host = ProcessWorld(
-                self.cluster, metrics=self.metrics, fault_plan=fault_plan)
+                workers=resolve_workers(self.config.workers, world_size))
+            self.cluster.injector = self._injector
+            self.world = self.host = ProcessWorld(self.cluster,
+                                                  metrics=self.metrics)
             # Stops the workers on close() or when the last reference
             # to this build is dropped.
             self._finalizer = weakref.finalize(self, self.cluster.shutdown)
-            # Each worker builds a host over its owned ranks and the
-            # dataset view in its bootstrap.
+            # Each worker builds a comm world (its own injector for the
+            # plan's message faults attached) and a host over its owned
+            # ranks and the dataset view in its bootstrap.
             self.cluster.start(
                 ("repro.core.dnnd_phases", "worker_host"),
                 {"data": self._rows, "config": self.config,
-                 "partitioner": self.partitioner,
-                 "flush_threshold": int(flush_threshold)})
-            # Whoever fires the plan's scheduled crashes each iteration.
-            self._crash_clock = self.world
+                 "partitioner": self.partitioner, "world": world_opts,
+                 "fault_plan": fault_plan})
         else:
-            self._injector = make_injector(fault_plan, self.cluster_config.world_size)
-            self._crash_clock = self._injector
             self.cluster = SimCluster(self.cluster_config, net,
                                       injector=self._injector)
-            self.world = YGMWorld(self.cluster, flush_threshold=flush_threshold,
-                                  seed=self.config.nnd.seed,
-                                  reliable=reliable, max_retries=max_retries,
+            self.world = YGMWorld(self.cluster, metrics=self.metrics,
                                   failure_timeout=failure_timeout,
-                                  sanitize=sanitize, metrics=self.metrics)
-            self.host = RankHost(self.world, range(self.world.world_size),
+                                  **world_opts)
+            self.host = RankHost(self.world, range(world_size),
                                  self._rows, self.config, self.partitioner)
         self._open_span = None
         self._recoveries = 0
@@ -579,11 +538,12 @@ class DNND:
         it = start_iteration
         while it < cfg.max_iters:
             iterations = it + 1
-            if self._crash_clock is not None:
-                # Under process, planned crashes fire here as real
-                # SIGKILLs on the owning worker; detection surfaces at
+            if self._injector is not None:
+                # Planned crashes fire here, each once; under process
+                # the owning worker is SIGKILLed.  Detection surfaces at
                 # the next barrier.
-                self._crash_clock.advance_iteration(it)
+                for rank in self._injector.advance_iteration(it):
+                    self.cluster.kill_rank(rank)
             try:
                 c = self._iteration(it)
             except RankFailureError as failure:

@@ -75,7 +75,7 @@ charges the feature it stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -84,6 +84,7 @@ from ..analysis.sanitizer import tag_heap
 from ..config import DNNDConfig
 from ..distances.counting import CountingMetric
 from ..errors import PartitionError, RuntimeStateError, StoreError
+from ..runtime.faults import make_injector
 from ..runtime.partition import Partitioner, splitmix64, splitmix64_array
 from ..runtime.ygm import RankContext, YGMWorld
 from ..types import DIST_BYTES, ID_BYTES
@@ -938,13 +939,20 @@ class RankHost:
 def worker_host(comm, params: dict) -> RankHost:
     """Bootstrap of a process worker (named in the driver's
     :meth:`ProcessTransport.start`): a host over the ranks ``comm`` owns,
-    around an in-process :class:`YGMWorld` on the worker's transport.
-    ``params["data"]`` is the driver's dataset view itself — inherited
-    copy-on-write under ``fork``, unpickled once under ``spawn`` /
-    ``forkserver``."""
+    around an in-process :class:`YGMWorld` on the worker's transport,
+    built with the driver's world options.  The worker's transport gets
+    its own injector for the plan's message-level faults — seeded per
+    worker; the crashes stay with the driver, whose injector is the one
+    crash clock.  ``params["data"]`` is the driver's dataset view itself
+    — inherited copy-on-write under ``fork``, unpickled once under
+    ``spawn`` / ``forkserver``."""
     config = params["config"]
-    world = YGMWorld(comm.transport,
-                     flush_threshold=params["flush_threshold"],
-                     seed=config.nnd.seed, sanitize=False)
+    plan = params["fault_plan"]
+    if plan is not None:
+        comm.transport.injector = make_injector(
+            replace(plan, crashes=(),
+                    seed=splitmix64(plan.seed + comm.worker_id)),
+            comm.transport.world_size)
+    world = YGMWorld(comm.transport, **params["world"])
     return RankHost(world, comm.owned, params["data"], config,
                     params["partitioner"])

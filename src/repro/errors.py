@@ -117,3 +117,8 @@ class RankFailureError(FaultToleranceError):
     def __init__(self, ranks) -> None:
         self.ranks = tuple(sorted(int(r) for r in ranks))
         super().__init__(f"rank(s) {list(self.ranks)} crashed; barrier failed")
+
+    def __reduce__(self):
+        # Built from its ranks, not from ``args`` (the message): without
+        # this the error could not cross a process boundary.
+        return (type(self), (self.ranks,))

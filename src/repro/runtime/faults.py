@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the simulated cluster.
+"""Deterministic fault injection for a comm world's transport.
 
 The paper's DNND targets thousands of MPI ranks, where message loss,
 stragglers, and outright rank failures are the operational reality.  The
@@ -13,11 +13,11 @@ exercised.  This module supplies the missing adversary:
   with equal fields replay **byte-identically**: every probabilistic
   decision comes from a keyed RNG stream derived from ``seed``.
 - :class:`FaultInjector` — the stateful consumer of a plan that
-  :meth:`SimCluster.deliver <repro.runtime.transports.SimCluster.deliver>`
+  :meth:`Transport.deliver <repro.runtime.transports.base.Transport.deliver>`
   and :meth:`YGMWorld._flush <repro.runtime.ygm.YGMWorld._flush>`
-  consult.  It tracks crashed ranks, holds delayed messages until their
-  release tick, and counts everything it does in a shared
-  :class:`~repro.runtime.instrumentation.FaultStats`.
+  consult on either backend.  It tracks crashed ranks, holds delayed
+  messages until their release tick, and counts everything it does in
+  a shared :class:`~repro.runtime.instrumentation.FaultStats`.
 
 Faults model the *network and the nodes*, not the program: only remote
 (``src != dest``) traffic is perturbed, and collectives are left alone
@@ -123,9 +123,12 @@ class FaultPlan:
 class FaultInjector:
     """Stateful, deterministic executor of a :class:`FaultPlan`.
 
-    One injector serves one :class:`~repro.runtime.transports.SimCluster`.
+    One injector serves one transport: the sim world's
+    :class:`~repro.runtime.transports.SimCluster`, or — under the process
+    backend — each worker's transport (the plan without its crashes,
+    seeded per worker), while the driver's own copy is the crash clock.
     All randomness is drawn in call order from a single keyed stream, so
-    a fixed program + plan yields a bit-identical fault schedule.
+    a fixed program + plan yields a bit-identical fault schedule on sim.
     """
 
     def __init__(self, plan: FaultPlan, world_size: int) -> None:
@@ -145,7 +148,7 @@ class FaultInjector:
         self._held = 0
         self._clock = 0
 
-    # -- per-delivery decisions (consulted by SimCluster.deliver) -----------
+    # -- per-delivery decisions (consulted by Transport.deliver) ------------
 
     def on_deliver(self, src: int, dest: int) -> List[int]:
         """Fault decision for one remote delivery.
@@ -186,6 +189,11 @@ class FaultInjector:
 
     def pending_delayed(self) -> int:
         return len(self._delayed)
+
+    def drop_delayed(self) -> None:
+        """Forget every held delivery (in-flight traffic of an epoch
+        the driver abandoned)."""
+        self._delayed.clear()
 
     # -- per-flush decisions (consulted by YGMWorld._flush) ------------------
 
@@ -233,7 +241,7 @@ class FaultInjector:
         if self.crashed:
             self.stats.recoveries += 1
         self.crashed.clear()
-        self._delayed.clear()
+        self.drop_delayed()
 
 
 def make_injector(plan: "FaultPlan | None", world_size: int):

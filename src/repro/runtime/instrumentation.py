@@ -94,6 +94,10 @@ class FaultStats:
     def snapshot(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
+    def counts(self) -> Dict[str, int]:
+        """The snapshot under the counters' registry names."""
+        return {"faults." + event: n for event, n in self.snapshot().items()}
+
     def total_events(self) -> int:
         return sum(self.snapshot().values())
 

@@ -405,7 +405,7 @@ def deterministic_projection(snap: Dict[str, Any]) -> Dict[str, Any]:
 #: same names — zeros too, so fault-free runs and backends without an
 #: injector emit the same metric names.
 _WORLD_COUNTERS = ("executor.tasks", "comm.flushes", "comm.local_deliveries",
-                   *("faults." + event for event in FaultStats().snapshot()))
+                   *FaultStats().counts())
 
 
 def publish_comm_metrics(world, pending_delayed: int | None) -> None:

@@ -26,10 +26,18 @@ results — the driver (which plays the role of the SPMD program counter)
 passes in what each rank would have contributed.  This keeps rank code
 honest: a rank can only use its own slot of the result.
 
-**Fault tolerance lives at this seam.**  Every transport supports:
+**Fault tolerance lives at this seam**, once, for every transport —
+:meth:`Transport.deliver` decides how a delivery is perturbed and a
+subclass only says where an undisturbed item lands (:meth:`Transport._put`:
+the destination's mailbox here; a frame to the owning worker in
+:class:`~repro.runtime.transports.process.WorkerTransport`):
 
 - *fault injection* — an optional :class:`~repro.runtime.faults.FaultInjector`
-  consulted on remote deliveries (drop/duplicate/delay/crash);
+  (``transport.injector``) consulted on remote deliveries
+  (drop/duplicate/delay; traffic of a crashed rank is discarded), whose
+  delayed copies :meth:`Transport.release_due_faults` hands to the same
+  ``_put`` when the comm layer's delivery tick
+  (:meth:`YGMWorld.step <repro.runtime.ygm.YGMWorld.step>`) says so;
 - *reliable delivery* — :class:`ReliableDelivery`, a per-``(src, dest)``
   seq/ack/retransmit/dedup state machine attached via
   :meth:`Transport.enable_reliability`.  It frames payloads as
@@ -60,8 +68,10 @@ ACK_TAG = "ack"       # ("ack", (rel_seq, ...))
 #: Modeled size of one acked sequence number on the wire.
 ACK_SEQ_BYTES = 4
 
-#: Retransmit backoff is capped so a stuck message spins the barrier loop
-#: a bounded number of rounds per retry instead of 2**attempts.
+#: The wait before a retransmit grows by this factor per attempt, capped
+#: so a stuck message spins the barrier loop a bounded number of rounds
+#: per retry instead of 2**attempts.
+RETRY_BACKOFF = 2.0
 MAX_BACKOFF_TICKS = 32
 
 
@@ -82,13 +92,12 @@ class ReliableDelivery:
     """
 
     def __init__(self, transport: "Transport", retry_timeout: int = 4,
-                 retry_backoff: float = 2.0, max_retries: int = 32,
+                 max_retries: int = 32,
                  fault_stats: FaultStats | None = None) -> None:
         self.transport = transport
         ws = transport.world_size
         self.world_size = ws
         self.retry_timeout = int(retry_timeout)
-        self.retry_backoff = float(retry_backoff)
         self.max_retries = int(max_retries)
         self.fault_stats: FaultStats = (
             fault_stats if fault_stats is not None else FaultStats())
@@ -182,7 +191,7 @@ class ReliableDelivery:
                 for rel_seq, entry in list(unacked.items()):
                     payload, nbytes, attempts, sent_tick, _first = entry
                     window = min(
-                        self.retry_timeout * (self.retry_backoff ** attempts),
+                        self.retry_timeout * RETRY_BACKOFF ** attempts,
                         MAX_BACKOFF_TICKS)
                     if self.clock - sent_tick < window:
                         continue
@@ -256,12 +265,13 @@ class ReliableDelivery:
 class Transport:
     """Base point-to-point + collectives substrate.
 
-    Subclasses provide delivery semantics (:meth:`deliver`) and the cost
-    hooks; the deque mailboxes, drain interface, and collective logic
-    are shared.  Every subclass exposes the same attributes the comm
-    layer relies on: ``config``, ``world_size``, ``net``, ``ledger``,
-    ``stats`` (the sink the YGM layer records into), and ``injector``
-    (``None`` unless the transport supports fault injection).
+    Subclasses provide where a delivery lands (:meth:`_put`) and the
+    cost hooks; the delivery decision (:meth:`deliver`), the deque
+    mailboxes, drain interface, and collective logic are shared.  Every
+    subclass exposes the same attributes the comm layer relies on:
+    ``config``, ``world_size``, ``net``, ``ledger``, ``stats`` (the sink
+    the YGM layer records into), and ``injector`` (``None`` unless a
+    fault plan is in force).
     """
 
     def __init__(self, config: ClusterConfig, net: NetworkModel | None,
@@ -311,27 +321,57 @@ class Transport:
 
     def deliver(self, src: int, dest: int, item: Any,
                 fault_exempt: bool = False) -> None:
-        """Enqueue ``item`` into ``dest``'s mailbox (already-flushed
-        data).  Subclasses may perturb remote deliveries (fault
-        injection); the base form is an exact FIFO append.  Traffic
-        touching a marked-failed rank is discarded on every transport."""
+        """Send ``item`` (already-flushed data) from ``src`` to ``dest``
+        — the one delivery decision of every transport.
+
+        Traffic touching a dead rank is discarded (exactly what a dead
+        MPI process does to its peers); with a fault injector attached a
+        remote (``src != dest``) delivery may be dropped, duplicated or
+        held back for some delivery ticks; whatever survives lands
+        through :meth:`_put`.  ``fault_exempt`` skips the perturbation
+        (a released delayed copy must not be perturbed again).
+        """
         self._check_alive()
         if not 0 <= dest < self.world_size:
             raise RuntimeStateError(f"destination rank {dest} out of range")
         if self.marked_failed and (src in self.marked_failed
                                    or dest in self.marked_failed):
             return
+        inj = self.injector
+        if inj is not None:
+            if inj.is_crashed(src) or inj.is_crashed(dest):
+                inj.stats.crash_dropped += 1
+                return
+            if src != dest and not fault_exempt:
+                for delay in inj.on_deliver(src, dest):
+                    if delay == 0:
+                        self._put(src, dest, item)
+                    else:
+                        inj.hold(delay, src, dest, item)
+                return
+        self._put(src, dest, item)
+
+    def _put(self, src: int, dest: int, item: Any) -> None:
+        """Where an undisturbed delivery lands: an exact FIFO append to
+        ``dest``'s mailbox."""
         self._mailboxes[dest].append((src, item))
 
     def release_due_faults(self) -> int:
-        """Advance injected-delay clocks one tick; returns how many
-        held messages were released (0 on transports without faults)."""
-        return 0
+        """Advance the injector's delay clock one tick and deliver the
+        held messages now due (a rank that died while one was held gets
+        nothing); returns how many were released."""
+        inj = self.injector
+        if inj is None:
+            return 0
+        due = inj.tick()
+        for src, dest, item in due:
+            self.deliver(src, dest, item, fault_exempt=True)
+        return len(due)
 
     # -- reliability and failure marking ---------------------------------------
 
     def enable_reliability(self, retry_timeout: int = 4,
-                           retry_backoff: float = 2.0, max_retries: int = 32,
+                           max_retries: int = 32,
                            fault_stats: FaultStats | None = None,
                            ) -> ReliableDelivery:
         """Attach (and return) a :class:`ReliableDelivery` layer.  The
@@ -339,8 +379,8 @@ class Transport:
         the transport holds the reference so failure marking and repair
         stay coherent with the reliability state."""
         self.reliability = ReliableDelivery(
-            self, retry_timeout=retry_timeout, retry_backoff=retry_backoff,
-            max_retries=max_retries, fault_stats=fault_stats)
+            self, retry_timeout=retry_timeout, max_retries=max_retries,
+            fault_stats=fault_stats)
         return self.reliability
 
     def mark_failed(self, ranks: Iterable[int]) -> None:
@@ -350,6 +390,12 @@ class Transport:
         self.marked_failed |= ranks
         if self.reliability is not None:
             self.reliability.mark_dead(ranks)
+
+    def kill_rank(self, rank: int) -> None:
+        """The crash clock fired for ``rank``.  Nothing to do here — the
+        injector's crash set already discards its traffic; a transport
+        whose ranks are real processes overrides this to take the owner
+        down."""
 
     def failed_ranks(self) -> Set[int]:
         """The union of supervisor-marked and injector-crashed ranks —
@@ -369,9 +415,12 @@ class Transport:
             self.injector.repair_all()
 
     def clear_mailboxes(self) -> None:
-        """Discard all undelivered traffic (crash-recovery reset)."""
+        """Discard all undelivered traffic (crash-recovery reset), the
+        copies an injector is holding back included."""
         for mb in self._mailboxes:
             mb.clear()
+        if self.injector is not None:
+            self.injector.drop_delayed()
 
     def mailbox_len(self, rank: int) -> int:
         return len(self._mailboxes[rank])

@@ -28,11 +28,13 @@ GIL by giving every rank real OS-process parallelism:
 
 Quiescence across processes is a counting protocol: a barrier loops
 ``__round__`` commands, each worker drains its inbox + runs delivery
-rounds (:meth:`YGMWorld.deliver_round`) until locally idle and reports
-``(frames_sent, frames_received, handlers_run)``; the barrier completes
-when no worker ran a handler **and** the global sent/received frame
-counts agree (frames still sitting in a queue's feeder thread keep the
-counts unequal).  The same reply carries the worker's counters as a
+ticks (:meth:`YGMWorld.step`) until a pass moves nothing and reports
+``(frames_sent, frames_received, handlers_run, idle)``; the barrier
+completes when no worker ran a handler, every worker's world calls
+itself idle (nothing queued, unacked or held back by its injector)
+**and** the global sent/received frame counts agree (frames still
+sitting in a queue's feeder thread keep the counts unequal).  The same
+reply carries the worker's counters as a
 *delta* (:meth:`YGMWorld.export_delta`: what changed since its previous
 reply), which the driver adds to its log's running totals on arrival —
 the only way counters cross the process boundary.  A delta that was
@@ -43,6 +45,13 @@ history.  Counters and frames are stamped with an **epoch**:
 so frames lost inside a crashed worker (or stale frames from before a
 recovery) can never wedge or corrupt a later barrier — stale-epoch
 frames are discarded on ingest without being counted.
+
+Fault plans run here as they do on sim: the worker's transport is the
+base :class:`~.base.Transport` with only :meth:`~.base.Transport._put`
+overridden, so its bootstrap attaches an injector (and the comm layer
+reliable delivery) exactly where the sim world's are; the plan's crashes
+stay with the driver, whose injector is the crash clock
+(:meth:`ProcessTransport.kill_rank` makes one real).
 
 Failure semantics: a worker that dies (or is killed by a crash-plan
 fault) is detected at the next command round-trip (broken pipe / EOF /
@@ -63,12 +72,15 @@ import queue as queue_mod
 import signal
 import traceback
 import weakref
+from collections import Counter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...config import ClusterConfig
-from ...errors import ConfigError, RankFailureError, RuntimeStateError
+from ...errors import (ConfigError, RankFailureError, ReproError,
+                       RuntimeStateError)
+from ..instrumentation import Delta, FaultStats
 from ..metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
-from ..netmodel import NetworkModel, NullLedger
+from ..netmodel import NullLedger
 from ..tracing import BarrierLog
 from .base import Transport
 
@@ -127,7 +139,9 @@ class WorkerTransport(Transport):
     and off-node accounting match the sim backend exactly), but only the
     *owned* ranks' mailboxes ever fill: a delivery to a rank owned by
     another worker is serialized as an epoch-stamped frame onto that
-    worker's inbox queue instead.
+    worker's inbox queue instead.  That is the only thing it overrides
+    (:meth:`_put`): the delivery decision — failure marks, the fault
+    injector — is the base class's, taken once, at the sender.
     """
 
     def __init__(self, config: ClusterConfig, owned, worker_of,
@@ -149,14 +163,7 @@ class WorkerTransport(Transport):
         self.frames_sent = 0
         self.frames_received = 0
 
-    def deliver(self, src: int, dest: int, item: Any,
-                fault_exempt: bool = False) -> None:
-        self._check_alive()
-        if not 0 <= dest < self.world_size:
-            raise RuntimeStateError(f"destination rank {dest} out of range")
-        if self.marked_failed and (src in self.marked_failed
-                                   or dest in self.marked_failed):
-            return
+    def _put(self, src: int, dest: int, item: Any) -> None:
         if dest in self.owned:
             self._mailboxes[dest].append((src, item))
             return
@@ -199,19 +206,22 @@ class WorkerComm:
         self.inbox = inbox
         self.config = config
 
-    def round(self, world) -> Tuple[int, int, int]:
-        """One barrier round: ingest + deliver until locally idle;
-        report ``(frames_sent, frames_received, handlers_run)``
-        cumulative for the current epoch / this round respectively."""
+    def round(self, world) -> Tuple[int, int, int, bool]:
+        """One barrier round: ingest + :meth:`YGMWorld.step` until a
+        pass moves nothing (the driver paces the next one, so a world
+        waiting for acks or delayed frames ticks once per round, not at
+        CPU speed); report ``(frames_sent, frames_received,
+        handlers_run, idle)`` — cumulative for the current epoch, this
+        round's, and the last step's verdict respectively."""
         activity = 0
         while True:
             ingested = self.transport.ingest(self.inbox)
-            ran = world.deliver_round()
+            ran, idle = world.step()
             activity += ran
             if ingested == 0 and ran == 0:
                 break
         return (self.transport.frames_sent, self.transport.frames_received,
-                activity)
+                activity, idle)
 
     def reset(self, epoch: int, world) -> None:
         """Epoch change: discard everything in flight, locally and in
@@ -235,9 +245,11 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
     *app* object exposing ``world`` (the in-process :class:`YGMWorld`)
     and ``dispatch(cmd, payload)`` (DNND's is a ``RankHost``); every
     non-runtime command received on the pipe is forwarded to it.
-    Replies are ``("ok", value)`` or ``("error", formatted_traceback)``
-    — the driver re-raises the latter with the worker traceback
-    embedded.  A ``__round__`` reply is ``(round counts, delta)``.
+    Replies are ``("ok", value)`` or ``("error", (exception or None,
+    formatted_traceback))`` — a library error (``ReproError``) travels
+    as itself and the driver re-raises it with the worker traceback
+    attached, anything else as the traceback text.  A ``__round__``
+    reply is ``(round counts, delta)``.
     """
     owned = [r for r in range(config.world_size)
              if r % nworkers == worker_id]
@@ -265,9 +277,10 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
                 conn.send(("ok", None))
             else:
                 conn.send(("ok", app.dispatch(cmd, payload)))
-        except Exception:
+        except Exception as exc:
+            typed = exc if isinstance(exc, ReproError) else None
             try:
-                conn.send(("error", traceback.format_exc()))
+                conn.send(("error", (typed, traceback.format_exc())))
             except (BrokenPipeError, OSError):  # pragma: no cover
                 break
 
@@ -287,12 +300,8 @@ class ProcessTransport(Transport):
     every other transport, so ``transport.collectives`` is conformant.
     """
 
-    def __init__(self, config: ClusterConfig, net: NetworkModel | None = None,
-                 workers: int = 0, start_method: str | None = None) -> None:
-        if net is not None:
-            raise ConfigError(
-                "the process transport has no cost model; the network "
-                "model is a simulation feature (use backend='sim')")
+    def __init__(self, config: ClusterConfig, workers: int = 0,
+                 start_method: str | None = None) -> None:
         super().__init__(config, None,
                          NullLedger(world_size=config.world_size))
         ws = config.world_size
@@ -438,7 +447,11 @@ class ProcessTransport(Transport):
         ``w`` receives ``per_worker[w]`` instead where given — and
         collect replies.  Workers found dead on the way are recorded
         (their ranks marked failed) and simply absent from the result —
-        the caller decides whether that is a :class:`RankFailureError`."""
+        the caller decides whether that is a :class:`RankFailureError`.
+        A worker-side failure is raised here once every reply is in (the
+        pipes stay in step): a ``ReproError`` as itself, with the worker
+        traceback as its ``__cause__``, anything else as
+        :class:`RuntimeStateError`."""
         self._check_alive()
         self.liveness_sweep()
         sent = []
@@ -450,16 +463,24 @@ class ProcessTransport(Transport):
             except (BrokenPipeError, OSError):
                 self._on_worker_death(w)
         results: Dict[int, Any] = {}
+        error = None
         for w in sent:
             try:
                 status, value = self._conns[w].recv()
             except (EOFError, OSError):
                 self._on_worker_death(w)
                 continue
-            if status == "error":
-                raise RuntimeStateError(
-                    f"worker {w} failed running {cmd!r}:\n{value}")
-            results[w] = value
+            if status != "error":
+                results[w] = value
+            elif error is None:
+                error = (w, *value)
+        if error is not None:
+            w, exc, trace = error
+            where = RuntimeStateError(
+                f"worker {w} failed running {cmd!r}:\n{trace}")
+            if exc is None:
+                raise where
+            raise exc from where
         return results
 
     def bump_epoch(self) -> None:
@@ -478,27 +499,26 @@ class ProcessWorld:
     publication, fault bookkeeping, exclusion/readmission, in-flight
     reset — plus the rank-host surface (:meth:`run_section` /
     :meth:`command`, each ``rank -> value``), implemented as command
-    broadcasts to the rank hosts the workers hold.  It holds no counter
-    of its own: the workers' deltas and the driver-side fault events
-    (crashes fired, failures detected) are absorbed into :attr:`log` as
-    they happen, and totals, phase tables and fault counts are read
-    from there.
+    broadcasts to the rank hosts the workers hold.  The workers' deltas
+    are absorbed into :attr:`log` as they arrive, and so is what the
+    driver itself saw — the crashes its injector (the crash clock,
+    ``cluster.injector``) fired and repaired, the failures detected
+    here: :attr:`fault_stats` at every barrier; totals, phase tables and
+    fault counts are read from the log.
     """
 
-    #: The process backend never runs the ownership sanitizer (it is a
-    #: sim debugging feature).
-    sanitizer = None
-
     def __init__(self, cluster: ProcessTransport,
-                 metrics: MetricsRegistry | None = None,
-                 fault_plan=None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.cluster = cluster
         self.world_size = cluster.world_size
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else NULL_METRICS)
         self.log = BarrierLog()
-        self.fault_plan = fault_plan
-        self._fired_crashes: Set[Tuple[int, int]] = set()
+        #: Driver-side fault events, shared with the crash clock.
+        self.fault_stats: FaultStats = (
+            cluster.injector.stats if cluster.injector is not None
+            else FaultStats())
+        self._faults_logged: Counter = Counter()
         self.excluded_ranks: Set[int] = set()
         #: Sections broadcast to the workers (``executor.dispatches``).
         self.dispatches = 0
@@ -507,32 +527,47 @@ class ProcessWorld:
 
     def barrier(self) -> float:
         """Run ``__round__`` commands until the cluster is quiescent —
-        no worker ran a handler and global frame counts agree —
+        no worker ran a handler, every worker's world is idle
+        (:meth:`YGMWorld.step`) and the global frame counts agree —
         absorbing the counter delta each reply carries, then log the
         superstep."""
-        while True:
-            frames_sent = frames_recv = activity = 0
-            replies = self.cluster.command_all(CMD_ROUND)
-            for (sent, received, ran), delta in replies.values():
-                self.log.absorb(delta)
-                frames_sent += sent
-                frames_recv += received
-                activity += ran
-            self._check_crashed()
-            if activity == 0 and frames_sent == frames_recv:
-                break
+        try:
+            while True:
+                frames_sent = frames_recv = activity = 0
+                idle = True
+                replies = self.cluster.command_all(CMD_ROUND)
+                for counts, delta in replies.values():
+                    sent, received, ran, worker_idle = counts
+                    self.log.absorb(delta)
+                    frames_sent += sent
+                    frames_recv += received
+                    activity += ran
+                    idle = idle and worker_idle
+                self._check_crashed()
+                if activity == 0 and frames_sent == frames_recv and idle:
+                    break
+        finally:
+            self._log_driver_faults()
         elapsed = self.cluster.ledger.barrier(self.cluster.net)
         self.log.commit(self.metrics.now(), elapsed, 1.0)
-        # Crash plans are this backend's only faults: nothing is ever
-        # held back.
-        publish_comm_metrics(self, None if self.fault_plan is None else 0)
+        # Delayed copies are released before a worker reports idle, so
+        # none is held back at a completed barrier.
+        publish_comm_metrics(
+            self, None if self.cluster.injector is None else 0)
         return elapsed
 
     def _check_crashed(self) -> None:
         failed = self.cluster.failed_ranks() - self.excluded_ranks
         if failed:
-            self.log.count("faults.detected", len(failed))
+            self.fault_stats.detected += len(failed)
             raise RankFailureError(failed)
+
+    def _log_driver_faults(self) -> None:
+        """Absorb what :attr:`fault_stats` counted since the last call
+        (completed barrier or not, like a sim world's export)."""
+        now = Counter(self.fault_stats.counts())
+        self.log.absorb(Delta(counts=now - self._faults_logged))
+        self._faults_logged = now
 
     # -- rank-host surface ------------------------------------------------------
 
@@ -572,18 +607,6 @@ class ProcessWorld:
         self.log.enter(phase, iteration)
 
     # -- fault tolerance surface ----------------------------------------------
-
-    def advance_iteration(self, iteration: int) -> None:
-        """Fire scheduled crash-plan kills for ``iteration`` (each once):
-        the owning worker is SIGKILLed — detection happens at the next
-        command round-trip, like a peer noticing a dead MPI rank."""
-        if self.fault_plan is None:
-            return
-        for it, rank in self.fault_plan.crashes:
-            if it == iteration and (it, rank) not in self._fired_crashes:
-                self._fired_crashes.add((it, rank))
-                self.log.count("faults.crashes")
-                self.cluster.kill_rank(rank)
 
     def reset_in_flight(self) -> None:
         """Abandon every in-flight message cluster-wide by entering a

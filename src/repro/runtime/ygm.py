@@ -47,10 +47,11 @@ per-message ``call`` frames so every fault decision and ack stays per
 message.
 
 **Reliable delivery mode.**  With a fault injector attached to the
-cluster (:mod:`.faults`) the network may drop, duplicate, delay, or
-reorder traffic.  ``reliable=True`` attaches the transport-level
-recovery layer (:class:`~repro.runtime.transports.base.ReliableDelivery`)
-so handler effects stay *effectively-once*:
+transport (:mod:`.faults`; either backend) the network may drop,
+duplicate, delay, or reorder traffic.  ``reliable=True`` attaches the
+transport-level recovery layer
+(:class:`~repro.runtime.transports.base.ReliableDelivery`) so handler
+effects stay *effectively-once*:
 
 - every remote call is framed with a per-``(src, dest)`` sequence
   number,
@@ -91,7 +92,13 @@ runs and message accounting is byte-for-byte what it always was.
 There is one comm path: the sim world runs it inline over a
 :class:`~repro.runtime.transports.sim.SimCluster`, and each worker of
 the process backend runs the same class unchanged over its
-:class:`~repro.runtime.transports.process.WorkerTransport`.  Counters
+:class:`~repro.runtime.transports.process.WorkerTransport` — fault
+injection, reliable delivery and the sanitizer included.  Delivery time
+advances in one place, :meth:`YGMWorld.step`: a delivery round, then —
+unless the world is idle (nothing applied or queued, nothing unacked,
+nothing held back) — a tick that releases due delayed messages and
+retransmits overdue ones.  ``barrier()`` loops it; a process worker
+loops it between inbox polls and reports its ``idle``.  Counters
 leave a world one way, :meth:`YGMWorld.export_delta` — "what changed
 since my last export": the sim world hands it to its own log at the end
 of ``barrier()``, a worker ships it in every ``__round__`` reply.
@@ -203,7 +210,7 @@ class YGMWorld:
         traffic; with one it masks drop/duplicate/delay/reorder faults.
     retry_timeout:
         Delivery rounds an unacked message waits before its first
-        retransmit; doubles per attempt (``retry_backoff``) up to a cap.
+        retransmit; doubles per attempt up to a cap.
     max_retries:
         Retransmit budget per message; exceeding it raises
         :class:`~repro.errors.FaultToleranceError`.
@@ -218,8 +225,7 @@ class YGMWorld:
     def __init__(self, cluster: Transport, flush_threshold: int = 1024,
                  flush_threshold_bytes: int = 1 << 20,
                  seed: int = 0, reliable: bool = False,
-                 retry_timeout: int = 4, retry_backoff: float = 2.0,
-                 max_retries: int = 32,
+                 retry_timeout: int = 4, max_retries: int = 32,
                  failure_timeout: int | None = None,
                  sanitize: bool | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
@@ -298,7 +304,6 @@ class YGMWorld:
         # transports.base.ReliableDelivery).
         self.reliable = bool(reliable)
         self.retry_timeout = int(retry_timeout)
-        self.retry_backoff = float(retry_backoff)
         self.max_retries = int(max_retries)
         self._tick = 0
         injector = getattr(cluster, "injector", None)
@@ -307,7 +312,6 @@ class YGMWorld:
         if self.reliable:
             self._rel = cluster.enable_reliability(
                 retry_timeout=self.retry_timeout,
-                retry_backoff=self.retry_backoff,
                 max_retries=self.max_retries,
                 fault_stats=self.fault_stats)
         else:
@@ -389,8 +393,7 @@ class YGMWorld:
             "comm.flushes": self.flush_count,
             "executor.tasks": self.handler_invocations,
             "comm.local_deliveries": self.local_deliveries,
-            **{"faults." + event: n
-               for event, n in self.fault_stats.snapshot().items()}})
+            **self.fault_stats.counts()})
         delta = Delta(self.cluster.stats, counts,
                       {ctx.rank: ctx.tally for ctx in self.ranks}
                       ).since(self.log.totals)
@@ -600,15 +603,35 @@ class YGMWorld:
 
     # -- draining / barrier ----------------------------------------------------
 
-    def deliver_round(self) -> int:
-        """One delivery round: flush every buffer, then deliver every
-        queued message once — the step :meth:`barrier` loops until
-        quiescence and a process worker runs between inbox polls.
-        Returns how many messages were applied; after a round that
-        applied none nothing is buffered either (only a handler refills
-        a buffer)."""
+    def step(self) -> Tuple[int, bool]:
+        """One delivery tick — what :meth:`barrier` loops and a process
+        worker runs between inbox polls — and the one place a world
+        decides it is idle.  A delivery round first: flush every buffer,
+        then deliver every queued message once.  Returns ``(ran,
+        idle)``: how many messages the round applied, and whether the
+        world has no source of future work left (nothing applied — so
+        nothing buffered either, only a handler refills a buffer —
+        nothing queued, no frame unacked, no delivery held back by the
+        injector).
+
+        A world that is not idle advances its delivery clock: due
+        delayed messages are released, overdue unacked frames
+        retransmitted (:class:`~repro.errors.FaultToleranceError` past
+        the retry budget) and the heartbeat detector consulted.
+        """
         self.flush_all()
-        return self._process_round()
+        ran = self._process_round()
+        inj = self.injector
+        idle = (ran == 0 and self.cluster.all_quiescent()
+                and not self._reliable_pending()
+                and (inj is None or inj.pending_delayed() == 0))
+        if not idle:
+            self._tick += 1
+            self.cluster.release_due_faults()
+            if self._rel is not None:
+                self._rel.tick()
+            self._check_failure_timeout()
+        return ran, idle
 
     def _process_round(self) -> int:
         """Deliver every currently-queued message once, in deterministic
@@ -758,25 +781,11 @@ class YGMWorld:
                 "schedule, a rank section only stages or emits")
         self._in_barrier = True
         inj = self.injector
-        rel = self._rel
         try:
-            while True:
+            idle = False
+            while not idle:
                 self._check_crashed()
-                if self.deliver_round() == 0 and self.cluster.all_quiescent():
-                    # A delayed message may still be parked in the
-                    # injector, and reliable mode may be awaiting acks;
-                    # quiesce only when every source of future work is
-                    # empty.
-                    if (not self._reliable_pending()
-                            and (inj is None or inj.pending_delayed() == 0)):
-                        break
-                # Advance simulated delivery time: release due delayed
-                # messages and retransmit overdue unacked ones.
-                self._tick += 1
-                self.cluster.release_due_faults()
-                if rel is not None:
-                    rel.tick()
-                self._check_failure_timeout()
+                _ran, idle = self.step()
             self.async_count_since_barrier = 0
             ledger = self.cluster.ledger
             imbalance = ledger.imbalance()

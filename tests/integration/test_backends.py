@@ -2,10 +2,10 @@
 
 The sim backend is the deterministic cost-modeled default; the process
 backend must build graphs of equivalent quality (recall@k within ±0.01).
-Crash plans and supervised recovery work on *both* backends; the
-network cost model, message-level fault plans and reliable delivery are
-sim-only and must fail loudly — not silently no-op — when requested
-under process.
+Fault plans, reliable delivery and supervised recovery work on *both*
+backends; the network cost model is a simulation by definition and must
+fail loudly — never fall back, however the backend was selected — when
+requested under process.
 """
 
 import warnings
@@ -67,30 +67,26 @@ class TestSimOnlyNetModel:
 
 
 class TestSimOnlyFeaturesOnProcess:
-    """Sim-only features under the process backend: explicit requests
-    fail loudly, environment-selected requests fall back to sim with a
-    warning and a ``backend.fallbacks`` record.  Crash plans are *not*
-    sim-only: the process world kills the owning worker natively."""
+    """The one sim-only feature: a cost model under the process backend
+    is a ``ConfigError`` whether the backend was requested explicitly or
+    through the environment — nothing downgrades a run.  (Fault plans
+    and reliable delivery under process: ``test_fault_conformance``.)"""
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(net=NetworkModel()),
-        dict(reliable=True),
-        dict(fault_plan=FaultPlan(drop_rate=0.1, seed=1)),
-    ], ids=("net", "reliable", "drop-plan"))
+    @pytest.mark.parametrize("kwargs", [dict(net=NetworkModel())],
+                             ids=("net",))
     def test_explicit_process_rejected(self, tiny_dense, kwargs):
         with pytest.raises(ConfigError, match="sim"):
             build(tiny_dense, "process", workers=2, **kwargs)
 
     def test_env_process_with_sim_only_falls_back(self, tiny_dense,
                                                   monkeypatch):
+        """Kept under its old name: what used to fall back to sim with
+        a warning is now the same ``ConfigError`` as the explicit
+        request."""
         monkeypatch.setenv("REPRO_BACKEND", "process")
         cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=1))
-        with pytest.warns(RuntimeWarning, match="downgraded"):
-            dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER, reliable=True)
-        assert dnnd.backend == "sim"
-        snap = dnnd.metrics.snapshot()
-        assert snap["counters"]["backend.fallbacks"] == 1
-        dnnd.close()
+        with pytest.raises(ConfigError, match="sim"):
+            DNND(tiny_dense, cfg, cluster=CLUSTER, net=NetworkModel())
 
     def test_env_process_without_blockers_sticks(self, tiny_dense,
                                                  monkeypatch):

@@ -1,11 +1,11 @@
 """Fault tolerance conformance: the PR 1 acceptance bars under one
-seeded ``FaultPlan``.
+seeded ``FaultPlan``, on both backends.
 
-Message-level faults and reliable delivery are sim features (the
-process backend rejects them — ``_process_blocker``), so bars 1-3 run
-on sim; crash plans are native to both backends, and
-``TestProcessCrashConformance`` re-runs the crash bars on sim and
-process side by side:
+Fault injection and reliable delivery attach at the base transport, so
+every bar runs on sim and on process (each worker perturbs what it
+sends; a planned crash SIGKILLs the owning worker);
+``TestProcessCrashConformance`` re-runs the crash bars under a plan
+that crashes and does nothing else:
 
 1. drops/dups/delays + reliable delivery => the final graph is
    byte-identical to the fault-free sim reference (the order-invariant
@@ -36,8 +36,9 @@ from repro import (
 )
 from repro.config import CommOptConfig
 
-#: Backends that take message-level fault plans + reliable delivery.
-BACKENDS = ("sim",)
+#: ``workers=4`` gives one rank per worker, so a planned SIGKILL takes
+#: down exactly the planned rank.
+BACKENDS = ("sim", "process")
 CLUSTER = ClusterConfig(nodes=2, procs_per_node=2)
 K = 6
 
@@ -63,20 +64,25 @@ def _config(backend: str) -> DNNDConfig:
     )
 
 
-def _dnnd(data, backend: str, **kwargs) -> DNND:
-    return DNND(data, _config(backend), cluster=CLUSTER, **kwargs)
+def _build(data, backend: str, build_kwargs=None, **kwargs):
+    """Build and release the backend (no worker outlives its run)."""
+    dnnd = DNND(data, _config(backend), cluster=CLUSTER, **kwargs)
+    try:
+        return dnnd.build(**(build_kwargs or {}))
+    finally:
+        dnnd.close()
 
 
 @pytest.fixture(scope="module")
 def reference(small_dense):
     """Fault-free sim build: the identity bar for every faulty run."""
-    return _dnnd(small_dense, "sim").build()
+    return _build(small_dense, "sim")
 
 
 @pytest.fixture(scope="module")
 def chaos_runs(small_dense):
     """Per backend: the shared drop/dup/delay plan + reliable delivery."""
-    return {b: _dnnd(small_dense, b, fault_plan=PLAN, reliable=True).build()
+    return {b: _build(small_dense, b, fault_plan=PLAN, reliable=True)
             for b in BACKENDS}
 
 
@@ -86,10 +92,10 @@ def crash_runs(small_dense, tmp_path_factory):
     out = {}
     for b in BACKENDS:
         ckpt = tmp_path_factory.mktemp(f"crash_{b}") / "ckpt"
-        dnnd = _dnnd(small_dense, b,
-                     fault_plan=PLAN.with_crash(rank=1, at_iteration=2),
-                     reliable=True)
-        out[b] = dnnd.build(checkpoint_path=ckpt, checkpoint_every=1)
+        out[b] = _build(small_dense, b,
+                        dict(checkpoint_path=ckpt, checkpoint_every=1),
+                        fault_plan=PLAN.with_crash(rank=1, at_iteration=2),
+                        reliable=True)
     return out
 
 
@@ -98,10 +104,9 @@ def degraded_runs(small_dense):
     """Per backend: same crash handled by exclusion + repair."""
     out = {}
     for b in BACKENDS:
-        dnnd = _dnnd(small_dense, b,
-                     fault_plan=PLAN.with_crash(rank=1, at_iteration=2),
-                     reliable=True)
-        out[b] = dnnd.build(degraded=True)
+        out[b] = _build(small_dense, b, dict(degraded=True),
+                        fault_plan=PLAN.with_crash(rank=1, at_iteration=2),
+                        reliable=True)
     return out
 
 
@@ -119,9 +124,13 @@ class TestReliableDeliveryConformance:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_faults_actually_fired(self, chaos_runs, backend):
+        """Through the barrier log: a process worker's injector counts
+        in its own address space."""
         stats = chaos_runs[backend].fault_stats
         assert stats.dropped > 0
         assert stats.retransmits > 0
+        counters = chaos_runs[backend].metrics.snapshot()["counters"]
+        assert counters["faults.dropped"] == stats.dropped
 
 
 class TestSupervisedRecoveryConformance:
@@ -186,12 +195,10 @@ class TestDegradedModeConformance:
         assert snap["gauges"]["degraded.ranks"] == 0.0
 
 
-#: Crash-only conformance set: the process backend kills the owning
-#: worker natively, but message-level network faults (drop/dup/delay)
-#: and reliable delivery are sim-only — so its conformance
-#: envelope is a pure-crash plan.  ``workers=4`` gives one rank per
-#: worker, so the planned SIGKILL takes down exactly the planned rank.
-CRASH_BACKENDS = ("sim", "process")
+#: Crash-only conformance set: a plan with no message-level faults and
+#: no reliable delivery, so nothing but the crash clock, the SIGKILL and
+#: the supervisor is exercised.
+CRASH_BACKENDS = BACKENDS
 CRASH_PLAN = FaultPlan(seed=17).with_crash(rank=1, at_iteration=2)
 
 
@@ -201,11 +208,9 @@ def crash_only_runs(small_dense, tmp_path_factory):
     out = {}
     for b in CRASH_BACKENDS:
         ckpt = tmp_path_factory.mktemp(f"crash_only_{b}") / "ckpt"
-        dnnd = _dnnd(small_dense, b, fault_plan=CRASH_PLAN)
-        try:
-            out[b] = dnnd.build(checkpoint_path=ckpt, checkpoint_every=1)
-        finally:
-            dnnd.close()
+        out[b] = _build(small_dense, b,
+                        dict(checkpoint_path=ckpt, checkpoint_every=1),
+                        fault_plan=CRASH_PLAN)
     return out
 
 
@@ -214,11 +219,8 @@ def degraded_only_runs(small_dense):
     """Per backend: the same crash handled by exclusion + repair."""
     out = {}
     for b in CRASH_BACKENDS:
-        dnnd = _dnnd(small_dense, b, fault_plan=CRASH_PLAN)
-        try:
-            out[b] = dnnd.build(degraded=True)
-        finally:
-            dnnd.close()
+        out[b] = _build(small_dense, b, dict(degraded=True),
+                        fault_plan=CRASH_PLAN)
     return out
 
 

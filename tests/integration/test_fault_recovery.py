@@ -102,6 +102,26 @@ class TestCrashRecovery:
         assert result.recoveries == 2
         np.testing.assert_array_equal(result.graph.ids, reference.graph.ids)
 
+    def test_failure_storm_surfaces_after_max_recovery_attempts(
+            self, small_dense):
+        """A rank that dies again on every replay exhausts the
+        supervisor's patience: exactly ``max_recovery_attempts``
+        recoveries, then the failure itself."""
+        dnnd = DNND(small_dense, config(), cluster=ClusterConfig(**CLUSTER),
+                    fault_plan=FaultPlan().with_crash(rank=1, at_iteration=0))
+        fire = dnnd._injector.advance_iteration
+
+        def fire_again(iteration):
+            dnnd._injector._fired_crashes.clear()
+            return fire(iteration)
+
+        dnnd._injector.advance_iteration = fire_again
+        with pytest.raises(RankFailureError) as exc:
+            dnnd.build(max_recovery_attempts=3)
+        assert exc.value.ranks == (1,)
+        assert dnnd._recoveries == 3
+        assert dnnd.world.log.total_fault_events()["crashes"] == 4
+
 
 class TestReliableDeliveryBuild:
     def test_drop_dup_reorder_graph_identical(self, small_dense, reference):
@@ -153,6 +173,31 @@ class TestReliableDeliveryBuild:
                     fault_plan=plan, reliable=True, max_retries=3)
         with pytest.raises(FaultToleranceError):
             dnnd.build()
+
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    def test_exhausted_retry_budget_is_typed_on_both_backends(
+            self, small_dense, backend):
+        """A worker-side library error reaches the caller as itself —
+        attributes and the worker traceback included — not as a
+        ``RuntimeStateError`` around its text; and the failed build
+        leaves no worker behind."""
+        import multiprocessing
+
+        cfg = replace(config(), backend=backend, workers=2)
+        dnnd = DNND(small_dense, cfg, cluster=ClusterConfig(**CLUSTER),
+                    fault_plan=FaultPlan(drop_rate=1.0), reliable=True,
+                    max_retries=1)
+        try:
+            with pytest.raises(FaultToleranceError) as exc:
+                dnnd.build()
+        finally:
+            dnnd.close()
+        assert type(exc.value) is FaultToleranceError
+        assert exc.value.attempts == 1
+        if backend == "process":
+            assert "tick" in str(exc.value.__cause__)  # worker traceback
+        assert not multiprocessing.active_children()
 
 
 class TestZeroOverheadDefault:

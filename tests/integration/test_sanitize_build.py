@@ -5,7 +5,8 @@ the fault injector)."""
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig, DNNDConfig, NNDescentConfig
+from repro.config import (ClusterConfig, CommOptConfig, DNNDConfig,
+                          NNDescentConfig)
 from repro.core.dist_search import DistributedKNNGraphSearcher
 from repro.core.dnnd import DNND
 
@@ -86,3 +87,22 @@ def test_env_var_enables_for_whole_build(data, monkeypatch):
     result = d.build()
     assert result.converged or result.iterations == 4
     assert d.world.sanitizer.violations == 0
+
+
+def test_sanitized_process_build_matches_unsanitized(data):
+    """Every worker's world runs the sanitizer like the sim world does:
+    on two workers the sanitized graph is the unsanitized one (in the
+    order-invariant envelope — two workers do not repeat one delivery
+    order), and no cross-rank access is reported back as an error."""
+    cfg = DNNDConfig(nnd=NNDescentConfig(k=6, seed=3, max_iters=4, delta=0.0),
+                     comm_opts=CommOptConfig.unoptimized(),
+                     backend="process", workers=2)
+    graphs = []
+    for sanitize in (False, True):
+        d = DNND(data, cfg, cluster=_cluster(), sanitize=sanitize)
+        try:
+            graphs.append(d.build().graph)
+        finally:
+            d.close()
+    assert np.array_equal(graphs[0].ids, graphs[1].ids)
+    assert graphs[0].dists.tobytes() == graphs[1].dists.tobytes()

@@ -360,7 +360,8 @@ class TestSingleSource:
             "data": tiny_dense,
             "config": DNNDConfig(nnd=NNDescentConfig(k=4)),
             "partitioner": HashPartitioner(len(tiny_dense), 2),
-            "flush_threshold": 1024})
+            "world": {"flush_threshold": 1024, "sanitize": False},
+            "fault_plan": None})
 
     def test_worker_host_reads_the_array_it_was_handed(self, worker_app,
                                                        tiny_dense):

@@ -56,8 +56,8 @@ class Fabric:
         while True:
             rounds = [comm.round(host.world)
                       for comm, host in zip(self.comms, self.hosts)]
-            sent, received, ran = map(sum, zip(*rounds))
-            if ran == 0 and sent == received:
+            sent, received, ran, idle = zip(*rounds)
+            if sum(ran) == 0 and sum(sent) == sum(received) and all(idle):
                 return
 
     def pump(self, count):
