@@ -2,14 +2,15 @@
 
 Not a paper figure: the paper assumes a reliable MPI fabric.  This
 ablation quantifies what that assumption is worth by injecting message
-loss and measuring (a) what an *unprotected* build loses in recall and
+loss — a drop loses one flushed buffer, every message it holds — and
+measuring (a) what an *unprotected* build loses in recall and
 (b) what the reliable-delivery mode (acks + retransmits + dedup) pays in
 simulated time and extra traffic to mask the same faults — plus how the
 retransmit budget trades robustness against fail-fast behaviour.
 
 Series reported:
 
-- recall@k and sim-time vs drop rate, unreliable vs reliable,
+- recall@k and sim-time vs flush drop rate, unreliable vs reliable,
 - recovery traffic (acks, retransmits) vs drop rate,
 - minimum retry budget that survives each drop rate.
 """
@@ -137,7 +138,7 @@ def test_print_fault_ablation(benchmark):
         ["drop rate", "recall (unrel.)", "recall (reliable)",
          "reliable sim-time", "retransmits", "ack msgs"],
         rows,
-        title="Ablation: recall & overhead vs message drop rate (k=8)",
+        title="Ablation: recall & overhead vs flush drop rate (k=8)",
     )
     rows = [[r["budget"], r["outcome"],
              "-" if r["recall"] is None else f"{r['recall']:.4f}",

@@ -1,8 +1,9 @@
 """Chaos harness: randomized fault plans against supervised recovery.
 
 The fault-tolerance contract (DESIGN.md section 8) says a build under a
-seeded chaos plan — message drops, duplicates, delays, plus a rank crash
-— must either *complete through supervised recovery* with recall@k
+seeded chaos plan — drops, duplicates and delays of flushed buffers
+(the fault unit: every delivery is one buffer envelope), plus a rank
+crash — must either *complete through supervised recovery* with recall@k
 within ``EPSILON`` of the fault-free build, or fail loudly.  This
 harness checks that contract on **both** execution backends under the
 same randomized plans and reliable delivery (under process every
@@ -73,8 +74,8 @@ def _config(backend: str) -> DNNDConfig:
 def draw_plan(rng: np.random.Generator, crash_rank: int,
               crash_iteration: int) -> FaultPlan:
     """One randomized chaos plan: one scheduled rank crash plus every
-    message-level fault family at a rate drawn from the master-seeded
-    stream."""
+    network fault family — per flushed buffer — at a rate drawn from
+    the master-seeded stream."""
     return FaultPlan(
         seed=int(rng.integers(1, 2**31)),
         drop_rate=float(rng.uniform(0.01, 0.08)),

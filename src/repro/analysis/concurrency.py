@@ -1,20 +1,23 @@
 """Thread-safety rules (REP4xx) — the static half of the concurrency pass.
 
-The parallel backend's correctness argument is a short list of
-conventions (DESIGN.md §14): rank sections mutate only rank-owned state;
-shared aggregates are folded from per-rank cells by *absolute
-assignment* at barriers, on the driver; mailbox deques are the only
-cross-rank channel; metrics are *published* at barriers, never from
-handler code.  These rules machine-check the code shapes that violate
-those conventions, using the engine's light intra-function dataflow
+Ranks share no heap — they run inline on one thread (sim) or in
+separate processes — so the rank program needs no thread-safety
+argument (DESIGN.md §14).  What does run on threads is the query thread
+pool (``eval/parallel_query.py``: one searcher read by many threads, one
+metrics registry written by them) and anything a future change hands to
+a ``Thread`` or an executor.  These rules guard that code with a short
+list of conventions: such code mutates only state it owns or holds a
+lock for; shared aggregates are folded by *absolute assignment*;
+metrics are *published* by the driver at barriers, never from handler
+or task code.  They machine-check the code shapes that violate those
+conventions, using the engine's light intra-function dataflow
 (:func:`~repro.analysis.engine.shared_name_resolver`,
 :func:`~repro.analysis.engine.lock_guarded`).
 
-"Concurrent scope" means a function that can run off the driver thread
-*in the driver's address space*: a registered handler/visitor/batch
-handler (delivered inside a barrier, concurrently with other ranks'
-sections under the parallel executor) or a function handed to an
-executor (``submit``/``map_ranks``/``run_ranks``/``run_on_all``/
+"Concurrent scope" means a function that could run off the driver
+thread *in the driver's address space*: a registered handler/visitor/
+batch handler or a function handed to an executor
+(``submit``/``map_ranks``/``run_ranks``/``run_on_all``/
 ``Thread(target=...)`` — collected by the engine into
 ``ProjectContext.executor_tasks``).
 

@@ -105,13 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="iterations between checkpoints (0 = off)")
     p.add_argument("--fault-drop-rate", type=float, default=0.0,
-                   help="inject: fraction of remote messages dropped")
+                   help="inject: fraction of flushed remote buffers "
+                        "dropped (every message in one is lost)")
     p.add_argument("--fault-dup-rate", type=float, default=0.0,
-                   help="inject: fraction of remote messages duplicated")
+                   help="inject: fraction of flushed remote buffers "
+                        "delivered twice")
     p.add_argument("--fault-reorder-rate", type=float, default=0.0,
-                   help="inject: fraction of flushes delivered out of order")
+                   help="inject: fraction of flushes whose entries are "
+                        "delivered out of order")
     p.add_argument("--fault-delay-rate", type=float, default=0.0,
-                   help="inject: fraction of remote messages delayed")
+                   help="inject: fraction of flushed remote buffers "
+                        "delayed")
     p.add_argument("--fault-stall-rate", type=float, default=0.0,
                    help="inject: fraction of flushes hit by a rank stall")
     p.add_argument("--fault-seed", type=int, default=0,
@@ -121,10 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash RANK at ITERATION (repeatable); requires "
                         "--checkpoint for recovery")
     p.add_argument("--reliable", action="store_true",
-                   help="ack/retransmit delivery (tolerates drop/dup "
-                        "faults; sim backend)")
+                   help="ack/retransmit delivery of flushed buffers "
+                        "(masks drop/dup/delay/reorder faults; either "
+                        "backend)")
     p.add_argument("--max-retries", type=int, default=32,
-                   help="retransmit budget per message in --reliable mode")
+                   help="retransmit budget per flushed buffer in "
+                        "--reliable mode")
     p.add_argument("--failure-timeout", type=int, default=256,
                    help="heartbeat threshold in delivery rounds before a "
                         "silent rank is declared failed (--reliable mode; "

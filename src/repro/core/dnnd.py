@@ -190,7 +190,7 @@ class DNND:
         so injected drop/duplicate/delay/reorder faults cannot corrupt
         the build; see :class:`~repro.runtime.ygm.YGMWorld`.
     max_retries:
-        Retransmit budget per message in reliable mode.
+        Retransmit budget per flushed buffer in reliable mode.
     failure_timeout:
         Heartbeat threshold for the comm layer's failure detector (in
         delivery rounds): a rank that holds an unacked frame *and*

@@ -941,7 +941,7 @@ def worker_host(comm, params: dict) -> RankHost:
     :meth:`ProcessTransport.start`): a host over the ranks ``comm`` owns,
     around an in-process :class:`YGMWorld` on the worker's transport,
     built with the driver's world options.  The worker's transport gets
-    its own injector for the plan's message-level faults — seeded per
+    its own injector for the plan's network faults — seeded per
     worker; the crashes stay with the driver, whose injector is the one
     crash clock.  ``params["data"]`` is the driver's dataset view itself
     — inherited copy-on-write under ``fork``, unpickled once under

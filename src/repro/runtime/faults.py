@@ -16,8 +16,15 @@ exercised.  This module supplies the missing adversary:
   :meth:`Transport.deliver <repro.runtime.transports.base.Transport.deliver>`
   and :meth:`YGMWorld._flush <repro.runtime.ygm.YGMWorld._flush>`
   consult on either backend.  It tracks crashed ranks, holds delayed
-  messages until their release tick, and counts everything it does in
+  deliveries until their release tick, and counts everything it does in
   a shared :class:`~repro.runtime.instrumentation.FaultStats`.
+
+The fault unit is the **flushed buffer**: the comm layer ships every
+delivery as one ``bflush`` envelope (YGM ships buffers, never single
+RPCs), so one decision drops, duplicates or delays every message a
+buffer holds, and a reorder permutes a buffer's entries.  Rates, the
+:class:`~repro.runtime.instrumentation.FaultStats` counters and the
+reliable-delivery retry budget all count envelopes, not messages.
 
 Faults model the *network and the nodes*, not the program: only remote
 (``src != dest``) traffic is perturbed, and collectives are left alone
@@ -29,6 +36,7 @@ delivery mode and the checkpoint-recovery loop in
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
@@ -51,12 +59,13 @@ class FaultPlan:
         Root seed of the decision stream; equal plans replay
         byte-identically (see :meth:`signature`).
     drop_rate / dup_rate / delay_rate:
-        Per-remote-delivery probabilities of losing the message,
-        delivering an extra copy, and deferring delivery by
-        1..``max_delay_ticks`` barrier rounds.
+        Per-remote-delivery probabilities — a delivery is one flushed
+        buffer — of losing it, delivering an extra copy, and deferring
+        it by 1..``max_delay_ticks`` barrier rounds.
     reorder_rate:
-        Per-flush probability that the flushed buffer's messages are
-        delivered in a permuted order.
+        Per-flush probability that the flushed buffer's entries (a
+        scalar message or a column chunk each) are delivered in a
+        permuted order.
     stall_rate / stall_seconds:
         Per-flush probability that the sending rank stalls (a straggler:
         page fault, OS jitter, a slow NIC), charging ``stall_seconds``
@@ -103,12 +112,8 @@ class FaultPlan:
 
     def with_crash(self, rank: int, at_iteration: int) -> "FaultPlan":
         """A copy of this plan with one more scheduled rank crash."""
-        return FaultPlan(
-            seed=self.seed, drop_rate=self.drop_rate, dup_rate=self.dup_rate,
-            reorder_rate=self.reorder_rate, delay_rate=self.delay_rate,
-            max_delay_ticks=self.max_delay_ticks, stall_rate=self.stall_rate,
-            stall_seconds=self.stall_seconds,
-            crashes=self.crashes + ((int(at_iteration), int(rank)),))
+        return dataclasses.replace(
+            self, crashes=self.crashes + ((int(at_iteration), int(rank)),))
 
     def signature(self, n_events: int = 256) -> bytes:
         """The first ``n_events`` raw decision draws as bytes.
@@ -151,7 +156,8 @@ class FaultInjector:
     # -- per-delivery decisions (consulted by Transport.deliver) ------------
 
     def on_deliver(self, src: int, dest: int) -> List[int]:
-        """Fault decision for one remote delivery.
+        """Fault decision for one remote delivery (a flushed buffer, a
+        retransmit of one, or an ack).
 
         Returns a list of tick delays, one per copy to deliver: ``[0]``
         is a clean immediate delivery, ``[]`` a drop, ``[0, 0]`` a
@@ -197,13 +203,14 @@ class FaultInjector:
 
     # -- per-flush decisions (consulted by YGMWorld._flush) ------------------
 
-    def maybe_reorder(self, n_messages: int):
-        """Permutation to apply to a flushed buffer, or ``None``."""
+    def maybe_reorder(self, n_entries: int):
+        """Permutation to apply to a flushed buffer's entries, or
+        ``None``."""
         plan = self.plan
-        if (n_messages > 1 and plan.reorder_rate
+        if (n_entries > 1 and plan.reorder_rate
                 and self._rng.random() < plan.reorder_rate):
             self.stats.reordered_flushes += 1
-            return self._rng.permutation(n_messages)
+            return self._rng.permutation(n_entries)
         return None
 
     def maybe_stall(self) -> float:

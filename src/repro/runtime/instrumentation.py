@@ -66,6 +66,10 @@ class TypeStats:
 class FaultStats:
     """Counters for injected faults and the recovery work they caused.
 
+    Network events count flushed buffers, the unit the network perturbs
+    (:mod:`.faults`): ``dropped``/``duplicated``/``delayed`` are
+    envelopes (acks included), ``retransmits`` and
+    ``duplicates_suppressed`` reliability frames around envelopes.
     The injector (:mod:`.faults`) increments the fault side; the
     transport-level reliability layer
     (:class:`~repro.runtime.transports.base.ReliableDelivery`) and the
@@ -137,21 +141,25 @@ class MessageStats:
 
     # -- aggregate views ----------------------------------------------------
 
+    def _selected(self, types: Iterable[str] | None) -> Iterable[TypeStats]:
+        """The counters of ``types`` (all types when ``None``); ``types``
+        is read once, so a generator selects as a list does."""
+        if types is None:
+            return self.by_type.values()
+        wanted = set(types)
+        return [s for t, s in self.by_type.items() if t in wanted]
+
     def total_count(self, types: Iterable[str] | None = None) -> int:
-        return sum(s.count for t, s in self.by_type.items() if types is None or t in set(types))
+        return sum(s.count for s in self._selected(types))
 
     def total_bytes(self, types: Iterable[str] | None = None) -> int:
-        return sum(s.bytes for t, s in self.by_type.items() if types is None or t in set(types))
+        return sum(s.bytes for s in self._selected(types))
 
     def offnode_count(self, types: Iterable[str] | None = None) -> int:
-        return sum(
-            s.offnode_count for t, s in self.by_type.items() if types is None or t in set(types)
-        )
+        return sum(s.offnode_count for s in self._selected(types))
 
     def offnode_bytes(self, types: Iterable[str] | None = None) -> int:
-        return sum(
-            s.offnode_bytes for t, s in self.by_type.items() if types is None or t in set(types)
-        )
+        return sum(s.offnode_bytes for s in self._selected(types))
 
     def get(self, msg_type: str) -> TypeStats:
         return self.by_type.get(msg_type, TypeStats())

@@ -33,7 +33,8 @@ the destination's mailbox here; a frame to the owning worker in
 :class:`~repro.runtime.transports.process.WorkerTransport`):
 
 - *fault injection* — an optional :class:`~repro.runtime.faults.FaultInjector`
-  (``transport.injector``) consulted on remote deliveries
+  (``transport.injector``) consulted once per remote delivery — a
+  flushed buffer's envelope, a retransmit or an ack
   (drop/duplicate/delay; traffic of a crashed rank is discarded), whose
   delayed copies :meth:`Transport.release_due_faults` hands to the same
   ``_put`` when the comm layer's delivery tick
@@ -69,7 +70,7 @@ ACK_TAG = "ack"       # ("ack", (rel_seq, ...))
 ACK_SEQ_BYTES = 4
 
 #: The wait before a retransmit grows by this factor per attempt, capped
-#: so a stuck message spins the barrier loop a bounded number of rounds
+#: so a stuck frame spins the barrier loop a bounded number of rounds
 #: per retry instead of 2**attempts.
 RETRY_BACKOFF = 2.0
 MAX_BACKOFF_TICKS = 32
@@ -176,7 +177,8 @@ class ReliableDelivery:
 
     def tick(self) -> None:
         """Advance the delivery-round clock and retransmit unacked
-        messages whose backoff window expired.  Raises
+        frames (a whole flushed buffer each) whose backoff window
+        expired.  Raises
         :class:`~repro.errors.FaultToleranceError` past the retry
         budget."""
         self.clock += 1

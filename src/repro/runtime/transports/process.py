@@ -15,9 +15,10 @@ GIL by giving every rank real OS-process parallelism:
   messages between co-resident ranks stay in-process deque appends,
   messages to ranks owned by another worker travel as pickled frames
   ``(epoch, dest, src, payload)`` over that worker's ``mp.Queue`` inbox
-  — the payloads are exactly the ``call``/``bflush`` envelopes the
-  comm layer already produces, so the wire format is the sim wire
-  format, serialized;
+  — the payload is exactly the comm layer's one wire format, a
+  ``bflush`` envelope of a flushed buffer (or a reliability frame
+  around one, or an ack), so the wire format is the sim wire format,
+  serialized;
 - the **driver** keeps the SPMD program counter: it broadcasts commands
   over per-worker pipes (:class:`ProcessTransport`) to the application
   object each worker's bootstrap built (DNND: a rank host over the
@@ -49,8 +50,9 @@ frames are discarded on ingest without being counted.
 Fault plans run here as they do on sim: the worker's transport is the
 base :class:`~.base.Transport` with only :meth:`~.base.Transport._put`
 overridden, so its bootstrap attaches an injector (and the comm layer
-reliable delivery) exactly where the sim world's are; the plan's crashes
-stay with the driver, whose injector is the crash clock
+reliable delivery) exactly where the sim world's are, perturbing and
+acking the same flushed-buffer envelopes; the plan's crashes stay with
+the driver, whose injector is the crash clock
 (:meth:`ProcessTransport.kill_rank` makes one real).
 
 Failure semantics: a worker that dies (or is killed by a crash-plan

@@ -41,10 +41,11 @@ either *scalar* (``register_handler``: ``fn(ctx, *args)`` once per
 message) or *columnar* (``register_batch_handler``: ``fn(ctx,
 *columns)`` once per contiguous run of its messages at a rank; a lone
 ``async_call`` to it is a one-row run).  Buffers hold column chunks for
-the latter, a flushed buffer travels as one ``bflush`` envelope, and
-with a fault injector or reliable delivery the chunks are exploded to
-per-message ``call`` frames so every fault decision and ack stays per
-message.
+the latter.  There is one wire format: every delivery — a flushed
+buffer, a local send, with or without faults or reliable delivery — is
+one ``bflush`` envelope, and the envelope is the unit the network
+perturbs, frames, acks and retransmits (YGM ships buffers, never single
+RPCs).
 
 **Reliable delivery mode.**  With a fault injector attached to the
 transport (:mod:`.faults`; either backend) the network may drop,
@@ -53,17 +54,18 @@ transport-level recovery layer
 (:class:`~repro.runtime.transports.base.ReliableDelivery`) so handler
 effects stay *effectively-once*:
 
-- every remote call is framed with a per-``(src, dest)`` sequence
-  number,
+- every flushed buffer is framed with a per-``(src, dest)`` sequence
+  number — one per buffer, whatever it holds,
 - receivers acknowledge sequence numbers positively; acks are batched
   per peer and piggybacked at the end of each delivery round,
-- unacknowledged messages are retransmitted after a timeout (measured
-  in barrier delivery rounds) with exponential backoff and a bounded
-  retry budget — exhausting the budget raises
+- unacknowledged buffers are retransmitted whole after a timeout
+  (measured in barrier delivery rounds) with exponential backoff and a
+  bounded retry budget — exhausting the budget raises
   :class:`~repro.errors.FaultToleranceError` rather than silently
   corrupting the build,
 - receivers remember delivered sequence numbers and suppress duplicate
-  handler invocations (retransmits and injected duplicates alike).
+  envelopes (retransmits and injected duplicates alike), so no handler
+  sees a message twice.
 
 **Failure detection.**  Every barrier surfaces
 :class:`~repro.errors.RankFailureError` uniformly from any transport
@@ -107,7 +109,6 @@ of ``barrier()``, a worker ships it in every ``__round__`` reply.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -122,17 +123,16 @@ from .transports.base import Transport
 
 Handler = Callable[..., None]
 
-# Mailbox payload tags.  Transports are payload-agnostic; these are the
-# YGM layer's wire formats.  The reliability frames ("rel"/"ack") are
-# owned by the transport layer (transports.base) and wrap any of the
-# other items as their inner payload.
-_CALL = "call"        # ("call", send_seq, handler, args)
-_REL = "rel"          # ("rel", rel_seq, inner_payload)
+# Mailbox payload tags.  Transports are payload-agnostic; the YGM layer
+# has one wire format, the flushed buffer.  The reliability frames
+# ("rel"/"ack") are owned by the transport layer (transports.base); a
+# "rel" frame wraps a flushed buffer as its inner payload.
+_REL = "rel"          # ("rel", rel_seq, ("bflush", ...))
 _ACK = "ack"          # ("ack", (rel_seq, ...))
-_BATCH = "bflush"     # ("bflush", [(handler, payload, send_seq, nbytes, count), ...])
+_BATCH = "bflush"     # ("bflush", [(handler, payload, first_send_seq), ...])
 #   payload: the argument tuple of one message to a scalar handler, or —
-#   for a columnar handler — one array per argument, ``count`` rows each
-#   (``nbytes`` is then per message: an int, or an array when ragged).
+#   for a columnar handler — one array per argument, a run of rows whose
+#   send sequence numbers count up from first_send_seq.
 
 
 class RankContext:
@@ -144,7 +144,8 @@ class RankContext:
         This rank's id in ``[0, world_size)``.
     state:
         Rank-local storage: the application hangs its shard here (the
-        vertex features and neighbor lists this rank owns).
+        global ids and neighbor matrices of the vertices this rank
+        owns).
     rng:
         A per-rank deterministic generator.
     tally:
@@ -209,10 +210,10 @@ class YGMWorld:
         module docstring).  Without a fault injector this only adds ack
         traffic; with one it masks drop/duplicate/delay/reorder faults.
     retry_timeout:
-        Delivery rounds an unacked message waits before its first
+        Delivery rounds an unacked buffer waits before its first
         retransmit; doubles per attempt up to a cap.
     max_retries:
-        Retransmit budget per message; exceeding it raises
+        Retransmit budget per flushed buffer; exceeding it raises
         :class:`~repro.errors.FaultToleranceError`.
     failure_timeout:
         Delivery rounds without progress after which a rank with an
@@ -415,11 +416,11 @@ class YGMWorld:
                 # Local async call: no wire traffic, but still deferred
                 # delivery (YGM runs even self-messages from the queue).
                 self.local_deliveries += 1
-                self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
+                self.cluster.deliver(src, dest, (_BATCH, [(handler, args, seq)]))
                 return
             self.cluster.stats.record(msg_type, nbytes,
                                       self._offnode[src][dest])
-            self._buffers[src][dest].append((handler, args, seq, nbytes, 1))
+            self._buffers[src][dest].append((handler, args, seq))
             self._buffer_count[src][dest] += 1
             self._buffer_bytes[src][dest] += nbytes
             if (self._buffer_count[src][dest] >= self.flush_threshold
@@ -484,8 +485,8 @@ class YGMWorld:
             if dest == src:
                 # Self-sends never touch the wire or the message stats.
                 self.local_deliveries += n
-                self.cluster.deliver(
-                    src, src, (_BATCH, [(handler, part, seq + lo, nb, n)]))
+                self.cluster.deliver(src, src,
+                                     (_BATCH, [(handler, part, seq + lo)]))
             else:
                 size = int(nb.sum()) if ragged else nb * n
                 sent_c += n
@@ -521,16 +522,14 @@ class YGMWorld:
             elif nbytes:
                 take = min(take, -(-room // nbytes))
             if take >= count:
-                self._buffers[src][dest].append(
-                    (handler, payload, seq, nbytes, count))
+                self._buffers[src][dest].append((handler, payload, seq))
                 counts[dest] += count
                 sizes[dest] += int(filled[-1]) if ragged else nbytes * count
                 if take == count:
                     self._flush(src, dest)
                 return
             self._buffers[src][dest].append(
-                (handler, tuple(col[:take] for col in payload), seq,
-                 nbytes[:take] if ragged else nbytes, take))
+                (handler, tuple(col[:take] for col in payload), seq))
             counts[dest] += take
             sizes[dest] += int(filled[take - 1]) if ragged else nbytes * take
             self._flush(src, dest)
@@ -540,61 +539,39 @@ class YGMWorld:
             seq += take
             count -= take
 
-    def _messages(self, buf: list):
-        """The buffer's entries as one ``(handler, args, send_seq,
-        nbytes)`` per message: column chunks exploded to rows."""
-        for handler, payload, seq, nbytes, count in buf:
-            if handler not in self._batch_handlers:
-                yield handler, payload, seq, nbytes
-                continue
-            sizes = (repeat(nbytes) if isinstance(nbytes, int)
-                     else nbytes.tolist())
-            rows = zip(*(col.tolist() for col in payload))
-            for i, (args, size) in enumerate(zip(rows, sizes)):
-                yield handler, args, seq + i, size
-
     def _flush(self, src: int, dest: int) -> None:
+        """Ship the ``src -> dest`` buffer as one ``bflush`` envelope —
+        the unit every fault decision, reliability frame and ack acts on.
+        The injector may stall the sender and permute the buffer's
+        entries; the envelope then goes to reliable delivery (with the
+        buffer's modeled bytes, what a retransmit costs) or straight to
+        the transport, which takes one drop/dup/delay decision for it."""
         buf = self._buffers[src][dest]
         if not buf:
             return
+        nbytes = self._buffer_bytes[src][dest]
         ledger = self.cluster.ledger
         if ledger.enabled:
             offnode = self._offnode[src][dest]
             net = self.cluster.net
-            ledger.charge(
-                src, net.flush_cost(offnode)
-                + net.message_cost(self._buffer_bytes[src][dest], offnode))
+            ledger.charge(src, net.flush_cost(offnode)
+                          + net.message_cost(nbytes, offnode))
         self.flush_count += 1
         self._buffers[src][dest] = []
         self._buffer_count[src][dest] = 0
         self._buffer_bytes[src][dest] = 0
         inj = self.injector
-        rel = self._rel
-        if self._batch_handlers and inj is None and rel is None:
-            # Envelope delivery: hand the whole buffer over as ONE
-            # mailbox item.  Without an injector, per-message delivery
-            # is a plain append per entry, so an envelope preserving
-            # entry order is the same in every observable — flushed
-            # buffers never interleave with other deliveries.
-            self.cluster.deliver(src, dest, (_BATCH, buf))
-            return
-        # Faulty or reliable runs keep the per-message wire format:
-        # drop/duplicate/delay/reorder decisions and acks are per message
-        # (as does a world of scalar handlers only, whose buffers hold
-        # nothing else).
-        frames = list(self._messages(buf))
         if inj is not None:
             stall = inj.maybe_stall()
             if stall:
                 ledger.charge(src, stall)
-            order = inj.maybe_reorder(len(frames))
+            order = inj.maybe_reorder(len(buf))
             if order is not None:
-                frames = [frames[int(i)] for i in order]
-        for handler, args, seq, msg_nbytes in frames:
-            if rel is not None:
-                rel.send(src, dest, (_CALL, seq, handler, args), msg_nbytes)
-            else:
-                self.cluster.deliver(src, dest, (_CALL, seq, handler, args))
+                buf = [buf[int(i)] for i in order]
+        if self._rel is not None:
+            self._rel.send(src, dest, (_BATCH, buf), nbytes)
+        else:
+            self.cluster.deliver(src, dest, (_BATCH, buf))
 
     def flush_all(self) -> None:
         for src in range(self.world_size):
@@ -637,16 +614,16 @@ class YGMWorld:
         """Deliver every currently-queued message once, in deterministic
         rank order; returns how many messages were applied.
 
-        Messages to a columnar handler are not applied one by one:
-        contiguous chunks for one handler within a rank's snapshot are
-        concatenated and applied as ONE invocation (a lone ``call`` frame
-        joins as a one-row chunk).  Draining a message has no
-        handler-visible effect — reliable-delivery bookkeeping (acks,
-        dedup) still happens per message before it joins its run, and
-        ``_ACK`` control traffic neither runs a handler nor breaks a
-        run.  ``current_message_seq`` is None during a columnar
-        invocation; order-sensitive consumers that read it register
-        scalar handlers.
+        Every mailbox item is a flushed buffer (or a reliability frame
+        around one, or an ack).  Messages to a columnar handler are not
+        applied one by one: contiguous chunks for one handler within a
+        rank's snapshot are concatenated and applied as ONE invocation,
+        across envelope boundaries.  Draining has no handler-visible
+        effect — reliable-delivery bookkeeping (ack, dedup) happens per
+        envelope before its entries join a run, and ``_ACK`` control
+        traffic neither runs a handler nor breaks a run.
+        ``current_message_seq`` is None during a columnar invocation;
+        order-sensitive consumers that read it register scalar handlers.
         """
         ran = 0
         columnar = self._batch_handlers
@@ -670,22 +647,14 @@ class YGMWorld:
                 tag = payload[0]
                 if tag == _REL:
                     # Reliability frame: ack/dedup at the transport
-                    # layer, then fall through with the inner payload.
+                    # layer, then fall through with the inner envelope.
                     if not rel.on_receive(rank, src, payload[1]):
                         continue
                     payload = payload[2]
-                    tag = payload[0]
                 elif tag == _ACK:
                     rel.on_ack(rank, src, payload[1])
                     continue
-                if tag == _BATCH:
-                    entries = payload[1]
-                else:
-                    _tag, seq, handler, args = payload
-                    if handler in columnar:
-                        args = tuple(np.array([a]) for a in args)
-                    entries = ((handler, args, seq, 0, 1),)
-                for handler, data, seq, _nbytes, _count in entries:
+                for handler, data, seq in payload[1]:
                     if handler in columnar:
                         # Join the current run, breaking it first when
                         # it belongs to another handler.
@@ -771,7 +740,7 @@ class YGMWorld:
         injector has crashed a rank (a real MPI barrier over a dead rank
         aborts the communicator), and
         :class:`~repro.errors.FaultToleranceError` when reliable mode
-        exhausts a message's retry budget.
+        exhausts a flushed buffer's retry budget.
         """
         if self._in_barrier:
             raise RuntimeStateError("nested barrier (handler called barrier)")

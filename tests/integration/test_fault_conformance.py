@@ -195,7 +195,7 @@ class TestDegradedModeConformance:
         assert snap["gauges"]["degraded.ranks"] == 0.0
 
 
-#: Crash-only conformance set: a plan with no message-level faults and
+#: Crash-only conformance set: a plan with no network faults and
 #: no reliable delivery, so nothing but the crash clock, the SIGKILL and
 #: the supervisor is exercised.
 CRASH_BACKENDS = BACKENDS

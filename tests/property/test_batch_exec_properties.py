@@ -9,10 +9,11 @@ engine" is now a property of the handlers themselves:
   ``init_resp`` messages delivered as one batch, as one-row batches, or
   permuted leaves identical shard matrices, each row a valid neighbor
   row (unique ids, no self-loop, ``dists[:, 0]`` the row maximum),
-- a build whose flushed chunks travel as whole ``bflush`` envelopes is
-  bit-identical to one whose chunks are exploded to per-message frames
-  (reliable delivery), across cluster shapes, comm-opt modes, a faulty
-  network, and on the process backend's workers.
+- a build whose flushed buffers travel as bare ``bflush`` envelopes is
+  bit-identical to one whose envelopes are framed, acked and deduplicated
+  (reliable delivery), across cluster shapes and comm-opt modes, and on
+  the process backend's workers; under a faulty network with reliable
+  delivery the rows match a fault-free build's.
 """
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_columnar_handlers_ignore_order_and_batch_split(handler, pairs, k,
 
 
 # ---------------------------------------------------------------------------
-# Whole builds: chunk envelopes vs per-message frames
+# Whole builds: bare envelopes vs reliably framed ones
 # ---------------------------------------------------------------------------
 
 N, DIM, K = 150, 12, 6
@@ -174,9 +175,9 @@ def _assert_identical(left, right, counters=True):
 @pytest.mark.parametrize("nodes,ppn", [(1, 2), (2, 2), (3, 2)])
 def test_batched_bit_identical_across_cluster_shapes(nodes, ppn):
     # Same shape, same schedule on both sides (default pattern, no
-    # faults) — identity here is between wire forms, not across shapes:
-    # reliable=True puts every flushed chunk on the wire as per-message
-    # frames; the receiver coalesces them back into the same runs.
+    # faults) — identity here is between delivery modes, not across
+    # shapes: reliable=True frames every flushed buffer with a sequence
+    # number and acks it; the receiver unwraps it into the same runs.
     _assert_identical(_run(nodes=nodes, ppn=ppn),
                       _run(nodes=nodes, ppn=ppn, reliable=True))
 
@@ -200,8 +201,8 @@ def test_batched_bit_identical_on_process_backend(opts):
 
 
 def test_batched_bit_identical_under_faults_with_reliable_delivery():
-    # Exploded frames are dropped, duplicated, reordered and delayed one
-    # by one; reliable delivery makes their effect once each.  Under the
+    # Envelopes are dropped, duplicated, reordered and delayed whole;
+    # reliable delivery makes their effect once each.  Under the
     # order-invariant envelope (unoptimized pattern, pinned iterations)
     # the rows then hold the same k smallest (dist, id) of the same
     # offers as a fault-free build — ties included.  Update counts are

@@ -1,17 +1,17 @@
 """Pickle round-trip properties for the process backend's wire frames.
 
-The process transport ships the comm layer's existing flush envelopes —
-``call`` / ``bflush`` (plus the reliability ``rel`` / ``ack``
-wrappers) — as pickled cross-worker frames
+The process transport ships the comm layer's one wire format — the
+``bflush`` envelope of a flushed buffer, plus the reliability ``rel`` /
+``ack`` wrappers — as pickled cross-worker frames
 ``(epoch, dest, src, payload)`` on a ``multiprocessing.Queue``.  The
 wire format therefore *is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
 pickle.dumps/loads bit-exactly.  A ``bflush`` entry for a columnar
 handler is a *column chunk* — ``(handler, (array per argument), first
-send seq, nbytes, rows)`` with gids as ``int64`` columns, distances and
-bounds as ``float64`` columns, and ``nbytes`` an int or (ragged sparse
-records) a per-message array; often the arrays are slices of a larger
-run."""
+send seq)`` with gids as ``int64`` columns, distances and bounds as
+``float64`` columns; often the arrays are slices of a larger run.  An
+entry for a scalar handler is ``(handler, argument tuple, send
+seq)``."""
 
 import pickle
 
@@ -51,10 +51,6 @@ _HANDLER = st.sampled_from(
 _SEQ = st.integers(0, 2**31)
 
 
-def _call_env():
-    return st.tuples(st.just("call"), _SEQ, _HANDLER, _args())
-
-
 @st.composite
 def _chunk(draw):
     """One column chunk: id columns plus an optional distance column,
@@ -68,29 +64,22 @@ def _chunk(draw):
         columns.append(np.array(draw(st.lists(
             st.floats(allow_nan=False, width=64) | st.just(np.inf),
             min_size=rows + lo, max_size=rows + lo)), dtype=np.float64)[lo:])
-    nbytes = draw(st.integers(0, 4096)
-                  | st.lists(st.integers(0, 4096), min_size=rows,
-                             max_size=rows).map(np.array))
-    return (draw(_HANDLER), tuple(columns), draw(_SEQ), nbytes, rows)
+    return (draw(_HANDLER), tuple(columns), draw(_SEQ))
 
 
 def _bflush_env():
-    scalar = st.tuples(st.just("noop"), _args(), _SEQ,
-                       st.integers(0, 4096), st.just(1))
+    scalar = st.tuples(st.just("noop"), _args(), _SEQ)
     return st.tuples(st.just("bflush"),
                      st.lists(_chunk() | scalar, max_size=6))
 
 
-def _plain_envelopes():
-    return st.one_of(_call_env(), _bflush_env())
-
-
 def _envelopes():
-    """All envelope tags, including reliability wrappers around each."""
-    rel = st.tuples(st.just("rel"), _SEQ, _plain_envelopes())
+    """All envelope tags: the flushed buffer, the reliability frame
+    around one, and an ack."""
+    rel = st.tuples(st.just("rel"), _SEQ, _bflush_env())
     ack = st.tuples(st.just("ack"),
                     st.lists(_SEQ, max_size=8).map(tuple))
-    return st.one_of(_plain_envelopes(), rel, ack)
+    return st.one_of(_bflush_env(), rel, ack)
 
 
 def _frames():
@@ -132,7 +121,7 @@ def test_distance_column_round_trip():
     d = rng.normal(size=64)
     ids = np.arange(64, dtype=np.int64)
     env = ("bflush",
-           [("distance_reply", (ids[8:40], ids[40:8:-1], d[8:40]), 0, 12, 32)])
+           [("distance_reply", (ids[8:40], ids[40:8:-1], d[8:40]), 0)])
     blob = pickle.dumps(env)
     out = pickle.loads(blob)
     assert _eq(out, env)

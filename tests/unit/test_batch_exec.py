@@ -238,16 +238,41 @@ class TestEmitRun:
                 world.emit_run(0, np.array([1, bad]), "h",
                                (self.KEYS[:2], self.VALS[:2]), 8)
 
-    def test_faulty_network_sees_one_frame_per_message(self):
-        """With an injector a flushed chunk is exploded to per-row
-        frames, so drop/dup decisions stay per message."""
-        plan = FaultPlan(seed=5, drop_rate=0.3, dup_rate=0.3)
-        world, got = self._world(injector=make_injector(plan, 4))
-        dests = np.full(200, 1)
-        world.emit_run(0, dests, "h", (np.arange(200), np.zeros(200)), 8, "t")
+    def test_faulty_network_decides_once_per_flush(self):
+        """The fault unit is the flushed buffer: without reliable
+        delivery, ``dup_rate=1.0`` duplicates every envelope once, and
+        every message in it runs twice."""
+        plan = FaultPlan(seed=5, dup_rate=1.0)
+        world = make_world(flush=3, injector=make_injector(plan, 4))
+        calls = []
+        world.register_handler("g", lambda ctx, x: calls.append((ctx.rank, x)))
+        for i in range(10):
+            world.async_call(0, 1 + i % 2, "g", i, nbytes=8)
         world.barrier()
-        stats = world.fault_stats
-        assert stats.dropped > 10 and stats.duplicated > 10
-        delivered = [k for _, ks, _ in got for k in ks]
-        assert len(delivered) == 200 - stats.dropped + stats.duplicated
-        assert set(delivered) < set(range(200))
+        assert world.fault_stats.duplicated == world.flush_count == 4
+        assert sorted(calls) == sorted(2 * [(1 + i % 2, i) for i in range(10)])
+
+    @pytest.mark.parametrize("backend,workers", [("sim", 0), ("process", 1)])
+    def test_duplicated_envelopes_leave_valid_rows(self, backend, workers):
+        """A duplicated envelope hands the same column arrays to its
+        handler twice: every row still passes ``check_rows``, so no
+        handler writes into the columns it was given."""
+        from repro import DNND, DNNDConfig, NNDescentConfig
+        from repro.core.heap import check_rows
+
+        data = np.random.default_rng(1).standard_normal((120, 8))
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=5, seed=2, max_iters=3),
+                         backend=backend, workers=workers)
+        dnnd = DNND(data, cfg, cluster=ClusterConfig(nodes=2, procs_per_node=2),
+                    fault_plan=FaultPlan(seed=3, dup_rate=1.0))
+        try:
+            dnnd.build()
+            shards = dnnd.host.command("ckpt_get")
+            flushes = dnnd.world.log.totals.counts["comm.flushes"]
+            duplicated = dnnd.world.log.totals.counts["faults.duplicated"]
+        finally:
+            dnnd.close()
+        assert duplicated == flushes > 0
+        assert sorted(shards) == [0, 1, 2, 3]
+        for _gids, ids, dists, _flags in shards.values():
+            assert check_rows(ids, dists) is None

@@ -44,6 +44,19 @@ class TestMessageStats:
         assert ms.total_count(["type1", "type3"]) == 2
         assert ms.total_bytes(["type2"]) == 100
 
+    def test_totals_accept_a_generator(self):
+        """A one-shot iterable selects every type it names, not only the
+        first type it is checked against."""
+        ms = MessageStats()
+        ms.record("type1", 10, True)
+        ms.record("type2", 100, False)
+        ms.record("type3", 5, True)
+        wanted = ("type1", "type2", "type3")
+        assert ms.total_count(t for t in wanted) == 3
+        assert ms.total_bytes(t for t in wanted) == 115
+        assert ms.offnode_count(t for t in wanted) == 2
+        assert ms.offnode_bytes(t for t in wanted) == 15
+
     def test_unknown_type_empty(self):
         assert MessageStats().get("nope").count == 0
 

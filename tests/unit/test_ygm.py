@@ -152,7 +152,9 @@ class TestBufferingAndCosts:
         world.async_call(0, 1, "h")
         assert world.cluster.pending_total() == 0  # buffered
         world.async_call(0, 1, "h")
-        assert world.cluster.pending_total() == 2  # flushed at threshold
+        # Flushed at the threshold: both messages travel as ONE envelope.
+        assert world.cluster.pending_total() == 1
+        assert world.flush_count == 1
 
     def test_flush_count_depends_on_threshold(self):
         def flush_count(threshold):

@@ -19,10 +19,12 @@ def make_world(flush=10_000, flush_bytes=1 << 20):
 class TestByteThreshold:
     def test_big_messages_flush_early(self):
         world = make_world(flush=10_000, flush_bytes=1000)
-        # Three 400-byte messages cross the byte cap before the count cap.
+        # Three 400-byte messages cross the byte cap before the count cap:
+        # the buffer is flushed by bytes, as one envelope.
         for _ in range(3):
             world.async_call(0, 1, "h", nbytes=400)
-        assert world.cluster.pending_total() == 3  # flushed by bytes
+        assert world.cluster.pending_total() == 1
+        assert world.flush_count == 1
 
     def test_small_messages_stay_buffered(self):
         world = make_world(flush=10_000, flush_bytes=1000)
@@ -34,7 +36,8 @@ class TestByteThreshold:
         world = make_world(flush=2, flush_bytes=1 << 30)
         world.async_call(0, 1, "h", nbytes=1)
         world.async_call(0, 1, "h", nbytes=1)
-        assert world.cluster.pending_total() == 2
+        assert world.cluster.pending_total() == 1
+        assert world.flush_count == 1
 
     def test_feature_vs_reply_buffer_asymmetry(self):
         """The reason bytes matter: Type 2+-sized messages fill buffers
