@@ -651,9 +651,9 @@ SHARD_OPS: Dict[str, Callable[..., Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Message handlers.  Each is *columnar*: it receives a contiguous run of
-# its messages as one array per argument (a lone message is a one-row
-# run) and works on the shard matrices in array operations.  The result
+# Message handlers.  Each is *columnar*: it receives a run of its
+# messages — all of them at the rank in one delivery round — as one
+# array per argument (a lone message is a one-row run) and works on the shard matrices in array operations.  The result
 # of a run does not depend on the order of its rows: neighbor updates go
 # through ``merge_rows`` (rows keep the k smallest ``(dist, id)``), and
 # checks that read row state (redundancy, pruning bound) read it once,

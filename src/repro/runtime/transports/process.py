@@ -13,12 +13,13 @@ GIL by giving every rank real OS-process parallelism:
   (``rank % nworkers``) and runs a full
   :class:`~repro.runtime.ygm.YGMWorld` over a :class:`WorkerTransport`:
   messages between co-resident ranks stay in-process deque appends,
-  messages to ranks owned by another worker travel as pickled frames
-  ``(epoch, dest, src, payload)`` over that worker's ``mp.Queue`` inbox
-  — the payload is exactly the comm layer's one wire format, a
-  ``bflush`` envelope of a flushed buffer (or a reliability frame
-  around one, or an ack), so the wire format is the sim wire format,
-  serialized;
+  messages to ranks owned by another worker are held until the round
+  ends and then travel as ONE pickled frame per destination worker,
+  ``(epoch, sender, [(dest, src, envelope), ...])``, over that worker's
+  ``mp.Queue`` inbox — each envelope is exactly the comm layer's one
+  wire format, a ``bflush`` envelope of a flushed buffer (or a
+  reliability frame around one, or an ack), so the wire format is the
+  sim wire format, serialized and batched;
 - the **driver** keeps the SPMD program counter: it broadcasts commands
   over per-worker pipes (:class:`ProcessTransport`) to the application
   object each worker's bootstrap built (DNND: a rank host over the
@@ -27,25 +28,30 @@ GIL by giving every rank real OS-process parallelism:
   — its own barrier log included — plus the merged ``rank -> value``
   replies of the workers' hosts.
 
-Quiescence across processes is a counting protocol: a barrier loops
-``__round__`` commands, each worker drains its inbox + runs delivery
-ticks (:meth:`YGMWorld.step`) until a pass moves nothing and reports
-``(frames_sent, frames_received, handlers_run, idle)``; the barrier
-completes when no worker ran a handler, every worker's world calls
-itself idle (nothing queued, unacked or held back by its injector)
-**and** the global sent/received frame counts agree (frames still
-sitting in a queue's feeder thread keep the counts unequal).  The same
-reply carries the worker's counters as a
+A barrier is a loop of bulk-synchronous supersteps, the sim barrier's
+:meth:`YGMWorld.step` loop spread over the workers.  Its first
+``__round__`` only ships what the sections staged; each later one names
+a worker the workers that shipped it a frame in the previous round, and
+the worker takes exactly those frames, runs one ``step()``, flushes and
+ships at most one frame per destination worker, replying ``(missing,
+ran, idle, shipped)``.  The barrier completes at the first round in
+which no worker ran a handler, shipped a frame or called its world busy
+(nothing queued, unacked or held back by its injector): every frame
+shipped before that round was awaited by name, so none is left in
+flight.  No wait is unbounded — a worker missing a frame after
+:data:`FRAME_WAIT_S` replies with the shortfall, and the driver either
+finds a dead worker (:class:`~repro.errors.RankFailureError`) or asks
+again.  The same reply carries the worker's counters as a
 *delta* (:meth:`YGMWorld.export_delta`: what changed since its previous
 reply), which the driver adds to its log's running totals on arrival —
 the only way counters cross the process boundary.  A delta that was
 shipped is counted for good; one that was not died with its worker, so
 a respawned worker's zeroed counters can neither erase nor repeat
-history.  Counters and frames are stamped with an **epoch**:
-``reset_in_flight`` bumps the epoch and zeroes the counters everywhere,
-so frames lost inside a crashed worker (or stale frames from before a
-recovery) can never wedge or corrupt a later barrier — stale-epoch
-frames are discarded on ingest without being counted.
+history.  Frames are stamped with an **epoch**: ``reset_in_flight``
+bumps it everywhere and the driver stops expecting anything, so frames
+lost inside a crashed worker (or stale frames from before a recovery)
+can never wedge or corrupt a later barrier — a stale-epoch frame is
+discarded when taken.
 
 Fault plans run here as they do on sim: the worker's transport is the
 base :class:`~.base.Transport` with only :meth:`~.base.Transport._put`
@@ -96,6 +102,11 @@ CMD_ROUND = "__round__"
 CMD_RESET = "__reset__"
 CMD_STOP = "__stop__"
 
+#: How long a worker waits for a frame a round expects before it
+#: reports the shortfall (the driver asks again while every worker
+#: lives) — the one bound on any wait for a frame.
+FRAME_WAIT_S = 1.0
+
 
 def _start_method(requested: str | None = None) -> str:
     """Pick the mp start method: explicit arg > env > fork-if-available.
@@ -140,10 +151,11 @@ class WorkerTransport(Transport):
     It is a full ``world_size``-wide transport (so rank ids, topology,
     and off-node accounting match the sim backend exactly), but only the
     *owned* ranks' mailboxes ever fill: a delivery to a rank owned by
-    another worker is serialized as an epoch-stamped frame onto that
-    worker's inbox queue instead.  That is the only thing it overrides
-    (:meth:`_put`): the delivery decision — failure marks, the fault
-    injector — is the base class's, taken once, at the sender.
+    another worker is held for that worker until the round ends
+    (:meth:`ship`).  That is the only thing it overrides (:meth:`_put`):
+    the delivery decision — failure marks, the fault injector — is the
+    base class's, taken once, at the sender.  ``outboxes[w]`` is worker
+    ``w``'s inbox queue, this worker's own included.
     """
 
     def __init__(self, config: ClusterConfig, owned, worker_of,
@@ -155,84 +167,105 @@ class WorkerTransport(Transport):
         self._worker_of: List[int] = list(worker_of)
         self._outboxes = outboxes
         self.epoch = 0
-        self.frames_sent = 0
-        self.frames_received = 0
+        # This round's remote deliveries, per destination worker.
+        self._outgoing: Dict[int, list] = {}
+        # Frames of a sender already a round ahead, by sender.
+        self._early: Dict[int, list] = {}
 
     def begin_epoch(self, epoch: int) -> None:
-        """Enter ``epoch``: zero the frame counters.  Frames stamped
-        with any other epoch are discarded on ingest."""
+        """Enter ``epoch``: discard what this worker holds for the wire
+        and what sits in its inbox; a frame of another epoch still on
+        its way is discarded when taken."""
+        inbox = self._outboxes[self.worker_id]
+        while True:
+            try:
+                inbox.get_nowait()
+            except queue_mod.Empty:
+                break
         self.epoch = int(epoch)
-        self.frames_sent = 0
-        self.frames_received = 0
+        self._outgoing = {}
+        self._early = {}
 
     def _put(self, src: int, dest: int, item: Any) -> None:
         if dest in self.owned:
             self._mailboxes[dest].append((src, item))
-            return
-        self.frames_sent += 1
-        self._outboxes[self._worker_of[dest]].put(
-            (self.epoch, dest, src, item))
+        else:
+            self._outgoing.setdefault(self._worker_of[dest], []).append(
+                (dest, src, item))
 
-    def ingest(self, inbox) -> int:
-        """Drain every frame currently in ``inbox`` (non-blocking) into
-        the local mailboxes.  Returns the number of frames that produced
-        local work; every *current-epoch* frame counts as received even
-        if its destination has since been marked failed (the sender
-        counted it as sent), stale-epoch frames count as nothing."""
-        appended = 0
-        while True:
+    def ship(self) -> List[int]:
+        """Put the round's remote deliveries on the wire — one frame
+        ``(epoch, sender, [(dest, src, envelope), ...])`` per destination
+        worker — and return the workers a frame went to."""
+        out, self._outgoing = self._outgoing, {}
+        for w, entries in out.items():
+            self._outboxes[w].put((self.epoch, self.worker_id, entries))
+        return sorted(out)
+
+    def take(self, senders) -> List[int]:
+        """Land the frame each worker in ``senders`` shipped here last
+        round, in sender order, into the owned mailboxes (entries for a
+        rank marked failed are dropped).  Gives up once no frame comes
+        for :data:`FRAME_WAIT_S`; returns the senders whose frame has
+        not come.  A sender is at most one round ahead (the driver
+        starts a round only when every worker finished the last), so a
+        frame from a sender not awaited is kept for the next round; a
+        frame of another epoch is discarded."""
+        want = set(senders)
+        got = {s: self._early.pop(s) for s in want & self._early.keys()}
+        inbox = self._outboxes[self.worker_id]
+        while len(got) < len(want):
             try:
-                epoch, dest, src, item = inbox.get_nowait()
+                epoch, sender, entries = inbox.get(timeout=FRAME_WAIT_S)
             except queue_mod.Empty:
-                return appended
+                break
             if epoch != self.epoch:
                 continue
-            self.frames_received += 1
-            if self.marked_failed and dest in self.marked_failed:
-                continue
-            self._mailboxes[dest].append((src, item))
-            appended += 1
+            if sender in want and sender not in got:
+                got[sender] = entries
+            else:
+                self._early[sender] = entries
+        failed = self.marked_failed
+        for sender in sorted(got):
+            for dest, src, item in got[sender]:
+                if dest not in failed:
+                    self._mailboxes[dest].append((src, item))
+        return sorted(want - got.keys())
 
 
 class WorkerComm:
-    """Worker-side runtime glue between the command loop, the inbox
-    queue, and the in-process :class:`YGMWorld`."""
+    """Worker-side runtime glue between the command loop and the
+    in-process :class:`YGMWorld` over a :class:`WorkerTransport`."""
 
-    def __init__(self, worker_id: int, nworkers: int, owned,
-                 transport: WorkerTransport, inbox,
-                 config: ClusterConfig) -> None:
+    def __init__(self, worker_id: int, owned,
+                 transport: WorkerTransport) -> None:
         self.worker_id = int(worker_id)
-        self.nworkers = int(nworkers)
         self.owned: List[int] = [int(r) for r in owned]
         self.transport = transport
-        self.inbox = inbox
-        self.config = config
 
-    def round(self, world) -> Tuple[int, int, int, bool]:
-        """One barrier round: ingest + :meth:`YGMWorld.step` until a
-        pass moves nothing (the driver paces the next one, so a world
-        waiting for acks or delayed frames ticks once per round, not at
-        CPU speed); report ``(frames_sent, frames_received,
-        handlers_run, idle)`` — cumulative for the current epoch, this
-        round's, and the last step's verdict respectively."""
-        activity = 0
-        while True:
-            ingested = self.transport.ingest(self.inbox)
+    def round(self, world, senders) -> Tuple[List[int], int, bool, List[int]]:
+        """One superstep of a barrier: land the frames ``senders``
+        shipped here last round, run one :meth:`YGMWorld.step`, flush
+        what its handlers buffered (so a remote reply is one round away,
+        as a sim step's is) and ship.  ``senders=None`` opens a barrier:
+        the round only flushes and ships what the sections staged, so
+        the first step sees every staged message, co-resident or remote,
+        and a rank runs each handler once per round as it does on sim.
+        Returns ``(missing, ran, idle, shipped)``: the senders whose
+        frame has not come (then nothing ran — the driver asks again
+        with just those), the messages the step applied, its idle
+        verdict, and the workers a frame went to."""
+        ran, idle = 0, False
+        if senders is not None:
+            missing = self.transport.take(senders)
+            if missing:
+                return missing, 0, False, []
             ran, idle = world.step()
-            activity += ran
-            if ingested == 0 and ran == 0:
-                break
-        return (self.transport.frames_sent, self.transport.frames_received,
-                activity, idle)
+        world.flush_all()
+        return [], ran, idle, self.transport.ship()
 
     def reset(self, epoch: int, world) -> None:
-        """Epoch change: discard everything in flight, locally and in
-        the inbox, then zero the frame counters."""
-        while True:
-            try:
-                self.inbox.get_nowait()
-            except queue_mod.Empty:
-                break
+        """Epoch change: discard everything in flight."""
         self.transport.begin_epoch(epoch)
         world.reset_in_flight()
 
@@ -258,8 +291,7 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
     worker_of = [r % nworkers for r in range(config.world_size)]
     transport = WorkerTransport(config, owned, worker_of, inboxes, worker_id)
     transport.begin_epoch(start_epoch)
-    comm = WorkerComm(worker_id, nworkers, owned, transport,
-                      inboxes[worker_id], config)
+    comm = WorkerComm(worker_id, owned, transport)
     module = importlib.import_module(bootstrap[0])
     app = getattr(module, bootstrap[1])(comm, params)
     while True:
@@ -272,7 +304,7 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
                 conn.send(("ok", None))
                 break
             if cmd == CMD_ROUND:
-                conn.send(("ok", (comm.round(app.world),
+                conn.send(("ok", (comm.round(app.world, payload),
                                   app.world.export_delta())))
             elif cmd == CMD_RESET:
                 comm.reset(payload["epoch"], app.world)
@@ -431,7 +463,7 @@ class ProcessTransport(Transport):
         workers bootstrap from scratch (the start parameters again,
         fresh rank state) at the *current* epoch; their old inbox
         queues are reused — any stale frames in them are from a previous
-        epoch and are discarded on ingest."""
+        epoch and are discarded."""
         super().repair_all()
         for w in sorted(self.dead_workers):
             self._spawn(w)
@@ -445,9 +477,10 @@ class ProcessTransport(Transport):
     def command_all(self, cmd: str, payload: Any = None,
                     per_worker: Dict[int, Any] | None = None
                     ) -> Dict[int, Any]:
-        """Broadcast ``(cmd, payload)`` to every live worker — worker
-        ``w`` receives ``per_worker[w]`` instead where given — and
-        collect replies.  Workers found dead on the way are recorded
+        """Broadcast ``(cmd, payload)`` to every live worker — or, with
+        ``per_worker``, to the live workers it names, worker ``w``
+        receiving ``per_worker[w]`` — and collect replies.  Workers
+        found dead on the way are recorded
         (their ranks marked failed) and simply absent from the result —
         the caller decides whether that is a :class:`RankFailureError`.
         A worker-side failure is raised here once every reply is in (the
@@ -456,8 +489,10 @@ class ProcessTransport(Transport):
         :class:`RuntimeStateError`."""
         self._check_alive()
         self.liveness_sweep()
+        targets = (self.alive_workers() if per_worker is None else
+                   [w for w in per_worker if w not in self.dead_workers])
         sent = []
-        for w in self.alive_workers():
+        for w in targets:
             mine = payload if per_worker is None else per_worker[w]
             try:
                 self._conns[w].send((cmd, mine))
@@ -487,8 +522,8 @@ class ProcessTransport(Transport):
 
     def bump_epoch(self) -> None:
         """Advance the epoch and reset every live worker into it: they
-        drain + discard their inboxes, zero frame counters, and clear
-        their worlds' in-flight buffers."""
+        drain + discard their inboxes, forget held and early frames, and
+        clear their worlds' in-flight buffers."""
         self.epoch += 1
         self.command_all(CMD_RESET, {"epoch": self.epoch})
 
@@ -524,30 +559,18 @@ class ProcessWorld:
         self.excluded_ranks: Set[int] = set()
         #: Sections broadcast to the workers (``executor.dispatches``).
         self.dispatches = 0
+        # Per worker, the workers that shipped it a frame last round.
+        self._expect: Dict[int, List[int]] = {}
 
     # -- barrier / quiescence -------------------------------------------------
 
     def barrier(self) -> float:
-        """Run ``__round__`` commands until the cluster is quiescent —
-        no worker ran a handler, every worker's world is idle
-        (:meth:`YGMWorld.step`) and the global frame counts agree —
-        absorbing the counter delta each reply carries, then log the
-        superstep."""
+        """Run supersteps (:meth:`_superstep`) until one moves nothing,
+        then log the barrier."""
         try:
-            while True:
-                frames_sent = frames_recv = activity = 0
-                idle = True
-                replies = self.cluster.command_all(CMD_ROUND)
-                for counts, delta in replies.values():
-                    sent, received, ran, worker_idle = counts
-                    self.log.absorb(delta)
-                    frames_sent += sent
-                    frames_recv += received
-                    activity += ran
-                    idle = idle and worker_idle
-                self._check_crashed()
-                if activity == 0 and frames_sent == frames_recv and idle:
-                    break
+            self._superstep(first=True)
+            while self._superstep():
+                pass
         finally:
             self._log_driver_faults()
         elapsed = self.cluster.ledger.barrier(self.cluster.net)
@@ -557,6 +580,40 @@ class ProcessWorld:
         publish_comm_metrics(
             self, None if self.cluster.injector is None else 0)
         return elapsed
+
+    def _superstep(self, first: bool = False) -> bool:
+        """One ``__round__`` on every live worker: it lands the frames
+        shipped to it last round (the driver names their senders), runs
+        one :meth:`YGMWorld.step` and ships at most one frame per
+        destination worker — or, for the ``first`` round of a barrier,
+        only ships what the sections staged; the counter delta each
+        reply carries goes to the log.  A worker whose frames did not come within
+        :data:`FRAME_WAIT_S` reports the shortfall and is asked again
+        while every worker lives — a dead one raises
+        :class:`RankFailureError` instead.  Returns whether anything
+        moved: a handler ran, a frame was shipped or a world is not
+        idle."""
+        cluster = self.cluster
+        asks = {w: None if first else self._expect.get(w, [])
+                for w in cluster.alive_workers()}
+        expect: Dict[int, List[int]] = {}
+        moved = False
+        while asks:
+            cluster.liveness_sweep()
+            self._check_crashed()
+            replies = cluster.command_all(CMD_ROUND, per_worker=asks)
+            asks = {}
+            for w, ((missing, ran, idle, shipped), delta) in replies.items():
+                self.log.absorb(delta)
+                if missing:
+                    asks[w] = missing
+                    continue
+                moved = moved or ran > 0 or bool(shipped) or not idle
+                for dest in shipped:
+                    expect.setdefault(dest, []).append(w)
+        self._check_crashed()
+        self._expect = expect
+        return moved
 
     def _check_crashed(self) -> None:
         failed = self.cluster.failed_ranks() - self.excluded_ranks
@@ -613,7 +670,8 @@ class ProcessWorld:
     def reset_in_flight(self) -> None:
         """Abandon every in-flight message cluster-wide by entering a
         new epoch (stale frames — including any lost inside a dead
-        worker — are excluded from all future quiescence counting)."""
+        worker — are discarded, never awaited)."""
+        self._expect = {}
         self.cluster.bump_epoch()
 
     def exclude_ranks(self, ranks) -> None:

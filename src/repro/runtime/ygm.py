@@ -39,8 +39,10 @@ program counts, and the ability to send further async calls and charge
 modeled compute time.  A handler name is
 either *scalar* (``register_handler``: ``fn(ctx, *args)`` once per
 message) or *columnar* (``register_batch_handler``: ``fn(ctx,
-*columns)`` once per contiguous run of its messages at a rank; a lone
-``async_call`` to it is a one-row run).  Buffers hold column chunks for
+*columns)`` once per delivery round at a rank, over all of its messages
+in that rank's mailbox snapshot — the run rule of
+:meth:`YGMWorld._process_round`; a lone ``async_call`` to it is a
+one-row run).  Buffers hold column chunks for
 the latter.  There is one wire format: every delivery — a flushed
 buffer, a local send, with or without faults or reliable delivery — is
 one ``bflush`` envelope, and the envelope is the unit the network
@@ -100,7 +102,8 @@ advances in one place, :meth:`YGMWorld.step`: a delivery round, then —
 unless the world is idle (nothing applied or queued, nothing unacked,
 nothing held back) — a tick that releases due delayed messages and
 retransmits overdue ones.  ``barrier()`` loops it; a process worker
-loops it between inbox polls and reports its ``idle``.  Counters
+runs it once per barrier round, between landing the round's frames and
+shipping its own, and reports its ``idle``.  Counters
 leave a world one way, :meth:`YGMWorld.export_delta` — "what changed
 since my last export": the sim world hands it to its own log at the end
 of ``barrier()``, a worker ships it in every ``__round__`` reply.
@@ -256,9 +259,9 @@ class YGMWorld:
         self.flush_threshold_bytes = int(flush_threshold_bytes)
         self._handlers: Dict[str, Handler] = {}
         # Columnar handlers: name -> fn(ctx, *columns), one array per
-        # message argument.  The delivery loop applies a contiguous run
-        # of messages to one of them as a single invocation.  A name is
-        # scalar or columnar, never both.
+        # message argument.  The delivery loop applies all of a rank's
+        # messages to one of them in a round as a single invocation.  A
+        # name is scalar or columnar, never both.
         self._batch_handlers: Dict[str, Handler] = {}
         # is_offnode is pure topology; precompute it so the per-message
         # hot path does two list indexings instead of a method call.
@@ -354,8 +357,9 @@ class YGMWorld:
         """Register ``fn`` as the *columnar* handler ``name``.
 
         ``fn(ctx, *columns)`` receives the destination context and one
-        1-D array per message argument, holding a contiguous run of
-        ``name`` messages (row ``i`` of every column is message ``i``).
+        1-D array per message argument, holding a run of ``name``
+        messages — all of them in the rank's mailbox snapshot of one
+        delivery round (row ``i`` of every column is message ``i``).
         Its effect must not depend on how a set of messages is split
         into runs or ordered within one — a lone :meth:`async_call` to
         ``name`` arrives as a one-row run.
@@ -582,7 +586,7 @@ class YGMWorld:
 
     def step(self) -> Tuple[int, bool]:
         """One delivery tick — what :meth:`barrier` loops and a process
-        worker runs between inbox polls — and the one place a world
+        worker runs once per barrier round — and the one place a world
         decides it is idle.  A delivery round first: flush every buffer,
         then deliver every queued message once.  Returns ``(ran,
         idle)``: how many messages the round applied, and whether the
@@ -615,15 +619,17 @@ class YGMWorld:
         rank order; returns how many messages were applied.
 
         Every mailbox item is a flushed buffer (or a reliability frame
-        around one, or an ack).  Messages to a columnar handler are not
-        applied one by one: contiguous chunks for one handler within a
-        rank's snapshot are concatenated and applied as ONE invocation,
-        across envelope boundaries.  Draining has no handler-visible
-        effect — reliable-delivery bookkeeping (ack, dedup) happens per
-        envelope before its entries join a run, and ``_ACK`` control
-        traffic neither runs a handler nor breaks a run.
-        ``current_message_seq`` is None during a columnar invocation;
-        order-sensitive consumers that read it register scalar handlers.
+        around one, or an ack).  The run rule: in one round a rank
+        applies each columnar handler ONCE, over every chunk of its
+        messages in the rank's mailbox snapshot, concatenated across
+        envelopes; the invocations happen in order of each handler's
+        first appearance, and scalar messages run one by one in arrival
+        order among them.  Draining has no handler-visible effect —
+        reliable-delivery bookkeeping (ack, dedup) happens per envelope
+        before its entries join a run, and ``_ACK`` control traffic runs
+        no handler.  ``current_message_seq`` is None during a columnar
+        invocation; order-sensitive consumers that read it register
+        scalar handlers.
         """
         ran = 0
         columnar = self._batch_handlers
@@ -634,11 +640,14 @@ class YGMWorld:
             # Snapshot the queue length so messages enqueued by handlers
             # in this round are processed in a later round (fair order).
             pending = self.cluster.mailbox_len(rank)
-            if pending:
-                # Heartbeat signal: the rank is draining traffic.
-                self._last_progress[rank] = self._tick
-            run_handler: str | None = None
-            run_chunks: list = []
+            if not pending:
+                continue
+            # Heartbeat signal: the rank is draining traffic.
+            self._last_progress[rank] = self._tick
+            # The round's work at this rank: (handler, chunk list) once
+            # per columnar handler, (handler, args, seq) per scalar message.
+            runs: Dict[str, list] = {}
+            work: list = []
             for _ in range(pending):
                 item = self.cluster.drain_one(rank)
                 if item is None:
@@ -654,29 +663,26 @@ class YGMWorld:
                 elif tag == _ACK:
                     rel.on_ack(rank, src, payload[1])
                     continue
-                for handler, data, seq in payload[1]:
-                    if handler in columnar:
-                        # Join the current run, breaking it first when
-                        # it belongs to another handler.
-                        if run_handler != handler:
-                            if run_handler is not None:
-                                ran += self._run_batch(ctx, run_handler,
-                                                       run_chunks)
-                            run_handler, run_chunks = handler, []
-                        run_chunks.append(data)
-                        continue
-                    if run_handler is not None:
-                        ran += self._run_batch(ctx, run_handler, run_chunks)
-                        run_handler, run_chunks = None, []
-                    self.current_message_seq = seq
-                    try:
-                        handlers[handler](ctx, *data)
-                    finally:
-                        self.current_message_seq = None
-                    self.handler_invocations += 1
-                    ran += 1
-            if run_handler is not None:
-                ran += self._run_batch(ctx, run_handler, run_chunks)
+                for entry in payload[1]:
+                    handler = entry[0]
+                    if handler not in columnar:
+                        work.append(entry)
+                    elif handler in runs:
+                        runs[handler].append(entry[1])
+                    else:
+                        runs[handler] = chunks = [entry[1]]
+                        work.append((handler, chunks, None))
+            for handler, data, seq in work:
+                if seq is None:
+                    ran += self._run_batch(ctx, handler, data)
+                    continue
+                self.current_message_seq = seq
+                try:
+                    handlers[handler](ctx, *data)
+                finally:
+                    self.current_message_seq = None
+                self.handler_invocations += 1
+                ran += 1
         if rel is not None:
             rel.flush_acks()
         return ran

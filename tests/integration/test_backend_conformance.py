@@ -251,15 +251,10 @@ def test_one_worker_log_equals_sim_record_for_record(small_dense):
     assert records("process") == records("sim")
 
 
-def test_counters_travel_only_in_round_replies():
-    """One transport of counters: at the ``lowdim-process`` benchmark
-    configuration the driver broadcasts rounds, sections and the one
-    shard-state read it needs — nothing that only moves or labels
-    counters — while sections dispatched and barriers taken are what
-    they were with the ``export_stats`` / ``shard_totals`` /
-    ``set_phase`` round trips (57 and 32)."""
-    from collections import Counter
-
+@pytest.fixture(scope="module")
+def lowdim_process():
+    """A build at the ``lowdim-process`` benchmark configuration with
+    every driver broadcast recorded as ``(cmd, per_worker, replies)``."""
     from repro import make_benchmark_dataset
     from repro.runtime.transports.process import ProcessTransport
 
@@ -268,24 +263,70 @@ def test_counters_travel_only_in_round_replies():
         nnd=NNDescentConfig(k=10, seed=0, delta=0.0, max_iters=6),
         backend="process", workers=2, kernel="rowwise")
     dnnd = DNND(data, cfg, cluster=ClusterConfig(nodes=4, procs_per_node=2))
-    broadcasts = Counter()
+    calls = []
     command_all = dnnd.cluster.command_all
 
-    def counting(cmd, payload=None, per_worker=None):
-        broadcasts[cmd] += 1
-        return command_all(cmd, payload, per_worker)
+    def recording(cmd, payload=None, per_worker=None):
+        replies = command_all(cmd, payload, per_worker)
+        calls.append((cmd, per_worker, replies))
+        return replies
 
-    dnnd.cluster.command_all = counting
+    dnnd.cluster.command_all = recording
     try:
         result = dnnd.build()
     finally:
         dnnd.close()
     assert isinstance(dnnd.cluster, ProcessTransport)
+    return result, calls
+
+
+def test_counters_travel_only_in_round_replies(lowdim_process):
+    """One transport of counters: at the ``lowdim-process`` benchmark
+    configuration the driver broadcasts rounds, sections and the one
+    shard-state read it needs — nothing that only moves or labels
+    counters — while sections dispatched and barriers taken are what
+    they were with the ``export_stats`` / ``shard_totals`` /
+    ``set_phase`` round trips (57 and 32)."""
+    from collections import Counter
+
+    result, calls = lowdim_process
+    broadcasts = Counter(cmd for cmd, _, _ in calls)
     rounds = broadcasts.pop("__round__")
     assert broadcasts == {"section": 57, "gather_rows": 1}
     counters = result.metrics.snapshot()["counters"]
     assert counters["executor.dispatches"] == 57
     assert counters["comm.barriers"] == 32 <= rounds
+
+
+def test_a_round_ships_one_frame_per_worker_pair(lowdim_process):
+    """Each ``__round__`` is one superstep: a worker ships at most one
+    frame to each other worker, and the next round names exactly the
+    senders of the frames shipped in this one (a barrier's first round,
+    which only ships what the sections staged, names none).  The
+    superstep changes neither the barrier count (32) nor the sections
+    (57)."""
+    result, calls = lowdim_process
+    expect, frames, firsts = None, 0, 0
+    for cmd, per_worker, replies in calls:
+        if cmd != "__round__":
+            continue
+        firsts += expect is None
+        assert per_worker == {
+            w: None if expect is None else expect.get(w, []) for w in (0, 1)}
+        expect, moved = {}, False
+        for w, ((missing, ran, idle, shipped), _delta) in replies.items():
+            assert missing == []
+            assert shipped in ([], [1 - w])      # never itself, at most once
+            frames += len(shipped)
+            moved = moved or ran > 0 or bool(shipped) or not idle
+            for dest in shipped:
+                expect.setdefault(dest, []).append(w)
+        if not moved:                            # the barrier is over
+            expect = None
+    assert expect is None and frames > 0 and firsts == 32
+    counters = result.metrics.snapshot()["counters"]
+    assert counters["comm.barriers"] == 32
+    assert counters["executor.dispatches"] == 57
 
 
 class TestOptimizedCommGraphs:

@@ -145,6 +145,9 @@ class TestCheckpointRoundTripPerBackend:
 
         resumed = DNND.resume(small_dense, ckpt, cluster=CLUSTER,
                               backend=backend, workers=workers)
+        # The result keeps its driver (and a process pool) reachable
+        # through a cycle; stop the workers now, not at some later GC.
+        resumed.dnnd.close()
         assert resumed.iterations == reference.iterations
         assert np.array_equal(resumed.graph.ids, reference.graph.ids)
         assert (resumed.graph.dists.tobytes()

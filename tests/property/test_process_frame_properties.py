@@ -2,9 +2,10 @@
 
 The process transport ships the comm layer's one wire format — the
 ``bflush`` envelope of a flushed buffer, plus the reliability ``rel`` /
-``ack`` wrappers — as pickled cross-worker frames
-``(epoch, dest, src, payload)`` on a ``multiprocessing.Queue``.  The
-wire format therefore *is* the sim wire format, serialized: every
+``ack`` wrappers — batched into one pickled frame per destination
+worker per barrier round, ``(epoch, sender, [(dest, src, envelope),
+...])``, on a ``multiprocessing.Queue``.  The wire format therefore
+*is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
 pickle.dumps/loads bit-exactly.  A ``bflush`` entry for a columnar
 handler is a *column chunk* — ``(handler, (array per argument), first
@@ -83,9 +84,11 @@ def _envelopes():
 
 
 def _frames():
-    """The cross-worker queue frame: (epoch, dest, src, envelope)."""
-    return st.tuples(st.integers(0, 100), st.integers(0, 63),
-                     st.integers(0, 63), _envelopes())
+    """The cross-worker queue frame of one round: (epoch, sending
+    worker, [(dest rank, src rank, envelope), ...])."""
+    entry = st.tuples(st.integers(0, 63), st.integers(0, 63), _envelopes())
+    return st.tuples(st.integers(0, 100), st.integers(0, 7),
+                     st.lists(entry, min_size=1, max_size=4))
 
 
 def _eq(a, b) -> bool:
@@ -127,3 +130,26 @@ def test_distance_column_round_trip():
     assert _eq(out, env)
     assert out[1][0][1][2].tobytes() == d[8:40].tobytes()
     assert len(blob) < 3 * 32 * 8 + 600
+
+
+def test_frame_a_worker_ships_round_trips():
+    """What ``WorkerTransport.ship`` puts on a queue comes back from a
+    pickled copy as it went in: every entry, in order, arrays bit for
+    bit."""
+    import queue
+
+    from repro.config import ClusterConfig
+    from repro.runtime.transports.process import WorkerTransport
+
+    inboxes = [queue.Queue(), queue.Queue()]
+    t = WorkerTransport(ClusterConfig(nodes=1, procs_per_node=4), [0, 2],
+                        [0, 1, 0, 1], inboxes, 0)
+    ids = np.arange(10, dtype=np.int64)
+    sent = [(1, 0, ("bflush", [("feature_opt", (ids[2:6], ids[6:]), 4)])),
+            (3, 2, ("rel", 0, ("bflush", [("noop", (1, "x"), 9)]))),
+            (1, 2, ("ack", (0, 1)))]
+    for dest, src, env in sent:
+        t._put(src, dest, env)
+    assert t.ship() == [1]
+    frame = inboxes[1].get_nowait()
+    assert _eq(pickle.loads(pickle.dumps(frame)), (0, 0, sent))

@@ -121,19 +121,29 @@ class TestCoalescing:
         assert batch_runs == [(1, [0, 1, 2, 3, 4])]
         assert delivered == [("h", 1, i) for i in range(5)]
 
-    def test_handler_change_splits_the_run(self):
+    def test_one_run_per_columnar_handler_per_rank_per_round(self):
+        """A scalar message between two chunks of ``h`` does not split
+        the run: the rank applies ``h`` once, at its first appearance,
+        and the scalar messages keep their arrival order."""
         world = make_world()
         batch_runs, delivered = self._instrument(world)
+        world.register_batch_handler(
+            "k", lambda ctx, xs: delivered.extend(
+                ("k", ctx.rank, x) for x in xs.tolist()))
+        world.async_call(0, 1, "g", 98)
         for i in range(3):
             world.async_call(0, 1, "h", i)
+        world.async_call(0, 1, "k", 50)
         world.async_call(0, 1, "g", 99)
         for i in range(3, 5):
             world.async_call(0, 1, "h", i)
+        world.async_call(0, 1, "k", 51)
         world.barrier()
-        assert batch_runs == [(1, [0, 1, 2]), (1, [3, 4])]
-        # Delivery order is untouched by coalescing.
-        assert delivered == [("h", 1, 0), ("h", 1, 1), ("h", 1, 2),
-                             ("g", 1, 99), ("h", 1, 3), ("h", 1, 4)]
+        assert batch_runs == [(1, [0, 1, 2, 3, 4])]
+        assert delivered == [("g", 1, 98),
+                             *[("h", 1, i) for i in range(5)],
+                             ("k", 1, 50), ("k", 1, 51), ("g", 1, 99)]
+        assert world.handler_invocations == 9
 
     def test_runs_never_merge_across_destinations(self):
         world = make_world()

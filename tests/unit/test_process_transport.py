@@ -10,6 +10,9 @@ a build creates no shared-memory segment that could."""
 import gc
 import multiprocessing
 import os
+import queue
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from repro.config import CommOptConfig
 from repro.core.executor import resolve_backend
 from repro.errors import ConfigError, RankFailureError
 from repro.runtime.faults import FaultPlan
+from repro.runtime.instrumentation import Delta
 from repro.runtime.transports import ProcessTransport
-from repro.runtime.transports.process import START_ENV, _start_method
+from repro.runtime.transports import process as process_mod
+from repro.runtime.transports.process import (START_ENV, ProcessWorld,
+                                              WorkerTransport, _start_method)
 
 CLUSTER = ClusterConfig(nodes=2, procs_per_node=2)
 
@@ -223,3 +229,139 @@ class TestExecutorSeam:
     def test_resolve_backend_accepts_process(self):
         assert resolve_backend("process") == "process"
         assert resolve_backend(None, {"REPRO_BACKEND": "process"}) == "process"
+
+
+class TestRoundFrames:
+    """A worker ships at most one frame per destination worker per
+    round and lands exactly the frames of the senders it is told to
+    expect — bounded by ``FRAME_WAIT_S``, never blocking for good."""
+
+    @staticmethod
+    def _transports(n=3):
+        worker_of = [r % n for r in range(CLUSTER.world_size)]
+        inboxes = [queue.Queue() for _ in range(n)]
+        return [WorkerTransport(CLUSTER, [r for r in range(4) if r % n == w],
+                                worker_of, inboxes, w) for w in range(n)
+                ], inboxes
+
+    def test_one_frame_per_destination_worker(self):
+        (w0, _w1, _w2), inboxes = self._transports()
+        for src, dest, item in [(0, 1, "a"), (3, 2, "b"), (0, 1, "c"),
+                                (3, 0, "local")]:
+            w0._put(src, dest, item)
+        assert w0.drain_one(0) == (3, "local")  # co-resident rank
+        assert w0.ship() == [1, 2]
+        assert inboxes[1].get_nowait() == (0, 0, [(1, 0, "a"), (1, 0, "c")])
+        assert inboxes[2].get_nowait() == (0, 0, [(2, 3, "b")])
+        assert inboxes[1].empty() and inboxes[2].empty()
+        assert w0.ship() == []                   # nothing held any more
+
+    def test_take_lands_the_awaited_senders_and_keeps_the_next_round(self):
+        _ts, inboxes = self._transports()
+        w1 = _ts[1]
+        inboxes[1].put((7, 2, [(1, 2, "stale")]))   # another epoch
+        inboxes[1].put((0, 2, [(1, 2, "round r+1")]))  # sender a round ahead
+        inboxes[1].put((0, 0, [(1, 0, "round r")]))
+        assert w1.take([0]) == []
+        assert [w1.drain_one(1)] == [(0, "round r")]
+        assert w1.mailbox_len(1) == 0
+        assert w1.take([2]) == []                # kept, not read again
+        assert [w1.drain_one(1)] == [(2, "round r+1")]
+        assert w1.take([]) == []
+
+    def test_a_missing_frame_is_reported_not_awaited_forever(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(process_mod, "FRAME_WAIT_S", 0.05)
+        (w0, _w1, _w2), inboxes = self._transports()
+        inboxes[0].put((0, 2, [(0, 2, "x")]))
+        start = time.monotonic()
+        assert w0.take([1, 2]) == [1]
+        assert time.monotonic() - start < 1.0
+        assert w0.drain_one(0) == (2, "x")       # what came is landed
+        inboxes[0].put((0, 1, [(0, 1, "late")]))
+        assert w0.take([1]) == []                # the driver asks again
+        assert w0.drain_one(0) == (1, "late")
+
+
+class _ScriptedCluster:
+    """The driver's view of a two-worker pool whose ``__round__``
+    replies are scripted."""
+
+    world_size = 4
+    injector = None
+
+    def __init__(self, replies, dead_after=None):
+        self.replies, self.asked = list(replies), []
+        self.dead_after, self.failed = dead_after, set()
+
+    def alive_workers(self):
+        return [0, 1]
+
+    def liveness_sweep(self):
+        if self.dead_after is not None and len(self.asked) >= self.dead_after:
+            self.failed = {1, 3}
+
+    def failed_ranks(self):
+        return set(self.failed)
+
+    def command_all(self, cmd, payload=None, per_worker=None):
+        assert cmd == "__round__"
+        self.asked.append(per_worker)
+        return self.replies.pop(0)
+
+
+class TestSuperstepShortfall:
+    """A worker short of a frame is asked again for just those senders
+    while every worker lives; a dead worker ends the barrier with
+    ``RankFailureError``."""
+
+    SHORT = {0: (([1], 0, False, []), Delta()),
+             1: (([], 2, True, [0]), Delta())}
+    DONE = {0: (([], 5, True, []), Delta())}
+
+    def test_short_worker_is_asked_again(self):
+        world = ProcessWorld(_ScriptedCluster([self.SHORT, self.DONE]))
+        world._expect = {0: [1]}
+        assert world._superstep() is True
+        assert world.cluster.asked == [{0: [1], 1: []}, {0: [1]}]
+        assert world._expect == {0: [1]}
+
+    def test_dead_sender_raises_instead(self):
+        world = ProcessWorld(_ScriptedCluster([self.SHORT], dead_after=1))
+        world._expect = {0: [1]}
+        with pytest.raises(RankFailureError):
+            world._superstep()
+        assert len(world.cluster.asked) == 1
+
+
+class TestWorkerDeathBetweenRounds:
+    """Regression: a worker SIGKILLed after it reported shipping a frame
+    must not wedge the worker awaiting that frame, nor the driver."""
+
+    def test_sigkill_between_rounds_raises_promptly(self, tiny_dense):
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=4, seed=2),
+                         backend="process", workers=2)
+        dnnd = DNND(tiny_dense, cfg, cluster=CLUSTER)
+        cluster = dnnd.cluster
+        workers = list(cluster._procs)
+        command_all = cluster.command_all
+        killed = []
+
+        def kill_after_a_shipping_round(cmd, payload=None, per_worker=None):
+            replies = command_all(cmd, payload, per_worker)
+            if (cmd == "__round__" and not killed and 1 in replies
+                    and 0 in replies[1][0][3]):
+                # Worker 1 shipped worker 0 a frame: worker 0 awaits it
+                # in the next round.
+                os.kill(workers[1].pid, signal.SIGKILL)
+                killed.append(time.monotonic())
+            return replies
+
+        cluster.command_all = kill_after_a_shipping_round
+        try:
+            with pytest.raises(RankFailureError):
+                dnnd.build(recover_on_crash=False)
+            assert killed and time.monotonic() - killed[0] < 10.0
+        finally:
+            dnnd.close()
+        assert not any(proc.is_alive() for proc in workers)

@@ -41,8 +41,7 @@ class Fabric:
             self.hosts.append(RankHost(
                 world, owned, DATA, CONFIG,
                 HashPartitioner(len(DATA), CLUSTER.world_size)))
-            self.comms.append(WorkerComm(w, len(split), owned, transport,
-                                         inboxes[w], CLUSTER))
+            self.comms.append(WorkerComm(w, owned, transport))
 
     def section(self, name, **params):
         return {rank: value for host in self.hosts
@@ -53,12 +52,23 @@ class Fabric:
                 for rank, value in host.command(cmd, payload).items()}
 
     def barrier(self):
+        """The driver's superstep loop: a first round that ships what
+        the sections staged, then rounds that name every host the hosts
+        that shipped it a frame in the previous one."""
+        expect = None
         while True:
-            rounds = [comm.round(host.world)
-                      for comm, host in zip(self.comms, self.hosts)]
-            sent, received, ran, idle = zip(*rounds)
-            if sum(ran) == 0 and sum(sent) == sum(received) and all(idle):
+            shipped_to, moved = {}, False
+            for w, (comm, host) in enumerate(zip(self.comms, self.hosts)):
+                missing, ran, idle, shipped = comm.round(
+                    host.world, None if expect is None else expect.get(w, []))
+                assert missing == []
+                assert w not in shipped and len(set(shipped)) == len(shipped)
+                moved = moved or ran > 0 or bool(shipped) or not idle
+                for dest in shipped:
+                    shipped_to.setdefault(dest, []).append(w)
+            if not moved:
                 return
+            expect = shipped_to
 
     def pump(self, count):
         """The driver's pacing rule; returns the barriers it took."""
