@@ -20,6 +20,8 @@ All mutation is fire-and-forget; reads require a preceding
 
 from __future__ import annotations
 
+import hashlib
+from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import RuntimeStateError
@@ -46,18 +48,15 @@ def _h_counter_add(ctx: RankContext, cid: str, key: Any, amount: int) -> None:
     state[key] = state.get(key, 0) + amount
 
 
-def _h_map_insert(ctx: RankContext, cid: str, key: Any, value: Any) -> None:
+def _h_map_insert(ctx: RankContext, cid: str, key: Any, value: Any,
+                  seq: int) -> None:
     # Same-destination inserts from different source ranks arrive in
-    # flush order, not send order.  Every RPC carries a global send
-    # sequence (stamped at async_call time); applying same-key writes in
-    # sequence order makes "last writer" mean the last *sender*, stable
-    # under flush order, retransmission, and injected reordering.
+    # flush order, not send order.  Every insert carries the world's
+    # insert sequence (stamped at send time); applying same-key writes
+    # in sequence order makes "last writer" mean the last *sender*,
+    # stable under flush order, retransmission, and injected reordering.
     state = _container_state(ctx, cid, "map")
     seqs = _container_state(ctx, f"{cid}#seq", "map")
-    seq = ctx.world.current_message_seq
-    if seq is None:
-        state[key] = value
-        return
     prev = seqs.get(key)
     if prev is None or seq >= prev:
         state[key] = value
@@ -83,7 +82,7 @@ def register_visitor(name: str, fn: Callable) -> None:
 
 
 def _ensure_handlers(world: YGMWorld) -> None:
-    if getattr(world, "_containers_registered", False):
+    if hasattr(world, "_container_seq"):
         return
     world.register_handlers(
         _bag_insert=_h_bag_insert,
@@ -91,7 +90,23 @@ def _ensure_handlers(world: YGMWorld) -> None:
         _map_insert=_h_map_insert,
         _map_visit=_h_map_visit,
     )
-    world._containers_registered = True  # type: ignore[attr-defined]
+    # The map's insert sequence: one per world, so every handle of a
+    # map (and every map) stamps from the same counter.
+    world._container_seq = count()  # type: ignore[attr-defined]
+
+
+def _stable_hash(key: Any) -> int:
+    """``hash(key)``, except that the per-interpreter salted hashes of
+    ``str`` and ``bytes`` (also inside tuples) are replaced by a fixed
+    digest, so placement does not depend on ``PYTHONHASHSEED``."""
+    if isinstance(key, str):
+        key = key.encode("utf-8", "surrogatepass")
+    if isinstance(key, bytes):
+        return int.from_bytes(
+            hashlib.blake2b(key, digest_size=8).digest(), "little")
+    if isinstance(key, tuple):
+        return hash(tuple(_stable_hash(k) for k in key))
+    return hash(key)
 
 
 #: An ownership policy for container keys: either a callable mapping a
@@ -114,10 +129,10 @@ class _ContainerBase:
             self._owner_fn = owner
 
     def _owner_of(self, key: Any) -> int:
-        # Default: splitmix64 over the (salted-hash-masked) key — the
-        # historical behavior, bit-identical when no policy is injected.
+        # Default: splitmix64 over the key's stable hash — ``hash(key)``
+        # for ints, a fixed digest for strings and bytes.
         if self._owner_fn is None:
-            return int(splitmix64(hash(key) & ((1 << 63) - 1))
+            return int(splitmix64(_stable_hash(key) & ((1 << 63) - 1))
                        % self.world.world_size)
         rank = int(self._owner_fn(key))
         if not 0 <= rank < self.world.world_size:
@@ -168,8 +183,9 @@ class DistributedCounter(_ContainerBase):
     """Owner-partitioned counting map (``ygm::container::counting_set``).
 
     ``owner`` injects the ownership policy (callable or
-    :class:`Partitioner`); the default splitmix64-over-``hash(key)``
-    placement is unchanged.
+    :class:`Partitioner`); the default places a key by splitmix64 over
+    its hash, with a fixed digest standing in for the salted hash of a
+    string or bytes key (same placement under every ``PYTHONHASHSEED``).
     """
 
     def __init__(self, world: YGMWorld, name: str = "counter",
@@ -204,15 +220,18 @@ class DistributedMap(_ContainerBase):
     """Owner-partitioned key-value map with remote visitation.
 
     Ordering guarantee (stronger than real YGM): every insert carries
-    the world's global send sequence, and the owner applies same-key
-    writes in *send* order — last writer wins regardless of which source
-    rank's buffer happened to flush first.  ``async_visit`` callbacks
-    still run in delivery order; use :class:`DistributedCounter` or a
-    commutative visitor when concurrent updates must merge.
+    one more argument, a sequence number from a counter the world
+    shares with every handle of every map, and the owner applies
+    same-key writes in *send* order — last writer wins regardless of
+    which source rank's buffer happened to flush first, and whichever
+    handle wrote.  ``async_visit`` callbacks still run in delivery
+    order; use :class:`DistributedCounter` or a commutative visitor
+    when concurrent updates must merge.
 
     ``owner`` injects the ownership policy (callable or
-    :class:`Partitioner`); the default splitmix64-over-``hash(key)``
-    placement is unchanged.
+    :class:`Partitioner`); the default places a key by splitmix64 over
+    its hash, with a fixed digest standing in for the salted hash of a
+    string or bytes key (same placement under every ``PYTHONHASHSEED``).
     """
 
     def __init__(self, world: YGMWorld, name: str = "map",
@@ -223,6 +242,7 @@ class DistributedMap(_ContainerBase):
                      nbytes: int = 16) -> None:
         self.world.async_call(src_rank, self._owner_of(key), "_map_insert",
                               self.cid, key, value,
+                              next(self.world._container_seq),  # type: ignore[attr-defined]
                               nbytes=nbytes, msg_type="map")
 
     def async_visit(self, src_rank: int, key: Any, visitor: str,

@@ -64,8 +64,10 @@ class FaultPlan:
         it by 1..``max_delay_ticks`` barrier rounds.
     reorder_rate:
         Per-flush probability that the flushed buffer's entries (a
-        scalar message or a column chunk each) are delivered in a
-        permuted order.
+        column chunk each — one row for a lone ``async_call``) are
+        delivered in a permuted order.  Rows keep their order within a
+        chunk, and a rank applies each handler once per round, so a
+        reorder moves a chunk within its handler's run.
     stall_rate / stall_seconds:
         Per-flush probability that the sending rank stalls (a straggler:
         page fault, OS jitter, a slow NIC), charging ``stall_seconds``

@@ -13,9 +13,9 @@ messages per destination and ships a buffer when it exceeds a threshold.
   it — once — in the per-type message statistics (the Figure 4
   measurement);
   ``emit_run(src, dests, handler, columns, nbytes)`` does the same for a
-  whole run of messages to a *columnar* handler — one array per
-  argument, never a tuple per message — and is a loop of ``async_call``
-  in every counter and every flush,
+  whole run of messages to one handler — one array per argument, never
+  a tuple per message — and is a loop of ``async_call`` in every
+  counter and every flush,
 - buffers auto-flush at ``flush_threshold`` messages or
   ``flush_threshold_bytes`` modeled bytes per destination (real YGM
   caps by bytes), charging the sender one latency ``alpha`` per flush
@@ -36,18 +36,18 @@ messages per destination and ships a buffer when it exceeds a threshold.
 Handlers receive a :class:`RankContext` giving them their rank id, a
 rank-local state namespace, a per-rank RNG, a tally of whatever the rank
 program counts, and the ability to send further async calls and charge
-modeled compute time.  A handler name is
-either *scalar* (``register_handler``: ``fn(ctx, *args)`` once per
-message) or *columnar* (``register_batch_handler``: ``fn(ctx,
-*columns)`` once per delivery round at a rank, over all of its messages
-in that rank's mailbox snapshot — the run rule of
-:meth:`YGMWorld._process_round`; a lone ``async_call`` to it is a
-one-row run).  Buffers hold column chunks for
-the latter.  There is one wire format: every delivery — a flushed
-buffer, a local send, with or without faults or reliable delivery — is
-one ``bflush`` envelope, and the envelope is the unit the network
-perturbs, frames, acks and retransmits (YGM ships buffers, never single
-RPCs).
+modeled compute time.  Every handler is *columnar*
+(``register_batch_handler``: ``fn(ctx, *columns)`` once per delivery
+round at a rank, over all of its messages in that rank's mailbox
+snapshot — the run rule of :meth:`YGMWorld._process_round`; a lone
+``async_call`` to it is a one-row run).  ``register_handler`` is the
+per-message form on top of it: the handler's one column holds argument
+tuples, and ``fn(ctx, *args)`` runs once per row in arrival order.
+Buffers hold column chunks.  There is one wire format: every delivery —
+a flushed buffer, a local send, with or without faults or reliable
+delivery — is one ``bflush`` envelope, and the envelope is the unit the
+network perturbs, frames, acks and retransmits (YGM ships buffers, never
+single RPCs).
 
 **Reliable delivery mode.**  With a fault injector attached to the
 transport (:mod:`.faults`; either backend) the network may drop,
@@ -78,13 +78,6 @@ made no delivery progress for that many rounds.  Detections are counted
 in ``fault_stats.detected``; the DNND supervisor decides whether to
 recover, exclude (degraded mode via :meth:`YGMWorld.exclude_ranks`), or
 abort.
-
-Every message additionally carries a *global send sequence* number (one
-counter per world, stamped at ``async_call`` time, exposed to handlers
-as ``world.current_message_seq``), which lets order-sensitive consumers
-such as :class:`~repro.runtime.containers.DistributedMap` apply
-same-key writes in send order even when flush order or injected
-reordering scrambles delivery order.
 
 All fault-recovery work is accounted: retransmits and acks appear in
 :class:`MessageStats` (message types ``"retransmit"`` / ``"ack"``) and
@@ -132,10 +125,9 @@ Handler = Callable[..., None]
 # "rel" frame wraps a flushed buffer as its inner payload.
 _REL = "rel"          # ("rel", rel_seq, ("bflush", ...))
 _ACK = "ack"          # ("ack", (rel_seq, ...))
-_BATCH = "bflush"     # ("bflush", [(handler, payload, first_send_seq), ...])
-#   payload: the argument tuple of one message to a scalar handler, or —
-#   for a columnar handler — one array per argument, a run of rows whose
-#   send sequence numbers count up from first_send_seq.
+_BATCH = "bflush"     # ("bflush", [(handler, columns), ...])
+#   columns: one array per handler argument, a run of rows in send order
+#   (a per-message handler has one object column of argument tuples).
 
 
 class RankContext:
@@ -257,12 +249,12 @@ class YGMWorld:
         self.world_size = cluster.world_size
         self.flush_threshold = int(flush_threshold)
         self.flush_threshold_bytes = int(flush_threshold_bytes)
-        self._handlers: Dict[str, Handler] = {}
-        # Columnar handlers: name -> fn(ctx, *columns), one array per
-        # message argument.  The delivery loop applies all of a rank's
-        # messages to one of them in a round as a single invocation.  A
-        # name is scalar or columnar, never both.
+        # Handlers: name -> fn(ctx, *columns), one array per message
+        # argument.  The delivery loop applies all of a rank's messages
+        # to one of them in a round as a single invocation.
         self._batch_handlers: Dict[str, Handler] = {}
+        # The names registered per message (one column of argument tuples).
+        self._per_message: set = set()
         # is_offnode is pure topology; precompute it so the per-message
         # hot path does two list indexings instead of a method call.
         self._offnode: List[List[bool]] = [
@@ -299,11 +291,6 @@ class YGMWorld:
         #: The barrier log: one record per completed :meth:`barrier`; it
         #: has absorbed exactly what :meth:`export_delta` has handed out.
         self.log = BarrierLog()
-        # Global send sequence: stamped on every async_call.
-        self._send_seq = 0
-        #: Global send-sequence of the message currently being delivered
-        #: (``None`` outside scalar handler delivery).
-        self.current_message_seq: int | None = None
         # Reliable delivery: the transport-level state machine (see
         # transports.base.ReliableDelivery).
         self.reliable = bool(reliable)
@@ -335,19 +322,16 @@ class YGMWorld:
     # -- handler registry -----------------------------------------------------
 
     def register_handler(self, name: str, fn: Handler) -> None:
-        """Register ``fn`` to run as ``name``; the first positional
-        argument passed to ``fn`` is the destination :class:`RankContext`."""
-        self._register(self._handlers, name, fn)
+        """Register ``fn`` to run as ``name`` once per message, as
+        ``fn(ctx, *args)`` with the destination :class:`RankContext`
+        first — a columnar handler over one column of argument tuples
+        that applies ``fn`` row by row, in arrival order."""
+        def per_message(ctx: RankContext, calls) -> None:
+            for args in calls:
+                fn(ctx, *args)
 
-    def _register(self, registry: Dict[str, Handler], name: str,
-                  fn: Handler) -> None:
-        if name in self._handlers or name in self._batch_handlers:
-            raise RuntimeStateError(f"handler {name!r} already registered")
-        if self.sanitizer is not None:
-            # Wrapping at registration keeps the delivery loop identical
-            # whether or not the sanitizer is on.
-            fn = self.sanitizer.wrap_handler(name, fn)
-        registry[name] = fn
+        self.register_batch_handler(name, per_message)
+        self._per_message.add(name)
 
     def register_handlers(self, **handlers: Handler) -> None:
         for name, fn in handlers.items():
@@ -364,7 +348,13 @@ class YGMWorld:
         into runs or ordered within one — a lone :meth:`async_call` to
         ``name`` arrives as a one-row run.
         """
-        self._register(self._batch_handlers, name, fn)
+        if name in self._batch_handlers:
+            raise RuntimeStateError(f"handler {name!r} already registered")
+        if self.sanitizer is not None:
+            # Wrapping at registration keeps the delivery loop identical
+            # whether or not the sanitizer is on.
+            fn = self.sanitizer.wrap_handler(name, fn)
+        self._batch_handlers[name] = fn
 
     def register_batch_handlers(self, **handlers: Handler) -> None:
         for name, fn in handlers.items():
@@ -409,32 +399,28 @@ class YGMWorld:
 
     def async_call(self, src: int, dest: int, handler: str, *args: Any,
                    nbytes: int = 0, msg_type: str = "other") -> None:
-        if handler in self._handlers:
-            if not 0 <= dest < self.world_size:
-                raise RuntimeStateError(
-                    f"destination rank {dest} out of range")
-            self.async_count_since_barrier += 1
-            seq = self._send_seq
-            self._send_seq += 1
-            if src == dest:
-                # Local async call: no wire traffic, but still deferred
-                # delivery (YGM runs even self-messages from the queue).
-                self.local_deliveries += 1
-                self.cluster.deliver(src, dest, (_BATCH, [(handler, args, seq)]))
-                return
-            self.cluster.stats.record(msg_type, nbytes,
-                                      self._offnode[src][dest])
-            self._buffers[src][dest].append((handler, args, seq))
-            self._buffer_count[src][dest] += 1
-            self._buffer_bytes[src][dest] += nbytes
-            if (self._buffer_count[src][dest] >= self.flush_threshold
-                    or self._buffer_bytes[src][dest]
-                    >= self.flush_threshold_bytes):
-                self._flush(src, dest)
+        """One message: a one-row run — of the argument tuple to a
+        per-message handler, of one array per argument otherwise."""
+        if handler not in self._batch_handlers:
+            raise RuntimeStateError(f"unknown handler {handler!r}")
+        if not 0 <= dest < self.world_size:
+            raise RuntimeStateError(f"destination rank {dest} out of range")
+        if handler in self._per_message:
+            row = np.empty(1, dtype=object)
+            row[0] = args
+            columns: tuple = (row,)
         else:
-            # One message to a columnar handler is a one-row run.
-            self.emit_run(src, np.array([dest]), handler,
-                          tuple(np.array([a]) for a in args), nbytes, msg_type)
+            columns = tuple(np.array([a]) for a in args)
+        self.async_count_since_barrier += 1
+        if src == dest:
+            # Local async call: no wire traffic, but still deferred
+            # delivery (YGM runs even self-messages from the queue).
+            self.local_deliveries += 1
+            self.cluster.deliver(src, dest, (_BATCH, [(handler, columns)]))
+            return
+        nbytes = int(nbytes)
+        self.cluster.stats.record(msg_type, nbytes, self._offnode[src][dest])
+        self._enqueue(src, dest, handler, columns, nbytes, 1)
 
     def async_call_block(self, src: int, msgs,
                          msg_type: str = "other") -> None:
@@ -447,7 +433,7 @@ class YGMWorld:
     def emit_run(self, src: int, dests: np.ndarray, handler: str,
                  columns: Tuple[np.ndarray, ...], nbytes,
                  msg_type: str = "other") -> None:
-        """Emit a run of messages to one columnar handler from ``src``:
+        """Emit a run of messages to one handler from ``src``:
         message ``i`` goes to rank ``dests[i]`` and carries
         ``columns[0][i], columns[1][i], ...``.  ``nbytes`` is the modeled
         wire size — one int when every message has the same size, else a
@@ -476,8 +462,6 @@ class YGMWorld:
         ragged = not isinstance(nbytes, int)
         if ragged:
             nbytes = nbytes[order]
-        seq = self._send_seq
-        self._send_seq = seq + total
         self.async_count_since_barrier += total
         offrow = self._offnode[src]
         sent_c = sent_b = off_c = off_b = 0
@@ -489,8 +473,7 @@ class YGMWorld:
             if dest == src:
                 # Self-sends never touch the wire or the message stats.
                 self.local_deliveries += n
-                self.cluster.deliver(src, src,
-                                     (_BATCH, [(handler, part, seq + lo)]))
+                self.cluster.deliver(src, src, (_BATCH, [(handler, part)]))
             else:
                 size = int(nb.sum()) if ragged else nb * n
                 sent_c += n
@@ -498,14 +481,14 @@ class YGMWorld:
                 if offrow[dest]:
                     off_c += n
                     off_b += size
-                self._enqueue(src, dest, handler, part, seq + lo, nb, n)
+                self._enqueue(src, dest, handler, part, nb, n)
             lo += n
         if sent_c:
             self.cluster.stats.record_many(
                 msg_type, sent_c, sent_b, off_c, off_b)
 
     def _enqueue(self, src: int, dest: int, handler: str, payload: tuple,
-                 seq: int, nbytes, count: int) -> None:
+                 nbytes, count: int) -> None:
         """Buffer a column chunk of ``count`` messages for ``dest``,
         flushing at exactly the message that trips a threshold — where
         :meth:`async_call`, one message at a time, would.
@@ -526,21 +509,20 @@ class YGMWorld:
             elif nbytes:
                 take = min(take, -(-room // nbytes))
             if take >= count:
-                self._buffers[src][dest].append((handler, payload, seq))
+                self._buffers[src][dest].append((handler, payload))
                 counts[dest] += count
                 sizes[dest] += int(filled[-1]) if ragged else nbytes * count
                 if take == count:
                     self._flush(src, dest)
                 return
             self._buffers[src][dest].append(
-                (handler, tuple(col[:take] for col in payload), seq))
+                (handler, tuple(col[:take] for col in payload)))
             counts[dest] += take
             sizes[dest] += int(filled[take - 1]) if ragged else nbytes * take
             self._flush(src, dest)
             payload = tuple(col[take:] for col in payload)
             if ragged:
                 nbytes = nbytes[take:]
-            seq += take
             count -= take
 
     def _flush(self, src: int, dest: int) -> None:
@@ -620,20 +602,15 @@ class YGMWorld:
 
         Every mailbox item is a flushed buffer (or a reliability frame
         around one, or an ack).  The run rule: in one round a rank
-        applies each columnar handler ONCE, over every chunk of its
-        messages in the rank's mailbox snapshot, concatenated across
-        envelopes; the invocations happen in order of each handler's
-        first appearance, and scalar messages run one by one in arrival
-        order among them.  Draining has no handler-visible effect —
+        applies each handler ONCE, over every chunk of its messages in
+        the rank's mailbox snapshot, concatenated across envelopes in
+        arrival order; the invocations happen in order of each handler's
+        first appearance.  Draining has no handler-visible effect —
         reliable-delivery bookkeeping (ack, dedup) happens per envelope
         before its entries join a run, and ``_ACK`` control traffic runs
-        no handler.  ``current_message_seq`` is None during a columnar
-        invocation; order-sensitive consumers that read it register
-        scalar handlers.
+        no handler.
         """
         ran = 0
-        columnar = self._batch_handlers
-        handlers = self._handlers
         rel = self._rel
         for rank in range(self.world_size):
             ctx = self.ranks[rank]
@@ -644,10 +621,8 @@ class YGMWorld:
                 continue
             # Heartbeat signal: the rank is draining traffic.
             self._last_progress[rank] = self._tick
-            # The round's work at this rank: (handler, chunk list) once
-            # per columnar handler, (handler, args, seq) per scalar message.
+            # The round's runs at this rank: handler -> its chunks.
             runs: Dict[str, list] = {}
-            work: list = []
             for _ in range(pending):
                 item = self.cluster.drain_one(rank)
                 if item is None:
@@ -663,26 +638,14 @@ class YGMWorld:
                 elif tag == _ACK:
                     rel.on_ack(rank, src, payload[1])
                     continue
-                for entry in payload[1]:
-                    handler = entry[0]
-                    if handler not in columnar:
-                        work.append(entry)
-                    elif handler in runs:
-                        runs[handler].append(entry[1])
+                for handler, columns in payload[1]:
+                    chunks = runs.get(handler)
+                    if chunks is None:
+                        runs[handler] = [columns]
                     else:
-                        runs[handler] = chunks = [entry[1]]
-                        work.append((handler, chunks, None))
-            for handler, data, seq in work:
-                if seq is None:
-                    ran += self._run_batch(ctx, handler, data)
-                    continue
-                self.current_message_seq = seq
-                try:
-                    handlers[handler](ctx, *data)
-                finally:
-                    self.current_message_seq = None
-                self.handler_invocations += 1
-                ran += 1
+                        chunks.append(columns)
+            for handler, chunks in runs.items():
+                ran += self._run_batch(ctx, handler, chunks)
         if rel is not None:
             rel.flush_acks()
         return ran

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.runtime.containers import DistributedBag, DistributedCounter, DistributedMap
+from repro.runtime.faults import FaultPlan, make_injector
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
@@ -82,3 +83,29 @@ def test_map_single_source_is_last_writer_wins(writes):
         model[key] = value
     world.barrier()
     assert dict(dmap.items()) == model
+
+
+@given(seed=st.integers(0, 2**16),
+       writes=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3),
+                                 st.integers(0, 5), st.integers(-50, 50)),
+                       max_size=60))
+@settings(max_examples=50, deadline=None)
+def test_map_last_writer_wins_across_sources_handles_and_faults(seed, writes):
+    """Writes ``(handle, source rank, key, value)`` through two handles
+    of one map, from every source rank, over a network that duplicates,
+    reorders and delays flushed buffers (masked by reliable delivery):
+    each key ends at the value of its last write in send order — the
+    insert sequence is one counter per world, not one per handle."""
+    cfg = ClusterConfig(nodes=2, procs_per_node=2)
+    plan = FaultPlan(seed=seed, dup_rate=0.3, reorder_rate=0.5,
+                     delay_rate=0.3)
+    cluster = SimCluster(cfg, injector=make_injector(plan, cfg.world_size))
+    world = YGMWorld(cluster, flush_threshold=3, reliable=True)
+    handles = [DistributedMap(world, "m"), DistributedMap(world, "m")]
+    model = {}
+    for handle, src, key, value in writes:
+        handles[handle].async_insert(src, key, value)
+        model[key] = value
+    world.barrier()
+    assert dict(handles[0].items()) == model
+    assert dict(handles[1].items()) == model

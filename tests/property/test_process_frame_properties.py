@@ -7,12 +7,11 @@ worker per barrier round, ``(epoch, sender, [(dest, src, envelope),
 ...])``, on a ``multiprocessing.Queue``.  The wire format therefore
 *is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
-pickle.dumps/loads bit-exactly.  A ``bflush`` entry for a columnar
-handler is a *column chunk* — ``(handler, (array per argument), first
-send seq)`` with gids as ``int64`` columns, distances and bounds as
-``float64`` columns; often the arrays are slices of a larger run.  An
-entry for a scalar handler is ``(handler, argument tuple, send
-seq)``."""
+pickle.dumps/loads bit-exactly.  A ``bflush`` entry is a *column
+chunk* — ``(handler, (array per argument))`` with gids as ``int64``
+columns, distances and bounds as ``float64`` columns; often the arrays
+are slices of a larger run.  The entry for a per-message handler has
+one object column of argument tuples."""
 
 import pickle
 
@@ -65,13 +64,23 @@ def _chunk(draw):
         columns.append(np.array(draw(st.lists(
             st.floats(allow_nan=False, width=64) | st.just(np.inf),
             min_size=rows + lo, max_size=rows + lo)), dtype=np.float64)[lo:])
-    return (draw(_HANDLER), tuple(columns), draw(_SEQ))
+    return (draw(_HANDLER), tuple(columns))
+
+
+def _calls(rows):
+    """The one column of a per-message chunk: argument tuples."""
+    column = np.empty(len(rows), dtype=object)
+    for i, row in enumerate(rows):
+        column[i] = row
+    return (column,)
 
 
 def _bflush_env():
-    scalar = st.tuples(st.just("noop"), _args(), _SEQ)
+    per_message = st.tuples(
+        st.just("noop"),
+        st.lists(_args(), min_size=1, max_size=4).map(_calls))
     return st.tuples(st.just("bflush"),
-                     st.lists(_chunk() | scalar, max_size=6))
+                     st.lists(_chunk() | per_message, max_size=6))
 
 
 def _envelopes():
@@ -94,8 +103,12 @@ def _frames():
 def _eq(a, b) -> bool:
     """Structural equality that treats numpy scalars/arrays by value."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and np.array_equal(a, b))
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape):
+            return False
+        if a.dtype == object:
+            return all(_eq(x, y) for x, y in zip(a, b))
+        return np.array_equal(a, b)
     if isinstance(a, (tuple, list)):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(_eq(x, y) for x, y in zip(a, b)))
@@ -124,7 +137,7 @@ def test_distance_column_round_trip():
     d = rng.normal(size=64)
     ids = np.arange(64, dtype=np.int64)
     env = ("bflush",
-           [("distance_reply", (ids[8:40], ids[40:8:-1], d[8:40]), 0)])
+           [("distance_reply", (ids[8:40], ids[40:8:-1], d[8:40]))])
     blob = pickle.dumps(env)
     out = pickle.loads(blob)
     assert _eq(out, env)
@@ -145,8 +158,8 @@ def test_frame_a_worker_ships_round_trips():
     t = WorkerTransport(ClusterConfig(nodes=1, procs_per_node=4), [0, 2],
                         [0, 1, 0, 1], inboxes, 0)
     ids = np.arange(10, dtype=np.int64)
-    sent = [(1, 0, ("bflush", [("feature_opt", (ids[2:6], ids[6:]), 4)])),
-            (3, 2, ("rel", 0, ("bflush", [("noop", (1, "x"), 9)]))),
+    sent = [(1, 0, ("bflush", [("feature_opt", (ids[2:6], ids[6:]))])),
+            (3, 2, ("rel", 0, ("bflush", [("noop", _calls([(1, "x")]))]))),
             (1, 2, ("ack", (0, 1)))]
     for dest, src, env in sent:
         t._put(src, dest, env)

@@ -97,8 +97,8 @@ def make_world(nodes=2, ppn=2, flush=1024, flush_bytes=1 << 20, **kw):
 
 class TestCoalescing:
     def _instrument(self, world):
-        """Register a scalar handler g plus a recording columnar handler
-        h; returns (batch_runs, delivered) logs."""
+        """Register a per-message handler g plus a recording columnar
+        handler h; returns (batch_runs, delivered) logs."""
         batch_runs, delivered = [], []
 
         def g(ctx, x):
@@ -122,9 +122,11 @@ class TestCoalescing:
         assert delivered == [("h", 1, i) for i in range(5)]
 
     def test_one_run_per_columnar_handler_per_rank_per_round(self):
-        """A scalar message between two chunks of ``h`` does not split
-        the run: the rank applies ``h`` once, at its first appearance,
-        and the scalar messages keep their arrival order."""
+        """Every handler — per-message or columnar — runs once per rank
+        per round, at its first appearance, over its messages in arrival
+        order: a message to another handler between two chunks of ``h``
+        does not split the run, and per-message ``g`` messages do not
+        interleave with the others by arrival."""
         world = make_world()
         batch_runs, delivered = self._instrument(world)
         world.register_batch_handler(
@@ -140,9 +142,9 @@ class TestCoalescing:
         world.async_call(0, 1, "k", 51)
         world.barrier()
         assert batch_runs == [(1, [0, 1, 2, 3, 4])]
-        assert delivered == [("g", 1, 98),
+        assert delivered == [("g", 1, 98), ("g", 1, 99),
                              *[("h", 1, i) for i in range(5)],
-                             ("k", 1, 50), ("k", 1, 51), ("g", 1, 99)]
+                             ("k", 1, 50), ("k", 1, 51)]
         assert world.handler_invocations == 9
 
     def test_runs_never_merge_across_destinations(self):

@@ -152,15 +152,50 @@ class TestOwnerInjection:
     policy (callable or Partitioner) instead of hardwired splitmix64."""
 
     def test_default_placement_unchanged(self, world):
-        # The historical expression, byte-for-byte: injecting nothing
-        # must keep every key on its pre-refactor rank.
+        # The historical expression, byte-for-byte, for keys whose hash
+        # is not salted: injecting nothing keeps them on their
+        # pre-refactor rank.  (String keys hash through a fixed digest;
+        # see test_string_placement_ignores_hash_seed.)
         from repro.runtime.partition import splitmix64
 
         dmap = DistributedMap(world, "m")
-        for key in ["a", "b", 7, (1, 2)]:
+        for key in [7, -3, 2**70, 1.5, (1, 2)]:
             expected = int(splitmix64(hash(key) & ((1 << 63) - 1))
                            % world.world_size)
             assert dmap._owner_of(key) == expected
+
+    def test_string_placement_ignores_hash_seed(self):
+        # Builtin hash() of str/bytes is salted per interpreter; owners
+        # computed under two PYTHONHASHSEEDs must agree.
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "from repro.config import ClusterConfig\n"
+            "from repro.runtime.containers import DistributedMap\n"
+            "from repro.runtime.transports import SimCluster\n"
+            "from repro.runtime.ygm import YGMWorld\n"
+            "w = YGMWorld(SimCluster(ClusterConfig(2, 2)))\n"
+            "m = DistributedMap(w, 'm')\n"
+            "keys = ['apple', 'pear', 'fig', 'kiwi', 'plum', 'lime',\n"
+            "        b'fig', ('kiwi', 3), ('a', ('b', b'c'))]\n"
+            "print([m._owner_of(k) for k in keys])\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+
+        def owners(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout
+
+        first = owners(1)
+        assert owners(2) == first
+        assert len(set(json.loads(first))) > 1  # keys spread over ranks
 
     def test_callable_owner_routes_all_keys(self, world):
         dmap = DistributedMap(world, "m", owner=lambda key: 2)

@@ -382,8 +382,9 @@ class TestSingleSource:
         assert set(on_driver) == set(on_worker) == set(HANDLER_NAMES)
         for name in HANDLER_NAMES:
             assert on_driver[name] is on_worker[name], name
-        # Exactly one handler per message type: no scalar twin.
-        assert not driver.world._handlers and not worker_app.world._handlers
+        # The DNND handlers are columnar: none is registered per message.
+        assert not driver.world._per_message
+        assert not worker_app.world._per_message
 
     def test_sections_resolve_from_one_table(self, worker_app, tiny_dense,
                                              monkeypatch):

@@ -63,9 +63,9 @@ def test_off_means_plain_everything():
     world = _world(False)
     assert world.sanitizer is None
     assert type(world.ranks[0].state) is dict
-    fn = lambda ctx: None  # noqa: E731
-    world.register_handler("noop", fn)
-    assert world._handlers["noop"] is fn  # not wrapped
+    fn = lambda ctx, xs: None  # noqa: E731
+    world.register_batch_handler("noop", fn)
+    assert world._batch_handlers["noop"] is fn  # not wrapped
     heap = NeighborHeap(4)
     assert heap._san is None
 
@@ -149,13 +149,15 @@ def test_handler_reentrancy_detected():
     handlers = {}
 
     def outer(ctx, x):
-        handlers["inner"](ctx, x)  # direct call instead of async_call
+        # A direct call instead of async_call: the registered entry of a
+        # per-message handler takes a column of argument tuples.
+        handlers["inner"](ctx, [(x,)])
 
     def inner(ctx, x):
         ctx.state["x"] = x
 
     world.register_handlers(outer=outer, inner=inner)
-    handlers["inner"] = world._handlers["inner"]
+    handlers["inner"] = world._batch_handlers["inner"]
     world.async_call(0, 1, "outer", 5)
     with pytest.raises(HandlerReentrancyError):
         world.barrier()
