@@ -49,8 +49,9 @@ function handed to *both* ``Thread`` and ``Process`` is still checked
   re-acquiring a held non-reentrant lock).
 - **REP405** — metrics publication (``set_counter``/``set_gauge``/
   ``inc``/``observe``) from concurrent scope.  Publication is a
-  driver-at-barrier responsibility; handlers fold into rank-owned cells
-  and let ``publish_comm_metrics`` mirror the totals.
+  driver-at-barrier responsibility; handlers count into their rank's
+  ``ctx.tally``, whose totals the barrier log commits and the registry's
+  counters read.
 """
 
 from __future__ import annotations
@@ -410,5 +411,6 @@ def metrics_publication(project: ProjectContext,
                 f"metrics publication '{receiver}.{node.func.attr}()' from "
                 f"{kind} scope: publication is a driver-at-barrier "
                 f"responsibility (epoch discipline, not mutual exclusion); "
-                f"fold into rank-owned state and let publish_comm_metrics "
-                f"mirror the totals at the next barrier")
+                f"fold into rank-owned state instead (a handler's "
+                f"ctx.tally): the barrier log commits it at the next "
+                f"barrier and the registry's counters read the log")

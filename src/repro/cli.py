@@ -171,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="write a Chrome trace-event file here (load in "
                         "ui.perfetto.dev)")
-    p.add_argument("--no-metrics", action="store_true",
-                   help="disable the metrics registry (a shared no-op "
-                        "registry is used instead)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("resume",
@@ -333,11 +330,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         backend=args.backend,
         kernel=args.kernel,
         workers=args.workers,
-        metrics=not args.no_metrics,
     )
-    if args.no_metrics and (args.metrics_out or args.trace_out):
-        raise ReproError("--metrics-out/--trace-out require metrics; "
-                         "drop --no-metrics")
     fault_plan = _fault_plan_from_args(args)
     cluster = ClusterConfig(nodes=args.nodes,
                             procs_per_node=args.procs_per_node)

@@ -177,14 +177,6 @@ class DNNDConfig:
     capped at the cluster's world size.
     Ignored by the sim backend."""
 
-    metrics: bool = True
-    """Backend-agnostic observability (``repro.runtime.metrics``):
-    counters synchronized from the runtime's aggregates at barriers,
-    wall-clock phase spans, and JSON / Chrome-trace exporters.  Default
-    on — synchronization is barrier-granular, never per message, so
-    the overhead is below measurement noise.
-    ``False`` swaps in a shared no-op registry."""
-
     def __post_init__(self) -> None:
         _require(self.batch_size >= 0, "batch_size must be >= 0")
         _require(self.pruning_factor >= 1.0, "pruning_factor (m) must be >= 1.0")

@@ -35,9 +35,9 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import ClusterConfig
-from ..errors import ConfigError, SearchError
+from ..errors import SearchError
 from ..runtime.instrumentation import MessageStats
-from ..runtime.metrics import MetricsRegistry, NULL_METRICS
+from ..runtime.metrics import MetricsRegistry
 from ..runtime.netmodel import NetworkModel
 from ..runtime.partition import HashPartitioner, Partitioner
 from ..runtime.transports import SimCluster
@@ -92,22 +92,16 @@ class DistributedKNNGraphSearcher:
             )
         self.cluster_config = cluster or ClusterConfig(nodes=2, procs_per_node=2)
         self.cluster = SimCluster(self.cluster_config, net)
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.world = YGMWorld(self.cluster, seed=seed, sanitize=sanitize,
-                              metrics=self.metrics)
+                              metrics=metrics)
+        self.metrics = self.world.metrics
         self.partitioner = partitioner or HashPartitioner(
             adjacency.n, self.cluster_config.world_size)
         # The partitioner is the routing table: a repartitioned build
         # hands its (explicit) partitioner in here, and a mismatch with
         # the graph or cluster must fail loudly, not mis-route expands.
-        if (self.partitioner.n != adjacency.n
-                or self.partitioner.world_size
-                != self.cluster_config.world_size):
-            raise ConfigError(
-                f"partitioner covers n={self.partitioner.n}, "
-                f"world_size={self.partitioner.world_size}; the searcher "
-                f"has n={adjacency.n}, "
-                f"world_size={self.cluster_config.world_size}")
+        self.partitioner.require_covers(
+            adjacency.n, self.cluster_config.world_size, "the searcher")
         if not 0 <= coordinator < self.cluster_config.world_size:
             raise SearchError(f"coordinator rank {coordinator} out of range")
         self.coordinator = coordinator
@@ -206,7 +200,7 @@ class DistributedKNNGraphSearcher:
 
     @property
     def message_stats(self) -> MessageStats:
-        return self.cluster.stats
+        return self.world.stats
 
     @property
     def sim_seconds(self) -> float:

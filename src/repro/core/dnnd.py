@@ -51,7 +51,7 @@ from ..errors import (CheckpointCorruptError, ConfigError, RankFailureError,
 from ..runtime.faults import FaultPlan, make_injector
 from ..runtime.instrumentation import FaultStats, MessageStats
 from ..runtime.metall import MetallStore
-from ..runtime.metrics import NULL_METRICS, MetricsRegistry
+from ..runtime.metrics import MetricsRegistry
 from ..runtime.netmodel import NetworkModel
 from ..runtime.partition import (ExplicitPartitioner, HashPartitioner,
                                  Partitioner, edge_cut_fraction,
@@ -95,6 +95,12 @@ class DNNDResult:
         Modeled construction time (Figure 3's y-axis, in seconds).
     distance_evals:
         Total scalar distance evaluations across all ranks.
+    metrics:
+        The build's metrics registry (``repro.runtime.metrics``) — the
+        backend-agnostic observability surface; its counters are a view
+        of the build's barrier log.  ``result.metrics.snapshot()`` is the
+        JSON export, ``result.metrics.to_chrome_trace()`` the
+        Perfetto-loadable timeline.
     """
 
     graph: KNNGraph
@@ -107,10 +113,10 @@ class DNNDResult:
     phase_seconds: Dict[str, float]
     distance_evals: int
     world_size: int
+    metrics: MetricsRegistry = field(repr=False, compare=False)
     adjacency: Optional[AdjacencyGraph] = None
     optimize_sim_seconds: float = 0.0
     per_iteration_messages: List[Dict[str, tuple]] = field(default_factory=list)
-    fault_stats: FaultStats = field(default_factory=FaultStats)
     recoveries: int = 0
     """Checkpoint-recovery cycles the build survived (rank crashes)."""
     degraded_ranks: tuple = ()
@@ -120,13 +126,10 @@ class DNNDResult:
     """Set by :meth:`DNND.resume` so callers can keep driving the
     instance (e.g. run ``optimize()``) after a resumed build."""
 
-    metrics: MetricsRegistry = field(default=NULL_METRICS, repr=False,
-                                     compare=False)
-    """The build's metrics registry (``repro.runtime.metrics``) — the
-    backend-agnostic observability surface.  ``result.metrics.snapshot()``
-    is the JSON export, ``result.metrics.to_chrome_trace()`` the
-    Perfetto-loadable timeline; the shared no-op registry when the build
-    ran with ``DNNDConfig(metrics=False)``."""
+    @property
+    def fault_stats(self) -> FaultStats:
+        """Fault and recovery events (a view of the build's barrier log)."""
+        return FaultStats(**self.metrics.log.total_fault_events())
 
     def summary(self) -> str:
         """Human-readable build report (used by the CLI and examples)."""
@@ -180,7 +183,10 @@ class DNND:
     flush_threshold:
         YGM internal per-destination buffer size in messages.
     partitioner:
-        Override the vertex partitioner (default: hash, as in the paper).
+        Override the vertex partitioner (default: hash, as in the paper);
+        it must cover this dataset's ``n`` rows on the cluster's world
+        size, else :class:`~repro.errors.ConfigError` before anything
+        starts.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan`; a non-null
         plan attaches a fault injector to the transport (every
@@ -241,16 +247,11 @@ class DNND:
             raise ConfigError(
                 f"k={self.config.k} must be smaller than dataset size {self.n}"
             )
-        # One metrics registry per build (the no-op singleton when the
-        # config turns observability off); the comm layer mirrors its
-        # barrier log's totals into it at every barrier, the driver adds
-        # wall-clock phase spans and heap/distance totals.
-        self.metrics: MetricsRegistry = (
-            MetricsRegistry() if self.config.metrics else NULL_METRICS)
+        # One metrics registry per build: its counters are a view of the
+        # comm facade's barrier log, the driver adds wall-clock phase
+        # spans and gauges.
+        self.metrics = MetricsRegistry()
         backend = resolve_backend(self.config.backend)
-        # No configuration falls back; the benchmark's layer table reads
-        # the name.
-        self.metrics.set_counter("backend.fallbacks", 0)
         self._sparse = CountingMetric(self.config.nnd.metric).sparse_input
         # The one dataset view of this address space — the sparse
         # record dataset itself, or the dense data as one contiguous
@@ -263,6 +264,7 @@ class DNND:
         self.fault_plan = fault_plan
         world_size = self.cluster_config.world_size
         self.partitioner = partitioner or HashPartitioner(self.n, world_size)
+        self.partitioner.require_covers(self.n, world_size, "this build")
         self._finalizer: Optional[weakref.finalize] = None
         # The plan's crash clock on either backend (and, on sim, the
         # transport's message-level injector as well).
@@ -309,9 +311,9 @@ class DNND:
         self._recoveries = 0
         self._degraded_ranks: set = set()
         self._built = False
-        if self.metrics.enabled:
-            self.metrics.set_gauge("partition.imbalance",
-                                   self.partitioner.max_imbalance())
+        self.metrics.set_gauge("partition.imbalance",
+                               self.partitioner.max_imbalance())
+        self.metrics.set_gauge("degraded.ranks", 0.0)
 
     # -- setup -----------------------------------------------------------------
 
@@ -356,10 +358,9 @@ class DNND:
         (the golden-trace contract)."""
         self._close_phase()
         self.world.set_phase(name, args.get("iteration"))
-        if self.metrics.enabled:
-            span = self.metrics.span(f"phase.{name}", **args)
-            span.__enter__()
-            self._open_span = span
+        span = self.metrics.span(f"phase.{name}", **args)
+        span.__enter__()
+        self._open_span = span
 
     def _close_phase(self) -> None:
         if self._open_span is not None:
@@ -576,7 +577,6 @@ class DNND:
                 continue
             consecutive_failures = 0
             update_counts.append(c)
-            self._publish_build_metrics(update_counts)
             if checkpoint_every and (it + 1) % checkpoint_every == 0:
                 self._write_checkpoint(checkpoint_path, it + 1, update_counts)
             if c < threshold:
@@ -586,7 +586,6 @@ class DNND:
         if self._degraded_ranks:
             self._repair_degraded(update_counts, threshold)
         graph = self._gather_graph()
-        self._publish_build_metrics(update_counts)
         self._publish_partition_metrics(graph.ids)
         self._publish_sim_enrichment()
         log = self.world.log
@@ -602,7 +601,6 @@ class DNND:
             distance_evals=log.totals.tally("distance.evals"),
             world_size=self.cluster.world_size,
             per_iteration_messages=log.per_iteration_messages(),
-            fault_stats=FaultStats(**log.total_fault_events()),
             recoveries=self._recoveries,
             degraded_ranks=tuple(sorted(self._degraded_ranks)),
             metrics=self.metrics,
@@ -612,35 +610,11 @@ class DNND:
         self._last_result = result
         return result
 
-    def _publish_build_metrics(self, update_counts: List[int]) -> None:
-        """The rank program's tallies, summed over the barrier log:
-        heap update attempts (``heap.updates``, delivery-order invariant
-        under the unoptimized pattern — the conformance metric),
-        distance evaluations, and the kernel layer's tile flops and
-        fallbacks (DESIGN.md section 17; zero under the default rowwise
-        kernel, so the snapshot names stay stable across kernel
-        choices).  Beside them successful NN-Descent pushes
-        (``heap.updates.accepted``, order-sensitive for full heaps) and
-        the recovery SLO counter, published on every backend (zeros
-        included) so fault-free and fault-injected snapshots expose the
-        same names."""
-        m = self.metrics
-        if not m.enabled:
-            return
-        log = self.world.log
-        for name in ("heap.updates", "distance.evals", "kernel.tile_flops",
-                     "kernel.fallbacks"):
-            m.set_counter(name, log.totals.tally(name))
-        m.set_counter("heap.updates.accepted", sum(update_counts))
-        m.set_counter("recovery.attempts", log.attempt)
-
     def _publish_partition_metrics(self, neighbor_ids: np.ndarray) -> None:
         """Partition-layer gauges: placement balance and the fraction of
         graph edges crossing a rank boundary.  Driver-side and O(n*k),
         so every backend publishes the same names from the same code."""
         m = self.metrics
-        if not m.enabled:
-            return
         m.set_gauge("partition.imbalance", self.partitioner.max_imbalance())
         m.set_gauge("partition.edge_cut",
                     edge_cut_fraction(self.partitioner, neighbor_ids))
@@ -653,7 +627,7 @@ class DNND:
         wall-clock spans instead."""
         m = self.metrics
         ledger = self.cluster.ledger
-        if not (m.enabled and ledger.enabled):
+        if not ledger.enabled:
             return
         m.set_gauge("sim.seconds", ledger.elapsed)
         for phase, secs in ledger.phase_elapsed.items():
@@ -705,6 +679,8 @@ class DNND:
         ranks = {int(r) for r in ranks} - self._degraded_ranks
         self._degraded_ranks |= ranks
         self.world.exclude_ranks(ranks)
+        self.metrics.set_gauge("degraded.ranks",
+                               float(len(self.world.excluded_ranks)))
         # In-flight traffic from the failed round may carry messages
         # from/to the dead ranks; drop all of it and replay the
         # iteration from its start (keyed randomness makes the replay
@@ -734,6 +710,7 @@ class DNND:
             # Respawned process workers already rebuilt their shards;
             # the reset is idempotent there.
             repaired = sorted(self.world.readmit_ranks())
+            self.metrics.set_gauge("degraded.ranks", 0.0)
             for stage in ("repair_reset", "repair_reinit", "repair_donate"):
                 self._run_section(stage, ranks=repaired)
             self._pump()
@@ -746,7 +723,6 @@ class DNND:
             for j in range(4):
                 c = self._iteration(cfg.max_iters + 1 + j)
                 update_counts.append(c)
-                self._publish_build_metrics(update_counts)
                 if c < threshold:
                     break
             self._close_phase()
@@ -872,12 +848,9 @@ class DNND:
                 ids, self.cluster.world_size)
             partitioner = ExplicitPartitioner(
                 assignment, self.cluster.world_size, source="repartition")
-        elif (partitioner.n != self.n
-              or partitioner.world_size != self.cluster.world_size):
-            raise ConfigError(
-                f"repartition target covers n={partitioner.n}, "
-                f"world_size={partitioner.world_size}; this build has "
-                f"n={self.n}, world_size={self.cluster.world_size}")
+        else:
+            partitioner.require_covers(
+                self.n, self.cluster.world_size, "this build")
         self._enter_phase("repartition")
         self.partitioner = partitioner
         self._distribute()

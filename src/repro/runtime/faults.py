@@ -16,15 +16,16 @@ exercised.  This module supplies the missing adversary:
   :meth:`Transport.deliver <repro.runtime.transports.base.Transport.deliver>`
   and :meth:`YGMWorld._flush <repro.runtime.ygm.YGMWorld._flush>`
   consult on either backend.  It tracks crashed ranks, holds delayed
-  deliveries until their release tick, and counts everything it does in
-  a shared :class:`~repro.runtime.instrumentation.FaultStats`.
+  deliveries until their release tick, and counts everything it does as
+  ``faults.<event>`` into the open window of the comm world that drives
+  its transport.
 
 The fault unit is the **flushed buffer**: the comm layer ships every
 delivery as one ``bflush`` envelope (YGM ships buffers, never single
 RPCs), so one decision drops, duplicates or delays every message a
 buffer holds, and a reorder permutes a buffer's entries.  Rates, the
-:class:`~repro.runtime.instrumentation.FaultStats` counters and the
-reliable-delivery retry budget all count envelopes, not messages.
+``faults.<event>`` counters and the reliable-delivery retry budget all
+count envelopes, not messages.
 
 Faults model the *network and the nodes*, not the program: only remote
 (``src != dest``) traffic is perturbed, and collectives are left alone
@@ -37,12 +38,12 @@ delivery mode and the checkpoint-recovery loop in
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from ..errors import ConfigError
 from ..utils.rng import derive_rng
-from .instrumentation import FaultStats
 
 # Key mixed into the seed so the fault stream never collides with the
 # algorithm's own keyed RNG streams (which use small phase keys).
@@ -146,7 +147,9 @@ class FaultInjector:
                 raise ConfigError(
                     f"crash rank {rank} out of range for world size "
                     f"{self.world_size}")
-        self.stats = FaultStats()
+        #: What it did, as ``faults.<event>`` counts: the counts of the
+        #: open window of the comm world that adopts this injector.
+        self.counts: Counter = Counter()
         self.crashed: set[int] = set()
         self._fired_crashes: set[Tuple[int, int]] = set()
         self._rng = derive_rng(plan.seed, _FAULT_STREAM_KEY)
@@ -167,15 +170,15 @@ class FaultInjector:
         """
         plan = self.plan
         if plan.drop_rate and self._rng.random() < plan.drop_rate:
-            self.stats.dropped += 1
+            self.counts["faults.dropped"] += 1
             return []
         delays = [0]
         if plan.delay_rate and self._rng.random() < plan.delay_rate:
             delays[0] = 1 + int(self._rng.integers(plan.max_delay_ticks))
-            self.stats.delayed += 1
+            self.counts["faults.delayed"] += 1
         if plan.dup_rate and self._rng.random() < plan.dup_rate:
             delays.append(0)
-            self.stats.duplicated += 1
+            self.counts["faults.duplicated"] += 1
         return delays
 
     def hold(self, delay_ticks: int, src: int, dest: int, item: Any) -> None:
@@ -211,7 +214,7 @@ class FaultInjector:
         plan = self.plan
         if (n_entries > 1 and plan.reorder_rate
                 and self._rng.random() < plan.reorder_rate):
-            self.stats.reordered_flushes += 1
+            self.counts["faults.reordered_flushes"] += 1
             return self._rng.permutation(n_entries)
         return None
 
@@ -219,7 +222,7 @@ class FaultInjector:
         """Seconds of straggler time to charge the flushing rank."""
         plan = self.plan
         if plan.stall_rate and self._rng.random() < plan.stall_rate:
-            self.stats.stalls += 1
+            self.counts["faults.stalls"] += 1
             return plan.stall_seconds
         return 0.0
 
@@ -240,7 +243,7 @@ class FaultInjector:
                 self._fired_crashes.add((it, rank))
                 if rank not in self.crashed:
                     self.crashed.add(rank)
-                    self.stats.crashes += 1
+                    self.counts["faults.crashes"] += 1
                     newly.append(rank)
         return newly
 
@@ -248,7 +251,7 @@ class FaultInjector:
         """Resurrect every crashed rank (the replacement-node model) and
         drop any in-flight delayed traffic from the failed epoch."""
         if self.crashed:
-            self.stats.recoveries += 1
+            self.counts["faults.recoveries"] += 1
         self.crashed.clear()
         self.drop_delayed()
 

@@ -14,9 +14,13 @@ Figure 4 reports, per pattern, the number of messages and total bytes.
 whether the message crossed a node boundary ("sent off nodes" in the
 paper's wording).
 
-Counters reach the driver one way: as a :class:`Delta` — what changed at
-a world since its last export — appended to the barrier log
-(:mod:`.tracing`) once per barrier.
+Every counter is counted once, into the open window of a barrier log
+(:attr:`BarrierLog.window <.tracing.BarrierLog>`): a :class:`Delta` its
+writers — the comm world, reliable delivery, the fault injector, the
+rank program's tallies — add to in place.  It reaches the driver one
+way: handed over whole (:meth:`Delta.take`) and added to the log's
+running totals (:mod:`.tracing`).  :class:`MessageStats` and
+:class:`FaultStats` read those; nothing keeps a second running copy.
 """
 
 from __future__ import annotations
@@ -64,18 +68,19 @@ class TypeStats:
 
 @dataclass
 class FaultStats:
-    """Counters for injected faults and the recovery work they caused.
+    """Injected faults and the recovery work they caused — a typed view
+    of the ``faults.<event>`` counters.
 
     Network events count flushed buffers, the unit the network perturbs
     (:mod:`.faults`): ``dropped``/``duplicated``/``delayed`` are
     envelopes (acks included), ``retransmits`` and
     ``duplicates_suppressed`` reliability frames around envelopes.
-    The injector (:mod:`.faults`) increments the fault side; the
+    The injector (:mod:`.faults`) counts the fault side; the
     transport-level reliability layer
     (:class:`~repro.runtime.transports.base.ReliableDelivery`) and the
-    comm layer's failure detector increment the recovery side.  One
-    shared instance per run, so an ablation can report "N drops cost M
-    retransmits" from one object.
+    comm layer's failure detector count the recovery side — all into
+    the same open window, so an ablation can report "N drops cost M
+    retransmits" from one view.
     """
 
     dropped: int = 0
@@ -169,19 +174,6 @@ class MessageStats:
         for t, s in other.by_type.items():
             self.by_type[t] = self.get(t).merged(s)
 
-    def since(self, base: "MessageStats") -> "MessageStats":
-        """What was recorded here and not yet in ``base`` (an earlier
-        state of these counters); types that did not move are left out."""
-        out = MessageStats()
-        for t, s in self.by_type.items():
-            b = base.get(t)
-            if s != b:
-                out.by_type[t] = TypeStats(
-                    s.count - b.count, s.bytes - b.bytes,
-                    s.offnode_count - b.offnode_count,
-                    s.offnode_bytes - b.offnode_bytes)
-        return out
-
     def snapshot(self) -> Dict[str, Tuple[int, int]]:
         """``{type: (count, bytes)}`` — compact view for reports."""
         return {t: (s.count, s.bytes) for t, s in sorted(self.by_type.items())}
@@ -209,11 +201,12 @@ class MessageStats:
 
 @dataclass
 class Delta:
-    """What changed at one world between two exports — the only form in
-    which counters travel (a sim world hands one to its log at the end of
-    ``barrier()``, a process worker ships one in every ``__round__``
-    reply).  Deltas add up: a barrier record is the sum of the deltas of
-    its window, the running totals the sum of all of them.
+    """Counters of one window — the only form in which counters are
+    kept and travel.  A barrier log's open window is one its writers add
+    to in place; :meth:`take` hands it over whole (to the log's own
+    totals at a commit, or in a process worker's ``__round__`` reply).
+    Deltas add up: a barrier record is the sum of the deltas of its
+    window, the running totals the sum of all of them.
 
     Attributes
     ----------
@@ -222,7 +215,8 @@ class Delta:
     counts:
         World-level counters under their registry names:
         ``comm.flushes``, ``executor.tasks`` (handler invocations),
-        ``comm.local_deliveries``, ``faults.<event>``.
+        ``comm.local_deliveries``, ``executor.dispatches``,
+        ``transport.collectives``, ``faults.<event>``.
     ranks:
         ``rank -> tally -> n``: what the rank program counted through
         :attr:`RankContext.tally <repro.runtime.ygm.RankContext>`
@@ -240,13 +234,19 @@ class Delta:
         for rank, tally in other.ranks.items():
             self.ranks.setdefault(rank, Counter()).update(tally)
 
-    def since(self, base: "Delta") -> "Delta":
-        """What these (cumulative) counters hold beyond ``base``, an
-        earlier state of them."""
-        return Delta(
-            self.messages.since(base.messages), self.counts - base.counts,
-            {rank: moved for rank, tally in self.ranks.items()
-             if (moved := tally - base.ranks.get(rank, Counter()))})
+    def take(self) -> "Delta":
+        """Hand over everything counted here, whole, and start empty —
+        the export of an open window.  Emptied in place: the writers
+        holding this delta's ``messages``, ``counts`` and per-rank
+        tallies keep writing into it."""
+        out = Delta(MessageStats(self.messages.by_type), +self.counts,
+                    {rank: moved for rank, tally in self.ranks.items()
+                     if (moved := +tally)})
+        self.messages.by_type = {}
+        self.counts.clear()
+        for tally in self.ranks.values():
+            tally.clear()
+        return out
 
     @classmethod
     def total(cls, deltas: Iterable["Delta"]) -> "Delta":

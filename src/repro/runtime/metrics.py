@@ -3,14 +3,18 @@
 The paper's first future-work item (Section 7) asks for deeper
 profiling — "how much the computation or communication is heavier than
 the other".  The comm facade's barrier log
-(:mod:`repro.runtime.tracing`) is where every backend's counters arrive
-and the one time series of them; this registry is the export surface
-around it:
+(:mod:`repro.runtime.tracing`) is where every backend's counters are
+counted, once, and the one time series of them; this registry is the
+export surface around it:
 
-- **counters** — monotonic totals, *mirrored absolutely* at barriers
-  from the barrier log's running totals (message statistics, handler
-  invocation counts, fault counters) rather than incremented on the hot
-  path, so metrics-on adds no per-message work;
+- **counters** — a *view* of the barrier log of the comm facade that
+  reports here (:meth:`BarrierLog.counters
+  <repro.runtime.tracing.BarrierLog.counters>`: its totals plus its open
+  window, computed when read — message statistics, handler invocations,
+  fault events, the rank program's tallies), plus whatever a searcher's
+  query path adds with :meth:`MetricsRegistry.inc`.  Nothing is copied
+  into the registry, so a read can never be stale and counting adds no
+  per-message work;
 - **gauges** — last-write-wins floats (e.g. the sim cost model's
   decomposition, published as an *enrichment* when a real ledger is
   present);
@@ -39,11 +43,11 @@ Two exporters:
   counters are sampled at every barrier of the log, so Figure 4's decay
   curve is a counter track.
 
-Disabled runs use the module-level :data:`NULL_METRICS`
-:class:`NullMetricsRegistry` singleton: every method is a no-op that
-allocates nothing (``span`` returns one shared reusable context
-manager), so ``DNNDConfig(metrics=False)`` costs a single attribute
-check per call site.
+A DNND build always has a registry.  A searcher's is optional: without
+one it uses the module-level :data:`NULL_METRICS`
+:class:`NullMetricsRegistry` singleton, whose every method is a no-op
+that allocates nothing (``span`` returns one shared reusable context
+manager), so the query hot path pays a single attribute check.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
-from .instrumentation import FaultStats
 from .tracing import BarrierLog
 
 #: Version tag embedded in every snapshot so downstream consumers can
@@ -154,9 +157,9 @@ class MetricsRegistry:
         self._hist_sums: Dict[str, List[float]] = {}
         self.spans: List[SpanRecord] = []
         self._tids: Dict[int, int] = {}
-        #: The barrier log of the comm facade publishing here (an empty
-        #: one for a registry no build reports into).
-        self.log = BarrierLog()
+        #: The barrier log of the comm facade reporting here (set by the
+        #: facade); ``None`` for a registry no comm world reports into.
+        self.log: BarrierLog | None = None
 
     def now(self) -> float:
         """Seconds since the registry's epoch, on the span clock."""
@@ -168,18 +171,6 @@ class MetricsRegistry:
         """Add ``value`` to counter ``name`` (creates at 0)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def set_counter(self, name: str, value: int) -> None:
-        """Set counter ``name`` to an absolute value.
-
-        The runtime's barrier-time synchronization path: authoritative
-        aggregates (message stats, handler counts) are mirrored into the
-        registry by *assignment*, which is idempotent and order-free —
-        re-publishing after every barrier converges to the same totals
-        no matter how supersteps interleaved.
-        """
-        with self._lock:
-            self._counters[name] = int(value)
 
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
@@ -236,9 +227,18 @@ class MetricsRegistry:
 
     # -- readers -------------------------------------------------------------
 
-    def counter(self, name: str, default: int = 0) -> int:
+    def counters(self) -> Dict[str, int]:
+        """Every counter by name: the log's (:meth:`BarrierLog.counters`)
+        plus what :meth:`inc` added, read now."""
         with self._lock:
-            return self._counters.get(name, default)
+            out = dict(self._counters)
+        if self.log is not None:
+            for name, value in self.log.counters().items():
+                out[name] = out.get(name, 0) + value
+        return out
+
+    def counter(self, name: str, default: int = 0) -> int:
+        return self.counters().get(name, default)
 
     def timer_seconds(self, name: str) -> float:
         with self._lock:
@@ -268,6 +268,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of everything in the registry."""
+        counters = self.counters()
         with self._lock:
             hists = {}
             for name, buckets in sorted(self._histograms.items()):
@@ -284,7 +285,7 @@ class MetricsRegistry:
             return {
                 "schema": SNAPSHOT_SCHEMA,
                 "enabled": True,
-                "counters": dict(sorted(self._counters.items())),
+                "counters": dict(sorted(counters.items())),
                 "gauges": dict(sorted(self._gauges.items())),
                 "timers": {
                     name: {"count": int(t[0]), "seconds": t[1]}
@@ -296,7 +297,7 @@ class MetricsRegistry:
                      "end": s.end, "tid": s.tid, "args": dict(s.args)}
                     for s in self.spans
                 ],
-                "barriers": self.log.to_json(),
+                "barriers": [] if self.log is None else self.log.to_json(),
             }
 
     def to_chrome_trace(self, process_name: str = "repro") -> Dict[str, Any]:
@@ -305,6 +306,8 @@ class MetricsRegistry:
         ``messages.sent.<type>`` counts as a "C" event at every barrier
         of the log, every other counter's total as a final "C" event;
         timestamps in microseconds since the registry epoch."""
+        counters = self.counters()
+        records = [] if self.log is None else self.log.records
         with self._lock:
             events: List[Dict[str, Any]] = [{
                 "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
@@ -321,7 +324,7 @@ class MetricsRegistry:
                     "args": dict(s.args),
                 })
             running: Dict[str, int] = {}
-            for record in self.log.records:
+            for record in records:
                 for t, stats in record.delta.messages.by_type.items():
                     running[t] = running.get(t, 0) + stats.count
                     events.append({
@@ -330,7 +333,7 @@ class MetricsRegistry:
                         "args": {"value": running[t]},
                     })
             sampled = {f"messages.sent.{t}" for t in running}
-            for name, value in sorted(self._counters.items()):
+            for name, value in sorted(counters.items()):
                 if name not in sampled:
                     events.append({
                         "name": name, "ph": "C", "ts": last_ts, "pid": 0,
@@ -350,9 +353,6 @@ class NullMetricsRegistry(MetricsRegistry):
     enabled = False
 
     def inc(self, name: str, value: int = 1) -> None:
-        pass
-
-    def set_counter(self, name: str, value: int) -> None:
         pass
 
     def set_gauge(self, name: str, value: float) -> None:
@@ -399,56 +399,3 @@ def deterministic_projection(snap: Dict[str, Any]) -> Dict[str, Any]:
             if k.startswith("sim.")
         },
     }
-
-
-#: World-level counters of a barrier log's totals, mirrored under the
-#: same names — zeros too, so fault-free runs and backends without an
-#: injector emit the same metric names.
-_WORLD_COUNTERS = ("executor.tasks", "comm.flushes", "comm.local_deliveries",
-                   *FaultStats().counts())
-
-
-def publish_comm_metrics(world, pending_delayed: int | None) -> None:
-    """Mirror a comm facade's barrier-log totals into its metrics
-    registry — the one publisher behind every backend's barrier
-    (``YGMWorld`` and the process backend's ``ProcessWorld`` expose the
-    attributes read here), under the backend-agnostic naming convention
-    (DESIGN.md §12): ``messages.sent.<type>`` / ``messages.bytes.<type>``
-    per type, the ``messages.sent`` / ``bytes.sent`` and off-node
-    aggregates, and the world-level counters.
-
-    All values are *assigned* as absolute totals — re-publishing is
-    idempotent, and both backends emit the exact same metric names (the
-    cross-backend conformance contract).  ``pending_delayed`` is the
-    number of messages a fault plan is holding back (``None`` without a
-    plan: the gauge is then not published).
-    """
-    m = world.metrics
-    if not m.enabled:
-        return
-    m.log = world.log
-    cluster = world.cluster
-    totals = world.log.totals
-    sent = totals.messages
-    for t, s in sent.by_type.items():
-        m.set_counter(f"messages.sent.{t}", s.count)
-        m.set_counter(f"messages.bytes.{t}", s.bytes)
-    m.set_counter("messages.sent", sent.total_count())
-    m.set_counter("bytes.sent", sent.total_bytes())
-    m.set_counter("messages.offnode.sent", sent.offnode_count())
-    m.set_counter("messages.offnode.bytes", sent.offnode_bytes())
-    # Locality split: self-sends (which never touch the wire or the
-    # message stats) vs wire messages — what makes the partition
-    # layer's effect measurable.
-    m.set_counter("comm.remote_deliveries", sent.total_count())
-    for name in _WORLD_COUNTERS:
-        m.set_counter(name, totals.counts[name])
-    if pending_delayed is not None:
-        m.set_gauge("faults.pending_delayed", float(pending_delayed))
-    m.set_counter("comm.barriers", cluster.ledger.barriers)
-    m.set_counter("transport.collectives", cluster.collectives)
-    # Sections broadcast to worker processes; a world that runs its
-    # rank sections inline reports none.
-    m.set_counter("executor.dispatches", world.dispatches)
-    # Ranks currently excluded from the build (0 outside degraded mode).
-    m.set_gauge("degraded.ranks", float(len(world.excluded_ranks)))

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..errors import PartitionError
+from ..errors import ConfigError, PartitionError
 
 #: CLI-facing partitioner names accepted by :func:`make_partitioner`.
 PARTITIONER_NAMES = ("hash", "block", "rptree")
@@ -72,6 +72,16 @@ class Partitioner:
             raise PartitionError(f"world_size must be positive, got {world_size}")
         self.n = int(n)
         self.world_size = int(world_size)
+
+    def require_covers(self, n: int, world_size: int, user: str) -> None:
+        """Raise :class:`~repro.errors.ConfigError` unless this places
+        exactly ``n`` vertices on ``world_size`` ranks — the shape of
+        ``user``, which would route by it."""
+        if self.n != n or self.world_size != world_size:
+            raise ConfigError(
+                f"partitioner covers n={self.n}, "
+                f"world_size={self.world_size}; {user} has n={n}, "
+                f"world_size={world_size}")
 
     # subclasses implement owner / owner_array
     def owner(self, v: int) -> int:  # pragma: no cover - abstract

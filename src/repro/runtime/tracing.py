@@ -9,38 +9,56 @@ understanding communication patterns deeply."  A comm facade
 :class:`~repro.runtime.transports.process.ProcessWorld`) owns one
 :class:`BarrierLog`, always on and append-only:
 
-- counters arrive as :class:`~.instrumentation.Delta` objects
-  (:meth:`BarrierLog.absorb`) — the sim world's own export at the end of
-  ``barrier()``, each process worker's in every ``__round__`` reply — and
-  are added to the running :attr:`BarrierLog.totals` on arrival;
+- every counter is counted once, into the log's open
+  :attr:`BarrierLog.window` (a :class:`~.instrumentation.Delta` its
+  writers add to in place: the comm world, reliable delivery, the fault
+  injector, the transport's collectives, the rank program's
+  ``ctx.tally``); a process worker's world hands its window over whole
+  in every ``__round__`` reply, and the driver adds it to its own log
+  (:meth:`BarrierLog.absorb`);
+- :attr:`BarrierLog.totals` is the one running copy: everything absorbed
+  so far.  A read is the totals plus the open window
+  (:meth:`BarrierLog.live`), computed when it is made;
 - each completed barrier appends **one** :class:`BarrierRecord`
-  (:meth:`BarrierLog.commit`): index, the phase / iteration / attempt
-  labels the driver set (:meth:`BarrierLog.enter`), a wall timestamp,
-  the modeled duration and imbalance (zero / one without a cost ledger),
-  and the sum of the deltas that arrived since the previous record;
+  (:meth:`BarrierLog.commit`, which absorbs the open window first):
+  index, the phase / iteration / attempt labels the driver set
+  (:meth:`BarrierLog.enter`), a wall timestamp, the modeled duration and
+  imbalance (zero / one without a cost ledger), and the sum of the
+  deltas absorbed since the previous record;
 - a rank failure the driver recovers from closes the window it
   interrupted as a record of its own (:meth:`BarrierLog.abandon`), so
   what the abandoned try had sent is on the log — and in the totals —
   but never inside a record of the replay:
   ``len(records) == comm.barriers + attempt``.
 
-Everything else is a read-only view: per-phase message tables
-(:meth:`BarrierLog.phase_stats`), per-iteration traffic and the
-Algorithm 1 line 23 update counts (:meth:`BarrierLog.iterations`,
-rolled-back attempts left out), the per-superstep timelines Section 7
-asks for (the ``RuntimeTracer`` queries below), and the ``"barriers"``
-list of a metrics snapshot.  Nothing is recorded twice and nothing
-wraps ``barrier``: :func:`attach_tracer` returns the world's log, so it
-works on every backend, any number of times, with metrics on or off.
+Everything else is a read-only view: every registry counter by name
+(:meth:`BarrierLog.counters`, the one place those names are spelled),
+per-phase message tables (:meth:`BarrierLog.phase_stats`),
+per-iteration traffic and the Algorithm 1 line 23 update counts
+(:meth:`BarrierLog.iterations`, rolled-back attempts left out), the
+per-superstep timelines Section 7 asks for (the ``RuntimeTracer``
+queries below), and the ``"barriers"`` list of a metrics snapshot.
+Nothing is recorded twice and nothing wraps ``barrier``:
+:func:`attach_tracer` returns the world's log, so it works on every
+backend, any number of times.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping
 
-from .instrumentation import Delta, MessageStats
+from .instrumentation import Delta, FaultStats, MessageStats
+
+#: Window counters published under their own names (zeros included, so
+#: fault-free runs and backends without an injector expose the same
+#: names) ...
+_COUNTED = ("executor.tasks", "executor.dispatches", "comm.flushes",
+            "comm.local_deliveries", "transport.collectives",
+            *FaultStats().counts())
+#: ... and rank-program tallies, summed over ranks.
+_TALLIED = ("heap.updates", "distance.evals", "kernel.tile_flops",
+            "kernel.fallbacks")
 
 
 @dataclass
@@ -80,6 +98,8 @@ class BarrierLog:
         #: Everything absorbed so far: the records' deltas plus what
         #: arrived since the last one.
         self.totals = Delta.total(r.delta for r in self.records)
+        #: The open window: counted here, not yet absorbed.
+        self.window = Delta()
         #: Labels stamped on the next record.
         self.phase = "default"
         self.iteration: int | None = None
@@ -99,12 +119,10 @@ class BarrierLog:
         self.totals.add(delta)
         self._pending.add(delta)
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Absorb one facade-level event (``faults.crashes`` ...)."""
-        self.absorb(Delta(counts=Counter({name: n})))
-
     def commit(self, time: float, duration: float, imbalance: float) -> None:
-        """A barrier completed: append the record of its window."""
+        """A barrier completed: absorb the open window and append the
+        record of everything absorbed since the previous one."""
+        self.absorb(self.window.take())
         self.records.append(BarrierRecord(
             len(self.records), self.phase, self.iteration, self.attempt,
             time, duration, imbalance, self._pending))
@@ -117,7 +135,47 @@ class BarrierLog:
         self.commit(time, 0.0, 1.0)
         self.attempt += 1
 
-    # -- views: export, phases and iterations ------------------------------------
+    # -- views: counters, export, phases and iterations ------------------------------
+
+    def live(self) -> Delta:
+        """Every counter as of now: the totals plus the open window."""
+        return Delta.total((self.totals, self.window))
+
+    def counters(self) -> Dict[str, int]:
+        """Every registry counter of the run, by name — the one place
+        the names are spelled (DESIGN.md §12): per type
+        ``messages.sent.<type>`` / ``messages.bytes.<type>``, their
+        totals and off-node shares, the window counters and rank
+        tallies, the barriers the driver completed and the failures it
+        survived, and the accepted updates of the iterations that
+        count."""
+        live = self.live()
+        sent = live.messages
+        out: Dict[str, int] = {}
+        for t, s in sent.by_type.items():
+            out[f"messages.sent.{t}"] = s.count
+            out[f"messages.bytes.{t}"] = s.bytes
+        out["messages.sent"] = sent.total_count()
+        out["bytes.sent"] = sent.total_bytes()
+        out["messages.offnode.sent"] = sent.offnode_count()
+        out["messages.offnode.bytes"] = sent.offnode_bytes()
+        # Every wire message is a remote delivery; self-sends are
+        # ``comm.local_deliveries`` and never reach the message stats.
+        out["comm.remote_deliveries"] = sent.total_count()
+        for name in _COUNTED:
+            out[name] = live.counts[name]
+        for name in _TALLIED:
+            out[name] = live.tally(name)
+        out["heap.updates.accepted"] = sum(
+            r.delta.tally("updates")
+            for group in self.iterations().values() for r in group)
+        out["comm.barriers"] = len(self.records) - self.attempt
+        out["recovery.attempts"] = self.attempt
+        # No configuration falls back to another backend; the name
+        # stays for the benchmark's layer table.
+        out["backend.fallbacks"] = 0
+        return out
+
 
     def to_json(self) -> List[Dict[str, Any]]:
         return [record.to_json() for record in self.records]
@@ -196,7 +254,7 @@ class BarrierLog:
     def total_fault_events(self) -> Dict[str, int]:
         """``event -> n`` of the fault / recovery events that occurred."""
         return {name[len("faults."):]: n
-                for name, n in self.totals.counts.items()
+                for name, n in self.live().counts.items()
                 if name.startswith("faults.")}
 
     def busiest_supersteps(self, top: int = 5) -> List[BarrierRecord]:

@@ -2,10 +2,13 @@
 
 A transport owns the *mechanics* of moving already-formatted payloads
 between ranks: per-rank FIFO mailboxes for point-to-point traffic and
-driver-level collectives over per-rank contribution lists.  Everything
-above the seam — buffering, batch coalescing, reliable seq/ack delivery,
+driver-level collectives (allreduce, gather) over per-rank contribution
+lists.  Everything above the seam — buffering, batch coalescing,
 message statistics — lives in :class:`~repro.runtime.ygm.YGMWorld` and
-talks only to this interface.
+talks only to this interface.  A transport keeps no statistics of its
+own: what it counts (collective calls, and through reliable delivery
+and the injector their events) goes into the open window of the comm
+world's barrier log (:meth:`Transport.count_into`).
 
 Two transports carry a comm world:
 
@@ -18,12 +21,12 @@ Two transports carry a comm world:
   cost model.
 
 Collectives are implemented here once; cost accounting is injected
-through the ``_charge_collective`` / ``_charge_transfer`` hooks so the
-simulated transport charges its alpha-beta model while the others
-charge nothing.  Because the simulation is cooperative,
-collectives take *per-rank contribution lists* and return per-rank
-results — the driver (which plays the role of the SPMD program counter)
-passes in what each rank would have contributed.  This keeps rank code
+through the ``_charge_collective`` hook so the simulated transport
+charges its alpha-beta model while the others charge nothing.  Because
+the simulation is cooperative, collectives take *per-rank contribution
+lists* and return per-rank results — the driver (which plays the role of
+the SPMD program counter) passes in what each rank would have
+contributed.  This keeps rank code
 honest: a rank can only use its own slot of the result.
 
 **Fault tolerance lives at this seam**, once, for every transport —
@@ -54,12 +57,12 @@ the destination's mailbox here; a frame to the owning worker in
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ...config import ClusterConfig
 from ...errors import FaultToleranceError, RuntimeStateError
-from ..instrumentation import FaultStats, MessageStats
+from ..instrumentation import Delta
 from ..netmodel import CostLedger, NetworkModel
 
 #: Reliable-delivery wire tags (shared with the YGM layer's other tags).
@@ -88,20 +91,19 @@ class ReliableDelivery:
     - ``tick`` (the retransmit clock) is called between delivery
       rounds, when no handler is running.
 
-    Recovery work is counted in the run's shared
-    :class:`~repro.runtime.instrumentation.FaultStats`.
+    Recovery work — ``ack`` / ``retransmit`` messages and the
+    ``faults.<event>`` counters — is counted into ``window``, the open
+    window of the comm world's barrier log.
     """
 
-    def __init__(self, transport: "Transport", retry_timeout: int = 4,
-                 max_retries: int = 32,
-                 fault_stats: FaultStats | None = None) -> None:
+    def __init__(self, transport: "Transport", window: Delta,
+                 retry_timeout: int = 4, max_retries: int = 32) -> None:
         self.transport = transport
+        self.window = window
         ws = transport.world_size
         self.world_size = ws
         self.retry_timeout = int(retry_timeout)
         self.max_retries = int(max_retries)
-        self.fault_stats: FaultStats = (
-            fault_stats if fault_stats is not None else FaultStats())
         #: Delivery-round clock; advanced by :meth:`tick`.
         self.clock = 0
         #: Ranks the supervisor has excluded: sends to them are dropped
@@ -143,7 +145,7 @@ class ReliableDelivery:
         self._ack_pending[dest][src].append(rel_seq)
         seen = self._seen[dest][src]
         if rel_seq in seen:
-            self.fault_stats.duplicates_suppressed += 1
+            self.window.counts["faults.duplicates_suppressed"] += 1
             return False
         seen.add(rel_seq)
         return True
@@ -160,6 +162,7 @@ class ReliableDelivery:
         delivery round rather than each costing a latency."""
         transport = self.transport
         net = transport.net
+        window = self.window
         for receiver, row in enumerate(self._ack_pending):
             for sender, seqs in enumerate(row):
                 if not seqs:
@@ -167,10 +170,10 @@ class ReliableDelivery:
                 row[sender] = []
                 offnode = transport.is_offnode(receiver, sender)
                 nbytes = ACK_SEQ_BYTES * len(seqs)
-                transport.stats.record("ack", nbytes, offnode)
+                window.messages.record("ack", nbytes, offnode)
                 transport.ledger.charge(
                     receiver, net.message_cost(nbytes, offnode))
-                self.fault_stats.acks_sent += 1
+                window.counts["faults.acks_sent"] += 1
                 transport.deliver(receiver, sender, (ACK_TAG, tuple(seqs)))
 
     # -- driver-side clock -----------------------------------------------------
@@ -198,15 +201,16 @@ class ReliableDelivery:
                     if self.clock - sent_tick < window:
                         continue
                     if attempts >= self.max_retries:
-                        self.fault_stats.retry_budget_exhausted += 1
+                        self.window.counts[
+                            "faults.retry_budget_exhausted"] += 1
                         raise FaultToleranceError(
                             f"message {src}->{dest} unacked after "
                             f"{attempts} retransmits; network unrecoverable",
                             src=src, dest=dest, attempts=attempts)
                     entry[2] = attempts + 1
                     entry[3] = self.clock
-                    self.fault_stats.retransmits += 1
-                    transport.stats.record("retransmit", nbytes, offnode)
+                    self.window.counts["faults.retransmits"] += 1
+                    self.window.messages.record("retransmit", nbytes, offnode)
                     transport.ledger.charge(
                         src, transport.net.message_cost(nbytes, offnode))
                     transport.deliver(src, dest, (REL_TAG, rel_seq, payload))
@@ -268,12 +272,11 @@ class Transport:
     """Base point-to-point + collectives substrate.
 
     Subclasses provide where a delivery lands (:meth:`_put`) and the
-    cost hooks; the delivery decision (:meth:`deliver`), the deque
+    cost hook; the delivery decision (:meth:`deliver`), the deque
     mailboxes, drain interface, and collective logic are shared.  Every
     subclass exposes the same attributes the comm layer relies on:
-    ``config``, ``world_size``, ``net``, ``ledger``, ``stats`` (the sink
-    the YGM layer records into), and ``injector`` (``None`` unless a
-    fault plan is in force).
+    ``config``, ``world_size``, ``net``, ``ledger``, ``counts`` and
+    ``injector`` (``None`` unless a fault plan is in force).
     """
 
     def __init__(self, config: ClusterConfig, net: NetworkModel | None,
@@ -282,7 +285,11 @@ class Transport:
         self.net = net or NetworkModel()
         self.world_size = config.world_size
         self.ledger = ledger
-        self.stats = MessageStats()
+        #: Where collective calls are counted (``transport.collectives``
+        #: — the same calls on every backend, so the counter is
+        #: conformant): the comm world driving this transport binds it
+        #: to its open window (:meth:`count_into`).
+        self.counts: Counter = Counter()
         self.injector = None
         #: Reliable-delivery layer; None until
         #: :meth:`enable_reliability` attaches one.
@@ -293,14 +300,16 @@ class Transport:
         #: cause*, marks are the *runtime's verdict* — a backend with no
         #: injector still marks ranks it detects as dead.
         self.marked_failed: Set[int] = set()
-        #: Collective invocations (allreduce/gather/allgather/bcast/
-        #: alltoallv) — driven by the same driver code on every backend,
-        #: so the ``transport.collectives`` metric is conformant across
-        #: backends.
-        self.collectives = 0
         self._mailboxes: List[Deque[Tuple[int, Any]]] = [
             deque() for _ in range(self.world_size)]
         self._alive = True
+
+    def count_into(self, counts: Counter) -> None:
+        """Count this transport's events, and its injector's, into
+        ``counts`` — the open window of the comm world driving it."""
+        self.counts = counts
+        if self.injector is not None:
+            self.injector.counts = counts
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -342,7 +351,7 @@ class Transport:
         inj = self.injector
         if inj is not None:
             if inj.is_crashed(src) or inj.is_crashed(dest):
-                inj.stats.crash_dropped += 1
+                inj.counts["faults.crash_dropped"] += 1
                 return
             if src != dest and not fault_exempt:
                 for delay in inj.on_deliver(src, dest):
@@ -372,17 +381,15 @@ class Transport:
 
     # -- reliability and failure marking ---------------------------------------
 
-    def enable_reliability(self, retry_timeout: int = 4,
-                           max_retries: int = 32,
-                           fault_stats: FaultStats | None = None,
-                           ) -> ReliableDelivery:
-        """Attach (and return) a :class:`ReliableDelivery` layer.  The
-        comm layer calls this when constructed with ``reliable=True``;
-        the transport holds the reference so failure marking and repair
-        stay coherent with the reliability state."""
+    def enable_reliability(self, window: Delta, retry_timeout: int = 4,
+                           max_retries: int = 32) -> ReliableDelivery:
+        """Attach (and return) a :class:`ReliableDelivery` layer counting
+        into ``window``.  The comm layer calls this when constructed with
+        ``reliable=True``; the transport holds the reference so failure
+        marking and repair stay coherent with the reliability state."""
         self.reliability = ReliableDelivery(
-            self, retry_timeout=retry_timeout, max_retries=max_retries,
-            fault_stats=fault_stats)
+            self, window, retry_timeout=retry_timeout,
+            max_retries=max_retries)
         return self.reliability
 
     def mark_failed(self, ranks: Iterable[int]) -> None:
@@ -441,15 +448,11 @@ class Transport:
     def pending_total(self) -> int:
         return sum(len(mb) for mb in self._mailboxes)
 
-    # -- cost hooks ------------------------------------------------------------
+    # -- cost hook -------------------------------------------------------------
 
     def _charge_collective(self, item_bytes: int) -> None:
         """Charge every rank for one collective of ``item_bytes`` per
         rank (no-op unless the transport models costs)."""
-
-    def _charge_transfer(self, src: int, dest: int, nbytes: int) -> None:
-        """Charge ``src`` for one bulk point-to-point transfer inside a
-        collective (no-op unless the transport models costs)."""
 
     # -- collectives -----------------------------------------------------------
 
@@ -461,7 +464,7 @@ class Transport:
         """Reduce per-rank contributions with ``op`` (default sum); every
         rank receives the result."""
         self._check_alive()
-        self.collectives += 1
+        self.counts["transport.collectives"] += 1
         self._require_full(contributions)
         if op is None:
             total: Any = 0
@@ -489,55 +492,13 @@ class Transport:
         the root owns (MPI_Gather's actual contract).
         """
         self._check_alive()
-        self.collectives += 1
+        self.counts["transport.collectives"] += 1
         if not 0 <= root < self.world_size:
             raise RuntimeStateError(f"root rank {root} out of range")
         self._require_full(contributions)
         self._charge_collective(item_bytes)
         gathered = list(contributions)
         return [gathered if r == root else None for r in range(self.world_size)]
-
-    def allgather(self, contributions: Sequence[Any],
-                  item_bytes: int = 8) -> List[List[Any]]:
-        self._check_alive()
-        self.collectives += 1
-        self._require_full(contributions)
-        self._charge_collective(item_bytes * self.world_size)
-        gathered = list(contributions)
-        return [list(gathered) for _ in range(self.world_size)]
-
-    def bcast(self, value: Any, root: int = 0, item_bytes: int = 8) -> List[Any]:
-        self._check_alive()
-        self.collectives += 1
-        if not 0 <= root < self.world_size:
-            raise RuntimeStateError(f"root rank {root} out of range")
-        self._charge_collective(item_bytes)
-        return [value] * self.world_size
-
-    def alltoallv(self, send_lists: Sequence[Sequence[Any]],
-                  item_bytes: int = 8) -> List[List[Any]]:
-        """``send_lists[src][dest]`` -> per-dest receive lists.
-
-        Used by bulk redistribution steps (e.g. gathering a distributed
-        graph); charges bandwidth for every off-diagonal transfer.
-        """
-        self._check_alive()
-        self.collectives += 1
-        self._require_full(send_lists)
-        recv: List[List[Any]] = [[] for _ in range(self.world_size)]
-        for src in range(self.world_size):
-            row = send_lists[src]
-            if len(row) != self.world_size:
-                raise RuntimeStateError(
-                    f"alltoallv: rank {src} provided {len(row)} destination lists, "
-                    f"expected {self.world_size}"
-                )
-            for dest in range(self.world_size):
-                payload = row[dest]
-                recv[dest].extend(payload)
-                if src != dest and payload:
-                    self._charge_transfer(src, dest, item_bytes * len(payload))
-        return recv
 
     def _require_full(self, contributions: Sequence[Any]) -> None:
         if len(contributions) != self.world_size:

@@ -42,8 +42,8 @@ flight.  No wait is unbounded — a worker missing a frame after
 :data:`FRAME_WAIT_S` replies with the shortfall, and the driver either
 finds a dead worker (:class:`~repro.errors.RankFailureError`) or asks
 again.  The same reply carries the worker's counters as a
-*delta* (:meth:`YGMWorld.export_delta`: what changed since its previous
-reply), which the driver adds to its log's running totals on arrival —
+*delta* (:meth:`YGMWorld.export_delta`: its open window, handed over
+whole), which the driver adds to its log's running totals on arrival —
 the only way counters cross the process boundary.  A delta that was
 shipped is counted for good; one that was not died with its worker, so
 a respawned worker's zeroed counters can neither erase nor repeat
@@ -80,14 +80,12 @@ import queue as queue_mod
 import signal
 import traceback
 import weakref
-from collections import Counter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...config import ClusterConfig
 from ...errors import (ConfigError, RankFailureError, ReproError,
                        RuntimeStateError)
-from ..instrumentation import Delta, FaultStats
-from ..metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
+from ..metrics import NULL_METRICS, MetricsRegistry
 from ..netmodel import NullLedger
 from ..tracing import BarrierLog
 from .base import Transport
@@ -532,33 +530,30 @@ class ProcessWorld:
     """The driver's comm-layer facade for the process backend.
 
     Presents the slice of the :class:`YGMWorld` surface the DNND driver
-    uses — barriers, the barrier log and its phase labels, metrics
-    publication, fault bookkeeping, exclusion/readmission, in-flight
-    reset — plus the rank-host surface (:meth:`run_section` /
-    :meth:`command`, each ``rank -> value``), implemented as command
-    broadcasts to the rank hosts the workers hold.  The workers' deltas
-    are absorbed into :attr:`log` as they arrive, and so is what the
-    driver itself saw — the crashes its injector (the crash clock,
-    ``cluster.injector``) fired and repaired, the failures detected
-    here: :attr:`fault_stats` at every barrier; totals, phase tables and
-    fault counts are read from the log.
+    uses — barriers, the barrier log and its phase labels, fault
+    bookkeeping, exclusion/readmission, in-flight reset — plus the
+    rank-host surface (:meth:`run_section` / :meth:`command`, each
+    ``rank -> value``), implemented as command broadcasts to the rank
+    hosts the workers hold.  The workers' deltas are absorbed into
+    :attr:`log` as they arrive; what the driver itself counts — the
+    sections it broadcast, the collectives its transport ran, the
+    crashes its injector (the crash clock, ``cluster.injector``) fired
+    and repaired, the failures detected here — goes into the log's open
+    window.  Totals, phase tables and fault counts are read from the log.
     """
 
     def __init__(self, cluster: ProcessTransport,
                  metrics: MetricsRegistry | None = None) -> None:
         self.cluster = cluster
         self.world_size = cluster.world_size
+        self.log = BarrierLog()
+        self._counts = self.log.window.counts
+        cluster.count_into(self._counts)
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else NULL_METRICS)
-        self.log = BarrierLog()
-        #: Driver-side fault events, shared with the crash clock.
-        self.fault_stats: FaultStats = (
-            cluster.injector.stats if cluster.injector is not None
-            else FaultStats())
-        self._faults_logged: Counter = Counter()
+        if metrics is not None:
+            metrics.log = self.log
         self.excluded_ranks: Set[int] = set()
-        #: Sections broadcast to the workers (``executor.dispatches``).
-        self.dispatches = 0
         # Per worker, the workers that shipped it a frame last round.
         self._expect: Dict[int, List[int]] = {}
 
@@ -567,18 +562,11 @@ class ProcessWorld:
     def barrier(self) -> float:
         """Run supersteps (:meth:`_superstep`) until one moves nothing,
         then log the barrier."""
-        try:
-            self._superstep(first=True)
-            while self._superstep():
-                pass
-        finally:
-            self._log_driver_faults()
+        self._superstep(first=True)
+        while self._superstep():
+            pass
         elapsed = self.cluster.ledger.barrier(self.cluster.net)
         self.log.commit(self.metrics.now(), elapsed, 1.0)
-        # Delayed copies are released before a worker reports idle, so
-        # none is held back at a completed barrier.
-        publish_comm_metrics(
-            self, None if self.cluster.injector is None else 0)
         return elapsed
 
     def _superstep(self, first: bool = False) -> bool:
@@ -618,15 +606,8 @@ class ProcessWorld:
     def _check_crashed(self) -> None:
         failed = self.cluster.failed_ranks() - self.excluded_ranks
         if failed:
-            self.fault_stats.detected += len(failed)
+            self._counts["faults.detected"] += len(failed)
             raise RankFailureError(failed)
-
-    def _log_driver_faults(self) -> None:
-        """Absorb what :attr:`fault_stats` counted since the last call
-        (completed barrier or not, like a sim world's export)."""
-        now = Counter(self.fault_stats.counts())
-        self.log.absorb(Delta(counts=now - self._faults_logged))
-        self._faults_logged = now
 
     # -- rank-host surface ------------------------------------------------------
 
@@ -642,7 +623,7 @@ class ProcessWorld:
                     ) -> Dict[int, Any]:
         """Run the named SPMD section on every worker's host (each
         covers its owned, non-excluded ranks)."""
-        self.dispatches += 1
+        self._counts["executor.dispatches"] += 1
         return self._merge_replies(self.cluster.command_all(
             "section", {"name": name, "params": params or {}}))
 

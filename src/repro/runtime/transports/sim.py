@@ -2,7 +2,7 @@
 
 This is the substitution for the paper's MPI (MVAPICH2) layer: per-rank
 FIFO mailboxes for point-to-point traffic and driver-level collectives
-(allreduce / gather / bcast / alltoallv) with modeled costs.  The
+(allreduce / gather) with modeled costs.  The
 higher-level YGM layer (:mod:`repro.runtime.ygm`) builds its buffered
 asynchronous RPC on these mailboxes, exactly as the real YGM builds on
 MPI.
@@ -10,7 +10,7 @@ MPI.
 :class:`SimCluster` is the :class:`~repro.runtime.transports.base.Transport`
 that preserves the pre-seam runtime bit-for-bit: deterministic delivery
 order and the alpha-beta/compute cost ledger.  It adds only the ledger
-and the cost hooks — delivery, fault injection and reliable delivery are
+and the cost hook — delivery, fault injection and reliable delivery are
 the base class's, shared with the process backend.
 """
 
@@ -43,7 +43,7 @@ class SimCluster(Transport):
                          CostLedger(world_size=config.world_size))
         self.injector = injector
 
-    # -- cost hooks ------------------------------------------------------------
+    # -- cost hook -------------------------------------------------------------
     # Each collective charges a log2(P)-depth tree of alpha+beta*size to
     # every rank, matching the usual MPI collective cost models.
 
@@ -53,7 +53,3 @@ class SimCluster(Transport):
         for r in range(self.world_size):
             self.ledger.charge(r, cost)
 
-    def _charge_transfer(self, src: int, dest: int, nbytes: int) -> None:
-        offnode = self.is_offnode(src, dest)
-        cost = self.net.message_cost(nbytes, offnode)
-        self.ledger.charge(src, cost + self.net.flush_cost(offnode))

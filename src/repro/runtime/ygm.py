@@ -24,9 +24,10 @@ messages per destination and ships a buffer when it exceeds a threshold.
 - ``barrier()`` flushes everything and drains mailboxes to quiescence,
   running handlers on their destination ranks (which may send more),
   then folds per-rank clocks into the BSP makespan and appends one
-  record — what changed since the previous barrier — to the world's
-  barrier log (:mod:`.tracing`); per-phase and per-iteration statistics
-  are views of that log (``phase_stats``, ``stats_for``),
+  record — what was counted since the previous barrier — to the world's
+  barrier log (:mod:`.tracing`); message, fault and per-phase
+  statistics are views of that log (``stats``, ``fault_stats``,
+  ``phase_stats``, ``stats_for``),
 - ``async_count_since_barrier`` counts the requests since the last
   barrier — the quantity the paper's Section 4.4 application-level
   batching bounds (DNND's driver bounds it by pumping staged messages
@@ -75,14 +76,15 @@ when a rank is known dead (injector crash set or supervisor mark), and —
 with ``failure_timeout`` configured in reliable mode — when the
 heartbeat detector sees a rank with an overdue unacked frame that has
 made no delivery progress for that many rounds.  Detections are counted
-in ``fault_stats.detected``; the DNND supervisor decides whether to
+as ``faults.detected``; the DNND supervisor decides whether to
 recover, exclude (degraded mode via :meth:`YGMWorld.exclude_ranks`), or
 abort.
 
 All fault-recovery work is accounted: retransmits and acks appear in
-:class:`MessageStats` (message types ``"retransmit"`` / ``"ack"``) and
-in the shared :class:`~repro.runtime.instrumentation.FaultStats`, so
-ablations can report the overhead of reliability.  When no injector is
+the message statistics (message types ``"retransmit"`` / ``"ack"``) and
+in the ``faults.<event>`` counters (:attr:`YGMWorld.fault_stats` is
+their typed view), so ablations can report the overhead of reliability.
+When no injector is
 attached and ``reliable=False`` (the default), none of this machinery
 runs and message accounting is byte-for-byte what it always was.
 
@@ -96,10 +98,15 @@ unless the world is idle (nothing applied or queued, nothing unacked,
 nothing held back) — a tick that releases due delayed messages and
 retransmits overdue ones.  ``barrier()`` loops it; a process worker
 runs it once per barrier round, between landing the round's frames and
-shipping its own, and reports its ``idle``.  Counters
-leave a world one way, :meth:`YGMWorld.export_delta` — "what changed
-since my last export": the sim world hands it to its own log at the end
-of ``barrier()``, a worker ships it in every ``__round__`` reply.
+shipping its own, and reports its ``idle``.
+
+Every counter is counted once, into the open window of the world's
+barrier log (``log.window``): the world's message, flush, handler and
+local-delivery counts, the reliability layer's and the injector's
+events, the transport's collectives and each rank's ``ctx.tally`` all
+write there.  The sim world's barrier commits the window into its own
+log; a process worker hands it over whole
+(:meth:`YGMWorld.export_delta`) in every ``__round__`` reply.
 """
 
 from __future__ import annotations
@@ -113,7 +120,7 @@ from ..analysis.sanitizer import OwnedState, Sanitizer, sanitizer_requested
 from ..errors import RankFailureError, RuntimeStateError
 from ..utils.rng import derive_rng
 from .instrumentation import Delta, FaultStats, MessageStats
-from .metrics import NULL_METRICS, MetricsRegistry, publish_comm_metrics
+from .metrics import NULL_METRICS, MetricsRegistry
 from .tracing import BarrierLog
 from .transports.base import Transport
 
@@ -144,9 +151,8 @@ class RankContext:
     rng:
         A per-rank deterministic generator.
     tally:
-        Whatever the rank program counts (``ctx.tally[name] += n``),
-        cumulative; it reaches the barrier log per rank, as part of the
-        world's delta exports.
+        Whatever the rank program counts (``ctx.tally[name] += n``): this
+        rank's share of the open window of the world's barrier log.
     """
 
     def __init__(self, world: "YGMWorld", rank: int, seed: int) -> None:
@@ -159,7 +165,8 @@ class RankContext:
             OwnedState(world.sanitizer, rank) if world.sanitizer is not None
             else {})
         self.rng: np.random.Generator = derive_rng(seed, rank)
-        self.tally: Counter = Counter()
+        self.tally: Counter = world.log.window.ranks.setdefault(
+            self.rank, Counter())
 
     @property
     def world_size(self) -> int:
@@ -240,11 +247,19 @@ class YGMWorld:
         if sanitize is None:
             sanitize = sanitizer_requested()
         self.sanitizer: Sanitizer | None = Sanitizer() if sanitize else None
-        # Metrics registry (None -> the shared no-op singleton).  The
-        # world only *publishes* into it — at barrier granularity, never
-        # per message — so metrics-on costs nothing on the hot path.
+        #: The barrier log: one record per completed :meth:`barrier`, and
+        #: the open window every counter of this world is counted into.
+        self.log = BarrierLog()
+        window = self.log.window
+        self._sent = window.messages
+        self._counts = window.counts
+        cluster.count_into(window.counts)
+        # The registry whose counters are a view of the log (and whose
+        # clock stamps its records); the shared no-op one when None.
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else NULL_METRICS)
+        if metrics is not None:
+            metrics.log = self.log
         self.cluster = cluster
         self.world_size = cluster.world_size
         self.flush_threshold = int(flush_threshold)
@@ -276,35 +291,18 @@ class YGMWorld:
             RankContext(self, r, seed) for r in range(self.world_size)
         ]
         self.async_count_since_barrier = 0
-        self.flush_count = 0
-        self.handler_invocations = 0
-        # Self-sends (src == dest) never touch the wire or the message
-        # stats; counting them separately is what makes the partition
-        # layer's locality measurable: comm.local_deliveries vs
-        # comm.remote_deliveries at every barrier.
-        self.local_deliveries = 0
-        #: Sections broadcast to worker processes (``executor.dispatches``):
-        #: none here, rank sections run inline.
-        self.dispatches = 0
         self._in_barrier = False
         self._in_section = False
-        #: The barrier log: one record per completed :meth:`barrier`; it
-        #: has absorbed exactly what :meth:`export_delta` has handed out.
-        self.log = BarrierLog()
         # Reliable delivery: the transport-level state machine (see
         # transports.base.ReliableDelivery).
         self.reliable = bool(reliable)
         self.retry_timeout = int(retry_timeout)
         self.max_retries = int(max_retries)
         self._tick = 0
-        injector = getattr(cluster, "injector", None)
-        self.fault_stats: FaultStats = (
-            injector.stats if injector is not None else FaultStats())
         if self.reliable:
             self._rel = cluster.enable_reliability(
-                retry_timeout=self.retry_timeout,
-                max_retries=self.max_retries,
-                fault_stats=self.fault_stats)
+                window, retry_timeout=self.retry_timeout,
+                max_retries=self.max_retries)
         else:
             self._rel = None
         # Failure detection (heartbeat) and degraded-mode state.
@@ -317,7 +315,7 @@ class YGMWorld:
 
     @property
     def injector(self):
-        return getattr(self.cluster, "injector", None)
+        return self.cluster.injector
 
     # -- handler registry -----------------------------------------------------
 
@@ -369,7 +367,13 @@ class YGMWorld:
 
     @property
     def stats(self) -> MessageStats:
-        return self.cluster.stats
+        """Messages by type so far (a view of the barrier log)."""
+        return self.log.live().messages
+
+    @property
+    def fault_stats(self) -> FaultStats:
+        """Fault and recovery events so far (a view of the barrier log)."""
+        return FaultStats(**self.log.total_fault_events())
 
     @property
     def phase_stats(self) -> Dict[str, MessageStats]:
@@ -379,21 +383,12 @@ class YGMWorld:
         return self.phase_stats.get(phase, MessageStats())
 
     def export_delta(self) -> Delta:
-        """What this world counted since the last call: messages by
-        type, flushes, handler invocations, local deliveries, fault and
-        recovery events, and per rank what the rank program tallied.
-        Absorbed into the world's own log on the way out (a worker's
-        never commits a record; the driver's log does that)."""
-        counts = Counter({
-            "comm.flushes": self.flush_count,
-            "executor.tasks": self.handler_invocations,
-            "comm.local_deliveries": self.local_deliveries,
-            **self.fault_stats.counts()})
-        delta = Delta(self.cluster.stats, counts,
-                      {ctx.rank: ctx.tally for ctx in self.ranks}
-                      ).since(self.log.totals)
-        self.log.absorb(delta)
-        return delta
+        """Hand over the open window whole — what this world counted
+        since the last call: messages by type, flushes, handler
+        invocations, local deliveries, fault and recovery events, and
+        per rank what the rank program tallied.  A process worker ships
+        it to the driver's log; its own log never holds a total."""
+        return self.log.window.take()
 
     # -- sending ------------------------------------------------------------
 
@@ -415,11 +410,14 @@ class YGMWorld:
         if src == dest:
             # Local async call: no wire traffic, but still deferred
             # delivery (YGM runs even self-messages from the queue).
-            self.local_deliveries += 1
+            # Self-sends never touch the wire or the message stats;
+            # counting them apart is what makes the partition layer's
+            # locality measurable.
+            self._counts["comm.local_deliveries"] += 1
             self.cluster.deliver(src, dest, (_BATCH, [(handler, columns)]))
             return
         nbytes = int(nbytes)
-        self.cluster.stats.record(msg_type, nbytes, self._offnode[src][dest])
+        self._sent.record(msg_type, nbytes, self._offnode[src][dest])
         self._enqueue(src, dest, handler, columns, nbytes, 1)
 
     def async_call_block(self, src: int, msgs,
@@ -472,7 +470,7 @@ class YGMWorld:
             nb = nbytes[lo:lo + n] if ragged else nbytes
             if dest == src:
                 # Self-sends never touch the wire or the message stats.
-                self.local_deliveries += n
+                self._counts["comm.local_deliveries"] += n
                 self.cluster.deliver(src, src, (_BATCH, [(handler, part)]))
             else:
                 size = int(nb.sum()) if ragged else nb * n
@@ -484,8 +482,7 @@ class YGMWorld:
                 self._enqueue(src, dest, handler, part, nb, n)
             lo += n
         if sent_c:
-            self.cluster.stats.record_many(
-                msg_type, sent_c, sent_b, off_c, off_b)
+            self._sent.record_many(msg_type, sent_c, sent_b, off_c, off_b)
 
     def _enqueue(self, src: int, dest: int, handler: str, payload: tuple,
                  nbytes, count: int) -> None:
@@ -542,7 +539,7 @@ class YGMWorld:
             net = self.cluster.net
             ledger.charge(src, net.flush_cost(offnode)
                           + net.message_cost(nbytes, offnode))
-        self.flush_count += 1
+        self._counts["comm.flushes"] += 1
         self._buffers[src][dest] = []
         self._buffer_count[src][dest] = 0
         self._buffer_bytes[src][dest] = 0
@@ -658,7 +655,7 @@ class YGMWorld:
                    tuple(np.concatenate(col) for col in zip(*chunks)))
         self._batch_handlers[handler](ctx, *columns)
         n = len(columns[0])
-        self.handler_invocations += n
+        self._counts["executor.tasks"] += n
         return n
 
     def _reliable_pending(self) -> bool:
@@ -675,7 +672,7 @@ class YGMWorld:
             return
         failed = cluster.failed_ranks() - self.excluded_ranks
         if failed:
-            self.fault_stats.detected += len(failed)
+            self._counts["faults.detected"] += len(failed)
             raise RankFailureError(failed)
 
     def _check_failure_timeout(self) -> None:
@@ -697,7 +694,7 @@ class YGMWorld:
                   and r not in self.excluded_ranks}
         if failed:
             self.cluster.mark_failed(failed)
-            self.fault_stats.detected += len(failed)
+            self._counts["faults.detected"] += len(failed)
             raise RankFailureError(failed)
 
     def barrier(self) -> float:
@@ -718,7 +715,6 @@ class YGMWorld:
                 "barrier inside an SPMD section: the driver owns the "
                 "schedule, a rank section only stages or emits")
         self._in_barrier = True
-        inj = self.injector
         try:
             idle = False
             while not idle:
@@ -730,14 +726,10 @@ class YGMWorld:
             duration = ledger.barrier(self.cluster.net, self.log.phase)
         finally:
             self._in_barrier = False
-            # Completed or not, what the window counted goes to the log
-            # (a failed barrier's traffic was genuinely spent).
-            self.export_delta()
-        # No handler is in flight: log the superstep, then mirror the
-        # log's totals into the metrics registry.
+        # No handler is in flight: log the superstep.  A failed barrier's
+        # counts stay in the open window (what it sent was genuinely
+        # spent) until the driver closes it with ``log.abandon``.
         self.log.commit(self.metrics.now(), duration, imbalance)
-        publish_comm_metrics(
-            self, None if inj is None else inj.pending_delayed())
         return duration
 
     def reset_in_flight(self) -> None:

@@ -10,7 +10,7 @@ def _h_gauge(ctx, depth):
 
 
 def _task_flush(registry):
-    registry.set_counter("flushed", 1)  # executor task publishing
+    registry.inc("flushed")  # executor task publishing
 
 
 def setup(world, pool):

@@ -22,4 +22,4 @@ def setup(world):
 def publish(world):
     # Driver scope, at the barrier: sanctioned publication point.
     total = sum(cell[0] for cell in COUNTS.values())
-    world.metrics.set_counter("handled", total)
+    world.metrics.set_gauge("handled", total)

@@ -34,6 +34,7 @@ counters within a matching envelope, instead of bit-for-bit.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,11 +245,104 @@ def test_one_worker_log_equals_sim_record_for_record(small_dense):
             # Wall time, the cost model and scheduling counters aside.
             for key in ("time", "duration", "imbalance"):
                 del record[key]
-            record["delta"]["counts"].pop("comm.flushes", None)
+            for name in ("comm.flushes", "executor.dispatches"):
+                record["delta"]["counts"].pop(name, None)
             out.append(record)
         return out
 
     assert records("process") == records("sim")
+
+
+def _count_calls(obj, *names):
+    """Wrap methods ``names`` of ``obj`` to count their calls."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(obj, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        setattr(obj, name, counted)
+    return calls
+
+
+def _live_sources(dnnd, result, calls) -> dict:
+    """Every registry counter, each from where it is counted or kept
+    now: the transport's collective calls, the cost ledger's barriers,
+    the driver's section broadcasts, the result's iterations and
+    recoveries, and the barrier log's running totals (every handler and
+    flush happens inside a barrier)."""
+    live = dnnd.world.log.totals
+    sent = result.message_stats
+    out = {}
+    for t, s in sent.by_type.items():
+        out[f"messages.sent.{t}"] = s.count
+        out[f"messages.bytes.{t}"] = s.bytes
+    for name in ("executor.tasks", "comm.flushes", "comm.local_deliveries"):
+        out[name] = live.counts[name]
+    for name in ("heap.updates", "distance.evals", "kernel.tile_flops",
+                 "kernel.fallbacks"):
+        out[name] = live.tally(name)
+    for event, n in result.fault_stats.snapshot().items():
+        out[f"faults.{event}"] = n
+    return {
+        **out,
+        "messages.sent": sent.total_count(),
+        "comm.remote_deliveries": sent.total_count(),
+        "bytes.sent": sent.total_bytes(),
+        "messages.offnode.sent": sent.offnode_count(),
+        "messages.offnode.bytes": sent.offnode_bytes(),
+        "transport.collectives": calls["allreduce"] + calls["gather"],
+        "comm.barriers": dnnd.cluster.ledger.barriers,
+        "executor.dispatches": (calls["run_section"]
+                                if dnnd.backend == "process" else 0),
+        "heap.updates.accepted": sum(result.update_counts),
+        "recovery.attempts": result.recoveries,
+        "backend.fallbacks": 0,
+    }
+
+
+@pytest.fixture(scope="module")
+def live_reads(small_dense):
+    """Per backend, ``(snapshot counters, live sources)`` after
+    ``build()`` and again after ``optimize()``."""
+    out = {}
+    for backend in BACKENDS:
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=6, max_iters=3, seed=3),
+                         batch_size=1 << 12, backend=backend, workers=2,
+                         kernel=KERNEL)
+        dnnd = DNND(small_dense, cfg,
+                    cluster=ClusterConfig(nodes=2, procs_per_node=2))
+        calls = _count_calls(dnnd.cluster, "allreduce", "gather")
+        sections = _count_calls(dnnd.host, "run_section")
+        try:
+            result = dnnd.build()
+            reads = []
+            for step in ("build", "optimize"):
+                if step == "optimize":
+                    dnnd.optimize()
+                reads.append((result.metrics.snapshot()["counters"],
+                              _live_sources(dnnd, result,
+                                            calls + sections)))
+        finally:
+            dnnd.close()
+        out[backend] = reads
+    return out
+
+
+@pytest.mark.parametrize("step", [0, 1], ids=["build", "optimize"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_snapshot_counters_equal_their_live_sources(live_reads, backend,
+                                                    step):
+    """Registry counters are a view of the barrier log, read when the
+    snapshot is taken: each equals where it is counted, by name and
+    value, after ``build()`` and after ``optimize()``.  The mirror they
+    replace was published at barriers, so it missed what happened after
+    the last one — the last iteration's allreduce and the gather
+    (``transport.collectives`` read 5 of the 7 collectives a build
+    runs)."""
+    counters, live = live_reads[backend][step]
+    assert counters == live
+    assert counters["transport.collectives"] > 0
+    assert counters["comm.barriers"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +381,6 @@ def test_counters_travel_only_in_round_replies(lowdim_process):
     counters — while sections dispatched and barriers taken are what
     they were with the ``export_stats`` / ``shard_totals`` /
     ``set_phase`` round trips (57 and 32)."""
-    from collections import Counter
-
     result, calls = lowdim_process
     broadcasts = Counter(cmd for cmd, _, _ in calls)
     rounds = broadcasts.pop("__round__")

@@ -160,17 +160,3 @@ class TestObservability:
         bogus.write_text('{"schema": "something/else"}')
         assert run(["stats", str(bogus)]) == 1
         assert "not a repro metrics snapshot" in capsys.readouterr().err
-
-    def test_no_metrics_conflicts_with_export(self, store, capsys):
-        rc = run(["construct", "--dataset", "deep1b", "--n", "256",
-                  "--k", "5", "--nodes", "2", "--store", store,
-                  "--no-metrics", "--metrics-out", "/tmp/x.json"])
-        assert rc == 1
-        assert "--no-metrics" in capsys.readouterr().err
-
-    def test_no_metrics_build_succeeds(self, store, capsys):
-        rc = run(["construct", "--dataset", "deep1b", "--n", "256",
-                  "--k", "5", "--nodes", "2", "--store", store,
-                  "--no-metrics"])
-        assert rc == 0
-        assert "constructed deep1b" in capsys.readouterr().out

@@ -7,7 +7,14 @@ projection: counters, the span name sequence, per-timer counts, and the
 cost model's ``sim.*`` gauges.  Any change to message accounting, phase
 structure, or the cost model shows up here as a diff.
 
-Last regenerated — once — for the stateless ``Sample``: every random
+Last regenerated — once — when registry counters became a view of the
+barrier log read at snapshot time instead of a mirror published at
+barriers.  Only ``transport.collectives`` moved, 5 -> 7: the mirror
+missed the collectives that run after the last barrier (the last
+iteration's termination allreduce and the gather); the build itself did
+not change.
+
+Before that it was regenerated for the stateless ``Sample``: every random
 choice of the rank program became ``draw_key``, a hash of ``(seed,
 purpose, iteration, vertex, element)``, and ``Sample(S, n)`` "the ``n``
 members with the smallest keys" (``dnnd_phases.sample_smallest``), in

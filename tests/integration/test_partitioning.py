@@ -8,6 +8,8 @@ the golden trace).  What placement changes is traffic — and the
 repartition pass exists to cut it.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,33 @@ class TestRepartition:
             dnnd.repartition(HashPartitioner(len(tiny_dense) + 1, 4))
         with pytest.raises(ConfigError):
             dnnd.repartition(HashPartitioner(len(tiny_dense), 8))
+
+    #: Partitioners of another shape than the 80-row, 4-rank build:
+    #: ``(rows added to n, world size)``.
+    MISFITS = {"more-rows": (30, 4), "fewer-rows": (-20, 4),
+               "more-ranks": (0, 8), "fewer-ranks": (0, 2)}
+
+    @pytest.mark.parametrize("misfit", MISFITS)
+    def test_construction_rejects_mismatched_partitioner(self, tiny_dense,
+                                                         misfit):
+        """The check ``repartition()`` makes, made by ``DNND(...)``: a
+        misfit used to fail late, by shape, as ``IndexError``,
+        ``PartitionError`` or ``RuntimeStateError``."""
+        extra, world_size = self.MISFITS[misfit]
+        with pytest.raises(ConfigError, match="partitioner covers"):
+            DNND(tiny_dense, config(),
+                 cluster=ClusterConfig(nodes=2, procs_per_node=2),
+                 partitioner=HashPartitioner(len(tiny_dense) + extra,
+                                             world_size))
+
+    def test_process_construction_rejects_it_before_any_worker(
+            self, tiny_dense):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigError, match="partitioner covers"):
+            DNND(tiny_dense, config("process"),
+                 cluster=ClusterConfig(nodes=2, procs_per_node=2),
+                 partitioner=HashPartitioner(len(tiny_dense) + 30, 4))
+        assert set(multiprocessing.active_children()) <= before
 
     def test_repartition_requires_built(self, tiny_dense):
         dnnd = DNND(tiny_dense, config(),

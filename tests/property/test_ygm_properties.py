@@ -48,7 +48,7 @@ def test_exactly_once_delivery(storm):
         world.async_call(src, dest, "relay", hops, tag, nbytes=8)
         expected += 1 + hops
     world.barrier()
-    assert world.handler_invocations == expected
+    assert world.log.counters()["executor.tasks"] == expected
     assert len(log) == expected
     assert world.cluster.all_quiescent()
 

@@ -169,7 +169,7 @@ def test_process_target_metrics_publication_allowed(tmp_path):
     f.write_text(
         "import multiprocessing\n\n\n"
         "def _worker_main(metrics):\n"
-        "    metrics.set_counter('x', 1)\n\n\n"
+        "    metrics.inc('x')\n\n\n"
         "def spawn():\n"
         "    multiprocessing.Process(target=_worker_main).start()\n")
     assert _lint(f, "REP405") == []

@@ -145,7 +145,7 @@ class TestCoalescing:
         assert delivered == [("g", 1, 98), ("g", 1, 99),
                              *[("h", 1, i) for i in range(5)],
                              ("k", 1, 50), ("k", 1, 51)]
-        assert world.handler_invocations == 9
+        assert world.log.counters()["executor.tasks"] == 9
 
     def test_runs_never_merge_across_destinations(self):
         world = make_world()
@@ -164,14 +164,15 @@ class TestCoalescing:
             for i in range(3):
                 world.async_call(0, 2, "h", i, msg_type="type1")
             world.barrier()
-            return world.cluster.stats.snapshot()
+            return world.stats.snapshot()
 
         scalar = make_world()
         scalar.register_handlers(h=lambda ctx, x: None, g=lambda ctx, x: None)
         batched = make_world()
         self._instrument(batched)
         assert drive(scalar) == drive(batched)
-        assert scalar.handler_invocations == batched.handler_invocations
+        assert (scalar.log.counters()["executor.tasks"]
+                == batched.log.counters()["executor.tasks"])
 
     def test_duplicate_batch_registration_rejected(self):
         world = make_world()
@@ -207,8 +208,10 @@ class TestEmitRun:
         per_rank = {}
         for rank, ks, vs in got:
             per_rank.setdefault(rank, []).extend(zip(ks, vs))
-        return (world.cluster.stats.snapshot(), world.flush_count,
-                world.local_deliveries, world.handler_invocations, per_rank)
+        counters = world.log.counters()
+        return (world.stats.snapshot(), counters["comm.flushes"],
+                counters["comm.local_deliveries"], counters["executor.tasks"],
+                per_rank)
 
     @pytest.mark.parametrize("nbytes", [8, SIZES], ids=["uniform", "ragged"])
     @pytest.mark.parametrize("flush,flush_bytes", [(1024, 1 << 20), (3, 1 << 20),
@@ -219,13 +222,13 @@ class TestEmitRun:
         for d, k, v, nb in zip(self.DESTS.tolist(), self.KEYS.tolist(),
                                self.VALS.tolist(), sizes):
             looped.async_call(0, d, "h", k, v, nbytes=nb, msg_type="t")
-        before = (looped.flush_count, looped.cluster.pending_total())
+        before = (looped.log.counters()["comm.flushes"], looped.cluster.pending_total())
         looped.barrier()
         run, got_r = self._world(flush=flush, flush_bytes=flush_bytes)
         run.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), nbytes, "t")
         # Thresholds trip at the same messages: as many buffers flushed
         # (and mailbox items queued) before the barrier.
-        assert (run.flush_count, run.cluster.pending_total()) == before
+        assert (run.log.counters()["comm.flushes"], run.cluster.pending_total()) == before
         run.barrier()
         assert self._observables(run, got_r) == self._observables(looped, got_l)
         assert run.async_count_since_barrier == 0
@@ -261,7 +264,7 @@ class TestEmitRun:
         for i in range(10):
             world.async_call(0, 1 + i % 2, "g", i, nbytes=8)
         world.barrier()
-        assert world.fault_stats.duplicated == world.flush_count == 4
+        assert world.fault_stats.duplicated == world.log.counters()["comm.flushes"] == 4
         assert sorted(calls) == sorted(2 * [(1 + i % 2, i) for i in range(10)])
 
     @pytest.mark.parametrize("backend,workers", [("sim", 0), ("process", 1)])

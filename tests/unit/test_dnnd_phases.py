@@ -173,8 +173,8 @@ class TestOptimizedCheckProtocol:
         world.barrier()
         assert 5 in shard0.heap(2)   # via Type 3 reply
         assert 2 in shard1.heap(5)   # local update at u2
-        assert world.ranks[0].tally["updates"] == 1
-        assert world.ranks[1].tally["updates"] == 1
+        tallies = world.log.live().ranks
+        assert tallies[0]["updates"] == tallies[1]["updates"] == 1
 
     def test_redundancy_check_suppresses_type2(self):
         world, _ = make_world_with_shards()
@@ -330,7 +330,7 @@ class TestType1Generator:
         shard.old = self._columns([[], [], self.OLD, []])
         dnnd_phases.check(world.ranks[0])
         # Staged, not sent: nothing moves until the driver pumps.
-        assert world.stats.total_count() == world.local_deliveries == 0
+        assert world.stats.total_count() == world.log.counters()["comm.local_deliveries"] == 0
         (dests, handler, (u1, _u2), _nbytes, msg_type), = shard.staged
         assert (handler, msg_type) == ("check_opt", "type1")
         n = len(self._local_join_pairs(self.NEW, self.OLD))
@@ -338,7 +338,7 @@ class TestType1Generator:
         assert dnnd_phases.pump(world.ranks[0], count=0) == 0
         remote = sum(part.owner(a) != 0 for a in u1.tolist())
         assert world.stats.get("type1").count == remote
-        assert world.local_deliveries == n - remote
+        assert world.log.counters()["comm.local_deliveries"] == n - remote
         assert shard.staged == []
 
 

@@ -92,18 +92,18 @@ class TestFaultInjector:
     def test_drop_everything(self):
         inj = FaultInjector(FaultPlan(drop_rate=1.0), 4)
         assert inj.on_deliver(0, 1) == []
-        assert inj.stats.dropped == 1
+        assert inj.counts["faults.dropped"] == 1
 
     def test_duplicate_everything(self):
         inj = FaultInjector(FaultPlan(dup_rate=1.0), 4)
         assert inj.on_deliver(0, 1) == [0, 0]
-        assert inj.stats.duplicated == 1
+        assert inj.counts["faults.duplicated"] == 1
 
     def test_delay_everything(self):
         inj = FaultInjector(FaultPlan(delay_rate=1.0, max_delay_ticks=2), 4)
         delays = inj.on_deliver(0, 1)
         assert len(delays) == 1 and 1 <= delays[0] <= 2
-        assert inj.stats.delayed == 1
+        assert inj.counts["faults.delayed"] == 1
 
     def test_hold_and_tick_release(self):
         inj = FaultInjector(FaultPlan(delay_rate=1.0), 4)
@@ -116,7 +116,7 @@ class TestFaultInjector:
     def test_stall_charges(self):
         inj = FaultInjector(FaultPlan(stall_rate=1.0, stall_seconds=0.5), 4)
         assert inj.maybe_stall() == 0.5
-        assert inj.stats.stalls == 1
+        assert inj.counts["faults.stalls"] == 1
 
     def test_reorder_is_permutation(self):
         inj = FaultInjector(FaultPlan(seed=3, reorder_rate=1.0), 4)
@@ -132,7 +132,7 @@ class TestFaultInjector:
         assert inj.is_crashed(1)
         inj.repair_all()
         assert not inj.is_crashed(1)
-        assert inj.stats.recoveries == 1
+        assert inj.counts["faults.recoveries"] == 1
         # Replaying the iteration after recovery must not re-crash.
         assert inj.advance_iteration(2) == []
 
@@ -175,7 +175,7 @@ class TestClusterFaultPaths:
         cluster.deliver(0, 2, "to-dead")
         cluster.deliver(2, 0, "from-dead")
         assert cluster.mailbox_empty(2) and cluster.mailbox_empty(0)
-        assert inj.stats.crash_dropped == 2
+        assert inj.counts["faults.crash_dropped"] == 2
 
 
 class TestReliableDelivery:
@@ -186,7 +186,7 @@ class TestReliableDelivery:
         world.barrier()
         assert calls == []
         # The fault unit is the flushed buffer: one drop loses all ten.
-        assert world.flush_count == 1
+        assert world.log.counters()["comm.flushes"] == 1
         assert world.fault_stats.dropped == 1
 
     def test_reliable_masks_heavy_drops(self):
@@ -208,8 +208,9 @@ class TestReliableDelivery:
         # One envelope, duplicated once (as is the ack that answers it);
         # its copy is suppressed whole.
         stats = world.fault_stats
-        assert world.flush_count == stats.acks_sent == 1
-        assert stats.duplicated == world.flush_count + stats.acks_sent
+        flushes = world.log.counters()["comm.flushes"]
+        assert flushes == stats.acks_sent == 1
+        assert stats.duplicated == flushes + stats.acks_sent
         assert stats.duplicates_suppressed == 1
 
     def test_reliable_total_loss_exhausts_budget(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.runtime.metrics import (
     SpanRecord,
     deterministic_projection,
 )
+from repro.runtime.tracing import BarrierLog
 
 
 class TestCounters:
@@ -28,12 +30,21 @@ class TestCounters:
         assert m.counter("missing") == 0
         assert m.counter("missing", default=-1) == -1
 
-    def test_set_counter_is_absolute_and_idempotent(self):
+    def test_counters_are_a_live_view_of_the_log(self):
+        """Nothing is copied into the registry: a count in the log's
+        open window reads at once, and reads the same after the commit
+        that moves it into the totals."""
         m = MetricsRegistry()
-        m.inc("x", 100)
-        m.set_counter("x", 7)
-        m.set_counter("x", 7)
-        assert m.counter("x") == 7
+        m.log = BarrierLog()
+        m.inc("distance.evals", 2)
+        m.log.window.counts["comm.flushes"] += 3
+        m.log.window.ranks.setdefault(0, Counter())["distance.evals"] += 5
+        assert m.counter("comm.flushes") == 3
+        assert m.counter("distance.evals") == 7
+        m.log.commit(m.now(), 0.0, 1.0)
+        assert m.counters() == m.log.counters() | {"distance.evals": 7}
+        assert m.counter("comm.flushes") == 3
+        assert m.counter("comm.barriers") == 1
 
     def test_gauges_last_write_wins(self):
         m = MetricsRegistry()
@@ -122,7 +133,6 @@ class TestNullRegistry:
 
     def test_all_writers_are_noops(self):
         NULL_METRICS.inc("a", 5)
-        NULL_METRICS.set_counter("b", 9)
         NULL_METRICS.set_gauge("g", 1.0)
         NULL_METRICS.observe("h", 0.5)
         with NULL_METRICS.span("p"):
@@ -200,7 +210,7 @@ class TestExporterSchemas:
     def _populated() -> MetricsRegistry:
         m = MetricsRegistry()
         m.inc("messages.sent.type1", 10)
-        m.set_counter("bytes.sent", 640)
+        m.inc("bytes.sent", 640)
         m.set_gauge("sim.seconds", 0.125)
         m.observe("lat", 0.001)
         with m.span("phase.init"):

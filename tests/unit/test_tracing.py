@@ -114,20 +114,6 @@ class TestDoubleAttach:
         np.testing.assert_array_equal(once_result.graph.ids,
                                       twice_result.graph.ids)
 
-    def test_attach_installs_live_registry_when_disabled(self, tiny_dense):
-        """The tracer used to read the registry's counters, so attaching
-        to a ``metrics=False`` build had to install a live registry.  It
-        is the always-on barrier log now: records without a registry."""
-        cfg = DNNDConfig(nnd=NNDescentConfig(k=5, seed=53), backend="sim",
-                         metrics=False)
-        dnnd = DNND(tiny_dense, cfg,
-                    cluster=ClusterConfig(nodes=2, procs_per_node=1))
-        tracer = attach_tracer(dnnd.world)
-        assert not dnnd.world.metrics.enabled
-        dnnd.build()
-        assert tracer.total_supersteps() > 0
-        assert sum(tracer.message_timeline("type1")) > 0
-
 
 class TestTracerOnProcess:
     """Regression: ``attach_tracer(ProcessWorld)`` died at the first

@@ -87,25 +87,11 @@ class TestCollectives:
 
     @pytest.mark.parametrize("t", make_transports(),
                              ids=["sim"])
-    def test_allgather_and_bcast(self, t):
-        assert t.allgather([1, 2, 3, 4]) == [[1, 2, 3, 4]] * 4
-        assert t.bcast("v", root=1) == ["v"] * 4
-
-    @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim"])
-    def test_alltoallv_routing(self, t):
-        send = [[[s * 10 + d] for d in range(4)] for s in range(4)]
-        recv = t.alltoallv(send)
-        for dest in range(4):
-            assert recv[dest] == [s * 10 + dest for s in range(4)]
-
-    @pytest.mark.parametrize("t", make_transports(),
-                             ids=["sim"])
     def test_collectives_require_full_contribution(self, t):
         with pytest.raises(RuntimeStateError):
             t.allreduce([1, 2])
         with pytest.raises(RuntimeStateError):
-            t.alltoallv([[[]] * 3] * 4)
+            t.gather([1, 2, 3])
 
 
 class TestSimClusterExtras:
@@ -153,10 +139,10 @@ class TestOneDeliver:
         if case == "delay":
             assert inj.pending_delayed() == 1
             assert t.release_due_faults() == 1
-            assert put == [(0, 1, "x")] and inj.stats.delayed == 1
+            assert put == [(0, 1, "x")] and inj.counts["faults.delayed"] == 1
         else:
             assert t.release_due_faults() == 0
-        assert inj.stats.crash_dropped == (case == "crash-drop")
+        assert inj.counts["faults.crash_dropped"] == (case == "crash-drop")
 
     def test_held_copy_of_a_rank_that_died_is_discarded(self):
         t = SimCluster(CFG)
@@ -166,4 +152,4 @@ class TestOneDeliver:
         t.deliver(0, 1, "x")
         inj.advance_iteration(0)
         assert t.release_due_faults() == 1
-        assert t.all_quiescent() and inj.stats.crash_dropped == 1
+        assert t.all_quiescent() and inj.counts["faults.crash_dropped"] == 1

@@ -142,7 +142,7 @@ class TestInstrumentation:
         for _ in range(5):
             world.async_call(0, 1, "h")
         world.barrier()
-        assert world.handler_invocations == 5
+        assert world.log.counters()["executor.tasks"] == 5
 
 
 class TestBufferingAndCosts:
@@ -154,7 +154,7 @@ class TestBufferingAndCosts:
         world.async_call(0, 1, "h")
         # Flushed at the threshold: both messages travel as ONE envelope.
         assert world.cluster.pending_total() == 1
-        assert world.flush_count == 1
+        assert world.log.counters()["comm.flushes"] == 1
 
     def test_flush_count_depends_on_threshold(self):
         def flush_count(threshold):
@@ -163,7 +163,7 @@ class TestBufferingAndCosts:
             for _ in range(64):
                 world.async_call(0, 1, "h", nbytes=8)
             world.barrier()
-            return world.flush_count
+            return world.log.counters()["comm.flushes"]
         assert flush_count(1) > flush_count(64)
 
     def test_sender_charged_for_traffic(self):

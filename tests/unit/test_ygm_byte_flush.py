@@ -24,7 +24,7 @@ class TestByteThreshold:
         for _ in range(3):
             world.async_call(0, 1, "h", nbytes=400)
         assert world.cluster.pending_total() == 1
-        assert world.flush_count == 1
+        assert world.log.counters()["comm.flushes"] == 1
 
     def test_small_messages_stay_buffered(self):
         world = make_world(flush=10_000, flush_bytes=1000)
@@ -37,7 +37,7 @@ class TestByteThreshold:
         world.async_call(0, 1, "h", nbytes=1)
         world.async_call(0, 1, "h", nbytes=1)
         assert world.cluster.pending_total() == 1
-        assert world.flush_count == 1
+        assert world.log.counters()["comm.flushes"] == 1
 
     def test_feature_vs_reply_buffer_asymmetry(self):
         """The reason bytes matter: Type 2+-sized messages fill buffers
@@ -47,7 +47,7 @@ class TestByteThreshold:
             for _ in range(64):
                 world.async_call(0, 1, "h", nbytes=nbytes)
             world.barrier()
-            return world.flush_count
+            return world.log.counters()["comm.flushes"]
         assert flushes(400) > flushes(12)
 
     def test_invalid_threshold(self):
