@@ -266,6 +266,7 @@ class DNND:
         self.partitioner = partitioner or HashPartitioner(self.n, world_size)
         self.partitioner.require_covers(self.n, world_size, "this build")
         self._finalizer: Optional[weakref.finalize] = None
+        self._result_ref: Optional[weakref.ref] = None
         # The plan's crash clock on either backend (and, on sim, the
         # transport's message-level injector as well).
         self._injector = make_injector(fault_plan, world_size)
@@ -342,6 +343,15 @@ class DNND:
             self.world.barrier()
             if not any(left.values()):
                 return
+
+    @property
+    def _last_result(self) -> Optional[DNNDResult]:
+        """The last build's result while its caller holds it, for
+        :meth:`optimize` and :meth:`repartition` to update.  Held
+        weakly: :meth:`resume`'s result references this driver, and a
+        strong reference back would be a cycle that keeps the worker
+        pool alive until the cyclic collector runs."""
+        return None if self._result_ref is None else self._result_ref()
 
     def close(self) -> None:
         """Release the backend's resources (nothing to release on sim;
@@ -520,7 +530,6 @@ class DNND:
             store_path=store_path,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every)
-        dnnd._last_result = result
         result.dnnd = dnnd  # so callers can run optimize() afterwards
         return result
 
@@ -607,7 +616,7 @@ class DNND:
         )
         if store_path is not None:
             self._persist(store_path, result)
-        self._last_result = result
+        self._result_ref = weakref.ref(result)
         return result
 
     def _publish_partition_metrics(self, neighbor_ids: np.ndarray) -> None:
@@ -811,10 +820,11 @@ class DNND:
         indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(vertex, minlength=self.n))])
         adjacency = AdjacencyGraph(indptr, nbr[order], d[order])
-        if getattr(self, "_last_result", None) is not None:
-            self._last_result.adjacency = adjacency
-            self._last_result.optimize_sim_seconds = self.cluster.ledger.elapsed - start
-            self._last_result.sim_seconds = self.cluster.ledger.elapsed
+        result = self._last_result
+        if result is not None:
+            result.adjacency = adjacency
+            result.optimize_sim_seconds = self.cluster.ledger.elapsed - start
+            result.sim_seconds = self.cluster.ledger.elapsed
         return adjacency
 
     # -- repartitioning (locality pass) -----------------------------------------
@@ -860,7 +870,7 @@ class DNND:
         graph = self._gather_graph()
         self._publish_partition_metrics(graph.ids)
         self._publish_sim_enrichment()
-        result = getattr(self, "_last_result", None)
+        result = self._last_result
         if result is not None:
             result.graph = graph
             result.sim_seconds = self.cluster.ledger.elapsed

@@ -121,11 +121,26 @@ class MetallStore:
         except ValueError as exc:
             raise StoreCorruptError(
                 f"datastore manifest at {mf} is unparseable: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreCorruptError(
+                f"datastore manifest at {mf} is not a JSON object")
         if manifest.get("format_version") != _FORMAT_VERSION:
             raise StoreError(
                 f"datastore format version {manifest.get('format_version')} "
                 f"!= supported {_FORMAT_VERSION}"
             )
+        objects = manifest.get("objects")
+        if not isinstance(objects, dict):
+            raise StoreCorruptError(
+                f"datastore manifest at {mf} has no object table")
+        for name, meta in objects.items():
+            if not (isinstance(meta, dict) and isinstance(meta.get("kind"), str)
+                    and isinstance(meta.get("files"), list)
+                    and meta["files"]
+                    and all(isinstance(f, str) for f in meta["files"])):
+                raise StoreCorruptError(
+                    f"datastore manifest at {mf}: entry {name!r} lacks a "
+                    f"kind or its files")
         return cls(p, writable=writable, manifest=manifest, verify=verify)
 
     @staticmethod

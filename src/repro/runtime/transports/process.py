@@ -14,44 +14,41 @@ GIL by giving every rank real OS-process parallelism:
   :class:`~repro.runtime.ygm.YGMWorld` over a :class:`WorkerTransport`:
   messages between co-resident ranks stay in-process deque appends,
   messages to ranks owned by another worker are held until the round
-  ends and then travel as ONE pickled frame per destination worker,
-  ``(epoch, sender, [(dest, src, envelope), ...])``, over that worker's
-  ``mp.Queue`` inbox — each envelope is exactly the comm layer's one
-  wire format, a ``bflush`` envelope of a flushed buffer (or a
-  reliability frame around one, or an ack), so the wire format is the
+  ends and then travel as ONE frame per destination worker — the
+  sender's ``[(dest, src, envelope), ...]``, pickled once by the sender
+  — in the worker's round reply; each envelope is exactly the comm
+  layer's one wire format, a ``bflush`` envelope of a flushed buffer (or
+  a reliability frame around one, or an ack), so the wire format is the
   sim wire format, serialized and batched;
-- the **driver** keeps the SPMD program counter: it broadcasts commands
-  over per-worker pipes (:class:`ProcessTransport`) to the application
-  object each worker's bootstrap built (DNND: a rank host over the
-  worker's ranks), and :class:`ProcessWorld` gives the DNND driver the
-  same barrier / phase / metrics / fault surface :class:`YGMWorld` does
-  — its own barrier log included — plus the merged ``rank -> value``
-  replies of the workers' hosts.
+- the **driver** keeps the SPMD program counter: it sends commands over
+  one pipe per worker (:class:`ProcessTransport`) — the only channel a
+  worker has — to the application object each worker's bootstrap built
+  (DNND: a rank host over the worker's ranks), and :class:`ProcessWorld`
+  gives the DNND driver the same barrier / phase / metrics / fault
+  surface :class:`YGMWorld` does — its own barrier log included — plus
+  the merged ``rank -> value`` replies of the workers' hosts.
 
 A barrier is a loop of bulk-synchronous supersteps, the sim barrier's
 :meth:`YGMWorld.step` loop spread over the workers.  Its first
-``__round__`` only ships what the sections staged; each later one names
-a worker the workers that shipped it a frame in the previous round, and
-the worker takes exactly those frames, runs one ``step()``, flushes and
-ships at most one frame per destination worker, replying ``(missing,
-ran, idle, shipped)``.  The barrier completes at the first round in
+``__round__`` only ships what the sections staged; each later one hands
+a worker, in sender order, the frames shipped to it in the previous
+round, and the worker lands them, runs one ``step()``, flushes and
+ships at most one frame per destination worker, replying ``(ran, idle,
+shipped)``.  The driver holds a round's frames until the next round and
+passes them on unopened.  The barrier completes at the first round in
 which no worker ran a handler, shipped a frame or called its world busy
 (nothing queued, unacked or held back by its injector): every frame
-shipped before that round was awaited by name, so none is left in
-flight.  No wait is unbounded — a worker missing a frame after
-:data:`FRAME_WAIT_S` replies with the shortfall, and the driver either
-finds a dead worker (:class:`~repro.errors.RankFailureError`) or asks
-again.  The same reply carries the worker's counters as a
-*delta* (:meth:`YGMWorld.export_delta`: its open window, handed over
-whole), which the driver adds to its log's running totals on arrival —
-the only way counters cross the process boundary.  A delta that was
-shipped is counted for good; one that was not died with its worker, so
-a respawned worker's zeroed counters can neither erase nor repeat
-history.  Frames are stamped with an **epoch**: ``reset_in_flight``
-bumps it everywhere and the driver stops expecting anything, so frames
-lost inside a crashed worker (or stale frames from before a recovery)
-can never wedge or corrupt a later barrier — a stale-epoch frame is
-discarded when taken.
+shipped before that round was handed on, so none is left in flight.
+Nothing waits on anything but a command reply, and a dead worker fails
+its pipe.  The same reply carries the worker's counters as a *delta*
+(:meth:`YGMWorld.export_delta`: its open window, handed over whole),
+which the driver adds to its log's running totals on arrival — the only
+way counters cross the process boundary.  A delta that was shipped is
+counted for good; one that was not died with its worker, so a respawned
+worker's zeroed counters can neither erase nor repeat history.
+``reset_in_flight`` drops the frames the driver holds and has every
+worker clear its buffers, mailboxes and unshipped frames, so nothing
+from before a recovery reaches a later barrier.
 
 Fault plans run here as they do on sim: the worker's transport is the
 base :class:`~.base.Transport` with only :meth:`~.base.Transport._put`
@@ -76,7 +73,7 @@ import atexit
 import importlib
 import multiprocessing
 import os
-import queue as queue_mod
+import pickle
 import signal
 import traceback
 import weakref
@@ -99,11 +96,6 @@ START_ENV = "REPRO_PROCESS_START"
 CMD_ROUND = "__round__"
 CMD_RESET = "__reset__"
 CMD_STOP = "__stop__"
-
-#: How long a worker waits for a frame a round expects before it
-#: reports the shortfall (the driver asks again while every worker
-#: lives) — the one bound on any wait for a frame.
-FRAME_WAIT_S = 1.0
 
 
 def _start_method(requested: str | None = None) -> str:
@@ -152,37 +144,18 @@ class WorkerTransport(Transport):
     another worker is held for that worker until the round ends
     (:meth:`ship`).  That is the only thing it overrides (:meth:`_put`):
     the delivery decision — failure marks, the fault injector — is the
-    base class's, taken once, at the sender.  ``outboxes[w]`` is worker
-    ``w``'s inbox queue, this worker's own included.
+    base class's, taken once, at the sender.
     """
 
     def __init__(self, config: ClusterConfig, owned, worker_of,
-                 outboxes, worker_id: int) -> None:
+                 worker_id: int) -> None:
         super().__init__(config, None,
                          NullLedger(world_size=config.world_size))
         self.worker_id = int(worker_id)
         self.owned: FrozenSet[int] = frozenset(int(r) for r in owned)
         self._worker_of: List[int] = list(worker_of)
-        self._outboxes = outboxes
-        self.epoch = 0
         # This round's remote deliveries, per destination worker.
         self._outgoing: Dict[int, list] = {}
-        # Frames of a sender already a round ahead, by sender.
-        self._early: Dict[int, list] = {}
-
-    def begin_epoch(self, epoch: int) -> None:
-        """Enter ``epoch``: discard what this worker holds for the wire
-        and what sits in its inbox; a frame of another epoch still on
-        its way is discarded when taken."""
-        inbox = self._outboxes[self.worker_id]
-        while True:
-            try:
-                inbox.get_nowait()
-            except queue_mod.Empty:
-                break
-        self.epoch = int(epoch)
-        self._outgoing = {}
-        self._early = {}
 
     def _put(self, src: int, dest: int, item: Any) -> None:
         if dest in self.owned:
@@ -191,44 +164,29 @@ class WorkerTransport(Transport):
             self._outgoing.setdefault(self._worker_of[dest], []).append(
                 (dest, src, item))
 
-    def ship(self) -> List[int]:
-        """Put the round's remote deliveries on the wire — one frame
-        ``(epoch, sender, [(dest, src, envelope), ...])`` per destination
-        worker — and return the workers a frame went to."""
-        out, self._outgoing = self._outgoing, {}
-        for w, entries in out.items():
-            self._outboxes[w].put((self.epoch, self.worker_id, entries))
-        return sorted(out)
+    def clear_mailboxes(self) -> None:
+        """Discard all undelivered traffic, what is held for the wire
+        included."""
+        super().clear_mailboxes()
+        self._outgoing = {}
 
-    def take(self, senders) -> List[int]:
-        """Land the frame each worker in ``senders`` shipped here last
-        round, in sender order, into the owned mailboxes (entries for a
-        rank marked failed are dropped).  Gives up once no frame comes
-        for :data:`FRAME_WAIT_S`; returns the senders whose frame has
-        not come.  A sender is at most one round ahead (the driver
-        starts a round only when every worker finished the last), so a
-        frame from a sender not awaited is kept for the next round; a
-        frame of another epoch is discarded."""
-        want = set(senders)
-        got = {s: self._early.pop(s) for s in want & self._early.keys()}
-        inbox = self._outboxes[self.worker_id]
-        while len(got) < len(want):
-            try:
-                epoch, sender, entries = inbox.get(timeout=FRAME_WAIT_S)
-            except queue_mod.Empty:
-                break
-            if epoch != self.epoch:
-                continue
-            if sender in want and sender not in got:
-                got[sender] = entries
-            else:
-                self._early[sender] = entries
+    def ship(self) -> Dict[int, bytes]:
+        """The round's remote deliveries as one frame per destination
+        worker, keyed by that worker: ``[(dest, src, envelope), ...]``
+        pickled once, here."""
+        out, self._outgoing = self._outgoing, {}
+        return {w: pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
+                for w, entries in out.items()}
+
+    def land(self, frames) -> None:
+        """Land ``frames`` — what other workers shipped here last round,
+        in sender order — into the owned mailboxes (entries for a rank
+        marked failed are dropped)."""
         failed = self.marked_failed
-        for sender in sorted(got):
-            for dest, src, item in got[sender]:
+        for frame in frames:
+            for dest, src, item in pickle.loads(frame):
                 if dest not in failed:
                     self._mailboxes[dest].append((src, item))
-        return sorted(want - got.keys())
 
 
 class WorkerComm:
@@ -241,36 +199,26 @@ class WorkerComm:
         self.owned: List[int] = [int(r) for r in owned]
         self.transport = transport
 
-    def round(self, world, senders) -> Tuple[List[int], int, bool, List[int]]:
-        """One superstep of a barrier: land the frames ``senders``
-        shipped here last round, run one :meth:`YGMWorld.step`, flush
-        what its handlers buffered (so a remote reply is one round away,
-        as a sim step's is) and ship.  ``senders=None`` opens a barrier:
-        the round only flushes and ships what the sections staged, so
-        the first step sees every staged message, co-resident or remote,
-        and a rank runs each handler once per round as it does on sim.
-        Returns ``(missing, ran, idle, shipped)``: the senders whose
-        frame has not come (then nothing ran — the driver asks again
-        with just those), the messages the step applied, its idle
-        verdict, and the workers a frame went to."""
+    def round(self, world, frames) -> Tuple[int, bool, Dict[int, bytes]]:
+        """One superstep of a barrier: land ``frames`` (shipped here
+        last round), run one :meth:`YGMWorld.step`, flush what its
+        handlers buffered (so a remote reply is one round away, as a sim
+        step's is) and ship.  ``frames=None`` opens a barrier: the round
+        only flushes and ships what the sections staged, so the first
+        step sees every staged message, co-resident or remote, and a
+        rank runs each handler once per round as it does on sim.
+        Returns ``(ran, idle, shipped)``: the messages the step applied,
+        its idle verdict, and the frame for each destination worker."""
         ran, idle = 0, False
-        if senders is not None:
-            missing = self.transport.take(senders)
-            if missing:
-                return missing, 0, False, []
+        if frames is not None:
+            self.transport.land(frames)
             ran, idle = world.step()
         world.flush_all()
-        return [], ran, idle, self.transport.ship()
-
-    def reset(self, epoch: int, world) -> None:
-        """Epoch change: discard everything in flight."""
-        self.transport.begin_epoch(epoch)
-        world.reset_in_flight()
+        return ran, idle, self.transport.ship()
 
 
 def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
-                conn, inboxes, bootstrap: Tuple[str, str], params: dict,
-                start_epoch: int) -> None:
+                conn, bootstrap: Tuple[str, str], params: dict) -> None:
     """Entry point of one rank-worker process.
 
     ``bootstrap`` names ``(module, function)``; the function is imported
@@ -287,8 +235,7 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
     owned = [r for r in range(config.world_size)
              if r % nworkers == worker_id]
     worker_of = [r % nworkers for r in range(config.world_size)]
-    transport = WorkerTransport(config, owned, worker_of, inboxes, worker_id)
-    transport.begin_epoch(start_epoch)
+    transport = WorkerTransport(config, owned, worker_of, worker_id)
     comm = WorkerComm(worker_id, owned, transport)
     module = importlib.import_module(bootstrap[0])
     app = getattr(module, bootstrap[1])(comm, params)
@@ -305,7 +252,7 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
                 conn.send(("ok", (comm.round(app.world, payload),
                                   app.world.export_delta())))
             elif cmd == CMD_RESET:
-                comm.reset(payload["epoch"], app.world)
+                app.world.reset_in_flight()
                 conn.send(("ok", None))
             else:
                 conn.send(("ok", app.dispatch(cmd, payload)))
@@ -322,8 +269,8 @@ def worker_main(worker_id: int, nworkers: int, config: ClusterConfig,
 # ---------------------------------------------------------------------------
 
 class ProcessTransport(Transport):
-    """Driver-side transport: owns the worker pool, the command pipes,
-    the inbox queues, and the epoch.
+    """Driver-side transport: owns the worker pool and its command
+    pipes.
 
     Rank → worker mapping is ``rank % nworkers`` (strided, so
     consecutive ranks land on different workers and per-node topology
@@ -343,10 +290,8 @@ class ProcessTransport(Transport):
             [r for r in range(ws) if r % self.nworkers == w]
             for w in range(self.nworkers)]
         self._ctx = multiprocessing.get_context(_start_method(start_method))
-        self.epoch = 0
         self._procs: List[Any] = [None] * self.nworkers
         self._conns: List[Any] = [None] * self.nworkers
-        self._inboxes = [self._ctx.Queue() for _ in range(self.nworkers)]
         self.dead_workers: Set[int] = set()
         self._bootstrap: Optional[Tuple[str, str]] = None
         self._params: Optional[dict] = None
@@ -373,8 +318,8 @@ class ProcessTransport(Transport):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(w, self.nworkers, self.config, child_conn, self._inboxes,
-                  self._bootstrap, self._params, self.epoch),
+            args=(w, self.nworkers, self.config, child_conn,
+                  self._bootstrap, self._params),
             name=f"repro-rank-worker-{w}", daemon=True)
         proc.start()
         child_conn.close()
@@ -405,12 +350,6 @@ class ProcessTransport(Transport):
                     conn.close()
                 except OSError:  # pragma: no cover
                     pass
-        for q in self._inboxes:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
         try:
             atexit.unregister(self._atexit_guard)
         except Exception:  # pragma: no cover - interpreter teardown
@@ -459,9 +398,7 @@ class ProcessTransport(Transport):
     def repair_all(self) -> None:
         """Clear failure marks and respawn dead workers.  Respawned
         workers bootstrap from scratch (the start parameters again,
-        fresh rank state) at the *current* epoch; their old inbox
-        queues are reused — any stale frames in them are from a previous
-        epoch and are discarded."""
+        fresh rank state)."""
         super().repair_all()
         for w in sorted(self.dead_workers):
             self._spawn(w)
@@ -518,13 +455,6 @@ class ProcessTransport(Transport):
             raise exc from where
         return results
 
-    def bump_epoch(self) -> None:
-        """Advance the epoch and reset every live worker into it: they
-        drain + discard their inboxes, forget held and early frames, and
-        clear their worlds' in-flight buffers."""
-        self.epoch += 1
-        self.command_all(CMD_RESET, {"epoch": self.epoch})
-
 
 class ProcessWorld:
     """The driver's comm-layer facade for the process backend.
@@ -554,8 +484,9 @@ class ProcessWorld:
         if metrics is not None:
             metrics.log = self.log
         self.excluded_ranks: Set[int] = set()
-        # Per worker, the workers that shipped it a frame last round.
-        self._expect: Dict[int, List[int]] = {}
+        # Per worker, the frames shipped to it last round, in sender
+        # order.
+        self._held: Dict[int, List[bytes]] = {}
 
     # -- barrier / quiescence -------------------------------------------------
 
@@ -571,36 +502,29 @@ class ProcessWorld:
 
     def _superstep(self, first: bool = False) -> bool:
         """One ``__round__`` on every live worker: it lands the frames
-        shipped to it last round (the driver names their senders), runs
-        one :meth:`YGMWorld.step` and ships at most one frame per
-        destination worker — or, for the ``first`` round of a barrier,
-        only ships what the sections staged; the counter delta each
-        reply carries goes to the log.  A worker whose frames did not come within
-        :data:`FRAME_WAIT_S` reports the shortfall and is asked again
-        while every worker lives — a dead one raises
-        :class:`RankFailureError` instead.  Returns whether anything
-        moved: a handler ran, a frame was shipped or a world is not
-        idle."""
+        shipped to it last round, runs one :meth:`YGMWorld.step` and
+        ships at most one frame per destination worker — or, for the
+        ``first`` round of a barrier, only ships what the sections
+        staged; the counter delta each reply carries goes to the log.
+        A worker found dead raises :class:`RankFailureError`.  Returns
+        whether anything moved: a handler ran, a frame was shipped or a
+        world is not idle."""
         cluster = self.cluster
-        asks = {w: None if first else self._expect.get(w, [])
-                for w in cluster.alive_workers()}
-        expect: Dict[int, List[int]] = {}
-        moved = False
-        while asks:
-            cluster.liveness_sweep()
-            self._check_crashed()
-            replies = cluster.command_all(CMD_ROUND, per_worker=asks)
-            asks = {}
-            for w, ((missing, ran, idle, shipped), delta) in replies.items():
-                self.log.absorb(delta)
-                if missing:
-                    asks[w] = missing
-                    continue
-                moved = moved or ran > 0 or bool(shipped) or not idle
-                for dest in shipped:
-                    expect.setdefault(dest, []).append(w)
+        cluster.liveness_sweep()
         self._check_crashed()
-        self._expect = expect
+        held, self._held = self._held, {}
+        replies = cluster.command_all(CMD_ROUND, per_worker={
+            w: None if first else held.get(w, [])
+            for w in cluster.alive_workers()})
+        moved = False
+        for (ran, idle, shipped), delta in replies.values():
+            self.log.absorb(delta)
+            moved = moved or ran > 0 or bool(shipped) or not idle
+            for dest, frame in shipped.items():
+                # Passed on as the bytes the sender pickled: opening
+                # them here would cost a second pickling per hop.
+                self._held.setdefault(dest, []).append(frame)
+        self._check_crashed()
         return moved
 
     def _check_crashed(self) -> None:
@@ -649,11 +573,11 @@ class ProcessWorld:
     # -- fault tolerance surface ----------------------------------------------
 
     def reset_in_flight(self) -> None:
-        """Abandon every in-flight message cluster-wide by entering a
-        new epoch (stale frames — including any lost inside a dead
-        worker — are discarded, never awaited)."""
-        self._expect = {}
-        self.cluster.bump_epoch()
+        """Abandon every in-flight message cluster-wide: drop the frames
+        the driver holds and have every live worker discard its
+        buffers, mailboxes and unshipped frames."""
+        self._held = {}
+        self.cluster.command_all(CMD_RESET)
 
     def exclude_ranks(self, ranks) -> None:
         ranks = {int(r) for r in ranks}

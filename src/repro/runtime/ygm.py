@@ -97,8 +97,9 @@ advances in one place, :meth:`YGMWorld.step`: a delivery round, then —
 unless the world is idle (nothing applied or queued, nothing unacked,
 nothing held back) — a tick that releases due delayed messages and
 retransmits overdue ones.  ``barrier()`` loops it; a process worker
-runs it once per barrier round, between landing the round's frames and
-shipping its own, and reports its ``idle``.
+runs it once per barrier round, between landing the frames the driver
+relays to it in the round's command and shipping its own in the reply,
+and reports its ``idle``.
 
 Every counter is counted once, into the open window of the world's
 barrier log (``log.window``): the world's message, flush, handler and

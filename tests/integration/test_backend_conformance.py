@@ -392,30 +392,30 @@ def test_counters_travel_only_in_round_replies(lowdim_process):
 
 def test_a_round_ships_one_frame_per_worker_pair(lowdim_process):
     """Each ``__round__`` is one superstep: a worker ships at most one
-    frame to each other worker, and the next round names exactly the
-    senders of the frames shipped in this one (a barrier's first round,
-    which only ships what the sections staged, names none).  The
-    superstep changes neither the barrier count (32) nor the sections
-    (57)."""
+    frame to each other worker, and the next round hands each worker
+    exactly the frames shipped to it in this one, as the bytes its
+    sender pickled (a barrier's first round, which only ships what the
+    sections staged, hands none).  The superstep changes neither the
+    barrier count (32) nor the sections (57)."""
     result, calls = lowdim_process
-    expect, frames, firsts = None, 0, 0
+    held, frames, firsts = None, 0, 0
     for cmd, per_worker, replies in calls:
         if cmd != "__round__":
             continue
-        firsts += expect is None
+        firsts += held is None
         assert per_worker == {
-            w: None if expect is None else expect.get(w, []) for w in (0, 1)}
-        expect, moved = {}, False
-        for w, ((missing, ran, idle, shipped), _delta) in replies.items():
-            assert missing == []
-            assert shipped in ([], [1 - w])      # never itself, at most once
+            w: None if held is None else held.get(w, []) for w in (0, 1)}
+        held, moved = {}, False
+        for w, ((ran, idle, shipped), _delta) in replies.items():
+            assert set(shipped) <= {1 - w}       # never itself, at most once
+            assert all(isinstance(f, bytes) for f in shipped.values())
             frames += len(shipped)
             moved = moved or ran > 0 or bool(shipped) or not idle
-            for dest in shipped:
-                expect.setdefault(dest, []).append(w)
+            for dest, frame in shipped.items():
+                held.setdefault(dest, []).append(frame)
         if not moved:                            # the barrier is over
-            expect = None
-    assert expect is None and frames > 0 and firsts == 32
+            held = None
+    assert held is None and frames > 0 and firsts == 32
     counters = result.metrics.snapshot()["counters"]
     assert counters["comm.barriers"] == 32
     assert counters["executor.dispatches"] == 57

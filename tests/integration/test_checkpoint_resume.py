@@ -274,6 +274,16 @@ class TestCheckpointCorruption:
             DNND.resume(small_dense, ckpt,
                         cluster=ClusterConfig(nodes=2, procs_per_node=2))
 
+    def test_resume_rejects_wrong_shaped_manifest(self, small_dense,
+                                                  tmp_path):
+        """A manifest that parses but lost its object table is
+        corruption too, typed on resume — not a raw ``KeyError``."""
+        ckpt = self._write_checkpoint(small_dense, tmp_path)
+        (ckpt / "manifest.json").write_text('{"format_version": 1}')
+        with pytest.raises(CheckpointCorruptError, match="resume"):
+            DNND.resume(small_dense, ckpt,
+                        cluster=ClusterConfig(nodes=2, procs_per_node=2))
+
     def test_recovery_rejects_corrupt_checkpoint(self, small_dense,
                                                  tmp_path):
         """A crash whose checkpoint was damaged while the build ran:

@@ -2,10 +2,10 @@
 
 The process transport ships the comm layer's one wire format — the
 ``bflush`` envelope of a flushed buffer, plus the reliability ``rel`` /
-``ack`` wrappers — batched into one pickled frame per destination
-worker per barrier round, ``(epoch, sender, [(dest, src, envelope),
-...])``, on a ``multiprocessing.Queue``.  The wire format therefore
-*is* the sim wire format, serialized: every
+``ack`` wrappers — batched into one frame per destination worker per
+barrier round: the sender's ``[(dest, src, envelope), ...]``, pickled
+once by the sender and relayed unopened by the driver.  The wire format
+therefore *is* the sim wire format, serialized: every
 envelope shape the comm layer can produce must survive
 pickle.dumps/loads bit-exactly.  A ``bflush`` entry is a *column
 chunk* — ``(handler, (array per argument))`` with gids as ``int64``
@@ -93,11 +93,10 @@ def _envelopes():
 
 
 def _frames():
-    """The cross-worker queue frame of one round: (epoch, sending
-    worker, [(dest rank, src rank, envelope), ...])."""
+    """The cross-worker frame of one round: [(dest rank, src rank,
+    envelope), ...]."""
     entry = st.tuples(st.integers(0, 63), st.integers(0, 63), _envelopes())
-    return st.tuples(st.integers(0, 100), st.integers(0, 7),
-                     st.lists(entry, min_size=1, max_size=4))
+    return st.lists(entry, min_size=1, max_size=4)
 
 
 def _eq(a, b) -> bool:
@@ -146,23 +145,25 @@ def test_distance_column_round_trip():
 
 
 def test_frame_a_worker_ships_round_trips():
-    """What ``WorkerTransport.ship`` puts on a queue comes back from a
-    pickled copy as it went in: every entry, in order, arrays bit for
-    bit."""
-    import queue
-
+    """The frame ``WorkerTransport.ship`` pickles unpickles to what
+    went in — every entry, in order, arrays bit for bit — and the
+    receiver's ``land`` puts each entry in its rank's mailbox."""
     from repro.config import ClusterConfig
     from repro.runtime.transports.process import WorkerTransport
 
-    inboxes = [queue.Queue(), queue.Queue()]
-    t = WorkerTransport(ClusterConfig(nodes=1, procs_per_node=4), [0, 2],
-                        [0, 1, 0, 1], inboxes, 0)
+    cfg = ClusterConfig(nodes=1, procs_per_node=4)
+    t = WorkerTransport(cfg, [0, 2], [0, 1, 0, 1], 0)
+    peer = WorkerTransport(cfg, [1, 3], [0, 1, 0, 1], 1)
     ids = np.arange(10, dtype=np.int64)
     sent = [(1, 0, ("bflush", [("feature_opt", (ids[2:6], ids[6:]))])),
             (3, 2, ("rel", 0, ("bflush", [("noop", _calls([(1, "x")]))]))),
             (1, 2, ("ack", (0, 1)))]
     for dest, src, env in sent:
         t._put(src, dest, env)
-    assert t.ship() == [1]
-    frame = inboxes[1].get_nowait()
-    assert _eq(pickle.loads(pickle.dumps(frame)), (0, 0, sent))
+    frames = t.ship()
+    assert list(frames) == [1]
+    assert _eq(pickle.loads(frames[1]), sent)
+    peer.land([frames[1]])
+    landed = [(1, *peer.drain_one(1)), (3, *peer.drain_one(3)),
+              (1, *peer.drain_one(1))]
+    assert _eq(landed, [sent[0], sent[1], sent[2]])

@@ -354,7 +354,7 @@ class TestSingleSource:
                                                       WorkerTransport)
 
         cluster = ClusterConfig(nodes=1, procs_per_node=2)
-        transport = WorkerTransport(cluster, [0, 1], [0, 0], [], 0)
+        transport = WorkerTransport(cluster, [0, 1], [0, 0], 0)
         comm = WorkerComm(0, [0, 1], transport)
         return worker_host(comm, {
             "data": tiny_dense,

@@ -309,6 +309,27 @@ class TestCorruptionDetection:
         with pytest.raises(StoreCorruptError, match="manifest"):
             MetallStore.open_read_only(path)
 
+    @pytest.mark.parametrize("manifest", [
+        [1, 2], "text", None,
+        {"format_version": 1},
+        {"format_version": 1, "objects": []},
+        {"format_version": 1, "objects": {"arr": "arr.npy"}},
+        {"format_version": 1, "objects": {"arr": {"files": ["arr.npy"]}}},
+        {"format_version": 1, "objects": {"arr": {"kind": "ndarray"}}},
+        {"format_version": 1, "objects": {"arr": {"kind": "ndarray",
+                                                  "files": []}}},
+    ], ids=["list", "string", "null", "no-objects", "objects-list",
+            "entry-not-object", "no-kind", "no-files", "empty-files"])
+    def test_wrong_shaped_manifest_detected(self, tmp_path, manifest):
+        """A manifest that parses but is not shaped like one is
+        corruption, typed as such — never a raw KeyError."""
+        path = self._create(tmp_path)
+        assert json.loads((path / "manifest.json").read_text())[
+            "format_version"] == 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreCorruptError, match="manifest"):
+            MetallStore.open_read_only(path)
+
     def test_corrupt_is_a_store_error(self):
         """Recovery code catching StoreError still sees corruption."""
         assert issubclass(StoreCorruptError, StoreError)

@@ -103,8 +103,7 @@ class TestSimClusterExtras:
 
 def _worker():
     # Owns ranks 0 and 2; 1 and 3 would travel as frames.
-    return WorkerTransport(CFG, [0, 2], [0, 1, 0, 1], outboxes=None,
-                           worker_id=0)
+    return WorkerTransport(CFG, [0, 2], [0, 1, 0, 1], worker_id=0)
 
 
 class TestOneDeliver:
