@@ -107,7 +107,8 @@ class ProjectContext:
     handlers: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
     visitors: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
     #: Columnar handlers registered via ``register_batch_handler(s)``:
-    #: delivered ``(ctx, *columns)``, one array per message argument, so
+    #: delivered ``(world, dest, *columns)`` — the host's world, the
+    #: column of destination ranks, one array per message argument — so
     #: a name's arity is the same whether a call site sends one message
     #: (``async_call``) or a run (``emit_run``).  A name lives in this
     #: registry or in ``handlers``, and every handler rule reads both.

@@ -17,10 +17,12 @@ REP202  handler-arity            the payload argument count at the call
                                  site must fit the handler's signature
                                  (handlers receive ``(ctx, *payload)``,
                                  visitors ``(ctx, state, key, *args)``;
-                                 a columnar handler receives ``(ctx,
-                                 *columns)`` — one array per message
-                                 argument — so an ``emit_run`` supplies
-                                 as many as its column tuple holds).
+                                 a columnar handler receives ``(world,
+                                 dest, *columns)`` — its host's world,
+                                 the column of destination ranks and one
+                                 array per message argument — so an
+                                 ``emit_run`` supplies two more than its
+                                 column tuple holds).
 REP203  handler-closure-capture  a handler registered from inside a
                                  function closes over rank-local
                                  mutable state — handler behaviour must
@@ -61,10 +63,12 @@ from .registry import (
     rule,
 )
 
-#: Handler names handed to RPC visitors/handlers at delivery: handlers
-#: get the destination RankContext prepended, visitors additionally get
-#: (local_map, key).
+#: Arguments prepended at delivery: a per-message handler gets the
+#: destination RankContext, a columnar one its host's world and the
+#: column of destination ranks, a visitor the context, its local map and
+#: the key.
 _HANDLER_IMPLICIT_ARGS = 1
+_BATCH_IMPLICIT_ARGS = 2
 _VISITOR_IMPLICIT_ARGS = 3
 
 
@@ -75,18 +79,24 @@ def _finding(module: SourceModule, node: ast.AST, rule_id: str,
                    severity=severity, message=message)
 
 
-def _lookup(site: CallSite, project: ProjectContext) -> List[HandlerInfo]:
+def _bindings(site: CallSite,
+              project: ProjectContext) -> List[Tuple[int, HandlerInfo]]:
+    """``(implicit arguments, registration)`` of every binding of the
+    name ``site`` sends to."""
     if site.kind == "visitor":
-        return project.visitors.get(site.name, [])
-    return (project.handlers.get(site.name, [])
-            + project.batch_handlers.get(site.name, []))
+        return [(_VISITOR_IMPLICIT_ARGS, info)
+                for info in project.visitors.get(site.name, [])]
+    return ([(_HANDLER_IMPLICIT_ARGS, info)
+             for info in project.handlers.get(site.name, [])]
+            + [(_BATCH_IMPLICIT_ARGS, info)
+               for info in project.batch_handlers.get(site.name, [])])
 
 
 @rule("REP201", ERROR, "async_call names an unregistered handler")
 def check_unknown_handler(project: ProjectContext,
                           config: AnalysisConfig) -> Iterator[Finding]:
     for site in project.call_sites:
-        if _lookup(site, project):
+        if _bindings(site, project):
             continue
         what = "visitor" if site.kind == "visitor" else "handler"
         register = ("register_visitor" if site.kind == "visitor"
@@ -113,26 +123,25 @@ def check_handler_arity(project: ProjectContext,
     for site in project.call_sites:
         if site.payload_args is None:  # *args at the call site
             continue
-        implicit = (_VISITOR_IMPLICIT_ARGS if site.kind == "visitor"
-                    else _HANDLER_IMPLICIT_ARGS)
-        supplied = implicit + site.payload_args
-        candidates: List[FunctionInfo] = []
-        for info in _lookup(site, project):
-            candidates.extend(_candidate_functions(info, project))
+        candidates: List[Tuple[int, FunctionInfo]] = [
+            (implicit, fn) for implicit, info in _bindings(site, project)
+            for fn in _candidate_functions(info, project)]
         if not candidates:
             continue  # registration found but target unresolvable: skip
-        if any(fn.min_args <= supplied <= fn.max_args for fn in candidates):
+        if any(fn.min_args <= implicit + site.payload_args <= fn.max_args
+               for implicit, fn in candidates):
             continue
+        implicit = candidates[0][0]
         shapes = ", ".join(
             f"{fn.name}({fn.min_args}"
             + (f"..{'*' if fn.max_args == float('inf') else int(fn.max_args)}"
                if fn.max_args != fn.min_args else "")
             + ")"
-            for fn in candidates)
+            for _, fn in candidates)
         yield _finding(
             site.module, site.node, "REP202",
             f"{site.kind} {site.name!r} would be delivered "
-            f"{supplied} positional argument(s) "
+            f"{implicit + site.payload_args} positional argument(s) "
             f"({implicit} implicit + {site.payload_args} payload), but its "
             f"registered implementation accepts {shapes}")
 
@@ -170,7 +179,8 @@ def _enclosing_parameters(fn: FunctionInfo) -> frozenset:
 def check_closure_capture(project: ProjectContext,
                           config: AnalysisConfig) -> Iterator[Finding]:
     # Columnar handlers are held to the same purity contract as scalar
-    # ones: a function of (ctx, *columns) + owner-rank state only.
+    # ones: a function of (world, dest, *columns) + the state of the
+    # destination ranks only.
     seen: set = set()
     for registry in (project.handlers, project.visitors,
                      project.batch_handlers):

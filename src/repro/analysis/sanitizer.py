@@ -9,8 +9,10 @@ syntactically obvious.  The sanitizer catches it dynamically:
 
 - **Ownership**: rank-owned state is tagged with its owner rank
   (``RankContext.state`` becomes an :class:`OwnedState`, neighbor heaps
-  carry an owner tag).  While a handler is being delivered at rank *r*,
-  any read/write of state owned by a different rank raises
+  carry an owner tag).  A columnar handler run delivers to a set of
+  ranks (a host's, in one round) and may touch only their state; a
+  per-message handler executes row by row *as* the row's destination
+  rank.  Any other read/write of rank-owned state raises
   :class:`~repro.errors.OwnershipViolationError`.  Driver code between
   barriers (the SPMD program counter) may optionally mark which rank it
   is acting as via :meth:`Sanitizer.rank_scope`; unscoped driver access
@@ -93,6 +95,16 @@ class Sanitizer:
     def active_rank(self, value: Optional[int]) -> None:
         self._tls.active_rank = value
 
+    #: Ranks a columnar handler run is delivering to (``None`` outside
+    #: one): with no ``active_rank`` set, code may touch their state.
+    @property
+    def active_ranks(self) -> Optional[frozenset]:
+        return getattr(self._tls, "active_ranks", None)
+
+    @active_ranks.setter
+    def active_ranks(self, value: Optional[frozenset]) -> None:
+        self._tls.active_ranks = value
+
     @property
     def handler_depth(self) -> int:
         return getattr(self._tls, "handler_depth", 0)
@@ -113,17 +125,27 @@ class Sanitizer:
 
     def check_access(self, owner: int, what: str) -> None:
         """Raise unless the current execution context may touch state
-        owned by ``owner``."""
+        owned by ``owner``: code executing as a rank may touch that
+        rank's state, a columnar handler run the state of the ranks it
+        delivers to."""
         rank = self.active_rank
-        if rank is not None and rank != owner:
-            self.violations += 1
-            where = (f"handler {self.current_handler!r}"
-                     if self.current_handler is not None else "rank scope")
-            raise OwnershipViolationError(
-                f"{what} owned by rank {owner} accessed from {where} "
-                f"executing at rank {rank}; cross-rank effects must go "
-                "through async_call to the owner",
-                owner=owner, accessor=rank)
+        if rank is None:
+            ranks = self.active_ranks
+            if ranks is None or owner in ranks:
+                return
+            at = f"ranks {sorted(ranks)}"
+        elif rank == owner:
+            return
+        else:
+            at = f"rank {rank}"
+        self.violations += 1
+        where = (f"handler {self.current_handler!r}"
+                 if self.current_handler is not None else "rank scope")
+        raise OwnershipViolationError(
+            f"{what} owned by rank {owner} accessed from {where} "
+            f"executing at {at}; cross-rank effects must go "
+            "through async_call to the owner",
+            owner=owner, accessor=rank)
 
     def check_iteration(self, live_iterators: int, what: str) -> None:
         if live_iterators:
@@ -147,11 +169,12 @@ class Sanitizer:
 
     def wrap_handler(self, name: str,
                      fn: Callable[..., None]) -> Callable[..., None]:
-        """Wrap a registered handler with re-entrancy + rank tracking.
-        ``ctx`` (the destination RankContext) is always the first
-        argument at delivery time."""
+        """Wrap a registered columnar handler with re-entrancy + rank
+        tracking.  At delivery it is called ``(world, dest, *columns)``:
+        the run executes at the ranks in ``dest``, and may touch their
+        state (a per-message handler narrows that to one row's rank)."""
 
-        def sanitized_handler(ctx: Any, *args: Any) -> None:
+        def sanitized_handler(world: Any, dest: Any, *columns: Any) -> None:
             if self.handler_depth:
                 self.reentrancy_detected += 1
                 raise HandlerReentrancyError(
@@ -159,16 +182,17 @@ class Sanitizer:
                     f"handler {self.current_handler!r}; handlers are "
                     "atomic delivery units — send an async_call instead")
             self.handler_depth = 1
-            previous_rank = self.active_rank
-            previous_name = self.current_handler
-            self.active_rank = ctx.rank
+            previous = (self.active_rank, self.active_ranks,
+                        self.current_handler)
+            self.active_rank = None
+            self.active_ranks = frozenset(dest.tolist())
             self.current_handler = name
             try:
-                fn(ctx, *args)
+                fn(world, dest, *columns)
             finally:
                 self.handler_depth = 0
-                self.active_rank = previous_rank
-                self.current_handler = previous_name
+                (self.active_rank, self.active_ranks,
+                 self.current_handler) = previous
 
         sanitized_handler.__name__ = getattr(fn, "__name__", name)
         sanitized_handler.__wrapped__ = fn  # type: ignore[attr-defined]

@@ -39,10 +39,14 @@ if TYPE_CHECKING:  # import only for annotations: heap has no runtime
 #: Placeholder id for an empty slot.
 EMPTY = -1
 
+# What merge_rows returns when no candidate gets in.
+_NOTHING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
 
 def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
                rows: np.ndarray, cand_ids: np.ndarray,
-               cand_dists: np.ndarray, flag: bool = True) -> int:
+               cand_dists: np.ndarray,
+               flag: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk ``Update``: offer candidate ``(cand_ids[i], cand_dists[i])``
     to row ``rows[i]`` of the ``(n, k)`` state matrices, all at once.
 
@@ -51,8 +55,9 @@ def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
     A candidate whose id the row already holds is dropped (the incumbent
     keeps its distance and flag); of several candidates with one id the
     closest counts.  The result does not depend on the candidates' order
-    nor on how they are split over calls.  Returns how many candidates
-    are in their row afterwards (entered with ``flag``).
+    nor on how they are split over calls.  Returns ``(touched,
+    accepted)``: the rows that were rewritten, ascending, and how many
+    candidates each holds afterwards (entered with ``flag``).
     """
     k = ids.shape[1]
     # A candidate at or beyond its row's worst key cannot get in.
@@ -64,12 +69,12 @@ def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
     if not closer.all():
         rows, cand_ids, cand_dists = rows[closer], cand_ids[closer], cand_dists[closer]
     if not rows.size:
-        return 0
+        return _NOTHING
     absent = ~(ids[rows] == cand_ids[:, None]).any(axis=1)
     if not absent.all():
         rows, cand_ids, cand_dists = rows[absent], cand_ids[absent], cand_dists[absent]
         if not rows.size:
-            return 0
+            return _NOTHING
     # Group by row; within a row by id, closest first, to drop repeats.
     order = np.lexsort((cand_dists, cand_ids, rows))
     rows, cand_ids, cand_dists = rows[order], cand_ids[order], cand_dists[order]
@@ -103,7 +108,7 @@ def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
     ids[touched] = np.take_along_axis(m_ids, best, axis=1)
     dists[touched] = np.take_along_axis(m_dists, best, axis=1)
     flags[touched] = np.take_along_axis(m_flags, best, axis=1)
-    return int(np.count_nonzero(best >= k))
+    return touched, np.count_nonzero(best >= k, axis=1)
 
 
 def check_rows(ids: np.ndarray, dists: np.ndarray) -> Optional[Tuple[int, str]]:
@@ -259,10 +264,11 @@ class NeighborHeap:
         if self._san is not None:
             self._check_mutation("push batch")
         ids = np.asarray(ids, dtype=np.int64)
-        return merge_rows(self.ids[None, :], self.dists[None, :],
-                          self.flags[None, :],
-                          np.zeros(ids.size, dtype=np.intp), ids,
-                          np.asarray(dists, dtype=np.float64), flag)
+        _, accepted = merge_rows(self.ids[None, :], self.dists[None, :],
+                                 self.flags[None, :],
+                                 np.zeros(ids.size, dtype=np.intp), ids,
+                                 np.asarray(dists, dtype=np.float64), flag)
+        return int(accepted.sum())
 
     def mark_old(self, vid: int) -> None:
         """Clear the *new* flag of ``vid`` (Algorithm 1 line 10)."""

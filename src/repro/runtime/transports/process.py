@@ -32,7 +32,8 @@ A barrier is a loop of bulk-synchronous supersteps, the sim barrier's
 :meth:`YGMWorld.step` loop spread over the workers.  Its first
 ``__round__`` only ships what the sections staged; each later one hands
 a worker, in sender order, the frames shipped to it in the previous
-round, and the worker lands them, runs one ``step()``, flushes and
+round, and the worker lands them, runs one ``step()`` (each handler
+once, over the messages of every rank the worker owns), flushes and
 ships at most one frame per destination worker, replying ``(ran, idle,
 shipped)``.  The driver holds a round's frames until the next round and
 passes them on unopened.  The barrier completes at the first round in

@@ -7,12 +7,12 @@ def setup(world):
     world.register_batch_handlers(merge=_h_merge, check_opt=_h_check)
 
 
-def _h_merge(ctx, keys, values):
-    ctx.state.setdefault("chunks", []).append((keys, values))
+def _h_merge(world, dest, keys, values):
+    world.state.setdefault("chunks", []).append((dest, keys, values))
 
 
-def _h_check(ctx, u1, u2):
-    ctx.state.setdefault("checks", []).append((u1, u2))
+def _h_check(world, dest, u1, u2):
+    world.state.setdefault("checks", []).append((dest, u1, u2))
 
 
 def send(world, ctx, src, dests, keys, values, one_sided):

@@ -11,8 +11,8 @@ def _h_pong(ctx, token):
     ctx.state["token"] = token
 
 
-def _h_merge(ctx, keys, values):
-    ctx.state.setdefault("chunks", []).append((keys, values))
+def _h_merge(world, dest, keys, values):
+    world.state.setdefault("chunks", []).append((dest, keys, values))
 
 
 def send(ctx, dest):

@@ -7,8 +7,8 @@ def setup(world):
     world.register_batch_handler("merge", _h_merge)
 
 
-def _h_merge(ctx, rows, ids, dists):
-    ctx.state.setdefault("chunks", []).append((rows, ids, dists))
+def _h_merge(world, dest, rows, ids, dists):
+    world.state.setdefault("chunks", []).append((dest, rows, ids, dists))
 
 
 def send(world, ctx, src, dests, rows, ids, dists):

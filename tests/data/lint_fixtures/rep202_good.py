@@ -1,6 +1,7 @@
 """Fixture: payload matches the handler signature (clean for REP202) —
-a columnar handler receives one array per message argument, so a run's
-column tuple counts like a scalar call's payload."""
+a columnar handler receives its host's world, the column of destination
+ranks and one array per message argument, so a run's column tuple counts
+like a scalar call's payload."""
 
 
 def setup(world):
@@ -12,8 +13,8 @@ def _h_update(ctx, key, value):
     ctx.state[key] = value
 
 
-def _h_merge(ctx, rows, ids, dists):
-    ctx.state.setdefault("chunks", []).append((rows, ids, dists))
+def _h_merge(world, dest, rows, ids, dists):
+    world.state.setdefault("chunks", []).append((dest, rows, ids, dists))
 
 
 def send(ctx, dest):

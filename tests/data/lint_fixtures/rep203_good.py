@@ -1,5 +1,5 @@
-"""Fixture: handler state lives in ctx.state (clean for REP203), for a
-scalar and for a columnar handler."""
+"""Fixture: handler state lives in ctx.state / the host world's state
+(clean for REP203), for a scalar and for a columnar handler."""
 
 
 def _h_count(ctx, key):
@@ -7,8 +7,8 @@ def _h_count(ctx, key):
     counts[key] = counts.get(key, 0) + 1
 
 
-def _h_count_run(ctx, keys):
-    ctx.state.setdefault("runs", []).append(keys)
+def _h_count_run(world, dest, keys):
+    world.state.setdefault("runs", []).append((dest, keys))
 
 
 def setup(world):

@@ -155,19 +155,19 @@ def test_columnar_emissions_name_checked():
 
 
 def test_columnar_emissions_arity_checked():
-    """A columnar handler takes (ctx, *columns): a run supplies as many
-    arguments as its column tuple holds."""
+    """A columnar handler takes (world, dest, *columns): a run supplies
+    two arguments more than its column tuple holds."""
     short, long_ = _lint(FIXTURES / "rep202_columnar_bad.py", "REP202")
-    assert "(1 implicit + 2 payload)" in short.message
-    assert "(1 implicit + 4 payload)" in long_.message
-    assert "_h_merge(4)" in short.message
+    assert "(2 implicit + 2 payload)" in short.message
+    assert "(2 implicit + 4 payload)" in long_.message
+    assert "_h_merge(5)" in short.message
 
 
 def test_columnar_handler_closure_capture_flagged(tmp_path):
     (tmp_path / "mod.py").write_text(
         "def setup(world):\n"
         "    seen = []\n"
-        "    def _h_run(ctx, keys):\n"
+        "    def _h_run(world, dest, keys):\n"
         "        seen.append(keys)\n"
         "    world.register_batch_handler('run', _h_run)\n")
     (finding,) = run_analysis([str(tmp_path)], CONFIG, select=("REP203",))

@@ -3,12 +3,15 @@
 - ``NeighborHeap.checked_push_batch`` — the one-row form of the bulk
   ``merge_rows``: same entries as per-element ``checked_push`` under the
   ``(distance, id)`` order (duplicates, ties, partial fill),
-- YGM run coalescing — contiguous same-``(dest, handler)`` runs reach a
-  columnar handler as ONE invocation, split by handler changes and never
-  merged across destinations, while ``MessageStats`` stays exactly what a
-  world of scalar handlers records,
+- YGM run coalescing — a round's messages to one handler reach it as
+  ONE invocation per host, over every destination rank's run
+  (rank-major, with the column of destination ranks), while
+  ``MessageStats`` stays exactly what a world of per-message handlers
+  records,
 - ``emit_run`` — a run shipped as column chunks is, counter for counter
-  and flush for flush, a loop of ``async_call``.
+  and flush for flush, a loop of ``async_call``, from one source rank
+  or from a column of them, and a run whose columns do not match its
+  destinations is refused.
 """
 
 import numpy as np
@@ -104,9 +107,10 @@ class TestCoalescing:
         def g(ctx, x):
             delivered.append(("g", ctx.rank, x))
 
-        def h(ctx, xs):
-            batch_runs.append((ctx.rank, xs.tolist()))
-            delivered.extend(("h", ctx.rank, x) for x in xs.tolist())
+        def h(world, dest, xs):
+            batch_runs.append((dest.tolist(), xs.tolist()))
+            delivered.extend(("h", r, x) for r, x in zip(dest.tolist(),
+                                                         xs.tolist()))
 
         world.register_handler("g", g)
         world.register_batch_handler("h", h)
@@ -118,20 +122,22 @@ class TestCoalescing:
         for i in range(5):
             world.async_call(0, 1, "h", i)
         world.barrier()
-        assert batch_runs == [(1, [0, 1, 2, 3, 4])]
+        assert batch_runs == [([1] * 5, [0, 1, 2, 3, 4])]
         assert delivered == [("h", 1, i) for i in range(5)]
 
     def test_one_run_per_columnar_handler_per_rank_per_round(self):
-        """Every handler — per-message or columnar — runs once per rank
-        per round, at its first appearance, over its messages in arrival
-        order: a message to another handler between two chunks of ``h``
-        does not split the run, and per-message ``g`` messages do not
-        interleave with the others by arrival."""
+        """Every handler — per-message or columnar — runs once per host
+        per round, at its first appearance, over every rank's messages
+        rank-major and each rank's in arrival order: a message to
+        another handler between two chunks of ``h`` does not split the
+        run, per-message ``g`` messages do not interleave with the
+        others by arrival, and a rank that drains later in the round
+        joins the same invocation."""
         world = make_world()
         batch_runs, delivered = self._instrument(world)
         world.register_batch_handler(
-            "k", lambda ctx, xs: delivered.extend(
-                ("k", ctx.rank, x) for x in xs.tolist()))
+            "k", lambda world, dest, xs: delivered.extend(
+                ("k", r, x) for r, x in zip(dest.tolist(), xs.tolist())))
         world.async_call(0, 1, "g", 98)
         for i in range(3):
             world.async_call(0, 1, "h", i)
@@ -140,12 +146,13 @@ class TestCoalescing:
         for i in range(3, 5):
             world.async_call(0, 1, "h", i)
         world.async_call(0, 1, "k", 51)
+        world.async_call(0, 2, "h", 7)
         world.barrier()
-        assert batch_runs == [(1, [0, 1, 2, 3, 4])]
+        assert batch_runs == [([1, 1, 1, 1, 1, 2], [0, 1, 2, 3, 4, 7])]
         assert delivered == [("g", 1, 98), ("g", 1, 99),
-                             *[("h", 1, i) for i in range(5)],
+                             *[("h", 1, i) for i in range(5)], ("h", 2, 7),
                              ("k", 1, 50), ("k", 1, 51)]
-        assert world.log.counters()["executor.tasks"] == 9
+        assert world.log.counters()["executor.tasks"] == 10
 
     def test_runs_never_merge_across_destinations(self):
         world = make_world()
@@ -153,8 +160,9 @@ class TestCoalescing:
         for i in range(4):
             world.async_call(0, 1 + (i % 2), "h", i)
         world.barrier()
-        by_dest = sorted(batch_runs)
-        assert by_dest == [(1, [0, 2]), (2, [1, 3])]
+        # One invocation, but every row keeps its destination: each
+        # rank's rows are contiguous, in rank order.
+        assert batch_runs == [([1, 1, 2, 2], [0, 2, 1, 3])]
 
     def test_stats_match_scalar_world_per_type(self):
         def drive(world):
@@ -176,15 +184,15 @@ class TestCoalescing:
 
     def test_duplicate_batch_registration_rejected(self):
         world = make_world()
-        world.register_batch_handler("h", lambda ctx, xs: None)
+        world.register_batch_handler("h", lambda world, dest, xs: None)
         with pytest.raises(RuntimeStateError):
-            world.register_batch_handler("h", lambda ctx, xs: None)
+            world.register_batch_handler("h", lambda world, dest, xs: None)
         # One handler per message type: no scalar twin either way round.
         with pytest.raises(RuntimeStateError):
             world.register_handler("h", lambda ctx, x: None)
         world.register_handler("g", lambda ctx, x: None)
         with pytest.raises(RuntimeStateError):
-            world.register_batch_handler("g", lambda ctx, xs: None)
+            world.register_batch_handler("g", lambda world, dest, xs: None)
 
 
 class TestEmitRun:
@@ -200,14 +208,15 @@ class TestEmitRun:
         world = make_world(**kw)
         got = []
         world.register_batch_handler(
-            "h", lambda ctx, ks, vs: got.append(
-                (ctx.rank, ks.tolist(), vs.tolist())))
+            "h", lambda world, dest, ks, vs: got.append(
+                (dest.tolist(), ks.tolist(), vs.tolist())))
         return world, got
 
     def _observables(self, world, got):
         per_rank = {}
-        for rank, ks, vs in got:
-            per_rank.setdefault(rank, []).extend(zip(ks, vs))
+        for dest, ks, vs in got:
+            for rank, k, v in zip(dest, ks, vs):
+                per_rank.setdefault(rank, []).append((k, v))
         counters = world.log.counters()
         return (world.stats.snapshot(), counters["comm.flushes"],
                 counters["comm.local_deliveries"], counters["executor.tasks"],
@@ -237,12 +246,13 @@ class TestEmitRun:
         world, got = self._world()
         world.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
         world.barrier()
-        assert sorted(got) == [
-            (0, [30], [0.75]),
-            (1, [0, 20, 50, 60, 80, 90, 110],
-             [0.0, 0.5, 1.25, 1.5, 2.0, 2.25, 2.75]),
-            (2, [40, 100], [1.0, 2.5]),
-            (3, [10, 70], [0.25, 1.75])]
+        # One host, one round: one invocation over every destination's
+        # whole columns, rank-major.
+        assert got == [(
+            [0, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3],
+            [30, 0, 20, 50, 60, 80, 90, 110, 40, 100, 10, 70],
+            [0.75, 0.0, 0.5, 1.25, 1.5, 2.0, 2.25, 2.75, 1.0, 2.5, 0.25,
+             1.75])]
 
     def test_rejects_unknown_handler_and_bad_rank(self):
         world, _ = self._world()
@@ -252,6 +262,89 @@ class TestEmitRun:
             with pytest.raises(RuntimeStateError):
                 world.emit_run(0, np.array([1, bad]), "h",
                                (self.KEYS[:2], self.VALS[:2]), 8)
+        for bad in (4, -1):
+            with pytest.raises(RuntimeStateError):
+                world.emit_run(np.array([0, bad]), np.array([1, 2]), "h",
+                               (self.KEYS[:2], self.VALS[:2]), 8)
+
+    @pytest.mark.parametrize("nbytes", [np.int64(8), np.int32(8), np.uint16(8)])
+    def test_any_integer_scalar_is_a_uniform_size(self, nbytes):
+        """A numpy integer is one size for every message, as an int is."""
+        plain, got_p = self._world(flush_bytes=30)
+        plain.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
+        plain.barrier()
+        numpy_sized, got_n = self._world(flush_bytes=30)
+        numpy_sized.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS),
+                             nbytes, "t")
+        numpy_sized.barrier()
+        assert (self._observables(numpy_sized, got_n)
+                == self._observables(plain, got_p))
+
+    @pytest.mark.parametrize("what", ["long column", "short column",
+                                      "short nbytes", "long nbytes",
+                                      "short src"])
+    def test_a_column_that_does_not_match_the_run_is_refused(self, what):
+        """Every column, a ragged ``nbytes`` and a ``src`` column hold one
+        row per destination; anything else raises naming the handler —
+        never a bare ``IndexError``, never silently dropped rows."""
+        world, got = self._world()
+        keys, vals, sizes, src = self.KEYS, self.VALS, self.SIZES, 0
+        if what == "long column":
+            keys = np.append(keys, 999)
+        elif what == "short column":
+            vals = vals[:-1]
+        elif what == "short nbytes":
+            sizes = sizes[:-1]
+        elif what == "long nbytes":
+            sizes = np.append(sizes, 8)
+        else:
+            src = np.zeros(len(self.DESTS) - 1, dtype=np.int64)
+        with pytest.raises(RuntimeStateError, match="'h'"):
+            world.emit_run(src, self.DESTS, "h", (keys, vals), sizes, "t")
+        world.barrier()
+        assert got == [] and world.stats.snapshot() == {}
+
+    def test_staged_runs_take_the_same_sizes_and_checks(self):
+        """The rank program's ``stage``/``pump`` accept a numpy integer
+        size and pump it in chunks; ``stage`` refuses a mismatched
+        column before anything is staged."""
+        from types import SimpleNamespace
+
+        from repro.core.dnnd_phases import pump, stage
+
+        plain, got_p = self._world(flush_bytes=30)
+        plain.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
+        plain.barrier()
+        staged, got_s = self._world(flush_bytes=30)
+        ctx = staged.ranks[0]
+        ctx.state["shard"] = SimpleNamespace(staged=[])
+        with pytest.raises(RuntimeStateError, match="'h'"):
+            stage(ctx, self.DESTS, "h", (self.KEYS[:-1], self.VALS),
+                  np.int64(8), "t")
+        assert ctx.state["shard"].staged == []
+        stage(ctx, self.DESTS, "h", (self.KEYS, self.VALS), np.int64(8), "t")
+        while pump(ctx, 5):
+            pass
+        staged.barrier()
+        assert self._observables(staged, got_s) == self._observables(plain, got_p)
+
+    def test_src_column_is_a_loop_of_single_source_runs(self):
+        """A run whose rows come from several source ranks is, counter
+        for counter and flush for flush, one run per source rank."""
+        src = np.array([2, 0, 2, 1, 0, 0, 3, 2, 1, 0, 3, 2])
+        per_source, got_s = self._world(flush=2, flush_bytes=30)
+        for rank in range(4):
+            mine = src == rank
+            per_source.emit_run(rank, self.DESTS[mine], "h",
+                                (self.KEYS[mine], self.VALS[mine]),
+                                self.SIZES[mine], "t")
+        per_source.barrier()
+        fused, got_f = self._world(flush=2, flush_bytes=30)
+        fused.emit_run(src, self.DESTS, "h", (self.KEYS, self.VALS),
+                       self.SIZES, "t")
+        fused.barrier()
+        assert (self._observables(fused, got_f)
+                == self._observables(per_source, got_s))
 
     def test_faulty_network_decides_once_per_flush(self):
         """The fault unit is the flushed buffer: without reliable
