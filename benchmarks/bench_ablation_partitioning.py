@@ -61,8 +61,6 @@ def cluster_sorted_dataset(n: int, seed: int) -> np.ndarray:
 
 
 def _measure(label, dnnd, result, truth, wall_seconds, repartition=False):
-    from repro.core.dnnd_phases import shard_of
-
     if repartition:
         t0 = time.perf_counter()
         graph = dnnd.repartition()
@@ -70,7 +68,10 @@ def _measure(label, dnnd, result, truth, wall_seconds, repartition=False):
     else:
         graph = result.graph
     snap = dnnd.metrics.snapshot()
-    per_rank = [shard_of(ctx).metric.count for ctx in dnnd.world.ranks]
+    # Distance evaluations per rank, as the barrier log tallies them.
+    tallies = dnnd.world.log.live().ranks
+    per_rank = [tallies.get(r, {}).get("distance.evals", 0)
+                for r in range(dnnd.world.world_size)]
     mean = np.mean(per_rank)
     return {
         "label": label,

@@ -53,9 +53,10 @@ class TestDistribution:
         shares, not from a per-shard copy."""
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            assert shard.data is dnnd._rows
-            np.testing.assert_array_equal(shard.rows(shard.global_ids),
-                                          tiny_dense[shard.global_ids])
+            assert shard.block.data is dnnd._rows
+            np.testing.assert_array_equal(
+                shard.block.features(shard.global_ids),
+                tiny_dense[shard.global_ids])
 
     def test_heap_per_vertex(self, dnnd):
         for ctx in dnnd.world.ranks:

@@ -160,7 +160,7 @@ class TestDatasetReachesWorkers:
         # Forked workers inherit the patched table.
         monkeypatch.setitem(
             dnnd_phases.SHARD_OPS, "probe_view",
-            lambda ctx: (id(dnnd_phases.shard_of(ctx).data), os.getpid()))
+            lambda ctx: (id(dnnd_phases.shard_of(ctx).block.data), os.getpid()))
         dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER)
         try:
             probes = dnnd.host.command("probe_view")
@@ -205,9 +205,10 @@ class TestDatasetReachesWorkers:
         owned = []
         for ctx in dnnd.world.ranks:
             shard = shard_of(ctx)
-            assert shard.data is dnnd._rows
-            np.testing.assert_array_equal(shard.rows(shard.global_ids),
-                                          tiny_dense[shard.global_ids])
+            assert shard.block.data is dnnd._rows
+            np.testing.assert_array_equal(
+                shard.block.features(shard.global_ids),
+                tiny_dense[shard.global_ids])
             owned += shard.global_ids.tolist()
         assert sorted(owned) == list(range(len(tiny_dense)))
 
