@@ -23,6 +23,14 @@ REP103  set-iteration-in-emit        iterating a ``set`` in a function
 REP104  id-based-ordering            ``sorted(..., key=id)`` and
                                      ``id(...)`` inside ordering keys —
                                      object addresses vary run to run.
+REP105  unstable-argsort-in-sim      ``argsort`` / ``argpartition``
+                                     (function or method) in simulation
+                                     paths without a stable ``kind`` —
+                                     numpy orders equal keys differently
+                                     on AVX-512, AVX2 and scalar builds.
+                                     A site whose ties cannot reach the
+                                     result says why on its suppression:
+                                     ``# repro: ignore[REP105] <reason>``.
 """
 
 from __future__ import annotations
@@ -241,3 +249,43 @@ def check_id_ordering(project: ProjectContext,
                         f"{name}(..., key=id) orders by CPython object "
                         "address, which differs every run; key on a stable "
                         "field (vertex id, distance) instead")
+
+
+#: Sort kinds that keep equal keys in input order.
+_STABLE_KINDS = frozenset({"stable", "mergesort"})
+
+
+def _stable_sort(node: ast.Call, kind_slot: int) -> bool:
+    """Whether an argsort call asks for a stable kind (``kind=`` by
+    keyword or at positional ``kind_slot``, or ``stable=True``)."""
+    values = {kw.arg: kw.value for kw in node.keywords}
+    if len(node.args) > kind_slot:
+        values.setdefault("kind", node.args[kind_slot])
+    kind, stable = values.get("kind"), values.get("stable")
+    return ((isinstance(kind, ast.Constant) and kind.value in _STABLE_KINDS)
+            or (isinstance(stable, ast.Constant) and stable.value is True))
+
+
+@rule("REP105", ERROR, "unstable argsort in simulation code")
+def check_unstable_argsort(project: ProjectContext,
+                           config: AnalysisConfig) -> Iterator[Finding]:
+    for module in project.modules:
+        if not in_sim_path(module.path, config):
+            continue
+        imports = ImportMap(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = call_method_name(node)
+            if name not in ("argsort", "argpartition"):
+                continue
+            # np.argsort(a, axis, kind) or a.argsort(axis, kind)
+            function = imports.resolve_call(node) == f"numpy.{name}"
+            if name == "argsort" and _stable_sort(node, 2 if function else 1):
+                continue
+            yield _finding(
+                module, node, "REP105",
+                f"{name}() without a stable kind orders equal keys "
+                "differently on AVX-512, AVX2 and scalar numpy builds; "
+                "pass kind=\"stable\", or sort keys that cannot tie and "
+                "say why on the line: # repro: ignore[REP105] <reason>")

@@ -8,7 +8,8 @@ Two passes:
    ``async_call`` / ``async_visit`` sites across the whole file set.
 2. Run every registered rule over the project and filter out findings
    suppressed by a same-line ``# repro: ignore[RULE,...]`` comment
-   (bare ``# repro: ignore`` suppresses every rule on that line).
+   (bare ``# repro: ignore`` suppresses every rule on that line but
+   REP105, which must be named and given a reason after the bracket).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .registry import (
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?")
+#: Rules a suppression silences only when it names them and gives its
+#: reason after the bracket: ``# repro: ignore[REP105] keys are distinct``.
+_NEEDS_REASON = frozenset({"REP105"})
 
 #: Positional slots where the handler-name string may sit in an
 #: ``async_call``: index 1 for ``ctx.async_call(dest, "h", ...)``,
@@ -527,14 +531,19 @@ def _suppressed(finding: Finding, modules: Dict[str, SourceModule]) -> bool:
     module = modules.get(finding.path)
     if module is None or not 1 <= finding.line <= len(module.lines):
         return False
-    match = _SUPPRESS_RE.search(module.lines[finding.line - 1])
+    line = module.lines[finding.line - 1]
+    match = _SUPPRESS_RE.search(line)
     if match is None:
         return False
+    rule = finding.rule.upper()
     rules = match.group("rules")
     if rules is None:
-        return True  # bare "# repro: ignore" silences the whole line
+        # bare "# repro: ignore" silences the whole line
+        return rule not in _NEEDS_REASON
     wanted = {r.strip().upper() for r in rules.split(",") if r.strip()}
-    return finding.rule.upper() in wanted
+    if rule in _NEEDS_REASON and not line[match.end():].strip():
+        return False
+    return rule in wanted
 
 
 def run_analysis(paths: Sequence[str], config: Optional[AnalysisConfig] = None,

@@ -91,7 +91,9 @@ from ..runtime.faults import make_injector
 from ..runtime.partition import Partitioner, splitmix64, splitmix64_array
 from ..runtime.ygm import RankContext, YGMWorld, check_run, uniform_size
 from ..types import DIST_BYTES, ID_BYTES
-from .heap import EMPTY, NeighborHeap, merge_rows
+from .heap import EMPTY, NeighborHeap, merge_rows, row_holds
+from .order import (check_key_range, distinct_sorted, first_occurrences,
+                    rank_in_group)
 
 # Message-type labels used in Figure 4.
 T1 = "type1"
@@ -136,13 +138,14 @@ def sample_smallest(seed: int, purpose: int, iteration: int,
     members have distinct keys, short of a 64-bit collision) — not on
     their order, nor on how the entries were split over messages."""
     keys = draw_key(seed, purpose, iteration, vertex, element)
-    order = np.lexsort((keys, vertex))
-    grouped = vertex[order]
-    head = np.ones(len(grouped), dtype=bool)
-    head[1:] = grouped[1:] != grouped[:-1]
-    rank = np.arange(len(grouped)) - np.flatnonzero(head)[np.cumsum(head) - 1]
-    mask = np.zeros(len(grouped), dtype=bool)
-    mask[order[rank < n]] = True
+    order = np.argsort(keys)  # repro: ignore[REP105] a vertex's members have distinct keys
+    # Group by vertex, in key order within a group: ``vertex * size +
+    # position`` cannot tie, and is below n**2 * k (order.py).
+    size = len(order)
+    grouped, at = np.divmod(np.sort(vertex[order] * size + np.arange(size)),
+                            size)
+    mask = np.zeros(size, dtype=bool)
+    mask[order[at[rank_in_group(grouped, np.bincount(grouped)) < n]]] = True
     return mask
 
 
@@ -214,6 +217,7 @@ class HostBlock:
               config: DNNDConfig) -> "HostBlock":
         """The block of ``ranks`` (ascending) under ``partitioner``,
         every row empty."""
+        check_key_range(partitioner.n, config.k)
         metric = CountingMetric(config.nnd.metric, kernel=config.kernel)
         own = [np.asarray(partitioner.local_ids(r), dtype=np.int64)
                for r in ranks]
@@ -281,8 +285,7 @@ class HostBlock:
         key order — many center vertices propose the same pair, and
         repeating an exchange cannot change any row — remembering them
         as checked."""
-        keys, first = np.unique(rows * len(self.row_of) + other,
-                                return_index=True)
+        keys, first = first_occurrences(rows * len(self.row_of) + other)
         seen = self.check_seen
         at = np.searchsorted(seen, keys)
         if seen.size:
@@ -581,8 +584,8 @@ def _reversed_entries(shard: LocalShard, cands: Columns,
     rows, u = cands
     v = shard.global_ids[rows]
     if shard.config.shuffle_reverse_destinations:
-        order = np.argsort(draw_key(shard.config.nnd.seed, SHUFFLE,
-                                    iteration, v, u))
+        keys = draw_key(shard.config.nnd.seed, SHUFFLE, iteration, v, u)
+        order = np.argsort(keys)  # repro: ignore[REP105] the (v, u) pairs are distinct, so are their keys
         u, v = u[order], v[order]
     return u, v
 
@@ -605,7 +608,7 @@ def _union(shard: LocalShard, own: Columns, chunks: list,
     drawn = sample_smallest(shard.config.nnd.seed, UNION, iteration,
                             shard.global_ids[rows], values,
                             shard.config.nnd.sample_size)
-    return np.divmod(np.unique(
+    return np.divmod(distinct_sorted(
         np.concatenate([own[0], rows[drawn]]) * n
         + np.concatenate([own[1], values[drawn]])), n)
 
@@ -937,7 +940,7 @@ def h_check_opt(world: YGMWorld, dest: np.ndarray, u1: np.ndarray,
     if opts.redundancy_check:
         # Section 4.3.2: the pair is already adjacent; the whole
         # Type 2+/Type 3 exchange would be wasted.
-        apart = ~(block.ids[rows] == u2[:, None]).any(axis=1)
+        apart = ~row_holds(block.ids, rows, u2)
         dest, u1, u2, rows = dest[apart], u1[apart], u2[apart], rows[apart]
     if opts.distance_pruning:
         # Section 4.3.3: attach u1's worst-neighbor distance ("negligible
@@ -958,7 +961,7 @@ def h_feature_opt(world: YGMWorld, dest: np.ndarray, u2: np.ndarray,
     rows = block.rows(u2, dest)
     if opts.redundancy_check:
         # Section 4.3.2 applied on the u2 side before Type 3.
-        apart = ~(block.ids[rows] == u1[:, None]).any(axis=1)
+        apart = ~row_holds(block.ids, rows, u1)
         dest, u2, u1, bound, rows = (dest[apart], u2[apart], u1[apart],
                                      bound[apart], rows[apart])
     if not len(rows):

@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import GraphError
+from .order import row_keys, row_order
 
 EMPTY = -1
 
@@ -91,8 +92,9 @@ class KNNGraph:
                 raise GraphError(f"row {v} not sorted by distance")
 
     def sort_rows(self) -> "KNNGraph":
-        """Return a copy with every row sorted ascending by distance."""
-        order = np.argsort(self.dists, axis=1, kind="stable")
+        """Return a copy with every row sorted ascending by ``(distance,
+        id)``, the order of :mod:`.heap`."""
+        order = row_order(row_keys(self.dists, self.ids))
         ids = np.take_along_axis(self.ids, order, axis=1)
         dists = np.take_along_axis(self.dists, order, axis=1)
         return KNNGraph(ids, dists)

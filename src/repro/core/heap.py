@@ -18,6 +18,14 @@ its heap parent's.  The scalar :meth:`NeighborHeap.checked_push` keeps
 it by sifting; the bulk :func:`merge_rows` writes rows sorted worst
 first, which is a heap too.
 
+**Exact without stable sorts.**  :func:`merge_rows` sorts with numpy's
+unstable argsort, whose order of equal keys differs between numpy
+builds, so no equal keys may decide its result (:mod:`.order`): its
+grouping key ``row * span + id`` ties only for repeats of one id in one
+row, of which ``np.minimum.reduceat`` keeps the closest, and its row key
+``dist + 1j * id`` ties only for identical empty slots, since ids are
+distinct within a row.  Incumbents may come in any slot order.
+
 The state itself is three parallel arrays.  A :class:`NeighborHeap`
 either owns length-``k`` arrays (the single-node oracle, search result
 lists) or is a *row view* over a shard's ``(n_local, k)`` matrices
@@ -32,6 +40,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError
+from .order import row_keys, row_order, run_heads
 
 if TYPE_CHECKING:  # import only for annotations: heap has no runtime
     from ..analysis.sanitizer import Sanitizer  # dependency on analysis
@@ -41,6 +50,14 @@ EMPTY = -1
 
 # What merge_rows returns when no candidate gets in.
 _NOTHING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def row_holds(ids: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``held[i]``: whether row ``rows[i]`` of the ``(n, k)`` id matrix
+    holds ``x[i]``.  The rows are gathered column by column, so the
+    ``k`` column compares are ORed over contiguous ``(k, m)`` memory,
+    not reduced along ``m`` rows of ``k``."""
+    return (ids.T.take(rows, axis=1) == x).any(axis=0)
 
 
 def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
@@ -55,58 +72,61 @@ def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,
     A candidate whose id the row already holds is dropped (the incumbent
     keeps its distance and flag); of several candidates with one id the
     closest counts.  The result does not depend on the candidates' order
-    nor on how they are split over calls.  Returns ``(touched,
-    accepted)``: the rows that were rewritten, ascending, and how many
-    candidates each holds afterwards (entered with ``flag``).
+    nor on how they are split over calls, nor on the slot order of the
+    incumbents.  Returns ``(touched, accepted)``: the rows that were
+    rewritten, ascending, and how many candidates each holds afterwards
+    (entered with ``flag``).
     """
     k = ids.shape[1]
     # A candidate at or beyond its row's worst key cannot get in.
-    worst = dists[rows, 0]
+    worst = dists[:, 0][rows]
     closer = cand_dists < worst
     tie = cand_dists == worst
     if tie.any():
-        closer |= tie & (cand_ids < ids[rows, 0])
+        closer |= tie & (cand_ids < ids[:, 0][rows])
     if not closer.all():
         rows, cand_ids, cand_dists = rows[closer], cand_ids[closer], cand_dists[closer]
     if not rows.size:
         return _NOTHING
-    absent = ~(ids[rows] == cand_ids[:, None]).any(axis=1)
+    absent = ~row_holds(ids, rows, cand_ids)
     if not absent.all():
         rows, cand_ids, cand_dists = rows[absent], cand_ids[absent], cand_dists[absent]
         if not rows.size:
             return _NOTHING
-    # Group by row; within a row by id, closest first, to drop repeats.
-    order = np.lexsort((cand_dists, cand_ids, rows))
-    rows, cand_ids, cand_dists = rows[order], cand_ids[order], cand_dists[order]
-    head = np.ones(rows.size, dtype=bool)
-    head[1:] = rows[1:] != rows[:-1]
-    repeat = ~head
-    repeat[1:] &= cand_ids[1:] == cand_ids[:-1]
-    if repeat.any():
-        keep = ~repeat
-        rows, cand_ids, cand_dists, head = (rows[keep], cand_ids[keep],
-                                            cand_dists[keep], head[keep])
+    # Group by row, and within a row by id: equal packed keys are one
+    # (row, id), whatever order the sort leaves them in, and the closest
+    # of them counts.  In a host block the key is below n**2 (order.py).
+    lo = int(cand_ids.min())
+    span = int(cand_ids.max()) - lo + 1
+    pair = rows * span + (cand_ids - lo)
+    order = np.argsort(pair)  # repro: ignore[REP105] equal keys are one (row, id); minimum.reduceat keeps their closest
+    starts = np.flatnonzero(run_heads(pair[order]))
+    cand_dists = cand_dists[order]
+    if starts.size < order.size:
+        cand_dists = np.minimum.reduceat(cand_dists, starts)
+        order = order[starts]
+    rows, cand_ids = rows[order], cand_ids[order]
+    head = run_heads(rows)
     starts = np.flatnonzero(head)
     touched = rows[starts]
     group = np.cumsum(head) - 1
     slot = k + np.arange(rows.size) - starts[group]
     width = int(slot.max()) + 1
-    # Incumbents in columns [0, k), candidates after them; padding is
-    # (inf, EMPTY) and sorts behind the incumbents' own empty slots
-    # (lexsort is stable), so it is never selected.
+    # Incumbents in columns [0, k), candidates after them, as complex
+    # (dist, id) keys: ids are distinct within a row, so only the
+    # incumbents' identical (inf, EMPTY) empty slots tie.  Padding is
+    # (inf, +inf) and sorts behind them, so it is never selected.
     shape = (touched.size, width)
-    m_ids = np.full(shape, EMPTY, dtype=np.int64)
-    m_dists = np.full(shape, np.inf, dtype=np.float64)
+    keys = np.full(shape, complex(np.inf, np.inf))
+    keys[:, :k] = row_keys(dists.take(touched, axis=0), ids.take(touched, axis=0))
+    keys[group, slot] = row_keys(cand_dists, cand_ids)
     m_flags = np.zeros(shape, dtype=bool)
-    m_ids[:, :k] = ids[touched]
-    m_dists[:, :k] = dists[touched]
-    m_flags[:, :k] = flags[touched]
-    m_ids[group, slot] = cand_ids
-    m_dists[group, slot] = cand_dists
+    m_flags[:, :k] = flags.take(touched, axis=0)
     m_flags[group, slot] = flag
-    best = np.lexsort((m_ids, m_dists), axis=1)[:, k - 1::-1]
-    ids[touched] = np.take_along_axis(m_ids, best, axis=1)
-    dists[touched] = np.take_along_axis(m_dists, best, axis=1)
+    best = row_order(keys)[:, k - 1::-1]
+    kept = np.take_along_axis(keys, best, axis=1)
+    ids[touched] = kept.imag
+    dists[touched] = kept.real
     flags[touched] = np.take_along_axis(m_flags, best, axis=1)
     return touched, np.count_nonzero(best >= k, axis=1)
 

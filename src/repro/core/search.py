@@ -58,6 +58,7 @@ from ..runtime.metrics import MetricsRegistry, NULL_METRICS
 from ..utils.rng import derive_rng
 from ..utils.sampling import sample_without_replacement
 from .graph import AdjacencyGraph, KNNGraph
+from .order import rank_in_group
 from .rptree import RPTreeForest
 
 _BLOCK_BYTES = 64 << 20
@@ -405,7 +406,7 @@ class KNNGraphSearcher:
                     fr_d = np.pad(fr_d, pad, constant_values=np.inf)
                     fr_i = np.pad(fr_i, pad)
                     width = grown
-            col = fr_n[f_r] + _rank_in_group(f_r, counts)
+            col = fr_n[f_r] + rank_in_group(f_r, counts)
             fr_d[f_r, col] = d[gate]
             fr_i[f_r, col] = c[gate]
             fr_n += counts
@@ -425,7 +426,7 @@ class KNNGraphSearcher:
             rows = b_r[first]
             group = first.cumsum() - 1
             counts = np.bincount(group)
-            col = l_eff + _rank_in_group(group, counts)
+            col = l_eff + rank_in_group(group, counts)
             cat_d = np.full((len(rows), l_eff + int(counts.max())), np.inf)
             cat_i = np.full(cat_d.shape, _NO_ID, dtype=np.int64)
             cat_d[:, :l_eff] = res_d[rows]
@@ -538,12 +539,6 @@ def _check_params(l: int, epsilon: float) -> None:
         raise SearchError(f"l must be >= 1, got {l}")
     if epsilon < 0:
         raise SearchError(f"epsilon must be >= 0, got {epsilon}")
-
-
-def _rank_in_group(group: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Position of each element within its group, for ``group`` sorted
-    ascending and ``counts[g]`` the size of group ``g``."""
-    return np.arange(len(group)) - (counts.cumsum() - counts)[group]
 
 
 # The distributed searcher (``dist_search``) keeps its result heap with

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heap import EMPTY, NeighborHeap
+from repro.core.heap import EMPTY, NeighborHeap, check_rows, merge_rows
 
 pushes = st.lists(
     st.tuples(st.integers(0, 40),
@@ -110,3 +110,67 @@ def test_push_return_value_matches_membership_change(k, ops):
         after = {v: d for v, d, _ in heap.entries()}
         assert changed in (0, 1)
         assert (before != after) == bool(changed)
+
+
+#: Few distinct distances, so keys tie: equal distances, candidates at
+#: their row's worst key, and both signs of zero.
+distances = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def merges(draw):
+    """Rows of incumbents in heap order, as ``checked_push`` leaves them
+    (some rows not full), and candidates for them: repeated ids at
+    different distances, ids some row already holds.  An id a row holds
+    comes back no closer than it is held — what every distance check
+    guarantees, since one pair always has one distance."""
+    k = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 4))
+    heaps = []
+    for _ in range(n_rows):
+        heap = NeighborHeap(k)
+        for vid, dist, flag in draw(st.lists(
+                st.tuples(st.integers(0, 12), distances, st.booleans()),
+                max_size=10)):
+            heap.checked_push(vid, dist, flag)
+        heaps.append(heap)
+    cands = []
+    for row, vid, dist in draw(st.lists(
+            st.tuples(st.integers(0, n_rows - 1), st.integers(0, 12),
+                      distances), max_size=40)):
+        held = dict(zip(heaps[row].ids.tolist(), heaps[row].dists.tolist()))
+        cands.append((row, vid, max(dist, held.get(vid, dist))))
+    return heaps, cands, draw(st.booleans())
+
+
+@given(case=merges())
+@settings(max_examples=300, deadline=None)
+def test_merge_rows_equals_sequential_checked_push(case):
+    """Bulk ``merge_rows`` over several rows leaves, row by row, the
+    entry set of offering each candidate to ``checked_push`` in turn,
+    closest first; it rewrites exactly the rows some push changed, and
+    counts the candidates each holds afterwards."""
+    heaps, cands, flag = case
+    ids = np.stack([h.ids for h in heaps])
+    dists = np.stack([h.dists for h in heaps])
+    flags = np.stack([h.flags for h in heaps])
+    rows = np.array([c[0] for c in cands], dtype=np.int64)
+    cand_ids = np.array([c[1] for c in cands], dtype=np.int64)
+    cand_dists = np.array([c[2] for c in cands], dtype=np.float64)
+    touched, accepted = merge_rows(ids, dists, flags, rows, cand_ids,
+                                   cand_dists, flag)
+    assert check_rows(ids, dists) is None
+    want_touched, want_accepted = [], []
+    for row, heap in enumerate(heaps):
+        before = set(heap.ids.tolist())
+        changed = 0
+        for _, vid, dist in sorted((c for c in cands if c[0] == row),
+                                   key=lambda c: (c[2], c[1])):
+            changed |= heap.checked_push(vid, dist, flag)
+        got = NeighborHeap.view(ids[row], dists[row], flags[row])
+        assert set(got.entries()) == set(heap.entries())
+        if changed:
+            want_touched.append(row)
+            want_accepted.append(len(set(heap.ids.tolist()) - before))
+    assert touched.tolist() == want_touched
+    assert accepted.tolist() == want_accepted

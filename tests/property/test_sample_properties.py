@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from repro import DNND, ClusterConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
-from repro.core.dnnd_phases import (SAMPLE, UNION, build_shards,
-                                    register_dnnd_handlers, sample_smallest,
-                                    shard_of)
+from repro.core.dnnd_phases import (SAMPLE, UNION, HostBlock, build_shards,
+                                    draw_key, register_dnnd_handlers,
+                                    sample_smallest, shard_of)
 from repro.runtime.partition import HashPartitioner
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
@@ -78,6 +78,58 @@ def test_other_purpose_iteration_vertex_seed_is_another_draw():
     assert _drawn({3: members}, 8, seed=1)[3] != base
     assert _drawn({4: members}, 8)[4] != base
     assert _drawn({3: members}, 8)[3] == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(sets=vertex_sets, n=st.integers(1, 12), seed=st.integers(0, 2**31),
+       data=st.data())
+def test_sample_equals_a_stable_sort_reference(sets, n, seed, data):
+    """``sample_smallest`` sorts without stability; it marks exactly the
+    entries a stable ``lexsort`` by ``(vertex, key)`` ranks below ``n``,
+    for shuffled entries."""
+    total = sum(map(len, sets.values()))
+    order = np.array(data.draw(st.permutations(range(total))), dtype=np.int64)
+    vertex, element = _columns(sets, order)
+    keys = draw_key(seed, SAMPLE, 0, vertex, element)
+    by_key = np.lexsort((keys, vertex))
+    grouped = vertex[by_key]
+    head = np.ones(total, dtype=bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    rank = np.arange(total) - np.flatnonzero(head)[np.cumsum(head) - 1]
+    want = np.zeros(total, dtype=bool)
+    want[by_key[rank < n]] = True
+    got = sample_smallest(seed, SAMPLE, 0, vertex, element, n)
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(st.tuples(
+           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                    max_size=30),
+           st.one_of(st.none(), st.tuples(st.integers(0, 10),
+                                          st.integers(0, 10)))),
+           max_size=6))
+def test_unchecked_equals_a_stable_unique_reference(calls):
+    """``HostBlock.unchecked`` over a call sequence, with ``forget_checks``
+    between calls, returns what ``np.unique(return_index=True)`` and a set
+    of seen pairs say: where each pair not checked yet first appears, in
+    key order."""
+    n = 10
+    cfg = DNNDConfig(nnd=NNDescentConfig(k=2, seed=0))
+    block = HostBlock.build([0], HashPartitioner(n, 1), np.zeros((n, 1)), cfg)
+    seen = set()
+    for pairs, forget in calls:
+        rows = np.array([p[0] for p in pairs], dtype=np.int64)
+        other = np.array([p[1] for p in pairs], dtype=np.int64)
+        keys, first = np.unique(rows * n + other, return_index=True)
+        fresh = np.array([key not in seen for key in keys.tolist()], dtype=bool)
+        np.testing.assert_array_equal(block.unchecked(rows, other),
+                                      first[fresh])
+        seen.update(keys.tolist())
+        if forget is not None:
+            lo, hi = sorted(forget)
+            block.forget_checks(lo, hi)
+            seen = {key for key in seen if not lo * n <= key < hi * n}
 
 
 def test_every_element_is_drawn_about_equally_often():

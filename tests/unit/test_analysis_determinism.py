@@ -17,6 +17,7 @@ CASES = [
     ("REP102", 3),
     ("REP103", 2),
     ("REP104", 2),
+    ("REP105", 5),
 ]
 
 
@@ -59,3 +60,23 @@ def test_findings_are_positioned_and_sorted():
     assert all(f.line >= 1 and f.col >= 1 for f in findings)
     text = findings[0].format()
     assert "rep101_bad.py" in text and "REP101" in text
+
+
+def test_rep105_off_outside_sim_paths():
+    config = AnalysisConfig(exclude=(), sim_paths=("repro/core",))
+    assert run_analysis([str(FIXTURES / "rep105_bad.py")], config,
+                        select=("REP105",)) == []
+
+
+def test_rep105_suppression_needs_a_reason(tmp_path):
+    """A bare or reasonless suppression leaves REP105 standing; a named
+    one with its reason after the bracket silences it."""
+    f = tmp_path / "lint_fixtures_tmp.py"
+    f.write_text("import numpy as np\n"
+                 "a = np.argsort(x)  # repro: ignore\n"
+                 "b = np.argsort(x)  # repro: ignore[REP105]\n"
+                 "c = np.argsort(x)  # repro: ignore[REP105] x is distinct\n"
+                 "d = np.argsort(x)  # repro: ignore[REP104] x is distinct\n")
+    config = AnalysisConfig(exclude=(), sim_paths=("lint_fixtures_tmp",))
+    findings = run_analysis([str(f)], config, select=("REP105",))
+    assert [x.line for x in findings] == [2, 3, 5]

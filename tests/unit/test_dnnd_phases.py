@@ -9,6 +9,7 @@ import pytest
 from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
 from repro.core.dnnd_phases import (
+    HostBlock,
     build_shards,
     opt_collect,
     register_dnnd_handlers,
@@ -16,7 +17,8 @@ from repro.core.dnnd_phases import (
     type1_pairs,
 )
 from repro.core.nndescent import NNDescent
-from repro.errors import PartitionError, RuntimeStateError
+from repro.core.order import check_key_range
+from repro.errors import ConfigError, PartitionError, RuntimeStateError
 from repro.runtime.partition import BlockPartitioner
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
@@ -103,6 +105,17 @@ class TestLocalShard:
         assert shard.block.features([6])[0, 0] == 6.0     # owned by rank 1
         with pytest.raises(PartitionError):
             shard.locals(np.array([6]))
+
+    def test_build_refuses_keys_past_int64(self):
+        """Packed keys are below n**2 * k; past 2**63 the block is refused
+        before anything is allocated."""
+        class Huge:
+            n = 3_037_000_500        # n**2 alone is past 2**63
+
+        cfg = DNNDConfig(nnd=NNDescentConfig(k=1))
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            HostBlock.build([0], Huge(), None, cfg)
+        check_key_range(n=1_000_000, k=100)
 
     def test_rows_dense(self):
         world, _ = make_world_with_shards()

@@ -77,6 +77,13 @@ class TestKNNGraph:
         np.testing.assert_array_equal(s.ids[0], [1, 2])
         np.testing.assert_allclose(s.dists[0], [0.1, 0.9])
 
+    def test_sort_rows_breaks_distance_ties_by_id(self):
+        """One order everywhere: equal distances go by id, as in a heap
+        row, whatever the slot order."""
+        s = KNNGraph(np.array([[5, 2], [EMPTY, 4]]),
+                     np.array([[1.0, 1.0], [np.inf, 0.5]])).sort_rows()
+        np.testing.assert_array_equal(s.ids, [[2, 5], [4, EMPTY]])
+
     def test_arrays_roundtrip(self):
         g = small_graph()
         g2 = KNNGraph.from_arrays(g.to_arrays())
