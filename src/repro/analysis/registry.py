@@ -22,7 +22,7 @@ from .findings import Finding
 
 #: The columnar send API: ``YGMWorld.emit_run(src, dests, handler,
 #: columns, ...)`` and the rank program's staging form
-#: ``dnnd_phases.stage(ctx, dests, handler, columns, ...)`` (the run the
+#: ``HostBlock.stage(src, dests, handler, columns, ...)`` (the run the
 #: driver's pump later hands to ``emit_run``) share one call shape — the
 #: handler name third, one column per message argument fourth.  One call
 #: sends a whole run of messages.

@@ -8,28 +8,27 @@ cluster and that the static linter can only catch when the access is
 syntactically obvious.  The sanitizer catches it dynamically:
 
 - **Ownership**: rank-owned state is tagged with its owner rank
-  (``RankContext.state`` becomes an :class:`OwnedState`, neighbor heaps
-  carry an owner tag).  A columnar handler run delivers to a set of
-  ranks (a host's, in one round) and may touch only their state; a
-  per-message handler executes row by row *as* the row's destination
-  rank.  Any other read/write of rank-owned state raises
-  :class:`~repro.errors.OwnershipViolationError`.  Driver code between
-  barriers (the SPMD program counter) may optionally mark which rank it
-  is acting as via :meth:`Sanitizer.rank_scope`; unscoped driver access
-  (e.g. post-barrier gathers) is allowed.
+  (``RankContext.state`` becomes an :class:`OwnedState`), and every
+  write to a host's neighbor rows passes one check
+  (``HostBlock.check_write``) of the rank each row belongs to.  A
+  columnar handler run delivers to a set of ranks (a host's, in one
+  round) and may touch only their state, a host's section only its live
+  ranks'; a per-message handler executes row by row *as* the row's
+  destination rank.  Any other read/write of rank-owned state raises
+  :class:`~repro.errors.OwnershipViolationError` naming the handler or
+  section.  Driver code between barriers may optionally mark which rank
+  it is acting as via :meth:`Sanitizer.rank_scope`; unscoped driver
+  access (e.g. post-barrier gathers) is allowed.
 - **Re-entrancy**: registered handlers are wrapped so that a handler
   synchronously invoking another handler (instead of ``async_call``)
   raises :class:`~repro.errors.HandlerReentrancyError`.
-- **Mutation during iteration**: a heap mutated while its ``entries()``
-  iterator is live raises
-  :class:`~repro.errors.MutationDuringIterationError`.
 
 Enable with ``REPRO_SANITIZE=1`` in the environment or an explicit
 ``sanitize=True`` on :class:`~repro.runtime.ygm.YGMWorld` /
 :class:`~repro.core.dnnd.DNND`.  When off, the world keeps
 ``sanitizer = None``, ``RankContext.state`` stays a plain dict, handlers
 stay unwrapped, and the only residual cost is a single ``is None`` test
-on heap mutation — the same zero-overhead discipline as the fault
+per row write — the same zero-overhead discipline as the fault
 injector (regression-tested: a sanitized build is bit-identical to an
 unsanitized one, including message stats and simulated time).
 """
@@ -44,7 +43,6 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from ..errors import (
     ConfigError,
     HandlerReentrancyError,
-    MutationDuringIterationError,
     OwnershipViolationError,
 )
 
@@ -72,7 +70,7 @@ class Sanitizer:
     otherwise, so every guard is a single attribute test when off.
 
     Execution-context state (``active_rank`` / ``handler_depth`` /
-    ``current_handler``) is thread-local: the context a thread checks
+    ``current_run``) is thread-local: the context a thread checks
     against must be its own.  The violation counters stay shared (they
     only matter when an error is already being raised)."""
 
@@ -113,21 +111,23 @@ class Sanitizer:
     def handler_depth(self, value: int) -> None:
         self._tls.handler_depth = value
 
+    #: The run the current code belongs to (``"handler 'x'"``,
+    #: ``"section 'y'"``), named by a violation; ``None`` outside one.
     @property
-    def current_handler(self) -> Optional[str]:
-        return getattr(self._tls, "current_handler", None)
+    def current_run(self) -> Optional[str]:
+        return getattr(self._tls, "current_run", None)
 
-    @current_handler.setter
-    def current_handler(self, value: Optional[str]) -> None:
-        self._tls.current_handler = value
+    @current_run.setter
+    def current_run(self, value: Optional[str]) -> None:
+        self._tls.current_run = value
 
     # -- access checks -------------------------------------------------------
 
     def check_access(self, owner: int, what: str) -> None:
         """Raise unless the current execution context may touch state
         owned by ``owner``: code executing as a rank may touch that
-        rank's state, a columnar handler run the state of the ranks it
-        delivers to."""
+        rank's state, a handler run or a host section the state of the
+        ranks it covers."""
         rank = self.active_rank
         if rank is None:
             ranks = self.active_ranks
@@ -139,20 +139,11 @@ class Sanitizer:
         else:
             at = f"rank {rank}"
         self.violations += 1
-        where = (f"handler {self.current_handler!r}"
-                 if self.current_handler is not None else "rank scope")
         raise OwnershipViolationError(
-            f"{what} owned by rank {owner} accessed from {where} "
-            f"executing at {at}; cross-rank effects must go "
-            "through async_call to the owner",
+            f"{what} owned by rank {owner} accessed from "
+            f"{self.current_run or 'rank scope'} executing at {at}; "
+            "cross-rank effects must go through async_call to the owner",
             owner=owner, accessor=rank)
-
-    def check_iteration(self, live_iterators: int, what: str) -> None:
-        if live_iterators:
-            raise MutationDuringIterationError(
-                f"{what} mutated while {live_iterators} live iterator(s) "
-                "are walking it; finish (or materialize) the iteration "
-                "before mutating")
 
     # -- execution contexts --------------------------------------------------
 
@@ -167,6 +158,21 @@ class Sanitizer:
         finally:
             self.active_rank = previous
 
+    @contextmanager
+    def run_scope(self, ranks, label: str) -> Iterator[None]:
+        """Mark code as one run over ``ranks`` — a handler run over its
+        destination ranks, a host's section over its live ranks — which
+        may touch their state only; a violation names ``label``."""
+        previous = (self.active_rank, self.active_ranks, self.current_run)
+        self.active_rank = None
+        self.active_ranks = frozenset(ranks)
+        self.current_run = label
+        try:
+            yield
+        finally:
+            (self.active_rank, self.active_ranks,
+             self.current_run) = previous
+
     def wrap_handler(self, name: str,
                      fn: Callable[..., None]) -> Callable[..., None]:
         """Wrap a registered columnar handler with re-entrancy + rank
@@ -179,20 +185,14 @@ class Sanitizer:
                 self.reentrancy_detected += 1
                 raise HandlerReentrancyError(
                     f"handler {name!r} invoked synchronously inside "
-                    f"handler {self.current_handler!r}; handlers are "
+                    f"{self.current_run}; handlers are "
                     "atomic delivery units — send an async_call instead")
             self.handler_depth = 1
-            previous = (self.active_rank, self.active_ranks,
-                        self.current_handler)
-            self.active_rank = None
-            self.active_ranks = frozenset(dest.tolist())
-            self.current_handler = name
             try:
-                fn(world, dest, *columns)
+                with self.run_scope(dest.tolist(), f"handler {name!r}"):
+                    fn(world, dest, *columns)
             finally:
                 self.handler_depth = 0
-                (self.active_rank, self.active_ranks,
-                 self.current_handler) = previous
 
         sanitized_handler.__name__ = getattr(fn, "__name__", name)
         sanitized_handler.__wrapped__ = fn  # type: ignore[attr-defined]
@@ -240,10 +240,3 @@ class OwnedState(dict):
     def pop(self, key: Any, *default: Any) -> Any:
         self._check(key)
         return super().pop(key, *default)
-
-
-def tag_heap(heap: Any, sanitizer: Sanitizer, owner: int) -> None:
-    """Attach owner metadata to a :class:`~repro.core.heap.NeighborHeap`
-    (or anything exposing the ``_san``/``_san_owner`` slots)."""
-    heap._san = sanitizer
-    heap._san_owner = int(owner)

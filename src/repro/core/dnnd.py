@@ -334,8 +334,8 @@ class DNND:
         """Ship what the emitting sections just staged, in global chunks
         of ``batch_size // world_size`` messages per rank with a barrier
         after each (Section 4.4's application-level batching; why chunk
-        at all: see :func:`dnnd_phases.stage`).  Every barrier of a
-        build is taken by the driver, here or in the schedule."""
+        at all: see :meth:`dnnd_phases.HostBlock.stage`).  Every barrier
+        of a build is taken by the driver, here or in the schedule."""
         bs = self.config.batch_size
         chunk = max(1, bs // self.cluster.world_size) if bs else 0
         while True:

@@ -2,23 +2,24 @@
 SPMD sections — written once — and the host that runs them.
 
 DNND partitions vertices over ranks; each rank holds its vertices' ids
-and neighbor rows (:class:`LocalShard`) and reads features from the one
-dataset view of its address space.  This module is
+and neighbor rows and reads features from the one dataset view of its
+address space.  This module is
 the only home of what a rank *does*, and :class:`RankHost` the only
 place its tables (:data:`SECTIONS`, :data:`SHARD_OPS`) are looked up:
 the sim driver holds one host over every rank, each process worker one
 over the ranks it owns, and the driver — which owns the schedule and
 every barrier — reaches both through the same ``rank -> value``
-commands.  Neighbor state lives in one place — the host's
-rank-contiguous ``(n_host, k)`` id / distance / flag block
-(:class:`HostBlock`), whose row slices are the shards' ``(n_local, k)``
-matrices — and the whole message chain is *columnar*: sections run per
-rank on the shard views and stage runs of messages as one array per
-argument (:func:`stage`; the driver's :func:`pump` hands them to
-:meth:`YGMWorld.emit_run` chunk by chunk), and each message type has
-exactly one handler, which a host calls once per delivery round over
-the messages of all its ranks and which works on the block in array
-operations (DESIGN.md section 10).
+commands.  A host's state lives in one place — its rank-contiguous
+``(n_host, k)`` id / distance / flag block and the iteration's scratch
+(:class:`HostBlock`) — and the rank program is written once, per host:
+each section and each handler is called once over all the host's ranks
+and works on the block in array operations, the rank of a row being a
+column.  The message chain is *columnar*: sections stage runs of
+messages as one array per argument (:meth:`HostBlock.stage`; the
+driver's :func:`pump` hands them to :meth:`YGMWorld.emit_run` chunk by
+chunk), and each message type has exactly one handler, which a host
+calls once per delivery round over the messages of all its ranks
+(DESIGN.md section 10).
 
 **One stateless source of randomness.**  Every random choice —
 the initial neighbors, both of Algorithm 1's ``Sample(S, n)`` calls, the
@@ -64,7 +65,7 @@ The three communication phases of Section 4 are YGM handlers:
 
 **Features travel by reference.**  The dataset exists once per address
 space — the driver's array, which a process worker inherits (``fork``)
-or receives once as a start argument — and a shard copies none of it.  A
+or receives once as a start argument — and a host copies none of it.  A
 feature-carrying message (``init_req``, Type 2, Type 2+) holds the
 sender vertex's *global id*, and a handler resolves *both* sides of a
 distance, the sender's row and its own vertex's, through
@@ -83,7 +84,6 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import tag_heap
 from ..config import DNNDConfig
 from ..distances.counting import CountingMetric
 from ..errors import PartitionError, RuntimeStateError, StoreError
@@ -91,7 +91,7 @@ from ..runtime.faults import make_injector
 from ..runtime.partition import Partitioner, splitmix64, splitmix64_array
 from ..runtime.ygm import RankContext, YGMWorld, check_run, uniform_size
 from ..types import DIST_BYTES, ID_BYTES
-from .heap import EMPTY, NeighborHeap, merge_rows, row_holds
+from .heap import EMPTY, merge_rows, row_holds
 from .order import (check_key_range, distinct_sorted, first_occurrences,
                     rank_in_group)
 
@@ -109,8 +109,8 @@ INIT, SAMPLE, SHUFFLE, UNION = 2, 3, 4, 5
 #: Candidate entries as two parallel columns: ``values[i]`` belongs to
 #: local row ``rows[i]``.
 Columns = Tuple[np.ndarray, np.ndarray]
-NO_ENTRIES: Columns = (np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
+NO_ROWS = np.empty(0, dtype=np.int64)
+NO_ENTRIES: Columns = (NO_ROWS, NO_ROWS)
 
 
 def draw_key(seed: int, purpose: int, iteration: int, vertex,
@@ -158,11 +158,11 @@ _EVAL_BYTES = 1 << 20
 
 @dataclass
 class HostBlock:
-    """The neighbor state of every rank one host holds, in one place:
-    rank-contiguous ``(n_host, k)`` id / distance / flag matrices whose
-    row slices are the hosted shards' matrices.  A host's handler run
-    spans all of its ranks and works on this block; sections work on
-    the shards' views of it.
+    """Everything the ranks one host holds, in one place: which vertices
+    each owns, their neighbor rows, and the iteration's scratch.  A
+    host's sections and handler runs span all of its (live) ranks and
+    work on this block, the rank of a row being a column
+    (``rank_of[rows]``).
 
     Attributes
     ----------
@@ -188,12 +188,36 @@ class HostBlock:
     feature_bytes:
         Modeled wire size of a feature vector: one int for dense data,
         one entry per host row for ragged sparse records.
+    ids, dists, flags:
+        ``(n_host, k)`` matrices: row ``i`` is the neighbor list ``G_v``
+        of vertex ``global_ids[i]`` (vertex and neighbor list
+        co-located, Section 4) under :mod:`.heap`'s row invariant;
+        handlers update many rows of every hosted rank at once with
+        :func:`~.heap.merge_rows`.
     check_seen:
         Sorted ``row * n + other`` keys of the pairs already
         neighbor-checked this iteration (``comm_opts.check_dedup``,
         Section 4.3.2 applied to compute), ``row`` the host row of the
         checking side.  A rank's keys are one contiguous key range, so
         its iteration reset forgets exactly them.
+    new, old:
+        The iteration's candidate lists (Algorithm 1's ``new[v]`` /
+        ``old[v]``) as :data:`Columns` ``(rows, values)`` sorted by host
+        row — the form reversed entries arrive in (``rev_new`` /
+        ``rev_old`` hold the received chunks), so ``sample``,
+        ``reverse``, ``union`` and ``check`` work on one representation
+        and the block holds no per-vertex Python object.
+    staged:
+        Column runs ``(src, dests, handler, columns, nbytes, msg_type)``
+        the sections staged (:meth:`stage`), in emission order, each
+        sorted by ``src``; the ``pump`` section ships them from the
+        front, chunk by chunk.
+    opt_edges:
+        Optimization-phase scratch: reversed edges received, as
+        ``(rows, neighbor ids, dists)`` column chunks.
+    sanitizer:
+        The world's ownership sanitizer (``None`` when off), which
+        :meth:`check_write` consults.
     """
 
     ranks: np.ndarray
@@ -209,12 +233,19 @@ class HostBlock:
     ids: np.ndarray
     dists: np.ndarray
     flags: np.ndarray
+    sanitizer: Any = None
     check_seen: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
+    new: Columns = NO_ENTRIES
+    old: Columns = NO_ENTRIES
+    rev_new: list = field(default_factory=list)
+    rev_old: list = field(default_factory=list)
+    staged: list = field(default_factory=list)
+    opt_edges: list = field(default_factory=list)
 
     @classmethod
     def build(cls, ranks: List[int], partitioner: Partitioner, data: Any,
-              config: DNNDConfig) -> "HostBlock":
+              config: DNNDConfig, sanitizer: Any = None) -> "HostBlock":
         """The block of ``ranks`` (ascending) under ``partitioner``,
         every row empty."""
         check_key_range(partitioner.n, config.k)
@@ -244,7 +275,7 @@ class HostBlock:
             feature_bytes=feature_bytes,
             ids=np.full(shape, EMPTY, dtype=np.int64),
             dists=np.full(shape, np.inf, dtype=np.float64),
-            flags=np.zeros(shape, dtype=bool))
+            flags=np.zeros(shape, dtype=bool), sanitizer=sanitizer)
 
     def rows(self, gids: np.ndarray, dest) -> np.ndarray:
         """Host rows of vertices ``gids``, vertex ``i`` dereferenced at
@@ -259,6 +290,25 @@ class HostBlock:
                 f"vertex {int(gids[i])} dereferenced on rank {rank}, "
                 f"owner is {int(owner[i])}")
         return self.row_of[gids]
+
+    def of_ranks(self, ranks) -> np.ndarray:
+        """Mask of the host rows ``ranks`` hold."""
+        return np.isin(self.rank_of, ranks)
+
+    def slices(self):
+        """``(rank, lo, hi)`` per hosted rank: its host rows ``lo:hi``."""
+        bounds = self.starts.tolist()
+        return zip(self.ranks.tolist(), bounds[:-1], bounds[1:])
+
+    def check_write(self, rows: np.ndarray, what: str) -> None:
+        """The one ownership check of a row write, under the sanitizer:
+        every host row written must belong to a rank the running code
+        may touch — a handler's ``dest`` ranks, a section's live ranks —
+        else :class:`~repro.errors.OwnershipViolationError` naming
+        ``what`` and the handler or section."""
+        if self.sanitizer is not None:
+            for owner in np.unique(self.rank_of[rows]).tolist():
+                self.sanitizer.check_access(owner, f"neighbor row ({what})")
 
     def features(self, gids: Iterable[int]):
         """Features of *any* vertices, resolved from the dataset view by
@@ -278,6 +328,16 @@ class HostBlock:
         if not isinstance(size, int):
             size = size[rows]
         return size + (2 * ID_BYTES + extra)
+
+    def edges(self, mask: np.ndarray | None = None
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every neighbor entry held (in the host rows ``mask`` holds),
+        as ``(rows, ids, dists)`` columns, row-major."""
+        held = self.ids != EMPTY
+        if mask is not None:
+            held &= mask[:, None]
+        rows, slots = np.nonzero(held)
+        return rows, self.ids[rows, slots], self.dists[rows, slots]
 
     def unchecked(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
         """``comm_opts.check_dedup``: where in ``(rows, other)`` the
@@ -302,130 +362,54 @@ class HostBlock:
                                          hi * len(self.row_of)])
             self.check_seen = np.concatenate((seen[:cut[0]], seen[cut[1]:]))
 
-
-@dataclass
-class LocalShard:
-    """Everything one rank owns: which vertices, and their neighbor rows.
-    Feature rows are not among it — they are the host's
-    (:meth:`HostBlock.features`), as are the metric, the owner map and
-    the modeled feature sizes: a shard reads them through ``block``.
-
-    Attributes
-    ----------
-    global_ids:
-        Ascending global ids of the vertices this rank owns; a vertex's
-        *row* is its position here.
-    ids, dists, flags:
-        ``(n_local, k)`` matrices: row ``i`` is the neighbor list
-        ``G_v`` of vertex ``global_ids[i]`` (vertex and neighbor list
-        co-located, Section 4) under :mod:`.heap`'s row invariant — row
-        slices ``offset:offset + n_local`` of the host's
-        :class:`HostBlock`, the single home of neighbor state: handlers
-        update many rows of every hosted rank at once with
-        :func:`~.heap.merge_rows`; :meth:`heap` gives a
-        :class:`NeighborHeap` view of one row for per-vertex access.
-    new, old:
-        The iteration's candidate lists (Algorithm 1's ``new[v]`` /
-        ``old[v]``) as :data:`Columns` ``(rows, values)`` sorted by row —
-        the form reversed entries arrive in (``rev_new`` / ``rev_old``
-        hold the received chunks), so ``sample``, ``reverse``, ``union``
-        and ``check`` work on one representation and a shard holds no
-        per-vertex Python object.
-    block, offset:
-        The host's :class:`HostBlock` and the first host row of this
-        rank's.
-    """
-
-    rank: int
-    partitioner: Partitioner
-    global_ids: np.ndarray
-    config: DNNDConfig
-    block: HostBlock
-    offset: int
-    ids: np.ndarray
-    dists: np.ndarray
-    flags: np.ndarray
-    sanitizer: Any = None
-
-    # Per-iteration scratch.
-    new: Columns = NO_ENTRIES
-    old: Columns = NO_ENTRIES
-    rev_new: list = field(default_factory=list)
-    rev_old: list = field(default_factory=list)
-
-    # Column runs ``(dests, handler, columns, nbytes, msg_type)`` an
-    # emitting section staged (:func:`stage`), in emission order; the
-    # ``pump`` section ships them from the front, chunk by chunk.
-    staged: list = field(default_factory=list)
-
-    # Optimization-phase scratch: reversed edges received, as
-    # ``(rows, neighbor ids, dists)`` column chunks.
-    opt_edges: list = field(default_factory=list)
-
-    @classmethod
-    def of(cls, block: HostBlock, j: int, partitioner: Partitioner,
-           config: DNNDConfig, sanitizer: Any = None) -> "LocalShard":
-        """The shard of ``block.ranks[j]``: views of its rows."""
-        lo, hi = int(block.starts[j]), int(block.starts[j + 1])
-        return cls(
-            rank=int(block.ranks[j]), partitioner=partitioner,
-            global_ids=block.global_ids[lo:hi], config=config,
-            block=block, offset=lo, ids=block.ids[lo:hi],
-            dists=block.dists[lo:hi], flags=block.flags[lo:hi],
-            sanitizer=sanitizer)
-
-    # -- helpers ------------------------------------------------------------
-
-    @property
-    def n_local(self) -> int:
-        return len(self.global_ids)
-
-    def local(self, gid: int) -> int:
-        """Row of a vertex this rank owns."""
-        return int(self.locals(np.array([gid]))[0])
-
-    def locals(self, gids: np.ndarray) -> np.ndarray:
-        """Rows of vertices this rank owns (:class:`PartitionError` for
-        one it does not)."""
-        return self.block.rows(np.asarray(gids), self.rank) - self.offset
-
-    def heap(self, gid: int) -> NeighborHeap:
-        """Row view of an own vertex's neighbor list, tagged with its
-        owner when the ownership sanitizer is on."""
-        row = self.local(gid)
-        heap = NeighborHeap.view(self.ids[row], self.dists[row],
-                                 self.flags[row])
-        if self.sanitizer is not None:
-            tag_heap(heap, self.sanitizer, self.rank)
-        return heap
-
-    def owner(self, gid: int) -> int:
-        return self.partitioner.owner(int(gid))
-
-    def reset_iteration_scratch(self) -> None:
+    def forget(self, ranks) -> None:
+        """Start an iteration over ``ranks``: forget their checked pairs
+        and their staged runs — a replayed iteration (crash recovery,
+        degraded exclusion) must not ship what the aborted one left
+        staged — and drop the candidate lists, which ``sample``
+        re-forms from the rows of the ranks it covers."""
+        for rank, lo, hi in self.slices():
+            if rank in ranks:
+                self.forget_checks(lo, hi)
+        self.staged = [run for run in (
+            _part(run, ~np.isin(run[0], ranks)) for run in self.staged)
+            if len(run[0])]
         self.new = self.old = NO_ENTRIES
         self.rev_new = []
         self.rev_old = []
-        self.block.forget_checks(self.offset, self.offset + self.n_local)
-        # A replayed iteration (crash recovery, degraded exclusion) must
-        # not ship what the aborted one left staged.
-        self.staged = []
 
-    def reset_heaps(self) -> None:
-        """Empty neighbor rows for every local vertex (in place: the
-        rows are the host block's)."""
-        self.ids[:] = EMPTY
-        self.dists[:] = np.inf
-        self.flags[:] = False
+    def stage(self, src: np.ndarray, dests: np.ndarray, handler: str,
+              columns: tuple, nbytes, msg_type: str) -> None:
+        """Stage a run of messages — the arguments of
+        :meth:`YGMWorld.emit_run`, ``src`` the sending rank of each row —
+        for the driver to ship.  The run is kept sorted by ``src`` (a
+        stable sort: each rank's messages stay in its emission order).
 
-    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every neighbor entry held, as ``(rows, ids, dists)`` columns."""
-        rows, slots = np.nonzero(self.ids != EMPTY)
-        return rows, self.ids[rows, slots], self.dists[rows, slots]
+        An emitting section never sends: it stages, and the driver then
+        runs the :func:`pump` section in global chunks of ``batch_size
+        // world_size`` messages per rank with a barrier after each —
+        Section 4.4's application-level batching, one rule for every
+        phase and every backend.  The chunking matters for
+        *communication volume*, not just buffer memory: the redundancy
+        check and the distance-pruning bound read row state at delivery
+        time, so a chunk's Type 3 feedback tightens the bounds seen by
+        the next chunk.  Emitting a whole neighbor-check iteration up
+        front triples the Type 3 traffic (measured at n=2000: 176k vs
+        48k replies)."""
+        nbytes = check_run(handler, dests, (*columns, src), nbytes)
+        if len(dests):
+            run = (src, dests, handler, columns, nbytes, msg_type)
+            if (src[1:] < src[:-1]).any():
+                run = _part(run, np.argsort(src, kind="stable"))
+            self.staged.append(run)
 
 
-def shard_of(ctx: RankContext) -> LocalShard:
-    return ctx.state["shard"]
+def _part(run: tuple, index: np.ndarray) -> tuple:
+    """The rows ``index`` selects of a staged run."""
+    src, dests, handler, columns, nbytes, msg_type = run
+    return (src[index], dests[index], handler,
+            tuple(col[index] for col in columns),
+            nbytes if uniform_size(nbytes) else nbytes[index], msg_type)
 
 
 def block_of(world: YGMWorld) -> HostBlock:
@@ -434,76 +418,54 @@ def block_of(world: YGMWorld) -> HostBlock:
 
 def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
                  data: Any, config: DNNDConfig) -> None:
-    """Build the block and the shards of the ranks one host covers (the
-    sim driver's: all of them; a process worker's: the ranks it owns)
-    over its dataset view."""
-    ctxs = sorted(ctxs, key=lambda ctx: ctx.rank)
+    """Build the block of the ranks one host covers (the sim driver's:
+    all of them; a process worker's: the ranks it owns) over its
+    dataset view."""
+    ranks = sorted(ctx.rank for ctx in ctxs)
     world = ctxs[0].world
     block = world.state["block"] = HostBlock.build(
-        [ctx.rank for ctx in ctxs], partitioner, data, config)
-    for j, ctx in enumerate(ctxs):
-        ctx.state["shard"] = LocalShard.of(
-            block, j, partitioner, config, sanitizer=world.sanitizer)
-        ctx.tally["kernel.fallbacks"] += block.metric.kernel_fallbacks
+        ranks, partitioner, data, config, sanitizer=world.sanitizer)
+    fallbacks = np.zeros(world.world_size, dtype=np.int64)
+    fallbacks[ranks] = block.metric.kernel_fallbacks
+    _tally(world, "kernel.fallbacks", fallbacks)
 
 
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-
-def stage(ctx: RankContext, dests: np.ndarray, handler: str, columns: tuple,
-          nbytes, msg_type: str) -> None:
-    """Stage a run of messages on ``ctx``'s shard — the arguments of
-    :meth:`YGMWorld.emit_run` — for the driver to ship.
-
-    An emitting section never sends: it stages, and the driver then runs
-    the :func:`pump` section in global chunks of ``batch_size //
-    world_size`` messages per rank with a barrier after each — Section
-    4.4's application-level batching, one rule for every phase and every
-    backend.  The chunking matters for *communication volume*, not just
-    buffer memory: the redundancy check and the distance-pruning bound
-    read row state at delivery time, so a chunk's Type 3 feedback
-    tightens the bounds seen by the next chunk.  Emitting a whole
-    neighbor-check iteration up front triples the Type 3 traffic
-    (measured at n=2000: 176k vs 48k replies)."""
-    nbytes = check_run(handler, dests, columns, nbytes)
-    if len(dests):
-        shard_of(ctx).staged.append((dests, handler, columns, nbytes,
-                                     msg_type))
-
-
-def pump(ctx: RankContext, count: int) -> int:
-    """Ship the next ``count`` staged messages of this rank (all of them
-    when ``count`` is 0); returns how many stay staged."""
-    staged = shard_of(ctx).staged
-    left = sum(len(run[0]) for run in staged)
-    room = count or left
-    while room and staged:
-        dests, handler, columns, nbytes, msg_type = staged[0]
-        n = min(room, len(dests))
-        uniform = uniform_size(nbytes)
-        ctx.world.emit_run(ctx.rank, dests[:n], handler,
-                           tuple(col[:n] for col in columns),
-                           nbytes if uniform else nbytes[:n], msg_type)
-        if n == len(dests):
-            del staged[0]
-        else:
-            staged[0] = (dests[n:], handler,
-                         tuple(col[n:] for col in columns),
-                         nbytes if uniform else nbytes[n:], msg_type)
-        room -= n
-        left -= n
-    return left
+def pump(world: YGMWorld, live: List[int], count: int) -> Dict[int, int]:
+    """Ship each live rank's next ``count`` staged messages (all of them
+    when ``count`` is 0), taken in that rank's emission order, one
+    :meth:`YGMWorld.emit_run` per staged run; returns ``rank -> how
+    many stay staged``."""
+    block = block_of(world)
+    budget = np.zeros(world.world_size, dtype=np.int64)
+    budget[live] = count or np.iinfo(np.int64).max
+    rest = []
+    for run in block.staged:
+        src = run[0]
+        have = np.bincount(src, minlength=world.world_size)
+        took = np.minimum(have, budget)
+        budget -= took
+        if took.sum() == len(src):
+            world.emit_run(*run)
+            continue
+        # A row's place among its rank's rows of the run (src ascends).
+        go = np.arange(len(src)) - (np.cumsum(have) - have)[src] < took[src]
+        if go.any():
+            world.emit_run(*_part(run, go))
+        rest.append(_part(run, ~go))
+    block.staged = rest
+    left = np.bincount(np.concatenate([run[0] for run in rest] + [NO_ROWS]),
+                       minlength=world.world_size)
+    return {rank: int(left[rank]) for rank in live}
 
 
 def type1_pairs(new: Columns, old: Columns, n_rows: int,
-                one_sided: bool) -> Tuple[np.ndarray, np.ndarray]:
+                one_sided: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 1 lines 17-22 for every vertex at once: the ``(u1, u2)``
     neighbor-check requests among each vertex's new/old candidates —
     each new-new pair once (``u1 < u2`` when a row's new values ascend,
     line 18), every new-old pair; both endpoints are asked under the
-    unoptimized two-sided pattern.
+    unoptimized two-sided pattern.  Returns ``(rows, u1, u2)``, ``rows``
+    the center vertex's row of each request.
 
     Per vertex the candidates form one sequence ``new ++ old``; every
     new entry pairs with everything after it.  Memory is proportional to
@@ -522,30 +484,35 @@ def type1_pairs(new: Columns, old: Columns, n_rows: int,
     step = np.arange(len(left)) - np.repeat(np.cumsum(after) - after, after)
     u1, u2 = cands[left], cands[left + 1 + step]
     distinct = u1 != u2
+    rows = np.repeat(vertex, after)[distinct]
     u1, u2 = u1[distinct], u2[distinct]
     if one_sided:
-        return u1, u2
-    return np.concatenate([u1, u2]), np.concatenate([u2, u1])
+        return rows, u1, u2
+    return (np.concatenate([rows, rows]), np.concatenate([u1, u2]),
+            np.concatenate([u2, u1]))
 
 
 # ---------------------------------------------------------------------------
-# SPMD sections: one rank's share of a phase, as functions of
-# ``(ctx, **params)``.  A host runs them on its live ranks; none takes a
-# barrier, and those that send only stage.  Every random choice is a
-# :func:`draw_key` of what it is made for.
+# SPMD sections: the hosted live ranks' share of a phase, as functions of
+# ``(world, live, **params)`` — ``live`` the host's ranks not excluded —
+# called once per host and working on its block, the rank of a row a
+# column, as handlers do.  None takes a barrier, and those that send only
+# stage.  Every random choice is a :func:`draw_key` of what it is made
+# for.
 # ---------------------------------------------------------------------------
 
 
-def init(ctx: RankContext) -> None:
+def init(world: YGMWorld, live: List[int]) -> None:
     """Algorithm 1 lines 2-5 via the Section 4.1 async pattern: ``K``
     distinct random others per vertex — Floyd's subset sampling over the
     ``n - 1`` other vertices, one keyed draw per step for every vertex
     at once."""
-    shard = shard_of(ctx)
-    cfg = shard.config.nnd
-    gids = shard.global_ids
-    others = shard.partitioner.n - 1
-    picks = np.empty((shard.n_local, cfg.k), dtype=np.int64)
+    block = block_of(world)
+    cfg = block.config.nnd
+    rows = np.flatnonzero(block.of_ranks(live))
+    gids = block.global_ids[rows]
+    others = len(block.row_of) - 1
+    picks = np.empty((len(rows), cfg.k), dtype=np.int64)
     for j in range(cfg.k):
         top = others - cfg.k + j
         draw = (draw_key(cfg.seed, INIT, 0, gids, j)
@@ -553,126 +520,137 @@ def init(ctx: RankContext) -> None:
         taken = (picks[:, :j] == draw[:, None]).any(axis=1)
         picks[:, j] = np.where(taken, top, draw)
     u = (picks + (picks >= gids[:, None])).ravel()      # skip v itself
-    rows = np.repeat(np.arange(shard.n_local), cfg.k)
-    stage(ctx, shard.block.owner_of[u], "init_req", (gids[rows], u),
-          shard.block.message_bytes(shard.offset + rows), "init_req")
+    rows = np.repeat(rows, cfg.k)
+    block.stage(block.rank_of[rows], block.owner_of[u], "init_req",
+                (block.global_ids[rows], u), block.message_bytes(rows),
+                "init_req")
 
 
-def sample(ctx: RankContext, iteration: int) -> None:
+def sample(world: YGMWorld, live: List[int], iteration: int) -> None:
     """Local old/new sampling (lines 8-10): no communication."""
-    shard = shard_of(ctx)
-    cfg = shard.config.nnd
-    shard.reset_iteration_scratch()
-    rows, slots = np.nonzero(shard.ids != EMPTY)
-    values = shard.ids[rows, slots]
-    fresh = shard.flags[rows, slots]
-    shard.old = rows[~fresh], values[~fresh]
+    block = block_of(world)
+    cfg = block.config.nnd
+    block.forget(live)
+    rows, slots = np.nonzero((block.ids != EMPTY)
+                             & block.of_ranks(live)[:, None])
+    values = block.ids[rows, slots]
+    fresh = block.flags[rows, slots]
+    block.old = rows[~fresh], values[~fresh]
     rows, slots, values = rows[fresh], slots[fresh], values[fresh]
     taken = sample_smallest(cfg.seed, SAMPLE, iteration,
-                            shard.global_ids[rows], values, cfg.sample_size)
-    shard.new = rows[taken], values[taken]
+                            block.global_ids[rows], values, cfg.sample_size)
+    block.new = rows[taken], values[taken]
     # Line 10: what was taken is old from now on.
-    shard.flags[rows[taken], slots[taken]] = False
-    ctx.charge_update(len(shard.new[0]) + len(shard.old[0]))
+    block.check_write(rows[taken], "sample")
+    block.flags[rows[taken], slots[taken]] = False
+    _charge(world, np.bincount(block.rank_of[np.concatenate(
+        (block.new[0], block.old[0]))], minlength=world.world_size),
+        world.cluster.net.compute_per_update)
 
 
-def _reversed_entries(shard: LocalShard, cands: Columns,
-                      iteration: int) -> Columns:
-    """``(u, v)`` for every entry ``u`` of vertex ``v``'s list, in keyed
-    order when shuffling (Section 4.2: no synchronized bursts at one
-    rank), else in list order."""
+def _reversed_entries(block: HostBlock, cands: Columns,
+                      iteration: int) -> Tuple[np.ndarray, ...]:
+    """``(rows, u, v)`` for every entry ``u`` of the list of vertex
+    ``v`` (host row ``rows``), in keyed order when shuffling (Section
+    4.2: no synchronized bursts at one rank), else in list order."""
     rows, u = cands
-    v = shard.global_ids[rows]
-    if shard.config.shuffle_reverse_destinations:
-        keys = draw_key(shard.config.nnd.seed, SHUFFLE, iteration, v, u)
+    v = block.global_ids[rows]
+    if block.config.shuffle_reverse_destinations:
+        keys = draw_key(block.config.nnd.seed, SHUFFLE, iteration, v, u)
         order = np.argsort(keys)  # repro: ignore[REP105] the (v, u) pairs are distinct, so are their keys
-        u, v = u[order], v[order]
-    return u, v
+        rows, u, v = rows[order], u[order], v[order]
+    return rows, u, v
 
 
-def reverse(ctx: RankContext, iteration: int) -> None:
+def reverse(world: YGMWorld, live: List[int], iteration: int) -> None:
     """Reversed-matrix exchange (Section 4.2)."""
-    shard = shard_of(ctx)
-    u, v = _reversed_entries(shard, shard.new, iteration)
-    stage(ctx, shard.block.owner_of[u], "rev_new", (u, v), 2 * ID_BYTES, "reverse")
-    u, v = _reversed_entries(shard, shard.old, iteration)
-    stage(ctx, shard.block.owner_of[u], "rev_old", (u, v), 2 * ID_BYTES, "reverse")
+    block = block_of(world)
+    rows, u, v = _reversed_entries(block, block.new, iteration)
+    block.stage(block.rank_of[rows], block.owner_of[u], "rev_new", (u, v),
+                2 * ID_BYTES, "reverse")
+    rows, u, v = _reversed_entries(block, block.old, iteration)
+    block.stage(block.rank_of[rows], block.owner_of[u], "rev_old", (u, v),
+                2 * ID_BYTES, "reverse")
 
 
-def _union(shard: LocalShard, own: Columns, chunks: list,
+def _union(block: HostBlock, own: Columns, chunks: list,
            iteration: int) -> Columns:
     """``own[v] ∪ Sample(reversed[v], rho K)`` for every row, ascending
     by ``(row, id)``."""
-    n = shard.partitioner.n
+    n = len(block.row_of)
     rows, values = (np.concatenate(col) for col in zip(NO_ENTRIES, *chunks))
-    drawn = sample_smallest(shard.config.nnd.seed, UNION, iteration,
-                            shard.global_ids[rows], values,
-                            shard.config.nnd.sample_size)
+    drawn = sample_smallest(block.config.nnd.seed, UNION, iteration,
+                            block.global_ids[rows], values,
+                            block.config.nnd.sample_size)
     return np.divmod(distinct_sorted(
         np.concatenate([own[0], rows[drawn]]) * n
         + np.concatenate([own[1], values[drawn]])), n)
 
 
-def union(ctx: RankContext, iteration: int) -> None:
+def union(world: YGMWorld, live: List[int], iteration: int) -> None:
     """Union with sampled reversed lists (lines 14-16)."""
-    shard = shard_of(ctx)
-    shard.new = _union(shard, shard.new, shard.rev_new, iteration)
-    shard.old = _union(shard, shard.old, shard.rev_old, iteration)
+    block = block_of(world)
+    block.new = _union(block, block.new, block.rev_new, iteration)
+    block.old = _union(block, block.old, block.rev_old, iteration)
 
 
-def check(ctx: RankContext) -> None:
-    """Neighbor checks: the rank's Type 1 requests (pair generation
-    reads only iteration-start new/old lists)."""
-    shard = shard_of(ctx)
-    one_sided = shard.config.comm_opts.one_sided
-    u1, u2 = type1_pairs(shard.new, shard.old, shard.n_local, one_sided)
-    stage(ctx, shard.block.owner_of[u1],
-          "check_opt" if one_sided else "check_unopt", (u1, u2),
-          2 * ID_BYTES, T1)
+def check(world: YGMWorld, live: List[int]) -> None:
+    """Neighbor checks: the Type 1 requests (pair generation reads only
+    iteration-start new/old lists)."""
+    block = block_of(world)
+    one_sided = block.config.comm_opts.one_sided
+    rows, u1, u2 = type1_pairs(block.new, block.old, len(block.global_ids),
+                               one_sided)
+    block.stage(block.rank_of[rows], block.owner_of[u1],
+                "check_opt" if one_sided else "check_unopt", (u1, u2),
+                2 * ID_BYTES, T1)
 
 
-def repair_reset(ctx: RankContext, ranks: List[int]) -> None:
+def repair_reset(world: YGMWorld, live: List[int], ranks: List[int]) -> None:
     """Degraded-repair stage 1: a replacement node comes back with the
     dataset view and empty state."""
-    if ctx.rank in ranks:
-        shard = shard_of(ctx)
-        shard.reset_heaps()
-        shard.reset_iteration_scratch()
+    block = block_of(world)
+    gone = [rank for rank in live if rank in ranks]
+    rows = np.flatnonzero(block.of_ranks(gone))
+    block.check_write(rows, "repair_reset")
+    block.ids[rows] = EMPTY
+    block.dists[rows] = np.inf
+    block.flags[rows] = False
+    block.forget(gone)
 
 
-def repair_reinit(ctx: RankContext, ranks: List[int]) -> None:
+def repair_reinit(world: YGMWorld, live: List[int], ranks: List[int]) -> None:
     """Degraded-repair stage 2: repaired vertices replay the keyed init
     draws (the same candidates as a fault-free init)."""
-    if ctx.rank in ranks:
-        init(ctx)
+    init(world, [rank for rank in live if rank in ranks])
 
 
-def repair_donate(ctx: RankContext, ranks: List[int]) -> None:
+def repair_donate(world: YGMWorld, live: List[int], ranks: List[int]) -> None:
     """Degraded-repair stage 3: surviving ranks push the edges they
     already hold that land on repaired vertices — u's neighbor list died
     with its rank; the survivor donates the reverse edge ``(u, v)``."""
-    if ctx.rank in ranks:
-        return
-    shard = shard_of(ctx)
-    rows, u, d = shard.edges()
-    lost = np.isin(shard.block.owner_of[u], ranks)
+    block = block_of(world)
+    rows, u, d = block.edges(block.of_ranks(
+        [rank for rank in live if rank not in ranks]))
+    lost = np.isin(block.owner_of[u], ranks)
     rows, u, d = rows[lost], u[lost], d[lost]
-    stage(ctx, shard.block.owner_of[u], "init_resp", (u, shard.global_ids[rows], d),
-          2 * ID_BYTES + DIST_BYTES, "init_resp")
+    block.stage(block.rank_of[rows], block.owner_of[u], "init_resp",
+                (u, block.global_ids[rows], d), 2 * ID_BYTES + DIST_BYTES,
+                "init_resp")
 
 
-def opt_seed(ctx: RankContext) -> None:
+def opt_seed(world: YGMWorld, live: List[int]) -> None:
     """Section 4.5 stage 1a: start the reverse-merge with no reversed
     edges received (the forward edges are the rows themselves)."""
-    shard_of(ctx).opt_edges = []
+    block_of(world).opt_edges = []
 
 
-def opt_rev(ctx: RankContext) -> None:
+def opt_rev(world: YGMWorld, live: List[int]) -> None:
     """Section 4.5 stage 1b: ship reversed edges to their owners."""
-    shard = shard_of(ctx)
-    rows, u, d = shard.edges()
-    stage(ctx, shard.block.owner_of[u], "opt_rev_edge",
-          (u, shard.global_ids[rows], d), 2 * ID_BYTES + 4, "opt_rev")
+    block = block_of(world)
+    rows, u, d = block.edges(block.of_ranks(live))
+    block.stage(block.rank_of[rows], block.owner_of[u], "opt_rev_edge",
+                (u, block.global_ids[rows], d), 2 * ID_BYTES + 4, "opt_rev")
 
 
 #: The SPMD sections by name, resolved by :meth:`RankHost.run_section`.
@@ -692,67 +670,83 @@ SECTIONS: Dict[str, Callable[..., Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Shard-state ops: read or write one rank's state between phases.  Unlike
-# sections they cover every hosted rank, excluded or not.
+# Shard-state ops: read or write the hosted ranks' rows between phases,
+# as functions of ``(world, **payload)`` returning ``rank -> value``, a
+# rank's value read from its block slice ``starts[j]:starts[j + 1]``.
+# Unlike sections they cover every hosted rank, excluded or not.
 # ---------------------------------------------------------------------------
 
 
-def ckpt_get(ctx: RankContext) -> tuple:
-    """Snapshot the neighbor rows as ``(global_ids, ids, dists, flags)``.
-    Slot order carries no meaning beyond the row invariant (sampling
-    keys entries by id), so any valid layout of the same entries resumes
-    to the same build."""
-    shard = shard_of(ctx)
-    return (shard.global_ids, shard.ids.copy(), shard.dists.copy(),
-            shard.flags.copy())
+def ckpt_get(world: YGMWorld) -> Dict[int, tuple]:
+    """Snapshot each rank's neighbor rows as ``(global_ids, ids, dists,
+    flags)``.  Slot order carries no meaning beyond the row invariant
+    (sampling keys entries by id), so any valid layout of the same
+    entries resumes to the same build."""
+    block = block_of(world)
+    return {rank: (block.global_ids[lo:hi], block.ids[lo:hi].copy(),
+                   block.dists[lo:hi].copy(), block.flags[lo:hi].copy())
+            for rank, lo, hi in block.slices()}
 
 
-def ckpt_set(ctx: RankContext, ids: np.ndarray, dists: np.ndarray,
-             flags: np.ndarray) -> None:
-    """Restore the rank's neighbor rows from its rows of a
-    :func:`ckpt_get` snapshot (row ``i`` belongs to ``global_ids[i]``).
-    The driver validated the rows when it loaded them."""
-    shard = shard_of(ctx)
-    if ids.shape != shard.ids.shape:
-        raise StoreError(
-            f"checkpoint slice shape {ids.shape} does not match rank "
-            f"{ctx.rank} shard {shard.ids.shape}")
-    shard.ids[:] = ids
-    shard.dists[:] = dists
-    shard.flags[:] = flags
+def ckpt_set(world: YGMWorld, by_rank: Dict[int, tuple]) -> Dict[int, None]:
+    """Restore each rank's neighbor rows from its ``(ids, dists,
+    flags)`` rows of a :func:`ckpt_get` snapshot (row ``i`` belongs to
+    ``global_ids[i]``).  The driver validated the rows when it loaded
+    them."""
+    block = block_of(world)
+    for rank, lo, hi in block.slices():
+        ids, dists, flags = by_rank[rank]
+        if ids.shape != block.ids[lo:hi].shape:
+            raise StoreError(
+                f"checkpoint slice shape {ids.shape} does not match rank "
+                f"{rank} shard {block.ids[lo:hi].shape}")
+        block.check_write(np.arange(lo, hi), "ckpt_set")
+        block.ids[lo:hi] = ids
+        block.dists[lo:hi] = dists
+        block.flags[lo:hi] = flags
+    return dict.fromkeys(block.ranks.tolist())
 
 
-def gather_rows(ctx: RankContext) -> tuple:
-    """``(global_ids, ids, dists)`` with every row sorted closest first."""
-    shard = shard_of(ctx)
-    order = np.lexsort((shard.ids, shard.dists), axis=1)
-    return (shard.global_ids, np.take_along_axis(shard.ids, order, axis=1),
-            np.take_along_axis(shard.dists, order, axis=1))
+def gather_rows(world: YGMWorld) -> Dict[int, tuple]:
+    """``rank -> (global_ids, ids, dists)`` with every row sorted
+    closest first."""
+    block = block_of(world)
+    order = np.lexsort((block.ids, block.dists), axis=1)
+    ids = np.take_along_axis(block.ids, order, axis=1)
+    dists = np.take_along_axis(block.dists, order, axis=1)
+    return {rank: (block.global_ids[lo:hi], ids[lo:hi], dists[lo:hi])
+            for rank, lo, hi in block.slices()}
 
 
-def opt_collect(ctx: RankContext, max_degree: int) -> tuple:
+def opt_collect(world: YGMWorld, max_degree: int) -> Dict[int, tuple]:
     """Section 4.5 stage 2: merge each vertex's forward and reversed
     edges (closest copy of a repeated neighbor) and prune the list to
-    its ``max_degree`` closest.  Returns columns ``(global_ids, counts,
+    its ``max_degree`` closest.  Returns ``rank -> (global_ids, counts,
     neighbor ids, dists)``: vertex ``global_ids[i]`` keeps ``counts[i]``
     edges, and the edge columns hold the vertices' runs back to back,
     each closest first."""
-    shard = shard_of(ctx)
+    block = block_of(world)
     rows, nbr, d = (np.concatenate(col)
-                    for col in zip(shard.edges(), *shard.opt_edges))
+                    for col in zip(block.edges(), *block.opt_edges))
     order = np.lexsort((d, nbr, rows))
     rows, nbr, d = rows[order], nbr[order], d[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (nbr[1:] != nbr[:-1])
     rows, nbr, d = rows[first], nbr[first], d[first]
-    ctx.charge_update(len(rows))
+    _charge(world, np.bincount(block.rank_of[rows],
+                               minlength=world.world_size),
+            world.cluster.net.compute_per_update)
     order = np.lexsort((nbr, d, rows))
     rows, nbr, d = rows[order], nbr[order], d[order]
-    counts = np.bincount(rows, minlength=shard.n_local)
+    counts = np.bincount(rows, minlength=len(block.global_ids))
     place = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
     kept = place < max_degree
-    return (shard.global_ids, np.minimum(counts, max_degree), nbr[kept],
-            d[kept])
+    rows, nbr, d = rows[kept], nbr[kept], d[kept]
+    cut = np.searchsorted(rows, block.starts).tolist()
+    counts = np.minimum(counts, max_degree)
+    return {rank: (block.global_ids[lo:hi], counts[lo:hi],
+                   nbr[cut[j]:cut[j + 1]], d[cut[j]:cut[j + 1]])
+            for j, (rank, lo, hi) in enumerate(block.slices())}
 
 
 #: The shard-state ops by name, resolved by :meth:`RankHost.command`.
@@ -847,20 +841,11 @@ def _offer(world: YGMWorld, block: HostBlock, dest: np.ndarray,
     offered = np.bincount(dest)
     _tally(world, "heap.updates", offered)
     _charge(world, offered, world.cluster.net.compute_per_update)
+    block.check_write(rows, "merge_rows")
     touched, accepted = merge_rows(block.ids, block.dists, block.flags,
                                    rows, cand, d)
     return np.bincount(block.rank_of[touched], weights=accepted,
                        minlength=len(offered)).astype(np.int64)
-
-
-def _to_shards(world: YGMWorld, block: HostBlock, dest: np.ndarray,
-               scratch: str, rows: np.ndarray, *columns) -> None:
-    """Append each rank's slice of a run to its shard's ``scratch``
-    list, with host rows made local."""
-    for rank, lo, hi in _spans(dest):
-        shard = shard_of(world.ranks[rank])
-        getattr(shard, scratch).append(
-            (rows[lo:hi] - shard.offset, *(col[lo:hi] for col in columns)))
 
 
 # -- initialization (Section 4.1 communication example) ----------------------
@@ -889,13 +874,13 @@ def h_rev_new(world: YGMWorld, dest: np.ndarray, u: np.ndarray,
               v: np.ndarray) -> None:
     """Runs at owner(u): u gained reversed *new* entries v."""
     block = block_of(world)
-    _to_shards(world, block, dest, "rev_new", block.rows(u, dest), v)
+    block.rev_new.append((block.rows(u, dest), v))
 
 
 def h_rev_old(world: YGMWorld, dest: np.ndarray, u: np.ndarray,
               v: np.ndarray) -> None:
     block = block_of(world)
-    _to_shards(world, block, dest, "rev_old", block.rows(u, dest), v)
+    block.rev_old.append((block.rows(u, dest), v))
 
 
 # -- neighbor checks, unoptimized pattern (Figure 1a) ---------------------------
@@ -991,7 +976,7 @@ def h_opt_rev_edge(world: YGMWorld, dest: np.ndarray, u: np.ndarray,
                    v: np.ndarray, d: np.ndarray) -> None:
     """Runs at owner(u): receive the reversed edges u -> v."""
     block = block_of(world)
-    _to_shards(world, block, dest, "opt_edges", block.rows(u, dest), v, d)
+    block.opt_edges.append((block.rows(u, dest), v, d))
     _charge(world, np.bincount(dest), world.cluster.net.compute_per_update)
 
 
@@ -1018,21 +1003,21 @@ def register_dnnd_handlers(world: YGMWorld) -> None:
 
 
 class RankHost:
-    """Hosts some of a world's ranks — their block and shards, and the
-    handlers the world runs over all of them at once — and executes the
-    driver's commands over them.  The sim driver holds one host over
-    every rank of its world; each process worker holds one over the
-    ranks it owns (:func:`worker_host`).  The only place
-    :data:`SECTIONS` and :data:`SHARD_OPS` are looked up.
+    """Hosts some of a world's ranks — their block, and the handlers the
+    world runs over all of them at once — and executes the driver's
+    commands over them.  The sim driver holds one host over every rank
+    of its world; each process worker holds one over the ranks it owns
+    (:func:`worker_host`).  The only place :data:`SECTIONS` and
+    :data:`SHARD_OPS` are looked up.
 
     Every command returns ``rank -> value``:
 
     ``run_section(name, params)``
-        a :data:`SECTIONS` entry as an SPMD section on the hosted *live*
-        ranks (:meth:`YGMWorld.run_on_all`);
+        a :data:`SECTIONS` entry, called once over the hosted *live*
+        ranks as one SPMD section (:meth:`YGMWorld.section`);
     ``command(op, payload)``
-        a :data:`SHARD_OPS` entry on every hosted rank, excluded or not;
-        a ``by_rank`` payload entry holds per-rank positional arguments;
+        a :data:`SHARD_OPS` entry over every hosted rank, excluded or
+        not;
     ``command("build_shards" | "exclude" | "readmit", payload)``
         the world-level calls a driver makes directly on a world it
         holds and by command on one it does not.
@@ -1052,9 +1037,6 @@ class RankHost:
         }
         self.build_shards(partitioner)
 
-    def _ctxs(self) -> List[RankContext]:
-        return [self.world.ranks[r] for r in self.ranks]
-
     def dispatch(self, cmd: str, payload: dict | None) -> Any:
         """A process worker's command loop ends here."""
         if cmd == "section":
@@ -1066,33 +1048,29 @@ class RankHost:
         fn = SECTIONS.get(name)
         if fn is None:
             raise RuntimeStateError(f"unknown section {name!r}")
-        params = params or {}
-        out: Dict[int, Any] = {}
-
-        def run(ctx: RankContext) -> None:
-            out[ctx.rank] = fn(ctx, **params)
-
-        self.world.run_on_all(run, self.ranks)
-        return out
+        world = self.world
+        live = [r for r in self.ranks if r not in world.excluded_ranks]
+        with world.section(live, name):
+            out = fn(world, live, **(params or {}))
+        return dict.fromkeys(live) if out is None else out
 
     def command(self, cmd: str, payload: dict | None = None) -> Any:
-        payload = dict(payload or {})
+        payload = payload or {}
         fn = self._commands.get(cmd)
         if fn is not None:
             return fn(**payload)
         op = SHARD_OPS.get(cmd)
         if op is None:
             raise RuntimeStateError(f"unknown host command {cmd!r}")
-        by_rank = payload.pop("by_rank", {})
-        return {ctx.rank: op(ctx, *by_rank.get(ctx.rank, ()), **payload)
-                for ctx in self._ctxs()}
+        return op(self.world, **payload)
 
     def build_shards(self, partitioner: Partitioner) -> None:
-        """(Re)build the hosted shards under ``partitioner`` — at
+        """(Re)build the hosted block under ``partitioner`` — at
         construction, on recovery, and when the repartition pass swaps
         the ownership layer.  Neighbor rows are restored separately
         (``ckpt_set``)."""
-        build_shards(self._ctxs(), partitioner, self.data, self.config)
+        build_shards([self.world.ranks[r] for r in self.ranks], partitioner,
+                     self.data, self.config)
 
 
 def worker_host(comm, params: dict) -> RankHost:

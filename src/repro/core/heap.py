@@ -28,22 +28,20 @@ distinct within a row.  Incumbents may come in any slot order.
 
 The state itself is three parallel arrays.  A :class:`NeighborHeap`
 either owns length-``k`` arrays (the single-node oracle, search result
-lists) or is a *row view* over a shard's ``(n_local, k)`` matrices
+lists) or is a *row view* over a host's ``(n_host, k)`` matrices
 (:meth:`NeighborHeap.view`), where the DNND handlers update many rows at
 once through :func:`merge_rows`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import GraphError
 from .order import row_keys, row_order, run_heads
 
-if TYPE_CHECKING:  # import only for annotations: heap has no runtime
-    from ..analysis.sanitizer import Sanitizer  # dependency on analysis
 
 #: Placeholder id for an empty slot.
 EMPTY = -1
@@ -170,8 +168,7 @@ class NeighborHeap:
     worst key; otherwise replace the worst and return 1.
     """
 
-    __slots__ = ("k", "ids", "dists", "flags",
-                 "_san", "_san_owner", "_san_iters")
+    __slots__ = ("k", "ids", "dists", "flags")
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -183,7 +180,7 @@ class NeighborHeap:
     @classmethod
     def view(cls, ids: np.ndarray, dists: np.ndarray,
              flags: np.ndarray) -> "NeighborHeap":
-        """A heap over one row of a shard's state matrices: reads and
+        """A heap over one row of a host's state matrices: reads and
         writes go to the matrices, nothing is copied or cached."""
         heap = cls.__new__(cls)
         heap._bind(ids, dists, flags)
@@ -193,12 +190,6 @@ class NeighborHeap:
               flags: np.ndarray) -> None:
         self.k = len(ids)
         self.ids, self.dists, self.flags = ids, dists, flags
-        # Ownership sanitizer metadata; set via repro.analysis.sanitizer
-        # .tag_heap when REPRO_SANITIZE is on, otherwise permanently None
-        # (so guards cost one attribute test).
-        self._san: Optional["Sanitizer"] = None
-        self._san_owner = 0
-        self._san_iters = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -223,22 +214,9 @@ class NeighborHeap:
 
     def entries(self) -> Iterator[Tuple[int, float, bool]]:
         """Yield ``(id, dist, flag)`` for occupied slots, heap order."""
-        if self._san is not None:
-            return self._sanitized_entries()
-        return self._entries()
-
-    def _entries(self) -> Iterator[Tuple[int, float, bool]]:
         for i in range(self.k):
             if self.ids[i] != EMPTY:
                 yield int(self.ids[i]), float(self.dists[i]), bool(self.flags[i])
-
-    def _sanitized_entries(self) -> Iterator[Tuple[int, float, bool]]:
-        self._san.check_access(self._san_owner, "neighbor heap (iterate)")
-        self._san_iters += 1
-        try:
-            yield from self._entries()
-        finally:
-            self._san_iters -= 1
 
     def new_ids(self) -> List[int]:
         """Ids currently flagged *new* (Algorithm 1 line 9 source)."""
@@ -252,15 +230,9 @@ class NeighborHeap:
 
     # -- mutation -----------------------------------------------------------
 
-    def _check_mutation(self, what: str) -> None:
-        self._san.check_access(self._san_owner, f"neighbor heap ({what})")
-        self._san.check_iteration(self._san_iters, "neighbor heap")
-
     def checked_push(self, vid: int, dist: float, flag: bool = True) -> int:
         """Algorithm 1 ``Update``: insert if absent and below the worst
         key; returns 1 if the heap changed, else 0."""
-        if self._san is not None:
-            self._check_mutation("push")
         vid = int(vid)
         ids, dists = self.ids, self.dists
         worst = dists[0]
@@ -281,8 +253,6 @@ class NeighborHeap:
         row); returns how many of them are in the heap afterwards.  The
         resulting entries are those of per-element :meth:`checked_push`
         in any order, as long as an id always comes with one distance."""
-        if self._san is not None:
-            self._check_mutation("push batch")
         ids = np.asarray(ids, dtype=np.int64)
         _, accepted = merge_rows(self.ids[None, :], self.dists[None, :],
                                  self.flags[None, :],
@@ -298,8 +268,6 @@ class NeighborHeap:
         """Clear the *new* flag of every id in ``vids``."""
         if not len(vids):
             return
-        if self._san is not None:
-            self._check_mutation("mark_old")
         self.flags[np.isin(self.ids, vids)] = False
 
     def load_state(self, ids, dists, flags) -> None:

@@ -91,11 +91,6 @@ class HandlerReentrancyError(SanitizerError):
     YGM handlers are atomic units of delivery and must not nest."""
 
 
-class MutationDuringIterationError(SanitizerError):
-    """A neighbor heap was mutated while one of its iterators was live;
-    the iteration's remaining output is undefined."""
-
-
 class FaultToleranceError(ReproError):
     """Fault-tolerant delivery could not mask an injected fault: the
     retry budget for a message was exhausted, or a rank failed with no

@@ -31,8 +31,8 @@ messages per destination and ships a buffer when it exceeds a threshold.
 - ``async_count_since_barrier`` counts the requests since the last
   barrier — the quantity the paper's Section 4.4 application-level
   batching bounds (DNND's driver bounds it by pumping staged messages
-  in chunks; a rank section never takes a barrier, ``barrier()`` raises
-  inside ``run_on_all``).
+  in chunks; a section never takes a barrier, ``barrier()`` raises
+  inside ``section``).
 
 Each rank has a :class:`RankContext`: its rank id, a rank-local state
 namespace, a per-rank RNG, a tally of whatever the rank program counts,
@@ -118,7 +118,8 @@ log; a process worker hands it over whole
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -178,9 +179,8 @@ class RankContext:
     rank:
         This rank's id in ``[0, world_size)``.
     state:
-        Rank-local storage: the application hangs its shard here (the
-        global ids and neighbor matrices of the vertices this rank
-        owns).
+        Rank-local storage (what a host's ranks share lives in the
+        world's ``state``).
     rng:
         A per-rank deterministic generator.
     tally:
@@ -838,30 +838,42 @@ class YGMWorld:
 
     # -- SPMD driver helpers ------------------------------------------------------
 
+    @contextmanager
+    def section(self, ranks: Iterable[int], name: str) -> Iterator[None]:
+        """Run the body as one SPMD section over ``ranks`` (the program
+        section between barriers): a section never takes a barrier —
+        :meth:`barrier` raises while one runs — and under the sanitizer
+        it may touch the state of ``ranks`` only."""
+        san = self.sanitizer
+        self._in_section = True
+        try:
+            if san is None:
+                yield
+            else:
+                with san.run_scope(ranks, f"section {name!r}"):
+                    yield
+        finally:
+            self._in_section = False
+
     def run_on_all(self, fn: Callable[[RankContext], None],
                    ranks: Iterable[int] | None = None) -> None:
-        """Run ``fn`` once per live rank (the SPMD program section
-        between barriers; excluded ranks are skipped in degraded mode),
-        restricted to ``ranks`` when a host covers only some of them.
-        Under the sanitizer each invocation executes *as* its rank, so
-        touching another rank's state raises.  A section never takes a
-        barrier: :meth:`barrier` raises while one runs."""
+        """Run ``fn`` once per live rank, as one :meth:`section` (excluded
+        ranks are skipped in degraded mode), restricted to ``ranks`` when
+        a host covers only some of them.  Under the sanitizer each
+        invocation executes *as* its rank, so touching another rank's
+        state raises."""
         ctxs = (self.ranks if ranks is None
                 else [self.ranks[r] for r in ranks])
         if self.excluded_ranks:
             ctxs = [c for c in ctxs if c.rank not in self.excluded_ranks]
         san = self.sanitizer
-        self._in_section = True
-        try:
-            if san is None:
-                for ctx in ctxs:
+        with self.section([c.rank for c in ctxs], "run_on_all"):
+            for ctx in ctxs:
+                if san is None:
                     fn(ctx)
-            else:
-                for ctx in ctxs:
+                else:
                     with san.rank_scope(ctx.rank):
                         fn(ctx)
-        finally:
-            self._in_section = False
 
     def allreduce_sum(self, value_fn: Callable[[RankContext], float]) -> float:
         """Sum-allreduce of a per-rank value (used for the Algorithm 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, DNND, DNNDConfig, NNDescentConfig
-from repro.core.dnnd_phases import shard_of
+from repro.core.dnnd_phases import block_of
 from repro.runtime.containers import DistributedCounter
 
 
@@ -29,9 +29,9 @@ class TestCounterOnDnndWorld:
         counter = DistributedCounter(dnnd.world, "rev_degree")
         # Each rank contributes one async_add per outgoing edge it owns,
         # keyed by the edge target — the reverse-degree count.
+        block = block_of(dnnd.world)
         for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            for u in shard.edges()[1].tolist():
+            for u in block.edges(block.of_ranks([ctx.rank]))[1].tolist():
                 counter.async_add(ctx.rank, u)
         dnnd.world.barrier()
         # Totals must equal the edge count of the gathered graph...
@@ -47,9 +47,9 @@ class TestCounterOnDnndWorld:
     def test_top_k_matches_numpy(self, built, small_dense):
         dnnd, result = built
         counter = DistributedCounter(dnnd.world, "rev_degree2")
+        block = block_of(dnnd.world)
         for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            for u in shard.edges()[1].tolist():
+            for u in block.edges(block.of_ranks([ctx.rank]))[1].tolist():
                 counter.async_add(ctx.rank, u)
         dnnd.world.barrier()
         rev = np.zeros(len(small_dense), dtype=int)

@@ -9,6 +9,8 @@ from repro.config import (ClusterConfig, CommOptConfig, DNNDConfig,
                           NNDescentConfig)
 from repro.core.dist_search import DistributedKNNGraphSearcher
 from repro.core.dnnd import DNND
+from repro.core.dnnd_phases import block_of
+from repro.core.heap import NeighborHeap
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +49,11 @@ def test_sanitized_build_bit_identical(data):
                               adj_on.to_arrays()[key])
     # A clean run records zero violations.
     assert d_on.world.sanitizer.violations == 0
-    # Row views are made on demand, tagged with their owner rank.
-    shard = d_on.world.ranks[1].state["shard"]
-    heap = shard.heap(int(shard.global_ids[0]))
-    assert heap._san is d_on.world.sanitizer and heap._san_owner == 1
+    # Row writes are checked against the world's sanitizer, by the rank
+    # each row belongs to.
+    block = block_of(d_on.world)
+    assert block.sanitizer is d_on.world.sanitizer
+    assert block.rank_of[block.starts[1]] == 1
 
 
 def test_zero_overhead_structures_when_off(data):
@@ -58,9 +61,10 @@ def test_zero_overhead_structures_when_off(data):
     assert d.world.sanitizer is None
     for ctx in d.world.ranks:
         assert type(ctx.state) is dict
-        shard = ctx.state["shard"]
-        assert shard.sanitizer is None
-        assert shard.heap(int(shard.global_ids[0]))._san is None
+    block = block_of(d.world)
+    assert block.sanitizer is None
+    assert not hasattr(NeighborHeap.view(block.ids[0], block.dists[0],
+                                         block.flags[0]), "_san")
 
 
 def test_sanitized_distributed_search_matches(data):

@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 
 from repro import DNND, ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
-from repro.core.dnnd_phases import (block_of, build_shards, register_dnnd_handlers,
-                                   shard_of)
+from repro.core.dnnd_phases import block_of, build_shards, register_dnnd_handlers
 from repro.core.heap import EMPTY, check_rows
 from repro.runtime.faults import FaultPlan
 from repro.runtime.partition import BlockPartitioner
@@ -73,8 +72,10 @@ def _deliver(handler, pairs, bounds, k, mode):
     else:
         world.emit_run(0, owner[columns[0]], handler, columns, 8)
         world.barrier()
-    return [(s.ids.copy(), s.dists.copy(), s.flags.copy())
-            for s in map(shard_of, world.ranks)], world
+    block = block_of(world)
+    return [(block.ids[lo:hi].copy(), block.dists[lo:hi].copy(),
+             block.flags[lo:hi].copy())
+            for _, lo, hi in block.slices()], world
 
 
 pair_lists = st.lists(
@@ -102,10 +103,11 @@ def test_columnar_handlers_ignore_order_and_batch_split(handler, pairs, k,
         offered.setdefault(row, set()).add(cand)
         if handler == "feature_opt" and _theta(row, cand) < bounds[cand]:
             offered.setdefault(cand, set()).add(row)  # the Type 3 reply
-    for ctx, (ids, dists, flags) in zip(world.ranks, whole):
+    block = block_of(world)
+    for (_, lo, hi), (ids, dists, flags) in zip(block.slices(), whole):
         assert check_rows(ids, dists) is None
         assert (dists[:, 0] == dists.max(axis=1)).all()
-        gids = shard_of(ctx).global_ids
+        gids = block.global_ids[lo:hi]
         assert not (ids == gids[:, None]).any()
         assert (flags == (ids != EMPTY)).all()
         for gid, row_ids, row_dists in zip(gids.tolist(), ids, dists):

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from repro import DNND, ClusterConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
-from repro.core.dnnd_phases import (SAMPLE, UNION, HostBlock, build_shards,
-                                    draw_key, register_dnnd_handlers,
-                                    sample_smallest, shard_of)
+from repro.core.dnnd_phases import (SAMPLE, UNION, HostBlock, block_of,
+                                    build_shards, draw_key,
+                                    register_dnnd_handlers, sample_smallest)
 from repro.runtime.partition import HashPartitioner
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
@@ -167,13 +167,12 @@ def test_union_ignores_how_reversed_entries_were_chunked(entries, cuts, data):
     for chunks in ([(u, v)], list(zip(np.split(u[order], cut_at),
                                       np.split(v[order], cut_at)))):
         world = _world(n=12, k=3, world_size=1)
-        ctx = world.ranks[0]
-        dnnd_phases.sample(ctx, iteration=0)
+        dnnd_phases.sample(world, [0], iteration=0)
         for cu, cv in chunks:
             dnnd_phases.h_rev_new(world, np.zeros(len(cu), dtype=np.int64),
                                   cu, cv)
-        dnnd_phases.union(ctx, iteration=0)
-        states.append(shard_of(ctx).new)
+        dnnd_phases.union(world, [0], iteration=0)
+        states.append(block_of(world).new)
     for left, right in zip(*states):
         np.testing.assert_array_equal(left, right)
     rows, values = states[0]
@@ -202,13 +201,12 @@ def test_candidates_after_union_identical_on_every_cluster_shape(small_dense):
         dnnd._pump()
         dnnd._run_section("union", iteration=1)
         candidates = {}
-        for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            for name in ("new", "old"):
-                local, values = getattr(shard, name)
-                for gid, u in zip(shard.global_ids[local].tolist(),
-                                  values.tolist()):
-                    candidates.setdefault((name, gid), []).append(u)
+        block = block_of(dnnd.world)
+        for name in ("new", "old"):
+            at, values = getattr(block, name)
+            for gid, u in zip(block.global_ids[at].tolist(),
+                              values.tolist()):
+                candidates.setdefault((name, gid), []).append(u)
         per_shape.append(candidates)
     assert per_shape[0] == per_shape[1] == per_shape[2]
     assert len(per_shape[0]) > len(small_dense)     # new and old lists both
@@ -216,9 +214,8 @@ def test_candidates_after_union_identical_on_every_cluster_shape(small_dense):
 
 def _staged_pairs(world):
     """Every staged ``(v, u)`` request of a world, sorted."""
-    return sorted((a, b) for ctx in world.ranks
-                  for run in shard_of(ctx).staged
-                  for a, b in zip(*(col.tolist() for col in run[2])))
+    return sorted((a, b) for run in block_of(world).staged
+                  for a, b in zip(*(col.tolist() for col in run[3])))
 
 
 @settings(max_examples=25, deadline=None)
@@ -228,26 +225,31 @@ def test_init_asks_k_distinct_others_and_repair_replays_them(k, extra,
                                                              world_size, seed):
     n = k + extra
     world = _world(n, k, world_size, seed)
-    for ctx in world.ranks:
-        dnnd_phases.init(ctx)
-        shard = shard_of(ctx)
-        if not shard.n_local:
+    block = block_of(world)
+    live = list(range(world_size))
+    dnnd_phases.init(world, live)
+    (src, dests, handler, (v, u), _nbytes, _type), = block.staged
+    assert handler == "init_req"
+    np.testing.assert_array_equal(dests, block.owner_of[u])
+    np.testing.assert_array_equal(src, block.owner_of[v])
+    for gid in block.global_ids.tolist():
+        mine = u[v == gid].tolist()
+        assert len(mine) == len(set(mine)) == k
+        assert gid not in mine and all(0 <= x < n for x in mine)
+    pairs = _staged_pairs(world)
+    # The degraded-repair replay of each rank: the same requests.
+    for rank in live:
+        block.forget(live)
+        dnnd_phases.repair_reset(world, live, ranks=[rank])
+        dnnd_phases.repair_reinit(world, live, ranks=[rank])
+        own = src == rank
+        if not own.any():
+            assert block.staged == []
             continue
-        (dests, handler, (v, u), _nbytes, _type), = shard.staged
-        assert handler == "init_req"
-        np.testing.assert_array_equal(dests, shard.block.owner_of[u])
-        for gid in shard.global_ids.tolist():
-            mine = u[v == gid].tolist()
-            assert len(mine) == len(set(mine)) == k
-            assert gid not in mine and all(0 <= x < n for x in mine)
-        # The degraded-repair replay of this rank: the same requests.
-        dnnd_phases.repair_reset(ctx, ranks=[ctx.rank])
-        dnnd_phases.repair_reinit(ctx, ranks=[ctx.rank])
-        (_d, _h, (v2, u2), _b, _t), = shard.staged
-        np.testing.assert_array_equal(v, v2)
-        np.testing.assert_array_equal(u, u2)
+        (_s, _d, _h, (v2, u2), _b, _t), = block.staged
+        np.testing.assert_array_equal(v[own], v2)
+        np.testing.assert_array_equal(u[own], u2)
     # A vertex draws the same others whoever owns it.
     other = _world(n, k, world_size % 4 + 1, seed)
-    for ctx in other.ranks:
-        dnnd_phases.init(ctx)
-    assert _staged_pairs(world) == _staged_pairs(other)
+    dnnd_phases.init(other, list(range(other.world_size)))
+    assert pairs == _staged_pairs(other)

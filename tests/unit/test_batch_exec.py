@@ -310,20 +310,22 @@ class TestEmitRun:
         column before anything is staged."""
         from types import SimpleNamespace
 
-        from repro.core.dnnd_phases import pump, stage
+        from repro.core.dnnd_phases import HostBlock, pump
 
         plain, got_p = self._world(flush_bytes=30)
         plain.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
         plain.barrier()
         staged, got_s = self._world(flush_bytes=30)
-        ctx = staged.ranks[0]
-        ctx.state["shard"] = SimpleNamespace(staged=[])
+        # ``stage`` and ``pump`` read nothing of a block but its runs.
+        block = staged.state["block"] = SimpleNamespace(staged=[])
+        src = np.zeros(len(self.DESTS), dtype=np.int64)
         with pytest.raises(RuntimeStateError, match="'h'"):
-            stage(ctx, self.DESTS, "h", (self.KEYS[:-1], self.VALS),
-                  np.int64(8), "t")
-        assert ctx.state["shard"].staged == []
-        stage(ctx, self.DESTS, "h", (self.KEYS, self.VALS), np.int64(8), "t")
-        while pump(ctx, 5):
+            HostBlock.stage(block, src, self.DESTS, "h",
+                            (self.KEYS[:-1], self.VALS), np.int64(8), "t")
+        assert block.staged == []
+        HostBlock.stage(block, src, self.DESTS, "h", (self.KEYS, self.VALS),
+                        np.int64(8), "t")
+        while pump(staged, [0], 5)[0]:
             pass
         staged.barrier()
         assert self._observables(staged, got_s) == self._observables(plain, got_p)

@@ -7,8 +7,9 @@ import pytest
 
 from repro import ClusterConfig, DNND, DNNDConfig, NNDescentConfig
 from repro.core.dnnd import _fingerprint
-from repro.core.dnnd_phases import shard_of
+from repro.core.dnnd_phases import block_of
 from repro.core.executor import resolve_backend
+from repro.core.heap import NeighborHeap
 from repro.errors import DatasetError
 
 
@@ -22,6 +23,11 @@ def dnnd(tiny_dense):
              cluster=ClusterConfig(nodes=2, procs_per_node=2))
     yield d
     d.close()
+
+
+def _row_view(block, row):
+    return NeighborHeap.view(block.ids[row], block.dists[row],
+                             block.flags[row])
 
 
 class TestFingerprint:
@@ -43,44 +49,46 @@ class TestFingerprint:
 
 class TestDistribution:
     def test_shards_partition_dataset(self, dnnd, tiny_dense):
-        gids = np.concatenate([shard_of(ctx).global_ids
-                               for ctx in dnnd.world.ranks])
+        block = block_of(dnnd.world)
+        gids = np.concatenate([block.global_ids[lo:hi]
+                               for _, lo, hi in block.slices()])
         assert sorted(gids.tolist()) == list(range(len(tiny_dense)))
 
     def test_features_colocated_with_ids(self, dnnd, tiny_dense):
         """The rows a shard resolves for its own ids are its vertices'
         features — read from the one view every shard of the world
         shares, not from a per-shard copy."""
-        for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            assert shard.block.data is dnnd._rows
-            np.testing.assert_array_equal(
-                shard.block.features(shard.global_ids),
-                tiny_dense[shard.global_ids])
+        block = block_of(dnnd.world)
+        assert block.data is dnnd._rows
+        for _, lo, hi in block.slices():
+            gids = block.global_ids[lo:hi]
+            np.testing.assert_array_equal(block.features(gids),
+                                          tiny_dense[gids])
 
     def test_heap_per_vertex(self, dnnd):
-        for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            assert shard.ids.shape == (shard.n_local, 4)
-            assert all(shard.heap(gid).k == 4
-                       for gid in shard.global_ids.tolist())
+        block = block_of(dnnd.world)
+        for _, lo, hi in block.slices():
+            assert block.ids[lo:hi].shape == (hi - lo, 4)
+            assert all(_row_view(block, row).k == 4 for row in range(lo, hi))
 
     def test_heaps_are_views_of_the_shard_matrices(self, dnnd):
         """One home of neighbor state: a push through a row view lands
         in the matrices, a bulk merge on the matrices shows in the view."""
         from repro.core.heap import merge_rows
 
-        shard = shard_of(dnnd.world.ranks[0])
-        assert shard.ids.shape == (shard.n_local, 4)
-        heap = shard.heap(int(shard.global_ids[1]))
+        block = block_of(dnnd.world)
+        lo, hi = block.starts[0], block.starts[1]      # rank 0's rows
+        ids, dists, flags = block.ids[lo:hi], block.dists[lo:hi], block.flags[lo:hi]
+        assert ids.shape == (hi - lo, 4)
+        heap = _row_view(block, lo + 1)
         assert heap.checked_push(7, 0.5) == 1
-        assert shard.ids[1].tolist().count(7) == 1
-        merge_rows(shard.ids, shard.dists, shard.flags,
+        assert ids[1].tolist().count(7) == 1
+        merge_rows(ids, dists, flags,
                    np.array([1, 1]), np.array([9, 3]), np.array([0.25, 0.75]))
         assert sorted(heap.entries()) == [(3, 0.75, True), (7, 0.5, True),
                                           (9, 0.25, True)]
         # Views are made on demand and hold no state of their own.
-        again = shard.heap(int(shard.global_ids[1]))
+        again = _row_view(block, lo + 1)
         assert again is not heap
         assert sorted(again.entries()) == sorted(heap.entries())
 
@@ -88,11 +96,10 @@ class TestDistribution:
 class TestGather:
     def test_gathered_graph_matches_shards(self, dnnd, tiny_dense):
         result = dnnd.build()
-        for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            for li, gid in enumerate(shard.global_ids):
-                ids, dists, _ = shard.heap(int(gid)).sorted_arrays()
-                np.testing.assert_array_equal(result.graph.ids[int(gid)], ids)
+        block = block_of(dnnd.world)
+        for row, gid in enumerate(block.global_ids.tolist()):
+            ids, dists, _ = _row_view(block, row).sorted_arrays()
+            np.testing.assert_array_equal(result.graph.ids[gid], ids)
 
 
 class TestHostileDenseInput:

@@ -10,12 +10,13 @@ from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConf
 from repro.core import dnnd_phases
 from repro.core.dnnd_phases import (
     HostBlock,
+    block_of,
     build_shards,
     opt_collect,
     register_dnnd_handlers,
-    shard_of,
     type1_pairs,
 )
+from repro.core.heap import NeighborHeap
 from repro.core.nndescent import NNDescent
 from repro.core.order import check_key_range
 from repro.errors import ConfigError, PartitionError, RuntimeStateError
@@ -43,68 +44,79 @@ def make_world_with_shards(n=8, k=3, comm_opts=None, data=None,
     if data is None:
         data = np.arange(n, dtype=np.float32).reshape(-1, 1)
     build_shards(world.ranks, part, data, cfg)
-    for ctx in world.ranks:
-        shard_of(ctx).reset_iteration_scratch()
+    block_of(world).forget([0, 1])
     return world, part
 
 
+def row_view(world, gid):
+    """Row view of vertex ``gid``'s neighbor list, resolved at its
+    owner rank."""
+    block = block_of(world)
+    row = int(block.rows(np.array([gid]), block.owner_of[gid])[0])
+    return NeighborHeap.view(block.ids[row], block.dists[row],
+                             block.flags[row])
+
+
 class TestLocalShard:
+    """A rank's share of the host block: its rows, features and
+    owners."""
+
     def test_local_index(self):
         world, part = make_world_with_shards()
-        shard = shard_of(world.ranks[1])
-        assert shard.local(4) == 0
-        assert shard.local(7) == 3
+        block = block_of(world)
+        # Rank 1's rows are host rows starts[1]:starts[2].
+        assert block.rows(np.array([4]), 1)[0] - block.starts[1] == 0
+        assert block.rows(np.array([7]), 1)[0] - block.starts[1] == 3
 
     def test_wrong_rank_dereference(self):
         world, part = make_world_with_shards()
-        shard = shard_of(world.ranks[0])
+        block = block_of(world)
         with pytest.raises(PartitionError):
-            shard.local(7)
+            block.rows(np.array([7]), 0)
 
     def test_feature_lookup(self):
         """An own vertex's feature is read the way a foreign one is:
         from the dataset view, by global id."""
         world, _ = make_world_with_shards()
-        shard = shard_of(world.ranks[1])
-        assert shard.block.features([5])[0, 0] == 5.0
+        block = block_of(world)
+        assert block.features([5])[0, 0] == 5.0
 
     def test_feature_nbytes_dense(self):
         """Section 2's modeled Type 2 size: two ids + the feature (one
         float32 here) + what the message adds; one int for dense rows."""
         world, _ = make_world_with_shards()
-        shard = shard_of(world.ranks[0])
-        block, rows = shard.block, shard.offset + np.array([1, 2])
+        block = block_of(world)
+        rows = block.starts[0] + np.array([1, 2])
         assert block.feature_bytes == 4
         assert block.message_bytes(rows) == 12
         assert block.message_bytes(rows[:1], extra=4) == 16
 
     def test_shard_holds_the_view_and_no_feature_rows(self):
-        """One dataset view: every shard of a world references the same
-        object, and no field of a shard is a copy of its rows."""
+        """One dataset view: the block of a world references the
+        dataset object, and no field of the block is a copy of its
+        rows."""
         data = np.arange(8, dtype=np.float32).reshape(-1, 1)
         world, _ = make_world_with_shards(data=data)
-        for ctx in world.ranks:
-            shard = shard_of(ctx)
-            assert shard.block.data is data
-            assert not hasattr(shard, "features")
-            for value in vars(shard).values():
-                if isinstance(value, np.ndarray) and value is not data:
-                    assert value.shape != (shard.n_local, data.shape[1])
+        block = block_of(world)
+        assert block.data is data
+        assert "features" not in vars(block)
+        for value in vars(block).values():
+            if isinstance(value, np.ndarray) and value is not data:
+                assert value.shape != (len(block.global_ids), data.shape[1])
 
     def test_owner(self):
         world, _ = make_world_with_shards()
-        shard = shard_of(world.ranks[0])
-        assert shard.owner(6) == 1
+        assert block_of(world).owner_of[6] == 1
 
     def test_row_resolves_any_vertex_own_lookup_stays_local(self):
         """Features travel as global ids: ``block.features`` reads the world's
         dataset view for *any* vertex, while mapping an id to a
         neighbor row still refuses a vertex another rank owns."""
         world, _ = make_world_with_shards()
-        shard = shard_of(world.ranks[0])
-        assert shard.block.features([6])[0, 0] == 6.0     # owned by rank 1
+        block = block_of(world)
+        assert block.features([6])[0, 0] == 6.0     # owned by rank 1
         with pytest.raises(PartitionError):
-            shard.locals(np.array([6]))
+            block.rows(np.array([6]), 0)
 
     def test_build_refuses_keys_past_int64(self):
         """Packed keys are below n**2 * k; past 2**63 the block is refused
@@ -119,49 +131,47 @@ class TestLocalShard:
 
     def test_rows_dense(self):
         world, _ = make_world_with_shards()
-        shard = shard_of(world.ranks[1])
-        got = shard.block.features([7, 0, 3, 0])
+        block = block_of(world)
+        got = block.features([7, 0, 3, 0])
         assert got.shape == (4, 1) and got.dtype == np.float32
         assert got[:, 0].tolist() == [7.0, 0.0, 3.0, 0.0]
         got[0, 0] = -1.0                        # a fresh array, not a view
-        assert shard.block.features([7])[0, 0] == 7.0
+        assert block.features([7])[0, 0] == 7.0
 
     def test_rows_sparse(self, sparse_sets):
         world, _ = make_world_with_shards(
             n=len(sparse_sets), data=sparse_sets, metric="jaccard")
-        shard = shard_of(world.ranks[0])
-        assert shard.block.data is sparse_sets
+        block = block_of(world)
+        assert block.data is sparse_sets
         picked = [len(sparse_sets) - 1, 0]      # one foreign, one own
-        got = shard.block.features(picked)
+        got = block.features(picked)
         assert isinstance(got, list)
         for rec, gid in zip(got, picked):
             assert rec is sparse_sets[gid]      # the record, not a copy
         # Ragged records: one modeled size per message.
-        rows = shard.offset + np.array([0, 2])
-        assert shard.block.message_bytes(rows).tolist() == [
+        rows = block.starts[0] + np.array([0, 2])
+        assert block.message_bytes(rows).tolist() == [
             8 + int(sparse_sets[g].nbytes) for g in (0, 2)]
 
 
 class TestInitProtocol:
     def test_init_request_response(self):
         world, _ = make_world_with_shards()
-        shard0 = shard_of(world.ranks[0])
         # Rank 0 asks owner(6)=rank1 for theta(v=1, u=6).
         world.ranks[0].async_call(1, "init_req", 1, 6,
                                   nbytes=12, msg_type="init_req")
         world.barrier()
-        heap = shard0.heap(1)
+        heap = row_view(world, 1)
         assert 6 in heap
         entries = dict((i, d) for i, d, _ in heap.entries())
         assert entries[6] == pytest.approx(25.0)  # (6-1)^2
 
     def test_init_entry_flagged_new(self):
         world, _ = make_world_with_shards()
-        shard0 = shard_of(world.ranks[0])
         world.ranks[0].async_call(1, "init_req", 1, 6,
                                   nbytes=12, msg_type="init_req")
         world.barrier()
-        assert shard0.heap(1).new_ids() == [6]
+        assert row_view(world, 1).new_ids() == [6]
 
 
 class TestReverseProtocol:
@@ -170,32 +180,31 @@ class TestReverseProtocol:
         world.ranks[0].async_call(1, "rev_new", 5, 2, nbytes=8, msg_type="reverse")
         world.ranks[0].async_call(1, "rev_old", 6, 3, nbytes=8, msg_type="reverse")
         world.barrier()
-        shard1 = shard_of(world.ranks[1])
+        block = block_of(world)
         # One ``(rows, values)`` chunk each: the candidate representation.
-        (rows, values), = shard1.rev_new
-        assert (rows.tolist(), values.tolist()) == ([shard1.local(5)], [2])
-        (rows, values), = shard1.rev_old
-        assert (rows.tolist(), values.tolist()) == ([shard1.local(6)], [3])
+        (rows, values), = block.rev_new
+        assert (rows.tolist(), values.tolist()) == (
+            block.rows(np.array([5]), 1).tolist(), [2])
+        (rows, values), = block.rev_old
+        assert (rows.tolist(), values.tolist()) == (
+            block.rows(np.array([6]), 1).tolist(), [3])
 
 
 class TestOptimizedCheckProtocol:
     def test_full_chain_updates_both_heaps(self):
         world, _ = make_world_with_shards()
-        shard0 = shard_of(world.ranks[0])
-        shard1 = shard_of(world.ranks[1])
         # Center (anyone) asks u1=2 (rank0) to check against u2=5 (rank1).
         world.ranks[1].async_call(0, "check_opt", 2, 5, nbytes=8, msg_type="type1")
         world.barrier()
-        assert 5 in shard0.heap(2)   # via Type 3 reply
-        assert 2 in shard1.heap(5)   # local update at u2
+        assert 5 in row_view(world, 2)   # via Type 3 reply
+        assert 2 in row_view(world, 5)   # local update at u2
         tallies = world.log.live().ranks
         assert tallies[0]["updates"] == tallies[1]["updates"] == 1
 
     def test_redundancy_check_suppresses_type2(self):
         world, _ = make_world_with_shards()
-        shard0 = shard_of(world.ranks[0])
         # Pre-install 5 in heap(2): the exchange must be skipped.
-        shard0.heap(2).checked_push(5, 9.0, True)
+        row_view(world, 2).checked_push(5, 9.0, True)
         world.ranks[1].async_call(0, "check_opt", 2, 5, nbytes=8, msg_type="type1")
         world.barrier()
         assert world.stats.get("type2+").count == 0
@@ -203,8 +212,7 @@ class TestOptimizedCheckProtocol:
 
     def test_redundancy_check_on_u2_side_suppresses_type3(self):
         world, _ = make_world_with_shards()
-        shard1 = shard_of(world.ranks[1])
-        shard1.heap(5).checked_push(2, 9.0, True)
+        row_view(world, 5).checked_push(2, 9.0, True)
         world.ranks[1].async_call(0, "check_opt", 2, 5, nbytes=8, msg_type="type1")
         world.barrier()
         assert world.stats.get("type2+").count == 1
@@ -212,26 +220,23 @@ class TestOptimizedCheckProtocol:
 
     def test_distance_pruning_suppresses_type3(self):
         world, _ = make_world_with_shards()
-        shard0 = shard_of(world.ranks[0])
         # Fill heap(2) with close neighbors so its bound is tight.
         for vid, d in ((1, 1.0), (3, 1.0), (0, 4.0)):
-            shard0.heap(2).checked_push(vid, d, True)
-        assert shard0.heap(2).worst_distance() == 4.0
+            row_view(world, 2).checked_push(vid, d, True)
+        assert row_view(world, 2).worst_distance() == 4.0
         # theta(2, 7) = 25 >= 4 -> no Type 3.
         world.ranks[1].async_call(0, "check_opt", 2, 7, nbytes=8, msg_type="type1")
         world.barrier()
         assert world.stats.get("type3").count == 0
         # But u2's own heap still learned about u1.
-        shard1 = shard_of(world.ranks[1])
-        assert 2 in shard1.heap(7)
+        assert 2 in row_view(world, 7)
 
     def test_pruning_disabled_always_replies(self):
         opts = CommOptConfig(one_sided=True, redundancy_check=False,
                              distance_pruning=False)
         world, _ = make_world_with_shards(comm_opts=opts)
-        shard0 = shard_of(world.ranks[0])
         for vid, d in ((1, 1.0), (3, 1.0), (0, 4.0)):
-            shard0.heap(2).checked_push(vid, d, True)
+            row_view(world, 2).checked_push(vid, d, True)
         world.ranks[1].async_call(0, "check_opt", 2, 7, nbytes=8, msg_type="type1")
         world.barrier()
         assert world.stats.get("type3").count == 1
@@ -244,14 +249,12 @@ class TestUnoptimizedCheckProtocol:
     def test_feature_exchange_both_directions(self):
         opts = CommOptConfig.unoptimized()
         world, _ = make_world_with_shards(comm_opts=opts)
-        shard0 = shard_of(world.ranks[0])
-        shard1 = shard_of(world.ranks[1])
         # The unoptimized pattern: Type 1 to each endpoint.
         world.ranks[1].async_call(0, "check_unopt", 2, 5, nbytes=8, msg_type="type1")
         world.ranks[1].async_call(1, "check_unopt", 5, 2, nbytes=8, msg_type="type1")
         world.barrier()
-        assert 5 in shard0.heap(2)
-        assert 2 in shard1.heap(5)
+        assert 5 in row_view(world, 2)
+        assert 2 in row_view(world, 5)
         # Each endpoint shipped its feature: type2 in both directions.
         assert world.stats.get("type2").count == 2
         assert world.stats.get("type3").count == 0
@@ -267,14 +270,13 @@ class TestUnoptimizedCheckProtocol:
         evals = {rank: tally["distance.evals"]
                  for rank, tally in world.log.live().ranks.items()}
         assert evals == {0: 1, 1: 1}
-        assert shard_of(world.ranks[0]).block.metric.count == 2  # the host's
+        assert block_of(world).metric.count == 2  # the host's
 
 
 class TestOptimizePhaseHandler:
     def test_reverse_edge_merge(self):
         world, _ = make_world_with_shards()
-        shard1 = shard_of(world.ranks[1])
-        shard1.heap(5).checked_push(6, 0.5, True)       # a forward edge
+        row_view(world, 5).checked_push(6, 0.5, True)       # a forward edge
         world.ranks[0].async_call(1, "opt_rev_edge", 5, 1, 0.75,
                                   nbytes=12, msg_type="opt_rev")
         world.ranks[0].async_call(1, "opt_rev_edge", 5, 1, 0.25,
@@ -282,7 +284,7 @@ class TestOptimizePhaseHandler:
         world.ranks[0].async_call(1, "opt_rev_edge", 5, 3, 0.9,
                                   nbytes=12, msg_type="opt_rev")
         world.barrier()
-        gids, counts, nbr, d = opt_collect(world.ranks[1], max_degree=2)
+        gids, counts, nbr, d = opt_collect(world, max_degree=2)[1]
         # Closest copy of the repeated edge, pruned to the 2 closest —
         # as columns: vertex 5's run is the only one.
         assert gids.tolist() == [4, 5, 6, 7]
@@ -310,7 +312,7 @@ class TestType1Generator:
 
     @staticmethod
     def _columns(lists):
-        """Per-row lists as the shard's ``(rows, values)`` columns."""
+        """Per-row lists as the block's ``(rows, values)`` columns."""
         rows = np.repeat(np.arange(len(lists)), list(map(len, lists)))
         return rows, np.array(sum(lists, []), dtype=np.int64)
 
@@ -326,11 +328,11 @@ class TestType1Generator:
         # Several vertices at once, an empty one among them.
         new_lists = [self.NEW, [], [3, 4], [6]]
         old_lists = [self.OLD, [1, 2], [], [0, 7]]
-        u1, u2 = type1_pairs(self._columns(new_lists),
-                             self._columns(old_lists), 4, one_sided)
+        rows, u1, u2 = type1_pairs(self._columns(new_lists),
+                                   self._columns(old_lists), 4, one_sided)
         # Algorithm 1 line 18: a new-new pair is emitted once, as u1 < u2.
-        a, b = type1_pairs(self._columns(new_lists),
-                           self._columns([[]] * 4), 4, True)
+        _, a, b = type1_pairs(self._columns(new_lists),
+                              self._columns([[]] * 4), 4, True)
         assert len(a) == 3 + 1 and (a < b).all()
         expected = []
         for new, old in zip(new_lists, old_lists):
@@ -343,21 +345,23 @@ class TestType1Generator:
 
     def test_check_then_pump_asks_the_owner_of_u1(self):
         world, part = make_world_with_shards()
-        shard = shard_of(world.ranks[0])
-        shard.new = self._columns([[], [], self.NEW, []])
-        shard.old = self._columns([[], [], self.OLD, []])
-        dnnd_phases.check(world.ranks[0])
+        block = block_of(world)
+        # Vertex 2 is rank 0's host row 2.
+        block.new = self._columns([[], [], self.NEW, []])
+        block.old = self._columns([[], [], self.OLD, []])
+        dnnd_phases.check(world, [0])
         # Staged, not sent: nothing moves until the driver pumps.
         assert world.stats.total_count() == world.log.counters()["comm.local_deliveries"] == 0
-        (dests, handler, (u1, _u2), _nbytes, msg_type), = shard.staged
+        (src, dests, handler, (u1, _u2), _nbytes, msg_type), = block.staged
         assert (handler, msg_type) == ("check_opt", "type1")
+        assert (src == 0).all()
         n = len(self._local_join_pairs(self.NEW, self.OLD))
         assert len(dests) == n
-        assert dnnd_phases.pump(world.ranks[0], count=0) == 0
+        assert dnnd_phases.pump(world, [0], count=0) == {0: 0}
         remote = sum(part.owner(a) != 0 for a in u1.tolist())
         assert world.stats.get("type1").count == remote
         assert world.log.counters()["comm.local_deliveries"] == n - remote
-        assert shard.staged == []
+        assert block.staged == []
 
 
 class TestSingleSource:
@@ -384,8 +388,7 @@ class TestSingleSource:
     def test_worker_host_reads_the_array_it_was_handed(self, worker_app,
                                                        tiny_dense):
         assert worker_app.data is tiny_dense
-        assert all(shard_of(ctx).block.data is tiny_dense
-                   for ctx in worker_app.world.ranks)
+        assert block_of(worker_app.world).data is tiny_dense
 
     def test_same_handler_objects_on_driver_and_worker(self, worker_app,
                                                        tiny_dense):
@@ -410,7 +413,8 @@ class TestSingleSource:
 
         seen = []
         monkeypatch.setitem(dnnd_phases.SECTIONS, "probe",
-                            lambda ctx, tag: seen.append((tag, ctx.rank)))
+                            lambda world, live, tag: seen.extend(
+                                (tag, rank) for rank in live))
         driver = DNND(tiny_dense,
                       DNNDConfig(nnd=NNDescentConfig(k=4), backend="sim"),
                       cluster=ClusterConfig(nodes=1, procs_per_node=2))

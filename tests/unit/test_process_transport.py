@@ -160,7 +160,9 @@ class TestDatasetReachesWorkers:
         # Forked workers inherit the patched table.
         monkeypatch.setitem(
             dnnd_phases.SHARD_OPS, "probe_view",
-            lambda ctx: (id(dnnd_phases.shard_of(ctx).block.data), os.getpid()))
+            lambda world: {rank: (id(dnnd_phases.block_of(world).data),
+                                  os.getpid())
+                           for rank in dnnd_phases.block_of(world).ranks.tolist()})
         dnnd = DNND(tiny_dense, _envelope("process"), cluster=CLUSTER)
         try:
             probes = dnnd.host.command("probe_view")
@@ -193,7 +195,7 @@ class TestDatasetReachesWorkers:
         """``build_shards`` copies nothing, so rebuilding shards — crash
         recovery without a checkpoint, ``repartition()`` — yields shards
         over the same view that resolve the right rows."""
-        from repro.core.dnnd_phases import shard_of
+        from repro.core.dnnd_phases import block_of
 
         dnnd = DNND(tiny_dense, _envelope("sim"), cluster=CLUSTER,
                     fault_plan=FaultPlan(crashes=((1, 1),)))
@@ -203,13 +205,13 @@ class TestDatasetReachesWorkers:
         moved = dnnd.repartition()
         np.testing.assert_array_equal(moved.ids, sim_graph.ids)
         owned = []
-        for ctx in dnnd.world.ranks:
-            shard = shard_of(ctx)
-            assert shard.block.data is dnnd._rows
-            np.testing.assert_array_equal(
-                shard.block.features(shard.global_ids),
-                tiny_dense[shard.global_ids])
-            owned += shard.global_ids.tolist()
+        block = block_of(dnnd.world)
+        assert block.data is dnnd._rows
+        for _, lo, hi in block.slices():
+            gids = block.global_ids[lo:hi]
+            np.testing.assert_array_equal(block.features(gids),
+                                          tiny_dense[gids])
+            owned += gids.tolist()
         assert sorted(owned) == list(range(len(tiny_dense)))
 
     @pytest.mark.parametrize("case", ["recover", "repartition"])

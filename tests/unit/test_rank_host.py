@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import ClusterConfig, CommOptConfig, DNNDConfig, NNDescentConfig
 from repro.core import dnnd_phases
-from repro.core.dnnd_phases import SECTIONS, SHARD_OPS, RankHost, shard_of
+from repro.core.dnnd_phases import SECTIONS, SHARD_OPS, RankHost, block_of
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import PartitionError
 from repro.runtime.partition import HashPartitioner
@@ -215,7 +215,9 @@ def test_sim_driver_holds_one_host_over_every_rank(tiny_dense):
     assert isinstance(dnnd.host, RankHost)
     assert dnnd.host.world is dnnd.world
     assert dnnd.host.ranks == [0, 1, 2, 3]
-    assert all(shard_of(ctx).rank == ctx.rank for ctx in dnnd.world.ranks)
+    block = block_of(dnnd.world)
+    assert all(block.rank_of[block.starts[ctx.rank]] == ctx.rank
+               for ctx in dnnd.world.ranks)
     assert isinstance(dnnd.world.cluster, SimCluster)
 
 
@@ -267,14 +269,15 @@ def test_one_host_equals_one_host_per_rank(monkeypatch, pattern, chunk_rows):
     assert barriers > 6
 
 
-def _misrouted_check(ctx):
+def _misrouted_check(world, live):
     """The ``check`` section with every Type 1 request sent to the rank
     after the one that owns ``u1``."""
-    shard = shard_of(ctx)
-    u1, u2 = dnnd_phases.type1_pairs(shard.new, shard.old, shard.n_local,
-                                     True)
-    dnnd_phases.stage(ctx, (shard.block.owner_of[u1] + 1) % ctx.world_size,
-                      "check_opt", (u1, u2), 8, dnnd_phases.T1)
+    block = block_of(world)
+    rows, u1, u2 = dnnd_phases.type1_pairs(block.new, block.old,
+                                           len(block.global_ids), True)
+    block.stage(block.rank_of[rows],
+                (block.owner_of[u1] + 1) % world.world_size,
+                "check_opt", (u1, u2), 8, dnnd_phases.T1)
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])

@@ -7,16 +7,17 @@ from repro.analysis.sanitizer import (
     OwnedState,
     Sanitizer,
     sanitizer_requested,
-    tag_heap,
 )
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, DNNDConfig, NNDescentConfig
+from repro.core.dnnd_phases import (HostBlock, _offer, block_of, build_shards,
+                                    register_dnnd_handlers)
 from repro.core.heap import NeighborHeap
 from repro.errors import (
     ConfigError,
     HandlerReentrancyError,
-    MutationDuringIterationError,
     OwnershipViolationError,
 )
+from repro.runtime.partition import BlockPartitioner
 from repro.runtime.transports import SimCluster
 from repro.runtime.ygm import YGMWorld
 
@@ -68,7 +69,7 @@ def test_off_means_plain_everything():
     world.register_batch_handler("noop", fn)
     assert world._batch_handlers["noop"] is fn  # not wrapped
     heap = NeighborHeap(4)
-    assert heap._san is None
+    assert not hasattr(heap, "_san")    # a heap carries no sanitizer
 
 
 # -- ownership ----------------------------------------------------------------
@@ -113,27 +114,49 @@ def test_handler_injected_cross_rank_mutation_raises():
         world.barrier()
 
 
-def test_heap_ownership_and_iteration():
+def test_row_write_ownership():
+    """Every write to a host's neighbor rows passes one check of the
+    rank each row belongs to."""
     san = Sanitizer()
-    heap = NeighborHeap(4)
-    tag_heap(heap, san, owner=2)
-    heap.checked_push(1, 0.5)  # driver context: allowed
+    block = HostBlock.build([0, 1, 2], BlockPartitioner(6, 3),
+                            np.zeros((6, 1)),
+                            DNNDConfig(nnd=NNDescentConfig(k=2)), sanitizer=san)
+    rows = np.flatnonzero(block.rank_of == 2)
+    block.check_write(rows, "merge_rows")  # driver context: allowed
     with san.rank_scope(2):
-        heap.checked_push(2, 0.4)  # owner: allowed
+        block.check_write(rows, "merge_rows")  # owner: allowed
+    with san.run_scope([1, 2], "section 'sample'"):
+        block.check_write(rows, "sample")  # a run covering rank 2: allowed
     with san.rank_scope(0):
         with pytest.raises(OwnershipViolationError):
-            heap.checked_push(3, 0.3)
-        with pytest.raises(OwnershipViolationError):
-            heap.mark_old(1)
-        with pytest.raises(OwnershipViolationError):
-            list(heap.entries())
-    # Mutation while an entries() iterator is live.
-    it = heap.entries()
-    next(it)
-    with pytest.raises(MutationDuringIterationError):
-        heap.checked_push(9, 0.1)
-    it.close()
-    assert heap.checked_push(9, 0.1) == 1  # iterator closed: allowed
+            block.check_write(rows, "merge_rows")
+    with san.run_scope([0, 1], "section 'sample'"):
+        with pytest.raises(OwnershipViolationError,
+                           match="neighbor row \\(sample\\).*section 'sample'"):
+            block.check_write(rows, "sample")
+
+
+def test_a_handler_writing_another_ranks_row_raises():
+    """A handler run delivered to rank 0 that offers a candidate to a
+    row of rank 1 is caught at the row write, and the error names the
+    handler."""
+    world = YGMWorld(SimCluster(ClusterConfig(nodes=2, procs_per_node=1)),
+                     sanitize=True)
+    register_dnnd_handlers(world)
+    build_shards(world.ranks, BlockPartitioner(8, 2),
+                 np.arange(8.0).reshape(-1, 1),
+                 DNNDConfig(nnd=NNDescentConfig(k=2)))
+
+    def poke(world, dest, gids):
+        block = block_of(world)
+        _offer(world, block, dest, block.row_of[gids], gids - 1,
+               np.ones(len(gids)))
+
+    world.register_batch_handler("poke", poke)
+    # Vertex 6 is rank 1's; the message is delivered at rank 0.
+    world.emit_run(0, np.array([0]), "poke", (np.array([6]),), 8)
+    with pytest.raises(OwnershipViolationError, match="handler 'poke'"):
+        world.barrier()
 
 
 def test_untagged_heap_unaffected():
