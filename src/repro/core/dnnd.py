@@ -331,15 +331,14 @@ class DNND:
         return self.host.run_section(name, params)
 
     def _pump(self) -> None:
-        """Ship what the emitting sections just staged, in global chunks
-        of ``batch_size // world_size`` messages per rank with a barrier
-        after each (Section 4.4's application-level batching; why chunk
-        at all: see :meth:`dnnd_phases.HostBlock.stage`).  Every barrier
-        of a build is taken by the driver, here or in the schedule."""
-        bs = self.config.batch_size
-        chunk = max(1, bs // self.cluster.world_size) if bs else 0
+        """Ship what the emitting sections just staged, one wave of
+        ``batch_size // world_size`` messages per rank at a time with a
+        barrier after each (Section 4.4's application-level batching;
+        why batch at all: see :meth:`dnnd_phases.HostBlock.stage`).
+        Every barrier of a build is taken by the driver, here or in the
+        schedule."""
         while True:
-            left = self._run_section("pump", count=chunk)
+            left = self._run_section("pump")
             self.world.barrier()
             if not any(left.values()):
                 return

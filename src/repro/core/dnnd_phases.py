@@ -16,8 +16,8 @@ each section and each handler is called once over all the host's ranks
 and works on the block in array operations, the rank of a row being a
 column.  The message chain is *columnar*: sections stage runs of
 messages as one array per argument (:meth:`HostBlock.stage`; the
-driver's :func:`pump` hands them to :meth:`YGMWorld.emit_run` chunk by
-chunk), and each message type has exactly one handler, which a host
+driver's :func:`pump` hands them to :meth:`YGMWorld.emit_run` wave by
+wave), and each message type has exactly one handler, which a host
 calls once per delivery round over the messages of all its ranks
 (DESIGN.md section 10).
 
@@ -198,8 +198,7 @@ class HostBlock:
         Sorted ``row * n + other`` keys of the pairs already
         neighbor-checked this iteration (``comm_opts.check_dedup``,
         Section 4.3.2 applied to compute), ``row`` the host row of the
-        checking side.  A rank's keys are one contiguous key range, so
-        its iteration reset forgets exactly them.
+        checking side.
     new, old:
         The iteration's candidate lists (Algorithm 1's ``new[v]`` /
         ``old[v]``) as :data:`Columns` ``(rows, values)`` sorted by host
@@ -207,11 +206,14 @@ class HostBlock:
         ``rev_old`` hold the received chunks), so ``sample``,
         ``reverse``, ``union`` and ``check`` work on one representation
         and the block holds no per-vertex Python object.
-    staged:
-        Column runs ``(src, dests, handler, columns, nbytes, msg_type)``
-        the sections staged (:meth:`stage`), in emission order, each
-        sorted by ``src``; the ``pump`` section ships them from the
-        front, chunk by chunk.
+    waves:
+        ``wave -> runs``: the column runs ``(src, dests, handler,
+        columns, nbytes, msg_type)`` the sections staged (:meth:`stage`),
+        in emission order, each sorted by ``src``; the ``pump`` section
+        ships the lowest wave.
+    queued:
+        ``queued[rank]``: the messages the rank staged since the waves
+        last drained.
     opt_edges:
         Optimization-phase scratch: reversed edges received, as
         ``(rows, neighbor ids, dists)`` column chunks.
@@ -233,6 +235,7 @@ class HostBlock:
     ids: np.ndarray
     dists: np.ndarray
     flags: np.ndarray
+    queued: np.ndarray
     sanitizer: Any = None
     check_seen: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -240,7 +243,7 @@ class HostBlock:
     old: Columns = NO_ENTRIES
     rev_new: list = field(default_factory=list)
     rev_old: list = field(default_factory=list)
-    staged: list = field(default_factory=list)
+    waves: dict = field(default_factory=dict)
     opt_edges: list = field(default_factory=list)
 
     @classmethod
@@ -275,7 +278,9 @@ class HostBlock:
             feature_bytes=feature_bytes,
             ids=np.full(shape, EMPTY, dtype=np.int64),
             dists=np.full(shape, np.inf, dtype=np.float64),
-            flags=np.zeros(shape, dtype=bool), sanitizer=sanitizer)
+            flags=np.zeros(shape, dtype=bool),
+            queued=np.zeros(partitioner.world_size, dtype=np.int64),
+            sanitizer=sanitizer)
 
     def rows(self, gids: np.ndarray, dest) -> np.ndarray:
         """Host rows of vertices ``gids``, vertex ``i`` dereferenced at
@@ -354,54 +359,65 @@ class HostBlock:
         self.check_seen = np.insert(seen, at, keys)
         return first
 
-    def forget_checks(self, lo: int, hi: int) -> None:
-        """Forget the checked pairs of host rows ``lo:hi`` (one rank's)."""
-        seen = self.check_seen
-        if seen.size:
-            cut = np.searchsorted(seen, [lo * len(self.row_of),
-                                         hi * len(self.row_of)])
-            self.check_seen = np.concatenate((seen[:cut[0]], seen[cut[1]:]))
-
-    def forget(self, ranks) -> None:
-        """Start an iteration over ``ranks``: forget their checked pairs
-        and their staged runs — a replayed iteration (crash recovery,
-        degraded exclusion) must not ship what the aborted one left
-        staged — and drop the candidate lists, which ``sample``
-        re-forms from the rows of the ranks it covers."""
-        for rank, lo, hi in self.slices():
-            if rank in ranks:
-                self.forget_checks(lo, hi)
-        self.staged = [run for run in (
-            _part(run, ~np.isin(run[0], ranks)) for run in self.staged)
-            if len(run[0])]
+    def forget(self) -> None:
+        """Start an iteration from empty scratch: no checked pairs, no
+        staged waves (a replay must not ship what the aborted iteration
+        left staged), no candidate lists (``sample`` re-forms them)."""
+        self.check_seen = NO_ROWS
+        self.waves = {}
+        self.queued = np.zeros_like(self.queued)
         self.new = self.old = NO_ENTRIES
         self.rev_new = []
         self.rev_old = []
+
+    def wave_of(self, place: np.ndarray) -> np.ndarray:
+        """Wave of the messages at ``place`` in their rank's queue:
+        ``batch_size`` global requests a wave, one wave when it is 0."""
+        batch = self.config.batch_size
+        if not batch:
+            return np.zeros_like(place)
+        return place // max(1, batch // len(self.queued))
 
     def stage(self, src: np.ndarray, dests: np.ndarray, handler: str,
               columns: tuple, nbytes, msg_type: str) -> None:
         """Stage a run of messages — the arguments of
         :meth:`YGMWorld.emit_run`, ``src`` the sending rank of each row —
-        for the driver to ship.  The run is kept sorted by ``src`` (a
-        stable sort: each rank's messages stay in its emission order).
+        for the driver to ship, as slices of the run stably sorted by
+        ``src``, then :meth:`wave_of` (each rank's messages stay in its
+        emission order) filed under their waves.
 
         An emitting section never sends: it stages, and the driver then
-        runs the :func:`pump` section in global chunks of ``batch_size
-        // world_size`` messages per rank with a barrier after each —
-        Section 4.4's application-level batching, one rule for every
-        phase and every backend.  The chunking matters for
+        runs the :func:`pump` section, one wave per call, with a barrier
+        after each — Section 4.4's application-level batching, one rule
+        for every phase and every backend.  The waves matter for
         *communication volume*, not just buffer memory: the redundancy
         check and the distance-pruning bound read row state at delivery
-        time, so a chunk's Type 3 feedback tightens the bounds seen by
-        the next chunk.  Emitting a whole neighbor-check iteration up
+        time, so a wave's Type 3 feedback tightens the bounds seen by
+        the next wave.  Emitting a whole neighbor-check iteration up
         front triples the Type 3 traffic (measured at n=2000: 176k vs
         48k replies)."""
         nbytes = check_run(handler, dests, (*columns, src), nbytes)
-        if len(dests):
-            run = (src, dests, handler, columns, nbytes, msg_type)
-            if (src[1:] < src[:-1]).any():
-                run = _part(run, np.argsort(src, kind="stable"))
-            self.staged.append(run)
+        if not len(dests):
+            return
+        run = (src, dests, handler, columns, nbytes, msg_type)
+        if (src[1:] < src[:-1]).any():
+            run = _part(run, np.argsort(src, kind="stable"))
+            src = run[0]
+        have = np.bincount(src, minlength=len(self.queued))
+        # A row's place among its rank's queued messages (src ascends).
+        wave = self.wave_of(np.arange(len(src))
+                            + (self.queued - np.cumsum(have) + have)[src])
+        self.queued += have
+        first, last = int(wave.min()), int(wave.max())
+        if first < last:
+            # In the narrowest dtype the stable sort is a radix sort.
+            order = np.argsort((wave - first).astype(
+                np.min_scalar_type(last - first)), kind="stable")
+            run, wave = _part(run, order), wave[order]
+        cuts = np.searchsorted(wave, np.arange(first, last + 2))
+        for w, lo, hi in zip(range(first, last + 1), cuts[:-1], cuts[1:]):
+            if lo < hi:
+                self.waves.setdefault(w, []).append(_part(run, slice(lo, hi)))
 
 
 def _part(run: tuple, index: np.ndarray) -> tuple:
@@ -430,31 +446,17 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
     _tally(world, "kernel.fallbacks", fallbacks)
 
 
-def pump(world: YGMWorld, live: List[int], count: int) -> Dict[int, int]:
-    """Ship each live rank's next ``count`` staged messages (all of them
-    when ``count`` is 0), taken in that rank's emission order, one
-    :meth:`YGMWorld.emit_run` per staged run; returns ``rank -> how
-    many stay staged``."""
+def pump(world: YGMWorld, live: List[int]) -> Dict[int, int]:
+    """Ship the lowest staged wave, one :meth:`YGMWorld.emit_run` per
+    run; returns ``rank -> how many of its waves stay staged``."""
     block = block_of(world)
-    budget = np.zeros(world.world_size, dtype=np.int64)
-    budget[live] = count or np.iinfo(np.int64).max
-    rest = []
-    for run in block.staged:
-        src = run[0]
-        have = np.bincount(src, minlength=world.world_size)
-        took = np.minimum(have, budget)
-        budget -= took
-        if took.sum() == len(src):
-            world.emit_run(*run)
-            continue
-        # A row's place among its rank's rows of the run (src ascends).
-        go = np.arange(len(src)) - (np.cumsum(have) - have)[src] < took[src]
-        if go.any():
-            world.emit_run(*_part(run, go))
-        rest.append(_part(run, ~go))
-    block.staged = rest
-    left = np.bincount(np.concatenate([run[0] for run in rest] + [NO_ROWS]),
-                       minlength=world.world_size)
+    front = min(block.waves, default=0)
+    for run in block.waves.pop(front, ()):
+        world.emit_run(*run)
+    # A rank's waves are 0 .. the wave of its last queued message.
+    left = np.maximum(block.wave_of(block.queued - 1) - front, 0)
+    if not block.waves:
+        block.queued = np.zeros_like(block.queued)
     return {rank: int(left[rank]) for rank in live}
 
 
@@ -530,7 +532,7 @@ def sample(world: YGMWorld, live: List[int], iteration: int) -> None:
     """Local old/new sampling (lines 8-10): no communication."""
     block = block_of(world)
     cfg = block.config.nnd
-    block.forget(live)
+    block.forget()
     rows, slots = np.nonzero((block.ids != EMPTY)
                              & block.of_ranks(live)[:, None])
     values = block.ids[rows, slots]
@@ -608,7 +610,8 @@ def check(world: YGMWorld, live: List[int]) -> None:
 
 def repair_reset(world: YGMWorld, live: List[int], ranks: List[int]) -> None:
     """Degraded-repair stage 1: a replacement node comes back with the
-    dataset view and empty state."""
+    dataset view and empty neighbor rows (the iteration scratch is
+    dropped when the next iteration starts)."""
     block = block_of(world)
     gone = [rank for rank in live if rank in ranks]
     rows = np.flatnonzero(block.of_ranks(gone))
@@ -616,7 +619,6 @@ def repair_reset(world: YGMWorld, live: List[int], ranks: List[int]) -> None:
     block.ids[rows] = EMPTY
     block.dists[rows] = np.inf
     block.flags[rows] = False
-    block.forget(gone)
 
 
 def repair_reinit(world: YGMWorld, live: List[int], ranks: List[int]) -> None:

@@ -423,7 +423,7 @@ def _cos_pairwise_impl(ops: ArrayModule, cache: NormCache, stats: KernelStats,
             sims = sims / nb_safe[None, j0:j1]
             block = 1.0 - sims
             ops.clamp0(block)
-            out[i0:i1, j0:j1] = ops.to_numpy(block)
+            out[i0:i1, j0:j1] = np.minimum(ops.to_numpy(block), 2.0)
             stats.tile_flops += 2 * (i1 - i0) * (j1 - j0) * dim
     out[zero_a, :] = 1.0
     out[:, zero_b] = 1.0
@@ -443,7 +443,7 @@ def _cos_rowwise_impl(ops: ArrayModule, stats: KernelStats, a, b) -> np.ndarray:
     sim = ab / denom
     out = 1.0 - sim
     ops.clamp0(out)
-    out = ops.to_numpy(out).astype(np.float64, copy=False)
+    out = np.minimum(ops.to_numpy(out), 2.0, dtype=np.float64)
     out[zero] = 1.0
     return out
 

@@ -47,7 +47,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine *distance*: ``1 - cos_sim`` — GloVe/NYTimes/Last.fm metric.
 
     Zero vectors are treated as maximally distant from everything
-    (distance 1), matching pynndescent's convention.
+    (distance 1), matching pynndescent's convention.  Every cosine form
+    clamps into ``[0, 2]``: a norm that squares to a subnormal is inexact.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -56,7 +57,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 1.0
     sim = np.dot(a, b) / (na * nb)
-    return float(max(0.0, 1.0 - sim))
+    return float(min(2.0, max(0.0, 1.0 - sim)))
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -154,7 +155,7 @@ def cosine_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
         return out
     nonzero = nx > 0
     sims = (Xf[nonzero] @ q) / (nx[nonzero] * nq)
-    out[nonzero] = np.maximum(0.0, 1.0 - sims)
+    out[nonzero] = np.clip(1.0 - sims, 0.0, 2.0)
     return out
 
 
@@ -267,7 +268,7 @@ def cosine_rowwise(a, b) -> np.ndarray:
     zero = (na == 0.0) | (nb == 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = ab / (na * nb)
-    out = np.maximum(0.0, 1.0 - sim)
+    out = np.clip(1.0 - sim, 0.0, 2.0)
     out[zero] = 1.0
     return out
 
@@ -325,7 +326,7 @@ def cosine_pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sims /= nb_safe[None, :]
     sims[na == 0, :] = 0.0
     sims[:, nb == 0] = 0.0
-    return np.maximum(0.0, 1.0 - sims)
+    return np.clip(1.0 - sims, 0.0, 2.0)
 
 
 def manhattan_pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -6,13 +6,13 @@ processes them in parallel" (Section 5.3.3).  This module provides the
 Python analogue: a thread pool dispatching independent queries over one
 shared (read-only) graph + dataset.
 
-Each task is one :meth:`KNNGraphSearcher.query_batch` call over a span
-of ``chunk`` queries, i.e. one lock-step block (``core/search.py``)
-whose work is numpy array operations — gathers, sorts, the distance
-kernel — that release the GIL, so threads overlap there and not only
-inside the kernel.  More importantly for the reproduction, it exercises
-the same all-queries-at-once workload shape used for Figure 2's
-throughput axis.
+Each thread makes one :meth:`KNNGraphSearcher.query_batch` call over
+one contiguous, near-equal span of the queries: one lock-step block
+(``core/search.py``) whose numpy work — gathers, sorts, the distance
+kernel — releases the GIL, so threads overlap there too; smaller spans
+would only repeat a block's per-step interpreter cost.  More
+importantly for the reproduction, it exercises the same
+all-queries-at-once workload shape used for Figure 2's throughput axis.
 """
 
 from __future__ import annotations
@@ -34,21 +34,16 @@ class ParallelQueryEngine:
     searcher:
         A :class:`KNNGraphSearcher` (treated as read-only).
     n_threads:
-        Worker count; the paper uses 256 on Mammoth.
-    chunk:
-        Queries per task, walked in lock step; larger chunks amortize
-        the per-step interpreter cost over more rows.
+        Worker count, one span of the queries each; the paper uses 256
+        on Mammoth.
     """
 
-    def __init__(self, searcher: KNNGraphSearcher, n_threads: int = 4,
-                 chunk: int = 32) -> None:
+    def __init__(self, searcher: KNNGraphSearcher,
+                 n_threads: int = 4) -> None:
         if n_threads < 1:
             raise ConfigError(f"n_threads must be >= 1, got {n_threads}")
-        if chunk < 1:
-            raise ConfigError(f"chunk must be >= 1, got {chunk}")
         self.searcher = searcher
         self.n_threads = int(n_threads)
-        self.chunk = int(chunk)
 
     def query_batch(self, queries, l: int = 10,
                     epsilon: float = 0.0) -> Tuple[np.ndarray, np.ndarray, dict]:
@@ -60,8 +55,8 @@ class ParallelQueryEngine:
         nq = len(queries)
         ids = np.full((nq, l), -1, dtype=np.int64)
         dists = np.full((nq, l), np.inf, dtype=np.float64)
-        spans = [(lo, min(lo + self.chunk, nq))
-                 for lo in range(0, nq, self.chunk)]
+        spans = [(int(span[0]), int(span[-1]) + 1) for span in
+                 np.array_split(np.arange(nq), self.n_threads) if len(span)]
         evals = np.zeros(len(spans), dtype=np.int64)
         visited = np.zeros(len(spans), dtype=np.int64)
 
@@ -76,11 +71,11 @@ class ParallelQueryEngine:
             evals[span_idx] = round(stats["mean_distance_evals"] * (hi - lo))
             visited[span_idx] = round(stats["mean_visited"] * (hi - lo))
 
-        if self.n_threads == 1 or len(spans) <= 1:
+        if len(spans) <= 1:
             for idx, (lo, hi) in enumerate(spans):
                 run_span(idx, lo, hi)
         else:
-            with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
+            with ThreadPoolExecutor(max_workers=len(spans)) as pool:
                 futures = [pool.submit(run_span, idx, lo, hi)
                            for idx, (lo, hi) in enumerate(spans)]
                 for f in futures:

@@ -5,11 +5,12 @@ metrics additionally satisfy the triangle inequality and identity.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.distances import dense, sparse
+from repro.distances.blocked import make_kernels
 
 vec = hnp.arrays(
     np.float64, st.integers(2, 12),
@@ -74,10 +75,23 @@ def test_sqeuclidean_is_euclidean_squared(ab):
 
 
 @given(ab=paired(2))
+@example(ab=(np.array([0.0, -1.0]), np.array([0.0, 2.2254475895031596e-162])))
 @settings(max_examples=100, deadline=None)
 def test_cosine_bounded(ab):
+    """Every cosine form stays in ``[0, 2]`` — also where ``b``'s
+    squared norm underflows to a subnormal and ``1 - sim`` would pass 2
+    — and the rowwise form is bit-identical to the scalar."""
     a, b = ab
     assert 0.0 <= dense.cosine(a, b) <= 2.0 + 1e-12
+    kernels = make_kernels("cosine")
+    A, B = a[None, :], b[None, :]
+    forms = [np.array([dense.cosine(a, b)]), dense.cosine_rowwise(A, B),
+             dense.cosine_one_to_many(a, B), dense.cosine_pairwise(A, B),
+             kernels.pairwise(A, B), kernels.rowwise(A, B),
+             kernels.one_to_many(a, B)]
+    for form in forms:
+        assert ((0.0 <= form) & (form <= 2.0)).all()
+    assert forms[0].tobytes() == forms[1].tobytes()
 
 
 @given(ab=paired(2))

@@ -106,14 +106,13 @@ def test_sample_equals_a_stable_sort_reference(sets, n, seed, data):
 @given(calls=st.lists(st.tuples(
            st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
                     max_size=30),
-           st.one_of(st.none(), st.tuples(st.integers(0, 10),
-                                          st.integers(0, 10)))),
+           st.booleans()),
            max_size=6))
 def test_unchecked_equals_a_stable_unique_reference(calls):
-    """``HostBlock.unchecked`` over a call sequence, with ``forget_checks``
-    between calls, returns what ``np.unique(return_index=True)`` and a set
-    of seen pairs say: where each pair not checked yet first appears, in
-    key order."""
+    """``HostBlock.unchecked`` over a call sequence, with iteration
+    starts (``forget``) between calls, returns what
+    ``np.unique(return_index=True)`` and a set of seen pairs say: where
+    each pair not checked yet first appears, in key order."""
     n = 10
     cfg = DNNDConfig(nnd=NNDescentConfig(k=2, seed=0))
     block = HostBlock.build([0], HashPartitioner(n, 1), np.zeros((n, 1)), cfg)
@@ -126,10 +125,9 @@ def test_unchecked_equals_a_stable_unique_reference(calls):
         np.testing.assert_array_equal(block.unchecked(rows, other),
                                       first[fresh])
         seen.update(keys.tolist())
-        if forget is not None:
-            lo, hi = sorted(forget)
-            block.forget_checks(lo, hi)
-            seen = {key for key in seen if not lo * n <= key < hi * n}
+        if forget:
+            block.forget()
+            seen = set()
 
 
 def test_every_element_is_drawn_about_equally_often():
@@ -214,7 +212,8 @@ def test_candidates_after_union_identical_on_every_cluster_shape(small_dense):
 
 def _staged_pairs(world):
     """Every staged ``(v, u)`` request of a world, sorted."""
-    return sorted((a, b) for run in block_of(world).staged
+    return sorted((a, b) for runs in block_of(world).waves.values()
+                  for run in runs
                   for a, b in zip(*(col.tolist() for col in run[3])))
 
 
@@ -228,7 +227,8 @@ def test_init_asks_k_distinct_others_and_repair_replays_them(k, extra,
     block = block_of(world)
     live = list(range(world_size))
     dnnd_phases.init(world, live)
-    (src, dests, handler, (v, u), _nbytes, _type), = block.staged
+    # Fewer messages than a wave holds: one wave.
+    (src, dests, handler, (v, u), _nbytes, _type), = block.waves[0]
     assert handler == "init_req"
     np.testing.assert_array_equal(dests, block.owner_of[u])
     np.testing.assert_array_equal(src, block.owner_of[v])
@@ -239,14 +239,14 @@ def test_init_asks_k_distinct_others_and_repair_replays_them(k, extra,
     pairs = _staged_pairs(world)
     # The degraded-repair replay of each rank: the same requests.
     for rank in live:
-        block.forget(live)
+        block.forget()
         dnnd_phases.repair_reset(world, live, ranks=[rank])
         dnnd_phases.repair_reinit(world, live, ranks=[rank])
         own = src == rank
         if not own.any():
-            assert block.staged == []
+            assert block.waves == {}
             continue
-        (_s, _d, _h, (v2, u2), _b, _t), = block.staged
+        (_s, _d, _h, (v2, u2), _b, _t), = block.waves[0]
         np.testing.assert_array_equal(v[own], v2)
         np.testing.assert_array_equal(u[own], u2)
     # A vertex draws the same others whoever owns it.

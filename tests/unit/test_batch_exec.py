@@ -306,26 +306,28 @@ class TestEmitRun:
 
     def test_staged_runs_take_the_same_sizes_and_checks(self):
         """The rank program's ``stage``/``pump`` accept a numpy integer
-        size and pump it in chunks; ``stage`` refuses a mismatched
-        column before anything is staged."""
-        from types import SimpleNamespace
-
+        size and pump it in waves (five messages per rank); ``stage``
+        refuses a mismatched column before anything is staged."""
+        from repro.config import DNNDConfig, NNDescentConfig
         from repro.core.dnnd_phases import HostBlock, pump
+        from repro.runtime.partition import HashPartitioner
 
         plain, got_p = self._world(flush_bytes=30)
         plain.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
         plain.barrier()
         staged, got_s = self._world(flush_bytes=30)
-        # ``stage`` and ``pump`` read nothing of a block but its runs.
-        block = staged.state["block"] = SimpleNamespace(staged=[])
+        ws = staged.world_size
+        block = staged.state["block"] = HostBlock.build(
+            list(range(ws)), HashPartitioner(8, ws), np.zeros((8, 1)),
+            DNNDConfig(nnd=NNDescentConfig(k=2), batch_size=5 * ws))
         src = np.zeros(len(self.DESTS), dtype=np.int64)
         with pytest.raises(RuntimeStateError, match="'h'"):
-            HostBlock.stage(block, src, self.DESTS, "h",
-                            (self.KEYS[:-1], self.VALS), np.int64(8), "t")
-        assert block.staged == []
-        HostBlock.stage(block, src, self.DESTS, "h", (self.KEYS, self.VALS),
+            block.stage(src, self.DESTS, "h", (self.KEYS[:-1], self.VALS),
                         np.int64(8), "t")
-        while pump(staged, [0], 5)[0]:
+        assert block.waves == {}
+        block.stage(src, self.DESTS, "h", (self.KEYS, self.VALS),
+                    np.int64(8), "t")
+        while pump(staged, [0])[0]:
             pass
         staged.barrier()
         assert self._observables(staged, got_s) == self._observables(plain, got_p)

@@ -44,7 +44,7 @@ def make_world_with_shards(n=8, k=3, comm_opts=None, data=None,
     if data is None:
         data = np.arange(n, dtype=np.float32).reshape(-1, 1)
     build_shards(world.ranks, part, data, cfg)
-    block_of(world).forget([0, 1])
+    block_of(world).forget()
     return world, part
 
 
@@ -352,16 +352,117 @@ class TestType1Generator:
         dnnd_phases.check(world, [0])
         # Staged, not sent: nothing moves until the driver pumps.
         assert world.stats.total_count() == world.log.counters()["comm.local_deliveries"] == 0
-        (src, dests, handler, (u1, _u2), _nbytes, msg_type), = block.staged
+        # Fewer messages than a wave holds: one wave.
+        (src, dests, handler, (u1, _u2), _nbytes, msg_type), = block.waves[0]
         assert (handler, msg_type) == ("check_opt", "type1")
         assert (src == 0).all()
         n = len(self._local_join_pairs(self.NEW, self.OLD))
         assert len(dests) == n
-        assert dnnd_phases.pump(world, [0], count=0) == {0: 0}
+        assert dnnd_phases.pump(world, [0]) == {0: 0}
         remote = sum(part.owner(a) != 0 for a in u1.tolist())
         assert world.stats.get("type1").count == remote
         assert world.log.counters()["comm.local_deliveries"] == n - remote
-        assert block.staged == []
+        assert block.waves == {}
+
+
+class TestWaves:
+    """Section 4.4's batching as ``stage`` files it: a message's wave is
+    its place among the messages its rank staged since the waves last
+    drained, over ``batch_size // world_size``; ``pump`` ships one wave
+    a call."""
+
+    RANKS = [0, 1, 2, 3]
+
+    def _world(self, batch_size):
+        """A 4-rank world and block whose ``pump`` calls are recorded as
+        ``rank -> tags shipped``, one dict per call."""
+        world = YGMWorld(SimCluster(ClusterConfig(nodes=2, procs_per_node=2)))
+        world.register_batch_handler("h", lambda world, dest, tags: None)
+        block = world.state["block"] = HostBlock.build(
+            self.RANKS, BlockPartitioner(16, 4), np.zeros((16, 1)),
+            DNNDConfig(nnd=NNDescentConfig(k=2), batch_size=batch_size))
+        pumps = []
+        emit_run = world.emit_run
+
+        def record(src, dests, handler, columns, nbytes, msg_type="other"):
+            for rank, tag in zip(src.tolist(), columns[0].tolist()):
+                pumps[-1].setdefault(rank, []).append(tag)
+            emit_run(src, dests, handler, columns, nbytes, msg_type)
+
+        world.emit_run = record
+        return world, block, pumps
+
+    @staticmethod
+    def _stage(block, counts, seed):
+        """Stage ``counts[r]`` messages of each rank ``r``, the ranks
+        interleaved; returns ``rank -> tags`` in emission order."""
+        src = np.random.default_rng(seed).permutation(
+            np.repeat(np.arange(len(counts)), counts))
+        tags = seed * 1000 + np.arange(len(src))
+        block.stage(src, src, "h", (tags,), 8, "t")
+        return {r: tags[src == r].tolist() for r in range(len(counts))}
+
+    def _pump_all(self, world, pumps):
+        """The driver's rule: pump and barrier until no rank has a wave
+        left; returns the pumps taken."""
+        taken = 0
+        while True:
+            pumps.append({})
+            left = dnnd_phases.pump(world, self.RANKS)
+            world.barrier()
+            taken += 1
+            if not any(left.values()):
+                return taken
+
+    def test_pump_k_ships_each_ranks_kth_wave_in_emission_order(self):
+        world, block, pumps = self._world(batch_size=12)    # 3 a rank
+        sent = self._stage(block, [7, 0, 3, 11], seed=1)
+        assert self._pump_all(world, pumps) == 4
+        for k, shipped in enumerate(pumps):
+            for rank in self.RANKS:
+                assert shipped.get(rank, []) == sent[rank][3 * k:3 * k + 3]
+
+    def test_two_stages_before_one_pump_continue_each_ranks_places(self):
+        """The ``repair_reinit`` + ``repair_donate`` shape: a second run
+        staged before the pumps takes up each rank's places where the
+        first left them."""
+        world, block, pumps = self._world(batch_size=12)
+        first = self._stage(block, [2, 5, 0, 4], seed=1)
+        second = self._stage(block, [4, 1, 3, 0], seed=2)
+        assert self._pump_all(world, pumps) == 2
+        for rank in self.RANKS:
+            both = first[rank] + second[rank]
+            assert [p.get(rank, []) for p in pumps] == [both[:3], both[3:6]]
+
+    @pytest.mark.parametrize("batch_size,counts", [
+        (12, [7, 0, 3, 11]), (12, [3, 3, 3, 3]), (12, [0, 0, 0, 0]),
+        (4, [2, 0, 1, 0]), (0, [9, 4, 0, 1])])
+    def test_pumps_are_the_most_waves_of_any_rank_and_at_least_one(
+            self, batch_size, counts):
+        world, block, pumps = self._world(batch_size)
+        self._stage(block, counts, seed=3)
+        per = max(1, batch_size // 4) if batch_size else max(max(counts), 1)
+        want = max(1, max(-(-c // per) for c in counts))
+        assert self._pump_all(world, pumps) == want
+        assert block.waves == {}
+        # A drained phase's successor numbers its places from 0 again.
+        self._stage(block, counts, seed=4)
+        assert self._pump_all(world, pumps) == want
+
+    def test_forget_after_a_partly_pumped_phase_leaves_nothing_to_ship(self):
+        world, block, pumps = self._world(batch_size=12)
+        self._stage(block, [7, 0, 3, 11], seed=1)
+        pumps.append({})
+        assert dnnd_phases.pump(world, self.RANKS) == {0: 2, 1: 0, 2: 0,
+                                                       3: 3}
+        world.barrier()
+        block.forget()
+        assert self._pump_all(world, pumps) == 1
+        assert pumps[-1] == {} and block.waves == {}
+        # The next phase's places start at 0 again.
+        sent = self._stage(block, [4, 0, 0, 0], seed=2)
+        assert self._pump_all(world, pumps) == 2
+        assert pumps[-2:] == [{0: sent[0][:3]}, {0: sent[0][3:]}]
 
 
 class TestSingleSource:

@@ -23,7 +23,7 @@ def setup():
 class TestParallelEngine:
     def test_results_shape(self, setup):
         data, searcher = setup
-        engine = ParallelQueryEngine(searcher, n_threads=4, chunk=16)
+        engine = ParallelQueryEngine(searcher, n_threads=4)
         ids, dists, stats = engine.query_batch(data[:50], l=8, epsilon=0.1)
         assert ids.shape == (50, 8)
         assert stats["n_threads"] == 4
@@ -33,7 +33,7 @@ class TestParallelEngine:
         data, searcher = setup
         gt_ids, _ = brute_force_neighbors(data, data[:60], k=8)
         serial_ids, _, _ = searcher.query_batch(data[:60], l=8, epsilon=0.2)
-        engine = ParallelQueryEngine(searcher, n_threads=4, chunk=8)
+        engine = ParallelQueryEngine(searcher, n_threads=4)
         par_ids, _, _ = engine.query_batch(data[:60], l=8, epsilon=0.2)
         r_serial = recall_at_k(serial_ids, gt_ids)
         r_par = recall_at_k(par_ids, gt_ids)
@@ -48,35 +48,53 @@ class TestParallelEngine:
         assert (ids[:, 0] >= 0).all()
 
     def test_deterministic_per_chunk_layout(self, setup):
-        # Same engine config -> same per-span seeds -> same results.
+        # Same thread count -> same spans and per-span seeds -> same
+        # results.
         data, searcher = setup
-        engine = ParallelQueryEngine(searcher, n_threads=3, chunk=8)
+        engine = ParallelQueryEngine(searcher, n_threads=3)
         a, _, _ = engine.query_batch(data[:40], l=5, epsilon=0.1)
         b, _, _ = engine.query_batch(data[:40], l=5, epsilon=0.1)
         np.testing.assert_array_equal(a, b)
 
     def test_threads_do_not_change_answers(self, setup):
-        """Span ``i`` is ``searcher.clone(seed=i).query_batch`` over its
-        slice — one lock-step block — on one thread or four."""
+        """Span ``i`` is ``searcher.clone(seed=i).query_batch`` over the
+        ``i``-th of ``n_threads`` contiguous near-equal spans — one
+        lock-step block a thread, whether the threads run it or one
+        loop does."""
         data, searcher = setup
         queries = data[:70] + np.float32(0.01)
-        one = ParallelQueryEngine(searcher, n_threads=1, chunk=16)
-        four = ParallelQueryEngine(searcher, n_threads=4, chunk=16)
-        a = one.query_batch(queries, l=6, epsilon=0.2)
-        b = four.query_batch(queries, l=6, epsilon=0.2)
-        spans = [searcher.clone(seed=i).query_batch(
-            queries[lo:lo + 16], l=6, epsilon=0.2)
-            for i, lo in enumerate(range(0, 70, 16))]
-        want_ids = np.concatenate([s[0] for s in spans])
-        want_dists = np.concatenate([s[1] for s in spans])
-        evals = sum(s[2]["mean_distance_evals"] * s[2]["n_queries"]
-                    for s in spans)
-        for ids, dists, stats in (a, b):
+        for n_threads in (1, 4):
+            engine = ParallelQueryEngine(searcher, n_threads=n_threads)
+            ids, dists, stats = engine.query_batch(queries, l=6,
+                                                   epsilon=0.2)
+            spans = [searcher.clone(seed=i).query_batch(
+                queries[span], l=6, epsilon=0.2) for i, span in
+                enumerate(np.array_split(np.arange(70), n_threads))]
+            want_ids = np.concatenate([s[0] for s in spans])
+            want_dists = np.concatenate([s[1] for s in spans])
+            evals = sum(s[2]["mean_distance_evals"] * s[2]["n_queries"]
+                        for s in spans)
             assert np.array_equal(ids, want_ids)
             assert dists.tobytes() == want_dists.tobytes()
             assert stats["mean_distance_evals"] == pytest.approx(evals / 70)
             assert stats["mean_visited"] == stats["mean_distance_evals"]
-        assert a[2]["mean_distance_evals"] == b[2]["mean_distance_evals"]
+
+    def test_one_thread_makes_one_query_batch_call(self, setup,
+                                                   monkeypatch):
+        data, searcher = setup
+        calls = []
+        query_batch = KNNGraphSearcher.query_batch
+
+        def counted(self, queries, **kw):
+            calls.append(len(queries))
+            return query_batch(self, queries, **kw)
+
+        monkeypatch.setattr(KNNGraphSearcher, "query_batch", counted)
+        ParallelQueryEngine(searcher, n_threads=1).query_batch(data[:70])
+        assert calls == [70]
+        calls.clear()
+        ParallelQueryEngine(searcher, n_threads=3).query_batch(data[:70])
+        assert sorted(calls) == [23, 23, 24]
 
     def test_empty_batch(self, setup):
         data, searcher = setup
@@ -87,7 +105,7 @@ class TestParallelEngine:
 
     def test_worker_exception_propagates(self, setup):
         data, searcher = setup
-        engine = ParallelQueryEngine(searcher, n_threads=2, chunk=4)
+        engine = ParallelQueryEngine(searcher, n_threads=2)
         bad = np.zeros((10, 5), dtype=np.float32)  # wrong dim
         with pytest.raises(Exception):
             engine.query_batch(bad, l=5)
@@ -96,8 +114,6 @@ class TestParallelEngine:
         _, searcher = setup
         with pytest.raises(ConfigError):
             ParallelQueryEngine(searcher, n_threads=0)
-        with pytest.raises(ConfigError):
-            ParallelQueryEngine(searcher, chunk=0)
 
 
 class TestSearcherClone:

@@ -1,12 +1,13 @@
 """The rank host: one class executes the driver's commands over the
 ranks it holds, whether that is every rank of a world (the sim driver's
 host) or one worker's share (the process backend), and the driver paces
-every emitting phase by one rule — stage, then pump in chunks.  A host
+every emitting phase by one rule — stage, then pump wave by wave.  A host
 applies each handler once per round over all of its ranks' messages, so
 how ranks are grouped into hosts must not show in any rank's state or
 tallies."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,11 +73,11 @@ class Fabric:
                 return
             held = shipped_to
 
-    def pump(self, count):
+    def pump(self):
         """The driver's pacing rule; returns the barriers it took."""
         barriers = 0
         while True:
-            left = self.section("pump", count=count)
+            left = self.section("pump")
             self.barrier()
             barriers += 1
             if not any(left.values()):
@@ -107,7 +108,8 @@ def _tallies(fabric):
 def test_one_host_equals_two_hosts_over_a_split():
     """Every SECTIONS / SHARD_OPS entry gives the same ``rank -> value``
     from one host over all ranks and from two hosts over a split."""
-    one, two = Fabric([[0, 1, 2, 3]]), Fabric([[0, 2], [1, 3]])
+    whole = replace(CONFIG, batch_size=0)
+    one, two = Fabric([[0, 1, 2, 3]], whole), Fabric([[0, 2], [1, 3]], whole)
     covered = set()
 
     def both(kind, name, **args):
@@ -122,7 +124,7 @@ def test_one_host_equals_two_hosts_over_a_split():
         return left
 
     def ship():
-        left, right = both("section", "pump", count=0)
+        left, right = both("section", "pump")
         assert _same(left, right)
         one.barrier()
         two.barrier()
@@ -185,22 +187,28 @@ BEFORE = {
 @pytest.mark.parametrize("phase", sorted(BEFORE))
 def test_one_chunk_and_many_chunks_deliver_the_same_messages(phase):
     """A staged phase delivers the same multiset of messages per type
-    whether the driver pumps it as one chunk or as many."""
+    whether the driver pumps it as one wave or as many (``batch_size``
+    0 against 7 messages per rank a wave, every phase before it shipped
+    whole)."""
 
     def run(fabric, name):
         args = {} if name in ("init", "check") else {"iteration": 0}
         fabric.section(name, **args)
 
-    whole, chunked = Fabric([[0, 1, 2, 3]]), Fabric([[0, 1, 2, 3]])
+    config = replace(CONFIG, batch_size=0)
+    whole, chunked = Fabric([[0, 1, 2, 3]], config), Fabric([[0, 1, 2, 3]],
+                                                              config)
     for fabric in (whole, chunked):
         for name in BEFORE[phase]:
             run(fabric, name)
-            fabric.pump(0)
+            fabric.pump()
     sent_whole, sent_chunked = _recording(whole), _recording(chunked)
+    block_of(chunked.hosts[0].world).config = replace(
+        config, batch_size=7 * CLUSTER.world_size)
     run(whole, phase)
     run(chunked, phase)
-    assert whole.pump(0) == 1
-    assert chunked.pump(7) > 3
+    assert whole.pump() == 1
+    assert chunked.pump() > 3
     assert sent_whole == sent_chunked and sent_whole
     assert _same(whole.command("ckpt_get"), chunked.command("ckpt_get"))
     stats = [f.hosts[0].world.stats.snapshot() for f in (whole, chunked)]
@@ -233,8 +241,10 @@ def test_one_host_equals_one_host_per_rank(monkeypatch, pattern, chunk_rows):
     if chunk_rows:
         monkeypatch.setattr(dnnd_phases, "_EVAL_BYTES",
                             chunk_rows * 2 * DATA.shape[1] * DATA.itemsize)
+    # 25 messages per rank a wave: every phase ships in several.
     config = DNNDConfig(nnd=NNDescentConfig(k=4, seed=3),
-                        comm_opts=getattr(CommOptConfig, pattern)())
+                        comm_opts=getattr(CommOptConfig, pattern)(),
+                        batch_size=25 * CLUSTER.world_size)
     one = Fabric([[0, 1, 2, 3]], config)
     four = Fabric([[0], [1], [2], [3]], config)
     barriers = 0
@@ -243,11 +253,10 @@ def test_one_host_equals_one_host_per_rank(monkeypatch, pattern, chunk_rows):
         for fabric in (one, four):
             fabric.section(name, **params)
 
-    def ship(count):
+    def ship():
         nonlocal barriers
         while True:
-            left = [fabric.section("pump", count=count)
-                    for fabric in (one, four)]
+            left = [fabric.section("pump") for fabric in (one, four)]
             assert left[0] == left[1]
             one.barrier()
             four.barrier()
@@ -258,14 +267,14 @@ def test_one_host_equals_one_host_per_rank(monkeypatch, pattern, chunk_rows):
                 return
 
     both("init")
-    ship(0)
+    ship()
     for iteration in range(2):
         both("sample", iteration=iteration)
         both("reverse", iteration=iteration)
-        ship(0)
+        ship()
         both("union", iteration=iteration)
         both("check")
-        ship(25)
+        ship()
     assert barriers > 6
 
 
