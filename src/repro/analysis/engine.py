@@ -199,22 +199,6 @@ def _collect_registrations(module: SourceModule,
             target = node.args[0]
             if isinstance(target, ast.Constant) and isinstance(target.value, str):
                 bind(project.visitors, target.value, node.args[1], node)
-        elif method == "register_kernel":
-            # Blocked distance-kernel declarations (DESIGN.md section
-            # 17).  Only the callable slots are helper bindings; the
-            # attach-time state keywords (ops/cache/stats) are data, not
-            # code, and indexing them would make REP203 audit non-
-            # functions.  Kernel helpers go into their own registry so
-            # REP202's handler arity model never sees them.
-            metric = None
-            if (node.args and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
-                metric = node.args[0].value
-            for kw in node.keywords:
-                if kw.arg in ("pairwise", "rowwise", "one_to_many"):
-                    label = (f"{metric}.{kw.arg}" if metric is not None
-                             else kw.arg)
-                    bind(project.kernel_helpers, label, kw.value, node)
         elif method in _TASK_METHODS and node.args:
             target = node.args[0]
             label = (target.id if isinstance(target, ast.Name)
@@ -310,7 +294,7 @@ def build_project(modules: List[SourceModule]) -> ProjectContext:
     # whose def lives in another analyzed file).
     for registry in (project.handlers, project.visitors,
                      project.batch_handlers, project.executor_tasks,
-                     project.process_tasks, project.kernel_helpers):
+                     project.process_tasks):
         for infos in registry.values():
             for info in infos:
                 if info.func is None and info.func_name is not None:

@@ -130,14 +130,6 @@ class ProjectContext:
     #: channels are pickled pipes/queues.  Determinism rules still see
     #: these functions through ``functions``/``handlers``.
     process_tasks: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
-    #: Distance-kernel helpers registered via ``register_kernel`` (the
-    #: blocked kernel layer, DESIGN.md section 17).  Kept out of
-    #: ``batch_handlers`` on purpose: kernel helpers are pure batch
-    #: variants built by a *factory*, so REP202's arity model does not
-    #: apply, and REP203 audits them under a relaxed contract — they may
-    #: capture their factory's parameters (attach-time kernel state,
-    #: identical on every rank) but nothing else.
-    kernel_helpers: Dict[str, List[HandlerInfo]] = field(default_factory=dict)
 
 
 RuleFn = Callable[[ProjectContext, AnalysisConfig], Iterator[Finding]]

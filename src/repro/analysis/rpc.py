@@ -27,13 +27,7 @@ REP203  handler-closure-capture  a handler registered from inside a
                                  function closes over rank-local
                                  mutable state — handler behaviour must
                                  be a pure function of its arguments
-                                 plus owner-rank state.  Blocked-kernel
-                                 helpers (``register_kernel``) are pure
-                                 *batch variants* built by a factory:
-                                 they may capture the factory's own
-                                 parameters (attach-time kernel state,
-                                 identical on every rank) but nothing
-                                 else.
+                                 plus owner-rank state.
 REP204  stats-read-before-barrier  reading ``.stats`` after emitting
                                  async messages with no intervening
                                  ``barrier()`` in the same scope:
@@ -146,35 +140,6 @@ def check_handler_arity(project: ProjectContext,
             f"registered implementation accepts {shapes}")
 
 
-def _enclosing_parameters(fn: FunctionInfo) -> frozenset:
-    """Parameter names of the innermost function *enclosing* ``fn``'s
-    definition (empty for a top-level def).  Used by REP203's kernel-
-    helper audit: a blocked-kernel closure may capture exactly these."""
-    if fn.node is None or fn.module is None:
-        return frozenset()
-    enclosing = None
-    for node in ast.walk(fn.module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if node is fn.node:
-            continue
-        if any(child is fn.node for child in ast.walk(node)):
-            # Innermost wins: among all defs containing fn, the one
-            # starting last is the nearest enclosing scope.
-            if enclosing is None or node.lineno > enclosing.lineno:
-                enclosing = node
-    if enclosing is None:
-        return frozenset()
-    spec = enclosing.args
-    names = [p.arg for p in (*spec.posonlyargs, *spec.args,
-                             *spec.kwonlyargs)]
-    if spec.vararg is not None:
-        names.append(spec.vararg.arg)
-    if spec.kwarg is not None:
-        names.append(spec.kwarg.arg)
-    return frozenset(names)
-
-
 @rule("REP203", ERROR, "handler closes over rank-local mutable state")
 def check_closure_capture(project: ProjectContext,
                           config: AnalysisConfig) -> Iterator[Finding]:
@@ -203,35 +168,6 @@ def check_closure_capture(project: ProjectContext,
                         "be pure functions of (ctx, *args) + owner-rank "
                         "state — captured locals are rank-local on a real "
                         "cluster and silently diverge"))
-    # Kernel helpers (register_kernel, DESIGN.md section 17) are pure
-    # batch variants declared by a factory, so the contract relaxes by
-    # exactly one scope: the closure may bind its factory's parameters
-    # — attach-time kernel state (array module, norm cache, FLOP tally,
-    # tile override) replicated identically on every rank — but any
-    # other free variable is still rank-local mutable state.
-    for name, infos in project.kernel_helpers.items():
-        for info in infos:
-            fn = info.func
-            if fn is None or not fn.free_vars:
-                continue
-            allowed = _enclosing_parameters(fn)
-            illegal = tuple(v for v in fn.free_vars if v not in allowed)
-            if not illegal:
-                continue
-            key = (info.path, info.line, name)
-            if key in seen:
-                continue
-            seen.add(key)
-            captured = ", ".join(illegal)
-            yield Finding(
-                path=info.path, line=info.line, col=1, rule="REP203",
-                severity=ERROR,
-                message=(
-                    f"kernel helper {name!r} captures {captured} from "
-                    "outside its factory's parameter list; blocked-kernel "
-                    "closures are pure batch variants and may bind only "
-                    "attach-time factory parameters — anything else is "
-                    "rank-local mutable state that silently diverges"))
 
 
 _STATS_READS = ("stats", "stats_for")

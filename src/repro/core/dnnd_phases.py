@@ -439,11 +439,8 @@ def build_shards(ctxs: Iterable[RankContext], partitioner: Partitioner,
     dataset view."""
     ranks = sorted(ctx.rank for ctx in ctxs)
     world = ctxs[0].world
-    block = world.state["block"] = HostBlock.build(
+    world.state["block"] = HostBlock.build(
         ranks, partitioner, data, config, sanitizer=world.sanitizer)
-    fallbacks = np.zeros(world.world_size, dtype=np.int64)
-    fallbacks[ranks] = block.metric.kernel_fallbacks
-    _tally(world, "kernel.fallbacks", fallbacks)
 
 
 def pump(world: YGMWorld, live: List[int]) -> Dict[int, int]:

@@ -111,6 +111,10 @@ class KNNGraphSearcher:
         Optional RP-tree forest: when given, search entry points come
         from the query's leaf instead of uniform random sampling
         (PyNNDescent's start-point refinement, Section 6).
+    seed:
+        Seed of the entry-point sampling, kept as ``self.seed``: a
+        :class:`~repro.eval.parallel_query.ParallelQueryEngine` derives
+        its per-thread clones' seeds from it.
     kernel:
         Batched kernel implementation for the frontier expansion:
         ``"rowwise"`` (bit-exact, the default) or ``"blocked"``
@@ -137,6 +141,7 @@ class KNNGraphSearcher:
         self.data = data
         self.metric = CountingMetric(metric, kernel=kernel)
         self.entry_forest = entry_forest
+        self.seed = int(seed)
         self._rng = derive_rng(seed, 0x5EA6C4)
         self.metrics = metrics if metrics is not None else NULL_METRICS
         # A dense metric over a 2-D array evaluates distances through the

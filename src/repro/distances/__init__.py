@@ -9,9 +9,9 @@ Jaccard (Table 1).  This subpackage provides:
 - batched metrics (``theta_batch(A, b)`` / pairwise blocks) for the
   vectorized shared-memory baseline and brute-force ground truth,
 - a registry keyed by metric name,
-- blocked tiled-GEMM kernels behind an ``xp`` array-module seam
-  (``repro.distances.blocked``), selected per build via
-  ``DNNDConfig.kernel`` / ``REPRO_KERNEL``,
+- blocked tiled-GEMM kernels on plain numpy (``repro.distances.blocked``),
+  selected per build via ``DNNDConfig.kernel`` / ``REPRO_KERNEL``
+  (``REPRO_XP`` is no longer read),
 - a counting wrapper used to compare construction cost between algorithms
   in distance evaluations (platform-independent work units).
 """
@@ -23,12 +23,10 @@ from .registry import (
     register_metric,
 )
 from .blocked import (
-    ArrayModule,
     KernelBundle,
     NormCache,
     blocked_metrics,
     make_kernels,
-    resolve_array_module,
     resolve_kernel,
     tile_size_for,
 )
@@ -41,12 +39,10 @@ __all__ = [
     "list_metrics",
     "register_metric",
     "CountingMetric",
-    "ArrayModule",
     "KernelBundle",
     "NormCache",
     "blocked_metrics",
     "make_kernels",
-    "resolve_array_module",
     "resolve_kernel",
     "tile_size_for",
     "blocked",

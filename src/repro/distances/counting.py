@@ -9,18 +9,19 @@ algorithms in a platform-independent unit.
 
 The wrapper is also the kernel dispatch seam (DESIGN.md section 17):
 ``kernel="rowwise"`` (the default) keeps the bit-exact per-row kernels,
-``kernel="blocked"`` swaps the batched forms for the tiled-GEMM kernels
-of :mod:`repro.distances.blocked` — same call structure, same counting,
-recall-gated instead of bit-identical.  Metrics without a blocked form
-(and every sparse metric) silently keep the exact kernels, so the
-switch is always safe to flip.
+``kernel="blocked"`` swaps the batched forms for the tiled-GEMM numpy
+kernels of :mod:`repro.distances.blocked` — same call structure, same
+counting, recall-gated instead of bit-identical.  Metrics without a
+blocked form (and every sparse metric) silently keep the exact kernels,
+so the switch is always safe to flip.  ``REPRO_XP`` is no longer read:
+the blocked kernels have no array-module choice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocked import kernel_fallbacks, make_kernels, resolve_kernel
+from .blocked import make_kernels, resolve_kernel
 from .registry import Metric, get_metric
 
 
@@ -35,19 +36,16 @@ class CountingMetric:
     (bit-exact, the default) or ``"blocked"`` (tiled GEMM); ``None``
     defers to the ``REPRO_KERNEL`` environment variable.  Scalar calls
     always use the exact metric — the kernel axis only covers batched
-    forms.  ``tile_flops`` and ``kernel_fallbacks`` surface the blocked
-    layer's tallies for the ``kernel.*`` metrics.
+    forms.  ``tile_flops`` surfaces the blocked layer's tally for the
+    ``kernel.tile_flops`` metric.
     """
 
     def __init__(self, metric, kernel: str | None = None) -> None:
         self._metric: Metric = get_metric(metric)
         self.kernel: str = resolve_kernel(kernel)
         self._blocked = None
-        self.kernel_fallbacks: int = 0
         if self.kernel == "blocked" and not self._metric.sparse_input:
-            before = kernel_fallbacks()
             self._blocked = make_kernels(self._metric.name)
-            self.kernel_fallbacks = kernel_fallbacks() - before
         self.count: int = 0
 
     @property
@@ -65,7 +63,7 @@ class CountingMetric:
     @property
     def tile_flops(self) -> int:
         """FLOPs spent in blocked tile products (0 under ``rowwise``)."""
-        return self._blocked.stats.tile_flops if self._blocked is not None else 0
+        return self._blocked.tile_flops if self._blocked is not None else 0
 
     def __call__(self, a, b) -> float:
         self.count += 1
@@ -96,9 +94,9 @@ class CountingMetric:
         return out
 
     def rowwise_raw(self, A, B) -> np.ndarray:
-        """Paired-rows distances with NO counting — for speculative batch
-        evaluation where the caller charges only the rows it actually
-        consumes (keeping ``count`` equal to the scalar execution path)."""
+        """Paired-rows distances with NO counting: the body of
+        :meth:`rowwise`.  ``benchmarks/perf`` traces the distance layer
+        by these method names, so the split stays."""
         if self._blocked is not None:
             return self._blocked.rowwise(A, B)
         return self._metric.rowwise_dists(A, B)

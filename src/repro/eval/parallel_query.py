@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..core.search import KNNGraphSearcher
+from ..utils.rng import derive_seed
 
 
 class ParallelQueryEngine:
@@ -32,7 +33,9 @@ class ParallelQueryEngine:
     Parameters
     ----------
     searcher:
-        A :class:`KNNGraphSearcher` (treated as read-only).
+        A :class:`KNNGraphSearcher` (treated as read-only).  Span ``i``
+        of a batch runs on ``searcher.clone(seed=derive_seed(
+        searcher.seed, i))``.
     n_threads:
         Worker count, one span of the queries each; the paper uses 256
         on Mammoth.
@@ -62,8 +65,11 @@ class ParallelQueryEngine:
 
         def run_span(span_idx: int, lo: int, hi: int) -> None:
             # Each span gets its own searcher clone: numpy Generators
-            # (entry-point sampling) are not thread-safe to share.
-            local = self.searcher.clone(seed=span_idx)
+            # (entry-point sampling) are not thread-safe to share.  Its
+            # seed comes from the wrapped searcher's, so that seed picks
+            # the entry points.
+            local = self.searcher.clone(
+                seed=derive_seed(self.searcher.seed, span_idx))
             ids[lo:hi], dists[lo:hi], stats = local.query_batch(
                 queries[lo:hi], l=l, epsilon=epsilon)
             # The span's totals are integers; the means times the span

@@ -221,7 +221,7 @@ class Delta:
         ``rank -> tally -> n``: what the rank program counted through
         :attr:`RankContext.tally <repro.runtime.ygm.RankContext>`
         (DNND: ``heap.updates`` offers, accepted ``updates``,
-        ``distance.evals``, ``kernel.tile_flops``, ``kernel.fallbacks``).
+        ``distance.evals``, ``kernel.tile_flops``).
     """
 
     messages: MessageStats = field(default_factory=MessageStats)

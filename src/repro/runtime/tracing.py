@@ -57,8 +57,7 @@ _COUNTED = ("executor.tasks", "executor.dispatches", "comm.flushes",
             "comm.local_deliveries", "transport.collectives",
             *FaultStats().counts())
 #: ... and rank-program tallies, summed over ranks.
-_TALLIED = ("heap.updates", "distance.evals", "kernel.tile_flops",
-            "kernel.fallbacks")
+_TALLIED = ("heap.updates", "distance.evals", "kernel.tile_flops")
 
 
 @dataclass

@@ -26,6 +26,14 @@ def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def derive_seed(seed: int, *keys: int) -> int:
+    """An integer seed derived from ``seed`` and integer ``keys``, for
+    APIs that take a seed rather than a generator; the same arguments
+    always give the same seed."""
+    ss = np.random.SeedSequence([int(seed), *[int(k) for k in keys]])
+    return int(ss.generate_state(1)[0])
+
+
 def spawn_rngs(seed: int, n: int) -> List[np.random.Generator]:
     """``n`` independent generators derived from one root seed."""
     root = np.random.SeedSequence(int(seed))

@@ -278,8 +278,7 @@ def _live_sources(dnnd, result, calls) -> dict:
         out[f"messages.bytes.{t}"] = s.bytes
     for name in ("executor.tasks", "comm.flushes", "comm.local_deliveries"):
         out[name] = live.counts[name]
-    for name in ("heap.updates", "distance.evals", "kernel.tile_flops",
-                 "kernel.fallbacks"):
+    for name in ("heap.updates", "distance.evals", "kernel.tile_flops"):
         out[name] = live.tally(name)
     for event, n in result.fault_stats.snapshot().items():
         out[f"faults.{event}"] = n

@@ -7,7 +7,12 @@ projection: counters, the span name sequence, per-timer counts, and the
 cost model's ``sim.*`` gauges.  Any change to message accounting, phase
 structure, or the cost model shows up here as a diff.
 
-Last regenerated — once — when registry counters became a view of the
+Last edited when the blocked kernels lost their array-module seam: the
+``kernel.fallbacks`` counter (requested-but-missing array libraries,
+always 0) is no longer published, so its line was removed by hand.
+Nothing else in the file moved.
+
+Regenerated — once — when registry counters became a view of the
 barrier log read at snapshot time instead of a mirror published at
 barriers.  Only ``transport.collectives`` moved, 5 -> 7: the mirror
 missed the collectives that run after the last barrier (the last

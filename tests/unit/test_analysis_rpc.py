@@ -35,27 +35,10 @@ def test_good_fixture_silent(rule, _expected):
     assert _lint(FIXTURES / f"{rule.lower()}_good.py", rule) == []
 
 
-def test_rep203_kernel_bad_fixture_fires():
-    """A kernel helper capturing a factory-body local (not a factory
-    parameter) breaks the pure-batch-variant contract."""
-    (finding,) = _lint(FIXTURES / "rep203_kernel_bad.py", "REP203")
-    assert finding.rule == "REP203"
-    assert finding.severity == "error"
-    assert "kernel helper" in finding.message
-    assert "'sqeuclidean.pairwise'" in finding.message
-    assert "calls" in finding.message
-
-
-def test_rep203_kernel_good_fixture_silent():
-    """Closures over exactly the factory's parameters (attach-time
-    kernel state) are the sanctioned register_kernel idiom."""
-    assert _lint(FIXTURES / "rep203_kernel_good.py", "REP203") == []
-
-
 def test_rep203_kernel_helpers_not_in_handler_registries(tmp_path):
-    """register_kernel bindings must not leak into the handler/batch
-    registries: REP202's arity model and the strict REP203 contract
-    would both false-positive on them."""
+    """Closures a factory passes to a call that is no handler
+    registration stay out of the handler/batch registries: REP202's
+    arity model and REP203's capture contract do not see them."""
     (tmp_path / "mod.py").write_text(
         "def make(ops, cache, stats, tile):\n"
         "    def pw(A, B):\n"
@@ -64,9 +47,9 @@ def test_rep203_kernel_helpers_not_in_handler_registries(tmp_path):
         "        return ops.rowwise(stats, a, b)\n"
         "    def otm(q, X):\n"
         "        return ops.one_to_many(cache, stats, q, X)\n"
-        "    return register_kernel('m', ops=ops, cache=cache,\n"
-        "                           stats=stats, pairwise=pw,\n"
-        "                           rowwise=rw, one_to_many=otm)\n")
+        "    return make_bundle('m', ops=ops, cache=cache,\n"
+        "                       stats=stats, pairwise=pw,\n"
+        "                       rowwise=rw, one_to_many=otm)\n")
     findings = run_analysis([str(tmp_path)], CONFIG,
                             select=("REP202", "REP203"))
     assert findings == []

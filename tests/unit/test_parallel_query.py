@@ -10,6 +10,7 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigError
 from repro.eval.parallel_query import ParallelQueryEngine
 from repro.eval.recall import recall_at_k
+from repro.utils.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +58,18 @@ class TestParallelEngine:
         np.testing.assert_array_equal(a, b)
 
     def test_threads_do_not_change_answers(self, setup):
-        """Span ``i`` is ``searcher.clone(seed=i).query_batch`` over the
-        ``i``-th of ``n_threads`` contiguous near-equal spans — one
-        lock-step block a thread, whether the threads run it or one
-        loop does."""
+        """Span ``i`` is ``searcher.clone(seed=derive_seed(searcher.seed,
+        i)).query_batch`` over the ``i``-th of ``n_threads`` contiguous
+        near-equal spans — one lock-step block a thread, whether the
+        threads run it or one loop does."""
         data, searcher = setup
         queries = data[:70] + np.float32(0.01)
         for n_threads in (1, 4):
             engine = ParallelQueryEngine(searcher, n_threads=n_threads)
             ids, dists, stats = engine.query_batch(queries, l=6,
                                                    epsilon=0.2)
-            spans = [searcher.clone(seed=i).query_batch(
+            spans = [searcher.clone(
+                seed=derive_seed(searcher.seed, i)).query_batch(
                 queries[span], l=6, epsilon=0.2) for i, span in
                 enumerate(np.array_split(np.arange(70), n_threads))]
             want_ids = np.concatenate([s[0] for s in spans])
@@ -78,6 +80,25 @@ class TestParallelEngine:
             assert dists.tobytes() == want_dists.tobytes()
             assert stats["mean_distance_evals"] == pytest.approx(evals / 70)
             assert stats["mean_visited"] == stats["mean_distance_evals"]
+
+    def test_searcher_seed_picks_the_entry_points(self, setup):
+        """The wrapped searcher's seed reaches every span: seeds 1 and 2
+        start from other entry points, the same seed twice repeats."""
+        data, searcher = setup
+        queries = data[:60] + np.float32(0.01)
+
+        def run(seed):
+            engine = ParallelQueryEngine(searcher.clone(seed=seed),
+                                         n_threads=3)
+            return engine.query_batch(queries, l=6, epsilon=0.0)
+
+        one, again, two = run(1), run(1), run(2)
+        assert np.array_equal(one[0], again[0])
+        assert one[1].tobytes() == again[1].tobytes()
+        assert one[2] == again[2]
+        assert (not np.array_equal(one[0], two[0])
+                or one[2]["mean_distance_evals"]
+                != two[2]["mean_distance_evals"])
 
     def test_one_thread_makes_one_query_batch_call(self, setup,
                                                    monkeypatch):
