@@ -52,10 +52,15 @@ _NOTHING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 def row_holds(ids: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``held[i]``: whether row ``rows[i]`` of the ``(n, k)`` id matrix
-    holds ``x[i]``.  The rows are gathered column by column, so the
-    ``k`` column compares are ORed over contiguous ``(k, m)`` memory,
-    not reduced along ``m`` rows of ``k``."""
-    return (ids.T.take(rows, axis=1) == x).any(axis=0)
+    holds ``x[i]``.  The ``m`` rows are gathered first — ``m * k`` work
+    whatever ``n`` (a column gather of the transposed matrix copies all
+    of it) — and their ``k`` columns compared one at a time: ORing ``k``
+    length-``m`` vectors beats reducing ``m`` rows of ``k``."""
+    gathered = ids.take(rows, axis=0)
+    held = gathered[:, 0] == x
+    for column in gathered.T[1:]:
+        held |= column == x
+    return held
 
 
 def merge_rows(ids: np.ndarray, dists: np.ndarray, flags: np.ndarray,

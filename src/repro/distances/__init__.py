@@ -10,8 +10,7 @@ Jaccard (Table 1).  This subpackage provides:
   vectorized shared-memory baseline and brute-force ground truth,
 - a registry keyed by metric name,
 - blocked tiled-GEMM kernels on plain numpy (``repro.distances.blocked``),
-  selected per build via ``DNNDConfig.kernel`` / ``REPRO_KERNEL``
-  (``REPRO_XP`` is no longer read),
+  selected per build via ``DNNDConfig.kernel`` / ``REPRO_KERNEL``,
 - a counting wrapper used to compare construction cost between algorithms
   in distance evaluations (platform-independent work units).
 """

@@ -30,8 +30,7 @@ float32 expansion can go slightly negative for near-duplicate points
 (catastrophic cancellation of ``-2xy`` against the norms); every blocked
 form clamps at zero before any ``sqrt``.
 
-The kernels are plain numpy; the ``REPRO_XP`` environment variable that
-once selected another array library is no longer read.
+The kernels are plain numpy.
 """
 
 from __future__ import annotations
@@ -95,11 +94,14 @@ def tile_size_for(dim: int, itemsize: int,
 
 
 class NormCache:
-    """Cached squared row norms, keyed by array identity.
+    """Cached squared row norms — and the float64 copy of integer
+    input — keyed by array identity.
 
     Brute force and the searcher hand the *same* dataset array to the
     kernels call after call; caching ``||y||^2`` per array removes one
-    of the three expansion terms from every subsequent call.  Entries
+    of the three expansion terms from every subsequent call, and caching
+    the promoted copy of a uint8 / int / bool dataset promotes it once
+    per array, not once per call.  Entries
     are keyed by ``id(array)`` and guarded by a weak reference — ids
     are reused after garbage collection, so a hit requires the weakref
     to still resolve to the identical object (dead entries self-evict
@@ -112,25 +114,46 @@ class NormCache:
 
     def __init__(self) -> None:
         self._entries: Dict[int, tuple] = {}
+        self._floats: Dict[int, tuple] = {}
         self.hits = 0
         self.misses = 0
+
+    @staticmethod
+    def _cached(table: Dict[int, tuple], X, make):
+        """``make(X)``, remembered in ``table`` while ``X`` lives;
+        returns ``(value, hit)``."""
+        key = id(X)
+        entry = table.get(key)
+        if entry is not None and entry[0]() is X:
+            return entry[1], True
+        value = make(X)
+        try:
+            ref = weakref.ref(X, lambda _r: table.pop(key, None))
+        except TypeError:
+            return value, False
+        table[key] = (ref, value)
+        return value, False
+
+    def floating(self, X) -> np.ndarray:
+        """``X`` in the dtype the expansion runs in (see
+        :func:`_floating`): itself when floating, else its float64 copy,
+        made once per array."""
+        if np.asarray(X).dtype.kind == "f":
+            return np.asarray(X)
+        return self._cached(self._floats, X, _floating)[0]
 
     def norms(self, X) -> np.ndarray:
         """Squared L2 norm of each row of ``X``, in the dtype the
         expansion runs in (see :func:`_floating`)."""
-        key = id(X)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0]() is X:
+        def make(X):
+            Xf = self.floating(X)
+            return np.einsum("ij,ij->i", Xf, Xf)
+
+        norms, hit = self._cached(self._entries, X, make)
+        if hit:
             self.hits += 1
-            return entry[1]
-        Xf = _floating(X)
-        norms = np.einsum("ij,ij->i", Xf, Xf)
-        self.misses += 1
-        try:
-            ref = weakref.ref(X, lambda _r: self._entries.pop(key, None))
-        except TypeError:
-            return norms
-        self._entries[key] = (ref, norms)
+        else:
+            self.misses += 1
         return norms
 
     def __len__(self) -> int:
@@ -223,7 +246,8 @@ class _SqEuclidean(KernelBundle):
         def finish(gram, rows, cols):
             return _clamp0(na[rows, None] + nb[None, cols] - 2.0 * gram)
 
-        return self._tiles(_floating(A), _floating(B), finish)
+        return self._tiles(self.cache.floating(A), self.cache.floating(B),
+                           finish)
 
     def rowwise(self, a, b) -> np.ndarray:
         A, B, a_broadcast, b_broadcast = self._paired(a, b)
@@ -238,7 +262,7 @@ class _SqEuclidean(KernelBundle):
         if X.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
         nx = self.cache.norms(X)
-        X = _floating(X)
+        X = self.cache.floating(X)
         q = _floating(q)
         nq = np.einsum("j,j->", q, q)
         prod = X @ q
@@ -273,7 +297,8 @@ class _Cosine(KernelBundle):
             sims = sims / nb_safe[None, cols]
             return np.minimum(_clamp0(1.0 - sims), 2.0)
 
-        out = self._tiles(_floating(A), _floating(B), finish)
+        out = self._tiles(self.cache.floating(A), self.cache.floating(B),
+                          finish)
         out[na == 0, :] = 1.0
         out[:, nb == 0] = 1.0
         return out
@@ -297,7 +322,7 @@ class _Cosine(KernelBundle):
 
 class _InnerProduct(KernelBundle):
     def pairwise(self, A, B) -> np.ndarray:
-        return self._tiles(_floating(A), _floating(B),
+        return self._tiles(self.cache.floating(A), self.cache.floating(B),
                            lambda gram, rows, cols: 1.0 - gram)
 
     def rowwise(self, a, b) -> np.ndarray:
@@ -308,7 +333,7 @@ class _InnerProduct(KernelBundle):
                                                           copy=False)
 
     def one_to_many(self, q, X) -> np.ndarray:
-        X = _floating(X)
+        X = self.cache.floating(X)
         if X.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
         prod = X @ _floating(q)

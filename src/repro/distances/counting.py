@@ -13,8 +13,7 @@ The wrapper is also the kernel dispatch seam (DESIGN.md section 17):
 kernels of :mod:`repro.distances.blocked` — same call structure, same
 counting, recall-gated instead of bit-identical.  Metrics without a
 blocked form (and every sparse metric) silently keep the exact kernels,
-so the switch is always safe to flip.  ``REPRO_XP`` is no longer read:
-the blocked kernels have no array-module choice.
+so the switch is always safe to flip.
 """
 
 from __future__ import annotations

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -114,6 +116,20 @@ class CostLedger:
     def charge(self, rank: int, seconds: float) -> None:
         self.clocks[rank] += seconds
 
+    def charge_each(self, ranks: np.ndarray, seconds: np.ndarray) -> None:
+        """``charge(ranks[i], seconds[i])`` for every ``i``, in order —
+        the same float sums, one rank's charges added left to right
+        (``ranks`` grouped, ascending)."""
+        if not len(ranks):
+            return
+        counts = np.bincount(ranks, minlength=self.world_size)
+        sums = np.zeros((self.world_size, 1 + int(counts.max())))
+        sums[:, 0] = self.clocks
+        # Trailing zeros leave a sum unchanged: x + 0.0 == x.
+        sums[ranks, 1 + np.arange(len(ranks))
+             - (np.cumsum(counts) - counts)[ranks]] = seconds
+        self.clocks[:] = np.add.accumulate(sums, axis=1)[:, -1].tolist()
+
     def barrier(self, model: NetworkModel, phase: str | None = None) -> float:
         """Synchronize clocks; returns the superstep duration."""
         step = max(self.clocks) if self.clocks else 0.0
@@ -161,6 +177,9 @@ class NullLedger(CostLedger):
     enabled = False
 
     def charge(self, rank: int, seconds: float) -> None:
+        pass
+
+    def charge_each(self, ranks: np.ndarray, seconds: np.ndarray) -> None:
         pass
 
     def barrier(self, model: NetworkModel, phase: str | None = None) -> float:

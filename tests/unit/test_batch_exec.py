@@ -160,9 +160,9 @@ class TestCoalescing:
         for i in range(4):
             world.async_call(0, 1 + (i % 2), "h", i)
         world.barrier()
-        # One invocation, but every row keeps its destination: each
-        # rank's rows are contiguous, in rank order.
-        assert batch_runs == [([1, 1, 2, 2], [0, 2, 1, 3])]
+        # One invocation, but every row keeps its destination, in
+        # emission order.
+        assert batch_runs == [([1, 2, 1, 2], [0, 1, 2, 3])]
 
     def test_stats_match_scalar_world_per_type(self):
         def drive(world):
@@ -212,11 +212,13 @@ class TestEmitRun:
                 (dest.tolist(), ks.tolist(), vs.tolist())))
         return world, got
 
-    def _observables(self, world, got):
+    def _observables(self, world, got, ordered=True):
         per_rank = {}
         for dest, ks, vs in got:
             for rank, k, v in zip(dest, ks, vs):
                 per_rank.setdefault(rank, []).append((k, v))
+        if not ordered:
+            per_rank = {rank: sorted(rows) for rank, rows in per_rank.items()}
         counters = world.log.counters()
         return (world.stats.snapshot(), counters["comm.flushes"],
                 counters["comm.local_deliveries"], counters["executor.tasks"],
@@ -231,13 +233,13 @@ class TestEmitRun:
         for d, k, v, nb in zip(self.DESTS.tolist(), self.KEYS.tolist(),
                                self.VALS.tolist(), sizes):
             looped.async_call(0, d, "h", k, v, nbytes=nb, msg_type="t")
-        before = (looped.log.counters()["comm.flushes"], looped.cluster.pending_total())
+        before = looped.log.counters()["comm.flushes"]
         looped.barrier()
         run, got_r = self._world(flush=flush, flush_bytes=flush_bytes)
         run.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), nbytes, "t")
         # Thresholds trip at the same messages: as many buffers flushed
-        # (and mailbox items queued) before the barrier.
-        assert (run.log.counters()["comm.flushes"], run.cluster.pending_total()) == before
+        # before the barrier.
+        assert run.log.counters()["comm.flushes"] == before
         run.barrier()
         assert self._observables(run, got_r) == self._observables(looped, got_l)
         assert run.async_count_since_barrier == 0
@@ -246,13 +248,10 @@ class TestEmitRun:
         world, got = self._world()
         world.emit_run(0, self.DESTS, "h", (self.KEYS, self.VALS), 8, "t")
         world.barrier()
-        # One host, one round: one invocation over every destination's
-        # whole columns, rank-major.
-        assert got == [(
-            [0, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3],
-            [30, 0, 20, 50, 60, 80, 90, 110, 40, 100, 10, 70],
-            [0.75, 0.0, 0.5, 1.25, 1.5, 2.0, 2.25, 2.75, 1.0, 2.5, 0.25,
-             1.75])]
+        # One host, one round: one invocation over the whole run, in
+        # emission order, ``dest`` beside it.
+        assert got == [(self.DESTS.tolist(), self.KEYS.tolist(),
+                        self.VALS.tolist())]
 
     def test_rejects_unknown_handler_and_bad_rank(self):
         world, _ = self._world()
@@ -347,8 +346,10 @@ class TestEmitRun:
         fused.emit_run(src, self.DESTS, "h", (self.KEYS, self.VALS),
                        self.SIZES, "t")
         fused.barrier()
-        assert (self._observables(fused, got_f)
-                == self._observables(per_source, got_s))
+        # Rows arrive in emission order: a rank's rows from several
+        # sources interleave as they were emitted, so they compare as sets.
+        assert (self._observables(fused, got_f, ordered=False)
+                == self._observables(per_source, got_s, ordered=False))
 
     def test_faulty_network_decides_once_per_flush(self):
         """The fault unit is the flushed buffer: without reliable

@@ -150,10 +150,11 @@ class TestBufferingAndCosts:
         world = make_world(flush=2)
         world.register_handler("h", lambda ctx: None)
         world.async_call(0, 1, "h")
-        assert world.cluster.pending_total() == 0  # buffered
+        assert world.log.counters()["comm.flushes"] == 0  # buffered
         world.async_call(0, 1, "h")
         # Flushed at the threshold: both messages travel as ONE envelope.
-        assert world.cluster.pending_total() == 1
+        assert world.log.counters()["comm.flushes"] == 1
+        world.barrier()
         assert world.log.counters()["comm.flushes"] == 1
 
     def test_flush_count_depends_on_threshold(self):
