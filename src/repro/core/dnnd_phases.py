@@ -80,7 +80,7 @@ charges the feature it stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -184,7 +184,17 @@ class HostBlock:
         the barrier log.
     data:
         Read-only view of the *whole* dataset, never copied; only
-        :meth:`features` reads it.
+        :meth:`features` reads it (and :meth:`build`, once, for the
+        ``norms`` and ``lengths`` tables).
+    norms:
+        Per-vertex norm table of the whole dataset (by global id), made
+        once per block by the metric's kernel
+        (:meth:`CountingMetric.norm_table`) and read by every paired
+        distance, or ``None`` when the kernel reads no norms.
+    lengths:
+        Record length of every vertex (by global id) for sparse data,
+        the dimension a distance to it is charged at; ``None`` for
+        dense data.
     feature_bytes:
         Modeled wire size of a feature vector: one int for dense data,
         one entry per host row for ragged sparse records.
@@ -236,6 +246,8 @@ class HostBlock:
     flags: np.ndarray
     queued: np.ndarray
     sanitizer: Any = None
+    norms: Optional[np.ndarray] = None
+    lengths: Optional[np.ndarray] = None
     check_seen: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     new: Columns = NO_ENTRIES
@@ -259,9 +271,12 @@ class HostBlock:
         n = partitioner.n
         row_of = np.full(n, -1, dtype=np.int64)
         row_of[gids] = np.arange(len(gids))
+        lengths = None
         if metric.sparse_input:
             feature_bytes = np.array([data[int(g)].nbytes for g in gids],
                                      dtype=np.int64)
+            lengths = np.array([len(data[g]) for g in range(len(data))],
+                               dtype=np.int64)
         else:
             feature_bytes = int(data.shape[1] * data.dtype.itemsize)
         shape = (len(gids), config.k)
@@ -274,6 +289,7 @@ class HostBlock:
             owner_of=np.asarray(partitioner.owner_array(
                 np.arange(n, dtype=np.int64)), dtype=np.int64),
             metric=metric, config=config, data=data,
+            norms=metric.norm_table(data), lengths=lengths,
             feature_bytes=feature_bytes,
             ids=np.full(shape, EMPTY, dtype=np.int64),
             dists=np.full(shape, np.inf, dtype=np.float64),
@@ -317,9 +333,10 @@ class HostBlock:
     def features(self, gids: Iterable[int]):
         """Features of *any* vertices, resolved from the dataset view by
         global id — what a feature-carrying message stands for, and an
-        own vertex's feature alike: a fresh ``(len, dim)`` array for
-        dense data (input to the rowwise kernel), a list of records for
-        sparse data (exact scalar fallback inside ``rowwise_dists``)."""
+        own vertex's feature alike: a gathered ``(len, dim)`` copy of
+        their rows for dense data, a list of their records for sparse
+        data (the metric's scalar loop).  Their norms are not recomputed
+        from it: a paired distance reads them from :attr:`norms`."""
         if self.metric.sparse_input:
             return [self.data[int(g)] for g in gids]
         return self.data[np.asarray(gids, dtype=np.int64)]
@@ -801,17 +818,22 @@ def _evaluate(world: YGMWorld, block: HostBlock, dest: np.ndarray,
               carried: np.ndarray) -> np.ndarray:
     """Paired distances ``theta(a[i], b[i])`` of vertex features through
     the counted rowwise kernel, in chunks whose gathered rows fit
-    :data:`_EVAL_BYTES`, charged to row ``i``'s rank at the dimension of
+    :data:`_EVAL_BYTES`, with the rows' norms read from the block's
+    table, charged to row ``i``'s rank at the dimension of
     ``carried[i]`` (the features the messages carried)."""
     metric = block.metric
+    norms = block.norms
     flops = metric.tile_flops
     # Sparse records are not chunked: their kernel is a scalar loop.
     step = max(1, len(a) if metric.sparse_input
                else _EVAL_BYTES // (2 * block.feature_bytes))
-    parts = [np.asarray(metric.rowwise(block.features(a[lo:lo + step]),
-                                       block.features(b[lo:lo + step])),
-                        dtype=np.float64)
-             for lo in range(0, len(a), step)]
+    parts = []
+    for lo in range(0, len(a), step):
+        ga, gb = a[lo:lo + step], b[lo:lo + step]
+        parts.append(np.asarray(metric.rowwise(
+            block.features(ga), block.features(gb),
+            norms=None if norms is None else (norms[ga], norms[gb])),
+            dtype=np.float64))
     d = parts[0] if len(parts) == 1 else np.concatenate(parts)
     evals = np.bincount(dest)
     _tally(world, "distance.evals", evals)
@@ -821,8 +843,8 @@ def _evaluate(world: YGMWorld, block: HostBlock, dest: np.ndarray,
     if world.cluster.ledger.enabled:
         net = world.cluster.net
         if metric.sparse_input:  # ragged: each at its own length
-            cost = np.bincount(dest, weights=[
-                net.distance_cost(len(f)) for f in block.features(carried)])
+            cost = np.bincount(
+                dest, weights=net.distance_costs(block.lengths[carried]))
             for rank in np.flatnonzero(evals).tolist():
                 world.cluster.ledger.charge(rank, float(cost[rank]))
         else:

@@ -11,7 +11,9 @@ module evaluates distances through the expansion
 tile-at-a-time: the ``-2 X @ Y.T`` term becomes a sequence of dense
 matrix-matrix products over row tiles sized to the L2 / BLAS sweet spot,
 and the squared-norm vectors are computed once and cached per dataset
-(:class:`NormCache`).  Cosine and inner-product get the analogous Gram
+(:class:`NormCache`); the paired-rows forms read them from a per-vertex
+table made by the same reduction (:func:`sqnorms`, ``rowwise(...,
+norms=)``).  Cosine and inner-product get the analogous Gram
 forms; metrics with no product structure (manhattan, chebyshev, hamming,
 ...) have no blocked form and callers fall back to the exact kernels.
 
@@ -42,6 +44,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ConfigError
+from .dense import row_table
 
 KERNEL_ENV = "REPRO_KERNEL"
 KERNELS = ("rowwise", "blocked")
@@ -144,12 +147,8 @@ class NormCache:
 
     def norms(self, X) -> np.ndarray:
         """Squared L2 norm of each row of ``X``, in the dtype the
-        expansion runs in (see :func:`_floating`)."""
-        def make(X):
-            Xf = self.floating(X)
-            return np.einsum("ij,ij->i", Xf, Xf)
-
-        norms, hit = self._cached(self._entries, X, make)
+        expansion runs in (see :func:`_floating`): :func:`sqnorms`."""
+        norms, hit = self._cached(self._entries, X, sqnorms)
         if hit:
             self.hits += 1
         else:
@@ -163,6 +162,19 @@ class NormCache:
 # ---------------------------------------------------------------------------
 # Kernel bundles
 # ---------------------------------------------------------------------------
+
+
+def _sqnorms(A: np.ndarray) -> np.ndarray:
+    A = _floating(A)
+    return np.einsum("ij,ij->i", A, A)
+
+
+def sqnorms(X) -> np.ndarray:
+    """Squared L2 norm of every row of ``X`` in the dtype the expansion
+    runs in, by the per-row reduction the rowwise forms run on gathered
+    rows (:func:`~repro.distances.dense.row_table`): an entry is
+    bit-identical to that form's own norm of the row."""
+    return row_table(_sqnorms, X)
 
 
 def _row_sqnorms(A: np.ndarray, broadcast: bool):
@@ -197,6 +209,12 @@ class KernelBundle:
         self.cache = cache if cache is not None else NormCache()
         self.tile = tile
         self.tile_flops = 0
+
+    def norms(self, X) -> Optional[np.ndarray]:
+        """The per-vertex table :meth:`rowwise` reads through its
+        ``norms=`` argument — :func:`sqnorms` of ``X``, or ``None`` for
+        a form that reads no norms."""
+        return sqnorms(X)
 
     def _tiles(self, A: np.ndarray, B: np.ndarray, finish) -> np.ndarray:
         """``finish(A[rows] @ B[cols].T, rows, cols)`` for every tile
@@ -249,12 +267,13 @@ class _SqEuclidean(KernelBundle):
         return self._tiles(self.cache.floating(A), self.cache.floating(B),
                            finish)
 
-    def rowwise(self, a, b) -> np.ndarray:
+    def rowwise(self, a, b, norms=None) -> np.ndarray:
         A, B, a_broadcast, b_broadcast = self._paired(a, b)
         if A.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        out = (_row_sqnorms(A, a_broadcast) + _row_sqnorms(B, b_broadcast)
-               - 2.0 * np.einsum("ij,ij->i", A, B))
+        na, nb = norms if norms is not None else (
+            _row_sqnorms(A, a_broadcast), _row_sqnorms(B, b_broadcast))
+        out = na + nb - 2.0 * np.einsum("ij,ij->i", A, B)
         return _clamp0(out).astype(np.float64, copy=False)
 
     def one_to_many(self, q, X) -> np.ndarray:
@@ -274,8 +293,8 @@ class _Euclidean(_SqEuclidean):
     def pairwise(self, A, B) -> np.ndarray:
         return np.sqrt(super().pairwise(A, B))
 
-    def rowwise(self, a, b) -> np.ndarray:
-        return np.sqrt(super().rowwise(a, b))
+    def rowwise(self, a, b, norms=None) -> np.ndarray:
+        return np.sqrt(super().rowwise(a, b, norms))
 
     def one_to_many(self, q, X) -> np.ndarray:
         return np.sqrt(super().one_to_many(q, X))
@@ -303,12 +322,13 @@ class _Cosine(KernelBundle):
         out[:, nb == 0] = 1.0
         return out
 
-    def rowwise(self, a, b) -> np.ndarray:
+    def rowwise(self, a, b, norms=None) -> np.ndarray:
         A, B, a_broadcast, b_broadcast = self._paired(a, b)
         if A.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        denom = (np.sqrt(_row_sqnorms(A, a_broadcast))
-                 * np.sqrt(_row_sqnorms(B, b_broadcast)))
+        na, nb = norms if norms is not None else (
+            _row_sqnorms(A, a_broadcast), _row_sqnorms(B, b_broadcast))
+        denom = np.sqrt(na) * np.sqrt(nb)
         zero = denom == 0
         denom = np.where(zero, denom + 1.0, denom)
         out = 1.0 - np.einsum("ij,ij->i", A, B) / denom
@@ -321,11 +341,14 @@ class _Cosine(KernelBundle):
 
 
 class _InnerProduct(KernelBundle):
+    def norms(self, X) -> None:
+        return None
+
     def pairwise(self, A, B) -> np.ndarray:
         return self._tiles(self.cache.floating(A), self.cache.floating(B),
                            lambda gram, rows, cols: 1.0 - gram)
 
-    def rowwise(self, a, b) -> np.ndarray:
+    def rowwise(self, a, b, norms=None) -> np.ndarray:
         A, B, _, _ = self._paired(a, b)
         if A.shape[0] == 0:
             return np.empty(0, dtype=np.float64)

@@ -84,21 +84,33 @@ class CountingMetric:
         self.count += int(out.shape[0] * out.shape[1])
         return out
 
-    def rowwise(self, A, B) -> np.ndarray:
+    def norm_table(self, X):
+        """The per-vertex norm table of the rows of ``X`` that
+        :meth:`rowwise` reads through ``norms=`` — made by the batched
+        form's own per-row reduction, so reading an entry is
+        bit-identical to recomputing it — or ``None`` when that form
+        reads no norms (sparse metrics included)."""
+        if self._blocked is not None:
+            return self._blocked.norms(X)
+        row_norms = self._metric.row_norms
+        return None if row_norms is None else row_norms(X)
+
+    def rowwise(self, A, B, norms=None) -> np.ndarray:
         """Paired-rows distances (exact under ``rowwise``, tiled under
         ``blocked`` — see :meth:`Metric.rowwise_dists`), counted as one
-        evaluation per row."""
-        out = self.rowwise_raw(A, B)
+        evaluation per row.  ``norms = (na, nb)``, the rows' entries of
+        a :meth:`norm_table`, spares the kernel recomputing them."""
+        out = self.rowwise_raw(A, B, norms)
         self.count += int(out.shape[0])
         return out
 
-    def rowwise_raw(self, A, B) -> np.ndarray:
+    def rowwise_raw(self, A, B, norms=None) -> np.ndarray:
         """Paired-rows distances with NO counting: the body of
         :meth:`rowwise`.  ``benchmarks/perf`` traces the distance layer
         by these method names, so the split stays."""
         if self._blocked is not None:
-            return self._blocked.rowwise(A, B)
-        return self._metric.rowwise_dists(A, B)
+            return self._blocked.rowwise(A, B, norms)
+        return self._metric.rowwise_dists(A, B, norms)
 
     def reset(self) -> int:
         """Reset the counter, returning the value it had."""

@@ -235,14 +235,38 @@ def _rows64(a, b):
     return A, B
 
 
+def _diff64(a, b) -> np.ndarray:
+    """``a - b`` in float64, C-ordered, a 1-D side broadcast against
+    the other's rows.  The cast happens inside the ufunc: no float64
+    copy of either operand is made, and the difference is the one the
+    scalar forms take of their promoted vectors (the cast is exact)."""
+    return np.subtract(a, b, dtype=np.float64, order="C")
+
+
 def _rowwise_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``dot(A[i], B[i])`` with np.dot's exact reduction order."""
     return np.matmul(A[:, None, :], B[:, :, None]).reshape(A.shape[0])
 
 
+#: Bytes of promoted rows a per-vertex table is computed from at once:
+#: an integer dataset is never copied to float64 whole.
+_TABLE_BYTES = 1 << 22
+
+
+def row_table(reduce, X) -> np.ndarray:
+    """``reduce`` of the rows of ``X``, over C-ordered row chunks of it:
+    the per-row reduction a batched form runs on gathered rows, made
+    once for every row of a dataset.  A row's value does not depend on
+    which rows share its chunk, so a table entry is bit-identical to the
+    form's own reduction of that row."""
+    X = np.asarray(X)
+    step = max(1, _TABLE_BYTES // (8 * max(1, X.shape[1])))
+    return np.concatenate([reduce(np.ascontiguousarray(X[lo:lo + step]))
+                           for lo in range(0, max(1, len(X)), step)])
+
+
 def sqeuclidean_rowwise(a, b) -> np.ndarray:
-    A, B = _rows64(a, b)
-    d = A - B
+    d = _diff64(a, b)
     return _rowwise_dot(d, d)
 
 
@@ -251,19 +275,34 @@ def euclidean_rowwise(a, b) -> np.ndarray:
 
 
 def manhattan_rowwise(a, b) -> np.ndarray:
-    A, B = _rows64(a, b)
-    return np.abs(A - B).sum(axis=1)
+    return np.abs(_diff64(a, b)).sum(axis=1)
 
 
 def chebyshev_rowwise(a, b) -> np.ndarray:
-    A, B = _rows64(a, b)
-    return np.abs(A - B).max(axis=1)
+    return np.abs(_diff64(a, b)).max(axis=1)
 
 
-def cosine_rowwise(a, b) -> np.ndarray:
+def _norm64(A: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, as the exact cosine takes it."""
+    A = np.asarray(A, dtype=np.float64, order="C")
+    return np.sqrt(_rowwise_dot(A, A))
+
+
+def cosine_row_norms(X) -> np.ndarray:
+    """Per-vertex norm table of :func:`cosine_rowwise` (its ``norms=``):
+    ``sqrt(dot(x, x))`` of every row of ``X`` in float64."""
+    return row_table(_norm64, X)
+
+
+def cosine_rowwise(a, b, norms=None) -> np.ndarray:
+    """Exact paired cosine; ``norms = (na, nb)`` are the two sides' row
+    norms read from a :func:`cosine_row_norms` table (one value for a
+    1-D side) instead of being recomputed from the rows."""
     A, B = _rows64(a, b)
-    na = np.sqrt(_rowwise_dot(A, A))
-    nb = np.sqrt(_rowwise_dot(B, B))
+    if norms is None:
+        na, nb = np.sqrt(_rowwise_dot(A, A)), np.sqrt(_rowwise_dot(B, B))
+    else:
+        na, nb = norms
     ab = _rowwise_dot(A, B)
     zero = (na == 0.0) | (nb == 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -39,6 +39,11 @@ class Metric:
         batched form the construction hot path may use: the batch
         execution engine relies on it to keep batched builds equal to
         scalar builds down to the last float bit.
+    row_norms:
+        ``X -> (n,)``: the per-vertex norm table ``rowwise`` reads
+        through its ``norms=`` argument (made by ``rowwise``'s own
+        per-row reduction, so reading it is bit-identical to
+        recomputing), or ``None`` when ``rowwise`` reads no norms.
     sparse_input:
         True for set-valued metrics (Jaccard family).
     """
@@ -47,16 +52,21 @@ class Metric:
     scalar: Callable[[np.ndarray, np.ndarray], float]
     one_to_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     pairwise: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    rowwise: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    rowwise: Optional[Callable[..., np.ndarray]] = None
+    row_norms: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sparse_input: bool = False
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.scalar(a, b)
 
-    def rowwise_dists(self, A, B) -> np.ndarray:
+    def rowwise_dists(self, A, B, norms=None) -> np.ndarray:
         """Paired-rows distances, exact: uses ``rowwise`` when present,
-        otherwise a scalar loop (bit-identical by construction)."""
+        otherwise a scalar loop (bit-identical by construction).
+        ``norms`` — the two sides' entries of the :attr:`row_norms`
+        table, for a metric that has one — is handed to ``rowwise``."""
         if self.rowwise is not None and not self.sparse_input:
+            if norms is not None:
+                return self.rowwise(A, B, norms=norms)
             return self.rowwise(A, B)
         scalar = self.scalar
         a_single = getattr(A, "ndim", 2) == 1
@@ -135,7 +145,7 @@ register_metric(Metric(
     dense.sqeuclidean_pairwise, dense.sqeuclidean_rowwise))
 register_metric(Metric(
     "cosine", dense.cosine, dense.cosine_one_to_many, dense.cosine_pairwise,
-    dense.cosine_rowwise))
+    dense.cosine_rowwise, dense.cosine_row_norms))
 register_metric(Metric(
     "inner_product", dense.inner_product, dense.inner_product_one_to_many,
     dense.inner_product_pairwise, dense.inner_product_rowwise))

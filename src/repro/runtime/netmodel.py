@@ -89,6 +89,12 @@ class NetworkModel:
     def distance_cost(self, dim: int) -> float:
         return self.compute_per_distance * (max(1, dim) / self.reference_dim)
 
+    def distance_costs(self, dims: np.ndarray) -> np.ndarray:
+        """:meth:`distance_cost` of every entry of ``dims``, as one array
+        expression: the same float64 values, element for element."""
+        return self.compute_per_distance * (
+            np.maximum(1, dims) / self.reference_dim)
+
 
 @dataclass
 class CostLedger:

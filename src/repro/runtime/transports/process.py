@@ -156,7 +156,12 @@ class WorkerTransport(Transport):
                          NullLedger(world_size=config.world_size))
         self.worker_id = int(worker_id)
         self.owned: FrozenSet[int] = frozenset(int(r) for r in owned)
-        self._worker_of = np.asarray(worker_of, dtype=np.int64)
+        worker_of = np.asarray(worker_of, dtype=np.int64)
+        self._workers = int(worker_of.max()) + 1
+        # The narrowest unsigned dtype: a stable sort of it is a radix
+        # sort (ship).
+        self._worker_of = worker_of.astype(
+            np.min_scalar_type(self._workers - 1))
         # This round's remote deliveries, per destination worker.
         self._outgoing: Dict[int, list] = {}
 
@@ -179,20 +184,29 @@ class WorkerTransport(Transport):
         runs)`` — the items delivered to its ranks, ``[(dest, src,
         item), ...]`` (an envelope's item carries its rows), and the
         runs in flight to them without envelope ids, cut out of every
-        run with one mask per destination worker."""
+        run as contiguous slices of one stable sort of its
+        destination-worker column (each destination's rows keep their
+        order in the run)."""
         out, self._outgoing = self._outgoing, {}
         runs: Dict[int, list] = {}
         kept = []
         for run in self.rows:
             owner = self._worker_of[run[1]]
-            mine = owner == self.worker_id
-            if mine.all():
+            counts = np.bincount(owner, minlength=self._workers).tolist()
+            if counts[self.worker_id] == len(owner):
                 kept.append(run)
                 continue
-            if mine.any():
-                kept.append(cut(run, mine))
-            for w in np.unique(owner[~mine]).tolist():
-                runs.setdefault(w, []).append(cut(run, owner == w))
+            order = np.argsort(owner, kind="stable")
+            lo = 0
+            for w, count in enumerate(counts):
+                if not count:
+                    continue
+                piece = cut(run, order[lo:lo + count])
+                lo += count
+                if w == self.worker_id:
+                    kept.append(piece)
+                else:
+                    runs.setdefault(w, []).append(piece)
         self.rows = kept
         return {w: pickle.dumps((out.get(w, []), runs.get(w, [])),
                                 pickle.HIGHEST_PROTOCOL)

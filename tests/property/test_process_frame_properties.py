@@ -18,6 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.transports.base import cut
+
 
 def _np_scalars():
     return st.one_of(
@@ -180,3 +182,64 @@ def test_frame_a_worker_ships_round_trips():
               (1, *peer.drain_one(1))]
     assert _eq(landed, [sent[0], sent[1], sent[2]])
     assert _eq(peer.rows, runs)
+
+
+def _mask_reference(rows, worker_of, me):
+    """``ship``'s cut written with one boolean mask per destination
+    worker: ``(kept, {worker: runs})``."""
+    kept, runs = [], {}
+    for run in rows:
+        owner = worker_of[run[1]]
+        mine = owner == me
+        if mine.all():
+            kept.append(run)
+            continue
+        if mine.any():
+            kept.append(cut(run, mine))
+        for w in np.unique(owner[~mine]).tolist():
+            runs.setdefault(w, []).append(cut(run, owner == w))
+    return kept, runs
+
+
+@st.composite
+def _shipping_worker(draw):
+    """A worker's view of a world of 2-4 workers over up to 8 ranks,
+    with the runs in flight of one round."""
+    workers = draw(st.integers(2, 4))
+    ranks = draw(st.integers(workers, 8))
+    worker_of = draw(st.permutations(
+        list(range(workers)) + draw(st.lists(
+            st.integers(0, workers - 1), min_size=ranks - workers,
+            max_size=ranks - workers))))
+    me = draw(st.integers(0, workers - 1))
+    runs = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.integers(0, 40))
+        dest = np.array(draw(st.lists(st.integers(0, ranks - 1),
+                                      min_size=size, max_size=size)),
+                        dtype=np.int64)
+        ids = np.arange(100, 100 + 2 * size, dtype=np.int64)
+        runs.append(("feature_opt", dest, (ids[:size], ids[size:])))
+    return worker_of, me, runs
+
+
+@given(case=_shipping_worker())
+@settings(max_examples=200, deadline=None)
+def test_ship_cuts_runs_as_one_mask_per_worker_does(case):
+    """``ship`` (one stable sort of the destination-worker column, cut
+    in contiguous slices) ships byte for byte the frames a per-worker
+    boolean-mask cut ships, and keeps the same rows."""
+    from repro.config import ClusterConfig
+    from repro.runtime.transports.process import WorkerTransport
+
+    worker_of, me, runs = case
+    cfg = ClusterConfig(nodes=1, procs_per_node=len(worker_of))
+    t = WorkerTransport(cfg, [r for r, w in enumerate(worker_of) if w == me],
+                        worker_of, me)
+    for run in runs:
+        t.post(0, run)
+    kept, cuts = _mask_reference(runs, np.asarray(worker_of), me)
+    frames = t.ship()
+    assert frames == {w: pickle.dumps(([], cuts[w]), pickle.HIGHEST_PROTOCOL)
+                      for w in sorted(cuts)}
+    assert _eq(t.rows, kept)

@@ -531,3 +531,59 @@ class TestSingleSource:
                                             "params": {}})
         with pytest.raises(RuntimeStateError):
             worker_app.dispatch("no_such_command", None)
+
+
+class TestEvaluate:
+    """``_evaluate`` — the one place a handler computes distances —
+    reads its rows' norms from the block's table and charges sparse
+    records from the block's length table; neither shows in a result."""
+
+    @staticmethod
+    def _block(data, metric, kernel="rowwise"):
+        world = YGMWorld(SimCluster(ClusterConfig(nodes=2, procs_per_node=2)))
+        block = world.state["block"] = HostBlock.build(
+            [0, 1, 2, 3], BlockPartitioner(len(data), 4), data,
+            DNNDConfig(nnd=NNDescentConfig(k=3, metric=metric),
+                       kernel=kernel))
+        return world, block
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    @pytest.mark.parametrize("kernel", ["rowwise", "blocked"])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean", "sqeuclidean",
+                                        "inner_product", "manhattan"])
+    def test_equals_rowwise_of_gathered_features(self, metric, kernel, dtype,
+                                                 monkeypatch):
+        from repro.distances import CountingMetric
+
+        rng = np.random.default_rng(11)
+        data = (rng.integers(0, 256, size=(64, 40)) if dtype is np.uint8
+                else rng.standard_normal((64, 40))).astype(dtype)
+        data[[5, 9]] = 0
+        world, block = self._block(data, metric, kernel)
+        # Several chunks per call: the table is read chunk by chunk.
+        monkeypatch.setattr(dnnd_phases, "_EVAL_BYTES",
+                            7 * block.feature_bytes)
+        a, b = rng.integers(0, len(data), size=(2, 300))
+        got = dnnd_phases._evaluate(world, block, block.owner_of[a], a, b, a)
+        ref = CountingMetric(metric, kernel=kernel).rowwise(
+            block.features(a), block.features(b))
+        assert got.tobytes() == ref.tobytes()
+        assert block.metric.count == len(a)
+
+    def test_sparse_charge_is_per_record_distance_cost(self, sparse_sets):
+        """The modeled compute of a sparse run is each message's
+        ``distance_cost`` at its carried record's length, summed per
+        rank — the same float64 values as one call per record."""
+        world, block = self._block(sparse_sets, "jaccard")
+        rng = np.random.default_rng(2)
+        a, b = rng.integers(0, len(sparse_sets), size=(2, 200))
+        dest = block.owner_of[a]
+        ledger = world.cluster.ledger
+        before = np.array(ledger.clocks, dtype=np.float64)
+        dnnd_phases._evaluate(world, block, dest, a, b, b)
+        net = world.cluster.net
+        want = np.bincount(dest, weights=[
+            net.distance_cost(len(sparse_sets[int(g)])) for g in b],
+            minlength=4)
+        for rank in range(4):
+            assert ledger.clocks[rank] == before[rank] + float(want[rank])
