@@ -46,6 +46,7 @@ call, EXPERIMENTS.md "Lock-step batched search").
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -58,12 +59,12 @@ from ..runtime.metrics import MetricsRegistry, NULL_METRICS
 from ..utils.rng import derive_rng
 from ..utils.sampling import sample_without_replacement
 from .graph import AdjacencyGraph, KNNGraph
-from .order import rank_in_group
+from .order import rank_in_group, row_keys, row_order
 from .rptree import RPTreeForest
 
 _BLOCK_BYTES = 64 << 20
 """Byte budget of one lock-step block: a ``query_batch`` call is cut
-into blocks of ``m`` queries such that the block's ``(m, n)`` visited
+into blocks of ``m`` queries such that the block's ``(m, n + 1)`` visited
 array plus the temporaries of its widest step fit, so memory does not
 grow with the size of the query file (``_block_rows``)."""
 
@@ -109,8 +110,14 @@ class KNNGraphSearcher:
         Name or Metric; must match the one used at construction.
     entry_forest:
         Optional RP-tree forest: when given, search entry points come
-        from the query's leaf instead of uniform random sampling
-        (PyNNDescent's start-point refinement, Section 6).
+        from the query's leaves instead of uniform random sampling
+        (PyNNDescent's start-point refinement, Section 6).  Any object
+        with ``candidates(Q)`` will do: for a 2-D array of queries it
+        returns one id array per row, in any order and possibly
+        repeating ids.  A query starts from the first ``l`` of its
+        ids, topped up with uniform draws when there are fewer.  The
+        lock-step walker asks once per block, :meth:`query` once with
+        a one-row ``Q``.
     seed:
         Seed of the entry-point sampling, kept as ``self.seed``: a
         :class:`~repro.eval.parallel_query.ParallelQueryEngine` derives
@@ -152,18 +159,33 @@ class KNNGraphSearcher:
         self._use_batch = (not self.metric.sparse_input
                            and isinstance(data, np.ndarray)
                            and data.ndim == 2)
+        if self._use_batch:
+            # The lock-step walker's read-only tables, made once here
+            # and shared by every clone: the data's norm table and the
+            # neighbor lists padded to one width with the id ``n`` —
+            # the walker's always-visited sentinel column.
+            n = graph.n
+            self._norms = self.metric.norm_table(data)
+            degrees = graph.degrees()
+            rows = np.arange(n).repeat(degrees)
+            self._nbrs = np.full(
+                (n, int(degrees.max())), n,
+                dtype=np.int32 if n < np.iinfo(np.int32).max else np.int64)
+            self._nbrs[rows, np.arange(len(rows)) - graph.indptr[rows]] = (
+                graph.indices)
 
     def clone(self, seed: int) -> "KNNGraphSearcher":
-        """A new searcher sharing this one's graph/data/metric but with
-        an independent entry-point RNG — what thread-parallel batch
-        execution needs (``repro.eval.parallel_query``), since a numpy
-        Generator is not safe to share across threads."""
-        return KNNGraphSearcher(self.graph, self.data,
-                                metric=self.metric.inner,
-                                entry_forest=self.entry_forest, seed=seed,
-                                metrics=self.metrics if self.metrics.enabled
-                                else None,
-                                kernel=self.metric.kernel)
+        """A searcher sharing this one's graph, data and tables but with
+        its own counted metric and an independent entry-point RNG —
+        what thread-parallel batch execution needs
+        (``repro.eval.parallel_query``), since neither a numpy Generator
+        nor the metric's counter is safe to share across threads."""
+        twin = copy.copy(self)
+        twin.metric = CountingMetric(self.metric.inner,
+                                     kernel=self.metric.kernel)
+        twin.seed = int(seed)
+        twin._rng = derive_rng(seed, 0x5EA6C4)
+        return twin
 
     # -- single query ----------------------------------------------------------
 
@@ -198,7 +220,9 @@ class KNNGraphSearcher:
         bound = np.inf
         evals = 0
 
-        todo, dists_w = self._expand(q, visited, self._entry_points(q, l_eff))
+        todo, dists_w = self._expand(
+            q, visited, self._entry_points([q] if self.metric.sparse_input
+                                           else q[None], l_eff)[0])
         while True:
             # ``bound`` is the one read at the start of this expansion:
             # it gates every neighbor alike, whatever their order.
@@ -334,8 +358,8 @@ class KNNGraphSearcher:
         step — ``l_eff`` entry points or one neighbor run, every pair
         being two gathered rows, their float64 copies and the
         difference: 32 bytes per coordinate."""
-        fanout = max(l_eff, int(self.graph.degrees().max()))
-        per_query = self.graph.n + 32 * fanout * self.data.shape[1]
+        fanout = max(l_eff, self._nbrs.shape[1])
+        per_query = self.graph.n + 1 + 32 * fanout * self.data.shape[1]
         return max(1, _BLOCK_BYTES // per_query)
 
     def _walk_block(self, Q: np.ndarray, l_eff: int, scale: float,
@@ -349,13 +373,19 @@ class KNNGraphSearcher:
         row: the result, ascending by ``(dist, id)`` and padded with
         ``(inf, _NO_ID)``; the frontier, unordered in the first
         ``fr_n`` columns with ``inf`` behind them; the bound.
+
+        A row of ``visited`` has ``n + 1`` columns: the last is the
+        padding id of the neighbor table, marked before the walk starts,
+        so a padded slot is skipped like a visited vertex.
         """
-        indptr, indices = self.graph.indptr, self.graph.indices
-        n = self.graph.n
+        n1 = self.graph.n + 1
+        nbrs = self._nbrs
         data = np.asarray(self.data)
         rowwise = self.metric.rowwise
+        norms, q_norms = self._norms, self.metric.norm_table(Q)
         m = len(Q)
-        visited = np.zeros(m * n, dtype=bool)
+        visited = np.zeros(m * n1, dtype=bool)
+        visited[n1 - 1::n1] = True
         slot = np.arange(m)
         live_of = np.arange(m)  # inverse of slot, valid for live slots
         evals = np.zeros(m, dtype=np.int64)
@@ -383,10 +413,11 @@ class KNNGraphSearcher:
             if repeat.any():
                 key = key[np.concatenate(([True], ~repeat))]
             visited[key] = True
-            s = key // n
-            c = key - s * n
+            s = key // n1
+            c = key - s * n1
             r = live_of[s]
-            d = rowwise(Q[s], data[c])
+            d = rowwise(Q[s], data[c], None if norms is None
+                        else (q_norms[s], norms[c]))
             evals += np.bincount(r, minlength=len(evals))
 
             # Frontier: gated by the bound as it stood before this step.
@@ -438,7 +469,7 @@ class KNNGraphSearcher:
             cat_i[:, :l_eff] = res_i[rows]
             cat_d[group, col] = d[better]
             cat_i[group, col] = c[better]
-            order = np.lexsort((cat_i, cat_d), axis=1)[:, :l_eff]
+            order = row_order(row_keys(cat_d, cat_i))[:, :l_eff]
             along = np.arange(len(rows))[:, None]
             res_d[rows] = cat_d[along, order]
             res_i[rows] = cat_i[along, order]
@@ -446,13 +477,15 @@ class KNNGraphSearcher:
 
         # Entry points: one draw per query, in query order, from the
         # stream ``query`` draws from.
-        entries = [self._entry_points(q, l_eff) for q in Q]
+        entries = self._entry_points(Q, l_eff)
         absorb(np.concatenate(entries)
-               + np.repeat(slot * n, [len(e) for e in entries]))
+               + np.repeat(slot * n1, [len(e) for e in entries]))
 
         while True:
             rows = np.arange(len(slot))
-            j = fr_d.argmin(axis=1)
+            # Only the first ``filled`` columns hold entries in any row.
+            filled = max(1, int(fr_n.max()))
+            j = fr_d[:, :filled].argmin(axis=1)
             d_p = fr_d[rows, j]
             # A row is done when its frontier is empty or its closest
             # entry is beyond the bound (Termination B).
@@ -472,25 +505,21 @@ class KNNGraphSearcher:
                 res_d, res_i = res_d[live], res_i[live]
                 fr_d, fr_i = fr_d[live], fr_i[live]
             # argmin takes the first of several equal distances; the
-            # rule is the smallest id among them.
-            tied = ((fr_d == d_p[:, None]).sum(axis=1) > 1).nonzero()[0]
-            if tied.size:
-                j[tied] = np.where(fr_d[tied] == d_p[tied, None],
-                                   fr_i[tied], _NO_ID).argmin(axis=1)
+            # rule is the smallest id among them.  Each row's head is
+            # finite and equals itself, so more equal entries than rows
+            # means some row ties.
+            same = fr_d[:, :filled] == d_p[:, None]
+            if np.count_nonzero(same) > len(rows):
+                tied = (same.sum(axis=1) > 1).nonzero()[0]
+                j[tied] = np.where(same[tied], fr_i[tied, :filled],
+                                   _NO_ID).argmin(axis=1)
             p = fr_i[rows, j]
             # Remove the popped entry: the row's last entry takes its place.
             fr_n -= 1
             fr_d[rows, j] = fr_d[rows, fr_n]
             fr_i[rows, j] = fr_i[rows, fr_n]
             fr_d[rows, fr_n] = np.inf
-            # Gather the popped vertices' CSR neighbor runs in one go.
-            lo = indptr[p]
-            deg = indptr[p + 1] - lo
-            ends = deg.cumsum()
-            if ends[-1] == 0:
-                continue
-            pos = np.arange(ends[-1]) + np.repeat(lo - (ends - deg), deg)
-            absorb(np.repeat(slot * n, deg) + indices[pos])
+            absorb(((slot * n1)[:, None] + nbrs[p]).ravel())
         ids_out[ids_out == _NO_ID] = -1
 
     # -- internals ----------------------------------------------------------
@@ -528,15 +557,20 @@ class KNNGraphSearcher:
             return todo, self.metric.rowwise(q, self.data[todo]).tolist()
         return todo, [self.metric(q, self.data[w]) for w in todo]
 
-    def _entry_points(self, q, l: int) -> np.ndarray:
+    def _entry_points(self, Q, l: int) -> List[np.ndarray]:
+        """Entry points of each query of ``Q``, drawn in query order:
+        the first ``l`` of its forest candidates, topped up with
+        uniform draws (all ``l`` drawn without a forest)."""
         n = self.graph.n
-        if self.entry_forest is not None and not self.metric.sparse_input:
-            cand = self.entry_forest.candidates_for(np.asarray(q, dtype=np.float64))
-            if len(cand) >= l:
-                return cand[:l]
-            extra = sample_without_replacement(self._rng, n, l - len(cand))
-            return np.concatenate((cand, extra))
-        return sample_without_replacement(self._rng, n, l)
+        if self.entry_forest is None or self.metric.sparse_input:
+            return [sample_without_replacement(self._rng, n, l) for _ in Q]
+        out = []
+        for cand in self.entry_forest.candidates(Q):
+            if len(cand) < l:
+                cand = np.concatenate((cand, sample_without_replacement(
+                    self._rng, n, l - len(cand))))
+            out.append(cand[:l])
+        return out
 
 
 def _check_params(l: int, epsilon: float) -> None:

@@ -151,3 +151,42 @@ class TestSearcherClone:
         a = clone._rng.random(4)
         b = searcher._rng.random(4)
         assert not np.array_equal(a, b)
+
+    def test_clone_shares_the_tables(self, setup):
+        """The norm table, the padded neighbor table and the forest are
+        made once; a clone gets its own counter and RNG only."""
+        from repro.core.rptree import make_rp_forest
+        data, searcher = setup
+        s = KNNGraphSearcher(searcher.graph, data, metric="cosine",
+                             entry_forest=make_rp_forest(data, seed=0))
+        clone = s.clone(seed=7)
+        assert s._norms is not None
+        assert clone._norms is s._norms
+        assert clone._nbrs is s._nbrs
+        assert clone.entry_forest is s.entry_forest
+        assert clone.metric is not s.metric and clone.metric.count == 0
+        assert clone.metric.kernel == s.metric.kernel
+        assert clone.seed == 7 and s.seed == 0
+
+    def test_engine_answers_equal_fresh_searchers(self, setup):
+        """Clones sharing the tables answer as searchers built from
+        scratch with the clones' seeds."""
+        from repro.core.rptree import make_rp_forest
+        data, searcher = setup
+        forest = make_rp_forest(data, seed=2)
+        queries = data[:50] + np.float32(0.02)
+        s = KNNGraphSearcher(searcher.graph, data, metric="cosine",
+                             entry_forest=forest, seed=3, kernel="rowwise")
+        ids, dists, stats = ParallelQueryEngine(s, n_threads=3).query_batch(
+            queries, l=6, epsilon=0.1)
+        spans = [KNNGraphSearcher(
+            searcher.graph, data, metric="cosine", entry_forest=forest,
+            seed=derive_seed(3, i), kernel="rowwise").query_batch(
+            queries[span], l=6, epsilon=0.1)
+            for i, span in enumerate(np.array_split(np.arange(50), 3))]
+        assert np.array_equal(ids, np.concatenate([p[0] for p in spans]))
+        assert dists.tobytes() == np.concatenate(
+            [p[1] for p in spans]).tobytes()
+        assert stats["mean_distance_evals"] == pytest.approx(
+            sum(p[2]["mean_distance_evals"] * p[2]["n_queries"]
+                for p in spans) / 50)

@@ -357,8 +357,9 @@ class TestLockStep:
             for v in range(graph.n)])
 
         class RepeatingForest:
-            def candidates_for(self, q):
-                return np.array([3, 3, 7, 3, 7, 150, 150], dtype=np.int64)
+            def candidates(self, Q):
+                return [np.array([3, 3, 7, 3, 7, 150, 150], dtype=np.int64)
+                        for _ in Q]
 
         plain = KNNGraphSearcher(graph, data, seed=1, kernel="rowwise",
                                  entry_forest=RepeatingForest())
@@ -486,9 +487,10 @@ class TestLockStep:
         queries = data[np.random.default_rng(0).integers(0, n, nq)]
         # Start next to the answer, so the walk itself is short.
         class NearbyForest:
-            def candidates_for(self, q):
-                at = int(round(np.arctan2(q[1], q[0]) / (2 * np.pi) * n)) % n
-                return (at + np.arange(5, 5 + l)) % n
+            def candidates(self, Q):
+                at = np.rint(np.arctan2(Q[:, 1], Q[:, 0]) / (2 * np.pi) * n)
+                return list((at.astype(np.int64)[:, None]
+                             + np.arange(5, 5 + l)) % n)
 
         def make():
             return KNNGraphSearcher(graph, data, seed=0, kernel="rowwise",
