@@ -37,16 +37,20 @@ def weighted_sqeuclidean(a, b) -> float:
     return float((WEIGHTS * d * d).sum())
 
 
-def weighted_sqeuclidean_batch(q, X) -> np.ndarray:
-    d = X.astype(np.float64) - np.asarray(q, dtype=np.float64)
-    return (d * d) @ WEIGHTS
+def weighted_sqeuclidean_rows(A, B) -> np.ndarray:
+    """The metric on paired rows (either side may be one vector, as in a
+    search's one-vs-many call).  It must equal the scalar form bit for
+    bit: the same float64 difference, the same products, and a sum along
+    C-ordered rows, which reduces each row as the 1-D ``sum`` does."""
+    d = np.subtract(A, B, dtype=np.float64, order="C")
+    return (WEIGHTS * d * d).sum(axis=-1)
 
 
 def main() -> None:
     register_metric(Metric(
         "weighted_sqeuclidean",
         weighted_sqeuclidean,
-        one_to_many=weighted_sqeuclidean_batch,
+        rowwise=weighted_sqeuclidean_rows,
     ), overwrite=True)
     print("registered custom metric 'weighted_sqeuclidean' "
           f"(first {DIM // 4} features weighted 4x)")

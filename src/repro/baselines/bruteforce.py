@@ -3,7 +3,7 @@
 "The brute-force approach performs similarity comparisons between all
 pairs in the datasets."  Dense metrics use blocked pairwise-distance
 matrices (bounded peak memory, cache-friendly row blocks); sparse
-metrics fall back to per-pair evaluation.
+metrics take the same blocks through the metric's per-pair fallback.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def brute_force_neighbors(data, queries, k: int, metric="sqeuclidean",
         ``(nq, k)`` arrays, ascending by distance; ties broken by id.
     """
     cm = CountingMetric(metric, kernel=kernel)
-    m = cm.inner
+    if not cm.sparse_input:
+        data, queries = np.asarray(data), np.asarray(queries)
     n = len(data)
     nq = len(queries)
     if k < 1:
@@ -54,13 +55,10 @@ def brute_force_neighbors(data, queries, k: int, metric="sqeuclidean",
     ids = np.empty((nq, k), dtype=np.int64)
     dists = np.empty((nq, k), dtype=np.float64)
     for lo, hi in chunk_ranges(nq, block):
-        if m.sparse_input:
-            d_block = np.empty((hi - lo, n), dtype=np.float64)
-            for qi in range(lo, hi):
-                for j in range(n):
-                    d_block[qi - lo, j] = m.scalar(queries[qi], data[j])
-        else:
-            d_block = cm.block(np.asarray(queries)[lo:hi], np.asarray(data))
+        # A SparseDataset does not slice: its chunk is a list of records.
+        rows = ([queries[i] for i in range(lo, hi)] if cm.sparse_input
+                else queries[lo:hi])
+        d_block = cm.block(rows, data)
         if exclude_self:
             for qi in range(lo, hi):
                 if qi < n:

@@ -4,10 +4,11 @@ NN-Descent's defining property (Section 3.1) is that it works with *any*
 symmetric distance function; the paper's evaluation uses L2, cosine, and
 Jaccard (Table 1).  This subpackage provides:
 
-- scalar metrics (``theta(a, b) -> float``) for the message-level
-  distributed code path,
-- batched metrics (``theta_batch(A, b)`` / pairwise blocks) for the
-  vectorized shared-memory baseline and brute-force ground truth,
+- scalar metrics (``theta(a, b) -> float``), the reference every
+  batched form is checked against,
+- exact rowwise forms (``theta(A[i], B[i])``, either side one broadcast
+  vector for the one-vs-many case) for builds and searches, and
+  pairwise blocks for brute-force ground truth,
 - a registry keyed by metric name,
 - blocked tiled-GEMM kernels on plain numpy (``repro.distances.blocked``),
   selected per build via ``DNNDConfig.kernel`` / ``REPRO_KERNEL``,

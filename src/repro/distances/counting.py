@@ -69,10 +69,12 @@ class CountingMetric:
         return self._metric.scalar(a, b)
 
     def distances_to(self, q, X) -> np.ndarray:
-        if self._blocked is not None:
-            out = self._blocked.one_to_many(q, X)
-        else:
-            out = self._metric.distances_to(q, X)
+        """``theta(q, X[i])`` for every row of ``X``, counted as one
+        evaluation per row: the blocked kernel's GEMV over its norm
+        cache, otherwise :meth:`rowwise` with ``q`` broadcast (exact)."""
+        if self._blocked is None:
+            return self.rowwise(q, X)
+        out = self._blocked.one_to_many(q, X)
         self.count += int(out.shape[0])
         return out
 

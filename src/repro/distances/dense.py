@@ -1,12 +1,16 @@
-"""Dense-vector metrics: scalar and batched forms.
+"""Dense-vector metrics: scalar, rowwise and pairwise forms.
 
 Scalar forms take two 1-D arrays and return a Python float — this is the
 unit of work charged by the simulated cost model (one "distance
-evaluation" in the paper's sense).  Batched forms compute one-vs-many or
-many-vs-many distances with numpy broadcasting; they are used by the
-shared-memory NN-Descent, the brute-force baseline, and the query
-program, where the paper's implementations are also vectorized (C++/
-OpenMP / numba).
+evaluation" in the paper's sense), and the reference every batched form
+is checked against.  A metric has at most two batched forms:
+
+- ``*_rowwise(A, B)``: ``theta(A[i], B[i])`` for paired rows, either
+  side a single broadcast vector (the one-vs-many case), bit-identical
+  to the scalar form.  Builds, searches and one-vs-many calls use it.
+- ``*_pairwise(A, B)``: the ``(n, m)`` block of every row of ``A``
+  against every row of ``B``, for brute-force ground truth; close to
+  the scalar form, not bit-identical.
 
 All metrics return values in ``[0, inf)`` with smaller = closer, per
 Section 2.  Cosine and inner-product similarities are converted to
@@ -77,12 +81,13 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
 
 def canberra(a: np.ndarray, b: np.ndarray) -> float:
     """Canberra distance: sum |a-b| / (|a|+|b|), zero-denominator terms
-    contribute 0 (scipy's convention)."""
+    contribute 0 (scipy's convention).  The zero terms stay in the sum,
+    so it reduces every coordinate as the rowwise form does."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     denom = np.abs(a) + np.abs(b)
-    mask = denom > 0
-    return float((np.abs(a - b)[mask] / denom[mask]).sum())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.where(denom > 0, np.abs(a - b) / denom, 0.0).sum())
 
 
 def braycurtis(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,95 +129,23 @@ def make_minkowski(p: float):
 
 
 # ---------------------------------------------------------------------------
-# Batched metrics: one query against a matrix of rows
-# ---------------------------------------------------------------------------
-
-
-def sqeuclidean_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    d = X.astype(np.float64, copy=False) - np.asarray(q, dtype=np.float64)
-    return np.einsum("ij,ij->i", d, d)
-
-
-def euclidean_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.sqrt(sqeuclidean_one_to_many(q, X))
-
-
-def manhattan_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.abs(X.astype(np.float64, copy=False) - np.asarray(q, dtype=np.float64)).sum(axis=1)
-
-
-def chebyshev_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.abs(X.astype(np.float64, copy=False) - np.asarray(q, dtype=np.float64)).max(axis=1)
-
-
-def cosine_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    Xf = X.astype(np.float64, copy=False)
-    nq = np.sqrt(np.dot(q, q))
-    nx = np.sqrt(np.einsum("ij,ij->i", Xf, Xf))
-    out = np.ones(Xf.shape[0], dtype=np.float64)
-    if nq == 0.0:
-        return out
-    nonzero = nx > 0
-    sims = (Xf[nonzero] @ q) / (nx[nonzero] * nq)
-    out[nonzero] = np.clip(1.0 - sims, 0.0, 2.0)
-    return out
-
-
-def inner_product_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return 1.0 - X.astype(np.float64, copy=False) @ np.asarray(q, dtype=np.float64)
-
-
-def hamming_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.count_nonzero(X != np.asarray(q), axis=1) / float(X.shape[1])
-
-
-def canberra_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    qf = np.asarray(q, dtype=np.float64)
-    Xf = X.astype(np.float64, copy=False)
-    denom = np.abs(Xf) + np.abs(qf)
-    num = np.abs(Xf - qf)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(denom > 0, num / denom, 0.0)
-    return terms.sum(axis=1)
-
-
-def braycurtis_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    qf = np.asarray(q, dtype=np.float64)
-    Xf = X.astype(np.float64, copy=False)
-    denom = np.abs(Xf + qf).sum(axis=1)
-    num = np.abs(Xf - qf).sum(axis=1)
-    out = np.zeros(Xf.shape[0], dtype=np.float64)
-    nz = denom > 0
-    out[nz] = num[nz] / denom[nz]
-    return out
-
-
-def correlation_one_to_many(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    qf = np.asarray(q, dtype=np.float64)
-    Xf = X.astype(np.float64, copy=False)
-    return cosine_one_to_many(qf - qf.mean(),
-                              Xf - Xf.mean(axis=1, keepdims=True))
-
-
-# ---------------------------------------------------------------------------
 # Rowwise kernels: theta(A[i], B[i]) for paired rows, bit-identical to the
 # scalar forms
 # ---------------------------------------------------------------------------
 #
-# The batch execution engine (PR 3) replaces per-message scalar metric
-# calls with one vectorized evaluation per delivery batch, but the
-# batched build must stay *bit-identical* to the scalar build.  The
-# einsum / Gram-trick forms above do not qualify: their reduction order
-# differs from ``np.dot`` by a few ULPs.  Row-at-a-time ``matmul``
-# (``(1, d) @ (d, 1)``) goes through the same dot-product reduction as
-# the scalar ``np.dot`` and is observed bitwise-equal across dtypes and
-# dimensions (covered by tests/unit/test_distances_dense.py).  Sum- and
-# max-reductions along axis 1 are likewise bitwise-equal to their 1-D
-# forms.  Metrics whose scalar form masks elements before reducing
-# (canberra) or reduces twice (braycurtis, correlation) change summation
-# grouping under compaction and get no rowwise form — callers fall back
-# to the scalar loop.
+# The batch execution engine replaces per-message scalar metric calls
+# with one vectorized evaluation per delivery batch, but the batched
+# build must stay *bit-identical* to the scalar build.  Einsum and the
+# Gram trick do not qualify: their reduction order differs from
+# ``np.dot`` by a few ULPs.  Row-at-a-time ``matmul`` (``(1, d) @ (d,
+# 1)``) goes through the same dot-product reduction as the scalar
+# ``np.dot`` and is observed bitwise-equal across dtypes and dimensions
+# (covered by tests/unit/test_distances_dense.py).  Sum-, mean- and
+# max-reductions along axis 1 of C-ordered rows are likewise
+# bitwise-equal to their 1-D forms, so every dense metric has an exact
+# rowwise form: braycurtis reduces twice, correlation centres by a mean,
+# and canberra's scalar sums its zero-denominator terms as zeros rather
+# than masking them out.
 #
 # Either argument may be a single vector; it is broadcast against the
 # other argument's rows, matching ``theta(q, X[i])`` one-vs-many use.
@@ -325,6 +258,33 @@ def hamming_rowwise(a, b) -> np.ndarray:
     elif B.ndim == 1:
         B = np.broadcast_to(B, A.shape)
     return np.count_nonzero(A != B, axis=1) / float(A.shape[1])
+
+
+def canberra_rowwise(a, b) -> np.ndarray:
+    A = np.asarray(a, dtype=np.float64)
+    B = np.asarray(b, dtype=np.float64)
+    denom = np.add(np.abs(A), np.abs(B), order="C")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(denom > 0, np.abs(_diff64(A, B)) / denom, 0.0)
+    return terms.sum(axis=1)
+
+
+def braycurtis_rowwise(a, b) -> np.ndarray:
+    denom = np.abs(np.add(a, b, dtype=np.float64, order="C")).sum(axis=1)
+    num = np.abs(_diff64(a, b)).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, num / denom, 0.0)
+
+
+def _centred(X) -> np.ndarray:
+    """Each row of ``X`` (or ``X`` itself, 1-D) minus its mean, as the
+    scalar correlation centres a vector."""
+    X = np.asarray(X, dtype=np.float64, order="C")
+    return X - X.mean(axis=-1, keepdims=True)
+
+
+def correlation_rowwise(a, b) -> np.ndarray:
+    return cosine_rowwise(_centred(a), _centred(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Named metric registry.
 
-A :class:`Metric` bundles the three forms a metric can take — scalar,
-one-to-many, and pairwise-block — plus metadata (whether it operates on
-dense matrices or sparse set records).  Algorithms look metrics up by
-name so that configs remain plain data (Section 5.1's "Similarity
-Metric" column maps directly onto these names).
+A :class:`Metric` bundles the forms a metric can take — the scalar
+reference, the exact rowwise form (paired rows, or one vector against
+many rows) and the pairwise block — plus metadata (its per-vertex norm
+table, and whether it operates on dense matrices or sparse set
+records).  Algorithms look metrics up by name so that configs remain
+plain data (Section 5.1's "Similarity Metric" column maps directly onto
+these names).
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ class Metric:
         Registry key (lowercase).
     scalar:
         ``theta(a, b) -> float`` — the Section 2 distance function.
-    one_to_many:
-        Vectorized ``theta(q, X) -> (n,)`` or ``None`` if unavailable.
     pairwise:
         Vectorized block form ``theta(A, B) -> (n, m)`` or ``None``.
     rowwise:
         Paired-rows form ``theta(A[i], B[i]) -> (n,)`` that is
         *bit-identical* to calling ``scalar`` per row (either side may
-        be a single broadcast vector), or ``None``.  This is the only
-        batched form the construction hot path may use: the batch
+        be a single broadcast vector, which makes it the one-vs-many
+        form ``theta(q, X[i])``), or ``None``.  This is the only batched
+        form the construction and search hot paths may use: the batch
         execution engine relies on it to keep batched builds equal to
         scalar builds down to the last float bit.
     row_norms:
@@ -50,7 +51,6 @@ class Metric:
 
     name: str
     scalar: Callable[[np.ndarray, np.ndarray], float]
-    one_to_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     pairwise: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rowwise: Optional[Callable[..., np.ndarray]] = None
     row_norms: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -76,12 +76,6 @@ class Metric:
         if b_single:
             return np.array([scalar(a, B) for a in A], dtype=np.float64)
         return np.array([scalar(a, b) for a, b in zip(A, B)], dtype=np.float64)
-
-    def distances_to(self, q: np.ndarray, X) -> np.ndarray:
-        """One-to-many distances, vectorized when possible."""
-        if self.one_to_many is not None and not self.sparse_input:
-            return self.one_to_many(q, X)
-        return np.array([self.scalar(q, X[i]) for i in range(len(X))], dtype=np.float64)
 
     def block(self, A, B) -> np.ndarray:
         """Pairwise block, vectorized when possible."""
@@ -138,30 +132,33 @@ def list_metrics() -> List[str]:
 # ---------------------------------------------------------------------------
 
 register_metric(Metric(
-    "euclidean", dense.euclidean, dense.euclidean_one_to_many,
-    dense.euclidean_pairwise, dense.euclidean_rowwise))
+    "euclidean", dense.euclidean, pairwise=dense.euclidean_pairwise,
+    rowwise=dense.euclidean_rowwise))
 register_metric(Metric(
-    "sqeuclidean", dense.sqeuclidean, dense.sqeuclidean_one_to_many,
-    dense.sqeuclidean_pairwise, dense.sqeuclidean_rowwise))
+    "sqeuclidean", dense.sqeuclidean, pairwise=dense.sqeuclidean_pairwise,
+    rowwise=dense.sqeuclidean_rowwise))
 register_metric(Metric(
-    "cosine", dense.cosine, dense.cosine_one_to_many, dense.cosine_pairwise,
-    dense.cosine_rowwise, dense.cosine_row_norms))
+    "cosine", dense.cosine, pairwise=dense.cosine_pairwise,
+    rowwise=dense.cosine_rowwise, row_norms=dense.cosine_row_norms))
 register_metric(Metric(
-    "inner_product", dense.inner_product, dense.inner_product_one_to_many,
-    dense.inner_product_pairwise, dense.inner_product_rowwise))
+    "inner_product", dense.inner_product,
+    pairwise=dense.inner_product_pairwise,
+    rowwise=dense.inner_product_rowwise))
 register_metric(Metric(
-    "manhattan", dense.manhattan, dense.manhattan_one_to_many,
-    dense.manhattan_pairwise, dense.manhattan_rowwise))
+    "manhattan", dense.manhattan, pairwise=dense.manhattan_pairwise,
+    rowwise=dense.manhattan_rowwise))
 register_metric(Metric(
-    "chebyshev", dense.chebyshev, dense.chebyshev_one_to_many,
-    dense.chebyshev_pairwise, dense.chebyshev_rowwise))
+    "chebyshev", dense.chebyshev, pairwise=dense.chebyshev_pairwise,
+    rowwise=dense.chebyshev_rowwise))
 register_metric(Metric(
-    "hamming", dense.hamming, dense.hamming_one_to_many,
-    dense.hamming_pairwise, dense.hamming_rowwise))
-register_metric(Metric("canberra", dense.canberra, dense.canberra_one_to_many))
-register_metric(Metric("braycurtis", dense.braycurtis, dense.braycurtis_one_to_many))
-register_metric(Metric(
-    "correlation", dense.correlation, dense.correlation_one_to_many))
+    "hamming", dense.hamming, pairwise=dense.hamming_pairwise,
+    rowwise=dense.hamming_rowwise))
+register_metric(Metric("canberra", dense.canberra,
+                       rowwise=dense.canberra_rowwise))
+register_metric(Metric("braycurtis", dense.braycurtis,
+                       rowwise=dense.braycurtis_rowwise))
+register_metric(Metric("correlation", dense.correlation,
+                       rowwise=dense.correlation_rowwise))
 register_metric(Metric("jaccard", sparse.jaccard, sparse_input=True))
 register_metric(Metric("dice", sparse.dice, sparse_input=True))
 register_metric(Metric("overlap", sparse.overlap, sparse_input=True))

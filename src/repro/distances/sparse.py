@@ -67,13 +67,6 @@ def overlap(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - inter / min(a.size, b.size)
 
 
-def jaccard_one_to_many(q: np.ndarray, records: List[np.ndarray]) -> np.ndarray:
-    """Jaccard distance from ``q`` to each record (loop — records are
-    ragged, so there is no rectangular vectorization; the per-record
-    merge is already O(|a|+|b|))."""
-    return np.array([jaccard(q, r) for r in records], dtype=np.float64)
-
-
 class SparseDataset:
     """A list of sorted-set records presented with a matrix-like facade.
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.distances import dense, sparse
+from repro.distances import CountingMetric, dense, sparse
 from repro.distances.blocked import make_kernels
 
 vec = hnp.arrays(
@@ -86,7 +86,7 @@ def test_cosine_bounded(ab):
     kernels = make_kernels("cosine")
     A, B = a[None, :], b[None, :]
     forms = [np.array([dense.cosine(a, b)]), dense.cosine_rowwise(A, B),
-             dense.cosine_one_to_many(a, B), dense.cosine_pairwise(A, B),
+             dense.cosine_rowwise(a, B), dense.cosine_pairwise(A, B),
              kernels.pairwise(A, B), kernels.rowwise(A, B),
              kernels.one_to_many(a, B)]
     for form in forms:
@@ -138,16 +138,37 @@ def test_dice_vs_jaccard_relation(sa, sb):
     assert sparse.dice(a, b) <= sparse.jaccard(a, b) + 1e-12
 
 
-@given(ab=paired(2))
-@settings(max_examples=60, deadline=None)
-def test_one_to_many_consistency(ab):
-    a, b = ab
-    X = np.stack([b, a, (a + b) / 2])
-    for scalar, batch in [
-        (dense.euclidean, dense.euclidean_one_to_many),
-        (dense.cosine, dense.cosine_one_to_many),
-        (dense.manhattan, dense.manhattan_one_to_many),
-    ]:
-        got = batch(a, X)
-        want = [scalar(a, X[i]) for i in range(3)]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+#: Every built-in dense metric: each has an exact rowwise form.
+DENSE = ["sqeuclidean", "euclidean", "cosine", "inner_product", "manhattan",
+         "chebyshev", "hamming", "canberra", "braycurtis", "correlation"]
+
+
+@st.composite
+def one_and_many(draw):
+    """``(q, X)``: one vector and 0, 1 or many rows of one dtype, with
+    zero rows, zero coordinates and repeated rows drawn often."""
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int8]))
+    d = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 9))]))
+    if dtype is np.int8:
+        elements = st.integers(-128, 127)
+    else:
+        elements = st.floats(-50, 50, allow_nan=False, width=32)
+    rows = hnp.arrays(dtype, (n + 1, d), elements=st.one_of(
+        st.just(dtype(0)), elements))
+    M = draw(rows)
+    return M[0], M[1:]
+
+
+@given(qX=one_and_many())
+@settings(max_examples=150, deadline=None)
+def test_one_to_many_consistency(qX):
+    """Under the rowwise kernel ``distances_to(q, X)`` is the scalar
+    metric, byte for byte, and counts one evaluation per row."""
+    q, X = qX
+    for name in DENSE:
+        cm = CountingMetric(name, kernel="rowwise")
+        got = cm.distances_to(q, X)
+        want = np.array([cm.inner.scalar(q, x) for x in X], dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), name
+        assert cm.count == len(X)

@@ -1,4 +1,5 @@
-"""Dense metric correctness: scalar, one-to-many, pairwise and rowwise forms."""
+"""Dense metric correctness: scalar, pairwise and rowwise forms (the
+rowwise form with a 1-D side is the one-vs-many evaluation)."""
 
 import numpy as np
 import pytest
@@ -52,14 +53,16 @@ class TestScalar:
         assert dense.sqeuclidean(a, b) == pytest.approx(249**2 + 252**2)
 
 
-ONE_TO_MANY = [
-    (dense.sqeuclidean, dense.sqeuclidean_one_to_many),
-    (dense.euclidean, dense.euclidean_one_to_many),
-    (dense.manhattan, dense.manhattan_one_to_many),
-    (dense.chebyshev, dense.chebyshev_one_to_many),
-    (dense.cosine, dense.cosine_one_to_many),
-    (dense.inner_product, dense.inner_product_one_to_many),
-]
+def _one_to_many(name):
+    """The one-vs-many evaluation of metric ``name``: its rowwise form
+    with a 1-D ``q``."""
+    return pytest.param(getattr(dense, name), getattr(dense, name + "_rowwise"),
+                        id=f"{name}-{name}_one_to_many")
+
+
+ONE_TO_MANY = [_one_to_many(name) for name in (
+    "sqeuclidean", "euclidean", "manhattan", "chebyshev", "cosine",
+    "inner_product")]
 
 
 class TestOneToMany:
@@ -70,19 +73,19 @@ class TestOneToMany:
         X = rng.normal(size=(20, 7))
         got = batch(q, X)
         want = np.array([scalar(q, X[i]) for i in range(20)])
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert got.tobytes() == want.tobytes()
 
     def test_hamming_one_to_many(self):
         q = np.array([1, 2, 3])
         X = np.array([[1, 2, 3], [0, 0, 0], [1, 0, 3]])
         np.testing.assert_allclose(
-            dense.hamming_one_to_many(q, X), [0.0, 1.0, 1 / 3]
+            dense.hamming_rowwise(q, X), [0.0, 1.0, 1 / 3]
         )
 
     def test_cosine_zero_rows(self):
         q = np.array([1.0, 0.0])
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        out = dense.cosine_one_to_many(q, X)
+        out = dense.cosine_rowwise(q, X)
         assert out[0] == 1.0 and out[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -125,14 +128,18 @@ class TestPairwise:
         assert out[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
+#: Every dense metric: each has a rowwise form exact to its scalar.
+ROWWISE = ["sqeuclidean", "euclidean", "cosine", "inner_product",
+           "manhattan", "chebyshev", "hamming", "canberra", "braycurtis",
+           "correlation"]
+
+
 class TestRowwise:
     """The rowwise kernels are the scalar metric, row for row and bit
     for bit, however the caller lays out a repeated ``q``."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("name", ["sqeuclidean", "euclidean", "cosine",
-                                      "inner_product", "manhattan",
-                                      "chebyshev"])
+    @pytest.mark.parametrize("name", ROWWISE)
     def test_bit_identical_to_scalar_for_every_layout_of_q(self, name, dtype):
         scalar = getattr(dense, name)
         rowwise = getattr(dense, name + "_rowwise")
@@ -149,3 +156,33 @@ class TestRowwise:
             assert rowwise(np.repeat(q[None], len(X), axis=0), X).tobytes() == want
             assert rowwise(X, np.broadcast_to(q, X.shape)).tobytes() == (
                 np.array([scalar(x, q) for x in X]).tobytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8])
+    @pytest.mark.parametrize("name", ROWWISE)
+    def test_bit_identical_to_scalar_on_edge_rows(self, name, dtype):
+        """Paired rows, C- or Fortran-ordered, and a broadcast 1-D side
+        (as a vector and as a stride-0 view), over zero rows, rows that
+        are zero in half their coordinates (canberra's 0/0 terms) and
+        constant rows (correlation's zero centred norm)."""
+        scalar = getattr(dense, name)
+        rowwise = getattr(dense, name + "_rowwise")
+        rng = np.random.default_rng(5)
+        for dim in (1, 3, 25, 100, 784):
+            shape = (2, 40, dim)
+            X, Y = (rng.integers(-128, 127, shape) if dtype is np.int8
+                    else rng.standard_normal(shape)).astype(dtype)
+            X[1] = 0
+            Y[2] = 0
+            X[3, :(dim + 1) // 2] = Y[3, :(dim + 1) // 2] = 0
+            X[4] = X[4, 0]
+            want = np.array([scalar(x, y) for x, y in zip(X, Y)]).tobytes()
+            assert rowwise(X, Y).tobytes() == want
+            assert rowwise(np.asfortranarray(X),
+                           np.asfortranarray(Y)).tobytes() == want
+            for q in (X[1], X[3], X[4], Y[5]):
+                want = np.array([scalar(q, y) for y in Y]).tobytes()
+                assert rowwise(q, Y).tobytes() == want
+                assert rowwise(np.broadcast_to(q, Y.shape), Y).tobytes() == want
+                want = np.array([scalar(y, q) for y in Y]).tobytes()
+                assert rowwise(Y, q).tobytes() == want
+                assert rowwise(Y, np.broadcast_to(q, Y.shape)).tobytes() == want

@@ -56,18 +56,22 @@ class TestEdgeCases:
             dense.make_minkowski(0.5)
 
 
+def _one_to_many(name):
+    """The one-vs-many evaluation of metric ``name``: its rowwise form
+    with a 1-D ``q``."""
+    return pytest.param(getattr(dense, name), getattr(dense, name + "_rowwise"),
+                        id=f"{name}-{name}_one_to_many")
+
+
 class TestBatchedForms:
     X = rng.random((15, 12))
 
     @pytest.mark.parametrize("scalar,batch", [
-        (dense.canberra, dense.canberra_one_to_many),
-        (dense.braycurtis, dense.braycurtis_one_to_many),
-        (dense.correlation, dense.correlation_one_to_many),
-    ])
+        _one_to_many(n) for n in ("canberra", "braycurtis", "correlation")])
     def test_matches_scalar(self, scalar, batch):
         got = batch(A, self.X)
-        want = [scalar(A, self.X[i]) for i in range(15)]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        want = np.array([scalar(A, self.X[i]) for i in range(15)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRegistry:
@@ -88,3 +92,37 @@ class TestRegistry:
             res = build_knn_graph(data, k=5, metric=name, seed=0)
             truth = brute_force_knn_graph(data, k=5, metric=name)
             assert graph_recall(res.graph, truth) > 0.8, name
+
+
+class TestRowwiseBuilds:
+    @pytest.mark.parametrize("name", ["braycurtis", "correlation"])
+    def test_build_equals_scalar_fallback_build(self, name):
+        """A DNND build through the vectorized rowwise form is the build
+        a copy of the metric without one makes through the per-pair
+        scalar loop: same ids, same distance bytes, same evaluations.
+        Checked against the scalar reference rather than a recorded
+        digest, which another BLAS could move."""
+        from dataclasses import replace
+
+        from repro import DNND, ClusterConfig, DNNDConfig, NNDescentConfig
+
+        scalar_only = register_metric(replace(
+            get_metric(name), name=f"test_{name}_scalar_only", rowwise=None),
+            overwrite=True)
+        # float64 rows: sums of float32 values are exact in float64,
+        # whatever their order, and would hide a reduction-order slip.
+        data = np.random.default_rng(8).random((300, 25))
+
+        def build(metric):
+            cfg = DNNDConfig(nnd=NNDescentConfig(k=8, metric=metric, seed=3),
+                             backend="sim")
+            dnnd = DNND(data, cfg, cluster=ClusterConfig(2, 2))
+            try:
+                return dnnd.build()
+            finally:
+                dnnd.close()
+
+        fast, slow = build(name), build(scalar_only.name)
+        assert fast.graph.ids.tobytes() == slow.graph.ids.tobytes()
+        assert fast.graph.dists.tobytes() == slow.graph.dists.tobytes()
+        assert fast.distance_evals == slow.distance_evals

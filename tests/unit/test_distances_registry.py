@@ -46,17 +46,17 @@ class TestMetricObject:
         m = get_metric("euclidean")
         assert m(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
-    def test_distances_to_vectorized(self):
+    def test_rowwise_dists_one_to_many(self):
         m = get_metric("sqeuclidean")
         q = np.zeros(3)
         X = np.eye(3)
-        np.testing.assert_allclose(m.distances_to(q, X), [1, 1, 1])
+        np.testing.assert_allclose(m.rowwise_dists(q, X), [1, 1, 1])
 
-    def test_distances_to_sparse_fallback(self):
+    def test_rowwise_dists_sparse_one_to_many(self):
         m = get_metric("jaccard")
         q = np.array([1, 2])
         records = [np.array([1, 2]), np.array([3, 4])]
-        np.testing.assert_allclose(m.distances_to(q, records), [0.0, 1.0])
+        np.testing.assert_allclose(m.rowwise_dists(q, records), [0.0, 1.0])
 
     def test_block_vectorized(self):
         m = get_metric("euclidean")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distances import sparse
+from repro.distances import get_metric, sparse
 from repro.errors import MetricError
 
 
@@ -87,7 +87,7 @@ class TestJaccardOneToMany:
     def test_matches_scalar(self):
         q = sparse.as_sorted_set([1, 2, 3])
         records = [sparse.as_sorted_set(r) for r in ([1, 2], [4, 5], [1, 2, 3])]
-        out = sparse.jaccard_one_to_many(q, records)
+        out = get_metric("jaccard").rowwise_dists(q, records)
         want = [sparse.jaccard(q, r) for r in records]
         np.testing.assert_allclose(out, want)
 
